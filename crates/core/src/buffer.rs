@@ -1,12 +1,36 @@
-//! The fixed-capacity labeled sample buffer.
+//! The fixed-capacity labeled sample buffer and the columnar block labels
+//! travel in.
+//!
+//! Labels are the scarce product of the system, so the path a label takes —
+//! teacher → [`SampleBuffer`] → peers → retraining — never clones a sample
+//! it will not keep. Both types here are structure-of-arrays: one flat `f32`
+//! slab of `rows × dim` features beside parallel label / class / timestamp
+//! columns. Admitting a sample is a few `copy_from_slice`s into those
+//! columns, a draw is a list of row indices, and retraining reads feature
+//! rows straight out of the slab. [`LabeledSample`] is the owned row record
+//! that survives at the API and serde edges; [`SampleRef`] is its borrowed
+//! counterpart.
+//!
+//! # Cost model
+//!
+//! | operation | cost |
+//! |---|---|
+//! | `push` / `admit_row` | one `dim`-float copy + three scalar stores, no allocation once the slab reached `capacity × dim` |
+//! | `admit_prefixes` (a barrier's imports) | at most `capacity` row copies, however many samples were granted |
+//! | `draw_indices` | one shuffled `Vec<usize>` of `len` indices, no sample copied |
+//! | `gather` | one `&[f32]` and one label per drawn index |
+//!
+//! The slab grows on demand (never beyond `capacity × dim`), so a buffer
+//! that stays small never pays for its capacity.
 
+use crate::{CoreError, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use serde::{Deserialize, Serialize, Value};
+use std::ops::Range;
 
-/// One sample that has been labeled by the teacher.
+/// One sample that has been labeled by the teacher, as an owned record.
 ///
 /// The buffer stores the teacher's label (what the system trains and
 /// validates against) alongside the ground-truth class, which only the
@@ -23,12 +47,216 @@ pub struct LabeledSample {
     pub timestamp_s: f64,
 }
 
+impl LabeledSample {
+    /// Borrows the record as a [`SampleRef`].
+    #[must_use]
+    pub fn view(&self) -> SampleRef<'_> {
+        SampleRef {
+            features: &self.features,
+            teacher_label: self.teacher_label,
+            true_class: self.true_class,
+            timestamp_s: self.timestamp_s,
+        }
+    }
+}
+
+/// A borrowed labeled sample: one row of a [`SampleBuffer`] (or any other
+/// columnar store), field for field what [`LabeledSample`] owns. Serialises
+/// exactly like the owned record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SampleRef<'a> {
+    /// Feature vector of the object crop.
+    pub features: &'a [f32],
+    /// Label assigned by the teacher model.
+    pub teacher_label: usize,
+    /// Ground-truth class (hidden from the system; used only for reporting).
+    pub true_class: usize,
+    /// Stream timestamp at which the sample was captured, in seconds.
+    pub timestamp_s: f64,
+}
+
+impl SampleRef<'_> {
+    /// Copies the row into an owned [`LabeledSample`].
+    #[must_use]
+    pub fn to_sample(&self) -> LabeledSample {
+        LabeledSample {
+            features: self.features.to_vec(),
+            teacher_label: self.teacher_label,
+            true_class: self.true_class,
+            timestamp_s: self.timestamp_s,
+        }
+    }
+}
+
+impl Serialize for SampleRef<'_> {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("features".to_string(), self.features.to_value()),
+            ("teacher_label".to_string(), self.teacher_label.to_value()),
+            ("true_class".to_string(), self.true_class.to_value()),
+            ("timestamp_s".to_string(), self.timestamp_s.to_value()),
+        ])
+    }
+}
+
+/// A columnar batch of labeled samples: the one batch type on the label
+/// path (a session's recorded exports, a barrier's per-camera export
+/// batches, and the storage behind [`SampleBuffer`]).
+///
+/// Every resident row has the same length, fixed by the first row pushed
+/// into an empty block.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct SampleBlock {
+    /// Row stride in `f32`s (meaningful while the block is non-empty).
+    dim: usize,
+    features: Vec<f32>,
+    teacher_labels: Vec<usize>,
+    true_classes: Vec<usize>,
+    timestamps_s: Vec<f64>,
+}
+
+impl SampleBlock {
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.teacher_labels.len()
+    }
+
+    /// Whether the block holds no rows.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.teacher_labels.is_empty()
+    }
+
+    /// Whether a row of `dim` features fits beside the resident rows.
+    fn accepts(&self, dim: usize) -> bool {
+        self.is_empty() || self.dim == dim
+    }
+
+    /// Row `i` as a borrowed sample.
+    pub(crate) fn get(&self, i: usize) -> SampleRef<'_> {
+        SampleRef {
+            features: &self.features[i * self.dim..(i + 1) * self.dim],
+            teacher_label: self.teacher_labels[i],
+            true_class: self.true_classes[i],
+            timestamp_s: self.timestamps_s[i],
+        }
+    }
+
+    /// Appends one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row's length differs from the resident rows' — blocks
+    /// are filled by one session from one stream, so a mismatch is a bug.
+    pub(crate) fn push(&mut self, row: SampleRef<'_>) {
+        assert!(self.accepts(row.features.len()), "sample block rows must share one length");
+        self.dim = row.features.len();
+        self.features.extend_from_slice(row.features);
+        self.teacher_labels.push(row.teacher_label);
+        self.true_classes.push(row.true_class);
+        self.timestamps_s.push(row.timestamp_s);
+    }
+
+    /// Appends `rows` of `src` (same stride, checked by the caller).
+    fn extend_from_rows(&mut self, src: &SampleBlock, rows: Range<usize>) {
+        debug_assert!(self.accepts(src.dim));
+        self.dim = src.dim;
+        self.features.extend_from_slice(&src.features[rows.start * src.dim..rows.end * src.dim]);
+        self.teacher_labels.extend_from_slice(&src.teacher_labels[rows.clone()]);
+        self.true_classes.extend_from_slice(&src.true_classes[rows.clone()]);
+        self.timestamps_s.extend_from_slice(&src.timestamps_s[rows]);
+    }
+
+    /// Appends every row of `other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stride mismatch, like [`SampleBlock::push`].
+    pub(crate) fn append(&mut self, other: &SampleBlock) {
+        if other.is_empty() {
+            return;
+        }
+        assert!(self.accepts(other.dim), "sample block rows must share one length");
+        self.extend_from_rows(other, 0..other.len());
+    }
+
+    /// Overwrites the rows starting at `at` with `rows` of `src` (same
+    /// stride, checked by the caller).
+    fn overwrite_rows(&mut self, at: usize, src: &SampleBlock, rows: Range<usize>) {
+        let n = rows.len();
+        let dim = self.dim;
+        self.features[at * dim..(at + n) * dim]
+            .copy_from_slice(&src.features[rows.start * dim..rows.end * dim]);
+        self.teacher_labels[at..at + n].copy_from_slice(&src.teacher_labels[rows.clone()]);
+        self.true_classes[at..at + n].copy_from_slice(&src.true_classes[rows.clone()]);
+        self.timestamps_s[at..at + n].copy_from_slice(&src.timestamps_s[rows]);
+    }
+
+    /// Overwrites row `at` with `row` (same stride, checked by the caller).
+    fn set(&mut self, at: usize, row: SampleRef<'_>) {
+        self.features[at * self.dim..(at + 1) * self.dim].copy_from_slice(row.features);
+        self.teacher_labels[at] = row.teacher_label;
+        self.true_classes[at] = row.true_class;
+        self.timestamps_s[at] = row.timestamp_s;
+    }
+
+    /// Makes room for `additional` more rows of `dim` features without the
+    /// amortised over-allocation `Vec` growth would add.
+    fn reserve_rows_exact(&mut self, additional: usize, dim: usize) {
+        self.features.reserve_exact(additional * dim);
+        self.teacher_labels.reserve_exact(additional);
+        self.true_classes.reserve_exact(additional);
+        self.timestamps_s.reserve_exact(additional);
+    }
+
+    /// Removes every row, keeping the allocation.
+    fn clear(&mut self) {
+        self.features.clear();
+        self.teacher_labels.clear();
+        self.true_classes.clear();
+        self.timestamps_s.clear();
+    }
+
+    /// Copies the rows out as owned records (the snapshot edge).
+    pub(crate) fn to_samples(&self) -> Vec<LabeledSample> {
+        (0..self.len()).map(|i| self.get(i).to_sample()).collect()
+    }
+
+    /// Builds a block from owned records (the restore edge).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Snapshot`] if the records disagree on their
+    /// feature length.
+    pub(crate) fn from_samples(samples: &[LabeledSample]) -> Result<Self> {
+        let mut block = Self::default();
+        for sample in samples {
+            if !block.accepts(sample.features.len()) {
+                return Err(CoreError::Snapshot {
+                    reason: format!(
+                        "recorded labels disagree on their feature length ({} vs {})",
+                        block.dim,
+                        sample.features.len()
+                    ),
+                });
+            }
+            block.push(sample.view());
+        }
+        Ok(block)
+    }
+}
+
 /// Fixed-capacity buffer of labeled samples (Section VI-A).
 ///
 /// New samples evict the oldest ones once the capacity is reached; a data
 /// drift clears the buffer entirely so stale samples stop polluting
-/// retraining. Storage is a ring ([`VecDeque`]), so steady-state pushes are
-/// O(1) — evicting the oldest sample never shifts the survivors.
+/// retraining. Storage is a structure-of-arrays ring — one flat `f32` slab of
+/// `len × dim` features, grown on demand up to `capacity × dim`, beside
+/// parallel label / class / timestamp columns — so a steady-state push is
+/// O(1), overwrites the oldest slot in place and allocates nothing, and
+/// [`SampleBuffer::draw`] hands out borrowed rows instead of clones.
+///
+/// All resident samples share one feature length, fixed by the first sample
+/// pushed into an empty buffer.
 ///
 /// # Examples
 ///
@@ -47,12 +275,14 @@ pub struct LabeledSample {
 /// assert_eq!(buffer.len(), 2);
 /// assert_eq!(buffer.samples().next().unwrap().timestamp_s, 1.0); // oldest was evicted
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SampleBuffer {
     capacity: usize,
-    // Serialises as a plain array in FIFO order, exactly like the Vec this
-    // ring replaced.
-    samples: VecDeque<LabeledSample>,
+    /// Slot of the oldest sample. Non-zero only once the ring is full:
+    /// until then slots fill in order from 0.
+    head: usize,
+    /// The slots, in physical order (`slots.len() <= capacity`).
+    slots: SampleBlock,
 }
 
 impl SampleBuffer {
@@ -64,7 +294,7 @@ impl SampleBuffer {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "sample buffer capacity must be positive");
-        Self { capacity, samples: VecDeque::with_capacity(capacity) }
+        Self { capacity, head: 0, slots: SampleBlock::default() }
     }
 
     /// Buffer capacity `C_b`.
@@ -76,45 +306,167 @@ impl SampleBuffer {
     /// Number of buffered samples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.slots.len()
     }
 
     /// Whether the buffer holds no samples.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// The slot holding the `i`-th oldest sample.
+    fn slot(&self, i: usize) -> usize {
+        let slot = self.head + i;
+        if slot >= self.capacity {
+            slot - self.capacity
+        } else {
+            slot
+        }
+    }
+
+    /// The `i`-th oldest sample.
+    fn get(&self, i: usize) -> SampleRef<'_> {
+        self.slots.get(self.slot(i))
     }
 
     /// Iterates over the buffered samples, oldest first.
     pub fn samples(
         &self,
-    ) -> impl DoubleEndedIterator<Item = &LabeledSample> + ExactSizeIterator + '_ {
-        self.samples.iter()
+    ) -> impl DoubleEndedIterator<Item = SampleRef<'_>> + ExactSizeIterator + '_ {
+        (0..self.len()).map(move |i| self.get(i))
     }
 
     /// Adds one sample, evicting the oldest if the buffer is full. O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample's feature length differs from the buffered
+    /// samples' (rows share one stride).
     pub fn push(&mut self, sample: LabeledSample) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(sample);
+        assert!(
+            self.slots.accepts(sample.features.len()),
+            "sample feature length must match the buffered samples'"
+        );
+        self.insert(sample.view());
     }
 
     /// Adds a batch of samples (in order), evicting the oldest as needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a feature-length mismatch, like [`SampleBuffer::push`].
     pub fn extend(&mut self, samples: impl IntoIterator<Item = LabeledSample>) {
         for sample in samples {
             self.push(sample);
         }
     }
 
+    /// [`SampleBuffer::push`] for rows arriving from inside the runtime.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] on a feature-length mismatch.
+    pub(crate) fn admit_row(&mut self, row: SampleRef<'_>) -> Result<()> {
+        self.check_stride(row.features.len())?;
+        self.insert(row);
+        Ok(())
+    }
+
+    /// Admits the first `n` rows of each `(block, n)` grant, in order —
+    /// exactly as if every granted row had been pushed one by one — while
+    /// copying only the rows that survive.
+    ///
+    /// A FIFO of capacity `C` fed a sequence `S` ends as the last `C`
+    /// elements of `old ++ S`, so the first `|S| - C` granted rows (when
+    /// there are that many) would be evicted before the call returns; they
+    /// are skipped, and the result is bit-identical to the per-sample loop.
+    /// The cost is at most `C` row copies per call, however large the
+    /// grants are.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] if a granted block's feature
+    /// length differs from the buffered samples'. Grants before the
+    /// offending one may already have been admitted.
+    pub(crate) fn admit_prefixes(&mut self, grants: &[(&SampleBlock, usize)]) -> Result<()> {
+        let granted: usize = grants.iter().map(|&(_, n)| n).sum();
+        let mut skip = granted.saturating_sub(self.capacity);
+        for &(block, n) in grants {
+            if skip >= n {
+                skip -= n;
+                continue;
+            }
+            self.check_stride(block.dim)?;
+            self.insert_rows(block, skip..n);
+            skip = 0;
+        }
+        Ok(())
+    }
+
+    fn check_stride(&self, dim: usize) -> Result<()> {
+        if self.slots.accepts(dim) {
+            return Ok(());
+        }
+        Err(CoreError::InvalidConfig {
+            reason: format!(
+                "a {dim}-feature sample cannot enter a buffer of {}-feature samples",
+                self.slots.dim
+            ),
+        })
+    }
+
+    /// Grows the slot columns for `additional` more rows: doubling, but
+    /// never past `capacity` rows.
+    fn grow(&mut self, additional: usize, dim: usize) {
+        let len = self.slots.len();
+        if len + additional > self.slots.teacher_labels.capacity() {
+            let target = (len + additional).max(len * 2).max(4).min(self.capacity);
+            self.slots.reserve_rows_exact(target - len, dim);
+        }
+    }
+
+    /// Inserts one stride-checked row.
+    fn insert(&mut self, row: SampleRef<'_>) {
+        if self.slots.len() < self.capacity {
+            self.grow(1, row.features.len());
+            self.slots.push(row);
+        } else {
+            self.slots.set(self.head, row);
+            self.head = self.slot(1);
+        }
+    }
+
+    /// Inserts `rows` of a stride-checked block (at most `capacity` of
+    /// them): free slots fill first, then the oldest slots are overwritten
+    /// in at most two contiguous runs.
+    fn insert_rows(&mut self, block: &SampleBlock, rows: Range<usize>) {
+        debug_assert!(rows.len() <= self.capacity);
+        let mut next = rows.start;
+        let fill = (self.capacity - self.slots.len()).min(rows.len());
+        if fill > 0 {
+            self.grow(fill, block.dim);
+            self.slots.extend_from_rows(block, next..next + fill);
+            next += fill;
+        }
+        while next < rows.end {
+            let run = (rows.end - next).min(self.capacity - self.head);
+            self.slots.overwrite_rows(self.head, block, next..next + run);
+            self.head = self.slot(run);
+            next += run;
+        }
+    }
+
     /// Removes every sample (the drift response of Algorithm 1, line 12).
     pub fn reset(&mut self) {
-        self.samples.clear();
+        self.slots.clear();
+        self.head = 0;
     }
 
     /// Draws disjoint retraining and validation subsets of up to `train` and
     /// `validation` samples (Algorithm 1, line 4). The draw is a seeded
-    /// shuffle so experiments are reproducible.
+    /// shuffle so experiments are reproducible; the returned samples borrow
+    /// the buffer's rows.
     ///
     /// Requesting zero samples on either side is honoured exactly (a
     /// zero-validation draw never returns validation data and vice versa;
@@ -129,12 +481,26 @@ impl SampleBuffer {
         train: usize,
         validation: usize,
         seed: u64,
-    ) -> (Vec<LabeledSample>, Vec<LabeledSample>) {
+    ) -> (Vec<SampleRef<'_>>, Vec<SampleRef<'_>>) {
+        let (train, validation) = self.draw_indices(train, validation, seed);
+        let resolve = |indices: Vec<usize>| indices.into_iter().map(|i| self.get(i)).collect();
+        (resolve(train), resolve(validation))
+    }
+
+    /// [`SampleBuffer::draw`] as sample indices (0 = oldest), valid until
+    /// the buffer is next mutated; resolve them with
+    /// [`SampleBuffer::gather`].
+    pub(crate) fn draw_indices(
+        &self,
+        train: usize,
+        validation: usize,
+        seed: u64,
+    ) -> (Vec<usize>, Vec<usize>) {
         let want_total = train + validation;
-        if self.samples.is_empty() || want_total == 0 {
+        if self.is_empty() || want_total == 0 {
             return (Vec::new(), Vec::new());
         }
-        let mut indices: Vec<usize> = (0..self.samples.len()).collect();
+        let mut indices: Vec<usize> = (0..self.len()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         indices.shuffle(&mut rng);
 
@@ -153,27 +519,95 @@ impl SampleBuffer {
         } else {
             (available, 0)
         };
-        let train_set = indices[..n_train].iter().map(|&i| self.samples[i].clone()).collect();
-        let val_set =
-            indices[n_train..n_train + n_val].iter().map(|&i| self.samples[i].clone()).collect();
-        (train_set, val_set)
+        let val_set = indices[n_train..n_train + n_val].to_vec();
+        indices.truncate(n_train);
+        (indices, val_set)
+    }
+
+    /// The feature rows and teacher labels of the samples at `indices`, in
+    /// that order — the operands `train_rows_with` / `evaluate_rows_with`
+    /// take, borrowed straight from the slab.
+    pub(crate) fn gather(&self, indices: &[usize]) -> (Vec<&[f32]>, Vec<usize>) {
+        indices
+            .iter()
+            .map(|&i| {
+                let row = self.get(i);
+                (row.features, row.teacher_label)
+            })
+            .unzip()
     }
 
     /// Fraction of buffered samples captured at or after `timestamp_s`, a
     /// cheap freshness measure used by diagnostics.
     #[must_use]
     pub fn fresh_fraction(&self, timestamp_s: f64) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        let fresh = self.samples.iter().filter(|s| s.timestamp_s >= timestamp_s).count();
-        fresh as f64 / self.samples.len() as f64
+        let fresh = self.slots.timestamps_s.iter().filter(|&&t| t >= timestamp_s).count();
+        fresh as f64 / self.len() as f64
+    }
+}
+
+/// Buffers are equal when they hold the same samples in the same FIFO order
+/// under the same capacity; where the ring happens to start is not state.
+impl PartialEq for SampleBuffer {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.len() == other.len()
+            && self.samples().eq(other.samples())
+    }
+}
+
+/// Serialises as `{capacity, samples: [...]}` with the samples as a
+/// FIFO-ordered array of [`LabeledSample`]-shaped objects — the shape of the
+/// `Vec`-backed buffer the ring replaced, so snapshots keep their format.
+impl Serialize for SampleBuffer {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("capacity".to_string(), self.capacity.to_value()),
+            ("samples".to_string(), Value::Array(self.samples().map(|s| s.to_value()).collect())),
+        ])
+    }
+}
+
+impl Deserialize for SampleBuffer {
+    fn from_value(value: &Value) -> std::result::Result<Self, serde::DeError> {
+        use serde::{de, DeError};
+        let capacity: usize = de::field(value, "SampleBuffer", "capacity")?;
+        if capacity == 0 {
+            return Err(DeError::new("SampleBuffer.capacity: must be positive"));
+        }
+        let samples = value
+            .get("samples")
+            .ok_or_else(|| DeError::new("SampleBuffer: missing field 'samples'"))?;
+        let samples =
+            samples.as_array().ok_or_else(|| DeError::expected("an array of samples", samples))?;
+        if samples.len() > capacity {
+            return Err(DeError::new(format!(
+                "SampleBuffer.samples: {} samples exceed the capacity of {capacity}",
+                samples.len()
+            )));
+        }
+        let mut buffer = Self::new(capacity);
+        for (i, sample) in samples.iter().enumerate() {
+            let sample = LabeledSample::from_value(sample)
+                .map_err(|e| DeError::new(format!("SampleBuffer.samples[{i}]: {e}")))?;
+            buffer.admit_row(sample.view()).map_err(|_| {
+                DeError::new(format!(
+                    "SampleBuffer.samples[{i}]: feature length differs from the samples before it"
+                ))
+            })?;
+        }
+        Ok(buffer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn sample(t: f64, label: usize) -> LabeledSample {
         LabeledSample {
@@ -215,6 +649,41 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = SampleBuffer::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature length must match")]
+    fn pushing_a_row_of_another_length_panics() {
+        let mut buffer = SampleBuffer::new(4);
+        buffer.push(sample(0.0, 0));
+        buffer.push(LabeledSample { features: vec![0.0; 5], ..sample(1.0, 0) });
+    }
+
+    #[test]
+    fn internal_admits_report_a_length_mismatch_as_a_typed_error() {
+        let mut buffer = SampleBuffer::new(4);
+        buffer.push(sample(0.0, 0));
+        let wide = LabeledSample { features: vec![0.0; 5], ..sample(1.0, 0) };
+        let err = buffer.admit_row(wide.view()).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err}");
+        let block = SampleBlock::from_samples(&[wide]).unwrap();
+        assert!(buffer.admit_prefixes(&[(&block, 1)]).is_err());
+        assert_eq!(buffer.len(), 1, "a refused admit leaves the buffer untouched");
+        // An emptied buffer takes whatever length comes first.
+        buffer.reset();
+        buffer.admit_prefixes(&[(&block, 1)]).unwrap();
+        assert_eq!(buffer.samples().next().unwrap().features.len(), 5);
+    }
+
+    #[test]
+    fn the_slab_grows_on_demand_and_never_past_capacity() {
+        let mut buffer = SampleBuffer::new(100);
+        assert_eq!(buffer.slots.features.capacity(), 0, "an empty buffer owns no slab");
+        buffer.extend((0..10).map(|t| sample(t as f64, 0)));
+        assert!(buffer.slots.features.capacity() < 100 * 4, "ten samples do not claim the slab");
+        buffer.extend((10..350).map(|t| sample(t as f64, 0)));
+        assert_eq!(buffer.slots.features.capacity(), 100 * 4);
+        assert_eq!(buffer.slots.teacher_labels.capacity(), 100);
     }
 
     #[test]
@@ -341,5 +810,169 @@ mod tests {
         assert_eq!(samples.len(), 2);
         let expected: Vec<serde::Value> = buffer.samples().map(|s| s.to_value()).collect();
         assert_eq!(samples, &expected, "array order is FIFO (oldest first)");
+        // A borrowed row and the owned record serialise identically.
+        let owned: Vec<serde::Value> = buffer.samples().map(|s| s.to_sample().to_value()).collect();
+        assert_eq!(owned, expected);
+    }
+
+    #[test]
+    fn a_wrapped_ring_round_trips_through_serde_as_an_equal_buffer() {
+        let mut buffer = SampleBuffer::new(3);
+        buffer.extend((0..5).map(|t| sample(t as f64, t)));
+        assert_ne!(buffer.head, 0, "the test needs a wrapped ring");
+        let restored = SampleBuffer::from_value(&buffer.to_value()).unwrap();
+        assert_eq!(restored.head, 0, "restored rings start at slot 0");
+        assert_eq!(restored, buffer, "equality is about contents, not ring position");
+        assert_eq!(restored.draw(2, 1, 9), buffer.draw(2, 1, 9));
+    }
+
+    #[test]
+    fn hostile_serialised_buffers_are_rejected() {
+        let mut value = SampleBuffer::new(2).to_value();
+        let serde::Value::Object(fields) = &mut value else { panic!("expected an object") };
+        fields[0].1 = serde::Value::UInt(0);
+        assert!(SampleBuffer::from_value(&value).is_err(), "zero capacity");
+
+        let mut buffer = SampleBuffer::new(3);
+        buffer.extend((0..3).map(|t| sample(t as f64, t)));
+        let mut value = buffer.to_value();
+        let serde::Value::Object(fields) = &mut value else { panic!("expected an object") };
+        fields[0].1 = serde::Value::UInt(2);
+        assert!(SampleBuffer::from_value(&value).is_err(), "more samples than capacity");
+
+        let mut value = buffer.to_value();
+        let serde::Value::Object(fields) = &mut value else { panic!("expected an object") };
+        let serde::Value::Array(samples) = &mut fields[1].1 else { panic!("expected an array") };
+        samples[1] = LabeledSample { features: vec![0.0; 7], ..sample(1.0, 1) }.to_value();
+        assert!(SampleBuffer::from_value(&value).is_err(), "ragged feature lengths");
+    }
+
+    /// The `VecDeque`-of-records buffer the ring replaced, kept as the
+    /// reference the ring is tested against.
+    struct Reference {
+        capacity: usize,
+        samples: VecDeque<LabeledSample>,
+    }
+
+    impl Reference {
+        fn push(&mut self, sample: LabeledSample) {
+            if self.samples.len() == self.capacity {
+                self.samples.pop_front();
+            }
+            self.samples.push_back(sample);
+        }
+
+        fn draw(
+            &self,
+            train: usize,
+            validation: usize,
+            seed: u64,
+        ) -> (Vec<LabeledSample>, Vec<LabeledSample>) {
+            let want_total = train + validation;
+            if self.samples.is_empty() || want_total == 0 {
+                return (Vec::new(), Vec::new());
+            }
+            let mut indices: Vec<usize> = (0..self.samples.len()).collect();
+            indices.shuffle(&mut StdRng::seed_from_u64(seed));
+            let available = indices.len();
+            let (n_train, n_val) = if available >= want_total {
+                (train, validation)
+            } else if train == 0 {
+                (0, available)
+            } else if validation == 0 {
+                (available, 0)
+            } else if available >= 2 {
+                let n_val = ((available * validation) / want_total).max(1);
+                (available - n_val, n_val)
+            } else {
+                (available, 0)
+            };
+            let pick = |range: Range<usize>| {
+                indices[range].iter().map(|&i| self.samples[i].clone()).collect()
+            };
+            (pick(0..n_train), pick(n_train..n_train + n_val))
+        }
+
+        fn fresh_fraction(&self, timestamp_s: f64) -> f64 {
+            if self.samples.is_empty() {
+                return 0.0;
+            }
+            let fresh = self.samples.iter().filter(|s| s.timestamp_s >= timestamp_s).count();
+            fresh as f64 / self.samples.len() as f64
+        }
+    }
+
+    fn owned(rows: Vec<SampleRef<'_>>) -> Vec<LabeledSample> {
+        rows.iter().map(SampleRef::to_sample).collect()
+    }
+
+    fn assert_matches_reference(ring: &SampleBuffer, reference: &Reference, probe: u64) {
+        let ring_samples: Vec<LabeledSample> = ring.samples().map(|s| s.to_sample()).collect();
+        let reference_samples: Vec<LabeledSample> = reference.samples.iter().cloned().collect();
+        assert_eq!(ring_samples, reference_samples);
+        let (train, validation) = ring.draw(5, 3, probe);
+        assert_eq!((owned(train), owned(validation)), reference.draw(5, 3, probe));
+        let cutoff = probe as f64 / 2.0;
+        assert_eq!(ring.fresh_fraction(cutoff), reference.fresh_fraction(cutoff));
+    }
+
+    /// `n` new samples stamped with consecutive ticks of `clock`.
+    fn fresh(clock: &mut u64, n: usize) -> Vec<LabeledSample> {
+        (0..n)
+            .map(|_| {
+                *clock += 1;
+                sample(*clock as f64, (*clock % 7) as usize)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The ring behaves exactly like the `VecDeque` reference under any
+        /// interleaving of single pushes, bulk extends, block admits and
+        /// resets — across wrap-around, at every step.
+        #[test]
+        fn the_ring_matches_the_vecdeque_reference(
+            capacity in 1usize..24,
+            ops in prop::collection::vec((0u8..8, 0usize..60), 1..24),
+        ) {
+            let mut ring = SampleBuffer::new(capacity);
+            let mut reference = Reference { capacity, samples: VecDeque::new() };
+            let mut clock = 0u64;
+            for (op, n) in ops {
+                match op {
+                    0 => {
+                        ring.reset();
+                        reference.samples.clear();
+                    }
+                    1 | 2 => {
+                        for sample in fresh(&mut clock, n % 4 + 1) {
+                            ring.push(sample.clone());
+                            reference.push(sample);
+                        }
+                    }
+                    3 | 4 => {
+                        let batch = fresh(&mut clock, n);
+                        ring.extend(batch.iter().cloned());
+                        batch.into_iter().for_each(|s| reference.push(s));
+                    }
+                    _ => {
+                        // Two grants, the second only partially admitted.
+                        let first = fresh(&mut clock, n);
+                        let second = fresh(&mut clock, n / 2 + 1);
+                        let keep = second.len() / 2;
+                        let blocks = [
+                            SampleBlock::from_samples(&first).unwrap(),
+                            SampleBlock::from_samples(&second).unwrap(),
+                        ];
+                        ring.admit_prefixes(&[(&blocks[0], first.len()), (&blocks[1], keep)])
+                            .unwrap();
+                        first.into_iter().for_each(|s| reference.push(s));
+                        second.into_iter().take(keep).for_each(|s| reference.push(s));
+                    }
+                }
+                prop_assert!(ring.len() <= capacity);
+                assert_matches_reference(&ring, &reference, clock);
+            }
+        }
     }
 }

@@ -44,7 +44,9 @@
 //! peer in **camera admission-index order**, the policy grants an admit
 //! fraction per (importer, exporter) pair, and admitted samples enter the
 //! importer's [`SampleBuffer`](crate::SampleBuffer) without the importer
-//! paying any teacher labeling time. The deterministic exchange order keeps
+//! paying any teacher labeling time. Grants are decided for every pair but
+//! only the rows that survive the importer's FIFO eviction are copied (see
+//! [`crate::share`] for the cost model). The deterministic exchange order keeps
 //! shared runs bit-identical across worker-thread counts. Sharing telemetry
 //! lands in [`ClusterResult::share`]; the reserved `"none"` policy takes the
 //! sharing-free fast path and reproduces pre-sharing cluster output exactly.
@@ -78,7 +80,7 @@
 //! can fail a bit-identity proptest.
 
 use crate::arbiter::{self, GrantRequest, PeerSession};
-use crate::buffer::LabeledSample;
+use crate::buffer::SampleBlock;
 use crate::config::SimConfig;
 use crate::edge::{self, EdgeAccum, EdgeMetrics, OffloadContext, OffloadPolicy};
 use crate::fleet::{aggregate, prefix_camera, CameraResult, FleetResult};
@@ -732,6 +734,32 @@ impl Cluster {
         arbiter::create(&self.arbiter)?;
         share::create(&self.share)?;
         edge::create_offload(&self.offload)?;
+        if !share::is_disabled(&self.share) {
+            // Shared labels are copied row for row into peers' buffers, so
+            // every camera that can take part in an exchange (joiners
+            // included) must produce rows of one length.
+            let joiners = self.churn.events().iter().filter_map(|event| match event {
+                ChurnEvent::Join { camera, config, .. } => Some((camera.as_str(), &**config)),
+                _ => None,
+            });
+            let mut participants =
+                self.cameras.iter().map(|(name, config)| (name.as_str(), config)).chain(joiners);
+            if let Some((first, first_config)) = participants.next() {
+                let dim = first_config.stream.feature_dim;
+                if let Some((other, other_config)) =
+                    participants.find(|(_, config)| config.stream.feature_dim != dim)
+                {
+                    return Err(CoreError::InvalidConfig {
+                        reason: format!(
+                            "share policy '{}' needs every camera to agree on \
+                             stream.feature_dim, but camera '{first}' has {dim} and camera \
+                             '{other}' has {}",
+                            self.share, other_config.stream.feature_dim
+                        ),
+                    });
+                }
+            }
+        }
         if !edge::is_local_only(&self.offload) {
             let has_edge_camera = self.cameras.iter().any(|(_, config)| config.edge.is_some())
                 || self.churn.events().iter().any(|event| {
@@ -1141,7 +1169,7 @@ struct AccelLoop<'a> {
     outcome: AccelOutcome,
     /// `(camera index, batch)` of freshly teacher-labeled samples collected
     /// since the last [`AccelLoop::take_exports`] drain.
-    exports: Vec<(usize, Vec<LabeledSample>)>,
+    exports: Vec<(usize, SampleBlock)>,
     /// Whether windowed runs batch co-resident retraining phases into one
     /// stacked dispatch at each window's start ([`Cluster::batch_retraining`]).
     batch: bool,
@@ -1272,11 +1300,12 @@ impl<'a> AccelLoop<'a> {
                     // were staged a few lines up, and nothing drops sessions
                     // in between
                     .expect("staged slots hold live sessions");
-                let (net, learning_rate, batch_size) = session.stacked_parts();
+                let (net, learning_rate, batch_size, buffer) = session.stacked_parts();
+                let (rows, labels) = buffer.gather(&retrain.train);
                 jobs.push(StackedJob {
                     net,
-                    rows: retrain.train.iter().map(|s| s.features.as_slice()).collect(),
-                    labels: retrain.train.iter().map(|s| s.teacher_label).collect(),
+                    rows,
+                    labels,
                     epochs: retrain.epochs,
                     batch_size,
                     learning_rate,
@@ -1620,16 +1649,8 @@ impl<'a> AccelLoop<'a> {
     }
 
     /// Drains the freshly labeled batches collected since the last drain.
-    fn take_exports(&mut self) -> Vec<(usize, Vec<LabeledSample>)> {
+    fn take_exports(&mut self) -> Vec<(usize, SampleBlock)> {
         std::mem::take(&mut self.exports)
-    }
-
-    /// The still-running sessions hosted here, with their camera indices.
-    fn live_sessions(&mut self) -> impl Iterator<Item = (usize, &mut Session)> {
-        self.slots.iter_mut().filter_map(|slot| {
-            let camera_index = slot.camera_index;
-            slot.session.as_mut().map(|session| (camera_index, session))
-        })
     }
 
     /// Finalises the loop into its outcome (call only once drained).
@@ -1782,13 +1803,25 @@ fn run_windowed(
         extra_results: Vec::new(),
         edge: EdgeAccum::default(),
     };
-    let mut correlations: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+    let mut correlations = PairCorrelations::new(setup.cameras.len());
+    // The live sessions in admission order: collected once per barrier and
+    // shared by its stages, again only if churn changed the membership.
+    let mut roster: Vec<Resident> = Vec::new();
     let mut window = 0usize;
     let mut next_event = 0usize;
     // Route the initial residents before any simulation time passes: the
     // run's opening stretch is window 0, decided at a virtual barrier at 0 s.
     if let Some(offload) = offload.as_deref_mut() {
-        route_offload(&mut loops, offload, setup.cameras, 0, 0.0, observer.as_deref_mut())?;
+        collect_roster(&loops, &mut roster);
+        route_offload(
+            &mut loops,
+            &roster,
+            offload,
+            setup.cameras,
+            0,
+            0.0,
+            observer.as_deref_mut(),
+        )?;
     }
     while loops.iter().any(|accel_loop| !accel_loop.is_done()) || next_event < events.len() {
         // Jump straight to the window containing the earliest due event (or
@@ -1824,9 +1857,11 @@ fn run_windowed(
         } else {
             run_window_threaded(&mut loops, boundary_s, setup.threads)?;
         }
+        collect_roster(&loops, &mut roster);
         if let Some(policy) = policy.as_deref_mut() {
             exchange_window(
                 &mut loops,
+                &roster,
                 policy,
                 setup.cameras,
                 &mut correlations,
@@ -1836,6 +1871,7 @@ fn run_windowed(
                 observer.as_deref_mut(),
             )?;
         }
+        let first_event = next_event;
         while let Some(event) = events.get(next_event) {
             if event.at_s > boundary_s {
                 break;
@@ -1843,12 +1879,16 @@ fn run_windowed(
             apply_churn(event, boundary_s, &mut loops, setup, &mut churn, observer.as_deref_mut())?;
             next_event += 1;
         }
+        if next_event > first_event {
+            collect_roster(&loops, &mut roster);
+        }
         // Routing runs after churn so the policy sees the post-churn fleet
         // (joined cameras included, departed ones gone) for the window the
         // barrier opens.
         if let Some(offload) = offload.as_deref_mut() {
             route_offload(
                 &mut loops,
+                &roster,
                 offload,
                 setup.cameras,
                 window + 1,
@@ -1857,7 +1897,15 @@ fn run_windowed(
             )?;
         }
         if let Some(observer) = observer.as_deref_mut() {
-            sample_barrier(&mut loops, setup.cameras, window_s, window, boundary_s, observer);
+            sample_barrier(
+                &mut loops,
+                &roster,
+                setup.cameras,
+                window_s,
+                window,
+                boundary_s,
+                observer,
+            );
         }
         let residency: usize = loops.iter().map(AccelLoop::live_count).sum();
         churn.metrics.peak_residency = churn.metrics.peak_residency.max(residency);
@@ -2084,51 +2132,108 @@ fn run_window_threaded(loops: &mut [AccelLoop<'_>], boundary_s: f64, threads: us
     }
 }
 
+/// One live session's coordinates at a window barrier: which camera it is
+/// and where its session lives.
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    camera_index: usize,
+    accel: usize,
+    slot: usize,
+}
+
+/// Collects the live sessions into `roster` in camera admission-index
+/// order — the order every barrier stage walks.
+fn collect_roster(loops: &[AccelLoop<'_>], roster: &mut Vec<Resident>) {
+    roster.clear();
+    for (accel, accel_loop) in loops.iter().enumerate() {
+        for (slot, resident) in accel_loop.slots.iter().enumerate() {
+            if resident.session.is_some() {
+                roster.push(Resident { camera_index: resident.camera_index, accel, slot });
+            }
+        }
+    }
+    roster.sort_by_key(|resident| resident.camera_index);
+}
+
+/// The session a roster entry points at (`None` once it finished or left).
+fn resident_session<'l>(
+    loops: &'l mut [AccelLoop<'_>],
+    resident: Resident,
+) -> Option<&'l mut Session> {
+    loops[resident.accel].slots[resident.slot].session.as_mut()
+}
+
+/// Memo of the symmetric scenario-attribute overlap between camera pairs: a
+/// flat lower-triangular table over camera admission indices, sized once
+/// for the whole run (joining cameras included). A pair's overlap never
+/// changes, and the exchange asks for it `N²` times per barrier.
+struct PairCorrelations {
+    /// Entry `hi * (hi - 1) / 2 + lo` for `lo < hi`; NaN until computed.
+    table: Vec<f64>,
+}
+
+impl PairCorrelations {
+    fn new(cameras: usize) -> Self {
+        Self { table: vec![f64::NAN; cameras * cameras.saturating_sub(1) / 2] }
+    }
+
+    /// The overlap of the distinct cameras `a` and `b`, computed on first
+    /// use.
+    fn get(&mut self, a: usize, b: usize, cameras: &[(String, SimConfig)]) -> f64 {
+        let (lo, hi) = (a.min(b), a.max(b));
+        let entry = &mut self.table[hi * (hi - 1) / 2 + lo];
+        if entry.is_nan() {
+            *entry = cameras[a].1.scenario.attribute_overlap(&cameras[b].1.scenario);
+        }
+        *entry
+    }
+}
+
 /// One window boundary's label exchange: drain every camera's fresh exports,
 /// then walk importers and exporters in camera admission-index order, asking
 /// the policy for an admit fraction per pair. Single-threaded and fully
 /// ordered, so shared runs stay deterministic at any worker-thread count.
+///
+/// Each importer is served in two passes. Pass one consults the policy for
+/// every exporter — validation, metrics and observer calls included — and
+/// only records what was granted. Pass two hands the grants to the
+/// importer's buffer, which copies just the rows that survive its own FIFO
+/// eviction (at most `C_b` of them). A barrier therefore costs `N²` policy
+/// calls plus `N · C_b` row copies, not `N² · batch` sample clones.
 // One call site: barrier plumbing, not a reusable API surface.
 // lint: barrier-only(labels cross cameras only between windows, in admission order, on one thread)
 #[allow(clippy::too_many_arguments)]
 fn exchange_window(
     loops: &mut [AccelLoop<'_>],
+    roster: &[Resident],
     policy: &mut dyn SharePolicy,
     cameras: &[(String, SimConfig)],
-    correlations: &mut BTreeMap<(usize, usize), f64>,
+    correlations: &mut PairCorrelations,
     metrics: &mut ShareMetrics,
     window_index: usize,
     boundary_s: f64,
     mut observer: Option<&mut (dyn SimObserver + '_)>,
 ) -> Result<()> {
-    let mut exports: BTreeMap<usize, Vec<LabeledSample>> = BTreeMap::new();
+    let mut exports: BTreeMap<usize, SampleBlock> = BTreeMap::new();
     for accel_loop in loops.iter_mut() {
         for (camera_index, batch) in accel_loop.take_exports() {
-            exports.entry(camera_index).or_default().extend(batch);
+            exports.entry(camera_index).or_default().append(&batch);
         }
     }
-    metrics.labels_exported += exports.values().map(Vec::len).sum::<usize>();
+    metrics.labels_exported += exports.values().map(SampleBlock::len).sum::<usize>();
     if exports.is_empty() {
         return Ok(());
     }
-    let mut importers: Vec<(usize, &mut Session)> = Vec::new();
-    for accel_loop in loops.iter_mut() {
-        importers.extend(accel_loop.live_sessions());
-    }
-    importers.sort_by_key(|(camera_index, _)| *camera_index);
-    for (importer_index, session) in importers {
+    let mut grants: Vec<(&SampleBlock, usize)> = Vec::with_capacity(exports.len());
+    for &resident in roster {
+        let importer_index = resident.camera_index;
+        let Some(session) = resident_session(loops, resident) else { continue };
+        let labeling_sps = session.labeling_sps();
+        grants.clear();
         for (&exporter_index, batch) in &exports {
             if exporter_index == importer_index {
                 continue;
             }
-            // Scenario attribute overlap is symmetric; memoise per pair.
-            let key = (exporter_index.min(importer_index), exporter_index.max(importer_index));
-            let correlation = *correlations.entry(key).or_insert_with(|| {
-                cameras[importer_index]
-                    .1
-                    .scenario
-                    .attribute_overlap(&cameras[exporter_index].1.scenario)
-            });
             let ctx = ShareContext {
                 window_index,
                 boundary_s,
@@ -2136,7 +2241,7 @@ fn exchange_window(
                 exporter_index,
                 importer: &cameras[importer_index].0,
                 importer_index,
-                correlation,
+                correlation: correlations.get(importer_index, exporter_index, cameras),
                 fresh_labels: batch.len(),
             };
             let fraction = policy.admit_fraction(&ctx);
@@ -2160,7 +2265,7 @@ fn exchange_window(
                 }
                 continue;
             }
-            session.admit_samples(batch.iter().take(admitted).cloned());
+            grants.push((batch, admitted));
             if let Some(observer) = observer.as_deref_mut() {
                 observer.on_share(
                     &cameras[exporter_index].0,
@@ -2170,11 +2275,11 @@ fn exchange_window(
                 );
             }
             metrics.labels_reused += admitted;
-            let labeling_sps = session.labeling_sps();
             if labeling_sps > 0.0 {
                 metrics.labeling_seconds_saved += admitted as f64 / labeling_sps;
             }
         }
+        session.admit_samples(&grants).map_err(|e| prefix_camera(&cameras[importer_index].0, e))?;
     }
     Ok(())
 }
@@ -2189,6 +2294,7 @@ fn exchange_window(
 // lint: barrier-only(routes rewrite between windows so a whole window runs on one route)
 fn route_offload(
     loops: &mut [AccelLoop<'_>],
+    roster: &[Resident],
     policy: &mut dyn OffloadPolicy,
     cameras: &[(String, SimConfig)],
     window_index: usize,
@@ -2196,14 +2302,9 @@ fn route_offload(
     mut observer: Option<&mut (dyn SimObserver + '_)>,
 ) -> Result<()> {
     let live_counts: Vec<usize> = loops.iter().map(AccelLoop::live_count).collect();
-    let mut sessions: Vec<(usize, usize, &mut Session)> = Vec::new();
-    for (accel, accel_loop) in loops.iter_mut().enumerate() {
-        for (camera_index, session) in accel_loop.live_sessions() {
-            sessions.push((camera_index, accel, session));
-        }
-    }
-    sessions.sort_by_key(|(camera_index, _, _)| *camera_index);
-    for (camera_index, accel, session) in sessions {
+    for &resident in roster {
+        let Resident { camera_index, accel, .. } = resident;
+        let Some(session) = resident_session(loops, resident) else { continue };
         if !session.has_edge_tier() {
             continue;
         }
@@ -2238,6 +2339,7 @@ fn route_offload(
 // lint: barrier-only(observer sampling is ordered and single-threaded so timeseries stay bit-identical)
 fn sample_barrier(
     loops: &mut [AccelLoop<'_>],
+    roster: &[Resident],
     cameras: &[(String, SimConfig)],
     window_s: f64,
     window_index: usize,
@@ -2245,14 +2347,9 @@ fn sample_barrier(
     observer: &mut (dyn SimObserver + '_),
 ) {
     observer.on_window_barrier(window_index, boundary_s);
-    let mut sessions: Vec<(usize, usize, &mut Session)> = Vec::new();
-    for (accel, accel_loop) in loops.iter_mut().enumerate() {
-        for (camera_index, session) in accel_loop.live_sessions() {
-            sessions.push((camera_index, accel, session));
-        }
-    }
-    sessions.sort_by_key(|(camera_index, _, _)| *camera_index);
-    for (camera_index, accel, session) in sessions {
+    for &resident in roster {
+        let Resident { camera_index, accel, .. } = resident;
+        let Some(session) = resident_session(loops, resident) else { continue };
         let now_s = session.now_s();
         let (labels_local, labels_cloud) = match session.edge_accum() {
             Some(accum) => (accum.labels_local, accum.labels_cloud),
@@ -2318,7 +2415,7 @@ mod tests {
     use crate::sched::SchedulerKind;
     use crate::sim::test_support::short_config;
     use crate::sim::PhaseRecord;
-    use crate::Fleet;
+    use crate::{Fleet, SampleBuffer};
 
     fn two_camera_cluster(accelerators: usize) -> Cluster {
         Cluster::new(accelerators)
@@ -3122,6 +3219,295 @@ mod tests {
         // accounted for in the aggregate.
         assert!(result.edge.frames_shipped > 0, "{:?}", result.edge);
         assert!(result.share.labels_exported > 0, "{:?}", result.share);
+    }
+
+    #[test]
+    fn share_enabled_clusters_must_agree_on_the_feature_length() {
+        let mut wide = short_config(SchedulerKind::DaCapoSpatial);
+        wide.stream.feature_dim = 24;
+        let mismatched = || {
+            Cluster::new(1)
+                .camera("narrow", short_config(SchedulerKind::DaCapoSpatial))
+                .camera("wide", wide.clone())
+        };
+        let err = mismatched().share("broadcast").run().unwrap_err();
+        let CoreError::InvalidConfig { reason } = &err else { panic!("{err:?}") };
+        assert!(reason.contains("'narrow' has 16") && reason.contains("'wide' has 24"), "{reason}");
+        // A camera that only joins later is held to the same rule.
+        let plan = ChurnPlan::new().join(30.0, "late", wide.clone());
+        let err = two_camera_cluster(1).share("broadcast").churn(plan).run().unwrap_err();
+        assert!(err.to_string().contains("'late' has 24"), "{err}");
+        // Without sharing no row ever crosses cameras, so mixed fleets run.
+        assert!(mismatched().run().is_ok());
+    }
+
+    /// The per-sample exchange loop `exchange_window` replaced, kept as the
+    /// oracle the two-pass exchange is tested against: every granted sample
+    /// is cloned and pushed into the importer's buffer one by one, and the
+    /// pair correlation is recomputed at every use.
+    fn exchange_window_oracle(
+        loops: &mut [AccelLoop<'_>],
+        policy: &mut dyn SharePolicy,
+        cameras: &[(String, SimConfig)],
+        metrics: &mut ShareMetrics,
+        window_index: usize,
+        boundary_s: f64,
+        observer: &mut dyn SimObserver,
+    ) -> Result<()> {
+        use crate::buffer::LabeledSample;
+        let mut exports: BTreeMap<usize, Vec<LabeledSample>> = BTreeMap::new();
+        for accel_loop in loops.iter_mut() {
+            for (camera_index, batch) in accel_loop.take_exports() {
+                exports.entry(camera_index).or_default().extend(batch.to_samples());
+            }
+        }
+        metrics.labels_exported += exports.values().map(Vec::len).sum::<usize>();
+        if exports.is_empty() {
+            return Ok(());
+        }
+        let mut importers: Vec<(usize, &mut Session)> = Vec::new();
+        for accel_loop in loops.iter_mut() {
+            importers.extend(accel_loop.slots.iter_mut().filter_map(|slot| {
+                let camera_index = slot.camera_index;
+                slot.session.as_mut().map(|session| (camera_index, session))
+            }));
+        }
+        importers.sort_by_key(|(camera_index, _)| *camera_index);
+        for (importer_index, session) in importers {
+            for (&exporter_index, batch) in &exports {
+                if exporter_index == importer_index {
+                    continue;
+                }
+                let correlation = cameras[importer_index]
+                    .1
+                    .scenario
+                    .attribute_overlap(&cameras[exporter_index].1.scenario);
+                let ctx = ShareContext {
+                    window_index,
+                    boundary_s,
+                    exporter: &cameras[exporter_index].0,
+                    exporter_index,
+                    importer: &cameras[importer_index].0,
+                    importer_index,
+                    correlation,
+                    fresh_labels: batch.len(),
+                };
+                let fraction = policy.admit_fraction(&ctx);
+                if !fraction.is_finite() || !(0.0..=1.0).contains(&fraction) {
+                    return Err(CoreError::InvalidConfig { reason: "invalid fraction".into() });
+                }
+                let admitted =
+                    (((batch.len() as f64) * fraction).round() as usize).min(batch.len());
+                if admitted == 0 {
+                    if fraction == 0.0 {
+                        metrics.import_rejects += 1;
+                    }
+                    continue;
+                }
+                for sample in batch.iter().take(admitted).cloned() {
+                    session.buffer_mut().push(sample);
+                }
+                observer.on_share(
+                    &cameras[exporter_index].0,
+                    &cameras[importer_index].0,
+                    admitted,
+                    boundary_s,
+                );
+                metrics.labels_reused += admitted;
+                let labeling_sps = session.labeling_sps();
+                if labeling_sps > 0.0 {
+                    metrics.labeling_seconds_saved += admitted as f64 / labeling_sps;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Grants a fraction per (importer, exporter) pair from a fixed menu:
+    /// refuse, too small to round to a sample, partial, everything.
+    struct MenuPolicy {
+        salt: usize,
+    }
+
+    impl SharePolicy for MenuPolicy {
+        fn name(&self) -> String {
+            "menu".to_string()
+        }
+        fn admit_fraction(&mut self, ctx: &ShareContext<'_>) -> f64 {
+            const MENU: [f64; 4] = [0.0, 1e-9, 0.37, 1.0];
+            // The policy sees the memoised correlation; fold it in so a
+            // wrong table entry changes the grants.
+            let pick = self.salt + ctx.importer_index * 7 + ctx.exporter_index * 3;
+            MENU[(pick + (ctx.correlation * 16.0) as usize) % MENU.len()]
+        }
+    }
+
+    #[derive(Default, PartialEq, Debug)]
+    struct ShareLog(Vec<(String, String, usize, f64)>);
+
+    impl SimObserver for ShareLog {
+        fn on_share(&mut self, exporter: &str, importer: &str, admitted: usize, boundary_s: f64) {
+            self.0.push((exporter.to_string(), importer.to_string(), admitted, boundary_s));
+        }
+    }
+
+    /// `n` distinguishable labeled rows from `camera`, numbered from `from`.
+    fn labeled_block(camera: usize, from: usize, n: usize, dim: usize) -> SampleBlock {
+        let mut block = SampleBlock::default();
+        for k in from..from + n {
+            let features: Vec<f32> =
+                (0..dim).map(|d| (camera * 1000 + k) as f32 + d as f32 / 64.0).collect();
+            block.push(crate::buffer::SampleRef {
+                features: &features,
+                teacher_label: k % 10,
+                true_class: (k + camera) % 10,
+                timestamp_s: k as f64 + camera as f64 / 8.0,
+            });
+        }
+        block
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// The two-pass, survivor-only exchange leaves every buffer, the
+        /// share metrics and the `on_share` stream exactly as the per-sample
+        /// loop does — over random fleets whose exporters include importers,
+        /// idle cameras and a camera that already left, with batches from
+        /// empty to three buffers' worth and every kind of admit fraction.
+        #[test]
+        fn the_two_pass_exchange_matches_the_per_sample_oracle(
+            fleet in 2usize..6,
+            accelerators in 1usize..3,
+            capacities in proptest::collection::vec(1usize..64, 6),
+            prefill in proptest::collection::vec(0usize..200, 6),
+            batches in proptest::collection::vec(0usize..192, 6),
+            split in proptest::collection::vec(0usize..3, 6),
+            leaver in 0usize..8,
+            salt in 0usize..4,
+        ) {
+            // Each camera drifts at its own time, so every pair has its own
+            // attribute overlap for the correlation memo to get right.
+            let cameras: Vec<(String, SimConfig)> = (0..fleet)
+                .map(|i| {
+                    let mut config = short_config(SchedulerKind::DaCapoSpatial);
+                    let mut segments = config.scenario.segments().to_vec();
+                    segments[0].duration_s = 20.0 * (i + 1) as f64;
+                    config.scenario = dacapo_datagen::Scenario::from_segments("staggered", segments);
+                    config.pretrain_samples = 0;
+                    config.seed = 40 + i as u64;
+                    (format!("cam-{i}"), config)
+                })
+                .collect();
+            let dim = cameras[0].1.stream.feature_dim;
+            let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); accelerators];
+            for index in 0..fleet {
+                assignment[index % accelerators].push(index);
+            }
+            let boundary_s = 20.0;
+            let stage = || -> Vec<AccelLoop<'_>> {
+                let mut loops: Vec<AccelLoop<'_>> = assignment
+                    .iter()
+                    .enumerate()
+                    .map(|(accel, assigned)| {
+                        AccelLoop::new(accel, assigned, &cameras, "fair-share", None, true, false)
+                            .unwrap()
+                    })
+                    .collect();
+                for accel_loop in &mut loops {
+                    for slot in 0..accel_loop.slots.len() {
+                        let camera = accel_loop.slots[slot].camera_index;
+                        // Batches scale with the importer-side capacity so
+                        // they range from nothing to three buffers' worth.
+                        let capacity = capacities[camera];
+                        let session = accel_loop.slots[slot].session.as_mut().unwrap();
+                        *session.buffer_mut() = SampleBuffer::new(capacity);
+                        let resident = labeled_block(camera, 0, prefill[camera] % (capacity + 1), dim);
+                        session.admit_samples(&[(&resident, resident.len())]).unwrap();
+                        let batch = batches[camera] % (3 * capacity + 1);
+                        // Exports arrive as one block, as two (two labeling
+                        // phases in the window), or not at all.
+                        match split[camera] {
+                            0 => {}
+                            1 => accel_loop
+                                .exports
+                                .push((camera, labeled_block(camera, 500, batch, dim))),
+                            _ => {
+                                let first = batch / 3;
+                                accel_loop
+                                    .exports
+                                    .push((camera, labeled_block(camera, 500, first, dim)));
+                                accel_loop.exports.push((
+                                    camera,
+                                    labeled_block(camera, 500 + first, batch - first, dim),
+                                ));
+                            }
+                        }
+                    }
+                }
+                // One camera may leave after labeling: its exports are still
+                // offered, but it imports nothing.
+                if leaver < fleet {
+                    let accel = leaver % accelerators;
+                    assert!(matches!(
+                        loops[accel].leave(leaver, boundary_s).unwrap(),
+                        LeaveOutcome::Departed(_)
+                    ));
+                }
+                loops
+            };
+
+            let mut fast = stage();
+            let mut fast_metrics = ShareMetrics::fresh("menu".to_string(), boundary_s);
+            let mut fast_log = ShareLog::default();
+            let mut roster = Vec::new();
+            collect_roster(&fast, &mut roster);
+            exchange_window(
+                &mut fast,
+                &roster,
+                &mut MenuPolicy { salt },
+                &cameras,
+                &mut PairCorrelations::new(cameras.len()),
+                &mut fast_metrics,
+                3,
+                boundary_s,
+                Some(&mut fast_log),
+            )
+            .unwrap();
+
+            let mut slow = stage();
+            let mut slow_metrics = ShareMetrics::fresh("menu".to_string(), boundary_s);
+            let mut slow_log = ShareLog::default();
+            exchange_window_oracle(
+                &mut slow,
+                &mut MenuPolicy { salt },
+                &cameras,
+                &mut slow_metrics,
+                3,
+                boundary_s,
+                &mut slow_log,
+            )
+            .unwrap();
+
+            proptest::prop_assert_eq!(&fast_metrics, &slow_metrics);
+            proptest::prop_assert_eq!(&fast_log, &slow_log);
+            for (fast_loop, slow_loop) in fast.iter_mut().zip(&mut slow) {
+                proptest::prop_assert!(fast_loop.exports.is_empty() && slow_loop.exports.is_empty());
+                for (fast_slot, slow_slot) in fast_loop.slots.iter_mut().zip(&mut slow_loop.slots) {
+                    match (fast_slot.session.as_mut(), slow_slot.session.as_mut()) {
+                        (Some(fast_session), Some(slow_session)) => {
+                            let expected: Vec<crate::buffer::LabeledSample> =
+                                slow_session.buffer_mut().samples().map(|s| s.to_sample()).collect();
+                            let actual: Vec<crate::buffer::LabeledSample> =
+                                fast_session.buffer_mut().samples().map(|s| s.to_sample()).collect();
+                            proptest::prop_assert_eq!(actual, expected);
+                        }
+                        (None, None) => {}
+                        _ => panic!("the two fleets were staged identically"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

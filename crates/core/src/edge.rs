@@ -801,17 +801,18 @@ impl EdgeTier {
         (self.spec.bandwidth_bps / 8.0 / self.frame_bytes as f64).min(fps)
     }
 
-    /// Offers one sampled frame to the uplink. Returns the cloud-labeled
-    /// sample if the frame cleared the near-duplicate filter and shipped
-    /// (it is also queued in-flight until its arrival time), or `None` if
-    /// the filter dropped it.
+    /// Offers one sampled frame to the uplink, taking ownership of its
+    /// features. If the frame cleared the near-duplicate filter it ships:
+    /// the cloud-labeled sample is queued at the tail of the in-flight list
+    /// until its arrival time, and a reference to it is returned. `None`
+    /// means the filter dropped the frame.
     pub(crate) fn offer(
         &mut self,
         features: Vec<f32>,
         true_class: usize,
         timestamp_s: f64,
         attributes: &SegmentAttributes,
-    ) -> Option<LabeledSample> {
+    ) -> Option<&LabeledSample> {
         if let Some(mark) = &self.state.last_shipped {
             let similarity = attribute_similarity(&mark.attributes, attributes)
                 * (1.0 - (timestamp_s - mark.at_s) / FILTER_HORIZON_S).max(0.0);
@@ -827,13 +828,13 @@ impl EdgeTier {
         let teacher_label = self.state.cloud.label(true_class, attributes.difficulty());
         let sample = LabeledSample { features, teacher_label, true_class, timestamp_s };
         self.state.last_shipped = Some(ShippedMark { at_s: timestamp_s, attributes: *attributes });
-        self.state.in_flight.push(InFlightLabel { sample: sample.clone(), arrival_s });
+        self.state.in_flight.push(InFlightLabel { sample, arrival_s });
         self.state.window_bytes += self.frame_bytes;
         self.state.bytes_shipped += self.frame_bytes;
         self.state.frames_shipped += 1;
         self.state.labels_cloud += 1;
         self.state.cloud_latencies_s.push(arrival_s - timestamp_s);
-        Some(sample)
+        self.state.in_flight.last().map(|label| &label.sample)
     }
 
     /// Drains every in-flight label whose arrival time has passed, in

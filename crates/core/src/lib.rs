@@ -316,7 +316,9 @@
 //!
 //! * [`Hyperparams`] — Table I's resource-allocation hyperparameters
 //!   (`N_t`, `N_v`, `N_l`, `N_ldd`, buffer capacity, drift threshold).
-//! * [`SampleBuffer`] — the fixed-capacity labeled sample buffer.
+//! * [`SampleBuffer`] — the fixed-capacity labeled sample buffer, a columnar
+//!   ring whose rows are read as [`SampleRef`]s; [`LabeledSample`] is the
+//!   owned record at the API and serde edges.
 //! * [`StudentModel`] / [`TeacherOracle`](dacapo_dnn::TeacherOracle) — the
 //!   deployed student and the labeling teacher.
 //! * [`PlatformRates`] — the execution platform's capability sheet (a
@@ -400,7 +402,7 @@ pub mod share;
 mod sim;
 mod student;
 
-pub use buffer::{LabeledSample, SampleBuffer};
+pub use buffer::{LabeledSample, SampleBuffer, SampleRef};
 pub use cluster::{
     AdmissionPolicy, ChurnEvent, ChurnMetrics, ChurnPlan, Cluster, ClusterResult, ContentionMetrics,
 };

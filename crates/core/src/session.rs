@@ -26,7 +26,7 @@
 //! and the teacher's RNG and the stream's [`StreamCursor`] are captured
 //! exactly.
 
-use crate::buffer::{LabeledSample, SampleBuffer};
+use crate::buffer::{LabeledSample, SampleBlock, SampleBuffer, SampleRef};
 use crate::config::SimConfig;
 use crate::edge::{EdgeAccum, EdgeTier, EdgeTierState, LabelRoute};
 use crate::platform::PlatformRates;
@@ -285,7 +285,7 @@ pub struct Session {
     pending: VecDeque<SessionEvent>,
     finished: bool,
     record_labels: bool,
-    fresh_labels: Vec<LabeledSample>,
+    fresh_labels: SampleBlock,
     edge: Option<EdgeTier>,
     // snapshot: skip(scratch) — a reusable training/evaluation arena; it
     // carries capacity, never numeric state, so a fresh arena on restore is
@@ -309,10 +309,12 @@ pub struct Session {
 /// must not be stepped or snapshotted.
 #[derive(Debug)]
 pub(crate) struct StagedRetrain {
-    /// The drawn training batch (teacher-labeled).
-    pub(crate) train: Vec<LabeledSample>,
-    /// The drawn validation batch, evaluated after the weights update.
-    pub(crate) validation: Vec<LabeledSample>,
+    /// The drawn training batch, as indices into the session's sample
+    /// buffer (which nothing mutates until the phase is finished).
+    pub(crate) train: Vec<usize>,
+    /// The drawn validation batch (buffer indices likewise), evaluated
+    /// after the weights update.
+    validation: Vec<usize>,
     /// Training epochs, already clamped to at least one.
     pub(crate) epochs: usize,
     /// Sample presentations charged to the platform (`train.len() × epochs`).
@@ -465,21 +467,16 @@ impl Session {
         // uniformly over the whole scenario (every context appears), labeled
         // with ground truth, as the paper assumes pre-trained models.
         let mut center_cache = CenterCache::new();
+        let mut scratch = TrainScratch::new();
         if config.pretrain_samples > 0 {
             let stride = (stream.num_frames() / config.pretrain_samples.max(1) as u64).max(1);
-            let pretrain: Vec<LabeledSample> = (0..stream.num_frames())
+            let pretrain: Vec<Frame> = (0..stream.num_frames())
                 .step_by(stride as usize)
-                .map(|i| {
-                    let frame = stream.frame_at_cached(i, &mut center_cache);
-                    LabeledSample {
-                        features: frame.sample.features,
-                        teacher_label: frame.sample.true_class,
-                        true_class: frame.sample.true_class,
-                        timestamp_s: frame.timestamp_s,
-                    }
-                })
+                .map(|i| stream.frame_at_cached(i, &mut center_cache))
                 .collect();
-            student.retrain(&pretrain, 2)?;
+            let rows: Vec<&[f32]> = pretrain.iter().map(|f| f.sample.features.as_slice()).collect();
+            let labels: Vec<usize> = pretrain.iter().map(|f| f.sample.true_class).collect();
+            student.retrain_rows_with(&rows, &labels, 2, &mut scratch)?;
         }
 
         let buffer = SampleBuffer::new(config.hyper.buffer_capacity);
@@ -509,9 +506,9 @@ impl Session {
             pending: VecDeque::new(),
             finished: false,
             record_labels: false,
-            fresh_labels: Vec::new(),
+            fresh_labels: SampleBlock::default(),
             edge,
-            scratch: TrainScratch::new(),
+            scratch,
             center_cache,
             staged_uplink_before: None,
         })
@@ -545,7 +542,7 @@ impl Session {
             pending: self.pending.iter().copied().collect(),
             finished: self.finished,
             record_labels: self.record_labels,
-            fresh_labels: self.fresh_labels.clone(),
+            fresh_labels: self.fresh_labels.to_samples(),
             edge: self.edge.as_ref().map(|tier| tier.state.clone()),
         }
     }
@@ -599,6 +596,7 @@ impl Session {
                 });
             }
         };
+        let fresh_labels = SampleBlock::from_samples(&snapshot.fresh_labels)?;
         let stream = FrameStream::new(&config.scenario, config.stream);
         let duration_s = config.scenario.duration_s();
         let drop_rate = platform.frame_drop_rate(config.stream.fps);
@@ -624,7 +622,7 @@ impl Session {
             pending: snapshot.pending.into_iter().collect(),
             finished: snapshot.finished,
             record_labels: snapshot.record_labels,
-            fresh_labels: snapshot.fresh_labels,
+            fresh_labels,
             edge,
             scratch: TrainScratch::new(),
             center_cache: CenterCache::new(),
@@ -634,24 +632,32 @@ impl Session {
 
     /// Makes the session keep a copy of every batch its teacher freshly
     /// labels, for [`Session::take_fresh_labels`] to drain. Off by default
-    /// (recording clones every labeled batch); the cluster executor enables
-    /// it when a cross-camera [`crate::share`] policy is active.
+    /// (recording copies every labeled row once more); the cluster executor
+    /// enables it when a cross-camera [`crate::share`] policy is active.
     pub(crate) fn set_record_labels(&mut self, record: bool) {
         self.record_labels = record;
     }
 
     /// Drains the teacher-labeled samples recorded since the last drain
     /// (empty unless [`Session::set_record_labels`] enabled recording).
-    pub(crate) fn take_fresh_labels(&mut self) -> Vec<LabeledSample> {
+    pub(crate) fn take_fresh_labels(&mut self) -> SampleBlock {
         std::mem::take(&mut self.fresh_labels)
     }
 
-    /// Admits externally labeled samples (a correlated peer's exports) into
-    /// the sample buffer, evicting the oldest residents as needed. Admitted
-    /// imports are *not* re-exported by [`Session::take_fresh_labels`], so
-    /// shared labels never echo around the fleet.
-    pub(crate) fn admit_samples(&mut self, samples: impl IntoIterator<Item = LabeledSample>) {
-        self.buffer.extend(samples);
+    /// Admits externally labeled samples (correlated peers' exports) into
+    /// the sample buffer: the first `n` rows of each `(batch, n)` grant, in
+    /// order, evicting the oldest residents as needed — copying only the
+    /// rows that survive the call (see `SampleBuffer::admit_prefixes`).
+    /// Admitted imports are *not* re-exported by
+    /// [`Session::take_fresh_labels`], so shared labels never echo around
+    /// the fleet.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] if a batch's feature length
+    /// differs from the buffered samples'.
+    pub(crate) fn admit_samples(&mut self, grants: &[(&SampleBlock, usize)]) -> Result<()> {
+        self.buffer.admit_prefixes(grants)
     }
 
     /// The session's effective teacher-labeling throughput in samples per
@@ -696,6 +702,12 @@ impl Session {
     /// reads bound one step's shipment.
     pub(crate) fn uplink_meter(&self) -> Option<(u64, u64)> {
         self.edge.as_ref().map(|tier| (tier.state.bytes_shipped, tier.state.labels_cloud))
+    }
+
+    /// The sample buffer, for tests that stage or inspect its contents.
+    #[cfg(test)]
+    pub(crate) fn buffer_mut(&mut self) -> &mut SampleBuffer {
+        &mut self.buffer
     }
 
     /// Current sample-buffer depth, for barrier sampling.
@@ -996,10 +1008,11 @@ impl Session {
     }
 
     /// The pieces a stacked retraining job borrows from this session:
-    /// `(network, learning_rate, batch_size)`.
-    pub(crate) fn stacked_parts(&mut self) -> (&mut Mlp, f32, usize) {
+    /// `(network, learning_rate, batch_size, buffer)` — the buffer is what
+    /// a [`StagedRetrain`]'s indices resolve against.
+    pub(crate) fn stacked_parts(&mut self) -> (&mut Mlp, f32, usize, &SampleBuffer) {
         let (learning_rate, batch_size) = self.student.hyperparams();
-        (self.student.network_mut(), learning_rate, batch_size)
+        (self.student.network_mut(), learning_rate, batch_size, &self.buffer)
     }
 
     /// Completes a retraining phase staged by [`Session::stage_phase`] after
@@ -1012,8 +1025,9 @@ impl Session {
     /// Returns [`CoreError::Dnn`] if the validation batch's feature width
     /// does not match (a configuration inconsistency).
     pub(crate) fn finish_staged_retrain(&mut self, staged: StagedRetrain) -> Result<()> {
+        let (rows, labels) = self.buffer.gather(&staged.validation);
         self.last_validation =
-            Some(self.student.accuracy_on_samples_with(&staged.validation, &mut self.scratch)?);
+            Some(self.student.accuracy_on_rows_with(&rows, &labels, &mut self.scratch)?);
         self.push_phase(PhaseRecord {
             kind: PhaseKind::Retrain,
             start_s: self.now_s,
@@ -1035,12 +1049,11 @@ impl Session {
         // buffer before the scheduler looks at it — deferred arrival is the
         // whole point of the modeled uplink.
         if let Some(tier) = self.edge.as_mut() {
-            let delivered = tier.deliver_matured(self.now_s);
-            if !delivered.is_empty() {
+            for sample in tier.deliver_matured(self.now_s) {
                 if self.record_labels {
-                    self.fresh_labels.extend(delivered.iter().cloned());
+                    self.fresh_labels.push(sample.view());
                 }
-                self.buffer.extend(delivered);
+                self.buffer.admit_row(sample.view())?;
             }
         }
         let ctx = SchedulerContext {
@@ -1117,58 +1130,76 @@ impl Session {
                     step,
                     &mut self.center_cache,
                 );
-                let selected: Vec<Frame> = frames.into_iter().take(actual_samples).collect();
+                let mut selected = frames;
+                selected.truncate(actual_samples);
                 let phase_samples;
                 if offload {
                     // Cloud path: each sampled frame runs the near-duplicate
                     // filter, survivors ship over the serial uplink and come
                     // back as in-flight labels — nothing enters the buffer
-                    // until the round trip completes.
+                    // until the round trip completes. A shipped frame's
+                    // features move into its in-flight label.
                     // lint: allow(panic) — offload is only true when
                     // phase_route read Cloud from this same Some(edge)
                     let tier = self.edge.as_mut().expect("a cloud route implies an edge tier");
-                    let mut shipped: Vec<LabeledSample> = Vec::with_capacity(selected.len());
-                    for frame in &selected {
-                        if let Some(sample) = tier.offer(
-                            frame.sample.features.clone(),
+                    let first_shipped = tier.state.in_flight.len();
+                    for frame in selected {
+                        tier.offer(
+                            frame.sample.features,
                             frame.sample.true_class,
                             frame.timestamp_s,
                             &frame.attributes,
-                        ) {
-                            shipped.push(sample);
-                        }
-                    }
-                    tier.state.last_phase_offloaded = true;
-                    phase_samples = shipped.len();
-                    if !shipped.is_empty() {
-                        self.last_labeling = Some(
-                            self.student.accuracy_on_samples_with(&shipped, &mut self.scratch)?,
                         );
                     }
+                    tier.state.last_phase_offloaded = true;
+                    let shipped = &tier.state.in_flight[first_shipped..];
+                    phase_samples = shipped.len();
+                    if !shipped.is_empty() {
+                        let rows: Vec<&[f32]> =
+                            shipped.iter().map(|l| l.sample.features.as_slice()).collect();
+                        let labels: Vec<usize> =
+                            shipped.iter().map(|l| l.sample.teacher_label).collect();
+                        self.last_labeling = Some(self.student.accuracy_on_rows_with(
+                            &rows,
+                            &labels,
+                            &mut self.scratch,
+                        )?);
+                    }
                 } else {
-                    let labeled: Vec<LabeledSample> = selected
+                    let rows: Vec<&[f32]> =
+                        selected.iter().map(|f| f.sample.features.as_slice()).collect();
+                    let labels: Vec<usize> = selected
                         .iter()
-                        .map(|frame| LabeledSample {
-                            features: frame.sample.features.clone(),
-                            teacher_label: self
-                                .teacher
-                                .label(frame.sample.true_class, frame.attributes.difficulty()),
-                            true_class: frame.sample.true_class,
-                            timestamp_s: frame.timestamp_s,
+                        .map(|frame| {
+                            self.teacher
+                                .label(frame.sample.true_class, frame.attributes.difficulty())
                         })
                         .collect();
                     // acc_l: the current student's accuracy on the freshly
                     // labeled data, judged by the teacher's labels.
-                    self.last_labeling =
-                        Some(self.student.accuracy_on_samples_with(&labeled, &mut self.scratch)?);
+                    self.last_labeling = Some(self.student.accuracy_on_rows_with(
+                        &rows,
+                        &labels,
+                        &mut self.scratch,
+                    )?);
                     if let Some(tier) = self.edge.as_mut() {
-                        tier.note_local_labels(labeled.len());
+                        tier.note_local_labels(selected.len());
                         tier.state.last_phase_offloaded = false;
                     }
-                    if self.record_labels {
-                        self.fresh_labels.extend(labeled.iter().cloned());
+                    // Each labeled row is copied from its frame straight
+                    // into the buffer's slab (and the export block).
+                    for (frame, &teacher_label) in selected.iter().zip(&labels) {
+                        let row = SampleRef {
+                            features: &frame.sample.features,
+                            teacher_label,
+                            true_class: frame.sample.true_class,
+                            timestamp_s: frame.timestamp_s,
+                        };
+                        if self.record_labels {
+                            self.fresh_labels.push(row);
+                        }
+                        self.buffer.admit_row(row)?;
                     }
-                    self.buffer.extend(labeled);
                     phase_samples = actual_samples;
                 }
 
@@ -1183,7 +1214,7 @@ impl Session {
                 self.now_s += phase_duration;
             }
             Action::Retrain { samples, epochs } => {
-                let (train, validation) = self.buffer.draw(
+                let (train, validation) = self.buffer.draw_indices(
                     samples,
                     self.config.hyper.validation_samples,
                     self.phase_seed,
@@ -1225,9 +1256,11 @@ impl Session {
                         phase_duration,
                     }));
                 }
-                self.student.retrain_with(&train, epochs.max(1), &mut self.scratch)?;
+                let (rows, labels) = self.buffer.gather(&train);
+                self.student.retrain_rows_with(&rows, &labels, epochs.max(1), &mut self.scratch)?;
+                let (rows, labels) = self.buffer.gather(&validation);
                 self.last_validation =
-                    Some(self.student.accuracy_on_samples_with(&validation, &mut self.scratch)?);
+                    Some(self.student.accuracy_on_rows_with(&rows, &labels, &mut self.scratch)?);
 
                 self.push_phase(PhaseRecord {
                     kind: PhaseKind::Retrain,

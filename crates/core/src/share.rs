@@ -19,6 +19,22 @@
 //! camera admission-index order at each boundary, so cluster runs stay
 //! bit-identical across worker-thread counts.
 //!
+//! # What an exchange costs
+//!
+//! With `N` live cameras, export batches of `B` samples and buffers of
+//! capacity `C_b`, one boundary costs `N²` [`SharePolicy::admit_fraction`]
+//! calls plus at most `N · C_b` row copies — not `N² · B` sample clones.
+//! Each importer is served in two passes. Pass one consults the policy for
+//! every exporter, in order, and accounts every granted sample
+//! ([`ShareMetrics::labels_reused`], `labeling_seconds_saved`,
+//! [`SimObserver::on_share`](crate::SimObserver::on_share)); pass two
+//! copies only the granted rows that survive the importer's own eviction.
+//! A FIFO of capacity `C` fed a sequence `S` ends as the last `C` elements
+//! of `old ++ S`, so skipping the first `|S| − C` granted samples leaves
+//! the buffer bit-identical to admitting them one by one (property-tested
+//! against the per-sample loop). The pair correlation in [`ShareContext`]
+//! never changes during a run and is served from a flat triangular memo.
+//!
 //! # Pluggable policies
 //!
 //! Policies are constructed through trait-object factories, mirroring

@@ -80,12 +80,9 @@ impl StudentModel {
         frames: &[Frame],
         scratch: &mut TrainScratch,
     ) -> Result<f64> {
-        if frames.is_empty() {
-            return Ok(0.0);
-        }
         let rows: Vec<&[f32]> = frames.iter().map(|f| f.sample.features.as_slice()).collect();
         let labels: Vec<usize> = frames.iter().map(|f| f.sample.true_class).collect();
-        Ok(f64::from(self.network.evaluate_rows_with(&rows, &labels, scratch)?))
+        self.accuracy_on_rows_with(&rows, &labels, scratch)
     }
 
     /// Accuracy on labeled samples, judged against the *teacher* labels —
@@ -98,26 +95,30 @@ impl StudentModel {
     ///
     /// Returns [`CoreError::Dnn`] if the feature width does not match.
     pub fn accuracy_on_samples(&self, samples: &[LabeledSample]) -> Result<f64> {
-        self.accuracy_on_samples_with(samples, &mut TrainScratch::new())
+        let (rows, labels) = rows_and_teacher_labels(samples);
+        self.accuracy_on_rows_with(&rows, &labels, &mut TrainScratch::new())
     }
 
-    /// [`StudentModel::accuracy_on_samples`] against a caller-owned scratch
-    /// arena (see [`StudentModel::accuracy_on_frames_with`]).
+    /// Accuracy on feature rows against `labels` (one per row) through a
+    /// caller-owned scratch arena: the form every accuracy query reduces
+    /// to, so rows can come straight from a sample buffer's slab, a frame
+    /// batch, or owned records without being copied first.
+    ///
+    /// Returns 0 for no rows.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Dnn`] if the feature width does not match.
-    pub(crate) fn accuracy_on_samples_with(
+    pub(crate) fn accuracy_on_rows_with(
         &self,
-        samples: &[LabeledSample],
+        rows: &[&[f32]],
+        labels: &[usize],
         scratch: &mut TrainScratch,
     ) -> Result<f64> {
-        if samples.is_empty() {
+        if rows.is_empty() {
             return Ok(0.0);
         }
-        let rows: Vec<&[f32]> = samples.iter().map(|s| s.features.as_slice()).collect();
-        let labels: Vec<usize> = samples.iter().map(|s| s.teacher_label).collect();
-        Ok(f64::from(self.network.evaluate_rows_with(&rows, &labels, scratch)?))
+        Ok(f64::from(self.network.evaluate_rows_with(rows, labels, scratch)?))
     }
 
     /// Retrains the student on labeled samples for the given number of
@@ -131,30 +132,31 @@ impl StudentModel {
     ///
     /// Returns [`CoreError::Dnn`] on dimension mismatches.
     pub fn retrain(&mut self, samples: &[LabeledSample], epochs: usize) -> Result<usize> {
-        self.retrain_with(samples, epochs, &mut TrainScratch::new())
+        let (rows, labels) = rows_and_teacher_labels(samples);
+        self.retrain_rows_with(&rows, &labels, epochs, &mut TrainScratch::new())
     }
 
-    /// [`StudentModel::retrain`] against a caller-owned scratch arena, so
-    /// steady-state retraining loops allocate no matrices. The resulting
-    /// weights are bit-identical to the allocating variant.
+    /// Retrains on feature rows against `labels` (one per row) through a
+    /// caller-owned scratch arena, so steady-state retraining loops copy no
+    /// samples and allocate no matrices. The resulting weights are
+    /// bit-identical to [`StudentModel::retrain`] on the same data.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Dnn`] on dimension mismatches.
-    pub(crate) fn retrain_with(
+    pub(crate) fn retrain_rows_with(
         &mut self,
-        samples: &[LabeledSample],
+        rows: &[&[f32]],
+        labels: &[usize],
         epochs: usize,
         scratch: &mut TrainScratch,
     ) -> Result<usize> {
-        if samples.is_empty() || epochs == 0 {
+        if rows.is_empty() || epochs == 0 {
             return Ok(0);
         }
-        let rows: Vec<&[f32]> = samples.iter().map(|s| s.features.as_slice()).collect();
-        let labels: Vec<usize> = samples.iter().map(|s| s.teacher_label).collect();
         let report = self.network.train_rows_with(
-            &rows,
-            &labels,
+            rows,
+            labels,
             epochs,
             self.batch_size,
             self.learning_rate,
@@ -174,6 +176,12 @@ impl StudentModel {
     pub(crate) fn hyperparams(&self) -> (f32, usize) {
         (self.learning_rate, self.batch_size)
     }
+}
+
+/// The feature rows and teacher labels of owned records, as the row-based
+/// kernels take them.
+fn rows_and_teacher_labels(samples: &[LabeledSample]) -> (Vec<&[f32]>, Vec<usize>) {
+    samples.iter().map(|s| (s.features.as_slice(), s.teacher_label)).unzip()
 }
 
 #[cfg(test)]

@@ -45,6 +45,17 @@ bench:
 perf *ARGS='--smoke --check':
     cargo bench -p dacapo-bench --bench steps_bench -- {{ARGS}}
 
+# The frozen repo benchmark (`benchmark/`, its own workspace) against this
+# tree: its own tests, then the barrier-heavy workload — share + offload +
+# churn at 5 s windows, where `core::cluster::exchange_window` and the
+# columnar sample buffer do the work. Also the API-compatibility check: the
+# benchmark may not be edited, so a break against it shows here. Extra
+# flags pass through, e.g. `just bench-barrier --seed 3 --seconds 15 --trace 1`
+# for a comparable traced run (the default is the non-comparable smoke tier).
+bench-barrier *ARGS='--quick':
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload fleet-barrier {{ARGS}}
+
 # Cluster execution demo (custom arbiter, admission control) plus the
 # contention sweep; leaves results/BENCH_cluster.json behind.
 cluster:

@@ -1,12 +1,13 @@
 //! Serde round-trips of the public result/config surface: `SimConfig`,
 //! `PlatformSpec`, `SimResult`, `FleetResult`, and `ClusterResult` all
 //! survive a JSON text round trip exactly, so observer logs, bench records,
-//! and snapshots written by one process can be read back by another.
+//! and snapshots written by one process can be read back by another — and a
+//! golden `SessionSnapshot` file pins the snapshot format byte for byte.
 
 use dacapo_core::platform::{KernelRate, PlatformSpec, Sharing};
 use dacapo_core::{
     Cluster, FleetResult, PhaseKind, PhaseRecord, PlatformKind, PlatformRates, SchedulerKind,
-    SessionEvent, ShareMetrics, SimConfig, SimResult,
+    Session, SessionEvent, SessionSnapshot, ShareMetrics, SimConfig, SimResult, SNAPSHOT_VERSION,
 };
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
@@ -249,4 +250,28 @@ fn session_events_and_metrics_round_trip() {
         total_drift_responses: 0,
     };
     round_trip(&empty);
+}
+
+/// A version-2 `SessionSnapshot` written by the commit *before* the sample
+/// buffer became a columnar ring (mid-run, a full and wrapped 24-sample
+/// buffer, eight cloud labels in flight) must restore and re-serialise to
+/// the same bytes: the storage layout changed, the format did not, so
+/// `SNAPSHOT_VERSION` stays 2.
+#[test]
+fn a_golden_v2_snapshot_round_trips_byte_for_byte() {
+    let golden = include_str!("fixtures/session_snapshot_v2.json");
+    let snapshot = SessionSnapshot::from_json(golden).expect("the golden snapshot parses");
+    assert_eq!(snapshot.version, SNAPSHOT_VERSION);
+    assert_eq!(snapshot.buffer.len(), 24, "the fixture carries a full buffer");
+    let in_flight = snapshot.edge.as_ref().expect("the fixture has an edge tier").in_flight.len();
+    assert_eq!(in_flight, 8, "the fixture carries in-flight cloud labels");
+
+    let restored = Session::restore(snapshot).expect("the golden snapshot restores");
+    assert_eq!(restored.in_flight_cloud_labels(), in_flight);
+    assert_eq!(restored.snapshot().to_json(), golden);
+
+    // And the restored session is a working one: it runs to completion.
+    let mut restored = restored;
+    restored.run_to_end().expect("the restored session finishes");
+    assert!(restored.is_finished());
 }
