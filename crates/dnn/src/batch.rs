@@ -43,8 +43,6 @@ pub(crate) struct LayerScratch {
     pub(crate) pre: Matrix,
     /// Upstream gradient after the activation derivative.
     pub(crate) delta: Matrix,
-    /// Transposed cached input (for the weight gradient GEMM).
-    pub(crate) input_t: Matrix,
     /// Transposed weights (for the input gradient GEMM).
     pub(crate) w_t: Matrix,
     /// Weight gradient.
@@ -61,7 +59,6 @@ impl LayerScratch {
             x_q: Matrix::identity(1),
             pre: Matrix::identity(1),
             delta: Matrix::identity(1),
-            input_t: Matrix::identity(1),
             w_t: Matrix::identity(1),
             d_w: Matrix::identity(1),
             d_b: Matrix::identity(1),
@@ -177,7 +174,7 @@ pub(crate) fn backward_pass(
     for i in (0..depth).rev() {
         let (shallow, deep) = lscr.split_at_mut(i + 1);
         let upstream: &Matrix = if i + 1 == depth { grad } else { &deep[0].d_x };
-        let LayerScratch { x_q, pre, delta, input_t, w_t, d_w, d_b, d_x } = &mut shallow[i];
+        let LayerScratch { x_q, pre, delta, w_t, d_w, d_b, d_x } = &mut shallow[i];
         let layer = &mut layers[i];
         match layer.activation_kind() {
             Activation::Relu => {
@@ -211,21 +208,20 @@ pub(crate) fn backward_pass(
                 }
             }
         };
+        // The weight gradient `xᵀ · δ` takes the transpose-free kernels:
+        // they accumulate (and, in MX, block the operands along the batch)
+        // exactly as the GEMM on a materialised `xᵀ` does (property-tested).
         // Layer 0's input gradient has no consumer, so its `w_t` transpose
         // and `δ · wᵀ` GEMM are skipped entirely; weights are unaffected.
         match precision {
             Some(p) => {
-                ops::transpose_into(x_input, input_t);
-                quant::mx_matmul_into(input_t, delta, p, d_w, ws)?;
+                quant::mx_matmul_at_b_into(x_input, delta, p, d_w, ws)?;
                 if i > 0 {
                     ops::transpose_into(layer.weights_ref(), w_t);
                     quant::mx_matmul_into(delta, w_t, p, d_x, ws)?;
                 }
             }
             None => {
-                // FP32 takes the transpose-free weight-gradient kernel:
-                // `xᵀ · δ` accumulates in the same order as the transposed
-                // GEMM (property-tested), so `input_t` is never built.
                 ops::matmul_at_b(x_input, delta, d_w, ws)?;
                 if i > 0 {
                     ops::transpose_into(layer.weights_ref(), w_t);

@@ -438,6 +438,43 @@ mod tests {
         assert!(acc9 + 1e-6 >= acc4, "MX9 {acc9} vs MX4 {acc4}");
     }
 
+    /// Mini-batch SGD through the allocating `Dense::forward` /
+    /// `Dense::backward` layer API: the reference the scratch path mirrors.
+    fn train_reference(net: &mut Mlp, features: &Matrix, labels: &[usize], epochs: usize) {
+        let mode = net.config.training_mode;
+        let rows: Vec<&[f32]> = features.iter_rows().collect();
+        for _ in 0..epochs {
+            for (batch_rows, batch_labels) in rows.chunks(16).zip(labels.chunks(16)) {
+                let batch = Matrix::from_rows(batch_rows).unwrap();
+                let (logits, caches) = net.forward_with_caches(&batch, mode).unwrap();
+                let (_, mut upstream) = loss::cross_entropy(&logits, batch_labels).unwrap();
+                for (layer, cache) in net.layers.iter_mut().zip(&caches).rev() {
+                    let grads = layer.backward(cache, &upstream, mode.precision()).unwrap();
+                    layer.apply_gradients(&grads, 0.05).unwrap();
+                    upstream = grads.input;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_training_is_bit_identical_to_the_allocating_layer_reference() {
+        // 40 rows in batches of 16 leave a batch of 8: an MX block along the
+        // batch dimension that is half padding.
+        let (features, labels) = two_cluster_data(40, 20, 47);
+        let modes = MxPrecision::ALL.map(QuantMode::Mx).into_iter().chain([QuantMode::Fp32]);
+        for mode in modes {
+            let config =
+                MlpConfig { hidden: vec![24, 9], training_mode: mode, ..fp32_config(20, 3) };
+            let mut reference = Mlp::new(config).unwrap();
+            let mut net = reference.clone();
+            train_reference(&mut reference, &features, &labels, 2);
+            let rows: Vec<&[f32]> = features.iter_rows().collect();
+            net.train_rows_with(&rows, &labels, 2, 16, 0.05, &mut TrainScratch::new()).unwrap();
+            assert_eq!(net, reference, "{mode:?}");
+        }
+    }
+
     #[test]
     fn train_validates_inputs() {
         let (features, labels) = two_cluster_data(20, 4, 45);

@@ -1,12 +1,10 @@
 //! A single MX block: 16 values sharing one exponent and eight microexponents.
 
+use crate::kernel::{self, Format};
 use crate::{
     MxError, MxPrecision, Result, RoundingMode, BLOCK_SIZE, SUBGROUP_COUNT, SUBGROUP_SIZE,
 };
 use serde::{Deserialize, Serialize};
-
-/// IEEE-754 single-precision exponent bias.
-const F32_BIAS: i32 = 127;
 
 /// One MX-encoded block of [`BLOCK_SIZE`] values.
 ///
@@ -65,91 +63,51 @@ impl MxBlock {
         if values.len() > BLOCK_SIZE {
             return Err(MxError::LengthMismatch { left: values.len(), right: BLOCK_SIZE });
         }
-        for (index, &value) in values.iter().enumerate() {
-            if !value.is_finite() {
-                return Err(MxError::NonFiniteInput { index, value });
+        let format = Format::new(precision, rounding);
+        // Padding lanes stay `+0.0`: exponent field zero, code zero.
+        let mut bits = [0u32; BLOCK_SIZE];
+        for (b, v) in bits.iter_mut().zip(values) {
+            *b = v.to_bits();
+        }
+        let shared = bits.iter().fold(0, |max, &b| max.max(kernel::exponent(b)));
+        if shared == kernel::NON_FINITE {
+            return Err(MxError::first_non_finite(values, 0));
+        }
+        let mut block = Self {
+            precision,
+            // Below `NON_FINITE`, so it fits.
+            shared_exp: shared as u8,
+            micro: [false; SUBGROUP_COUNT],
+            signs: [false; BLOCK_SIZE],
+            mantissas: [0; BLOCK_SIZE],
+            len: values.len(),
+        };
+        for (g, pair) in bits.chunks_exact(SUBGROUP_SIZE).enumerate() {
+            let sub = pair.iter().fold(0, |max, &b| max.max(kernel::exponent(b)));
+            let eff = kernel::effective(sub, shared);
+            block.micro[g] = eff != shared;
+            for (lane, &b) in pair.iter().enumerate() {
+                let i = g * SUBGROUP_SIZE + lane;
+                block.signs[i] = kernel::sign(b, shared) != 0;
+                // At most seven bits.
+                block.mantissas[i] = kernel::code(b, eff, format) as u16;
             }
         }
-
-        let mut padded = [0.0f32; BLOCK_SIZE];
-        padded[..values.len()].copy_from_slice(values);
-
-        // Per-element biased exponents; zero / subnormal values get exponent
-        // i32::MIN so they never influence the shared exponent.
-        let mut exps = [i32::MIN; BLOCK_SIZE];
-        for (i, &v) in padded.iter().enumerate() {
-            if v != 0.0 && v.is_normal() {
-                exps[i] = ((v.to_bits() >> 23) & 0xFF) as i32;
-            }
-        }
-
-        let shared = exps.iter().copied().max().unwrap_or(i32::MIN);
-        if shared == i32::MIN {
-            // Every value is zero (or subnormal, flushed to zero).
-            return Ok(Self {
-                precision,
-                shared_exp: 0,
-                micro: [false; SUBGROUP_COUNT],
-                signs: [false; BLOCK_SIZE],
-                mantissas: [0; BLOCK_SIZE],
-                len: values.len(),
-            });
-        }
-
-        let mut micro = [false; SUBGROUP_COUNT];
-        for (g, flag) in micro.iter_mut().enumerate() {
-            let start = g * SUBGROUP_SIZE;
-            let sub_max = exps[start..start + SUBGROUP_SIZE].iter().copied().max().unwrap();
-            // The microexponent is set when every exponent in the subgroup is
-            // strictly smaller than the shared exponent (and the subgroup has
-            // at least one nonzero value to benefit from it).
-            *flag = sub_max != i32::MIN && sub_max < shared;
-        }
-
-        let mant_bits = precision.mantissa_bits();
-        let max_code = (1u32 << mant_bits) - 1;
-        let mut signs = [false; BLOCK_SIZE];
-        let mut mantissas = [0u16; BLOCK_SIZE];
-
-        for i in 0..BLOCK_SIZE {
-            let v = padded[i];
-            signs[i] = v.is_sign_negative();
-            if exps[i] == i32::MIN {
-                mantissas[i] = 0;
-                continue;
-            }
-            let group = i / SUBGROUP_SIZE;
-            let eff_exp = shared - i32::from(micro[group]);
-            // Significand in [1, 2).
-            let significand = 1.0 + ((v.to_bits() & 0x007F_FFFF) as f64) / ((1u64 << 23) as f64);
-            // Align to the subgroup's effective exponent.
-            let shift = eff_exp - exps[i];
-            debug_assert!(shift >= 0, "element exponent exceeds effective shared exponent");
-            let scaled = significand / (1u64 << shift.min(62)) as f64;
-            let steps = scaled * f64::from(1u32 << (mant_bits - 1));
-            let code = match rounding {
-                RoundingMode::Nearest => steps.round(),
-                RoundingMode::Truncate => steps.floor(),
-            };
-            mantissas[i] = code.clamp(0.0, f64::from(max_code)) as u16;
-        }
-
-        Ok(Self { precision, shared_exp: shared as u8, micro, signs, mantissas, len: values.len() })
+        Ok(block)
     }
 
     /// Decodes the full block (including zero padding) back to `f32`.
     #[must_use]
     pub fn decode(&self) -> [f32; BLOCK_SIZE] {
-        let mut out = [0.0f32; BLOCK_SIZE];
+        let shared = u32::from(self.shared_exp);
         let mant_bits = self.precision.mantissa_bits();
-        for (i, slot) in out.iter_mut().enumerate() {
-            let group = i / SUBGROUP_SIZE;
-            let eff_exp = i32::from(self.shared_exp) - i32::from(self.micro[group]);
-            let magnitude = f64::from(self.mantissas[i]) / f64::from(1u32 << (mant_bits - 1))
-                * (2.0f64).powi(eff_exp - F32_BIAS);
-            *slot = if self.signs[i] { -(magnitude as f32) } else { magnitude as f32 };
-        }
-        out
+        std::array::from_fn(|i| {
+            // Saturating: a deserialised block may claim a microexponent
+            // under a zero shared exponent, which `encode` never produces.
+            let eff = shared.saturating_sub(u32::from(self.micro[i / SUBGROUP_SIZE]));
+            let sign = u32::from(self.signs[i]) << 31;
+            kernel::value(sign, u32::from(self.mantissas[i]), eff, mant_bits)
+        })
     }
 
     /// Decodes only the values that were originally supplied to
@@ -214,8 +172,162 @@ impl MxBlock {
     }
 }
 
+/// The floating-point statement of the format, kept as the test oracle for
+/// the integer kernel: encode through `f64` division and rounding, decode
+/// through `powi`. Every step is exact in `f64`, so the two must agree bit
+/// for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// IEEE-754 single-precision exponent bias.
+    const F32_BIAS: i32 = 127;
+
+    pub(crate) fn encode(
+        values: &[f32],
+        precision: MxPrecision,
+        rounding: RoundingMode,
+    ) -> MxBlock {
+        assert!(!values.is_empty() && values.len() <= BLOCK_SIZE);
+        assert!(values.iter().all(|v| v.is_finite()));
+        let mut padded = [0.0f32; BLOCK_SIZE];
+        padded[..values.len()].copy_from_slice(values);
+
+        // Zero / subnormal values get exponent i32::MIN so they never
+        // influence the shared exponent.
+        let mut exps = [i32::MIN; BLOCK_SIZE];
+        for (i, &v) in padded.iter().enumerate() {
+            if v != 0.0 && v.is_normal() {
+                exps[i] = ((v.to_bits() >> 23) & 0xFF) as i32;
+            }
+        }
+        let shared = exps.iter().copied().max().unwrap();
+        if shared == i32::MIN {
+            return MxBlock {
+                precision,
+                shared_exp: 0,
+                micro: [false; SUBGROUP_COUNT],
+                signs: [false; BLOCK_SIZE],
+                mantissas: [0; BLOCK_SIZE],
+                len: values.len(),
+            };
+        }
+
+        let mut micro = [false; SUBGROUP_COUNT];
+        for (g, flag) in micro.iter_mut().enumerate() {
+            let start = g * SUBGROUP_SIZE;
+            let sub_max = exps[start..start + SUBGROUP_SIZE].iter().copied().max().unwrap();
+            *flag = sub_max != i32::MIN && sub_max < shared;
+        }
+
+        let mant_bits = precision.mantissa_bits();
+        let max_code = (1u32 << mant_bits) - 1;
+        let mut signs = [false; BLOCK_SIZE];
+        let mut mantissas = [0u16; BLOCK_SIZE];
+        for i in 0..BLOCK_SIZE {
+            let v = padded[i];
+            signs[i] = v.is_sign_negative();
+            if exps[i] == i32::MIN {
+                continue;
+            }
+            let eff_exp = shared - i32::from(micro[i / SUBGROUP_SIZE]);
+            let significand = 1.0 + ((v.to_bits() & 0x007F_FFFF) as f64) / ((1u64 << 23) as f64);
+            let shift = eff_exp - exps[i];
+            assert!(shift >= 0, "element exponent exceeds effective shared exponent");
+            let scaled = significand / (1u64 << shift.min(62)) as f64;
+            let steps = scaled * f64::from(1u32 << (mant_bits - 1));
+            let code = match rounding {
+                RoundingMode::Nearest => steps.round(),
+                RoundingMode::Truncate => steps.floor(),
+            };
+            mantissas[i] = code.clamp(0.0, f64::from(max_code)) as u16;
+        }
+        MxBlock { precision, shared_exp: shared as u8, micro, signs, mantissas, len: values.len() }
+    }
+
+    pub(crate) fn decode(block: &MxBlock) -> [f32; BLOCK_SIZE] {
+        let mut out = [0.0f32; BLOCK_SIZE];
+        let mant_bits = block.precision.mantissa_bits();
+        for (i, slot) in out.iter_mut().enumerate() {
+            let eff_exp = i32::from(block.shared_exp) - i32::from(block.micro[i / SUBGROUP_SIZE]);
+            let magnitude = f64::from(block.mantissas[i]) / f64::from(1u32 << (mant_bits - 1))
+                * (2.0f64).powi(eff_exp - F32_BIAS);
+            *slot = if block.signs[i] { -(magnitude as f32) } else { magnitude as f32 };
+        }
+        out
+    }
+
+    /// `encode` then `decode` of a slice of any length, block by block.
+    pub(crate) fn quantize(
+        values: &[f32],
+        precision: MxPrecision,
+        rounding: RoundingMode,
+    ) -> Vec<f32> {
+        values
+            .chunks(BLOCK_SIZE)
+            .flat_map(|chunk| decode(&encode(chunk, precision, rounding))[..chunk.len()].to_vec())
+            .collect()
+    }
+}
+
+/// Seeded generators of values that stress the kernel's edges.
+#[cfg(test)]
+pub(crate) mod hostile {
+    /// SplitMix64: small, seedable, good enough to scatter test inputs.
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The exponent mixes of the sweep: near the bottom of the range (where
+    /// the decode scale goes subnormal), near the top, a narrow band in the
+    /// middle (small shifts, so rounding and the clamp matter), and
+    /// everything.
+    pub(crate) const MIXES: [(u32, u32); 4] = [(1, 12), (243, 254), (120, 130), (1, 254)];
+
+    /// One finite value: a signed zero, a subnormal, or a normal with its
+    /// exponent field in `lo..=hi` and a fraction that is zero, one, all
+    /// ones, or random.
+    pub(crate) fn value(rng: &mut Rng, (lo, hi): (u32, u32)) -> f32 {
+        let sign = (rng.below(2) as u32) << 31;
+        let fraction = match rng.below(6) {
+            0 => 0,
+            1 => 1,
+            2 => 0x007F_FFFF,
+            _ => rng.next() as u32 & 0x007F_FFFF,
+        };
+        let exponent = match rng.below(8) {
+            0 => return f32::from_bits(sign),
+            1 => 0,
+            _ => lo + rng.below(u64::from(hi - lo + 1)) as u32,
+        };
+        f32::from_bits(sign | (exponent << 23) | fraction)
+    }
+
+    pub(crate) fn values(rng: &mut Rng, mix: (u32, u32), len: usize) -> Vec<f32> {
+        (0..len).map(|_| value(rng, mix)).collect()
+    }
+
+    /// Bit patterns, so comparisons tell `-0.0` from `+0.0`.
+    pub(crate) fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::hostile::bits;
     use super::*;
 
     fn roundtrip(values: &[f32], precision: MxPrecision) -> Vec<f32> {
@@ -404,5 +516,179 @@ mod tests {
             assert!(max_err <= previous + 1e-6, "{p} worse than lower precision");
             previous = max_err;
         }
+    }
+
+    const ROUNDINGS: [RoundingMode; 2] = [RoundingMode::Nearest, RoundingMode::Truncate];
+
+    /// `2^(field − 127)` with the given fraction bits.
+    fn float(field: u32, fraction: u32) -> f32 {
+        f32::from_bits((field << 23) | fraction)
+    }
+
+    /// The kernel against the oracle on one block: the encoded fields, and
+    /// the decoded bit patterns.
+    fn assert_matches_oracle(values: &[f32]) {
+        for precision in MxPrecision::ALL {
+            for rounding in ROUNDINGS {
+                let block = MxBlock::encode(values, precision, rounding).unwrap();
+                let expected = oracle::encode(values, precision, rounding);
+                assert_eq!(block, expected, "{precision} {rounding} {:x?}", bits(values));
+                assert_eq!(bits(&block.decode()), bits(&oracle::decode(&expected)));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_block_decodes_to_positive_zero_in_every_lane() {
+        let subnormal = f32::from_bits(0x0040_0001);
+        for values in [[-0.0f32; 16], [-subnormal; 16], [0.0; 16]] {
+            for precision in MxPrecision::ALL {
+                let block = MxBlock::encode(&values, precision, RoundingMode::Nearest).unwrap();
+                assert_eq!(block.shared_exponent(), 0);
+                assert_eq!(bits(&block.decode()), [0u32; 16]);
+            }
+            assert_matches_oracle(&values);
+        }
+    }
+
+    #[test]
+    fn zeros_inside_a_non_zero_block_keep_their_sign() {
+        let mut values = [1.0f32; 16];
+        values[2] = -0.0;
+        values[3] = -f32::from_bits(7); // flushed, sign kept
+        values[4] = 0.0;
+        values[5] = f32::from_bits(7);
+        let decoded = roundtrip(&values, MxPrecision::Mx9);
+        assert_eq!(bits(&decoded[2..6]), [0x8000_0000, 0x8000_0000, 0, 0]);
+        assert_matches_oracle(&values);
+    }
+
+    #[test]
+    fn rounding_carry_clamps_instead_of_bumping_the_exponent() {
+        // 1.9999999 rounds up to 2.0 at every width; the block keeps its
+        // exponent and the code saturates at 2^m − 1.
+        let values = [float(127, 0x007F_FFFF); 16];
+        for precision in MxPrecision::ALL {
+            let block = MxBlock::encode(&values, precision, RoundingMode::Nearest).unwrap();
+            assert_eq!(block.shared_exponent(), 127);
+            let step = precision.mantissa_ulp();
+            assert_eq!(block.decode(), [2.0 - step; 16]);
+        }
+        assert_matches_oracle(&values);
+    }
+
+    #[test]
+    fn elements_far_below_the_effective_exponent_become_signed_zero() {
+        for gap in [25, 26, 31, 32, 40, 100] {
+            let mut values = [0.0f32; 16];
+            values[0] = float(150, 0);
+            values[1] = -float(150 - gap, 0x007F_FFFF); // same subgroup as the maximum
+            values[2] = -float(149 - gap, 0x007F_FFFF); // microexponent subgroup: eff = 149
+            for precision in MxPrecision::ALL {
+                for rounding in ROUNDINGS {
+                    let decoded = MxBlock::encode(&values, precision, rounding).unwrap().decode();
+                    assert_eq!(bits(&decoded[1..3]), [0x8000_0000; 2], "gap {gap}");
+                }
+            }
+            assert_matches_oracle(&values);
+        }
+    }
+
+    #[test]
+    fn blocks_with_a_tiny_shared_exponent_go_through_subnormal_steps_exactly() {
+        for shared in 1..8u32 {
+            // Below exponent field 7 one MX9 code unit, 2^(shared − 133), is
+            // itself subnormal; values made of a few units still come back
+            // exactly.
+            let unit = f32::from_bits(1 << (shared + 16));
+            let mut values = [0.0f32; 16];
+            values[0] = float(shared, 0x0060_0000); // 1.75 × 2^(shared − 127)
+            values[1] = -float(shared, 0);
+            values[2] = float(shared.max(2) - 1, 0x0040_0000);
+            let decoded = roundtrip(&values, MxPrecision::Mx9);
+            assert_eq!(decoded[0], 112.0 * unit);
+            assert_eq!(decoded[1], -64.0 * unit);
+            assert_eq!(decoded[..3], values[..3]);
+            assert_matches_oracle(&values);
+
+            // A lone code unit decodes to a true subnormal.
+            let block = MxBlock {
+                precision: MxPrecision::Mx9,
+                shared_exp: shared as u8,
+                micro: [false; SUBGROUP_COUNT],
+                signs: [true; BLOCK_SIZE],
+                mantissas: [1; BLOCK_SIZE],
+                len: BLOCK_SIZE,
+            };
+            assert_eq!(block.decode(), [-unit; 16]);
+            assert_eq!(bits(&block.decode()), bits(&oracle::decode(&block)));
+            assert_eq!(unit.is_normal(), shared == 7);
+        }
+    }
+
+    #[test]
+    fn every_shift_and_rounding_boundary_matches_the_oracle() {
+        for precision in MxPrecision::ALL {
+            for gap in 0..32u32 {
+                // Bits dropped from the 24-bit significand at this gap; the
+                // tie sits at `half`.
+                let dropped = 24 + gap - precision.mantissa_bits();
+                let half = 1u32.checked_shl(dropped - 1).unwrap_or(0) & 0x007F_FFFF;
+                let fractions = [
+                    0,
+                    1,
+                    half.wrapping_sub(1) & 0x007F_FFFF,
+                    half,
+                    (half + 1) & 0x007F_FFFF,
+                    0x007F_FFFF,
+                ];
+                for fraction in fractions {
+                    for negative in [false, true] {
+                        let x = float(200 - gap, fraction) * if negative { -1.0 } else { 1.0 };
+                        // Beside the maximum (eff = shared), and alone in a
+                        // microexponent subgroup (eff = shared − 1) one
+                        // binade further down so the gap stays `gap`.
+                        let mut beside = [0.0f32; 16];
+                        beside[0] = float(200, 0);
+                        beside[1] = x;
+                        assert_matches_oracle(&beside);
+                        let mut apart = [0.0f32; 16];
+                        apart[0] = float(201, 0);
+                        apart[5] = x;
+                        assert_matches_oracle(&apart);
+                        assert_matches_oracle(&apart[..6]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_blocks_match_the_oracle() {
+        let mut rng = hostile::Rng(0xDACA_0001);
+        for mix in hostile::MIXES {
+            for len in 1..=BLOCK_SIZE {
+                for _ in 0..40 {
+                    assert_matches_oracle(&hostile::values(&mut rng, mix, len));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_of_a_malformed_block_does_not_panic() {
+        // Not producible by `encode`: a microexponent under a zero shared
+        // exponent and codes wider than the precision.
+        let block = MxBlock {
+            precision: MxPrecision::Mx4,
+            shared_exp: 0,
+            micro: [true; SUBGROUP_COUNT],
+            signs: [true; BLOCK_SIZE],
+            mantissas: [u16::MAX; BLOCK_SIZE],
+            len: BLOCK_SIZE,
+        };
+        assert!(block.decode().iter().all(|v| v.is_finite()));
+        let top = MxBlock { shared_exp: 255, micro: [false; SUBGROUP_COUNT], ..block };
+        assert!(top.decode().iter().all(|v| v.is_infinite()));
     }
 }

@@ -33,6 +33,19 @@ pub enum MxError {
     EmptyInput,
 }
 
+impl MxError {
+    /// The [`MxError::NonFiniteInput`] for the first NaN or infinity in
+    /// `values`, which start `offset` elements into the caller's input.
+    pub(crate) fn first_non_finite(values: &[f32], offset: usize) -> Self {
+        let (index, &value) = values
+            .iter()
+            .enumerate()
+            .find(|(_, v)| !v.is_finite())
+            .expect("called for a block whose shared exponent is the non-finite field");
+        MxError::NonFiniteInput { index: offset + index, value }
+    }
+}
+
 impl fmt::Display for MxError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

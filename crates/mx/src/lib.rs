@@ -21,6 +21,49 @@
 //! in FP32 (the DPE's "FP32 generator"), which is why decoding an MX block to
 //! `f32` and multiply-accumulating reproduces the hardware result exactly.
 //!
+//! # The integer algorithm
+//!
+//! Conversion never leaves the integer domain until its last step. With `m`
+//! the mantissa width, and working on the `f32` bit patterns of a block:
+//!
+//! 1. **Exponents.** Each lane's biased exponent field `e` is
+//!    `(bits >> 23) & 0xFF`. The shared exponent is the maximum of the
+//!    fields; a subgroup's microexponent is set when the maximum of its two
+//!    fields is non-zero yet below the shared one, giving the subgroup's
+//!    effective exponent `eff = shared − micro`. Zeros and subnormals have
+//!    field `0`, and since `0` is the neutral element of an unsigned maximum
+//!    they cannot move any exponent — no masking is needed to "flush" them,
+//!    and a block whose shared exponent is `0` is exactly an all-zero block
+//!    (decoded as `+0.0` in every lane). NaN and the infinities have field
+//!    `255`, which no finite value reaches, so `shared == 255` is the whole
+//!    non-finite check.
+//! 2. **Codes.** The 24-bit significand `mant24 = 1.fraction` (zero when
+//!    `e == 0`) is cut down to `m` bits at the subgroup's scale:
+//!    `code = min((mant24 + half) >> s, 2^m − 1)` with
+//!    `s = 24 + eff − e − m`, where `half = 1 << (s − 1)` rounds to nearest
+//!    (ties away from zero) and `half = 0` truncates. `eff ≥ e` within a
+//!    block, so `s ≥ 24 − m ≥ 17`. From `s = 25` on the result is zero for any
+//!    significand (`mant24 + half < 2^24 + 2^(s−1) ≤ 2^s`), so `s` may be
+//!    clamped at `31`: the clamp keeps the shift inside the word without
+//!    changing a single code. A carry out of the rounding (`1.11…1` rounding
+//!    up to `2.0`) saturates at `2^m − 1` instead of raising the exponent.
+//! 3. **Values.** A lane decodes to
+//!    `sign | code × 2^(eff − 127 − (m − 1))`, computed as one `f32`
+//!    multiply of the code by a power of two built from its bit pattern.
+//!    The multiply rounds nothing: `code < 2^7` has at most seven
+//!    significant bits, and the scale's exponent is at least
+//!    `0 − 127 − 6 = −133`, so the lowest set bit of the product is at
+//!    `2^-133` or above — inside the subnormal range, which reaches down to
+//!    `2^-149`. At the other end `127 × 2^(254 − 133) < 2^128` stays finite.
+//!
+//! The same per-lane arithmetic serves a block of sixteen adjacent values
+//! ([`MxBlock`], [`MxVector::quantize_into`]) and sixteen rows of a matrix
+//! quantised down its columns ([`MxVector::quantize_columns_into`]); only the
+//! direction the maxima of step 1 run in differs. It is branch-free, so the
+//! loops over it compile to vector instructions, and it is checked bit for
+//! bit against the format's floating-point definition (`f64` division,
+//! `round`, `powi`), which survives in the tests as the oracle.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,6 +87,7 @@ mod block;
 mod error;
 mod error_analysis;
 mod format;
+mod kernel;
 mod vector;
 
 pub use block::MxBlock;

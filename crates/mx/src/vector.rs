@@ -1,5 +1,6 @@
 //! Block-wise MX encoding of arbitrary-length vectors.
 
+use crate::kernel::{self, Format};
 use crate::{MxBlock, MxError, MxPrecision, Result, RoundingMode, BLOCK_SIZE};
 use serde::{Deserialize, Serialize};
 
@@ -98,17 +99,62 @@ impl MxVector {
         if out.len() != values.len() {
             return Err(MxError::LengthMismatch { left: values.len(), right: out.len() });
         }
-        for (block_idx, (chunk, out_chunk)) in
-            values.chunks(BLOCK_SIZE).zip(out.chunks_mut(BLOCK_SIZE)).enumerate()
+        let format = Format::new(precision, RoundingMode::Nearest);
+        for (run, (chunk, out_chunk)) in
+            values.chunks(kernel::CHUNK).zip(out.chunks_mut(kernel::CHUNK)).enumerate()
         {
-            let block =
-                MxBlock::encode(chunk, precision, RoundingMode::Nearest).map_err(|e| match e {
-                    MxError::NonFiniteInput { index, value } => {
-                        MxError::NonFiniteInput { index: block_idx * BLOCK_SIZE + index, value }
-                    }
-                    other => other,
-                })?;
-            out_chunk.copy_from_slice(&block.decode()[..chunk.len()]);
+            if !kernel::quantize_run(chunk, format, out_chunk) {
+                return Err(MxError::first_non_finite(chunk, run * kernel::CHUNK));
+            }
+        }
+        Ok(())
+    }
+
+    /// Fake quantisation **down the columns** of a row-major matrix:
+    /// `values` holds `values.len() / cols` rows of `cols` elements, and
+    /// every column is quantised in blocks of [`BLOCK_SIZE`] rows — what
+    /// [`MxVector::quantize_into`] produces for each column gathered into a
+    /// slice of its own, without the gather. This is how a GEMM's right-hand
+    /// operand is blocked, its reduction dimension running down the columns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MxError::EmptyInput`] for an empty slice,
+    /// [`MxError::LengthMismatch`] if `out.len() != values.len()` or the
+    /// length is not a multiple of `cols`, and [`MxError::NonFiniteInput`]
+    /// with the position in `values` of the first NaN or infinity.
+    pub fn quantize_columns_into(
+        values: &[f32],
+        cols: usize,
+        precision: MxPrecision,
+        out: &mut [f32],
+    ) -> Result<()> {
+        if values.is_empty() {
+            return Err(MxError::EmptyInput);
+        }
+        if out.len() != values.len() {
+            return Err(MxError::LengthMismatch { left: values.len(), right: out.len() });
+        }
+        if cols == 0 || !values.len().is_multiple_of(cols) {
+            return Err(MxError::LengthMismatch { left: values.len(), right: cols });
+        }
+        let format = Format::new(precision, RoundingMode::Nearest);
+        for (src, dst) in values.chunks(BLOCK_SIZE * cols).zip(out.chunks_mut(BLOCK_SIZE * cols)) {
+            let rows = src.len() / cols;
+            for first in (0..cols).step_by(kernel::CHUNK) {
+                let width = kernel::CHUNK.min(cols - first);
+                let finite = kernel::quantize_down(
+                    &src[first..],
+                    &mut dst[first..],
+                    cols,
+                    rows,
+                    width,
+                    format,
+                );
+                if !finite {
+                    return Err(MxError::first_non_finite(values, 0));
+                }
+            }
         }
         Ok(())
     }
@@ -185,6 +231,8 @@ impl MxVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::hostile::{self, bits};
+    use crate::block::oracle;
 
     #[test]
     fn encode_empty_is_rejected() {
@@ -293,5 +341,91 @@ mod tests {
             (exact - approx).abs() <= 0.02 * exact.abs().max(1.0),
             "exact {exact} vs approx {approx}"
         );
+    }
+    #[test]
+    fn hostile_vectors_match_the_oracle_at_every_length() {
+        let mut rng = hostile::Rng(0xDACA_0002);
+        for mix in hostile::MIXES {
+            for len in 1..=40 {
+                for _ in 0..8 {
+                    let data = hostile::values(&mut rng, mix, len);
+                    for precision in MxPrecision::ALL {
+                        for rounding in [RoundingMode::Nearest, RoundingMode::Truncate] {
+                            let encoded =
+                                MxVector::encode_with(&data, precision, rounding).unwrap();
+                            let expected: Vec<MxBlock> = data
+                                .chunks(BLOCK_SIZE)
+                                .map(|chunk| oracle::encode(chunk, precision, rounding))
+                                .collect();
+                            assert_eq!(encoded.blocks, expected);
+                            assert_eq!(
+                                bits(&encoded.decode()),
+                                bits(&oracle::quantize(&data, precision, rounding))
+                            );
+                        }
+                        let mut out = vec![f32::NAN; len];
+                        MxVector::quantize_into(&data, precision, &mut out).unwrap();
+                        let expected = oracle::quantize(&data, precision, RoundingMode::Nearest);
+                        assert_eq!(bits(&out), bits(&expected), "{precision} {:x?}", bits(&data));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_quantisation_matches_the_oracle_column_by_column() {
+        let mut rng = hostile::Rng(0xDACA_0003);
+        for mix in hostile::MIXES {
+            for (rows, cols) in [(1, 1), (2, 5), (15, 16), (16, 17), (17, 3), (33, 35), (40, 10)] {
+                let data = hostile::values(&mut rng, mix, rows * cols);
+                for precision in MxPrecision::ALL {
+                    let mut out = vec![f32::NAN; data.len()];
+                    MxVector::quantize_columns_into(&data, cols, precision, &mut out).unwrap();
+                    for j in 0..cols {
+                        let column: Vec<f32> = (0..rows).map(|r| data[r * cols + j]).collect();
+                        let got: Vec<f32> = (0..rows).map(|r| out[r * cols + j]).collect();
+                        let expected = oracle::quantize(&column, precision, RoundingMode::Nearest);
+                        assert_eq!(bits(&got), bits(&expected), "{rows}x{cols} column {j}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_in_the_third_block_reports_the_first_offending_lane() {
+        let mut data = vec![1.0f32; 40];
+        data[35] = f32::NEG_INFINITY;
+        data[37] = f32::NAN;
+        let error = MxError::NonFiniteInput { index: 35, value: f32::NEG_INFINITY };
+        assert_eq!(MxVector::encode(&data, MxPrecision::Mx6), Err(error.clone()));
+        let mut out = vec![0.0f32; 40];
+        assert_eq!(MxVector::quantize_into(&data, MxPrecision::Mx6, &mut out), Err(error.clone()));
+        // Down the columns of an 8 × 5 matrix the same element is row 7,
+        // column 0; the report is still its position in the slice.
+        assert_eq!(
+            MxVector::quantize_columns_into(&data, 5, MxPrecision::Mx6, &mut out),
+            Err(error)
+        );
+    }
+
+    #[test]
+    fn quantize_columns_into_validates_lengths() {
+        let mut out = [0.0f32; 6];
+        assert_eq!(
+            MxVector::quantize_columns_into(&[], 1, MxPrecision::Mx6, &mut []),
+            Err(MxError::EmptyInput)
+        );
+        assert_eq!(
+            MxVector::quantize_columns_into(&[1.0; 6], 3, MxPrecision::Mx6, &mut out[..5]),
+            Err(MxError::LengthMismatch { left: 6, right: 5 })
+        );
+        for cols in [0, 4] {
+            assert_eq!(
+                MxVector::quantize_columns_into(&[1.0; 6], cols, MxPrecision::Mx6, &mut out),
+                Err(MxError::LengthMismatch { left: 6, right: cols })
+            );
+        }
     }
 }

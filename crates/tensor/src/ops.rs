@@ -294,7 +294,7 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace)
 /// blocking and reduction order; only the `a` element addressing changes
 /// (column-strided scalar loads instead of a contiguous row), so the result
 /// is bit-identical to transposing `a` and running [`accumulate_panel`].
-fn accumulate_panel_t(
+pub(crate) fn accumulate_panel_t(
     a_data: &[f32],
     m: usize,
     rb: usize,

@@ -8,7 +8,7 @@
 
 use crate::workspace::K_BLOCK;
 use crate::{ops, Matrix, Result, TensorError, Workspace};
-use dacapo_mx::{MxPrecision, MxVector};
+use dacapo_mx::{MxError, MxPrecision, MxVector};
 
 /// Quantises every row of a matrix through the MX encode/decode round trip.
 ///
@@ -20,7 +20,7 @@ use dacapo_mx::{MxPrecision, MxVector};
 /// Returns [`TensorError::Quantization`] if the matrix contains non-finite
 /// values.
 pub fn quantize_rows(a: &Matrix, precision: MxPrecision) -> Result<Matrix> {
-    let mut out = a.clone();
+    let mut out = Matrix::unit();
     quantize_rows_into(a, precision, &mut out)?;
     Ok(out)
 }
@@ -46,9 +46,8 @@ pub fn quantize_rows_into(a: &Matrix, precision: MxPrecision, out: &mut Matrix) 
 /// Used for the right-hand GEMM operand, whose reduction dimension runs down
 /// the columns. (This is also what DaCapo's precision-conversion unit does in
 /// "column-major" mode when producing transposed operands for retraining.)
-/// Columns are gathered and quantised one at a time — bit-identical to
-/// transposing, quantising rows, and transposing back, without the two
-/// transpose copies.
+/// Bit-identical to transposing, quantising rows, and transposing back; the
+/// kernel works down the columns in place of the two transpose copies.
 ///
 /// # Errors
 ///
@@ -56,25 +55,13 @@ pub fn quantize_rows_into(a: &Matrix, precision: MxPrecision, out: &mut Matrix) 
 /// values.
 pub fn quantize_cols(a: &Matrix, precision: MxPrecision) -> Result<Matrix> {
     let (k, n) = a.shape();
-    let mut out = a.clone();
-    let mut col = vec![0.0f32; k];
-    let mut qcol = vec![0.0f32; k];
-    let src = a.as_slice();
-    let dst = out.as_mut_slice();
-    for j in 0..n {
-        for (kk, c) in col.iter_mut().enumerate() {
-            *c = src[kk * n + j];
-        }
-        MxVector::quantize_into(&col, precision, &mut qcol)?;
-        for (kk, &q) in qcol.iter().enumerate() {
-            dst[kk * n + j] = q;
-        }
-    }
+    let mut out = Matrix::zeros(k, n)?;
+    MxVector::quantize_columns_into(a.as_slice(), n, precision, out.as_mut_slice())?;
     Ok(out)
 }
 
-/// Quantises rows `kb..kb + kc` of `b` column-by-column and packs them into
-/// the workspace panel (row-major by reduction index).
+/// Quantises rows `kb..kb + kc` of `b` down their columns, straight into the
+/// workspace panel (row-major by reduction index).
 ///
 /// Because `kb` is always a [`K_BLOCK`] multiple and `K_BLOCK` is a multiple
 /// of the 16-element MX block size, the MX blocks of each column segment
@@ -83,30 +70,24 @@ pub fn quantize_cols(a: &Matrix, precision: MxPrecision) -> Result<Matrix> {
 /// up front.
 fn pack_quantized_panel(
     panel: &mut Vec<f32>,
-    col: &mut Vec<f32>,
-    qcol: &mut Vec<f32>,
     b: &Matrix,
     kb: usize,
     kc: usize,
     precision: MxPrecision,
 ) -> Result<()> {
     let n = b.cols();
-    panel.clear();
     // J_TILE zeros of padding let the fixed-width tail kernel in
     // accumulate_panel read one full tile past the last packed row.
     panel.resize(kc * n + ops::J_TILE, 0.0);
-    col.resize(kc, 0.0);
-    qcol.resize(kc, 0.0);
-    let src = b.as_slice();
-    for j in 0..n {
-        for (kk, c) in col.iter_mut().enumerate() {
-            *c = src[(kb + kk) * n + j];
+    let (packed, padding) = panel.split_at_mut(kc * n);
+    padding.fill(0.0);
+    let rows = &b.as_slice()[kb * n..(kb + kc) * n];
+    MxVector::quantize_columns_into(rows, n, precision, packed).map_err(|e| match e {
+        MxError::NonFiniteInput { index, value } => {
+            MxError::NonFiniteInput { index: kb * n + index, value }
         }
-        MxVector::quantize_into(&col[..kc], precision, &mut qcol[..kc])?;
-        for (kk, &q) in qcol[..kc].iter().enumerate() {
-            panel[kk * n + j] = q;
-        }
-    }
+        other => other,
+    })?;
     Ok(())
 }
 
@@ -136,16 +117,54 @@ pub fn mx_matmul_into(
     let (m, k) = a.shape();
     let n = b.cols();
     out.reset_to(m, n)?;
-    let Workspace { panel, qa, col, qcol } = ws;
-    qa.clear();
+    let Workspace { panel, qa } = ws;
     qa.resize(m * k, 0.0);
     for r in 0..m {
         MxVector::quantize_into(a.row(r), precision, &mut qa[r * k..(r + 1) * k])?;
     }
     for kb in (0..k).step_by(K_BLOCK) {
         let kc = K_BLOCK.min(k - kb);
-        pack_quantized_panel(panel, col, qcol, b, kb, kc, precision)?;
+        pack_quantized_panel(panel, b, kb, kc, precision)?;
         ops::accumulate_panel(qa, k, kb, kc, panel, out);
+    }
+    Ok(())
+}
+
+/// MX `Aᵀ · B` into a reusable output, without materialising the transpose:
+/// with `A` of shape `r×m` and `B` of shape `r×n`, both operands are
+/// quantised down their columns — along the shared reduction dimension `r`
+/// — and multiplied by the transposed-left kernel of [`ops::matmul_at_b`].
+/// Bit-identical to `mx_matmul_into(transpose(A), B)`. This is the MX
+/// weight-gradient kernel of the backward pass: `d_w = xᵀ · δ` with the
+/// batch as the reduction dimension.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `a.rows() != b.rows()` and
+/// [`TensorError::Quantization`] on non-finite inputs.
+pub fn mx_matmul_at_b_into(
+    a: &Matrix,
+    b: &Matrix,
+    precision: MxPrecision,
+    out: &mut Matrix,
+    ws: &mut Workspace,
+) -> Result<()> {
+    if a.rows() != b.rows() {
+        return Err(TensorError::ShapeMismatch {
+            op: "mx_matmul_at_b",
+            left: a.shape(),
+            right: b.shape(),
+        });
+    }
+    let (r, m) = a.shape();
+    out.reset_to(m, b.cols())?;
+    let Workspace { panel, qa } = ws;
+    qa.resize(r * m, 0.0);
+    MxVector::quantize_columns_into(a.as_slice(), m, precision, qa)?;
+    for rb in (0..r).step_by(K_BLOCK) {
+        let rc = K_BLOCK.min(r - rb);
+        pack_quantized_panel(panel, b, rb, rc, precision)?;
+        ops::accumulate_panel_t(qa, m, rb, rc, panel, out);
     }
     Ok(())
 }
@@ -175,11 +194,10 @@ pub fn mx_matmul_prequant_into(
     let (m, k) = qa.shape();
     let n = b.cols();
     out.reset_to(m, n)?;
-    let Workspace { panel, col, qcol, .. } = ws;
     for kb in (0..k).step_by(K_BLOCK) {
         let kc = K_BLOCK.min(k - kb);
-        pack_quantized_panel(panel, col, qcol, b, kb, kc, precision)?;
-        ops::accumulate_panel(qa.as_slice(), k, kb, kc, panel, out);
+        pack_quantized_panel(&mut ws.panel, b, kb, kc, precision)?;
+        ops::accumulate_panel(qa.as_slice(), k, kb, kc, &ws.panel, out);
     }
     Ok(())
 }
@@ -217,7 +235,7 @@ pub fn mx_matmul(a: &Matrix, b: &Matrix, precision: MxPrecision) -> Result<Matri
         });
     }
     let mut ws = Workspace::new();
-    let mut out = a.clone();
+    let mut out = Matrix::unit();
     mx_matmul_into(a, b, precision, &mut out, &mut ws)?;
     Ok(out)
 }
@@ -299,6 +317,28 @@ mod tests {
         a[(0, 3)] = f32::NAN;
         let b = Matrix::zeros(16, 2).unwrap();
         assert!(matches!(mx_matmul(&a, &b, MxPrecision::Mx6), Err(TensorError::Quantization(_))));
+    }
+
+    #[test]
+    fn non_finite_in_a_later_panel_reports_its_position_in_b() {
+        let a = Matrix::zeros(2, 70).unwrap();
+        let mut b = Matrix::zeros(70, 3).unwrap();
+        b[(66, 1)] = f32::INFINITY;
+        let expected = MxError::NonFiniteInput { index: 66 * 3 + 1, value: f32::INFINITY };
+        assert_eq!(mx_matmul(&a, &b, MxPrecision::Mx9), Err(TensorError::Quantization(expected)));
+    }
+
+    #[test]
+    fn mx_at_b_gemm_validates_shapes_and_matches_the_transposed_gemm() {
+        let (a, b) = operands();
+        let (mut out, mut ws) = (Matrix::unit(), Workspace::new());
+        assert!(matches!(
+            mx_matmul_at_b_into(&a, &b, MxPrecision::Mx9, &mut out, &mut ws),
+            Err(TensorError::ShapeMismatch { op: "mx_matmul_at_b", .. })
+        ));
+        let x = ops::transpose(&a);
+        mx_matmul_at_b_into(&x, &b, MxPrecision::Mx9, &mut out, &mut ws).unwrap();
+        assert_eq!(out, mx_matmul(&a, &b, MxPrecision::Mx9).unwrap());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! and outputs on every call makes the allocator the bottleneck long before
 //! the FPU. A [`Workspace`] owns every intermediate buffer the blocked
 //! kernels in [`ops`](crate::ops) and [`quant`](crate::quant) need — the
-//! packed B panel, the quantised left operand, and the column gather/scatter
-//! staging — so steady-state kernel invocations allocate nothing.
+//! packed B panel and the quantised left operand — so steady-state kernel
+//! invocations allocate nothing.
 //!
 //! [`MatrixSlot`] is the matrix-shaped counterpart: a lazily grown slot that
 //! callers reuse as the output of `*_into` kernels (or as zeroed scratch)
@@ -53,12 +53,8 @@ pub struct Workspace {
     /// Packed B panel for the current reduction block (`kc × n`, row-major
     /// by reduction index).
     pub(crate) panel: Vec<f32>,
-    /// Quantised copy of the left GEMM operand (`m × k`, row-major).
+    /// Quantised copy of the left GEMM operand (row-major, same shape).
     pub(crate) qa: Vec<f32>,
-    /// Column gather buffer for quantise-and-pack (`kc` values).
-    pub(crate) col: Vec<f32>,
-    /// Quantised column staging buffer (`kc` values).
-    pub(crate) qcol: Vec<f32>,
 }
 
 impl Workspace {

@@ -21,6 +21,10 @@ fn matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     init::uniform(rows, cols, -2.0, 2.0, seed).expect("positive dims")
 }
 
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     /// (A·B)·C == A·(B·C) within floating point tolerance.
     #[test]
@@ -146,6 +150,42 @@ proptest! {
             prop_assert_eq!(&out, &reference);
             quant::mx_matmul_prequant_into(&qa, &b, precision, &mut out, &mut ws).unwrap();
             prop_assert_eq!(&out, &reference);
+        }
+    }
+
+    /// Quantising down the columns — whole (`quantize_cols`) or one reduction
+    /// block at a time into the packed panel — is bit-identical to
+    /// transposing, quantising rows and transposing back, for reduction
+    /// lengths straddling K_BLOCK and off the 16-element MX block.
+    #[test]
+    fn column_quantisation_is_bit_identical_to_transposed_rows((_, k, n) in gemm_dims(), seed in 0u64..1000) {
+        let b = matrix(k, n, seed);
+        for precision in [MxPrecision::Mx4, MxPrecision::Mx6, MxPrecision::Mx9] {
+            let via_rows = ops::transpose(&quant::quantize_rows(&ops::transpose(&b), precision).unwrap());
+            let via_cols = quant::quantize_cols(&b, precision).unwrap();
+            prop_assert_eq!(bits(&via_cols), bits(&via_rows));
+            // `I · Q(b)` reads the panel back: one exact product per output.
+            let mut ws = Workspace::new();
+            let mut out = Matrix::zeros(1, 1).unwrap();
+            quant::mx_matmul_prequant_into(&Matrix::identity(k), &b, precision, &mut out, &mut ws).unwrap();
+            prop_assert_eq!(&out, &via_rows);
+        }
+    }
+
+    /// The transpose-free MX weight-gradient kernel is bit-identical to
+    /// materialising the transpose and running the MX GEMM, and the workspace
+    /// carries nothing over from a call of another shape.
+    #[test]
+    fn mx_at_b_gemm_is_bit_identical_to_transposed_mx_matmul((r, m, n) in gemm_dims(), seed in 0u64..1000) {
+        let a = matrix(r, m, seed);
+        let b = matrix(r, n, seed.wrapping_add(5));
+        let mut ws = Workspace::new();
+        let mut out = Matrix::zeros(1, 1).unwrap();
+        let mut reference = Matrix::zeros(1, 1).unwrap();
+        for precision in [MxPrecision::Mx4, MxPrecision::Mx6, MxPrecision::Mx9] {
+            quant::mx_matmul_into(&ops::transpose(&a), &b, precision, &mut reference, &mut ws).unwrap();
+            quant::mx_matmul_at_b_into(&a, &b, precision, &mut out, &mut ws).unwrap();
+            prop_assert_eq!(bits(&out), bits(&reference));
         }
     }
 

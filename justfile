@@ -56,6 +56,14 @@ bench-barrier *ARGS='--quick':
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload fleet-barrier {{ARGS}}
 
+# The frozen benchmark's paper-default workload against this tree: four
+# full-length `platform("dacapo")` sessions whose arithmetic is all MX (MX9
+# retraining, MX6 measurement), i.e. `dacapo_mx`'s conversion kernel and
+# `tensor::quant` under the benchmark's determinism check. Extra flags pass
+# through, e.g. `just bench-paper --seed 3 --seconds 15 --trace 1`.
+bench-paper *ARGS='--quick':
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload solo-paper {{ARGS}}
+
 # Cluster execution demo (custom arbiter, admission control) plus the
 # contention sweep; leaves results/BENCH_cluster.json behind.
 cluster:
