@@ -48,8 +48,8 @@
 //! only the rows that survive the importer's FIFO eviction are copied (see
 //! [`crate::share`] for the cost model). The deterministic exchange order keeps
 //! shared runs bit-identical across worker-thread counts. Sharing telemetry
-//! lands in [`ClusterResult::share`]; the reserved `"none"` policy takes the
-//! sharing-free fast path and reproduces pre-sharing cluster output exactly.
+//! lands in [`ClusterResult::share`]; the reserved `"none"` policy means the
+//! exchange stage is absent.
 //!
 //! # Edge–cloud offload
 //!
@@ -62,7 +62,21 @@
 //! phase consumes no local accelerator compute — the executor exempts it
 //! from arbitration exactly like a wait — and uplink telemetry aggregates
 //! into [`ClusterResult::edge`]. The reserved `"local-only"` policy (the
-//! default) keeps the executor on the exact pre-edge code path.
+//! default) means the routing stage is absent.
+//!
+//! # One executor
+//!
+//! Every run is the same loop over windows (`run_windows`): advance every
+//! accelerator loop to the window boundary, then run the barrier's stages
+//! in a fixed order — label exchange, churn, offload routing, observer
+//! sampling. Each stage is optional: a reserved policy name (`"none"`,
+//! `"local-only"`), an empty [`ChurnPlan`] or an unobserved run means the
+//! stage is absent, not that another executor runs. A run with no stages
+//! is one unbounded window: its boundary is +∞, so no barrier is ever
+//! crossed, and an accelerator's sessions are only built when a worker
+//! first advances that accelerator — a `threads(1)` run holds one
+//! accelerator's sessions at a time, where finite windows keep every
+//! accelerator's residents alive from window 0 on.
 //!
 //! # Barrier discipline
 //!
@@ -71,13 +85,13 @@
 //! `run_until`) run in parallel and touch only their own cameras; *all*
 //! cross-camera shared state mutates in exactly four functions —
 //! `exchange_window` (label share import/export), `apply_churn` (fleet
-//! membership), `route_offload` (offload routing), and `sample_barrier`
-//! (ordered observer sampling) — each annotated
-//! `// lint: barrier-only(<reason>)` and called only from the
-//! single-threaded window barrier in `run_windowed`. The workspace
-//! linter's `barrier` rule (`crates/lint`) machine-checks this: a share
-//! or churn call drifting into the parallel region fails CI before it
-//! can fail a bit-identity proptest.
+//! membership, through the one placement function `place`),
+//! `route_offload` (offload routing), and `sample_barrier` (ordered
+//! observer sampling) — each annotated `// lint: barrier-only(<reason>)`
+//! and called only from the single-threaded window barrier in
+//! `run_windows`. The workspace linter's `barrier` rule (`crates/lint`)
+//! machine-checks this: a share or churn call drifting into the parallel
+//! region fails CI before it can fail a bit-identity proptest.
 
 use crate::arbiter::{self, GrantRequest, PeerSession};
 use crate::buffer::SampleBlock;
@@ -86,16 +100,18 @@ use crate::edge::{self, EdgeAccum, EdgeMetrics, OffloadContext, OffloadPolicy};
 use crate::fleet::{aggregate, prefix_camera, CameraResult, FleetResult};
 use crate::metrics::{mean, percentile};
 use crate::session::{
-    AcceleratorSample, Session, SessionEvent, SimObserver, StagedRetrain, WindowSample,
+    report_uplink, AcceleratorSample, Session, SessionEvent, SimObserver, StagedRetrain,
+    WindowSample,
 };
 use crate::share::{self, ShareContext, ShareMetrics, SharePolicy};
 use crate::sim::{PhaseKind, SimResult};
 use crate::{CoreError, Result};
 use dacapo_dnn::{train_stacked, StackedJob, TrainScratch};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Default cross-camera exchange window in cluster virtual seconds (one
 /// scenario segment at the paper's 60-second segmentation).
@@ -446,19 +462,19 @@ impl Cluster {
 
     /// Selects the cross-camera label-sharing policy by registry name (see
     /// [`crate::share::register`]), with an optional `:<params>` suffix —
-    /// `"none"` (the default: sharing disabled), `"broadcast"`,
-    /// `"correlated:0.7"`, or any custom registered policy.
+    /// `"none"` (the default and a reserved name: the exchange stage is
+    /// absent), `"broadcast"`, `"correlated:0.7"`, or any custom registered
+    /// policy.
     #[must_use]
     pub fn share(mut self, name: impl Into<String>) -> Self {
         self.share = name.into();
         self
     }
 
-    /// Sets the cross-camera exchange window in cluster virtual seconds
-    /// (default 60, one paper segment). Consulted when an active share
-    /// policy is selected via [`Cluster::share`] or a non-empty
-    /// [`ChurnPlan`] is installed via [`Cluster::churn`] — both execute at
-    /// the same window barriers.
+    /// Sets the window length in cluster virtual seconds (default 60, one
+    /// paper segment). Every barrier stage — label exchange, churn, offload
+    /// routing, observer sampling — executes at the same window boundaries;
+    /// a run with no stages is one unbounded window and never consults it.
     #[must_use]
     pub fn share_window_s(mut self, window_s: f64) -> Self {
         self.share_window_s = window_s;
@@ -467,7 +483,8 @@ impl Cluster {
 
     /// Selects the edge–cloud offload policy by registry name (see
     /// [`crate::edge::register_offload`]), with an optional `:<params>`
-    /// suffix — `"local-only"` (the default: every camera labels on its own
+    /// suffix — `"local-only"` (the default and a reserved name: the
+    /// routing stage is absent, every camera labels on its own
     /// accelerator), `"cloud-only"`, `"threshold:<queue-depth>"`,
     /// `"budget:<bytes-per-window>"`, or any custom registered policy.
     /// Routing decisions are taken at the deterministic window barriers of
@@ -484,8 +501,8 @@ impl Cluster {
     /// Installs an elastic-membership plan: cameras joining and leaving
     /// mid-run and accelerators draining (their residents snapshot-migrate
     /// to the survivors). Events execute at the deterministic window
-    /// barriers of [`Cluster::share_window_s`]; an empty plan (the default)
-    /// keeps the executor on the exact churn-free code path.
+    /// barriers of [`Cluster::share_window_s`]; with an empty plan (the
+    /// default) the churn stage is absent.
     #[must_use]
     pub fn churn(mut self, plan: ChurnPlan) -> Self {
         self.churn = plan;
@@ -517,12 +534,12 @@ impl Cluster {
     }
 
     /// Toggles batched per-window retraining (default: on). When enabled,
-    /// windowed executions pre-stage each window's first phase per resident
-    /// at the window's start and dispatch the co-resident retraining phases
-    /// as one stacked GEMM batch sharing a single scratch arena. Results are
-    /// bit-identical either way (property-tested); the toggle exists for
-    /// benchmarking the two paths against each other. The sharing-, churn-
-    /// and offload-free fast path has no windows and is unaffected.
+    /// each window's first phase per resident is pre-staged at the window's
+    /// start and the co-resident retraining phases are dispatched as one
+    /// stacked GEMM batch sharing a single scratch arena — once per window,
+    /// so once in all for a run with no stages (one unbounded window).
+    /// Results are bit-identical either way (property-tested): the unbatched
+    /// dispatch is the tests' reference and what step-timing tracers select.
     #[must_use]
     pub fn batch_retraining(mut self, enabled: bool) -> Self {
         self.batch = enabled;
@@ -552,7 +569,9 @@ impl Cluster {
     /// configuration, an unregistered arbiter or share policy, or a bad
     /// share window; [`CoreError::AdmissionRejected`] when the admission
     /// policy is [`AdmissionPolicy::Reject`] and a camera lands past the
-    /// capacity bound; and propagates the first session error otherwise.
+    /// capacity bound; [`CoreError::WorkerPanicked`] when a plugin panics
+    /// on a worker thread; and otherwise propagates the session error of
+    /// the lowest-indexed failing accelerator, at any thread count.
     pub fn run(self) -> Result<ClusterResult> {
         self.run_impl(None)
     }
@@ -561,10 +580,11 @@ impl Cluster {
     /// drift responses, accuracy samples, finishes) of every camera to
     /// `observer` through the standard [`SimObserver`] hooks, each burst
     /// preceded by [`SimObserver::on_step_context`] naming its camera and
-    /// accelerator. Observed runs always execute through the windowed path,
-    /// so the stream is grouped by window (within each window, accelerators
-    /// stream in index order, each in cluster-virtual-time order) and every
-    /// boundary fires the window-barrier sampling hooks
+    /// accelerator. An observer is itself a barrier stage, so observed runs
+    /// always have finite windows ([`Cluster::share_window_s`]): the stream
+    /// is grouped by window (within each window, accelerators stream in
+    /// index order, each in cluster-virtual-time order) and every boundary
+    /// fires the window-barrier sampling hooks
     /// ([`SimObserver::on_window_barrier`] /
     /// [`SimObserver::on_window_sample`] /
     /// [`SimObserver::on_accelerator_sample`]) even when no share, churn, or
@@ -584,54 +604,65 @@ impl Cluster {
         self.validate()?;
         let accelerators = self.accelerators;
         let arbiter_name = self.arbiter;
-        let capacity = self.capacity;
-        let admission = self.admission;
-        let share_name = self.share;
         let offload_name = self.offload;
-        let share_window_s = self.share_window_s;
-        let threads = self.threads;
         let initial_cameras = self.cameras.len();
         let mut cameras = self.cameras;
         // Joined cameras extend the camera list (and therefore the results)
         // past the initial set; only the initial set is assigned up front.
-        let churn_events = prepare_churn(&self.churn, &mut cameras);
-
-        // Round-robin assignment, in admission order per accelerator.
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); accelerators];
-        for index in 0..initial_cameras {
-            assignment[index % accelerators].push(index);
-        }
-        let setup = ExecSetup {
-            assignment: &assignment,
-            cameras: &cameras,
-            arbiter: &arbiter_name,
-            capacity,
-            admission,
-            threads,
-            batch: self.batch,
-        };
-        let (outcomes, share_metrics, churn_outcome) = if observer.is_none()
-            && share::is_disabled(&share_name)
-            && churn_events.is_empty()
-            && edge::is_local_only(&offload_name)
-        {
-            // The churn-, sharing- and offload-free fast path: no windows,
-            // no barriers, the exact pre-elasticity execution. Residency
-            // only ever decreases here, so the peak is the initial one.
-            let resident_cap = capacity.unwrap_or(usize::MAX);
-            let peak_residency =
-                assignment.iter().map(|assigned| assigned.len().min(resident_cap)).sum();
-            let metrics = ChurnMetrics { peak_residency, ..ChurnMetrics::default() };
-            (
-                run_isolated(&setup, observer)?,
-                ShareMetrics::disabled(share_window_s),
-                ChurnOutcome { metrics, extra_results: Vec::new(), edge: EdgeAccum::default() },
-            )
+        let events = prepare_churn(&self.churn, &mut cameras);
+        // The optional stages: a reserved name means the stage is absent.
+        let share = if share::is_disabled(&self.share) {
+            None
         } else {
-            let policy =
-                if share::is_disabled(&share_name) { None } else { Some(share_name.as_str()) };
-            run_windowed(&setup, policy, &offload_name, share_window_s, &churn_events, observer)?
+            let policy = share::create(&self.share)?;
+            Some(ShareStage {
+                metrics: ShareMetrics::fresh(policy.name(), self.share_window_s),
+                correlations: PairCorrelations::new(cameras.len()),
+                policy,
+            })
         };
+        let offload = if edge::is_local_only(&offload_name) {
+            None
+        } else {
+            Some(edge::create_offload(&offload_name)?)
+        };
+        // A run with no stages never needs a barrier: it is one unbounded
+        // window.
+        let staged =
+            share.is_some() || offload.is_some() || !events.is_empty() || observer.is_some();
+        let window_s = if staged { self.share_window_s } else { f64::INFINITY };
+
+        let loops = (0..accelerators)
+            .map(|accel| {
+                // Round-robin assignment, in admission order per accelerator.
+                let assigned: Vec<usize> = (accel..initial_cameras).step_by(accelerators).collect();
+                AccelLoop::new(
+                    accel,
+                    &assigned,
+                    &cameras,
+                    &arbiter_name,
+                    self.capacity,
+                    share.is_some(),
+                    self.batch,
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let executor = Executor {
+            loops,
+            cameras: &cameras,
+            threads: self.threads,
+            admission: self.admission,
+            window_s,
+            share,
+            events,
+            offload,
+            observer,
+            roster: Vec::new(),
+            window: 0,
+        };
+        let (outcomes, share_stage, churn_outcome) = executor.run_windows()?;
+        let share_metrics = share_stage
+            .map_or_else(|| ShareMetrics::disabled(self.share_window_s), |stage| stage.metrics);
 
         let mut results: Vec<Option<SimResult>> = (0..cameras.len()).map(|_| None).collect();
         let mut stretches = Vec::new();
@@ -888,19 +919,6 @@ impl Cluster {
     }
 }
 
-/// The shared, immutable inputs every accelerator loop runs against.
-struct ExecSetup<'a> {
-    assignment: &'a [Vec<usize>],
-    cameras: &'a [(String, SimConfig)],
-    arbiter: &'a str,
-    capacity: Option<usize>,
-    admission: AdmissionPolicy,
-    threads: usize,
-    /// Whether windowed runs batch co-resident retraining phases
-    /// ([`Cluster::batch_retraining`]).
-    batch: bool,
-}
-
 /// A churn event with its camera name resolved to a cluster camera index,
 /// sorted into execution order.
 struct PreparedEvent {
@@ -952,21 +970,10 @@ fn prepare_churn(plan: &ChurnPlan, cameras: &mut Vec<(String, SimConfig)>) -> Ve
     prepared.into_iter().map(|(at_s, _, action)| PreparedEvent { at_s, action }).collect()
 }
 
-/// What the window barriers' churn processing produced, alongside the
-/// per-accelerator outcomes.
-struct ChurnOutcome {
-    metrics: ChurnMetrics,
-    /// `(camera index, partial result)` of cameras that stopped at a churn
-    /// barrier: mid-run leaves and orphaned residents.
-    extra_results: Vec<(usize, SimResult)>,
-    /// Edge-tier counters of sessions finalised at churn barriers without
-    /// passing through an accelerator loop's own bookkeeping (orphans).
-    edge: EdgeAccum,
-}
-
 /// A heap entry: when a session's next step is due on the cluster clock.
 /// Orders by due time (IEEE total order), ties broken by admission sequence
-/// so the executor is deterministic.
+/// so the executor is deterministic; the event queue is a
+/// `BinaryHeap<Reverse<Due>>`, earliest first.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Due {
     at: f64,
@@ -988,91 +995,6 @@ impl Ord for Due {
     }
 }
 
-/// A flat-array binary **min**-heap of [`Due`] entries over the contiguous
-/// session slab, replacing `BinaryHeap<Reverse<Due>>` on the executor's hot
-/// path: entries are `Copy` and live in one `Vec` that is pushed/popped in
-/// place, so steady-state stepping performs no per-event allocation and the
-/// `Reverse` wrapper disappears from every comparison. Ordering is exactly
-/// [`Due`]'s `Ord` (due time under IEEE total order, ties by admission
-/// sequence), so pop order — and therefore every cluster result — is
-/// unchanged.
-#[derive(Debug, Default)]
-struct DueHeap {
-    entries: Vec<Due>,
-}
-
-impl DueHeap {
-    fn new() -> Self {
-        Self { entries: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// The minimum entry (earliest due, lowest sequence) without removal.
-    fn peek(&self) -> Option<Due> {
-        self.entries.first().copied()
-    }
-
-    fn push(&mut self, due: Due) {
-        self.entries.push(due);
-        self.sift_up(self.entries.len() - 1);
-    }
-
-    /// Removes and returns the minimum entry.
-    fn pop(&mut self) -> Option<Due> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let top = self.entries.swap_remove(0);
-        if !self.entries.is_empty() {
-            self.sift_down(0);
-        }
-        Some(top)
-    }
-
-    fn sift_up(&mut self, mut child: usize) {
-        while child > 0 {
-            let parent = (child - 1) / 2;
-            if self.entries[child] >= self.entries[parent] {
-                break;
-            }
-            self.entries.swap(child, parent);
-            child = parent;
-        }
-    }
-
-    fn sift_down(&mut self, mut parent: usize) {
-        loop {
-            let left = 2 * parent + 1;
-            if left >= self.entries.len() {
-                break;
-            }
-            let right = left + 1;
-            let smallest_child =
-                if right < self.entries.len() && self.entries[right] < self.entries[left] {
-                    right
-                } else {
-                    left
-                };
-            if self.entries[parent] <= self.entries[smallest_child] {
-                break;
-            }
-            self.entries.swap(parent, smallest_child);
-            parent = smallest_child;
-        }
-    }
-}
-
 /// One admitted session's executor state. The session itself is dropped
 /// (converted to its [`SimResult`]) the moment it finishes — or taken when
 /// its camera leaves or migrates — so heap entries may reference slots
@@ -1091,8 +1013,8 @@ struct PendingEntry {
     camera_index: usize,
     session: Option<Box<Session>>,
     recovering: bool,
-    /// The drain event's scheduled time, for migrants: queueing time counts
-    /// toward [`ChurnMetrics::migration_stall_s`].
+    /// The drain event's scheduled time, for migrants: the time from there
+    /// to resumption counts toward [`ChurnMetrics::migration_stall_s`].
     drain_at_s: Option<f64>,
 }
 
@@ -1124,6 +1046,7 @@ enum LeaveOutcome {
 }
 
 /// What one accelerator's event loop produced.
+#[derive(Default)]
 struct AccelOutcome {
     /// `(camera index, result)` for every camera that ran here.
     results: Vec<(usize, SimResult)>,
@@ -1145,10 +1068,9 @@ struct AccelOutcome {
     edge: EdgeAccum,
 }
 
-/// One accelerator's re-entrant virtual-time event loop. Runs to completion
-/// in one [`AccelLoop::run_until`] call on the sharing-free path, or in
-/// window-bounded increments (state persisting across barriers) when a
-/// cross-camera share policy is active.
+/// One accelerator's re-entrant virtual-time event loop, advanced in
+/// window-bounded increments by [`AccelLoop::run_until`] (state persisting
+/// across barriers); an unbounded window runs it to completion in one call.
 struct AccelLoop<'a> {
     accel: usize,
     cameras: &'a [(String, SimConfig)],
@@ -1159,9 +1081,14 @@ struct AccelLoop<'a> {
     /// Whether this accelerator has been drained by a churn event; drained
     /// loops accept no further work.
     drained: bool,
+    /// The initial residents, admitted at cluster time 0 when the loop is
+    /// first advanced — inside the worker, so session construction is as
+    /// parallel as stepping and a loop nobody has advanced yet holds no
+    /// sessions. They count as live from the start.
+    initial: Vec<usize>,
     pending: VecDeque<PendingEntry>,
     slots: Vec<Slot>,
-    heap: DueHeap,
+    heap: BinaryHeap<Reverse<Due>>,
     /// Slot indices of the currently resident (unfinished) sessions, in
     /// admission order; a slot's index doubles as its admission index.
     active: Vec<usize>,
@@ -1170,8 +1097,8 @@ struct AccelLoop<'a> {
     /// `(camera index, batch)` of freshly teacher-labeled samples collected
     /// since the last [`AccelLoop::take_exports`] drain.
     exports: Vec<(usize, SampleBlock)>,
-    /// Whether windowed runs batch co-resident retraining phases into one
-    /// stacked dispatch at each window's start ([`Cluster::batch_retraining`]).
+    /// Whether co-resident retraining phases are batched into one stacked
+    /// dispatch at each window's start ([`Cluster::batch_retraining`]).
     batch: bool,
     /// The stacked dispatch's shared scratch arena, reused across windows.
     batch_scratch: TrainScratch,
@@ -1181,7 +1108,9 @@ struct AccelLoop<'a> {
 }
 
 impl<'a> AccelLoop<'a> {
-    /// Creates the loop and admits the initial residents at cluster time 0.
+    /// Creates the loop with its assigned cameras split at the capacity
+    /// bound into initial residents and the admission queue. No session
+    /// exists until the loop is first advanced.
     fn new(
         accel: usize,
         assigned: &[usize],
@@ -1191,65 +1120,56 @@ impl<'a> AccelLoop<'a> {
         record_labels: bool,
         batch: bool,
     ) -> Result<Self> {
-        let arbiter = arbiter::create(arbiter_name)?;
-        let resident_cap = capacity.unwrap_or(usize::MAX);
-        let pending: VecDeque<PendingEntry> =
-            assigned.iter().skip(resident_cap).map(|&index| PendingEntry::fresh(index)).collect();
-        let queued = pending.len();
-        let mut this = Self {
+        let capacity = capacity.unwrap_or(usize::MAX);
+        let (initial, queued) = assigned.split_at(assigned.len().min(capacity));
+        Ok(Self {
             accel,
             cameras,
-            arbiter,
+            arbiter: arbiter::create(arbiter_name)?,
             record_labels,
-            capacity: resident_cap,
+            capacity,
             drained: false,
-            pending,
-            slots: Vec::with_capacity(assigned.len().min(resident_cap)),
-            heap: DueHeap::new(),
+            initial: initial.to_vec(),
+            pending: queued.iter().map(|&index| PendingEntry::fresh(index)).collect(),
+            slots: Vec::with_capacity(initial.len()),
+            heap: BinaryHeap::new(),
             active: Vec::new(),
             seq: 0,
             outcome: AccelOutcome {
                 results: Vec::with_capacity(assigned.len()),
-                stretches: Vec::new(),
-                steps: 0,
-                busy_s: 0.0,
-                makespan_s: 0.0,
-                peak_depth: 0,
-                queued,
-                stall_s: 0.0,
-                edge: EdgeAccum::default(),
+                queued: queued.len(),
+                ..AccelOutcome::default()
             },
             exports: Vec::new(),
             batch,
             batch_scratch: TrainScratch::new(),
             residents: Vec::new(),
-        };
-        for &camera_index in assigned.iter().take(resident_cap) {
-            this.admit(camera_index, 0.0)?;
-        }
-        this.outcome.peak_depth = this.heap.len();
-        Ok(this)
+        })
     }
 
     /// Whether every assigned session has finished.
     fn is_done(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.initial.is_empty()
     }
 
     /// Number of currently resident (live) sessions.
     fn live_count(&self) -> usize {
-        self.active.len()
+        self.active.len() + self.initial.len()
     }
 
     /// Load figure for deterministic placement decisions: live residents
     /// plus queued cameras.
     fn load(&self) -> usize {
-        self.active.len() + self.pending.len()
+        self.live_count() + self.pending.len()
     }
 
     /// Cluster time of this loop's next due event, if any remains.
     fn next_due_s(&self) -> Option<f64> {
-        self.heap.peek().map(|due| due.at)
+        if self.initial.is_empty() {
+            self.heap.peek().map(|Reverse(due)| due.at)
+        } else {
+            Some(0.0)
+        }
     }
 
     /// Pre-executes, at a window's start, the first phase of every resident
@@ -1329,69 +1249,52 @@ impl<'a> AccelLoop<'a> {
         Ok(())
     }
 
-    /// Pops and executes events due strictly before `stop_at_s` (all
-    /// remaining events when `None`), forwarding each step's burst to the
-    /// observer if one is given. Loop state persists, so the next call
-    /// resumes exactly where this one stopped.
+    /// Pops and executes events due strictly before `stop_at_s` (every
+    /// remaining event when it is +∞), forwarding each step's burst to the
+    /// observer if one is given. The first call admits the initial
+    /// residents; loop state persists, so the next call resumes exactly
+    /// where this one stopped.
     fn run_until(
         &mut self,
-        stop_at_s: Option<f64>,
-        mut observer: Option<&mut dyn SimObserver>,
+        stop_at_s: f64,
+        mut observer: Option<&mut (dyn SimObserver + '_)>,
     ) -> Result<()> {
-        if self.batch {
-            if let Some(stop) = stop_at_s {
-                self.stage_window(stop)?;
-            }
+        for camera_index in std::mem::take(&mut self.initial) {
+            self.admit(PendingEntry::fresh(camera_index), 0.0)?;
         }
-        loop {
-            let due = match self.heap.peek() {
-                Some(due) => due,
-                None => return Ok(()),
-            };
-            if let Some(stop) = stop_at_s {
-                if due.at >= stop {
-                    return Ok(());
-                }
+        if self.batch {
+            self.stage_window(stop_at_s)?;
+        }
+        while let Some(&Reverse(due)) = self.heap.peek() {
+            if due.at >= stop_at_s {
+                break;
             }
             self.heap.pop();
-            if self.slots[due.slot].session.is_none() {
-                // A stale entry: the slot's camera left or migrated away at
-                // a churn barrier after this entry was queued.
-                continue;
-            }
-            let camera_index = self.slots[due.slot].camera_index;
+            let slot = &mut self.slots[due.slot];
+            // A slot without a session is a stale entry: its camera left or
+            // migrated away at a churn barrier after the entry was queued.
+            let Some(session) = slot.session.as_mut() else { continue };
+            let camera_index = slot.camera_index;
             let camera_name = &self.cameras[camera_index].0;
             // A staged phase already shipped its uplink bytes at the
             // window's start; its parked baseline (consumed here either
             // way, so it never outlives its burst) replaces the live meter
             // read, keeping the observer's delta identical to an unstaged
             // run.
-            let staged_baseline = self.slots[due.slot]
-                .session
-                .as_mut()
-                .and_then(Session::take_staged_uplink_baseline);
+            let staged_baseline = session.take_staged_uplink_baseline();
             let uplink_before = if observer.is_some() {
-                staged_baseline.or_else(|| {
-                    self.slots[due.slot].session.as_ref().and_then(Session::uplink_meter)
-                })
+                staged_baseline.or_else(|| session.uplink_meter())
             } else {
                 None
             };
-            let events = self.slots[due.slot]
-                .session
-                .as_mut()
-                // lint: allow(panic) — is_none() continue above guarantees the
-                // slot still holds a live session
-                .expect("presence checked above")
-                .step_phase()
-                .map_err(|e| prefix_camera(camera_name, e))?;
+            let events = session.step_phase().map_err(|e| prefix_camera(camera_name, e))?;
 
             // A drift response entering this step marks the session as
             // recovering *before* arbitration, so drift-aware arbiters can
             // boost the response itself; the recovery ends once a retraining
             // phase completes (checked after the grant below).
             if events.iter().any(|e| matches!(e, SessionEvent::Drift { .. })) {
-                self.slots[due.slot].recovering = true;
+                slot.recovering = true;
             }
             let phase = events.iter().rev().find_map(|event| match event {
                 SessionEvent::Phase(p) => Some(*p),
@@ -1405,11 +1308,14 @@ impl<'a> AccelLoop<'a> {
                     // accelerator compute — the uplink already charged its
                     // bytes and latency — so, like a wait, it passes through
                     // unarbitrated and unstretched.
-                    let offloaded = phase.kind == PhaseKind::Label
-                        && self.slots[due.slot]
-                            .session
-                            .as_ref()
-                            .is_some_and(Session::last_phase_offloaded);
+                    let offloaded =
+                        phase.kind == PhaseKind::Label && session.last_phase_offloaded();
+                    if self.record_labels && phase.kind == PhaseKind::Label {
+                        let fresh = session.take_fresh_labels();
+                        if !fresh.is_empty() {
+                            self.exports.push((camera_index, fresh));
+                        }
+                    }
                     let arbitrated =
                         !offloaded && matches!(phase.kind, PhaseKind::Label | PhaseKind::Retrain);
                     let stretch = if arbitrated {
@@ -1430,7 +1336,9 @@ impl<'a> AccelLoop<'a> {
                             recovering: self.slots[due.slot].recovering,
                             residents: &self.residents,
                         });
-                        if !share.is_finite() || share <= 0.0 || share > 1.0 {
+                        // A share too small to invert would park the session
+                        // at +∞ on the cluster clock, which no window reaches.
+                        if !(share > 0.0 && share <= 1.0 && (1.0 / share).is_finite()) {
                             return Err(CoreError::InvalidConfig {
                                 reason: format!(
                                     "arbiter '{}' granted an invalid capacity share ({share}) to \
@@ -1440,33 +1348,20 @@ impl<'a> AccelLoop<'a> {
                             });
                         }
                         self.outcome.busy_s += phase.duration_s;
-                        1.0 / share
+                        let stretch = 1.0 / share;
+                        self.outcome.stretches.push(stretch);
+                        stretch
                     } else {
                         // Waits consume no accelerator compute, so they pass
                         // through unstretched and unarbitrated.
                         1.0
                     };
-                    if arbitrated {
-                        self.outcome.stretches.push(stretch);
-                    }
+                    let slot = &mut self.slots[due.slot];
                     if phase.kind == PhaseKind::Retrain {
-                        self.slots[due.slot].recovering = false;
+                        slot.recovering = false;
                     }
-                    if self.record_labels && phase.kind == PhaseKind::Label {
-                        let fresh = self.slots[due.slot]
-                            .session
-                            .as_mut()
-                            // lint: allow(panic) — the same slot produced the
-                            // phase a few lines up; nothing drops it in between
-                            .expect("the session just executed a phase")
-                            .take_fresh_labels();
-                        if !fresh.is_empty() {
-                            self.exports.push((camera_index, fresh));
-                        }
-                    }
-                    self.slots[due.slot].now_s += phase.duration_s * stretch;
-                    let at = self.slots[due.slot].now_s;
-                    self.heap.push(Due { at, seq: self.seq, slot: due.slot });
+                    slot.now_s += phase.duration_s * stretch;
+                    self.heap.push(Reverse(Due { at: slot.now_s, seq: self.seq, slot: due.slot }));
                     self.seq += 1;
                     self.outcome.peak_depth = self.outcome.peak_depth.max(self.heap.len());
                 }
@@ -1475,122 +1370,73 @@ impl<'a> AccelLoop<'a> {
                     // possibly after trailing accuracy flushes): collect its
                     // result now and drop the session so finished cameras
                     // never accumulate live model state.
-                    // lint: allow(panic) — guarded by the same is_none() check
-                    // that admitted this heap entry
-                    let session =
-                        self.slots[due.slot].session.take().expect("presence checked on pop");
+                    // lint: allow(panic) — the stale-entry check above saw
+                    // this slot's session, and only this branch removes it
+                    let session = slot.session.take().expect("presence checked on pop");
+                    let at = slot.now_s;
                     if let Some(accum) = session.edge_accum() {
                         self.outcome.edge.merge(&accum);
                     }
                     self.outcome.results.push((camera_index, session.into_result()));
                     self.active.retain(|&slot| slot != due.slot);
-                    self.outcome.makespan_s =
-                        self.outcome.makespan_s.max(self.slots[due.slot].now_s);
-                    let at = self.slots[due.slot].now_s;
+                    self.outcome.makespan_s = self.outcome.makespan_s.max(at);
                     self.start_next_pending(at)?;
                 }
             }
             if let Some(observer) = observer.as_deref_mut() {
                 observer.on_step_context(camera_name, camera_index, self.accel);
-                let uplink_after =
-                    self.slots[due.slot].session.as_ref().and_then(Session::uplink_meter);
-                if let (Some((bytes0, labels0)), Some((bytes1, labels1))) =
-                    (uplink_before, uplink_after)
-                {
-                    let bytes = bytes1.saturating_sub(bytes0);
-                    let labels = labels1.saturating_sub(labels0);
-                    if bytes > 0 || labels > 0 {
-                        let at = self.slots[due.slot].now_s;
-                        observer.on_uplink_transfer(camera_name, at, bytes, labels as usize);
-                    }
+                let slot = &self.slots[due.slot];
+                let uplink_after = slot.session.as_ref().and_then(Session::uplink_meter);
+                report_uplink(observer, camera_name, slot.now_s, uplink_before, uplink_after);
+                for event in &events {
+                    event.dispatch(observer);
                 }
-                forward(observer, &events);
             }
         }
-    }
-
-    /// Creates a camera's session and enters it into this accelerator's
-    /// event loop at cluster time `at`.
-    fn admit(&mut self, camera_index: usize, at: f64) -> Result<()> {
-        let (name, config) = &self.cameras[camera_index];
-        let mut session = Session::new(config.clone()).map_err(|e| prefix_camera(name, e))?;
-        session.set_record_labels(self.record_labels);
-        self.admit_session(camera_index, session, at, false);
         Ok(())
     }
 
-    /// Enters an existing (possibly mid-run) session into this
-    /// accelerator's event loop at cluster time `at` — the resumption half
-    /// of a snapshot migration.
-    fn admit_session(
-        &mut self,
-        camera_index: usize,
-        mut session: Session,
-        at: f64,
-        recovering: bool,
-    ) {
+    /// Enters `entry`'s camera into this accelerator's event loop at cluster
+    /// time `at`: a camera that has not run yet gets its session built here,
+    /// a migrant resumes the one it carries — the resumption half of a
+    /// snapshot migration. Returns the migrant's stall (drain to
+    /// resumption), `0` for everyone else.
+    fn admit(&mut self, entry: PendingEntry, at: f64) -> Result<f64> {
+        let (name, config) = &self.cameras[entry.camera_index];
+        let mut session = match entry.session {
+            Some(session) => *session,
+            None => Session::new(config.clone()).map_err(|e| prefix_camera(name, e))?,
+        };
         session.set_record_labels(self.record_labels);
-        self.slots.push(Slot { camera_index, session: Some(session), now_s: at, recovering });
-        self.heap.push(Due { at, seq: self.seq, slot: self.slots.len() - 1 });
-        self.active.push(self.slots.len() - 1);
+        self.slots.push(Slot {
+            camera_index: entry.camera_index,
+            session: Some(session),
+            now_s: at,
+            recovering: entry.recovering,
+        });
+        let slot = self.slots.len() - 1;
+        self.heap.push(Reverse(Due { at, seq: self.seq, slot }));
+        self.active.push(slot);
         self.seq += 1;
         self.outcome.peak_depth = self.outcome.peak_depth.max(self.heap.len());
-    }
-
-    /// Queues work behind the capacity bound. Callers count the wait in
-    /// `outcome.queued` only when the camera *newly* enters a queue —
-    /// re-homing an already-waiting entry is not a second wait.
-    fn enqueue(&mut self, entry: PendingEntry) {
-        self.pending.push_back(entry);
-    }
-
-    /// Places re-homed work from a drained accelerator: starts it
-    /// immediately at `at_s` when capacity allows — an idle accelerator
-    /// never revisits its queue on its own, so deferring would strand the
-    /// camera — and queues it otherwise.
-    fn place(&mut self, entry: PendingEntry, at_s: f64) -> Result<()> {
-        if self.live_count() >= self.capacity {
-            self.enqueue(entry);
-            return Ok(());
-        }
-        match entry.session {
-            Some(session) => {
-                if let Some(drain_at_s) = entry.drain_at_s {
-                    self.outcome.stall_s += (at_s - drain_at_s).max(0.0);
-                }
-                self.admit_session(entry.camera_index, *session, at_s, entry.recovering);
-            }
-            None => self.admit(entry.camera_index, at_s)?,
-        }
-        Ok(())
+        Ok(entry.drain_at_s.map_or(0.0, |drain_at_s| (at - drain_at_s).max(0.0)))
     }
 
     /// Starts the next queued camera (or resumes a queued migrant) at
     /// cluster time `at`, if any is waiting.
     fn start_next_pending(&mut self, at: f64) -> Result<()> {
-        let Some(next) = self.pending.pop_front() else { return Ok(()) };
-        match next.session {
-            Some(session) => {
-                // A queued migrant's stall spans from its drain event to
-                // this resumption.
-                if let Some(drain_at_s) = next.drain_at_s {
-                    self.outcome.stall_s += (at - drain_at_s).max(0.0);
-                }
-                self.admit_session(next.camera_index, *session, at, next.recovering);
-            }
-            None => self.admit(next.camera_index, at)?,
+        if let Some(next) = self.pending.pop_front() {
+            self.outcome.stall_s += self.admit(next, at)?;
         }
-        self.outcome.peak_depth = self.outcome.peak_depth.max(self.heap.len());
         Ok(())
     }
 
     /// Drains this accelerator at a churn barrier: marks it closed, clears
     /// its event heap, and lifts out every live session (in admission
     /// order) and queued entry for re-homing elsewhere.
-    fn drain_accelerator(&mut self) -> (Vec<Migrant>, Vec<PendingEntry>) {
+    fn drain_accelerator(&mut self) -> (Vec<Migrant>, VecDeque<PendingEntry>) {
         self.drained = true;
         self.heap.clear();
-        let pending: Vec<PendingEntry> = std::mem::take(&mut self.pending).into_iter().collect();
         let mut migrants = Vec::new();
         for slot_index in std::mem::take(&mut self.active) {
             let slot = &mut self.slots[slot_index];
@@ -1608,7 +1454,7 @@ impl<'a> AccelLoop<'a> {
                 });
             }
         }
-        (migrants, pending)
+        (migrants, std::mem::take(&mut self.pending))
     }
 
     /// Removes a departing camera at a churn barrier, freeing its capacity
@@ -1665,256 +1511,199 @@ impl<'a> AccelLoop<'a> {
     }
 }
 
-/// The sharing-free execution: every accelerator loop runs to completion
-/// independently, spread across worker threads (or serially under an
-/// observer).
-fn run_isolated(
-    setup: &ExecSetup<'_>,
-    mut observer: Option<&mut dyn SimObserver>,
-) -> Result<Vec<AccelOutcome>> {
-    if let Some(observer) = observer.take() {
-        // Observed runs execute serially so the event stream needs no
-        // locking and arrives in a stable order.
-        let mut outcomes = Vec::with_capacity(setup.assignment.len());
-        for (accel, assigned) in setup.assignment.iter().enumerate() {
-            let mut accel_loop = AccelLoop::new(
-                accel,
-                assigned,
-                setup.cameras,
-                setup.arbiter,
-                setup.capacity,
-                false,
-                setup.batch,
-            )?;
-            accel_loop.run_until(None, Some(&mut *observer))?;
-            outcomes.push(accel_loop.into_outcome());
-        }
-        return Ok(outcomes);
-    }
-    let accelerators = setup.assignment.len();
-    let workers = setup.threads.min(accelerators.max(1)).max(1);
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let slots: Mutex<Vec<Option<Result<AccelOutcome>>>> =
-        Mutex::new((0..accelerators).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let accel = next.fetch_add(1, Ordering::Relaxed);
-                let Some(assigned) = setup.assignment.get(accel) else { break };
-                let outcome = AccelLoop::new(
-                    accel,
-                    assigned,
-                    setup.cameras,
-                    setup.arbiter,
-                    setup.capacity,
-                    false,
-                    setup.batch,
-                )
-                .and_then(|mut accel_loop| {
-                    accel_loop.run_until(None, None)?;
-                    Ok(accel_loop.into_outcome())
-                });
-                if outcome.is_err() {
-                    failed.store(true, Ordering::Relaxed);
-                }
-                // lint: allow(panic) — a poisoned lock means a sibling worker
-                // already panicked; propagating is the only sound response
-                slots.lock().expect("cluster outcome lock poisoned")[accel] = Some(outcome);
-            });
-        }
-    });
-    // lint: allow(panic) — same poisoning invariant as the per-worker lock
-    let outcomes = slots.into_inner().expect("cluster outcome lock poisoned");
-    // Surface the error of the lowest-indexed accelerator that reported
-    // one. When several accelerators fail concurrently in the threaded
-    // path, which of them got to report before the abort flag stopped
-    // the others can vary — but at least one real error always
-    // surfaces, and the Ok path stays fully deterministic.
-    if let Some(err) = outcomes.iter().flatten().find_map(|outcome| outcome.as_ref().err()) {
-        return Err(err.clone());
-    }
-    Ok(outcomes
-        .into_iter()
-        .map(|outcome| {
-            outcome
-                // lint: allow(panic) — the scoped-thread join guarantees every
-                // slot was filled before into_inner()
-                .expect("without errors every accelerator ran")
-                // lint: allow(panic) — the find_map above returned early on
-                // any Err, so only Ok outcomes remain
-                .expect("errors were surfaced above")
-        })
-        .collect())
+/// The label-exchange stage's state: present only under an active share
+/// policy.
+struct ShareStage {
+    policy: Box<dyn SharePolicy>,
+    correlations: PairCorrelations,
+    metrics: ShareMetrics,
 }
 
-/// The windowed execution, used whenever barriers are needed: cross-camera
-/// sharing (`policy_name` is `Some`), elastic membership (`events` is
-/// non-empty), or both. Accelerator loops advance window by window (in
-/// parallel inside a window); every boundary runs the deterministic,
-/// single-threaded label exchange followed by the barrier's churn events.
-fn run_windowed(
-    setup: &ExecSetup<'_>,
-    policy_name: Option<&str>,
-    offload_name: &str,
+/// What the window barriers' churn processing produced, alongside the
+/// per-accelerator outcomes.
+#[derive(Default)]
+struct ChurnOutcome {
+    metrics: ChurnMetrics,
+    /// `(camera index, partial result)` of cameras that stopped at a churn
+    /// barrier: mid-run leaves and orphaned residents.
+    extra_results: Vec<(usize, SimResult)>,
+    /// Edge-tier counters of sessions finalised at churn barriers without
+    /// passing through an accelerator loop's own bookkeeping (orphans).
+    edge: EdgeAccum,
+}
+
+/// The one executor: the accelerator loops, the optional barrier stages,
+/// and the window counter. Every run — featureless or not, observed or
+/// not — is [`Executor::run_windows`].
+struct Executor<'a, 'o> {
+    loops: Vec<AccelLoop<'a>>,
+    cameras: &'a [(String, SimConfig)],
+    threads: usize,
+    admission: AdmissionPolicy,
+    /// The window length; +∞ for a run with no stages.
     window_s: f64,
-    events: &[PreparedEvent],
-    mut observer: Option<&mut dyn SimObserver>,
-) -> Result<(Vec<AccelOutcome>, ShareMetrics, ChurnOutcome)> {
-    let mut policy = policy_name.map(share::create).transpose()?;
-    // The reserved "local-only" policy never routes anything, so a windowed
-    // run under it (sharing or churn forced the barriers) skips routing
-    // entirely — sessions keep their Local default, exactly the pre-edge
-    // behavior.
-    let mut offload = if edge::is_local_only(offload_name) {
-        None
-    } else {
-        Some(edge::create_offload(offload_name)?)
-    };
-    let record_labels = policy.is_some();
-    let mut loops = setup
-        .assignment
-        .iter()
-        .enumerate()
-        .map(|(accel, assigned)| {
-            AccelLoop::new(
-                accel,
-                assigned,
-                setup.cameras,
-                setup.arbiter,
-                setup.capacity,
-                record_labels,
-                setup.batch,
-            )
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let mut metrics = match &policy {
-        Some(policy) => ShareMetrics::fresh(policy.name(), window_s),
-        None => ShareMetrics::disabled(window_s),
-    };
-    let mut churn = ChurnOutcome {
-        metrics: ChurnMetrics {
-            peak_residency: loops.iter().map(AccelLoop::live_count).sum(),
-            ..ChurnMetrics::default()
-        },
-        extra_results: Vec::new(),
-        edge: EdgeAccum::default(),
-    };
-    let mut correlations = PairCorrelations::new(setup.cameras.len());
-    // The live sessions in admission order: collected once per barrier and
-    // shared by its stages, again only if churn changed the membership.
-    let mut roster: Vec<Resident> = Vec::new();
-    let mut window = 0usize;
-    let mut next_event = 0usize;
-    // Route the initial residents before any simulation time passes: the
-    // run's opening stretch is window 0, decided at a virtual barrier at 0 s.
-    if let Some(offload) = offload.as_deref_mut() {
-        collect_roster(&loops, &mut roster);
-        route_offload(
-            &mut loops,
-            &roster,
-            offload,
-            setup.cameras,
-            0,
-            0.0,
-            observer.as_deref_mut(),
-        )?;
-    }
-    while loops.iter().any(|accel_loop| !accel_loop.is_done()) || next_event < events.len() {
-        // Jump straight to the window containing the earliest due event (or
-        // ending at the earliest pending churn event), so long event-free
-        // stretches cost no barrier rounds. Windows are absolute
-        // (`k * window_s`), so skipped empty windows leave the indices and
-        // boundaries of the windows that do run — and therefore every
-        // exchange and churn barrier — unchanged.
-        let mut target_window = f64::INFINITY;
-        let earliest_due_s =
-            loops.iter().filter_map(AccelLoop::next_due_s).fold(f64::INFINITY, f64::min);
-        if earliest_due_s.is_finite() {
-            // A due event at time t executes inside window floor(t / w).
-            target_window = target_window.min((earliest_due_s / window_s).floor());
-        }
-        if let Some(event) = events.get(next_event) {
-            // A churn event at time t fires at the first boundary >= t,
-            // i.e. at the end of window ceil(t / w) - 1.
-            target_window = target_window.min(((event.at_s / window_s).ceil() - 1.0).max(0.0));
-        }
-        if target_window.is_finite() {
-            window = window.max(target_window as usize);
-        }
-        let boundary_s = (window as f64 + 1.0) * window_s;
-        if let Some(observer) = observer.as_deref_mut() {
-            for accel_loop in &mut loops {
-                accel_loop.run_until(Some(boundary_s), Some(&mut *observer))?;
+    share: Option<ShareStage>,
+    /// The churn stage: events in execution order (empty = stage absent).
+    events: Vec<PreparedEvent>,
+    offload: Option<Box<dyn OffloadPolicy>>,
+    observer: Option<&'a mut (dyn SimObserver + 'o)>,
+    /// The live sessions in admission order: collected once per barrier and
+    /// shared by its stages, again only if churn changed the membership.
+    roster: Vec<Resident>,
+    window: usize,
+}
+
+impl<'a> Executor<'a, '_> {
+    /// Algorithm 1's loop over windows: accelerator loops advance to the
+    /// boundary (in parallel inside a window), then the single-threaded
+    /// barrier runs the stages that are present — label exchange, churn,
+    /// offload routing, observer sampling, in that order.
+    fn run_windows(mut self) -> Result<(Vec<AccelOutcome>, Option<ShareStage>, ChurnOutcome)> {
+        let mut churn = ChurnOutcome::default();
+        churn.metrics.peak_residency = self.loops.iter().map(AccelLoop::live_count).sum();
+        let mut next_event = 0usize;
+        // Route the initial residents before any simulation time passes: the
+        // run's opening stretch is window 0, decided at a virtual barrier at
+        // 0 s. Routing is the one stage that needs sessions before time
+        // moves, so it starts the loops itself: advancing to 0 s admits the
+        // initial residents and executes nothing.
+        if let Some(offload) = self.offload.as_deref_mut() {
+            advance(&mut self.loops, 0.0, self.threads, self.observer.as_deref_mut())?;
+            collect_roster(&self.loops, &mut self.roster);
+            Barrier {
+                loops: &mut self.loops,
+                roster: &mut self.roster,
+                cameras: self.cameras,
+                window: 0,
+                boundary_s: 0.0,
+                observer: self.observer.as_deref_mut(),
             }
-        } else if setup.threads <= 1 || loops.len() <= 1 {
-            for accel_loop in &mut loops {
-                accel_loop.run_until(Some(boundary_s), None)?;
+            .route_offload(offload, 0)?;
+        }
+        while self.loops.iter().any(|accel_loop| !accel_loop.is_done())
+            || next_event < self.events.len()
+        {
+            // Jump straight to the window containing the earliest due event (or
+            // ending at the earliest pending churn event), so long event-free
+            // stretches cost no barrier rounds. Windows are absolute
+            // (`k * window_s`), so skipped empty windows leave the indices and
+            // boundaries of the windows that do run — and therefore every
+            // exchange and churn barrier — unchanged.
+            let mut target_window = f64::INFINITY;
+            let earliest_due_s =
+                self.loops.iter().filter_map(AccelLoop::next_due_s).fold(f64::INFINITY, f64::min);
+            if earliest_due_s.is_finite() {
+                // A due event at time t executes inside window floor(t / w).
+                target_window = target_window.min((earliest_due_s / self.window_s).floor());
             }
-        } else {
-            run_window_threaded(&mut loops, boundary_s, setup.threads)?;
-        }
-        collect_roster(&loops, &mut roster);
-        if let Some(policy) = policy.as_deref_mut() {
-            exchange_window(
-                &mut loops,
-                &roster,
-                policy,
-                setup.cameras,
-                &mut correlations,
-                &mut metrics,
-                window,
-                boundary_s,
-                observer.as_deref_mut(),
-            )?;
-        }
-        let first_event = next_event;
-        while let Some(event) = events.get(next_event) {
-            if event.at_s > boundary_s {
-                break;
+            if let Some(event) = self.events.get(next_event) {
+                // A churn event at time t fires at the first boundary >= t,
+                // i.e. at the end of window ceil(t / w) - 1.
+                target_window =
+                    target_window.min(((event.at_s / self.window_s).ceil() - 1.0).max(0.0));
             }
-            apply_churn(event, boundary_s, &mut loops, setup, &mut churn, observer.as_deref_mut())?;
-            next_event += 1;
-        }
-        if next_event > first_event {
-            collect_roster(&loops, &mut roster);
-        }
-        // Routing runs after churn so the policy sees the post-churn fleet
-        // (joined cameras included, departed ones gone) for the window the
-        // barrier opens.
-        if let Some(offload) = offload.as_deref_mut() {
-            route_offload(
-                &mut loops,
-                &roster,
-                offload,
-                setup.cameras,
-                window + 1,
+            if target_window.is_finite() {
+                self.window = self.window.max(target_window as usize);
+            }
+            let boundary_s = (self.window as f64 + 1.0) * self.window_s;
+            advance(&mut self.loops, boundary_s, self.threads, self.observer.as_deref_mut())?;
+            collect_roster(&self.loops, &mut self.roster);
+            let mut barrier = Barrier {
+                loops: &mut self.loops,
+                roster: &mut self.roster,
+                cameras: self.cameras,
+                window: self.window,
                 boundary_s,
-                observer.as_deref_mut(),
-            )?;
+                observer: self.observer.as_deref_mut(),
+            };
+            if let Some(stage) = self.share.as_mut() {
+                barrier.exchange_window(stage)?;
+            }
+            let first_event = next_event;
+            while let Some(event) = self.events.get(next_event) {
+                if event.at_s > boundary_s {
+                    break;
+                }
+                barrier.apply_churn(event, self.admission, &mut churn)?;
+                next_event += 1;
+            }
+            if next_event > first_event {
+                collect_roster(barrier.loops, barrier.roster);
+            }
+            // Routing runs after churn so the policy sees the post-churn fleet
+            // (joined cameras included, departed ones gone) for the window the
+            // barrier opens.
+            if let Some(offload) = self.offload.as_deref_mut() {
+                barrier.route_offload(offload, self.window + 1)?;
+            }
+            barrier.sample_barrier(self.window_s);
+            let residency: usize = self.loops.iter().map(AccelLoop::live_count).sum();
+            churn.metrics.peak_residency = churn.metrics.peak_residency.max(residency);
+            self.window += 1;
         }
-        if let Some(observer) = observer.as_deref_mut() {
-            sample_barrier(
-                &mut loops,
-                &roster,
-                setup.cameras,
-                window_s,
-                window,
-                boundary_s,
-                observer,
-            );
+        if let Some(stage) = self.share.as_mut() {
+            stage.metrics.windows = self.window;
         }
-        let residency: usize = loops.iter().map(AccelLoop::live_count).sum();
-        churn.metrics.peak_residency = churn.metrics.peak_residency.max(residency);
-        window += 1;
+        Ok((self.loops.into_iter().map(AccelLoop::into_outcome).collect(), self.share, churn))
     }
-    if policy.is_some() {
-        metrics.windows = window;
+}
+
+/// Advances every accelerator loop to `boundary_s` — the executor's one
+/// parallel region, for finite windows and the unbounded one alike.
+/// Observed and single-worker runs step the loops in index order on the
+/// calling thread. Otherwise workers claim loops dynamically; which thread
+/// runs which loop never affects results, only wall-clock time, and the
+/// error reported is always the lowest-indexed failing accelerator's: a
+/// worker skips a loop only when a lower-indexed one has already failed.
+fn advance(
+    loops: &mut [AccelLoop<'_>],
+    boundary_s: f64,
+    threads: usize,
+    mut observer: Option<&mut (dyn SimObserver + '_)>,
+) -> Result<()> {
+    let workers = threads.min(loops.len());
+    if observer.is_some() || workers <= 1 {
+        return loops
+            .iter_mut()
+            .try_for_each(|accel_loop| accel_loop.run_until(boundary_s, observer.as_deref_mut()));
     }
-    Ok((loops.into_iter().map(AccelLoop::into_outcome).collect(), metrics, churn))
+    // Claims never panic while holding the lock, so a poisoned queue is
+    // still a valid queue.
+    let queue = Mutex::new(loops.iter_mut().enumerate());
+    let lowest_failed = AtomicUsize::new(usize::MAX);
+    // The loop each worker is running, so a panicked worker can be named.
+    let running: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
+    let (queue, lowest_failed) = (&queue, &lowest_failed);
+    let first_failure = std::thread::scope(|scope| {
+        let handles: Vec<_> = running
+            .iter()
+            .map(|running| {
+                scope.spawn(move || loop {
+                    let (accel, accel_loop) =
+                        queue.lock().unwrap_or_else(PoisonError::into_inner).next()?;
+                    if accel > lowest_failed.load(Ordering::SeqCst) {
+                        return None;
+                    }
+                    running.store(accel, Ordering::SeqCst);
+                    if let Err(e) = accel_loop.run_until(boundary_s, None) {
+                        lowest_failed.fetch_min(accel, Ordering::SeqCst);
+                        return Some((accel, e));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .zip(&running)
+            .filter_map(|(handle, running)| {
+                handle.join().unwrap_or_else(|_| {
+                    let accelerator = running.load(Ordering::SeqCst);
+                    Some((accelerator, CoreError::WorkerPanicked { accelerator }))
+                })
+            })
+            .min_by_key(|(accel, _)| *accel)
+    });
+    first_failure.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// The surviving accelerator that should receive the next placed camera:
@@ -1927,209 +1716,6 @@ fn pick_target(loops: &[AccelLoop<'_>]) -> Option<usize> {
         .filter(|(_, accel_loop)| !accel_loop.drained)
         .min_by_key(|(index, accel_loop)| (accel_loop.load(), *index))
         .map(|(index, _)| index)
-}
-
-/// Applies one churn event at a window barrier (single-threaded, in plan
-/// order — the churn counterpart of [`exchange_window`]).
-// lint: barrier-only(fleet membership changes between windows, in plan order, on one thread)
-fn apply_churn(
-    event: &PreparedEvent,
-    boundary_s: f64,
-    loops: &mut [AccelLoop<'_>],
-    setup: &ExecSetup<'_>,
-    churn: &mut ChurnOutcome,
-    mut observer: Option<&mut (dyn SimObserver + '_)>,
-) -> Result<()> {
-    match event.action {
-        ChurnAction::Join { camera_index } => {
-            churn.metrics.joins += 1;
-            // Where the join landed (resident or queued), for the observer;
-            // `None` means the camera was orphaned or rejected.
-            let mut placed = None;
-            match pick_target(loops) {
-                None => churn.metrics.orphaned_cameras += 1,
-                Some(target) => {
-                    let accel_loop = &mut loops[target];
-                    if accel_loop.live_count() < accel_loop.capacity {
-                        accel_loop.admit(camera_index, boundary_s)?;
-                        placed = Some(target);
-                    } else {
-                        match setup.admission {
-                            AdmissionPolicy::Queue => {
-                                accel_loop.outcome.queued += 1;
-                                accel_loop.enqueue(PendingEntry::fresh(camera_index));
-                                placed = Some(target);
-                            }
-                            // Long-running clusters should not abort because
-                            // one join found the fleet full: the denied
-                            // camera is recorded instead.
-                            AdmissionPolicy::Reject => churn.metrics.orphaned_cameras += 1,
-                        }
-                    }
-                }
-            }
-            if let Some(observer) = observer.as_deref_mut() {
-                observer.on_churn_join(&setup.cameras[camera_index].0, placed, boundary_s);
-            }
-        }
-        ChurnAction::Leave { camera_index } => {
-            churn.metrics.leaves += 1;
-            for accel_loop in loops.iter_mut() {
-                match accel_loop.leave(camera_index, boundary_s)? {
-                    LeaveOutcome::Departed(result) => {
-                        churn.extra_results.push((camera_index, result));
-                        break;
-                    }
-                    LeaveOutcome::Dequeued(result) => {
-                        if let Some(result) = result {
-                            churn.extra_results.push((camera_index, result));
-                        }
-                        break;
-                    }
-                    // Not on this accelerator; a camera found nowhere has
-                    // already finished, making the leave a no-op.
-                    LeaveOutcome::NotHere => {}
-                }
-            }
-            if let Some(observer) = observer.as_deref_mut() {
-                observer.on_churn_leave(&setup.cameras[camera_index].0, boundary_s);
-            }
-        }
-        ChurnAction::Drain { accelerator } => {
-            churn.metrics.drains += 1;
-            if let Some(observer) = observer.as_deref_mut() {
-                observer.on_churn_drain(accelerator, boundary_s);
-            }
-            let (migrants, displaced) = loops[accelerator].drain_accelerator();
-            for migrant in migrants {
-                let camera_name = &setup.cameras[migrant.camera_index].0;
-                // Live migration goes through the public snapshot format:
-                // the restored session is bit-identical to the original
-                // (property-tested), so drains never perturb results.
-                let restored = Session::restore(migrant.session.snapshot())
-                    .map_err(|e| prefix_camera(camera_name, e))?;
-                // Where the migrant ended up, for the observer; `None` means
-                // it was orphaned (no survivor, or a full Reject cluster).
-                let mut destination = None;
-                match pick_target(loops) {
-                    None => {
-                        // No accelerator left to run on: the camera is
-                        // orphaned and reports its executed prefix.
-                        churn.metrics.orphaned_cameras += 1;
-                        if let Some(accum) = restored.edge_accum() {
-                            churn.edge.merge(&accum);
-                        }
-                        churn.extra_results.push((migrant.camera_index, restored.into_result()));
-                    }
-                    Some(target) => {
-                        let accel_loop = &mut loops[target];
-                        if accel_loop.live_count() < accel_loop.capacity {
-                            churn.metrics.migrations += 1;
-                            churn.metrics.migration_stall_s +=
-                                (migrant.now_s - event.at_s).max(0.0);
-                            accel_loop.admit_session(
-                                migrant.camera_index,
-                                restored,
-                                migrant.now_s,
-                                migrant.recovering,
-                            );
-                            destination = Some(target);
-                        } else {
-                            match setup.admission {
-                                AdmissionPolicy::Queue => {
-                                    churn.metrics.migrations += 1;
-                                    // The migrant's first wait in a queue.
-                                    accel_loop.outcome.queued += 1;
-                                    accel_loop.enqueue(PendingEntry {
-                                        camera_index: migrant.camera_index,
-                                        session: Some(Box::new(restored)),
-                                        recovering: migrant.recovering,
-                                        drain_at_s: Some(event.at_s),
-                                    });
-                                    destination = Some(target);
-                                }
-                                AdmissionPolicy::Reject => {
-                                    churn.metrics.orphaned_cameras += 1;
-                                    if let Some(accum) = restored.edge_accum() {
-                                        churn.edge.merge(&accum);
-                                    }
-                                    churn
-                                        .extra_results
-                                        .push((migrant.camera_index, restored.into_result()));
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some(observer) = observer.as_deref_mut() {
-                    observer.on_migration(camera_name, accelerator, destination, boundary_s);
-                }
-            }
-            for entry in displaced {
-                let camera_name = &setup.cameras[entry.camera_index].0;
-                let mut destination = None;
-                match pick_target(loops) {
-                    None => {
-                        churn.metrics.orphaned_cameras += 1;
-                        if let Some(session) = entry.session {
-                            if let Some(accum) = session.edge_accum() {
-                                churn.edge.merge(&accum);
-                            }
-                            churn.extra_results.push((entry.camera_index, session.into_result()));
-                        }
-                    }
-                    // Re-homed waiters start right away when the target has
-                    // headroom (an idle target would otherwise never pop its
-                    // queue and the camera would silently vanish) and do not
-                    // count as a second queue wait otherwise.
-                    Some(target) => {
-                        loops[target].place(entry, boundary_s)?;
-                        destination = Some(target);
-                    }
-                }
-                if let Some(observer) = observer.as_deref_mut() {
-                    observer.on_migration(camera_name, accelerator, destination, boundary_s);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Advances every accelerator loop to the window boundary across worker
-/// threads. Loops are split into contiguous chunks; which thread runs which
-/// loop never affects results, only wall-clock time.
-fn run_window_threaded(loops: &mut [AccelLoop<'_>], boundary_s: f64, threads: usize) -> Result<()> {
-    let workers = threads.min(loops.len()).max(1);
-    let chunk_len = loops.len().div_ceil(workers);
-    let failures: Mutex<Vec<(usize, CoreError)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        let failures = &failures;
-        for chunk in loops.chunks_mut(chunk_len) {
-            scope.spawn(move || {
-                for accel_loop in chunk {
-                    if let Err(e) = accel_loop.run_until(Some(boundary_s), None) {
-                        failures
-                            .lock()
-                            // lint: allow(panic) — poisoning implies a sibling
-                            // worker panicked; propagate rather than mask it
-                            .expect("window failure lock poisoned")
-                            .push((accel_loop.accel, e));
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    // Like the isolated path, surface the lowest-indexed accelerator's
-    // error among those that reported one this window.
-    // lint: allow(panic) — same poisoning invariant as the per-worker lock
-    let mut failures = failures.into_inner().expect("window failure lock poisoned");
-    failures.sort_by_key(|(accel, _)| *accel);
-    match failures.into_iter().next() {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
 }
 
 /// One live session's coordinates at a window barrier: which camera it is
@@ -2189,222 +1775,337 @@ impl PairCorrelations {
     }
 }
 
-/// One window boundary's label exchange: drain every camera's fresh exports,
-/// then walk importers and exporters in camera admission-index order, asking
-/// the policy for an admit fraction per pair. Single-threaded and fully
-/// ordered, so shared runs stay deterministic at any worker-thread count.
-///
-/// Each importer is served in two passes. Pass one consults the policy for
-/// every exporter — validation, metrics and observer calls included — and
-/// only records what was granted. Pass two hands the grants to the
-/// importer's buffer, which copies just the rows that survive its own FIFO
-/// eviction (at most `C_b` of them). A barrier therefore costs `N²` policy
-/// calls plus `N · C_b` row copies, not `N² · batch` sample clones.
-// One call site: barrier plumbing, not a reusable API surface.
-// lint: barrier-only(labels cross cameras only between windows, in admission order, on one thread)
-#[allow(clippy::too_many_arguments)]
-fn exchange_window(
-    loops: &mut [AccelLoop<'_>],
-    roster: &[Resident],
-    policy: &mut dyn SharePolicy,
-    cameras: &[(String, SimConfig)],
-    correlations: &mut PairCorrelations,
-    metrics: &mut ShareMetrics,
-    window_index: usize,
+/// What every stage of one window barrier works on: the loops between two
+/// windows, the live sessions in admission order, and where on the cluster
+/// clock the barrier stands. `window` is the window the barrier closes.
+struct Barrier<'b, 'a, 'o> {
+    loops: &'b mut [AccelLoop<'a>],
+    roster: &'b mut Vec<Resident>,
+    cameras: &'a [(String, SimConfig)],
+    window: usize,
     boundary_s: f64,
-    mut observer: Option<&mut (dyn SimObserver + '_)>,
-) -> Result<()> {
-    let mut exports: BTreeMap<usize, SampleBlock> = BTreeMap::new();
-    for accel_loop in loops.iter_mut() {
-        for (camera_index, batch) in accel_loop.take_exports() {
-            exports.entry(camera_index).or_default().append(&batch);
+    observer: Option<&'b mut (dyn SimObserver + 'o)>,
+}
+
+impl Barrier<'_, '_, '_> {
+    /// The label-exchange stage: drain every camera's fresh exports, then
+    /// walk importers and exporters in camera admission-index order, asking
+    /// the policy for an admit fraction per pair. Single-threaded and fully
+    /// ordered, so shared runs stay deterministic at any worker-thread
+    /// count.
+    ///
+    /// Each importer is served in two passes. Pass one consults the policy
+    /// for every exporter — validation, metrics and observer calls included
+    /// — and only records what was granted. Pass two hands the grants to the
+    /// importer's buffer, which copies just the rows that survive its own
+    /// FIFO eviction (at most `C_b` of them). A barrier therefore costs `N²`
+    /// policy calls plus `N · C_b` row copies, not `N² · batch` sample
+    /// clones.
+    // lint: barrier-only(labels cross cameras only between windows, in admission order, on one thread)
+    fn exchange_window(&mut self, stage: &mut ShareStage) -> Result<()> {
+        let ShareStage { policy, correlations, metrics } = stage;
+        let cameras = self.cameras;
+        let mut exports: BTreeMap<usize, SampleBlock> = BTreeMap::new();
+        for accel_loop in self.loops.iter_mut() {
+            for (camera_index, batch) in accel_loop.take_exports() {
+                exports.entry(camera_index).or_default().append(&batch);
+            }
         }
+        metrics.labels_exported += exports.values().map(SampleBlock::len).sum::<usize>();
+        if exports.is_empty() {
+            return Ok(());
+        }
+        let mut grants: Vec<(&SampleBlock, usize)> = Vec::with_capacity(exports.len());
+        for &resident in self.roster.iter() {
+            let importer_index = resident.camera_index;
+            let Some(session) = resident_session(self.loops, resident) else { continue };
+            let labeling_sps = session.labeling_sps();
+            grants.clear();
+            for (&exporter_index, batch) in &exports {
+                if exporter_index == importer_index {
+                    continue;
+                }
+                let ctx = ShareContext {
+                    window_index: self.window,
+                    boundary_s: self.boundary_s,
+                    exporter: &cameras[exporter_index].0,
+                    exporter_index,
+                    importer: &cameras[importer_index].0,
+                    importer_index,
+                    correlation: correlations.get(importer_index, exporter_index, cameras),
+                    fresh_labels: batch.len(),
+                };
+                let fraction = policy.admit_fraction(&ctx);
+                if !fraction.is_finite() || !(0.0..=1.0).contains(&fraction) {
+                    return Err(CoreError::InvalidConfig {
+                        reason: format!(
+                            "share policy '{}' returned an invalid admit fraction ({fraction}) \
+                             for importer '{}'; fractions must lie in [0, 1]",
+                            policy.name(),
+                            cameras[importer_index].0
+                        ),
+                    });
+                }
+                let admitted =
+                    (((batch.len() as f64) * fraction).round() as usize).min(batch.len());
+                if admitted == 0 {
+                    // Only an outright refusal counts as a reject; a positive
+                    // fraction too small to round to one sample is a grant
+                    // that happened to admit nothing.
+                    if fraction == 0.0 {
+                        metrics.import_rejects += 1;
+                    }
+                    continue;
+                }
+                grants.push((batch, admitted));
+                if let Some(observer) = self.observer.as_deref_mut() {
+                    observer.on_share(
+                        &cameras[exporter_index].0,
+                        &cameras[importer_index].0,
+                        admitted,
+                        self.boundary_s,
+                    );
+                }
+                metrics.labels_reused += admitted;
+                if labeling_sps > 0.0 {
+                    metrics.labeling_seconds_saved += admitted as f64 / labeling_sps;
+                }
+            }
+            session
+                .admit_samples(&grants)
+                .map_err(|e| prefix_camera(&cameras[importer_index].0, e))?;
+        }
+        Ok(())
     }
-    metrics.labels_exported += exports.values().map(SampleBlock::len).sum::<usize>();
-    if exports.is_empty() {
-        return Ok(());
+
+    /// The churn stage, one event at a time (single-threaded, in plan
+    /// order — the churn counterpart of [`Barrier::exchange_window`]).
+    // lint: barrier-only(fleet membership changes between windows, in plan order, on one thread)
+    fn apply_churn(
+        &mut self,
+        event: &PreparedEvent,
+        admission: AdmissionPolicy,
+        churn: &mut ChurnOutcome,
+    ) -> Result<()> {
+        let (cameras, boundary_s) = (self.cameras, self.boundary_s);
+        match event.action {
+            ChurnAction::Join { camera_index } => {
+                churn.metrics.joins += 1;
+                // Long-running clusters should not abort because one join
+                // found the fleet full: under `Reject` the denied camera is
+                // recorded as an orphan instead.
+                let entry = PendingEntry::fresh(camera_index);
+                let placed = self.place(entry, boundary_s, Some(admission), churn)?;
+                if let Some(observer) = self.observer.as_deref_mut() {
+                    observer.on_churn_join(&cameras[camera_index].0, placed, boundary_s);
+                }
+            }
+            ChurnAction::Leave { camera_index } => {
+                churn.metrics.leaves += 1;
+                for accel_loop in self.loops.iter_mut() {
+                    match accel_loop.leave(camera_index, boundary_s)? {
+                        LeaveOutcome::Departed(result) => {
+                            churn.extra_results.push((camera_index, result));
+                            break;
+                        }
+                        LeaveOutcome::Dequeued(result) => {
+                            churn.extra_results.extend(result.map(|result| (camera_index, result)));
+                            break;
+                        }
+                        // Not on this accelerator; a camera found nowhere has
+                        // already finished, making the leave a no-op.
+                        LeaveOutcome::NotHere => {}
+                    }
+                }
+                if let Some(observer) = self.observer.as_deref_mut() {
+                    observer.on_churn_leave(&cameras[camera_index].0, boundary_s);
+                }
+            }
+            ChurnAction::Drain { accelerator } => {
+                churn.metrics.drains += 1;
+                if let Some(observer) = self.observer.as_deref_mut() {
+                    observer.on_churn_drain(accelerator, boundary_s);
+                }
+                let (migrants, displaced) = self.loops[accelerator].drain_accelerator();
+                for migrant in migrants {
+                    let camera_name = &cameras[migrant.camera_index].0;
+                    // Live migration goes through the public snapshot format:
+                    // the restored session is bit-identical to the original
+                    // (property-tested), so drains never perturb results.
+                    let restored = Session::restore(migrant.session.snapshot())
+                        .map_err(|e| prefix_camera(camera_name, e))?;
+                    let entry = PendingEntry {
+                        camera_index: migrant.camera_index,
+                        session: Some(Box::new(restored)),
+                        recovering: migrant.recovering,
+                        drain_at_s: Some(event.at_s),
+                    };
+                    // A migrant resumes at its own place on the cluster
+                    // clock, not at the barrier.
+                    let destination = self.place(entry, migrant.now_s, Some(admission), churn)?;
+                    churn.metrics.migrations += usize::from(destination.is_some());
+                    if let Some(observer) = self.observer.as_deref_mut() {
+                        observer.on_migration(camera_name, accelerator, destination, boundary_s);
+                    }
+                }
+                for entry in displaced {
+                    let camera_name = &cameras[entry.camera_index].0;
+                    // A displaced waiter was admitted once already: it queues
+                    // again whatever the admission policy says.
+                    let destination = self.place(entry, boundary_s, None, churn)?;
+                    if let Some(observer) = self.observer.as_deref_mut() {
+                        observer.on_migration(camera_name, accelerator, destination, boundary_s);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
-    let mut grants: Vec<(&SampleBlock, usize)> = Vec::with_capacity(exports.len());
-    for &resident in roster {
-        let importer_index = resident.camera_index;
-        let Some(session) = resident_session(loops, resident) else { continue };
-        let labeling_sps = session.labeling_sps();
-        grants.clear();
-        for (&exporter_index, batch) in &exports {
-            if exporter_index == importer_index {
+
+    /// Places one camera at a churn barrier — a join, a migrant off a
+    /// draining accelerator, or a waiter displaced from its queue — on the
+    /// least-loaded surviving accelerator, and returns where it landed.
+    /// With headroom it starts at `at_s` (an idle accelerator never revisits
+    /// its queue on its own, so deferring would strand the camera). On a
+    /// full target a new `arrival` follows its admission policy — `Queue`
+    /// counts a first wait, `Reject` orphans — while a displaced waiter
+    /// (`None`) rejoins a queue without counting a second wait. With no
+    /// survivor the camera is orphaned: `None` is returned, and a camera
+    /// that had already run reports its executed prefix.
+    // lint: barrier-only(placement reads every accelerator's load and rewrites one's residents)
+    fn place(
+        &mut self,
+        entry: PendingEntry,
+        at_s: f64,
+        arrival: Option<AdmissionPolicy>,
+        churn: &mut ChurnOutcome,
+    ) -> Result<Option<usize>> {
+        let target = pick_target(self.loops);
+        let has_room = target
+            .is_some_and(|target| self.loops[target].live_count() < self.loops[target].capacity);
+        let accepted = has_room || arrival != Some(AdmissionPolicy::Reject);
+        let Some(target) = target.filter(|_| accepted) else {
+            churn.metrics.orphaned_cameras += 1;
+            if let Some(session) = entry.session {
+                if let Some(accum) = session.edge_accum() {
+                    churn.edge.merge(&accum);
+                }
+                churn.extra_results.push((entry.camera_index, session.into_result()));
+            }
+            return Ok(None);
+        };
+        let accel_loop = &mut self.loops[target];
+        if has_room {
+            let stall_s = accel_loop.admit(entry, at_s)?;
+            match arrival {
+                Some(_) => churn.metrics.migration_stall_s += stall_s,
+                None => accel_loop.outcome.stall_s += stall_s,
+            }
+        } else {
+            accel_loop.outcome.queued += usize::from(arrival.is_some());
+            accel_loop.pending.push_back(entry);
+        }
+        Ok(Some(target))
+    }
+
+    /// The offload-routing stage: walk the live, edge-configured sessions in
+    /// camera admission-index order and set each one's label route for
+    /// `window_index`, the window this barrier opens, from the policy's
+    /// decision. Single-threaded and fully ordered — the routing counterpart
+    /// of [`Barrier::exchange_window`]. Cameras without an edge tier are
+    /// skipped (they always label locally), and cameras admitted from a
+    /// queue mid-window run their first partial window on the Local default
+    /// until the next barrier routes them.
+    // lint: barrier-only(routes rewrite between windows so a whole window runs on one route)
+    fn route_offload(&mut self, policy: &mut dyn OffloadPolicy, window_index: usize) -> Result<()> {
+        let (cameras, boundary_s) = (self.cameras, self.boundary_s);
+        let live_counts: Vec<usize> = self.loops.iter().map(AccelLoop::live_count).collect();
+        for &resident in self.roster.iter() {
+            let Resident { camera_index, accel, .. } = resident;
+            let Some(session) = resident_session(self.loops, resident) else { continue };
+            if !session.has_edge_tier() {
                 continue;
             }
-            let ctx = ShareContext {
+            let (buffer_len, bytes_shipped, window_bytes) = session.offload_meter();
+            let route = policy.route(&OffloadContext {
                 window_index,
                 boundary_s,
-                exporter: &cameras[exporter_index].0,
-                exporter_index,
-                importer: &cameras[importer_index].0,
-                importer_index,
-                correlation: correlations.get(importer_index, exporter_index, cameras),
-                fresh_labels: batch.len(),
-            };
-            let fraction = policy.admit_fraction(&ctx);
-            if !fraction.is_finite() || !(0.0..=1.0).contains(&fraction) {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!(
-                        "share policy '{}' returned an invalid admit fraction ({fraction}) for \
-                         importer '{}'; fractions must lie in [0, 1]",
-                        policy.name(),
-                        cameras[importer_index].0
-                    ),
-                });
-            }
-            let admitted = (((batch.len() as f64) * fraction).round() as usize).min(batch.len());
-            if admitted == 0 {
-                // Only an outright refusal counts as a reject; a positive
-                // fraction too small to round to one sample is a grant that
-                // happened to admit nothing.
-                if fraction == 0.0 {
-                    metrics.import_rejects += 1;
-                }
-                continue;
-            }
-            grants.push((batch, admitted));
-            if let Some(observer) = observer.as_deref_mut() {
-                observer.on_share(
-                    &cameras[exporter_index].0,
-                    &cameras[importer_index].0,
-                    admitted,
+                camera: &cameras[camera_index].0,
+                camera_index,
+                accelerator: accel,
+                resident_cameras: live_counts[accel],
+                buffer_len,
+                bytes_shipped,
+                window_bytes,
+            });
+            session
+                .set_label_route(route)
+                .map_err(|e| prefix_camera(&cameras[camera_index].0, e))?;
+            if let Some(observer) = self.observer.as_deref_mut() {
+                observer.on_offload_route(
+                    &cameras[camera_index].0,
+                    route,
+                    window_index,
                     boundary_s,
                 );
             }
-            metrics.labels_reused += admitted;
-            if labeling_sps > 0.0 {
-                metrics.labeling_seconds_saved += admitted as f64 / labeling_sps;
-            }
         }
-        session.admit_samples(&grants).map_err(|e| prefix_camera(&cameras[importer_index].0, e))?;
+        Ok(())
     }
-    Ok(())
-}
 
-/// One window barrier's offload routing: walk the live, edge-configured
-/// sessions in camera admission-index order and set each one's label route
-/// for the upcoming window from the policy's decision. Single-threaded and
-/// fully ordered — the routing counterpart of [`exchange_window`]. Cameras
-/// without an edge tier are skipped (they always label locally), and
-/// cameras admitted from a queue mid-window run their first partial window
-/// on the Local default until the next barrier routes them.
-// lint: barrier-only(routes rewrite between windows so a whole window runs on one route)
-fn route_offload(
-    loops: &mut [AccelLoop<'_>],
-    roster: &[Resident],
-    policy: &mut dyn OffloadPolicy,
-    cameras: &[(String, SimConfig)],
-    window_index: usize,
-    boundary_s: f64,
-    mut observer: Option<&mut (dyn SimObserver + '_)>,
-) -> Result<()> {
-    let live_counts: Vec<usize> = loops.iter().map(AccelLoop::live_count).collect();
-    for &resident in roster {
-        let Resident { camera_index, accel, .. } = resident;
-        let Some(session) = resident_session(loops, resident) else { continue };
-        if !session.has_edge_tier() {
-            continue;
+    /// The observation stage (absent without an observer): fires
+    /// [`SimObserver::on_window_barrier`] for the window that just closed,
+    /// then one [`SimObserver::on_window_sample`] per live camera in
+    /// admission-index order, then one
+    /// [`SimObserver::on_accelerator_sample`] per accelerator in index
+    /// order. Single-threaded and fully ordered, like every other stage, so
+    /// sampled timeseries are bit-identical at any worker-thread count. Runs
+    /// after exchange / churn / routing so the samples describe the
+    /// post-barrier fleet.
+    // lint: barrier-only(observer sampling is ordered and single-threaded so timeseries stay bit-identical)
+    fn sample_barrier(&mut self, window_s: f64) {
+        let Some(observer) = self.observer.as_deref_mut() else { return };
+        let (window_index, boundary_s) = (self.window, self.boundary_s);
+        observer.on_window_barrier(window_index, boundary_s);
+        for &resident in self.roster.iter() {
+            let Resident { camera_index, accel, .. } = resident;
+            let Some(session) = resident_session(self.loops, resident) else { continue };
+            let now_s = session.now_s();
+            let (labels_local, labels_cloud) = match session.edge_accum() {
+                Some(accum) => (accum.labels_local, accum.labels_cloud),
+                None => (0, 0),
+            };
+            // "Fresh" relative to the closing window's span at this camera's
+            // own clock (a queued-then-admitted camera may trail the boundary).
+            let cutoff_s = (now_s - window_s).max(0.0);
+            observer.on_window_sample(&WindowSample {
+                window_index,
+                boundary_s,
+                camera: &self.cameras[camera_index].0,
+                camera_index,
+                accelerator: accel,
+                now_s,
+                accuracy: session.accuracy_timeline().last().map(|&(_, accuracy)| accuracy),
+                buffer_len: session.buffer_len(),
+                buffer_fresh_fraction: session.buffer_fresh_fraction(cutoff_s),
+                labels_local,
+                labels_cloud,
+                in_flight_cloud_labels: session.in_flight_cloud_labels(),
+            });
         }
-        let (buffer_len, bytes_shipped, window_bytes) = session.offload_meter();
-        let route = policy.route(&OffloadContext {
-            window_index,
-            boundary_s,
-            camera: &cameras[camera_index].0,
-            camera_index,
-            accelerator: accel,
-            resident_cameras: live_counts[accel],
-            buffer_len,
-            bytes_shipped,
-            window_bytes,
-        });
-        session.set_label_route(route).map_err(|e| prefix_camera(&cameras[camera_index].0, e))?;
-        if let Some(observer) = observer.as_deref_mut() {
-            observer.on_offload_route(&cameras[camera_index].0, route, window_index, boundary_s);
-        }
-    }
-    Ok(())
-}
-
-/// The observation half of a window barrier: fires
-/// [`SimObserver::on_window_barrier`] for the window that just closed, then
-/// one [`SimObserver::on_window_sample`] per live camera in admission-index
-/// order, then one [`SimObserver::on_accelerator_sample`] per accelerator in
-/// index order. Single-threaded and fully ordered, like every other barrier
-/// stage, so sampled timeseries are bit-identical at any worker-thread
-/// count. Runs after exchange / churn / routing so the samples describe the
-/// post-barrier fleet.
-// lint: barrier-only(observer sampling is ordered and single-threaded so timeseries stay bit-identical)
-fn sample_barrier(
-    loops: &mut [AccelLoop<'_>],
-    roster: &[Resident],
-    cameras: &[(String, SimConfig)],
-    window_s: f64,
-    window_index: usize,
-    boundary_s: f64,
-    observer: &mut (dyn SimObserver + '_),
-) {
-    observer.on_window_barrier(window_index, boundary_s);
-    for &resident in roster {
-        let Resident { camera_index, accel, .. } = resident;
-        let Some(session) = resident_session(loops, resident) else { continue };
-        let now_s = session.now_s();
-        let (labels_local, labels_cloud) = match session.edge_accum() {
-            Some(accum) => (accum.labels_local, accum.labels_cloud),
-            None => (0, 0),
-        };
-        // "Fresh" relative to the closing window's span at this camera's
-        // own clock (a queued-then-admitted camera may trail the boundary).
-        let cutoff_s = (now_s - window_s).max(0.0);
-        observer.on_window_sample(&WindowSample {
-            window_index,
-            boundary_s,
-            camera: &cameras[camera_index].0,
-            camera_index,
-            accelerator: accel,
-            now_s,
-            accuracy: session.accuracy_timeline().last().map(|&(_, accuracy)| accuracy),
-            buffer_len: session.buffer_len(),
-            buffer_fresh_fraction: session.buffer_fresh_fraction(cutoff_s),
-            labels_local,
-            labels_cloud,
-            in_flight_cloud_labels: session.in_flight_cloud_labels(),
-        });
-    }
-    for accel_loop in loops.iter() {
-        let busy_s = accel_loop.outcome.busy_s;
-        observer.on_accelerator_sample(&AcceleratorSample {
-            window_index,
-            boundary_s,
-            accelerator: accel_loop.accel,
-            busy_s,
-            utilization: if boundary_s > 0.0 { busy_s / boundary_s } else { 0.0 },
-            live_sessions: accel_loop.live_count(),
-            queued_sessions: accel_loop.pending.len(),
-            event_depth: accel_loop.heap.len(),
-            drained: accel_loop.drained,
-        });
-    }
-}
-
-/// Forwards one step's event burst to an observer, mirroring
-/// [`Session::run_with`]'s dispatch. Every event first goes through the
-/// [`SimObserver::on_event`] catch-all, so an observer (or a future event
-/// kind missing a dedicated hook) can never silently lose events; the match
-/// below is exhaustive on purpose — adding a [`SessionEvent`] variant is a
-/// compile error here until its dispatch is decided.
-fn forward(observer: &mut dyn SimObserver, events: &[SessionEvent]) {
-    for event in events {
-        observer.on_event(event);
-        match event {
-            SessionEvent::Phase(phase) => observer.on_phase(phase),
-            SessionEvent::Drift { at_s, response_index } => {
-                observer.on_drift(*at_s, *response_index);
-            }
-            SessionEvent::Accuracy { at_s, accuracy } => observer.on_accuracy(*at_s, *accuracy),
-            SessionEvent::Finished => observer.on_finished(),
+        for accel_loop in self.loops.iter() {
+            let busy_s = accel_loop.outcome.busy_s;
+            observer.on_accelerator_sample(&AcceleratorSample {
+                window_index,
+                boundary_s,
+                accelerator: accel_loop.accel,
+                busy_s,
+                utilization: if boundary_s > 0.0 { busy_s / boundary_s } else { 0.0 },
+                live_sessions: accel_loop.live_count(),
+                queued_sessions: accel_loop.pending.len(),
+                event_depth: accel_loop.heap.len(),
+                drained: accel_loop.drained,
+            });
         }
     }
 }
@@ -2588,6 +2289,65 @@ mod tests {
         let serial = two_camera_cluster(2).threads(1).run().unwrap();
         let parallel = two_camera_cluster(2).threads(8).run().unwrap();
         assert_eq!(serial, parallel);
+    }
+
+    /// The memory shape the unbounded window buys: sessions are built when
+    /// a worker first advances their accelerator and dropped as they
+    /// finish, so a feature-free single-threaded run holds one
+    /// accelerator's residents at a time. Finite windows (here: an
+    /// observer) advance every accelerator in window 0 and keep all of
+    /// them alive — which is what finite windows cost in memory.
+    #[test]
+    fn an_unbounded_window_holds_one_accelerators_sessions_at_a_time() {
+        use crate::sched::{self, Action, Scheduler, SchedulerContext, SchedulerFactory};
+        use crate::Hyperparams;
+        use std::sync::Arc;
+
+        static LIVE: AtomicUsize = AtomicUsize::new(0);
+        static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+        /// A spatial scheduler that counts itself — and so its session —
+        /// alive from `build` to `Drop`.
+        struct Counted(Box<dyn Scheduler>);
+        impl Scheduler for Counted {
+            fn name(&self) -> String {
+                "live-counted".to_string()
+            }
+            fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
+                self.0.next_action(ctx)
+            }
+        }
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                LIVE.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        struct CountedFactory;
+        impl SchedulerFactory for CountedFactory {
+            fn name(&self) -> &str {
+                "live-counted"
+            }
+            fn build(&self, hyper: &Hyperparams) -> Box<dyn Scheduler> {
+                let live = LIVE.fetch_add(1, Ordering::SeqCst) + 1;
+                PEAK.fetch_max(live, Ordering::SeqCst);
+                Box::new(Counted(SchedulerKind::DaCapoSpatial.create(hyper)))
+            }
+        }
+
+        sched::register(Arc::new(CountedFactory));
+        let build = || {
+            let mut config = short_config(SchedulerKind::DaCapoSpatial);
+            config.scheduler = "live-counted".into();
+            (0..24).fold(Cluster::new(4).threads(1), |cluster, i| {
+                cluster.camera(format!("cam-{i}"), config.clone())
+            })
+        };
+        let plain = build().run().unwrap();
+        assert_eq!(LIVE.load(Ordering::SeqCst), 0);
+        assert_eq!(PEAK.swap(0, Ordering::SeqCst), 6, "one accelerator's six residents");
+        let windowed = build().run_with(&mut ()).unwrap();
+        assert_eq!(PEAK.load(Ordering::SeqCst), 24, "every accelerator's residents at once");
+        assert_eq!(plain, windowed);
     }
 
     #[test]
@@ -2774,28 +2534,35 @@ mod tests {
         use crate::arbiter::{Arbiter, ArbiterFactory, GrantRequest};
         use std::sync::Arc;
 
-        struct NanShare;
-        impl Arbiter for NanShare {
+        /// Grants whatever share its parameter spells.
+        struct BadShare(f64);
+        impl Arbiter for BadShare {
             fn name(&self) -> String {
-                "nan-share".to_string()
+                "bad-share".to_string()
             }
             fn grant(&mut self, _request: &GrantRequest<'_>) -> f64 {
-                f64::NAN
+                self.0
             }
         }
-        struct NanShareFactory;
-        impl ArbiterFactory for NanShareFactory {
+        struct BadShareFactory;
+        impl ArbiterFactory for BadShareFactory {
             fn name(&self) -> &str {
-                "nan-share"
+                "bad-share"
             }
-            fn build(&self, _params: Option<&str>) -> Result<Box<dyn Arbiter>> {
-                Ok(Box::new(NanShare))
+            fn build(&self, params: Option<&str>) -> Result<Box<dyn Arbiter>> {
+                Ok(Box::new(BadShare(params.and_then(|p| p.parse().ok()).unwrap_or(f64::NAN))))
             }
         }
 
-        arbiter::register(Arc::new(NanShareFactory));
-        let err = two_camera_cluster(1).arbiter("nan-share").run().unwrap_err();
-        assert!(err.to_string().contains("invalid capacity share"), "{err}");
+        arbiter::register(Arc::new(BadShareFactory));
+        // NaN, out of range, and a subnormal whose reciprocal overflows: the
+        // last would park the camera at +inf on the cluster clock, where no
+        // window — not even the unbounded one — ever reaches it.
+        for share in ["NaN", "0", "1.5", "5e-324"] {
+            let cluster = two_camera_cluster(1).arbiter(format!("bad-share:{share}"));
+            let err = cluster.run().unwrap_err();
+            assert!(err.to_string().contains("invalid capacity share"), "{share}: {err}");
+        }
     }
 
     #[test]
@@ -3415,6 +3182,8 @@ mod tests {
                     })
                     .collect();
                 for accel_loop in &mut loops {
+                    // Advancing to 0 s admits the residents and steps nothing.
+                    accel_loop.run_until(0.0, None).unwrap();
                     for slot in 0..accel_loop.slots.len() {
                         let camera = accel_loop.slots[slot].camera_index;
                         // Batches scale with the importer-side capacity so
@@ -3458,22 +3227,25 @@ mod tests {
             };
 
             let mut fast = stage();
-            let mut fast_metrics = ShareMetrics::fresh("menu".to_string(), boundary_s);
+            let mut fast_stage = ShareStage {
+                policy: Box::new(MenuPolicy { salt }),
+                correlations: PairCorrelations::new(cameras.len()),
+                metrics: ShareMetrics::fresh("menu".to_string(), boundary_s),
+            };
             let mut fast_log = ShareLog::default();
             let mut roster = Vec::new();
             collect_roster(&fast, &mut roster);
-            exchange_window(
-                &mut fast,
-                &roster,
-                &mut MenuPolicy { salt },
-                &cameras,
-                &mut PairCorrelations::new(cameras.len()),
-                &mut fast_metrics,
-                3,
+            Barrier {
+                loops: &mut fast,
+                roster: &mut roster,
+                cameras: &cameras,
+                window: 3,
                 boundary_s,
-                Some(&mut fast_log),
-            )
+                observer: Some(&mut fast_log),
+            }
+            .exchange_window(&mut fast_stage)
             .unwrap();
+            let fast_metrics = fast_stage.metrics;
 
             let mut slow = stage();
             let mut slow_metrics = ShareMetrics::fresh("menu".to_string(), boundary_s);

@@ -28,8 +28,8 @@
 //!   links through one name.
 //! * **Offload policies** ([`register_offload`] / [`offload_by_name`] /
 //!   [`create_offload`]) choose a [`LabelRoute`] per camera per window.
-//!   Builtins: `"local-only"` (**reserved** — the cluster takes the exact
-//!   pre-cloud fast path for it, mirroring the share registry's `"none"`),
+//!   Builtins: `"local-only"` (**reserved** — the cluster runs without a
+//!   routing stage under it, mirroring the share registry's `"none"`),
 //!   `"cloud-only"`, `"threshold:<queue-depth>"` (offload when more than
 //!   `queue-depth` cameras share the accelerator), and
 //!   `"budget:<bytes-per-window>"` (cloud labeling under a per-window uplink
@@ -455,9 +455,9 @@ fn offload_registry() -> &'static Registry<dyn OffloadPolicyFactory> {
         Registry::new(
             "offload policy",
             ParamNames::Split,
-            // The local-only policy is load-bearing: clusters take the
-            // cloud-free fast path for it, so replacing it could silently
-            // diverge from that guarantee.
+            // The local-only policy is load-bearing: under it the cluster
+            // executor has no routing stage at all, so a replacement would
+            // never be consulted.
             &["local-only"],
             builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
         )
@@ -520,7 +520,7 @@ pub fn registered_offload_policies() -> Vec<String> {
 }
 
 /// Whether `name` selects the reserved cloud-free policy (`"local-only"`,
-/// in any case) — the cluster executor takes its edge-free fast path for it.
+/// in any case) — the cluster executor then runs without a routing stage.
 #[must_use]
 pub fn is_local_only(name: &str) -> bool {
     split_params(name).0.eq_ignore_ascii_case("local-only")

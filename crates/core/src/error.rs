@@ -29,6 +29,13 @@ pub enum CoreError {
         /// Why the snapshot was rejected.
         reason: String,
     },
+    /// A plugin (arbiter, scheduler, platform, …) panicked while a worker
+    /// thread of [`Cluster::run`](crate::Cluster::run) was advancing an
+    /// accelerator; the panic is contained and the run fails with this error.
+    WorkerPanicked {
+        /// Index of the accelerator the worker was advancing.
+        accelerator: usize,
+    },
     /// The student network failed.
     Dnn(dacapo_dnn::DnnError),
     /// The accelerator model failed (for example an infeasible allocation).
@@ -47,6 +54,9 @@ impl fmt::Display for CoreError {
             CoreError::Snapshot { reason } => {
                 write!(f, "cannot restore session snapshot: {reason}")
             }
+            CoreError::WorkerPanicked { accelerator } => {
+                write!(f, "a worker thread panicked while advancing accelerator {accelerator}")
+            }
             CoreError::Dnn(e) => write!(f, "student model error: {e}"),
             CoreError::Accel(e) => write!(f, "accelerator model error: {e}"),
         }
@@ -60,7 +70,8 @@ impl Error for CoreError {
             CoreError::Accel(e) => Some(e),
             CoreError::InvalidConfig { .. }
             | CoreError::AdmissionRejected { .. }
-            | CoreError::Snapshot { .. } => None,
+            | CoreError::Snapshot { .. }
+            | CoreError::WorkerPanicked { .. } => None,
         }
     }
 }

@@ -146,8 +146,9 @@
 //! [`ClusterResult::share`] (labels reused, labeling seconds saved, import
 //! rejects).
 //!
-//! Builtins: `"none"` (reserved; the sharing-free fast path, bit-identical
-//! to pre-sharing clusters), `"broadcast"` (admit everything), and
+//! Builtins: `"none"` (reserved: the exchange stage is absent, and a run
+//! with no stages is one unbounded window), `"broadcast"` (admit
+//! everything), and
 //! `"correlated[:<threshold>]"` (admit only from peers whose scenarios
 //! overlap in attributes at least `threshold`, per
 //! [`Scenario::attribute_overlap`](dacapo_datagen::Scenario::attribute_overlap)).
@@ -195,8 +196,8 @@
 //!
 //! Which tier labels a given window is decided by a pluggable
 //! [`edge::OffloadPolicy`] selected via [`Cluster::offload`] — the sixth
-//! registry family. Builtins: `"local-only"` (reserved; the edge-free fast
-//! path, bit-identical to pre-edge clusters), `"cloud-only"`,
+//! registry family. Builtins: `"local-only"` (reserved: the routing stage
+//! is absent), `"cloud-only"`,
 //! `"threshold:<queue-depth>"` (offload cameras on crowded accelerators),
 //! and `"budget:<bytes-per-window>"`. Decisions happen at the same
 //! deterministic window barriers as label sharing and churn, offloaded
@@ -246,8 +247,9 @@
 //! `on_migration`), and uplink transfers (`on_uplink_transfer`). All hooks
 //! default to no-ops, so existing observers compile unchanged.
 //!
-//! The **window-barrier sampling contract**: observed cluster runs always
-//! execute through the windowed path, and at every boundary the hooks fire
+//! The **window-barrier sampling contract**: an observer is a barrier stage
+//! of the one executor, so observed cluster runs always have finite
+//! windows, and at every boundary the hooks fire
 //! single-threaded in a fixed order — label exchange (`on_share`), churn
 //! events, offload routing (`on_offload_route`), then `on_window_barrier`,
 //! then one `on_window_sample` per live camera in admission-index order,

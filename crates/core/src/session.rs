@@ -68,6 +68,47 @@ pub enum SessionEvent {
     Finished,
 }
 
+impl SessionEvent {
+    /// Delivers the event to `observer`: first through the
+    /// [`SimObserver::on_event`] catch-all — so an observer (or an event
+    /// kind without a dedicated hook) can never silently lose events — then
+    /// through its typed hook. The one dispatch every observed execution
+    /// shares ([`Session::run_with`] and the cluster executor); the match
+    /// is exhaustive on purpose, so adding a variant is a compile error
+    /// here until its dispatch is decided.
+    pub(crate) fn dispatch(&self, observer: &mut dyn SimObserver) {
+        observer.on_event(self);
+        match self {
+            SessionEvent::Phase(phase) => observer.on_phase(phase),
+            SessionEvent::Drift { at_s, response_index } => {
+                observer.on_drift(*at_s, *response_index);
+            }
+            SessionEvent::Accuracy { at_s, accuracy } => observer.on_accuracy(*at_s, *accuracy),
+            SessionEvent::Finished => observer.on_finished(),
+        }
+    }
+}
+
+/// Reports what one step shipped over the uplink — the delta between two
+/// [`Session::uplink_meter`] reads taken around it — through
+/// [`SimObserver::on_uplink_transfer`]. Silent without an edge tier or when
+/// nothing moved.
+pub(crate) fn report_uplink(
+    observer: &mut dyn SimObserver,
+    camera: &str,
+    at_s: f64,
+    before: Option<(u64, u64)>,
+    after: Option<(u64, u64)>,
+) {
+    if let (Some((bytes0, labels0)), Some((bytes1, labels1))) = (before, after) {
+        let bytes = bytes1.saturating_sub(bytes0);
+        let labels = labels1.saturating_sub(labels0);
+        if bytes > 0 || labels > 0 {
+            observer.on_uplink_transfer(camera, at_s, bytes, labels as usize);
+        }
+    }
+}
+
 /// Observer hooks for tapping a session's event stream without owning the
 /// stepping loop. All methods default to no-ops, so implementors override
 /// only what they need — and new hooks can be added without breaking
@@ -866,32 +907,12 @@ impl Session {
         let mut last_uplink = self.uplink_meter();
         loop {
             let event = self.step()?;
-            if let (Some((bytes0, labels0)), Some((bytes1, labels1))) =
-                (last_uplink, self.uplink_meter())
-            {
-                if bytes1 > bytes0 || labels1 > labels0 {
-                    observer.on_uplink_transfer(
-                        "",
-                        self.now_s,
-                        bytes1 - bytes0,
-                        (labels1 - labels0) as usize,
-                    );
-                }
-                last_uplink = Some((bytes1, labels1));
-            }
-            observer.on_event(&event);
-            match event {
-                SessionEvent::Phase(phase) => observer.on_phase(&phase),
-                SessionEvent::Drift { at_s, response_index } => {
-                    observer.on_drift(at_s, response_index);
-                }
-                SessionEvent::Accuracy { at_s, accuracy } => {
-                    observer.on_accuracy(at_s, accuracy);
-                }
-                SessionEvent::Finished => {
-                    observer.on_finished();
-                    return Ok(());
-                }
+            let uplink = self.uplink_meter();
+            report_uplink(observer, "", self.now_s, last_uplink, uplink);
+            last_uplink = uplink;
+            event.dispatch(observer);
+            if event == SessionEvent::Finished {
+                return Ok(());
             }
         }
     }

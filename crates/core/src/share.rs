@@ -295,9 +295,9 @@ fn registry() -> &'static Registry<dyn SharePolicyFactory> {
         Registry::new(
             "share policy",
             ParamNames::Split,
-            // The disabled policy is load-bearing: clusters take a
-            // sharing-free fast path for `"none"`, so replacing it could
-            // silently diverge from that guarantee.
+            // The disabled policy is load-bearing: under `"none"` the
+            // cluster executor has no exchange stage at all, so a
+            // replacement would never be consulted.
             &["none"],
             builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
         )
@@ -331,7 +331,7 @@ pub fn registered_names() -> Vec<String> {
 }
 
 /// Whether `name` selects the reserved disabled policy (`"none"`, in any
-/// case) — the cluster executor takes its sharing-free fast path for it.
+/// case) — the cluster executor then runs without an exchange stage.
 #[must_use]
 pub fn is_disabled(name: &str) -> bool {
     split_params(name).0.eq_ignore_ascii_case("none")

@@ -4,7 +4,7 @@
 //! Every headline determinism result rests on one structural fact about
 //! the cluster executor (`crates/core/src/cluster.rs`): within a window
 //! the per-accelerator loops run in parallel and touch only their own
-//! cameras; *between* windows, `run_windowed` alone — single-threaded —
+//! cameras; *between* windows, `run_windows` alone — single-threaded —
 //! exchanges shared labels, applies churn, rewrites offload routes, and
 //! samples barrier metrics. An innocent-looking call that moves one of
 //! those mutations into the parallel region compiles clean and only shows
@@ -23,6 +23,10 @@
 //!   [`BARRIER_DRIVERS`] or from another barrier-only function.
 //! - A `barrier-only` annotation that no longer precedes a function is a
 //!   stale annotation (with a `--fix` removal diff).
+//! - Anchor drift is a finding too: a `cluster.rs` that defines no
+//!   function named in [`PARALLEL_ROOTS`] or [`BARRIER_DRIVERS`] (the
+//!   executor was renamed) would otherwise pass with the reachability and
+//!   call-edge checks checking nothing.
 //!
 //! The call graph is a conservative name-based approximation (see
 //! [`crate::parse`]): a *possible* edge is already a finding, which is the
@@ -41,7 +45,7 @@ pub const SINKS: &[(&str, &str)] = &[
     ("admit_samples", "imports shared labels into a camera's buffer (share import)"),
     ("set_label_route", "rewrites a camera's offload route (offload routing)"),
     ("leave", "removes a camera from the fleet (churn membership)"),
-    ("place", "re-homes a camera onto a surviving accelerator (churn membership)"),
+    ("place", "places a camera on a surviving accelerator (churn membership)"),
     ("drain_accelerator", "retires an accelerator and lifts out its residents (churn membership)"),
     ("on_window_barrier", "publishes the window barrier to observers (metrics sampling)"),
     ("on_window_sample", "publishes per-camera window metrics (metrics sampling)"),
@@ -60,7 +64,7 @@ pub const PARALLEL_ROOTS: &[&str] = &["run_until"];
 
 /// The single-threaded barrier drivers: the only non-annotated functions
 /// allowed to call into barrier-only functions.
-pub const BARRIER_DRIVERS: &[&str] = &["run_windowed"];
+pub const BARRIER_DRIVERS: &[&str] = &["run_windows"];
 
 /// Whether the barrier rule applies to `path` (the cluster executor and
 /// its fixtures).
@@ -99,6 +103,24 @@ pub fn check(parsed: &ParsedFile, annotations: &FileAnnotations) -> Vec<Diagnost
     }
     let is_barrier = |f: &FnItem| barrier_lines.contains(&f.line);
     let is_driver = |f: &FnItem| BARRIER_DRIVERS.contains(&f.name.as_str());
+
+    // Anchor drift: the reachability and call-edge checks hang off these
+    // names, so a renamed executor must not leave them checking nothing.
+    for (anchors, role) in [(PARALLEL_ROOTS, "parallel root"), (BARRIER_DRIVERS, "barrier driver")]
+    {
+        if !fns.iter().any(|f| anchors.contains(&f.name.as_str())) {
+            out.push(Diagnostic::new(
+                &parsed.path,
+                1,
+                Rule::Barrier,
+                format!(
+                    "no {role} (`{}`) is defined here — the barrier anchor drifted \
+                     (update PARALLEL_ROOTS / BARRIER_DRIVERS in the linter)",
+                    anchors.join("`, `")
+                ),
+            ));
+        }
+    }
 
     // Check 1: sink calls require a barrier-only caller.
     for f in &fns {
@@ -164,9 +186,10 @@ pub fn check(parsed: &ParsedFile, annotations: &FileAnnotations) -> Vec<Diagnost
                 format!(
                     "barrier-only fn `{}` is reachable from the parallel accelerator loop \
                      (call graph rooted at {}) — its cross-camera mutations would race; \
-                     only the window-barrier path in `run_windowed` may reach it",
+                     only the window-barrier path in `{}` may reach it",
                     f.name,
-                    PARALLEL_ROOTS.join(", ")
+                    PARALLEL_ROOTS.join(", "),
+                    BARRIER_DRIVERS.join(", ")
                 ),
             ));
         }

@@ -17,7 +17,7 @@ pub enum Rule {
     /// reserved-name list that drifted from the code.
     Registry,
     /// A `SessionEvent` variant or `SimObserver` hook that a designated
-    /// handler (`forward`, `TelemetryRecorder`, `TeeObserver`) does not
+    /// handler (`dispatch`, `TelemetryRecorder`, `TeeObserver`) does not
     /// handle or forward.
     Exhaustiveness,
     /// A cross-camera mutation (share import, churn membership, offload

@@ -4,11 +4,12 @@
 //! PR 8 established two dispatch invariants that previously only tests
 //! enforced:
 //!
-//! - `Cluster::forward` dispatches every `SessionEvent` variant to its
-//!   typed observer hook (the catch-all `on_event` fires first, then the
-//!   typed hook). A new variant that `forward` does not mention compiles
-//!   fine — `match` arms with a `_` default swallow it — and silently
-//!   never reaches `on_phase`-style hooks.
+//! - `SessionEvent::dispatch` (`session.rs`, the one dispatch shared by
+//!   `Session::run_with` and the cluster executor) sends every
+//!   `SessionEvent` variant to its typed observer hook (the catch-all
+//!   `on_event` fires first, then the typed hook). A new variant that
+//!   `dispatch` does not mention compiles fine once someone adds a `_`
+//!   arm — and then silently never reaches `on_phase`-style hooks.
 //! - `TelemetryRecorder` and `TeeObserver` implement *every* `SimObserver`
 //!   hook: the recorder counts them, the tee fans them out. A hook added
 //!   to the trait with a default body vanishes from both unless someone
@@ -30,9 +31,9 @@ use crate::parse::{FnItem, ParsedFile};
 
 /// Enum → handler-function anchors: every variant of the enum must appear
 /// as `Enum::Variant` inside every function with the handler name in files
-/// with the given name (the scope keeps unrelated same-named fns — e.g.
-/// DNN `forward` passes — out of the net).
-pub const HANDLER_FNS: &[(&str, &str, &str)] = &[("SessionEvent", "forward", "cluster.rs")];
+/// with the given name (the scope keeps unrelated same-named fns out of
+/// the net).
+pub const HANDLER_FNS: &[(&str, &str, &str)] = &[("SessionEvent", "dispatch", "session.rs")];
 
 /// Whether `path` is (or ends with) the scoping file name.
 fn in_scope(path: &str, file_name: &str) -> bool {

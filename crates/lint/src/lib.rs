@@ -33,7 +33,7 @@
 //!   factory registry must be documented in the module's doc comments and
 //!   in `README.md`, and reserved-name lists must match the code.
 //! - **exhaustiveness** ([`exhaustive`]) — every `SessionEvent` variant is
-//!   dispatched by `Cluster::forward`, and `TelemetryRecorder`/
+//!   dispatched by `SessionEvent::dispatch`, and `TelemetryRecorder`/
 //!   `TeeObserver` implement every `SimObserver` hook: a variant or hook
 //!   added without its handler is a finding at the handler, not a silently
 //!   dropped callback.

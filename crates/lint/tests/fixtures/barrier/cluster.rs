@@ -15,7 +15,7 @@ fn exchange_window(camera: &mut Camera) {
     camera.admit_samples();
 }
 
-fn run_windowed(camera: &mut Camera) {
+fn run_windows(camera: &mut Camera) {
     run_until(camera);
     exchange_window(camera);
 }

@@ -17,7 +17,7 @@ pub trait SimObserver {
     fn on_drift(&mut self) {}
 }
 
-fn forward(observer: &mut dyn SimObserver, event: &SessionEvent) {
+fn dispatch(observer: &mut dyn SimObserver, event: &SessionEvent) {
     observer.on_event(event);
     match event {
         SessionEvent::Phase => observer.on_phase(),

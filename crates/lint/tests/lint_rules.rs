@@ -135,9 +135,9 @@ fn malformed_annotations_are_findings_under_the_meta_rule() {
 
 #[test]
 fn exhaustiveness_rule_flags_missing_variants_and_hooks() {
-    let file = fixture("exhaustive/cluster.rs", include_str!("fixtures/exhaustive/cluster.rs"));
+    let file = fixture("exhaustive/session.rs", include_str!("fixtures/exhaustive/session.rs"));
     let findings = lint_files(&[file], None);
-    // `forward` (line 20) never matches `Finished`; the recorder impl
+    // `dispatch` (line 20) never matches `Finished`; the recorder impl
     // (line 31) never defines `on_drift`; the tee impl's trailing
     // allow(exhaustiveness) absorbs its two missing hooks.
     assert_findings(&findings, &[(20, Rule::Exhaustiveness), (31, Rule::Exhaustiveness)]);
@@ -156,17 +156,24 @@ fn exhaustiveness_rule_flags_missing_variants_and_hooks() {
 #[test]
 fn exhaustiveness_rule_reports_anchor_drift_instead_of_passing_silently() {
     // A handler with no enum in sight: the anchor drifted, say so.
-    let orphan = SourceFile::lex("crates/core/src/cluster.rs", "fn forward() {}\n");
+    let orphan = SourceFile::lex("crates/core/src/session.rs", "fn dispatch() {}\n");
     let findings = lint_files(&[orphan], None);
     assert_findings(&findings, &[(1, Rule::Exhaustiveness)]);
     assert!(findings[0].message.contains("anchor drifted"), "{}", findings[0].message);
 
     // The enum with no handler anywhere: same, anchored at the enum.
     let src = "pub enum SessionEvent {\n    Finished,\n}\n";
-    let unhandled = SourceFile::lex("crates/core/src/cluster.rs", src);
+    let unhandled = SourceFile::lex("crates/core/src/session.rs", src);
     let findings = lint_files(&[unhandled], None);
     assert_findings(&findings, &[(1, Rule::Exhaustiveness)]);
-    assert!(findings[0].message.contains("no `forward` handler"), "{}", findings[0].message);
+    assert!(findings[0].message.contains("no `dispatch` handler"), "{}", findings[0].message);
+
+    // A same-named fn outside the scoping file is not the handler.
+    let elsewhere = SourceFile::lex(
+        "crates/core/src/cluster.rs",
+        "fn dispatch() {}\nfn run_until() {}\nfn run_windows() {}\n",
+    );
+    assert_findings(&lint_files(&[elsewhere], None), &[]);
 }
 
 #[test]
@@ -183,13 +190,28 @@ fn barrier_rule_flags_parallel_sink_calls_and_off_barrier_edges() {
             (45, Rule::Annotation), // stale barrier-only before a struct
         ],
     );
-    // The clean path — run_windowed -> exchange_window with its sink
+    // The clean path — run_windows -> exchange_window with its sink
     // calls — produced no findings, and each message names the actors.
     assert!(findings[0].message.contains("take_exports"), "{}", findings[0].message);
     assert!(findings[1].message.contains("exchange_window"), "{}", findings[1].message);
     assert!(findings[2].message.contains("racy_share"), "{}", findings[2].message);
     assert!(findings[0].fix.is_some(), "sink-call findings carry an annotation template fix");
     assert!(findings[4].fix.is_some(), "stale annotations carry a removal fix");
+}
+
+#[test]
+fn barrier_rule_reports_anchor_drift_instead_of_checking_nothing() {
+    // An executor whose driver was renamed: the barrier fn is annotated and
+    // only called from `run_everything`, which the rule does not know — so
+    // besides the off-barrier edge it must say the driver anchor is gone.
+    let src = "// lint: barrier-only(between windows)\nfn exchange_window() {}\n\
+               fn run_everything() {\n    run_until();\n    exchange_window();\n}\n\
+               fn run_until() {}\n";
+    let renamed = SourceFile::lex("crates/core/src/cluster.rs", src);
+    let findings = lint_files(&[renamed], None);
+    assert_findings(&findings, &[(1, Rule::Barrier), (5, Rule::Barrier)]);
+    assert!(findings[0].message.contains("barrier driver"), "{}", findings[0].message);
+    assert!(findings[0].message.contains("run_windows"), "{}", findings[0].message);
 }
 
 #[test]

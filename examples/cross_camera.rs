@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The baseline exchanges nothing; the sharing policies reuse labels the
     // teacher would otherwise have to produce once per camera.
     assert_eq!(none.share.labels_reused, 0);
-    assert_eq!(none.share.windows, 0, "the reserved 'none' policy takes the windowless fast path");
+    assert_eq!(none.share.windows, 0, "under the reserved 'none' policy no exchange stage runs");
     for shared in [&broadcast, &correlated, &proportional] {
         assert!(shared.share.labels_reused > 0, "{:?}", shared.share);
         assert!(shared.share.labeling_seconds_saved > none.share.labeling_seconds_saved);

@@ -56,6 +56,15 @@ bench-barrier *ARGS='--quick':
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload fleet-barrier {{ARGS}}
 
+# The frozen benchmark's feature-free workload against this tree: 96
+# cameras on 4 accelerators with no share / churn / offload policy and no
+# observer, i.e. the cluster executor with no barrier stages — one
+# unbounded window, sessions built per accelerator as it is first advanced
+# (`peak_rss_mb` is the number that notices eager admission). Extra flags
+# pass through, e.g. `just bench-steady --seed 3 --seconds 15 --trace 0`.
+bench-steady *ARGS='--quick':
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload fleet-steady {{ARGS}}
+
 # The frozen benchmark's paper-default workload against this tree: four
 # full-length `platform("dacapo")` sessions whose arithmetic is all MX (MX9
 # retraining, MX6 measurement), i.e. `dacapo_mx`'s conversion kernel and

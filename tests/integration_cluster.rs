@@ -1,8 +1,11 @@
 //! Cluster executor integration: the dedicated-accelerator cluster is
 //! bit-identical to `Fleet` (and to solo `Session` runs), contention never
-//! changes per-camera numbers, and a 100-camera contended cluster is fully
-//! deterministic across runs.
+//! changes per-camera numbers, a 100-camera contended cluster is fully
+//! deterministic across runs, finite windows reproduce the one unbounded
+//! window exactly, and a failing accelerator surfaces the same typed error
+//! at any thread count.
 
+use dacapo_core::arbiter::{self, Arbiter, ArbiterFactory, GrantRequest};
 use dacapo_core::platform::{KernelRate, PlatformRates, Sharing};
 use dacapo_core::{
     AdmissionPolicy, ClSimulator, Cluster, CoreError, Fleet, SchedulerKind, SimConfig, SimObserver,
@@ -116,6 +119,47 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Observed ≡ unobserved, which is finite ≡ unbounded windows: an
+    /// observer is a barrier stage, so `run_with` cuts the run into
+    /// `share_window_s` windows (sessions admitted in window 0, batched
+    /// retraining staged per window, a barrier at every boundary) where
+    /// `run` executes one unbounded window. The whole `ClusterResult` —
+    /// camera results, contention, churn peak residency, share, edge — must
+    /// not notice, at any window length, capacity bound or thread count.
+    #[test]
+    fn finite_windows_reproduce_the_unbounded_window_exactly(
+        cameras in 3usize..7,
+        seed in 0u64..1_000_000,
+        window_index in 0usize..4,
+        capacity in 1usize..4,
+    ) {
+        let window_s = [0.5, 5.0, 60.0, 1e6][window_index];
+        let build = |threads: usize| {
+            let mut cluster = Cluster::new(2)
+                .threads(threads)
+                .share_window_s(window_s)
+                .capacity_per_accelerator(capacity)
+                .admission(AdmissionPolicy::Queue);
+            for i in 0..cameras {
+                cluster = cluster
+                    .camera(format!("cam-{i}"), camera_config(seed.wrapping_add(i as u64), 40.0));
+            }
+            cluster
+        };
+        let unbounded = build(1).run().expect("unobserved run");
+        prop_assert_eq!(unbounded.churn.peak_residency, cameras.min(2 * capacity));
+        for threads in [1, 2, 8] {
+            let plain = build(threads).run().expect("unobserved run");
+            prop_assert_eq!(&plain, &unbounded, "{} threads, unobserved", threads);
+            let windowed = build(threads).run_with(&mut ()).expect("observed run");
+            prop_assert_eq!(&windowed, &unbounded, "{} threads, {} s windows", threads, window_s);
+        }
+    }
+}
+
 /// The ISSUE's determinism criterion: two runs of a 100-camera contended
 /// cluster produce identical `ClusterResult`s — metrics, contention
 /// telemetry, everything.
@@ -210,4 +254,69 @@ fn cluster_observer_sees_every_event_of_every_camera() {
     assert_eq!(counter.accuracy, accuracy);
     assert_eq!(counter.drifts, result.fleet.total_drift_responses);
     assert_eq!(counter.finished, 4);
+}
+
+/// An arbiter that misbehaves on its first grant: NaN for `"hostile:nan"`,
+/// a panic for `"hostile:panic"`.
+struct Hostile {
+    panics: bool,
+}
+
+impl Arbiter for Hostile {
+    fn name(&self) -> String {
+        "hostile".to_string()
+    }
+    fn grant(&mut self, request: &GrantRequest<'_>) -> f64 {
+        assert!(!self.panics, "hostile arbiter panics for camera '{}'", request.camera);
+        f64::NAN
+    }
+}
+
+struct HostileFactory;
+
+impl ArbiterFactory for HostileFactory {
+    fn name(&self) -> &str {
+        "hostile"
+    }
+    fn build(&self, params: Option<&str>) -> Result<Box<dyn Arbiter>, CoreError> {
+        Ok(Box::new(Hostile { panics: params == Some("panic") }))
+    }
+}
+
+/// Nine cameras round-robin over three accelerators, every one of which
+/// fails on its first arbitrated step.
+fn hostile_cluster(mode: &str, threads: usize) -> Cluster {
+    arbiter::register(std::sync::Arc::new(HostileFactory));
+    let mut cluster = Cluster::new(3).arbiter(format!("hostile:{mode}")).threads(threads);
+    for i in 0..9 {
+        cluster = cluster.camera(format!("cam-{i}"), camera_config(0xBAD + i as u64, 40.0));
+    }
+    cluster
+}
+
+/// All three accelerators fail, concurrently when threaded — and the error
+/// that surfaces is always accelerator 0's (its first arbitrated camera is
+/// `cam-0`), never whichever worker lost the race.
+#[test]
+fn the_lowest_failing_accelerator_reports_at_any_thread_count() {
+    let serial = hostile_cluster("nan", 1).run().unwrap_err().to_string();
+    assert!(serial.contains("invalid capacity share") && serial.contains("'cam-0'"), "{serial}");
+    for threads in [2, 8] {
+        for _ in 0..8 {
+            assert_eq!(hostile_cluster("nan", threads).run().unwrap_err().to_string(), serial);
+        }
+    }
+}
+
+/// A plugin panicking on a worker thread is contained: the run ends in a
+/// typed error naming the lowest-indexed accelerator whose worker died,
+/// instead of re-panicking out of the thread scope.
+#[test]
+fn a_panicking_plugin_on_a_worker_becomes_a_typed_error() {
+    for threads in [2, 8] {
+        match hostile_cluster("panic", threads).run() {
+            Err(CoreError::WorkerPanicked { accelerator: 0 }) => {}
+            other => panic!("expected WorkerPanicked for accelerator 0, got {other:?}"),
+        }
+    }
 }

@@ -98,8 +98,8 @@ proptest! {
 
     /// The ISSUE's bit-identity property: any registered share policy that
     /// admits zero imports produces per-camera results *and* contention
-    /// telemetry bit-identical to a `none` fleet — the windowed executor
-    /// itself perturbs nothing.
+    /// telemetry bit-identical to a `none` fleet — finite windows and an
+    /// exchange stage that admits nothing perturb nothing.
     #[test]
     fn zero_admitted_imports_are_bit_identical_to_a_none_fleet(
         cameras in 2usize..4,
@@ -114,7 +114,7 @@ proptest! {
         prop_assert_eq!(&none.contention, &zero.contention);
         prop_assert_eq!(zero.share.labels_reused, 0);
         prop_assert_eq!(zero.share.labeling_seconds_saved, 0.0);
-        // The windowed path really ran: exports were offered and declined.
+        // The exchange stage really ran: exports were offered and declined.
         prop_assert!(zero.share.windows >= 1);
         prop_assert!(zero.share.labels_exported > 0);
         prop_assert!(zero.share.import_rejects > 0);

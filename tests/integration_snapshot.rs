@@ -177,8 +177,9 @@ proptest! {
     }
 }
 
-/// A cluster with an empty churn plan takes the pre-elasticity code path and
-/// reproduces it exactly, with or without contention and sharing.
+/// A cluster with an empty churn plan runs without a churn stage and
+/// reproduces a plan-free cluster exactly, with or without contention and
+/// sharing.
 #[test]
 fn empty_churn_plans_reproduce_the_churn_free_executor() {
     let build = || {

@@ -339,7 +339,7 @@ fn catch_all_hook_matches_typed_hooks_and_every_family_fires() {
     assert!(counting.phases > 0);
     assert!(counting.accuracies > 0);
     assert!(counting.finishes > 0, "every camera run emits a Finished event");
-    assert!(counting.barriers > 0, "observed cluster runs take the windowed path");
+    assert!(counting.barriers > 0, "an observer gives the run finite windows");
     assert!(counting.window_samples > 0);
     assert!(counting.accelerator_samples > 0);
     assert!(counting.shares > 0, "broadcast sharing admits labels");
