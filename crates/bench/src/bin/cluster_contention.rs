@@ -24,7 +24,7 @@ use dacapo_core::{Cluster, SchedulerKind, SimConfig};
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
 use serde::Serialize;
-use std::time::Instant; // lint: allow(determinism) — host-side sweep timing for the progress report; never feeds a run
+use std::time::Instant;
 
 /// One sweep point's record in `BENCH_cluster.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -118,7 +118,11 @@ fn main() {
     for &cameras in camera_counts {
         for &accelerators in accel_counts {
             let cluster = build_cluster(cameras, accelerators);
-            let started = Instant::now(); // lint: allow(determinism) — host-side sweep timing for the progress report; never feeds a run
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "host-side sweep timing for the progress report; never feeds a run"
+            )]
+            let started = Instant::now();
             let result = match recorder.as_mut().filter(|_| rows.is_empty()) {
                 Some(recorder) => cluster.run_with(recorder).expect("observed sweep cluster runs"),
                 None => cluster.run().expect("sweep cluster runs"),

@@ -22,7 +22,7 @@ use dacapo_core::{Cluster, SchedulerKind, SimConfig};
 use dacapo_datagen::{FleetScenario, Scenario};
 use dacapo_dnn::zoo::ModelPair;
 use serde::Serialize;
-use std::time::Instant; // lint: allow(determinism) — host-side sweep timing for the progress report; never feeds a run
+use std::time::Instant;
 
 /// One sweep point's record in `BENCH_cross_camera.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -112,7 +112,11 @@ fn main() {
     for &overlap in overlaps {
         for &policy in policies {
             let cluster = build_cluster(cameras, accelerators, overlap, policy, options.quick);
-            let started = Instant::now(); // lint: allow(determinism) — host-side sweep timing for the progress report; never feeds a run
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "host-side sweep timing for the progress report; never feeds a run"
+            )]
+            let started = Instant::now();
             let result = cluster.run().expect("sweep cluster runs");
             let wall_s = started.elapsed().as_secs_f64();
             rows.push(SweepRow {

@@ -23,7 +23,7 @@ use dacapo_core::{Cluster, EdgeConfig, SchedulerKind, SimConfig};
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
 use serde::Serialize;
-use std::time::Instant; // lint: allow(determinism) — host-side sweep timing for the progress report; never feeds a run
+use std::time::Instant;
 
 /// One sweep point's record in `BENCH_edge_cloud.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -116,7 +116,11 @@ fn main() {
     for &uplink in uplinks {
         for &policy in policies {
             let cluster = build_cluster(cameras, accelerators, segments, uplink, policy);
-            let started = Instant::now(); // lint: allow(determinism) — host-side sweep timing for the progress report; never feeds a run
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "host-side sweep timing for the progress report; never feeds a run"
+            )]
+            let started = Instant::now();
             let result = cluster.run().expect("sweep cluster runs");
             let wall_s = started.elapsed().as_secs_f64();
             let edge = &result.edge;

@@ -24,7 +24,7 @@ use dacapo_core::{ChurnPlan, Cluster, SchedulerKind, SimConfig};
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
 use serde::Serialize;
-use std::time::Instant; // lint: allow(determinism) — host-side sweep timing for the progress report; never feeds a run
+use std::time::Instant;
 
 /// One churn profile's record in `BENCH_churn.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -130,7 +130,11 @@ fn main() {
         for i in 0..cameras {
             cluster = cluster.camera(format!("cam-{i:03}"), camera_config(i as u64, segments));
         }
-        let started = Instant::now(); // lint: allow(determinism) — host-side sweep timing for the progress report; never feeds a run
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "host-side sweep timing for the progress report; never feeds a run"
+        )]
+        let started = Instant::now();
         let result = cluster.run().expect("churn sweep cluster runs");
         let wall_s = started.elapsed().as_secs_f64();
         rows.push(SweepRow {

@@ -33,7 +33,11 @@ fn teacher_on_every_frame(pair: ModelPair, platform: PlatformKind, scenario: &Sc
         PlatformKind::Rtx3090 => dacapo_accel::gpu::GpuDevice::rtx_3090(),
         PlatformKind::OrinHigh => dacapo_accel::gpu::GpuDevice::jetson_orin_high(),
         PlatformKind::OrinLow => dacapo_accel::gpu::GpuDevice::jetson_orin_low(),
-        PlatformKind::DaCapo => unreachable!("figure 2 only compares GPUs"), // lint: allow(panic) — figure 2 compares GPU baselines only; DaCapo is filtered out above
+        #[expect(
+            clippy::unreachable,
+            reason = "figure 2 compares GPU baselines only; DaCapo is filtered out above"
+        )]
+        PlatformKind::DaCapo => unreachable!("figure 2 only compares GPUs"),
     };
     let stream_config = StreamConfig::default();
     let per_frame = unit_costs(pair).labeling_per_sample;

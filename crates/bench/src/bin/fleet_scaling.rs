@@ -18,7 +18,7 @@ use dacapo_bench::{pct, render_table, write_json, ExperimentOptions};
 use dacapo_core::{Fleet, SchedulerKind, SimConfig};
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
-use std::time::Instant; // lint: allow(determinism) — host-side sweep timing for the progress report; never feeds a run
+use std::time::Instant;
 
 /// Registry names the cameras cycle through: a heterogeneous DaCapo-family
 /// deployment (same ISA, three chip sizes).
@@ -47,7 +47,11 @@ fn main() {
     }
 
     let cameras = fleet.len();
-    let started = Instant::now(); // lint: allow(determinism) — host-side sweep timing for the progress report; never feeds a run
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side sweep timing for the progress report; never feeds a run"
+    )]
+    let started = Instant::now();
     let result = fleet.run().expect("fleet runs");
     let elapsed = started.elapsed();
 

@@ -5,7 +5,7 @@
 
 use std::process::Command;
 
-const EXPERIMENTS: [&str; 16] = [
+const EXPERIMENTS: [&str; 15] = [
     "table03_models",
     "table04_platforms",
     "fig08_label_distribution",
@@ -29,11 +29,6 @@ const EXPERIMENTS: [&str; 16] = [
     // Also leaves the stable edge-cloud trajectory record
     // (results/BENCH_edge_cloud.json) behind.
     "edge_cloud",
-    // Also leaves the host-time profile and telemetry-overhead record
-    // (results/BENCH_profile.json) plus a virtual-time Chrome trace
-    // (results/BENCH_trace.json) and metrics timeseries
-    // (results/BENCH_metrics.jsonl) behind.
-    "executor_profile",
 ];
 
 fn main() {

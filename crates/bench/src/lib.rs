@@ -7,7 +7,6 @@
 //! under `results/`.
 
 pub mod cli;
-pub mod profile;
 pub mod runner;
 
 use dacapo_telemetry::TelemetryRecorder;

@@ -27,7 +27,7 @@ use crate::{CoreError, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize, Value};
+use serde::{de, DeError, Deserialize, Serialize, Value};
 use std::ops::Range;
 
 /// One sample that has been labeled by the teacher, as an owned record.
@@ -215,29 +215,33 @@ impl SampleBlock {
         self.true_classes.clear();
         self.timestamps_s.clear();
     }
+}
 
-    /// Copies the rows out as owned records (the snapshot edge).
-    pub(crate) fn to_samples(&self) -> Vec<LabeledSample> {
-        (0..self.len()).map(|i| self.get(i).to_sample()).collect()
+/// Serialises as a FIFO-ordered array of [`LabeledSample`]-shaped objects —
+/// the one row format every sample store shares (see [`SampleBuffer`]'s
+/// impl), written by [`SampleRef::to_value`] and read by
+/// [`LabeledSample::from_value`].
+impl Serialize for SampleBlock {
+    fn to_value(&self) -> Value {
+        Value::Array((0..self.len()).map(|i| self.get(i).to_value()).collect())
     }
+}
 
-    /// Builds a block from owned records (the restore edge).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Snapshot`] if the records disagree on their
-    /// feature length.
-    pub(crate) fn from_samples(samples: &[LabeledSample]) -> Result<Self> {
+impl Deserialize for SampleBlock {
+    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
+        let rows =
+            value.as_array().ok_or_else(|| DeError::expected("an array of samples", value))?;
         let mut block = Self::default();
-        for sample in samples {
+        for (i, row) in rows.iter().enumerate() {
+            let sample = LabeledSample::from_value(row)
+                .map_err(|e| DeError::new(format!("samples[{i}]: {e}")))?;
             if !block.accepts(sample.features.len()) {
-                return Err(CoreError::Snapshot {
-                    reason: format!(
-                        "recorded labels disagree on their feature length ({} vs {})",
-                        block.dim,
-                        sample.features.len()
-                    ),
-                });
+                return Err(DeError::new(format!(
+                    "samples[{i}]: feature length differs from the samples before it"
+                )));
+            }
+            if block.is_empty() {
+                block.reserve_rows_exact(rows.len(), sample.features.len());
             }
             block.push(sample.view());
         }
@@ -572,38 +576,25 @@ impl Serialize for SampleBuffer {
 }
 
 impl Deserialize for SampleBuffer {
-    fn from_value(value: &Value) -> std::result::Result<Self, serde::DeError> {
-        use serde::{de, DeError};
+    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
         let capacity: usize = de::field(value, "SampleBuffer", "capacity")?;
         if capacity == 0 {
             return Err(DeError::new("SampleBuffer.capacity: must be positive"));
         }
-        let samples = value
-            .get("samples")
-            .ok_or_else(|| DeError::new("SampleBuffer: missing field 'samples'"))?;
-        let samples =
-            samples.as_array().ok_or_else(|| DeError::expected("an array of samples", samples))?;
-        if samples.len() > capacity {
+        // The rows arrive oldest first, so they are the ring unwrapped.
+        let slots: SampleBlock = de::field(value, "SampleBuffer", "samples")?;
+        if slots.len() > capacity {
             return Err(DeError::new(format!(
                 "SampleBuffer.samples: {} samples exceed the capacity of {capacity}",
-                samples.len()
+                slots.len()
             )));
         }
-        let mut buffer = Self::new(capacity);
-        for (i, sample) in samples.iter().enumerate() {
-            let sample = LabeledSample::from_value(sample)
-                .map_err(|e| DeError::new(format!("SampleBuffer.samples[{i}]: {e}")))?;
-            buffer.admit_row(sample.view()).map_err(|_| {
-                DeError::new(format!(
-                    "SampleBuffer.samples[{i}]: feature length differs from the samples before it"
-                ))
-            })?;
-        }
-        Ok(buffer)
+        Ok(Self { capacity, head: 0, slots })
     }
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the O(1)-eviction regression guard times the host")]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -616,6 +607,13 @@ mod tests {
             true_class: label,
             timestamp_s: t,
         }
+    }
+
+    /// The columnar block holding `samples`, in order.
+    fn block_of(samples: &[LabeledSample]) -> SampleBlock {
+        let mut block = SampleBlock::default();
+        samples.iter().for_each(|s| block.push(s.view()));
+        block
     }
 
     #[test]
@@ -666,7 +664,7 @@ mod tests {
         let wide = LabeledSample { features: vec![0.0; 5], ..sample(1.0, 0) };
         let err = buffer.admit_row(wide.view()).unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err}");
-        let block = SampleBlock::from_samples(&[wide]).unwrap();
+        let block = block_of(&[wide]);
         assert!(buffer.admit_prefixes(&[(&block, 1)]).is_err());
         assert_eq!(buffer.len(), 1, "a refused admit leaves the buffer untouched");
         // An emptied buffer takes whatever length comes first.
@@ -847,6 +845,24 @@ mod tests {
         assert!(SampleBuffer::from_value(&value).is_err(), "ragged feature lengths");
     }
 
+    #[test]
+    fn a_block_serialises_exactly_like_the_records_it_was_built_from() {
+        for n in [0usize, 1, 5] {
+            let records: Vec<LabeledSample> = (0..n).map(|t| sample(t as f64, t)).collect();
+            let block = block_of(&records);
+            assert_eq!(block.to_value(), records.to_value(), "{n} rows");
+            assert_eq!(SampleBlock::from_value(&records.to_value()).unwrap(), block);
+            let parsed = Vec::<LabeledSample>::from_value(&block.to_value()).unwrap();
+            assert_eq!(parsed, records);
+        }
+        // Rows of differing width are a parse error, never a panic.
+        let ragged =
+            vec![sample(0.0, 0), LabeledSample { features: vec![0.0; 7], ..sample(1.0, 1) }];
+        let err = SampleBlock::from_value(&ragged.to_value()).unwrap_err();
+        assert!(err.to_string().contains("samples[1]"), "{err}");
+        assert!(SampleBlock::from_value(&serde::Value::UInt(3)).is_err(), "not an array");
+    }
+
     /// The `VecDeque`-of-records buffer the ring replaced, kept as the
     /// reference the ring is tested against.
     struct Reference {
@@ -961,8 +977,8 @@ mod tests {
                         let second = fresh(&mut clock, n / 2 + 1);
                         let keep = second.len() / 2;
                         let blocks = [
-                            SampleBlock::from_samples(&first).unwrap(),
-                            SampleBlock::from_samples(&second).unwrap(),
+                            block_of(&first),
+                            block_of(&second),
                         ];
                         ring.admit_prefixes(&[(&blocks[0], first.len()), (&blocks[1], keep)])
                             .unwrap();

@@ -947,12 +947,15 @@ fn prepare_churn(plan: &ChurnPlan, cameras: &mut Vec<(String, SimConfig)>) -> Ve
     }
     let mut prepared: Vec<(f64, usize, ChurnAction)> = Vec::with_capacity(plan.len());
     for (seq, event) in plan.events().iter().enumerate() {
+        #[expect(
+            clippy::expect_used,
+            reason = "ChurnPlan::validate rejected unknown camera names before this resolver \
+                      can run"
+        )]
         let resolve = |camera: &String| {
             cameras
                 .iter()
                 .position(|(name, _)| name == camera)
-                // lint: allow(panic) — ChurnPlan::validate rejected unknown
-                // camera names before this resolver can run
                 .expect("validated churn plans only name known cameras")
         };
         let action = match event {
@@ -1213,13 +1216,12 @@ impl<'a> AccelLoop<'a> {
                 if slot_index != index {
                     continue;
                 }
-                let session = slot
-                    .session
-                    .as_mut()
-                    // lint: allow(panic) — only slots with a live session
-                    // were staged a few lines up, and nothing drops sessions
-                    // in between
-                    .expect("staged slots hold live sessions");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "only slots with a live session were staged a few lines up, and \
+                              nothing drops sessions in between"
+                )]
+                let session = slot.session.as_mut().expect("staged slots hold live sessions");
                 let (net, learning_rate, batch_size, buffer) = session.stacked_parts();
                 let (rows, labels) = buffer.gather(&retrain.train);
                 jobs.push(StackedJob {
@@ -1238,10 +1240,12 @@ impl<'a> AccelLoop<'a> {
         for (slot_index, retrain) in staged {
             let slot = &mut self.slots[slot_index];
             let camera_name = &self.cameras[slot.camera_index].0;
+            #[expect(
+                clippy::expect_used,
+                reason = "same invariant as the job-building walk above"
+            )]
             slot.session
                 .as_mut()
-                // lint: allow(panic) — same invariant as the job-building
-                // walk above
                 .expect("staged slots hold live sessions")
                 .finish_staged_retrain(retrain)
                 .map_err(|e| prefix_camera(camera_name, e))?;
@@ -1370,8 +1374,11 @@ impl<'a> AccelLoop<'a> {
                     // possibly after trailing accuracy flushes): collect its
                     // result now and drop the session so finished cameras
                     // never accumulate live model state.
-                    // lint: allow(panic) — the stale-entry check above saw
-                    // this slot's session, and only this branch removes it
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the stale-entry check above saw this slot's session, and \
+                                  only this branch removes it"
+                    )]
                     let session = slot.session.take().expect("presence checked on pop");
                     let at = slot.now_s;
                     if let Some(accum) = session.edge_accum() {
@@ -1465,8 +1472,10 @@ impl<'a> AccelLoop<'a> {
         });
         if let Some(position) = live {
             let slot_index = self.active.remove(position);
-            // lint: allow(panic) — the position search above only matched
-            // slots whose session.is_some()
+            #[expect(
+                clippy::expect_used,
+                reason = "the position search above only matched slots whose session.is_some()"
+            )]
             let session =
                 self.slots[slot_index].session.take().expect("position matched a live session");
             if let Some(accum) = session.edge_accum() {
@@ -1481,8 +1490,10 @@ impl<'a> AccelLoop<'a> {
         if let Some(position) =
             self.pending.iter().position(|entry| entry.camera_index == camera_index)
         {
-            // lint: allow(panic) — position came from iter().position() on
-            // the same queue one line up
+            #[expect(
+                clippy::expect_used,
+                reason = "position came from iter().position() on the same queue one line up"
+            )]
             let entry = self.pending.remove(position).expect("position is in bounds");
             return Ok(LeaveOutcome::Dequeued(entry.session.map(|session| {
                 if let Some(accum) = session.edge_accum() {
@@ -2111,6 +2122,10 @@ impl Barrier<'_, '_, '_> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the fail-fast tests time the host to show validation rejects a plan before any simulation runs"
+)]
 mod tests {
     use super::*;
     use crate::sched::SchedulerKind;
@@ -3025,7 +3040,10 @@ mod tests {
         let mut exports: BTreeMap<usize, Vec<LabeledSample>> = BTreeMap::new();
         for accel_loop in loops.iter_mut() {
             for (camera_index, batch) in accel_loop.take_exports() {
-                exports.entry(camera_index).or_default().extend(batch.to_samples());
+                exports
+                    .entry(camera_index)
+                    .or_default()
+                    .extend((0..batch.len()).map(|i| batch.get(i).to_sample()));
             }
         }
         metrics.labels_exported += exports.values().map(Vec::len).sum::<usize>();

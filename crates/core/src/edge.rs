@@ -719,80 +719,25 @@ pub struct EdgeTierState {
     pub last_phase_offloaded: bool,
 }
 
-/// One camera's live edge tier: the resolved uplink (behavior, rebuilt from
-/// config on restore) plus the mutable [`EdgeTierState`].
+/// One camera's resolved uplink: the behavior half of its edge tier, a pure
+/// function of the [`EdgeConfig`] and the stream's feature width. It lives in
+/// the session's derived runtime and is rebuilt on restore; the mutable half
+/// is the [`EdgeTierState`] that rides the snapshot.
 #[derive(Debug, Clone)]
-pub(crate) struct EdgeTier {
-    // snapshot: skip(spec) — behavior, re-resolved from EdgeConfig through
-    // the uplink registry on restore
+pub(crate) struct ResolvedUplink {
     spec: UplinkSpec,
-    // snapshot: skip(filter_threshold) — copied verbatim from EdgeConfig on
-    // both construction and restore
     filter_threshold: f64,
-    // snapshot: skip(frame_bytes) — derived from the resolved spec and the
-    // session's feature_dim
     frame_bytes: u64,
-    pub(crate) state: EdgeTierState,
 }
 
-impl EdgeTier {
-    /// Builds a fresh edge tier for a session with `feature_dim`-float
-    /// samples over `num_classes` classes.
-    pub(crate) fn new(
-        config: &EdgeConfig,
-        num_classes: usize,
-        feature_dim: usize,
-        seed: u64,
-    ) -> Result<Self> {
-        config.validate()?;
+impl ResolvedUplink {
+    /// Resolves `config`'s uplink profile through the registry for a camera
+    /// with `feature_dim`-float samples ([`EdgeConfig::validate`] has checked
+    /// the threshold's range by the time a runtime is built).
+    pub(crate) fn resolve(config: &EdgeConfig, feature_dim: usize) -> Result<Self> {
         let spec = create_uplink(&config.uplink)?;
         let frame_bytes = spec.frame_bytes(feature_dim);
-        Ok(Self {
-            spec,
-            filter_threshold: config.filter_threshold,
-            frame_bytes,
-            state: EdgeTierState {
-                cloud: CloudTeacher::new(num_classes, config.cloud_accuracy, seed),
-                route: LabelRoute::Local,
-                in_flight: Vec::new(),
-                last_shipped: None,
-                uplink_free_at_s: 0.0,
-                window_bytes: 0,
-                bytes_shipped: 0,
-                frames_shipped: 0,
-                frames_filtered: 0,
-                labels_local: 0,
-                labels_cloud: 0,
-                cloud_latencies_s: Vec::new(),
-                last_phase_offloaded: false,
-            },
-        })
-    }
-
-    /// Rebuilds a tier from its configuration and captured state (the
-    /// restore path; the uplink is re-resolved through the registry).
-    pub(crate) fn resume(
-        config: &EdgeConfig,
-        feature_dim: usize,
-        state: EdgeTierState,
-    ) -> Result<Self> {
-        config.validate()?;
-        let spec = create_uplink(&config.uplink)?;
-        let frame_bytes = spec.frame_bytes(feature_dim);
-        Ok(Self { spec, filter_threshold: config.filter_threshold, frame_bytes, state })
-    }
-
-    /// The route the *next labeling phase* should take: the window's route,
-    /// downgraded to local once a byte budget is spent.
-    pub(crate) fn phase_route(&self) -> LabelRoute {
-        match self.state.route {
-            LabelRoute::Cloud { byte_budget: Some(budget) }
-                if self.state.window_bytes >= budget =>
-            {
-                LabelRoute::Local
-            }
-            route => route,
-        }
+        Ok(Self { spec, filter_threshold: config.filter_threshold, frame_bytes })
     }
 
     /// Frames per second the uplink can ship: bandwidth-bound, capped at
@@ -803,56 +748,89 @@ impl EdgeTier {
 
     /// Offers one sampled frame to the uplink, taking ownership of its
     /// features. If the frame cleared the near-duplicate filter it ships:
-    /// the cloud-labeled sample is queued at the tail of the in-flight list
-    /// until its arrival time, and a reference to it is returned. `None`
-    /// means the filter dropped the frame.
-    pub(crate) fn offer(
-        &mut self,
+    /// the cloud-labeled sample is queued at the tail of `state`'s in-flight
+    /// list until its arrival time, and a reference to it is returned.
+    /// `None` means the filter dropped the frame.
+    pub(crate) fn offer<'s>(
+        &self,
+        state: &'s mut EdgeTierState,
         features: Vec<f32>,
         true_class: usize,
         timestamp_s: f64,
         attributes: &SegmentAttributes,
-    ) -> Option<&LabeledSample> {
-        if let Some(mark) = &self.state.last_shipped {
+    ) -> Option<&'s LabeledSample> {
+        if let Some(mark) = &state.last_shipped {
             let similarity = attribute_similarity(&mark.attributes, attributes)
                 * (1.0 - (timestamp_s - mark.at_s) / FILTER_HORIZON_S).max(0.0);
             if similarity >= self.filter_threshold {
-                self.state.frames_filtered += 1;
+                state.frames_filtered += 1;
                 return None;
             }
         }
         let transfer_s = self.spec.transfer_s(self.frame_bytes);
-        let completion_s = timestamp_s.max(self.state.uplink_free_at_s) + transfer_s;
-        self.state.uplink_free_at_s = completion_s;
+        let completion_s = timestamp_s.max(state.uplink_free_at_s) + transfer_s;
+        state.uplink_free_at_s = completion_s;
         let arrival_s = completion_s + self.spec.latency_s;
-        let teacher_label = self.state.cloud.label(true_class, attributes.difficulty());
+        let teacher_label = state.cloud.label(true_class, attributes.difficulty());
         let sample = LabeledSample { features, teacher_label, true_class, timestamp_s };
-        self.state.last_shipped = Some(ShippedMark { at_s: timestamp_s, attributes: *attributes });
-        self.state.in_flight.push(InFlightLabel { sample, arrival_s });
-        self.state.window_bytes += self.frame_bytes;
-        self.state.bytes_shipped += self.frame_bytes;
-        self.state.frames_shipped += 1;
-        self.state.labels_cloud += 1;
-        self.state.cloud_latencies_s.push(arrival_s - timestamp_s);
-        self.state.in_flight.last().map(|label| &label.sample)
+        state.last_shipped = Some(ShippedMark { at_s: timestamp_s, attributes: *attributes });
+        state.in_flight.push(InFlightLabel { sample, arrival_s });
+        state.window_bytes += self.frame_bytes;
+        state.bytes_shipped += self.frame_bytes;
+        state.frames_shipped += 1;
+        state.labels_cloud += 1;
+        state.cloud_latencies_s.push(arrival_s - timestamp_s);
+        state.in_flight.last().map(|label| &label.sample)
+    }
+}
+
+impl EdgeTierState {
+    /// The state of a fresh edge tier labeling over `num_classes` classes.
+    pub(crate) fn new(config: &EdgeConfig, num_classes: usize, seed: u64) -> Self {
+        Self {
+            cloud: CloudTeacher::new(num_classes, config.cloud_accuracy, seed),
+            route: LabelRoute::Local,
+            in_flight: Vec::new(),
+            last_shipped: None,
+            uplink_free_at_s: 0.0,
+            window_bytes: 0,
+            bytes_shipped: 0,
+            frames_shipped: 0,
+            frames_filtered: 0,
+            labels_local: 0,
+            labels_cloud: 0,
+            cloud_latencies_s: Vec::new(),
+            last_phase_offloaded: false,
+        }
+    }
+
+    /// The route the *next labeling phase* should take: the window's route,
+    /// downgraded to local once a byte budget is spent.
+    pub(crate) fn phase_route(&self) -> LabelRoute {
+        match self.route {
+            LabelRoute::Cloud { byte_budget: Some(budget) } if self.window_bytes >= budget => {
+                LabelRoute::Local
+            }
+            route => route,
+        }
     }
 
     /// Drains every in-flight label whose arrival time has passed, in
     /// arrival order.
     pub(crate) fn deliver_matured(&mut self, now_s: f64) -> Vec<LabeledSample> {
-        if self.state.in_flight.iter().all(|l| l.arrival_s > now_s) {
+        if self.in_flight.iter().all(|l| l.arrival_s > now_s) {
             return Vec::new();
         }
         let mut matured: Vec<InFlightLabel> = Vec::new();
-        let mut waiting = Vec::with_capacity(self.state.in_flight.len());
-        for label in self.state.in_flight.drain(..) {
+        let mut waiting = Vec::with_capacity(self.in_flight.len());
+        for label in self.in_flight.drain(..) {
             if label.arrival_s <= now_s {
                 matured.push(label);
             } else {
                 waiting.push(label);
             }
         }
-        self.state.in_flight = waiting;
+        self.in_flight = waiting;
         matured.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
         matured.into_iter().map(|l| l.sample).collect()
     }
@@ -860,31 +838,50 @@ impl EdgeTier {
     /// Opens a new exchange window on the given route, resetting the
     /// per-window byte meter.
     pub(crate) fn begin_window(&mut self, route: LabelRoute) {
-        self.state.route = route;
-        self.state.window_bytes = 0;
+        self.route = route;
+        self.window_bytes = 0;
     }
 
     /// Drops every in-flight label (the buffer-reset drift response: stale
     /// pre-drift labels must not arrive into a freshly cleared buffer).
     pub(crate) fn discard_in_flight(&mut self) {
-        self.state.in_flight.clear();
+        self.in_flight.clear();
     }
 
     /// Records `n` locally-labeled samples for the local/cloud split.
     pub(crate) fn note_local_labels(&mut self, n: usize) {
-        self.state.labels_local += n as u64;
+        self.labels_local += n as u64;
     }
 
     /// This camera's contribution to the cluster's [`EdgeMetrics`].
     pub(crate) fn accum(&self) -> EdgeAccum {
         EdgeAccum {
-            bytes_shipped: self.state.bytes_shipped,
-            frames_shipped: self.state.frames_shipped,
-            frames_filtered: self.state.frames_filtered,
-            labels_local: self.state.labels_local,
-            labels_cloud: self.state.labels_cloud,
-            latencies_s: self.state.cloud_latencies_s.clone(),
+            bytes_shipped: self.bytes_shipped,
+            frames_shipped: self.frames_shipped,
+            frames_filtered: self.frames_filtered,
+            labels_local: self.labels_local,
+            labels_cloud: self.labels_cloud,
+            latencies_s: self.cloud_latencies_s.clone(),
         }
+    }
+
+    /// Rejects state a session cannot run: a non-finite uplink clock or
+    /// in-flight arrival time would poison label delivery.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if !self.uplink_free_at_s.is_finite() {
+            return Err(CoreError::Snapshot {
+                reason: format!(
+                    "edge.uplink_free_at_s must be finite, got {}",
+                    self.uplink_free_at_s
+                ),
+            });
+        }
+        if let Some(i) = self.in_flight.iter().position(|l| !l.arrival_s.is_finite()) {
+            return Err(CoreError::Snapshot {
+                reason: format!("edge.in_flight[{i}].arrival_s must be finite"),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -1177,107 +1174,113 @@ mod tests {
         assert!(EdgeConfig::new("lte").cloud_accuracy(-0.1).validate().is_err());
     }
 
-    fn tier(filter_threshold: f64) -> EdgeTier {
-        EdgeTier::new(&EdgeConfig::new("lte").filter_threshold(filter_threshold), 10, 16, 7)
-            .unwrap()
+    /// A fresh edge tier over LTE: the resolved uplink and its state.
+    fn tier(filter_threshold: f64) -> (ResolvedUplink, EdgeTierState) {
+        let config = EdgeConfig::new("lte").filter_threshold(filter_threshold);
+        (ResolvedUplink::resolve(&config, 16).unwrap(), EdgeTierState::new(&config, 10, 7))
     }
 
     #[test]
     fn offer_ships_labels_and_queues_them_in_flight() {
-        let mut tier = tier(1.0);
+        let (uplink, mut state) = tier(1.0);
         let attrs = SegmentAttributes::default();
-        let shipped = tier.offer(vec![0.0; 16], 3, 1.0, &attrs).expect("first frame ships");
+        let shipped =
+            uplink.offer(&mut state, vec![0.0; 16], 3, 1.0, &attrs).expect("first frame ships");
         assert!(shipped.teacher_label < 10);
-        assert_eq!(tier.state.frames_shipped, 1);
-        assert_eq!(tier.state.labels_cloud, 1);
-        assert_eq!(tier.state.in_flight.len(), 1);
-        assert!(tier.state.bytes_shipped > 0);
-        let arrival = tier.state.in_flight[0].arrival_s;
+        assert_eq!(state.frames_shipped, 1);
+        assert_eq!(state.labels_cloud, 1);
+        assert_eq!(state.in_flight.len(), 1);
+        assert!(state.bytes_shipped > 0);
+        let arrival = state.in_flight[0].arrival_s;
         assert!(arrival > 1.0, "transfer and latency delay the label");
         // Not matured yet…
-        assert!(tier.deliver_matured(arrival - 1e-6).is_empty());
+        assert!(state.deliver_matured(arrival - 1e-6).is_empty());
         // …then delivered exactly once.
-        let delivered = tier.deliver_matured(arrival);
+        let delivered = state.deliver_matured(arrival);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].true_class, 3);
-        assert!(tier.state.in_flight.is_empty());
-        assert!(tier.deliver_matured(arrival + 1.0).is_empty());
+        assert!(state.in_flight.is_empty());
+        assert!(state.deliver_matured(arrival + 1.0).is_empty());
     }
 
     #[test]
     fn filter_drops_near_duplicates_until_the_horizon_decays() {
-        let mut tier = tier(0.5);
+        let (uplink, mut state) = tier(0.5);
         let attrs = SegmentAttributes::default();
-        assert!(tier.offer(vec![0.0; 16], 0, 0.0, &attrs).is_some(), "the anchor frame ships");
+        assert!(
+            uplink.offer(&mut state, vec![0.0; 16], 0, 0.0, &attrs).is_some(),
+            "the anchor frame ships"
+        );
         // Identical attributes a blink later: similarity ~1, filtered.
-        assert!(tier.offer(vec![0.0; 16], 0, 0.1, &attrs).is_none());
-        assert_eq!(tier.state.frames_filtered, 1);
+        assert!(uplink.offer(&mut state, vec![0.0; 16], 0, 0.1, &attrs).is_none());
+        assert_eq!(state.frames_filtered, 1);
         // Past half the horizon the decayed similarity crosses below 0.5.
-        assert!(tier.offer(vec![0.0; 16], 0, 1.5, &attrs).is_some());
+        assert!(uplink.offer(&mut state, vec![0.0; 16], 0, 1.5, &attrs).is_some());
         // A frame whose attributes changed ships even when fresh.
         let night = SegmentAttributes {
             time: dacapo_datagen::TimeOfDay::Night,
             weather: dacapo_datagen::Weather::Rainy,
             ..attrs
         };
-        assert!(tier.offer(vec![0.0; 16], 0, 1.6, &night).is_some());
+        assert!(uplink.offer(&mut state, vec![0.0; 16], 0, 1.6, &night).is_some());
     }
 
     #[test]
     fn a_zero_threshold_filters_everything_within_the_horizon() {
-        let mut tier = tier(0.0);
+        let (uplink, mut state) = tier(0.0);
         let attrs = SegmentAttributes::default();
-        assert!(tier.offer(vec![0.0; 16], 0, 0.0, &attrs).is_some());
-        assert!(tier.offer(vec![0.0; 16], 0, 1.0, &attrs).is_none());
-        assert!(tier.offer(vec![0.0; 16], 0, 1.9, &attrs).is_none());
+        assert!(uplink.offer(&mut state, vec![0.0; 16], 0, 0.0, &attrs).is_some());
+        assert!(uplink.offer(&mut state, vec![0.0; 16], 0, 1.0, &attrs).is_none());
+        assert!(uplink.offer(&mut state, vec![0.0; 16], 0, 1.9, &attrs).is_none());
         // At the horizon the decayed similarity reaches 0 == threshold, so
         // the frame is still filtered; just past it, a refresher ships.
-        assert!(tier.offer(vec![0.0; 16], 0, FILTER_HORIZON_S + 1e-6, &attrs).is_none());
-        assert_eq!(tier.state.frames_filtered, 3);
+        assert!(uplink
+            .offer(&mut state, vec![0.0; 16], 0, FILTER_HORIZON_S + 1e-6, &attrs)
+            .is_none());
+        assert_eq!(state.frames_filtered, 3);
     }
 
     #[test]
     fn budgeted_routes_downgrade_to_local_once_spent() {
-        let mut tier = tier(1.0);
-        let budget = tier.frame_bytes * 2;
-        tier.begin_window(LabelRoute::Cloud { byte_budget: Some(budget) });
-        assert_eq!(tier.phase_route(), LabelRoute::Cloud { byte_budget: Some(budget) });
+        let (uplink, mut state) = tier(1.0);
+        let budget = uplink.frame_bytes * 2;
+        state.begin_window(LabelRoute::Cloud { byte_budget: Some(budget) });
+        assert_eq!(state.phase_route(), LabelRoute::Cloud { byte_budget: Some(budget) });
         let attrs = SegmentAttributes::default();
-        tier.offer(vec![0.0; 16], 0, 0.0, &attrs).unwrap();
-        assert!(matches!(tier.phase_route(), LabelRoute::Cloud { .. }), "one frame under budget");
-        tier.offer(vec![0.0; 16], 0, 0.5, &attrs).unwrap();
-        assert_eq!(tier.phase_route(), LabelRoute::Local, "budget spent");
+        uplink.offer(&mut state, vec![0.0; 16], 0, 0.0, &attrs).unwrap();
+        assert!(matches!(state.phase_route(), LabelRoute::Cloud { .. }), "one frame under budget");
+        uplink.offer(&mut state, vec![0.0; 16], 0, 0.5, &attrs).unwrap();
+        assert_eq!(state.phase_route(), LabelRoute::Local, "budget spent");
         // A new window resets the meter.
-        tier.begin_window(LabelRoute::Cloud { byte_budget: Some(budget) });
-        assert!(matches!(tier.phase_route(), LabelRoute::Cloud { .. }));
+        state.begin_window(LabelRoute::Cloud { byte_budget: Some(budget) });
+        assert!(matches!(state.phase_route(), LabelRoute::Cloud { .. }));
     }
 
     #[test]
     fn the_uplink_serialises_transfers() {
-        let mut tier = tier(1.0);
+        let (uplink, mut state) = tier(1.0);
         let attrs = SegmentAttributes::default();
         // Two frames offered back-to-back: the second waits for the first
         // transfer to complete before starting its own, so consecutive
         // arrivals are exactly one transfer time apart.
-        tier.offer(vec![0.0; 16], 0, 0.0, &attrs).unwrap();
-        tier.offer(vec![0.0; 16], 0, 0.001, &attrs).unwrap();
-        let first = tier.state.in_flight[0].arrival_s;
-        let second = tier.state.in_flight[1].arrival_s;
-        let transfer = tier.spec.transfer_s(tier.frame_bytes);
+        uplink.offer(&mut state, vec![0.0; 16], 0, 0.0, &attrs).unwrap();
+        uplink.offer(&mut state, vec![0.0; 16], 0, 0.001, &attrs).unwrap();
+        let first = state.in_flight[0].arrival_s;
+        let second = state.in_flight[1].arrival_s;
+        let transfer = uplink.spec.transfer_s(uplink.frame_bytes);
         assert!(transfer > 0.001, "the test frame outlasts the capture gap");
         assert!((second - first - transfer).abs() < 1e-9);
-        assert_eq!(tier.state.cloud_latencies_s.len(), 2);
-        assert!(tier.state.cloud_latencies_s[1] > tier.state.cloud_latencies_s[0]);
+        assert_eq!(state.cloud_latencies_s.len(), 2);
+        assert!(state.cloud_latencies_s[1] > state.cloud_latencies_s[0]);
     }
 
     #[test]
     fn edge_tier_state_survives_serde_round_trips() {
-        let mut tier = tier(0.8);
-        tier.begin_window(LabelRoute::Cloud { byte_budget: Some(1 << 20) });
+        let (uplink, mut state) = tier(0.8);
+        state.begin_window(LabelRoute::Cloud { byte_budget: Some(1 << 20) });
         let attrs = SegmentAttributes::default();
-        tier.offer(vec![0.5; 16], 2, 0.0, &attrs).unwrap();
-        tier.note_local_labels(5);
-        let state = tier.state.clone();
+        uplink.offer(&mut state, vec![0.5; 16], 2, 0.0, &attrs).unwrap();
+        state.note_local_labels(5);
         let restored = EdgeTierState::from_value(&state.to_value()).expect("round-trips");
         assert_eq!(restored, state);
     }

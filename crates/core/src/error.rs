@@ -1,5 +1,11 @@
 //! Error type for the continuous-learning runtime.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one place the crate's typed error implements `std::error::Error`; the ban is \
+              on erasing errors behind `dyn Error` everywhere else"
+)]
+
 use std::error::Error;
 use std::fmt;
 

@@ -261,16 +261,19 @@
 //!
 //! # Snapshots and elastic membership
 //!
-//! A [`Session`] is an explicit state/behavior split: [`Session::snapshot`]
-//! captures the complete mutable state (config, student weights, sample
-//! buffer, teacher RNG, scheduler state via
-//! [`sched::Scheduler::state`], stream cursor, partial timeline) as a
-//! versioned, serde-able [`SessionSnapshot`], and [`Session::restore`]
-//! rebuilds a session that continues **bit-identically** — even after the
-//! snapshot round-trips through JSON text in another process
+//! A [`Session`] is an explicit state/behavior split — one versioned,
+//! serde-able [`SessionSnapshot`] holding the complete mutable state
+//! (config, student weights, sample buffer, teacher RNG, scheduler state via
+//! [`sched::Scheduler::state`], stream cursor, partial timeline) plus a
+//! runtime derived from its configuration. [`Session::snapshot`] clones the
+//! former, and [`Session::restore`] rebuilds the latter around it into a
+//! session that continues **bit-identically** — even after the snapshot
+//! round-trips through JSON text in another process
 //! ([`SessionSnapshot::to_json`] / [`SessionSnapshot::from_json`]). A
-//! snapshot from a different [`SNAPSHOT_VERSION`] is refused with
-//! [`CoreError::Snapshot`] instead of being misread.
+//! snapshot from a different [`SNAPSHOT_VERSION`], or one whose state a
+//! session could not run (a non-finite clock, a buffer of another shape
+//! than the configuration's), is refused with [`CoreError::Snapshot`]
+//! instead of being misread.
 //!
 //! On top of snapshots, the cluster executor supports **elastic
 //! membership**: a [`ChurnPlan`] schedules cameras joining and leaving
@@ -387,6 +390,14 @@
 //! # Ok(())
 //! # }
 //! ```
+
+// Library code of this crate is in the strict clippy tier (see the root
+// Cargo.toml): beyond the workspace-wide bans, no `.expect()`, no
+// undocumented `Result`, no unordered maps / clock types / `dyn Error`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::missing_errors_doc, clippy::disallowed_types)
+)]
 
 pub mod arbiter;
 mod buffer;

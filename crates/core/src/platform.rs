@@ -762,8 +762,11 @@ impl PartialEq for PlatformSpec {
                     (PlatformSpec::Named(a), PlatformSpec::Named(b)) => {
                         a.to_lowercase() == b.to_lowercase()
                     }
-                    // lint: allow(panic) — (None, None) with a non-Named
-                    // variant is impossible: kind() covers every Kind variant
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "(None, None) with a non-Named variant is impossible: kind() \
+                                  covers every Kind variant"
+                    )]
                     _ => unreachable!("kind() is Some for every Kind variant"),
                 },
                 _ => false,

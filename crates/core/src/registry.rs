@@ -94,14 +94,17 @@ impl<F: ?Sized> Registry<F> {
         self.lock_read().keys().cloned().collect()
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "a poisoned registry lock means a register() call panicked mid-insert; no \
+                  caller can make progress after that"
+    )]
     fn lock_read(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<String, Arc<F>>> {
-        // lint: allow(panic) — a poisoned registry lock means a register()
-        // call panicked mid-insert; no caller can make progress after that
         self.factories.read().unwrap_or_else(|_| panic!("{} registry poisoned", self.what))
     }
 
+    #[expect(clippy::panic, reason = "same poisoning invariant as lock_read")]
     fn lock_write(&self) -> std::sync::RwLockWriteGuard<'_, BTreeMap<String, Arc<F>>> {
-        // lint: allow(panic) — same poisoning invariant as lock_read
         self.factories.write().unwrap_or_else(|_| panic!("{} registry poisoned", self.what))
     }
 }

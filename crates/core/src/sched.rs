@@ -342,8 +342,11 @@ impl PartialEq for SchedulerSpec {
                 (SchedulerSpec::Named(a), SchedulerSpec::Named(b)) => {
                     a.to_lowercase() == b.to_lowercase()
                 }
-                // lint: allow(panic) — (None, None) with a non-Named variant
-                // is impossible: kind() returns Some for every Kind variant
+                #[expect(
+                    clippy::unreachable,
+                    reason = "(None, None) with a non-Named variant is impossible: kind() \
+                              returns Some for every Kind variant"
+                )]
                 _ => unreachable!("kind() is Some for every Kind variant"),
             },
             _ => false,

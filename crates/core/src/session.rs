@@ -12,11 +12,15 @@
 //!
 //! # Snapshots
 //!
-//! A session is an explicit state/behavior split: everything mutable lives
-//! in fields that [`Session::snapshot`] can serialise into a versioned
-//! [`SessionSnapshot`], and everything behavioral (the frame stream, the
-//! platform capability sheet, the scheduler *instance*) is reconstructed
-//! from the configuration on [`Session::restore`]. Restoring is
+//! A session is an explicit state/behavior split, and the split is the
+//! type: a [`Session`] holds one versioned [`SessionSnapshot`] — everything
+//! mutable — plus a private runtime (the frame stream, the platform
+//! capability sheet, the scheduler *instance*, scratch arenas) that one
+//! constructor derives from the snapshot's configuration. So
+//! [`Session::snapshot`] is a clone of the first half, [`Session::restore`]
+//! validates a snapshot and rebuilds the second half around it, and a piece
+//! of state that is in neither — mutable but not snapshotted — has nowhere
+//! to live. Restoring is
 //! **bit-identical**: a session snapshotted at any step and restored — even
 //! from JSON text in another process — continues with exactly the events,
 //! timeline, and final [`SimResult`] of the uninterrupted run. Stateful
@@ -26,9 +30,9 @@
 //! and the teacher's RNG and the stream's [`StreamCursor`] are captured
 //! exactly.
 
-use crate::buffer::{LabeledSample, SampleBlock, SampleBuffer, SampleRef};
+use crate::buffer::{SampleBlock, SampleBuffer, SampleRef};
 use crate::config::SimConfig;
-use crate::edge::{EdgeAccum, EdgeTier, EdgeTierState, LabelRoute};
+use crate::edge::{EdgeAccum, EdgeTierState, LabelRoute, ResolvedUplink};
 use crate::platform::PlatformRates;
 use crate::sched::{Action, Scheduler, SchedulerContext};
 use crate::sim::{PhaseKind, PhaseRecord, SimResult};
@@ -294,53 +298,63 @@ pub struct AcceleratorSample {
 /// # }
 /// ```
 pub struct Session {
-    config: SimConfig,
-    // snapshot: skip(stream) — behavior, rebuilt deterministically from
-    // config.scenario + config.stream on restore
+    /// Everything that rides a snapshot — the one list of session state.
+    state: SessionSnapshot,
+    /// Everything else, rebuilt from `state.config` by [`Runtime::build`].
+    rt: Runtime,
+}
+
+/// The derived half of a [`Session`]: behavior and scratch that
+/// [`Runtime::build`] reconstructs from the configuration alone, so none of
+/// it rides a snapshot. The frame stream, platform sheet and uplink are pure
+/// functions of the configuration; the scheduler *instance* is re-created
+/// through the registry (its decision state travels as
+/// [`SessionSnapshot::scheduler_state`]); the scratch arena and centre cache
+/// carry capacity and memoised pure values, never numeric state, so a cold
+/// one is bit-identical (property-tested).
+struct Runtime {
     stream: FrameStream,
-    student: StudentModel,
-    teacher: TeacherOracle,
-    buffer: SampleBuffer,
-    // snapshot: as(scheduler_state) — the trait object's name + opaque state
-    // ride as a SchedulerState; the factory rebuilds the scheduler on restore
     scheduler: Box<dyn Scheduler>,
-    // snapshot: skip(platform) — behavior, re-resolved from config.platform
-    // through the platform registry on restore
     platform: PlatformRates,
-    // snapshot: skip(duration_s) — derived: the scenario's total duration,
-    // recomputed from config.scenario on restore
+    /// The scenario's total duration in seconds.
     duration_s: f64,
-    // snapshot: skip(drop_rate) — derived from config (sampling rate vs
-    // frame rate) and recomputed on restore
+    /// Fraction of frames the platform drops at the stream's frame rate.
     drop_rate: f64,
-    // snapshot: as(stream_cursor) — position within the regenerated stream
-    cursor: StreamCursor,
-    now_s: f64,
-    next_measure_s: f64,
-    timeline: Vec<(f64, f64)>,
-    phases: Vec<PhaseRecord>,
-    last_validation: Option<f64>,
-    last_labeling: Option<f64>,
-    drift_responses: usize,
-    phase_seed: u64,
-    pending: VecDeque<SessionEvent>,
-    finished: bool,
-    record_labels: bool,
-    fresh_labels: SampleBlock,
-    edge: Option<EdgeTier>,
-    // snapshot: skip(scratch) — a reusable training/evaluation arena; it
-    // carries capacity, never numeric state, so a fresh arena on restore is
-    // bit-identical (property-tested)
+    /// The resolved uplink, present exactly when the configuration has an
+    /// edge tier (and so exactly when [`SessionSnapshot::edge`] is `Some`).
+    uplink: Option<ResolvedUplink>,
     scratch: TrainScratch,
-    // snapshot: skip(staged_uplink_before) — transient observer baseline for
-    // a phase pre-executed by the cluster's batched-retraining dispatch;
-    // consumed when that phase's events pop, before any barrier or snapshot
-    staged_uplink_before: Option<(u64, u64)>,
-    // snapshot: skip(center_cache) — a memo table for the stream's pure
-    // class-centre derivation; cached and fresh centres are bit-identical
-    // (property-tested in datagen), so a cold cache on restore changes
-    // nothing
     center_cache: CenterCache,
+    /// Observer baseline for a phase pre-executed by the cluster's batched
+    /// retraining dispatch; consumed when that phase's events pop, before
+    /// any barrier or snapshot.
+    staged_uplink_before: Option<(u64, u64)>,
+}
+
+impl Runtime {
+    /// Validates `config` and builds the runtime it describes — the one
+    /// constructor behind [`Session::new`] and [`Session::restore`].
+    fn build(config: &SimConfig) -> Result<Self> {
+        config.validate()?;
+        let scheduler = config.scheduler.create(&config.hyper)?;
+        let platform = config.platform_rates()?;
+        let uplink = config
+            .edge
+            .as_ref()
+            .map(|edge| ResolvedUplink::resolve(edge, config.stream.feature_dim))
+            .transpose()?;
+        Ok(Self {
+            stream: FrameStream::new(&config.scenario, config.stream),
+            scheduler,
+            duration_s: config.scenario.duration_s(),
+            drop_rate: platform.frame_drop_rate(config.stream.fps),
+            platform,
+            uplink,
+            scratch: TrainScratch::new(),
+            center_cache: CenterCache::new(),
+            staged_uplink_before: None,
+        })
+    }
 }
 
 /// A retraining phase whose schedule is fully decided but whose gradient
@@ -364,18 +378,26 @@ pub(crate) struct StagedRetrain {
     phase_duration: f64,
 }
 
-/// The version tag of the public snapshot format. Bumped whenever the
-/// serialised shape of [`SessionSnapshot`] changes incompatibly;
+/// The version tag of the public snapshot format. Bump it whenever the
+/// serialised shape of [`SessionSnapshot`] changes incompatibly — a field
+/// added, removed, renamed or retyped, here or in a type it contains;
 /// [`Session::restore`] rejects snapshots from other versions rather than
 /// misreading them (the compatibility rule: same version restores
-/// bit-identically, anything else is refused loudly). Version 2 added the
-/// edge–cloud tier state ([`SessionSnapshot::edge`]).
+/// bit-identically, anything else is refused loudly). A change of in-memory
+/// representation that writes the same JSON (the buffer's ring, the columnar
+/// label block) is not a format change. Version 2 added the edge–cloud tier
+/// state ([`SessionSnapshot::edge`]).
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// A serialisable checkpoint of a running [`Session`]: the complete mutable
-/// state — configuration, student weights, sample buffer, teacher RNG,
-/// scheduler state, stream cursor, and the partial timeline — captured by
-/// [`Session::snapshot`] and consumed by [`Session::restore`].
+/// The complete mutable state of a [`Session`] — configuration, student
+/// weights, sample buffer, teacher RNG, scheduler state, stream cursor, and
+/// the partial timeline. A running session *is* one of these plus a runtime
+/// derived from its configuration, so [`Session::snapshot`] is a clone and
+/// [`Session::restore`] a constructor.
+///
+/// **The contract:** add a field to this struct and it rides every snapshot;
+/// anything a session holds outside it must be rebuildable from
+/// [`SimConfig`] alone. There is no second list to keep in step.
 ///
 /// The format is versioned ([`SNAPSHOT_VERSION`]) and serde-able: write it
 /// out with [`SessionSnapshot::to_json`], read it back with
@@ -402,7 +424,9 @@ pub struct SessionSnapshot {
     /// *instance* is rebuilt from the configuration's
     /// [`SchedulerSpec`](crate::sched::SchedulerSpec) through the registry
     /// and handed this state — how a `Box<dyn Scheduler>` survives a serde
-    /// round trip without duplicating its spec in the format.
+    /// round trip without duplicating its spec in the format. Inside a live
+    /// session the instance owns its state and this field stays `Null`;
+    /// [`Session::snapshot`] fills it in.
     pub scheduler_state: Value,
     /// The frame stream's resumable read position.
     pub stream_cursor: StreamCursor,
@@ -423,13 +447,13 @@ pub struct SessionSnapshot {
     /// The per-phase draw seed's current value.
     pub phase_seed: u64,
     /// Events produced but not yet returned by [`Session::step`].
-    pub pending: Vec<SessionEvent>,
+    pub(crate) pending: VecDeque<SessionEvent>,
     /// Whether the scenario has completed.
     pub finished: bool,
     /// Whether the session records freshly labeled batches for export.
     pub record_labels: bool,
     /// Recorded label batches not yet drained by the cluster executor.
-    pub fresh_labels: Vec<LabeledSample>,
+    pub(crate) fresh_labels: SampleBlock,
     /// The edge–cloud tier's mutable state (cloud teacher RNG, in-flight
     /// labels, uplink meters), present exactly when the configuration
     /// carries an [`EdgeConfig`](crate::edge::EdgeConfig). The uplink model
@@ -441,9 +465,12 @@ pub struct SessionSnapshot {
 impl SessionSnapshot {
     /// Serialises the snapshot as pretty-printed JSON.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "every snapshot field serialises through the derived impls; there is no \
+                  fallible custom Serialize in the tree"
+    )]
     pub fn to_json(&self) -> String {
-        // lint: allow(panic) — every snapshot field serialises through the
-        // derived impls; there is no fallible custom Serialize in the tree
         serde_json::to_string_pretty(self).expect("snapshot serialisation is infallible")
     }
 
@@ -460,6 +487,65 @@ impl SessionSnapshot {
         serde_json::from_str(text)
             .map_err(|e| CoreError::Snapshot { reason: format!("malformed snapshot JSON: {e}") })
     }
+
+    /// Rejects state a session could not run, naming the offending field:
+    /// the checks [`Session::restore`] makes once the configuration itself
+    /// has validated and `stream` has been regenerated from it. O(state).
+    fn validate(&self, stream: &FrameStream) -> Result<()> {
+        let bad = |reason: String| Err(CoreError::Snapshot { reason });
+        for (field, value) in [("now_s", self.now_s), ("next_measure_s", self.next_measure_s)] {
+            if !(value.is_finite() && value >= 0.0) {
+                return bad(format!("{field} must be finite and non-negative, got {value}"));
+            }
+        }
+        if let Some(i) = self.timeline.iter().position(|(at_s, _)| !at_s.is_finite()) {
+            return bad(format!("timeline[{i}] has a non-finite time"));
+        }
+        if let Some(i) =
+            self.phases.iter().position(|p| !(p.start_s.is_finite() && p.duration_s.is_finite()))
+        {
+            return bad(format!("phases[{i}] has a non-finite start or duration"));
+        }
+        let feature_dim = self.config.stream.feature_dim;
+        let student_dim = self.student.network().config().input_dim;
+        if student_dim != feature_dim {
+            return bad(format!(
+                "student takes {student_dim}-feature inputs but config.stream.feature_dim is \
+                 {feature_dim}"
+            ));
+        }
+        if self.buffer.capacity() != self.config.hyper.buffer_capacity {
+            return bad(format!(
+                "buffer.capacity is {} but config.hyper.buffer_capacity is {}",
+                self.buffer.capacity(),
+                self.config.hyper.buffer_capacity
+            ));
+        }
+        if let Some(row) = self.buffer.samples().next().filter(|r| r.features.len() != feature_dim)
+        {
+            return bad(format!(
+                "buffer holds {}-feature samples but config.stream.feature_dim is {feature_dim}",
+                row.features.len()
+            ));
+        }
+        if self.stream_cursor.position() > stream.num_frames() {
+            return bad(format!(
+                "stream_cursor is at frame {} of a {}-frame stream",
+                self.stream_cursor.position(),
+                stream.num_frames()
+            ));
+        }
+        match (&self.config.edge, &self.edge) {
+            (Some(_), Some(edge)) => edge.validate(),
+            (None, None) => Ok(()),
+            (Some(_), None) => bad("the configuration has an edge tier but the snapshot \
+                                    carries no edge state"
+                .into()),
+            (None, Some(_)) => bad("the snapshot carries edge-tier state but the \
+                                    configuration has no edge tier"
+                .into()),
+        }
+    }
 }
 
 impl Session {
@@ -472,70 +558,44 @@ impl Session {
     /// Returns [`CoreError::InvalidConfig`] if the configuration is invalid
     /// or names an unregistered scheduling policy.
     pub fn new(config: SimConfig) -> Result<Self> {
-        config.validate()?;
-        // Resolve the policy and platform before the (expensive) pretraining
-        // below, so an unregistered scheduler or platform name fails fast.
-        let scheduler = config.scheduler.create(&config.hyper)?;
-        let platform = config.platform_rates()?;
-        let stream = FrameStream::new(&config.scenario, config.stream);
+        // The runtime resolves the policy and platform before the (expensive)
+        // pretraining below, so an unregistered name fails fast.
+        let mut rt = Runtime::build(&config)?;
         let mut student = StudentModel::new(
             config.stream.feature_dim,
-            platform.inference_quant(),
-            platform.training_quant(),
+            rt.platform.inference_quant(),
+            rt.platform.training_quant(),
             config.hyper.learning_rate,
             config.hyper.batch_size,
             config.seed,
         )?;
-        let teacher = TeacherOracle::new(
-            dacapo_datagen::NUM_CLASSES,
-            config.teacher_accuracy,
-            config.seed.wrapping_add(1),
-        );
-        let edge = config
-            .edge
-            .as_ref()
-            .map(|edge_config| {
-                EdgeTier::new(
-                    edge_config,
-                    dacapo_datagen::NUM_CLASSES,
-                    config.stream.feature_dim,
-                    config.seed.wrapping_add(2),
-                )
-            })
-            .transpose()?;
 
         // Pre-deployment training on the "general dataset": samples spread
         // uniformly over the whole scenario (every context appears), labeled
         // with ground truth, as the paper assumes pre-trained models.
-        let mut center_cache = CenterCache::new();
-        let mut scratch = TrainScratch::new();
         if config.pretrain_samples > 0 {
-            let stride = (stream.num_frames() / config.pretrain_samples.max(1) as u64).max(1);
-            let pretrain: Vec<Frame> = (0..stream.num_frames())
+            let frames = rt.stream.num_frames();
+            let stride = (frames / config.pretrain_samples.max(1) as u64).max(1);
+            let pretrain: Vec<Frame> = (0..frames)
                 .step_by(stride as usize)
-                .map(|i| stream.frame_at_cached(i, &mut center_cache))
+                .map(|i| rt.stream.frame_at_cached(i, &mut rt.center_cache))
                 .collect();
             let rows: Vec<&[f32]> = pretrain.iter().map(|f| f.sample.features.as_slice()).collect();
             let labels: Vec<usize> = pretrain.iter().map(|f| f.sample.true_class).collect();
-            student.retrain_rows_with(&rows, &labels, 2, &mut scratch)?;
+            student.retrain_rows_with(&rows, &labels, 2, &mut rt.scratch)?;
         }
 
-        let buffer = SampleBuffer::new(config.hyper.buffer_capacity);
-        let duration_s = config.scenario.duration_s();
-        let drop_rate = platform.frame_drop_rate(config.stream.fps);
-        let phase_seed = config.seed;
-        let cursor = stream.cursor();
-        Ok(Self {
-            config,
-            stream,
+        let state = SessionSnapshot {
+            version: SNAPSHOT_VERSION,
             student,
-            teacher,
-            buffer,
-            scheduler,
-            platform,
-            duration_s,
-            drop_rate,
-            cursor,
+            teacher: TeacherOracle::new(
+                dacapo_datagen::NUM_CLASSES,
+                config.teacher_accuracy,
+                config.seed.wrapping_add(1),
+            ),
+            buffer: SampleBuffer::new(config.hyper.buffer_capacity),
+            scheduler_state: Value::Null,
+            stream_cursor: rt.stream.cursor(),
             now_s: 0.0,
             next_measure_s: 0.0,
             timeline: Vec::new(),
@@ -543,16 +603,17 @@ impl Session {
             last_validation: None,
             last_labeling: None,
             drift_responses: 0,
-            phase_seed,
+            phase_seed: config.seed,
             pending: VecDeque::new(),
             finished: false,
             record_labels: false,
             fresh_labels: SampleBlock::default(),
-            edge,
-            scratch,
-            center_cache,
-            staged_uplink_before: None,
-        })
+            edge: config.edge.as_ref().map(|edge| {
+                EdgeTierState::new(edge, dacapo_datagen::NUM_CLASSES, config.seed.wrapping_add(2))
+            }),
+            config,
+        };
+        Ok(Self { state, rt })
     }
 
     /// Captures the session's complete mutable state as a serialisable,
@@ -564,44 +625,26 @@ impl Session {
     /// [`SimResult`] — even after a JSON round trip in another process.
     #[must_use]
     pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            version: SNAPSHOT_VERSION,
-            config: self.config.clone(),
-            student: self.student.clone(),
-            teacher: self.teacher.clone(),
-            buffer: self.buffer.clone(),
-            scheduler_state: self.scheduler.state(),
-            stream_cursor: self.cursor,
-            now_s: self.now_s,
-            next_measure_s: self.next_measure_s,
-            timeline: self.timeline.clone(),
-            phases: self.phases.clone(),
-            last_validation: self.last_validation,
-            last_labeling: self.last_labeling,
-            drift_responses: self.drift_responses,
-            phase_seed: self.phase_seed,
-            pending: self.pending.iter().copied().collect(),
-            finished: self.finished,
-            record_labels: self.record_labels,
-            fresh_labels: self.fresh_labels.to_samples(),
-            edge: self.edge.as_ref().map(|tier| tier.state.clone()),
-        }
+        SessionSnapshot { scheduler_state: self.rt.scheduler.state(), ..self.state.clone() }
     }
 
     /// Rebuilds a session from a [`SessionSnapshot`], resuming exactly where
-    /// [`Session::snapshot`] left off. Behavioral components are
-    /// reconstructed from the snapshot's configuration — the stream and
-    /// platform sheet are pure functions of it, and the scheduler instance
-    /// is re-created through the policy registry and handed its captured
-    /// state — while the mutable state (student weights, buffer, teacher
-    /// RNG, timeline, cursor) is adopted as-is. No pre-training runs.
+    /// [`Session::snapshot`] left off: the snapshot becomes the session's
+    /// state as-is, and the runtime around it — stream, platform sheet,
+    /// uplink, a scheduler instance handed its captured state — is rebuilt
+    /// from the snapshot's configuration by the constructor
+    /// [`Session::new`] uses. No pre-training runs.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Snapshot`] for a snapshot from a different
-    /// [`SNAPSHOT_VERSION`], [`CoreError::InvalidConfig`] when the embedded
-    /// configuration no longer validates or names an unregistered scheduler
-    /// or platform, and propagates scheduler-state restoration failures.
+    /// [`SNAPSHOT_VERSION`] or one whose state the session could not run
+    /// (a non-finite or negative clock, a buffer or student of another
+    /// shape than the configuration's, a cursor past the stream's end, edge
+    /// state without an edge tier or the reverse — the reason names the
+    /// field), [`CoreError::InvalidConfig`] when the embedded configuration
+    /// no longer validates or names an unregistered scheduler or platform,
+    /// and propagates scheduler-state restoration failures.
     pub fn restore(snapshot: SessionSnapshot) -> Result<Self> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(CoreError::Snapshot {
@@ -612,63 +655,12 @@ impl Session {
                 ),
             });
         }
-        let config = snapshot.config;
-        config.validate()?;
-        let mut scheduler = config.scheduler.create(&config.hyper)?;
-        scheduler.restore_state(&snapshot.scheduler_state)?;
-        let platform = config.platform_rates()?;
-        let edge = match (config.edge.as_ref(), snapshot.edge) {
-            (Some(edge_config), Some(state)) => {
-                Some(EdgeTier::resume(edge_config, config.stream.feature_dim, state)?)
-            }
-            (None, None) => None,
-            (Some(_), None) => {
-                return Err(CoreError::Snapshot {
-                    reason: "the configuration has an edge tier but the snapshot carries no \
-                             edge state"
-                        .into(),
-                });
-            }
-            (None, Some(_)) => {
-                return Err(CoreError::Snapshot {
-                    reason: "the snapshot carries edge-tier state but the configuration has no \
-                             edge tier"
-                        .into(),
-                });
-            }
-        };
-        let fresh_labels = SampleBlock::from_samples(&snapshot.fresh_labels)?;
-        let stream = FrameStream::new(&config.scenario, config.stream);
-        let duration_s = config.scenario.duration_s();
-        let drop_rate = platform.frame_drop_rate(config.stream.fps);
-        Ok(Self {
-            config,
-            stream,
-            student: snapshot.student,
-            teacher: snapshot.teacher,
-            buffer: snapshot.buffer,
-            scheduler,
-            platform,
-            duration_s,
-            drop_rate,
-            cursor: snapshot.stream_cursor,
-            now_s: snapshot.now_s,
-            next_measure_s: snapshot.next_measure_s,
-            timeline: snapshot.timeline,
-            phases: snapshot.phases,
-            last_validation: snapshot.last_validation,
-            last_labeling: snapshot.last_labeling,
-            drift_responses: snapshot.drift_responses,
-            phase_seed: snapshot.phase_seed,
-            pending: snapshot.pending.into_iter().collect(),
-            finished: snapshot.finished,
-            record_labels: snapshot.record_labels,
-            fresh_labels,
-            edge,
-            scratch: TrainScratch::new(),
-            center_cache: CenterCache::new(),
-            staged_uplink_before: None,
-        })
+        let mut rt = Runtime::build(&snapshot.config)?;
+        snapshot.validate(&rt.stream)?;
+        let mut state = snapshot;
+        rt.scheduler.restore_state(&state.scheduler_state)?;
+        state.scheduler_state = Value::Null;
+        Ok(Self { state, rt })
     }
 
     /// Makes the session keep a copy of every batch its teacher freshly
@@ -676,13 +668,13 @@ impl Session {
     /// (recording copies every labeled row once more); the cluster executor
     /// enables it when a cross-camera [`crate::share`] policy is active.
     pub(crate) fn set_record_labels(&mut self, record: bool) {
-        self.record_labels = record;
+        self.state.record_labels = record;
     }
 
     /// Drains the teacher-labeled samples recorded since the last drain
     /// (empty unless [`Session::set_record_labels`] enabled recording).
     pub(crate) fn take_fresh_labels(&mut self) -> SampleBlock {
-        std::mem::take(&mut self.fresh_labels)
+        std::mem::take(&mut self.state.fresh_labels)
     }
 
     /// Admits externally labeled samples (correlated peers' exports) into
@@ -698,32 +690,32 @@ impl Session {
     /// Returns [`CoreError::InvalidConfig`] if a batch's feature length
     /// differs from the buffered samples'.
     pub(crate) fn admit_samples(&mut self, grants: &[(&SampleBlock, usize)]) -> Result<()> {
-        self.buffer.admit_prefixes(grants)
+        self.state.buffer.admit_prefixes(grants)
     }
 
     /// The session's effective teacher-labeling throughput in samples per
     /// second — the rate an admitted import batch would have cost to label
     /// locally.
     pub(crate) fn labeling_sps(&self) -> f64 {
-        self.platform.effective_labeling_sps(self.config.stream.fps)
+        self.rt.platform.effective_labeling_sps(self.state.config.stream.fps)
     }
 
     /// Whether the session carries an edge–cloud tier (the configuration
     /// had an [`EdgeConfig`](crate::edge::EdgeConfig)).
     pub(crate) fn has_edge_tier(&self) -> bool {
-        self.edge.is_some()
+        self.state.edge.is_some()
     }
 
     /// Whether the most recent labeling phase ran on the cloud tier. The
     /// cluster executor exempts such phases from accelerator arbitration —
     /// offloaded labeling costs no local compute.
     pub(crate) fn last_phase_offloaded(&self) -> bool {
-        self.edge.as_ref().is_some_and(|tier| tier.state.last_phase_offloaded)
+        self.state.edge.as_ref().is_some_and(|tier| tier.last_phase_offloaded)
     }
 
     /// This session's edge-tier counters, for cluster-level aggregation.
     pub(crate) fn edge_accum(&self) -> Option<EdgeAccum> {
-        self.edge.as_ref().map(EdgeTier::accum)
+        self.state.edge.as_ref().map(EdgeTierState::accum)
     }
 
     /// Buffer depth and uplink byte meters, the session-side half of the
@@ -731,35 +723,33 @@ impl Session {
     /// `(buffer_len, bytes_shipped, window_bytes)`. The byte meters are
     /// zero without an edge tier.
     pub(crate) fn offload_meter(&self) -> (usize, u64, u64) {
-        let (bytes_shipped, window_bytes) = self
-            .edge
-            .as_ref()
-            .map_or((0, 0), |tier| (tier.state.bytes_shipped, tier.state.window_bytes));
-        (self.buffer.len(), bytes_shipped, window_bytes)
+        let (bytes_shipped, window_bytes) =
+            self.state.edge.as_ref().map_or((0, 0), |tier| (tier.bytes_shipped, tier.window_bytes));
+        (self.state.buffer.len(), bytes_shipped, window_bytes)
     }
 
     /// Cumulative uplink meters for observer reporting: `(bytes_shipped,
     /// labels_cloud)`, or `None` without an edge tier. Deltas between two
     /// reads bound one step's shipment.
     pub(crate) fn uplink_meter(&self) -> Option<(u64, u64)> {
-        self.edge.as_ref().map(|tier| (tier.state.bytes_shipped, tier.state.labels_cloud))
+        self.state.edge.as_ref().map(|tier| (tier.bytes_shipped, tier.labels_cloud))
     }
 
     /// The sample buffer, for tests that stage or inspect its contents.
     #[cfg(test)]
     pub(crate) fn buffer_mut(&mut self) -> &mut SampleBuffer {
-        &mut self.buffer
+        &mut self.state.buffer
     }
 
     /// Current sample-buffer depth, for barrier sampling.
     pub(crate) fn buffer_len(&self) -> usize {
-        self.buffer.len()
+        self.state.buffer.len()
     }
 
     /// Fraction of buffered samples stamped at or after `cutoff_s` on the
     /// session's own clock, for barrier sampling.
     pub(crate) fn buffer_fresh_fraction(&self, cutoff_s: f64) -> f64 {
-        self.buffer.fresh_fraction(cutoff_s)
+        self.state.buffer.fresh_fraction(cutoff_s)
     }
 
     /// Routes the session's labeling for the window that is starting:
@@ -774,7 +764,7 @@ impl Session {
     /// Returns [`CoreError::InvalidConfig`] if the session has no edge tier
     /// (no [`EdgeConfig`](crate::edge::EdgeConfig) in its configuration).
     pub fn set_label_route(&mut self, route: LabelRoute) -> Result<()> {
-        match self.edge.as_mut() {
+        match self.state.edge.as_mut() {
             Some(tier) => {
                 tier.begin_window(route);
                 Ok(())
@@ -790,74 +780,74 @@ impl Session {
     /// The session's current label route, or `None` without an edge tier.
     #[must_use]
     pub fn label_route(&self) -> Option<LabelRoute> {
-        self.edge.as_ref().map(|tier| tier.state.route)
+        self.state.edge.as_ref().map(|tier| tier.route)
     }
 
     /// Number of cloud labels shipped but not yet arrived into the buffer.
     #[must_use]
     pub fn in_flight_cloud_labels(&self) -> usize {
-        self.edge.as_ref().map_or(0, |tier| tier.state.in_flight.len())
+        self.state.edge.as_ref().map_or(0, |tier| tier.in_flight.len())
     }
 
     /// The configuration this session was built from.
     #[must_use]
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.state.config
     }
 
     /// The resolved platform capability sheet the session runs against.
     #[must_use]
     pub fn platform(&self) -> &PlatformRates {
-        &self.platform
+        &self.rt.platform
     }
 
     /// The stream's resumable read position: how far the labeling kernel has
     /// consumed the camera stream. Snapshots carry this cursor.
     #[must_use]
     pub fn stream_cursor(&self) -> StreamCursor {
-        self.cursor
+        self.state.stream_cursor
     }
 
     /// Current simulated time in seconds.
     #[must_use]
     pub fn now_s(&self) -> f64 {
-        self.now_s
+        self.state.now_s
     }
 
     /// Total scenario duration in seconds.
     #[must_use]
     pub fn duration_s(&self) -> f64 {
-        self.duration_s
+        self.rt.duration_s
     }
 
     /// Fraction of the scenario executed so far, in `[0, 1]`.
     #[must_use]
     pub fn progress(&self) -> f64 {
-        (self.now_s / self.duration_s).clamp(0.0, 1.0)
+        (self.state.now_s / self.rt.duration_s).clamp(0.0, 1.0)
     }
 
     /// Whether the scenario has completed.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.finished && self.pending.is_empty()
+        self.state.finished && self.state.pending.is_empty()
     }
 
     /// The accuracy timeline recorded so far.
     #[must_use]
     pub fn accuracy_timeline(&self) -> &[(f64, f64)] {
-        &self.timeline
+        &self.state.timeline
     }
 
     /// The phases executed so far.
     #[must_use]
     pub fn phases(&self) -> &[PhaseRecord] {
-        &self.phases
+        &self.state.phases
     }
 
     /// Number of drift responses issued so far.
     #[must_use]
     pub fn drift_responses(&self) -> usize {
-        self.drift_responses
+        self.state.drift_responses
     }
 
     /// Executes work until the next event is available and returns it.
@@ -873,25 +863,19 @@ impl Session {
     /// Returns an error if a kernel invocation fails (which indicates a
     /// configuration inconsistency, such as mismatched feature dimensions).
     pub fn step(&mut self) -> Result<SessionEvent> {
-        if let Some(event) = self.pending.pop_front() {
-            return Ok(event);
+        if self.state.pending.is_empty() && !self.state.finished {
+            if self.state.now_s >= self.rt.duration_s {
+                // Flush any remaining measurement points, then finish.
+                self.measure_until(self.rt.duration_s)?;
+                self.state.finished = true;
+                self.state.pending.push_back(SessionEvent::Finished);
+            } else {
+                // Queues at least the phase event of the action it ran.
+                self.execute_next_action()?;
+            }
         }
-        if self.finished {
-            return Ok(SessionEvent::Finished);
-        }
-        if self.now_s >= self.duration_s {
-            // Flush any remaining measurement points, then finish.
-            self.measure_until(self.duration_s)?;
-            self.finished = true;
-            self.pending.push_back(SessionEvent::Finished);
-            // lint: allow(panic) — the Finished event was pushed on the line
-            // above; the queue cannot be empty here
-            return Ok(self.pending.pop_front().expect("finished event queued"));
-        }
-        self.execute_next_action()?;
-        // lint: allow(panic) — execute_next_action always queues at least the
-        // phase event for the action it ran
-        Ok(self.pending.pop_front().expect("every action yields at least a phase event"))
+        // Only a finished session's queue is ever empty here.
+        Ok(self.state.pending.pop_front().unwrap_or(SessionEvent::Finished))
     }
 
     /// Steps the session to completion, forwarding every event to `observer`
@@ -908,7 +892,7 @@ impl Session {
         loop {
             let event = self.step()?;
             let uplink = self.uplink_meter();
-            report_uplink(observer, "", self.now_s, last_uplink, uplink);
+            report_uplink(observer, "", self.state.now_s, last_uplink, uplink);
             last_uplink = uplink;
             event.dispatch(observer);
             if event == SessionEvent::Finished {
@@ -958,27 +942,28 @@ impl Session {
     /// scenario.
     #[must_use]
     pub fn into_result(self) -> SimResult {
-        let mean_accuracy = if self.timeline.is_empty() {
+        let Self { state, rt } = self;
+        let mean_accuracy = if state.timeline.is_empty() {
             0.0
         } else {
-            self.timeline.iter().map(|(_, a)| a).sum::<f64>() / self.timeline.len() as f64
+            state.timeline.iter().map(|(_, a)| a).sum::<f64>() / state.timeline.len() as f64
         };
         // A finished run covers the whole scenario (now_s can overshoot the
         // end by a fraction of a phase); a partial run covers only the
         // executed prefix.
-        let covered_s = self.now_s.min(self.duration_s);
+        let covered_s = state.now_s.min(rt.duration_s);
         SimResult {
-            system: format!("{} / {}", self.platform.name(), self.scheduler.name()),
-            scenario: self.config.scenario.name().to_string(),
-            pair: self.config.pair,
-            scheduler: self.scheduler.name(),
-            accuracy_timeline: self.timeline,
+            system: format!("{} / {}", rt.platform.name(), rt.scheduler.name()),
+            scenario: state.config.scenario.name().to_string(),
+            pair: state.config.pair,
+            scheduler: rt.scheduler.name(),
+            accuracy_timeline: state.timeline,
             mean_accuracy,
-            frame_drop_rate: self.drop_rate,
-            energy_joules: self.platform.energy_joules(covered_s),
-            power_watts: self.platform.power_watts(),
-            phases: self.phases,
-            drift_responses: self.drift_responses,
+            frame_drop_rate: rt.drop_rate,
+            energy_joules: rt.platform.energy_joules(covered_s),
+            power_watts: rt.platform.power_watts(),
+            phases: state.phases,
+            drift_responses: state.drift_responses,
             duration_s: covered_s,
         }
     }
@@ -1012,28 +997,31 @@ impl Session {
     ///
     /// Same conditions as [`Session::step`].
     pub(crate) fn stage_phase(&mut self) -> Result<Option<StagedRetrain>> {
-        if self.finished || !self.pending.is_empty() || self.now_s >= self.duration_s {
+        if self.state.finished
+            || !self.state.pending.is_empty()
+            || self.state.now_s >= self.rt.duration_s
+        {
             return Ok(None);
         }
         // A labeling phase executed here ships its uplink bytes before the
         // event loop's observer reads the meter; park the pre-phase reading
         // so the pop still reports the correct delta.
-        self.staged_uplink_before = self.uplink_meter();
+        self.rt.staged_uplink_before = self.uplink_meter();
         self.execute_or_stage(true)
     }
 
     /// Takes the uplink-meter baseline parked by [`Session::stage_phase`],
     /// if the upcoming event burst was pre-executed there.
     pub(crate) fn take_staged_uplink_baseline(&mut self) -> Option<(u64, u64)> {
-        self.staged_uplink_before.take()
+        self.rt.staged_uplink_before.take()
     }
 
     /// The pieces a stacked retraining job borrows from this session:
     /// `(network, learning_rate, batch_size, buffer)` — the buffer is what
     /// a [`StagedRetrain`]'s indices resolve against.
     pub(crate) fn stacked_parts(&mut self) -> (&mut Mlp, f32, usize, &SampleBuffer) {
-        let (learning_rate, batch_size) = self.student.hyperparams();
-        (self.student.network_mut(), learning_rate, batch_size, &self.buffer)
+        let (learning_rate, batch_size) = self.state.student.hyperparams();
+        (self.state.student.network_mut(), learning_rate, batch_size, &self.state.buffer)
     }
 
     /// Completes a retraining phase staged by [`Session::stage_phase`] after
@@ -1046,17 +1034,17 @@ impl Session {
     /// Returns [`CoreError::Dnn`] if the validation batch's feature width
     /// does not match (a configuration inconsistency).
     pub(crate) fn finish_staged_retrain(&mut self, staged: StagedRetrain) -> Result<()> {
-        let (rows, labels) = self.buffer.gather(&staged.validation);
-        self.last_validation =
-            Some(self.student.accuracy_on_rows_with(&rows, &labels, &mut self.scratch)?);
+        let (rows, labels) = self.state.buffer.gather(&staged.validation);
+        self.state.last_validation =
+            Some(self.state.student.accuracy_on_rows_with(&rows, &labels, &mut self.rt.scratch)?);
         self.push_phase(PhaseRecord {
             kind: PhaseKind::Retrain,
-            start_s: self.now_s,
+            start_s: self.state.now_s,
             duration_s: staged.phase_duration,
             samples: staged.presentations,
             drift_response: false,
         });
-        self.now_s += staged.phase_duration;
+        self.state.now_s += staged.phase_duration;
         Ok(())
     }
 
@@ -1064,76 +1052,74 @@ impl Session {
     /// and [`Session::stage_phase`] (`stage: true`); see the latter for the
     /// staging contract.
     fn execute_or_stage(&mut self, stage: bool) -> Result<Option<StagedRetrain>> {
-        let duration = self.duration_s;
-        let fps = self.config.stream.fps;
+        let duration = self.rt.duration_s;
+        let fps = self.state.config.stream.fps;
         // Cloud labels whose uplink round trip has completed land in the
         // buffer before the scheduler looks at it — deferred arrival is the
         // whole point of the modeled uplink.
-        if let Some(tier) = self.edge.as_mut() {
-            for sample in tier.deliver_matured(self.now_s) {
-                if self.record_labels {
-                    self.fresh_labels.push(sample.view());
+        if let Some(tier) = self.state.edge.as_mut() {
+            for sample in tier.deliver_matured(self.state.now_s) {
+                if self.state.record_labels {
+                    self.state.fresh_labels.push(sample.view());
                 }
-                self.buffer.admit_row(sample.view())?;
+                self.state.buffer.admit_row(sample.view())?;
             }
         }
         let ctx = SchedulerContext {
-            now_s: self.now_s,
-            buffer_len: self.buffer.len(),
-            buffer_capacity: self.buffer.capacity(),
-            last_validation_accuracy: self.last_validation,
-            last_labeling_accuracy: self.last_labeling,
+            now_s: self.state.now_s,
+            buffer_len: self.state.buffer.len(),
+            buffer_capacity: self.state.buffer.capacity(),
+            last_validation_accuracy: self.state.last_validation,
+            last_labeling_accuracy: self.state.last_labeling,
         };
-        let action = self.scheduler.next_action(&ctx);
-        self.phase_seed = self.phase_seed.wrapping_add(0x9e37_79b9);
+        let action = self.rt.scheduler.next_action(&ctx);
+        self.state.phase_seed = self.state.phase_seed.wrapping_add(0x9e37_79b9);
 
         match action {
             Action::Label { samples, reset_buffer } => {
                 if reset_buffer {
-                    self.buffer.reset();
+                    self.state.buffer.reset();
                     // Stale pre-drift labels must not trickle into the
                     // freshly cleared buffer once their uplink round trip
                     // completes.
-                    if let Some(tier) = self.edge.as_mut() {
+                    if let Some(tier) = self.state.edge.as_mut() {
                         tier.discard_in_flight();
                     }
-                    self.drift_responses += 1;
-                    self.pending.push_back(SessionEvent::Drift {
-                        at_s: self.now_s,
-                        response_index: self.drift_responses,
+                    self.state.drift_responses += 1;
+                    self.state.pending.push_back(SessionEvent::Drift {
+                        at_s: self.state.now_s,
+                        response_index: self.state.drift_responses,
                     });
                 }
-                let route = self.edge.as_ref().map_or(LabelRoute::Local, EdgeTier::phase_route);
-                let offload = matches!(route, LabelRoute::Cloud { .. });
-                let rate = if offload {
+                // The phase ships over the uplink exactly when the window's
+                // route (budget permitting) says cloud.
+                let route =
+                    self.state.edge.as_ref().map_or(LabelRoute::Local, EdgeTierState::phase_route);
+                let uplink =
+                    self.rt.uplink.as_ref().filter(|_| matches!(route, LabelRoute::Cloud { .. }));
+                let rate = match uplink {
                     // The uplink is the labeling bottleneck: frames ship no
                     // faster than the link carries them or the camera
                     // captures them.
-                    self.edge
-                        .as_ref()
-                        // lint: allow(panic) — route came from this same
-                        // edge field two lines up; Cloud implies Some
-                        .expect("a cloud route implies an edge tier")
-                        .labeling_sps(fps)
-                } else {
-                    self.platform.effective_labeling_sps(fps)
+                    Some(uplink) => uplink.labeling_sps(fps),
+                    None => self.rt.platform.effective_labeling_sps(fps),
                 };
                 if rate <= f64::EPSILON {
                     // Labeling is starved out entirely (e.g. an overloaded
                     // GPU); burn the rest of the scenario waiting.
-                    let wait = (duration - self.now_s).max(MIN_PHASE_SECONDS);
-                    self.measure_until(self.now_s + wait)?;
+                    let wait = (duration - self.state.now_s).max(MIN_PHASE_SECONDS);
+                    self.measure_until(self.state.now_s + wait)?;
                     self.push_phase(PhaseRecord {
                         kind: PhaseKind::Wait,
-                        start_s: self.now_s,
+                        start_s: self.state.now_s,
                         duration_s: wait,
                         samples: 0,
                         drift_response: reset_buffer,
                     });
-                    self.now_s += wait;
+                    self.state.now_s += wait;
                     return Ok(None);
                 }
-                let remaining = duration - self.now_s;
+                let remaining = duration - self.state.now_s;
                 let ideal_duration = samples.max(1) as f64 / rate;
                 let phase_duration =
                     ideal_duration.clamp(MIN_PHASE_SECONDS.min(remaining), remaining);
@@ -1144,46 +1130,44 @@ impl Session {
                 // consuming the stream through its resumable cursor (the
                 // position snapshots carry).
                 let step = ((phase_duration * fps) as u64 / actual_samples as u64).max(1);
-                self.cursor.seek_time(&self.stream, self.now_s);
-                let frames = self.cursor.frames_until_cached(
-                    &self.stream,
-                    self.now_s + phase_duration,
+                self.state.stream_cursor.seek_time(&self.rt.stream, self.state.now_s);
+                let frames = self.state.stream_cursor.frames_until_cached(
+                    &self.rt.stream,
+                    self.state.now_s + phase_duration,
                     step,
-                    &mut self.center_cache,
+                    &mut self.rt.center_cache,
                 );
                 let mut selected = frames;
                 selected.truncate(actual_samples);
                 let phase_samples;
-                if offload {
+                if let Some((uplink, tier)) = uplink.zip(self.state.edge.as_mut()) {
                     // Cloud path: each sampled frame runs the near-duplicate
                     // filter, survivors ship over the serial uplink and come
                     // back as in-flight labels — nothing enters the buffer
                     // until the round trip completes. A shipped frame's
                     // features move into its in-flight label.
-                    // lint: allow(panic) — offload is only true when
-                    // phase_route read Cloud from this same Some(edge)
-                    let tier = self.edge.as_mut().expect("a cloud route implies an edge tier");
-                    let first_shipped = tier.state.in_flight.len();
+                    let first_shipped = tier.in_flight.len();
                     for frame in selected {
-                        tier.offer(
+                        uplink.offer(
+                            tier,
                             frame.sample.features,
                             frame.sample.true_class,
                             frame.timestamp_s,
                             &frame.attributes,
                         );
                     }
-                    tier.state.last_phase_offloaded = true;
-                    let shipped = &tier.state.in_flight[first_shipped..];
+                    tier.last_phase_offloaded = true;
+                    let shipped = &tier.in_flight[first_shipped..];
                     phase_samples = shipped.len();
                     if !shipped.is_empty() {
                         let rows: Vec<&[f32]> =
                             shipped.iter().map(|l| l.sample.features.as_slice()).collect();
                         let labels: Vec<usize> =
                             shipped.iter().map(|l| l.sample.teacher_label).collect();
-                        self.last_labeling = Some(self.student.accuracy_on_rows_with(
+                        self.state.last_labeling = Some(self.state.student.accuracy_on_rows_with(
                             &rows,
                             &labels,
-                            &mut self.scratch,
+                            &mut self.rt.scratch,
                         )?);
                     }
                 } else {
@@ -1192,20 +1176,21 @@ impl Session {
                     let labels: Vec<usize> = selected
                         .iter()
                         .map(|frame| {
-                            self.teacher
+                            self.state
+                                .teacher
                                 .label(frame.sample.true_class, frame.attributes.difficulty())
                         })
                         .collect();
                     // acc_l: the current student's accuracy on the freshly
                     // labeled data, judged by the teacher's labels.
-                    self.last_labeling = Some(self.student.accuracy_on_rows_with(
+                    self.state.last_labeling = Some(self.state.student.accuracy_on_rows_with(
                         &rows,
                         &labels,
-                        &mut self.scratch,
+                        &mut self.rt.scratch,
                     )?);
-                    if let Some(tier) = self.edge.as_mut() {
+                    if let Some(tier) = self.state.edge.as_mut() {
                         tier.note_local_labels(selected.len());
-                        tier.state.last_phase_offloaded = false;
+                        tier.last_phase_offloaded = false;
                     }
                     // Each labeled row is copied from its frame straight
                     // into the buffer's slab (and the export block).
@@ -1216,46 +1201,46 @@ impl Session {
                             true_class: frame.sample.true_class,
                             timestamp_s: frame.timestamp_s,
                         };
-                        if self.record_labels {
-                            self.fresh_labels.push(row);
+                        if self.state.record_labels {
+                            self.state.fresh_labels.push(row);
                         }
-                        self.buffer.admit_row(row)?;
+                        self.state.buffer.admit_row(row)?;
                     }
                     phase_samples = actual_samples;
                 }
 
-                self.measure_until(self.now_s + phase_duration)?;
+                self.measure_until(self.state.now_s + phase_duration)?;
                 self.push_phase(PhaseRecord {
                     kind: PhaseKind::Label,
-                    start_s: self.now_s,
+                    start_s: self.state.now_s,
                     duration_s: phase_duration,
                     samples: phase_samples,
                     drift_response: reset_buffer,
                 });
-                self.now_s += phase_duration;
+                self.state.now_s += phase_duration;
             }
             Action::Retrain { samples, epochs } => {
-                let (train, validation) = self.buffer.draw_indices(
+                let (train, validation) = self.state.buffer.draw_indices(
                     samples,
-                    self.config.hyper.validation_samples,
-                    self.phase_seed,
+                    self.state.config.hyper.validation_samples,
+                    self.state.phase_seed,
                 );
                 if train.is_empty() {
                     let wait = MIN_PHASE_SECONDS.max(1.0);
-                    self.measure_until(self.now_s + wait)?;
+                    self.measure_until(self.state.now_s + wait)?;
                     self.push_phase(PhaseRecord {
                         kind: PhaseKind::Wait,
-                        start_s: self.now_s,
+                        start_s: self.state.now_s,
                         duration_s: wait,
                         samples: 0,
                         drift_response: false,
                     });
-                    self.now_s += wait;
+                    self.state.now_s += wait;
                     return Ok(None);
                 }
                 let presentations = train.len() * epochs.max(1);
-                let rate = self.platform.effective_retraining_sps(fps);
-                let remaining = duration - self.now_s;
+                let rate = self.rt.platform.effective_retraining_sps(fps);
+                let remaining = duration - self.state.now_s;
                 let phase_duration = if rate <= f64::EPSILON {
                     remaining
                 } else {
@@ -1264,7 +1249,7 @@ impl Session {
 
                 // The old model keeps serving inference during retraining;
                 // the updated weights deploy when the phase completes.
-                self.measure_until(self.now_s + phase_duration)?;
+                self.measure_until(self.state.now_s + phase_duration)?;
                 if stage {
                     // The schedule is decided and the measurements taken;
                     // hand the gradient work to the stacked dispatch. The
@@ -1277,20 +1262,28 @@ impl Session {
                         phase_duration,
                     }));
                 }
-                let (rows, labels) = self.buffer.gather(&train);
-                self.student.retrain_rows_with(&rows, &labels, epochs.max(1), &mut self.scratch)?;
-                let (rows, labels) = self.buffer.gather(&validation);
-                self.last_validation =
-                    Some(self.student.accuracy_on_rows_with(&rows, &labels, &mut self.scratch)?);
+                let (rows, labels) = self.state.buffer.gather(&train);
+                self.state.student.retrain_rows_with(
+                    &rows,
+                    &labels,
+                    epochs.max(1),
+                    &mut self.rt.scratch,
+                )?;
+                let (rows, labels) = self.state.buffer.gather(&validation);
+                self.state.last_validation = Some(self.state.student.accuracy_on_rows_with(
+                    &rows,
+                    &labels,
+                    &mut self.rt.scratch,
+                )?);
 
                 self.push_phase(PhaseRecord {
                     kind: PhaseKind::Retrain,
-                    start_s: self.now_s,
+                    start_s: self.state.now_s,
                     duration_s: phase_duration,
                     samples: presentations,
                     drift_response: false,
                 });
-                self.now_s += phase_duration;
+                self.state.now_s += phase_duration;
             }
             Action::Wait { seconds } => {
                 // Schedulers come from the open registry, so their actions
@@ -1300,56 +1293,59 @@ impl Session {
                     return Err(CoreError::InvalidConfig {
                         reason: format!(
                             "scheduler '{}' returned a non-finite wait ({seconds})",
-                            self.scheduler.name()
+                            self.rt.scheduler.name()
                         ),
                     });
                 }
-                let remaining = duration - self.now_s;
+                let remaining = duration - self.state.now_s;
                 let wait = seconds.clamp(MIN_PHASE_SECONDS.min(remaining), remaining);
-                self.measure_until(self.now_s + wait)?;
+                self.measure_until(self.state.now_s + wait)?;
                 self.push_phase(PhaseRecord {
                     kind: PhaseKind::Wait,
-                    start_s: self.now_s,
+                    start_s: self.state.now_s,
                     duration_s: wait,
                     samples: 0,
                     drift_response: false,
                 });
-                self.now_s += wait;
+                self.state.now_s += wait;
             }
         }
         Ok(None)
     }
 
     fn push_phase(&mut self, phase: PhaseRecord) {
-        self.phases.push(phase);
-        self.pending.push_back(SessionEvent::Phase(phase));
+        self.state.phases.push(phase);
+        self.state.pending.push_back(SessionEvent::Phase(phase));
     }
 
     /// Records accuracy measurements at every measurement point in
     /// `[next_measure, until)` using the student's current weights, queueing
     /// one event per point.
     fn measure_until(&mut self, until: f64) -> Result<()> {
-        let interval = self.config.measure_interval_s;
-        let frames_wanted = self.config.eval_frames_per_measurement as u64;
-        while self.next_measure_s < until && self.next_measure_s < self.duration_s {
-            let window_frames = (interval * self.config.stream.fps) as u64;
+        let interval = self.state.config.measure_interval_s;
+        let frames_wanted = self.state.config.eval_frames_per_measurement as u64;
+        while self.state.next_measure_s < until && self.state.next_measure_s < self.rt.duration_s {
+            let window_frames = (interval * self.state.config.stream.fps) as u64;
             let step = (window_frames / frames_wanted.max(1)).max(1);
-            let frames = self.stream.frames_between_cached(
-                self.next_measure_s,
-                self.next_measure_s + interval,
+            let frames = self.rt.stream.frames_between_cached(
+                self.state.next_measure_s,
+                self.state.next_measure_s + interval,
                 step,
-                &mut self.center_cache,
+                &mut self.rt.center_cache,
             );
             if frames.is_empty() {
                 return Err(CoreError::InvalidConfig {
                     reason: "measurement interval produced no evaluation frames".into(),
                 });
             }
-            let accuracy = self.student.accuracy_on_frames_with(&frames, &mut self.scratch)?
-                * (1.0 - self.drop_rate);
-            self.timeline.push((self.next_measure_s, accuracy));
-            self.pending.push_back(SessionEvent::Accuracy { at_s: self.next_measure_s, accuracy });
-            self.next_measure_s += interval;
+            let accuracy =
+                self.state.student.accuracy_on_frames_with(&frames, &mut self.rt.scratch)?
+                    * (1.0 - self.rt.drop_rate);
+            self.state.timeline.push((self.state.next_measure_s, accuracy));
+            self.state
+                .pending
+                .push_back(SessionEvent::Accuracy { at_s: self.state.next_measure_s, accuracy });
+            self.state.next_measure_s += interval;
         }
         Ok(())
     }
@@ -1724,6 +1720,95 @@ mod tests {
         let mut snapshot = plain.snapshot();
         snapshot.edge = session.snapshot().edge;
         assert!(Session::restore(snapshot).is_err(), "snapshot has edge, config does not");
+    }
+
+    /// Mid-run snapshots to mutate: one plain, one with an edge tier and
+    /// cloud labels on the wire.
+    fn mid_run_snapshots() -> [SessionSnapshot; 2] {
+        let plain = session_after_phases(SchedulerKind::DaCapoSpatiotemporal, 4).snapshot();
+        let mut edged = Session::new(edge_config(SchedulerKind::DaCapoSpatiotemporal)).unwrap();
+        edged.set_label_route(LabelRoute::Cloud { byte_budget: None }).unwrap();
+        while edged.in_flight_cloud_labels() == 0 {
+            edged.step().unwrap();
+        }
+        [plain, edged.snapshot()]
+    }
+
+    /// Restoring `snapshot` must fail with a typed snapshot error.
+    #[track_caller]
+    fn assert_unrestorable(snapshot: Result<SessionSnapshot>, what: &str) {
+        match snapshot.and_then(Session::restore) {
+            Err(CoreError::Snapshot { reason }) => assert!(!reason.is_empty(), "{what}"),
+            Err(other) => panic!("{what}: expected CoreError::Snapshot, got {other:?}"),
+            Ok(_) => panic!("{what}: hostile state must not restore"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_state_it_cannot_run() {
+        type Mutation = (&'static str, fn(&mut SessionSnapshot));
+        let any_session: &[Mutation] = &[
+            ("now_s NaN", |s| s.now_s = f64::NAN),
+            ("now_s negative", |s| s.now_s = -1.0),
+            ("now_s +inf", |s| s.now_s = f64::INFINITY),
+            ("now_s -inf", |s| s.now_s = f64::NEG_INFINITY),
+            ("next_measure_s NaN", |s| s.next_measure_s = f64::NAN),
+            ("next_measure_s negative", |s| s.next_measure_s = -1e300),
+            ("timeline time", |s| s.timeline[0].0 = f64::NAN),
+            ("phase start", |s| s.phases[0].start_s = f64::INFINITY),
+            ("phase duration", |s| s.phases.last_mut().unwrap().duration_s = f64::NAN),
+            ("feature_dim vs student", |s| s.config.stream.feature_dim += 1),
+            ("buffer capacity", |s| s.buffer = SampleBuffer::new(s.buffer.capacity() + 1)),
+            ("buffer row width", |s| {
+                let wide = vec![0.0; s.config.stream.feature_dim + 1];
+                s.buffer.reset();
+                s.buffer.push(crate::LabeledSample {
+                    features: wide,
+                    teacher_label: 0,
+                    true_class: 0,
+                    timestamp_s: 0.0,
+                });
+            }),
+            ("cursor past the end", |s| {
+                let past = Value::Object(vec![("next_index".to_string(), Value::UInt(u64::MAX))]);
+                s.stream_cursor = StreamCursor::from_value(&past).unwrap();
+            }),
+        ];
+        let edge_only: &[Mutation] = &[
+            ("edge state missing", |s| s.edge = None),
+            ("uplink clock", |s| s.edge.as_mut().unwrap().uplink_free_at_s = f64::NAN),
+            ("arrival time", |s| {
+                s.edge.as_mut().unwrap().in_flight[0].arrival_s = f64::INFINITY;
+            }),
+        ];
+        let [plain, edged] = mid_run_snapshots();
+        for (snapshot, mutations) in
+            [(&plain, any_session), (&edged, any_session), (&edged, edge_only)]
+        {
+            assert!(Session::restore(snapshot.clone()).is_ok(), "the unmutated snapshot restores");
+            for (what, mutate) in mutations {
+                let mut hostile = snapshot.clone();
+                mutate(&mut hostile);
+                assert_unrestorable(Ok(hostile), what);
+            }
+        }
+        let mut hostile = plain.clone();
+        hostile.edge = edged.edge.clone();
+        assert_unrestorable(Ok(hostile), "edge state without an edge tier");
+    }
+
+    #[test]
+    fn non_finite_clocks_spliced_into_snapshot_json_are_rejected() {
+        let [plain, _] = mid_run_snapshots();
+        let json = plain.to_json();
+        let key = "\n  \"now_s\": ";
+        let start = json.find(key).expect("now_s is a top-level field") + key.len();
+        let end = start + json[start..].find(',').unwrap();
+        for hostile in ["null", "1e999", "-1e999"] {
+            let text = format!("{}{hostile}{}", &json[..start], &json[end..]);
+            assert_unrestorable(SessionSnapshot::from_json(&text), hostile);
+        }
+        assert!(SessionSnapshot::from_json(&json).and_then(Session::restore).is_ok());
     }
 
     #[test]

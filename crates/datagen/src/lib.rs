@@ -32,6 +32,14 @@
 //! assert_eq!(frame.sample.features.len(), StreamConfig::default().feature_dim);
 //! ```
 
+// Library code of this crate is in the strict clippy tier (see the root
+// Cargo.toml): beyond the workspace-wide bans, no `.expect()`, no
+// undocumented `Result`, no unordered maps / clock types / `dyn Error`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::missing_errors_doc, clippy::disallowed_types)
+)]
+
 mod attributes;
 mod classes;
 mod error;

@@ -95,9 +95,12 @@ impl Scenario {
     /// Panics if `segments` is empty or any duration is non-positive or
     /// non-finite.
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "panicking is this wrapper's documented contract; fallible callers use \
+                  try_from_segments directly"
+    )]
     pub fn from_segments(name: impl Into<String>, segments: Vec<Segment>) -> Self {
-        // lint: allow(panic) — panicking is this wrapper's documented
-        // contract; fallible callers use try_from_segments directly
         Self::try_from_segments(name, segments).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -129,9 +132,13 @@ impl Scenario {
                 return segment.attributes;
             }
         }
-        // lint: allow(panic) — try_from_segments rejects empty segment
-        // lists, so every constructed Scenario has a last segment
-        self.segments.last().expect("scenario has segments").attributes
+        #[expect(
+            clippy::expect_used,
+            reason = "try_from_segments rejects empty segment lists, so every constructed \
+                      Scenario has a last segment"
+        )]
+        let last = self.segments.last().expect("scenario has segments");
+        last.attributes
     }
 
     /// Times (seconds from the start) at which attributes change, along with
@@ -323,6 +330,10 @@ impl Scenario {
 /// Builds a 20-minute scenario that toggles the listed drift dimensions at
 /// fixed, co-prime periods so multi-dimensional scenarios see both isolated
 /// and coincident drifts.
+#[expect(
+    clippy::expect_used,
+    reason = "the builtin tables always emit a fixed positive number of fixed-duration segments"
+)]
 fn build(name: &str, weather: Weather, drifts: &[DriftKind]) -> Scenario {
     let num_segments = (SCENARIO_SECONDS / SEGMENT_SECONDS) as usize;
     // Toggle periods chosen to be mutually co-prime so drift events spread
@@ -355,8 +366,6 @@ fn build(name: &str, weather: Weather, drifts: &[DriftKind]) -> Scenario {
         };
         segments.push(Segment { attributes, duration_s: SEGMENT_SECONDS });
     }
-    // lint: allow(panic) — the builtin tables above always emit a fixed
-    // positive number of fixed-duration segments
     Scenario::try_from_segments(name, segments).expect("builtin scenarios are non-degenerate")
 }
 

@@ -131,10 +131,13 @@ impl FrameStream {
     /// is the typed alternative; the core `SimConfig` validation calls it
     /// before any stream is built).
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract; core callers get the typed error from \
+                  StreamConfig::validate first"
+    )]
     pub fn new(scenario: &Scenario, config: StreamConfig) -> Self {
         if let Err(e) = config.validate() {
-            // lint: allow(panic) — documented constructor contract; core
-            // callers get the typed error from StreamConfig::validate first
             panic!("{e}");
         }
         Self { scenario: scenario.clone(), config }
@@ -238,8 +241,11 @@ impl FrameStream {
 
     /// Samples the feature vector around `center` with the frame RNG.
     fn features_around(&self, center: &[f32], rng: &mut StdRng) -> Vec<f32> {
-        // lint: allow(panic) — noise_std was validated non-negative and
-        // finite by StreamConfig::validate in FrameStream::new
+        #[expect(
+            clippy::expect_used,
+            reason = "noise_std was validated non-negative and finite by StreamConfig::validate \
+                      in FrameStream::new"
+        )]
         let noise = Normal::new(0.0f32, self.config.noise_std).expect("std is validated");
         center.iter().map(|c| c + noise.sample(rng)).collect()
     }

@@ -21,6 +21,14 @@
 //! workloads (inference, labeling, retraining) that Section III-B of the
 //! paper characterises.
 
+// Library code of this crate is in the strict clippy tier (see the root
+// Cargo.toml): beyond the workspace-wide bans, no `.expect()`, no
+// undocumented `Result`, no unordered maps / clock types / `dyn Error`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::missing_errors_doc, clippy::disallowed_types)
+)]
+
 pub mod batch;
 mod error;
 pub mod layer;

@@ -1,23 +1,21 @@
 //! The allow-annotation grammar.
 //!
-//! Three comment forms carry lint metadata, and each makes the *reason*
+//! Two comment forms carry lint metadata, and each makes the *reason*
 //! mandatory — an annotation without a justification is itself a finding:
 //!
 //! - `// lint: allow(<rule>) — <reason>` exempts code from `<rule>`
-//!   (`determinism`, `panic`, `registry`, `exhaustiveness`, `barrier`, or
-//!   `errors`). A trailing comment exempts its own line; a standalone
-//!   comment exempts the statement that follows (through its terminating
-//!   `;` or `,`), so a method chain wrapped over several lines needs only
-//!   one annotation.
+//!   (`registry`, `exhaustiveness`, or `barrier`). A trailing comment
+//!   exempts its own line; a standalone comment exempts the statement that
+//!   follows (through its terminating `;` or `,`), so a method chain
+//!   wrapped over several lines needs only one annotation.
 //! - `// lint: barrier-only(<reason>)` marks the function that follows as
 //!   a *barrier-only* mutation point: it touches cross-camera shared state
 //!   and may execute only on the single-threaded window-barrier call paths
 //!   (see the `barrier` rule). The reason goes inside the parentheses.
-//! - `// snapshot: skip(<field>) — <reason>` opts one mutable-state field
-//!   out of the snapshot-parity rule (the field will *not* survive
-//!   checkpoint/restore — say why that is correct), and
-//!   `// snapshot: as(<snapshot_field>) — <reason>` declares that the
-//!   field rides the snapshot under a different name.
+//!
+//! Panic-freedom, determinism and error documentation are clippy's now, so
+//! their opt-outs are `#[expect(clippy::.., reason = "..")]` attributes —
+//! which the compiler itself reports when they go stale — not comments.
 //!
 //! Doc comments (`///`, `//!`) never carry annotations, so documentation
 //! *about* the grammar cannot accidentally invoke it.
@@ -35,25 +33,6 @@ pub struct Allow {
     pub start: u32,
     /// Last exempted line (the end of the annotated statement).
     pub end: u32,
-}
-
-/// One parsed `snapshot: skip(<field>)` annotation.
-#[derive(Debug, Clone)]
-pub struct SnapshotSkip {
-    /// The state-struct field being opted out.
-    pub field: String,
-    /// The comment's own line (used to scope the skip to a struct body).
-    pub line: u32,
-}
-
-/// One parsed `snapshot: as(<snapshot_field>)` annotation, resolved to the
-/// code line (the state field declaration) it applies to.
-#[derive(Debug, Clone)]
-pub struct SnapshotRename {
-    /// The snapshot-struct field the state field maps to.
-    pub target: String,
-    /// The code line of the state field declaration.
-    pub line: u32,
 }
 
 /// One parsed `lint: barrier-only(<reason>)` annotation, resolved to the
@@ -76,10 +55,6 @@ pub struct FileAnnotations {
     pub allows: Vec<Allow>,
     /// `lint: barrier-only(..)` markers.
     pub barrier_only: Vec<BarrierOnly>,
-    /// `snapshot: skip(..)` opt-outs.
-    pub skips: Vec<SnapshotSkip>,
-    /// `snapshot: as(..)` renames.
-    pub renames: Vec<SnapshotRename>,
     /// Annotations that failed to parse.
     pub malformed: Vec<Diagnostic>,
 }
@@ -103,8 +78,6 @@ pub fn collect(file: &SourceFile) -> FileAnnotations {
         let text = comment.text.trim();
         if let Some(rest) = text.strip_prefix("lint:") {
             parse_lint(file, comment.line, comment.trailing, rest.trim(), &mut out);
-        } else if let Some(rest) = text.strip_prefix("snapshot:") {
-            parse_snapshot(file, comment.line, comment.trailing, rest.trim(), &mut out);
         }
     }
     out
@@ -194,7 +167,7 @@ fn parse_lint(file: &SourceFile, line: u32, trailing: bool, rest: &str, out: &mu
             Rule::Annotation,
             format!(
                 "unknown rule `{argument}` in allow — expected one of \
-                 determinism, panic, snapshot, registry, exhaustiveness, barrier, errors"
+                 registry, exhaustiveness, barrier"
             ),
         ));
         return;
@@ -210,48 +183,6 @@ fn parse_lint(file: &SourceFile, line: u32, trailing: bool, rest: &str, out: &mu
     }
     let (start, end) = target_range(file, line, trailing);
     out.allows.push(Allow { rule, start, end });
-}
-
-fn parse_snapshot(
-    file: &SourceFile,
-    line: u32,
-    trailing: bool,
-    rest: &str,
-    out: &mut FileAnnotations,
-) {
-    let Some((verb, argument, reason)) = parse_clause(rest) else {
-        out.malformed.push(Diagnostic::new(
-            &file.path,
-            line,
-            Rule::Annotation,
-            "malformed annotation — expected `// snapshot: skip(<field>) — <reason>` \
-             or `// snapshot: as(<snapshot_field>) — <reason>`",
-        ));
-        return;
-    };
-    if reason.is_empty() {
-        out.malformed.push(Diagnostic::new(
-            &file.path,
-            line,
-            Rule::Annotation,
-            format!(
-                "snapshot: {verb}({argument}) without a reason — the justification is mandatory"
-            ),
-        ));
-        return;
-    }
-    match verb.as_str() {
-        "skip" => out.skips.push(SnapshotSkip { field: argument, line }),
-        "as" => out
-            .renames
-            .push(SnapshotRename { target: argument, line: target_line(file, line, trailing) }),
-        other => out.malformed.push(Diagnostic::new(
-            &file.path,
-            line,
-            Rule::Annotation,
-            format!("unknown snapshot verb `{other}` — expected `skip` or `as`"),
-        )),
-    }
 }
 
 /// Parses `<verb>(<argument>) — <reason>` into its three parts. The reason

@@ -6,30 +6,19 @@ use std::fmt;
 /// annotations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Wall-clock, ambient randomness, environment reads, or unordered
-    /// hash collections in deterministic library code.
-    Determinism,
-    /// `unwrap`/`expect`/`panic!`-family calls in library code.
-    Panic,
-    /// A mutable-state struct field that does not ride its snapshot struct.
-    Snapshot,
     /// A registry builtin missing from module docs or README, or a
     /// reserved-name list that drifted from the code.
     Registry,
     /// A `SessionEvent` variant or `SimObserver` hook that a designated
-    /// handler (`dispatch`, `TelemetryRecorder`, `TeeObserver`) does not
-    /// handle or forward.
+    /// handler (`dispatch`, `TelemetryRecorder`) does not handle.
     Exhaustiveness,
     /// A cross-camera mutation (share import, churn membership, offload
     /// routing, barrier metrics sampling) outside an annotated
     /// `barrier-only` function, or a barrier-only function reachable from
     /// the parallel accelerator loops.
     Barrier,
-    /// A `Result`-returning `pub fn` without a typed workspace error or an
-    /// `# Errors` doc section.
-    Errors,
-    /// A `lint:`/`snapshot:` annotation that does not parse (unknown rule,
-    /// missing reason, unknown field).
+    /// A `lint:` annotation that does not parse (unknown rule or verb,
+    /// missing reason) or marks nothing.
     Annotation,
 }
 
@@ -38,40 +27,23 @@ impl Rule {
     #[must_use]
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Determinism => "determinism",
-            Rule::Panic => "panic",
-            Rule::Snapshot => "snapshot",
             Rule::Registry => "registry",
             Rule::Exhaustiveness => "exhaustiveness",
             Rule::Barrier => "barrier",
-            Rule::Errors => "errors",
             Rule::Annotation => "annotation",
         }
     }
 
     /// Every rule family, in report order. Drives `--rule` validation and
     /// the SARIF rule table.
-    pub const ALL: &'static [Rule] = &[
-        Rule::Determinism,
-        Rule::Panic,
-        Rule::Snapshot,
-        Rule::Registry,
-        Rule::Exhaustiveness,
-        Rule::Barrier,
-        Rule::Errors,
-        Rule::Annotation,
-    ];
+    pub const ALL: &'static [Rule] =
+        &[Rule::Registry, Rule::Exhaustiveness, Rule::Barrier, Rule::Annotation];
 
     /// One-line description of what the family enforces (SARIF rule
     /// metadata and `--help`).
     #[must_use]
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::Determinism => {
-                "no wall-clock, ambient randomness, environment reads, or unordered hashing"
-            }
-            Rule::Panic => "no unwrap/expect/panic!-family calls in library code",
-            Rule::Snapshot => "every mutable-state field rides its snapshot struct",
             Rule::Registry => "registry builtins documented; reserved-name lists match the code",
             Rule::Exhaustiveness => {
                 "every SessionEvent variant and SimObserver hook handled by its designated handler"
@@ -79,8 +51,7 @@ impl Rule {
             Rule::Barrier => {
                 "cross-camera state mutates only in barrier-only fns on single-threaded paths"
             }
-            Rule::Errors => "Result-returning pub fns use typed errors and document # Errors",
-            Rule::Annotation => "every lint:/snapshot: annotation parses and carries a reason",
+            Rule::Annotation => "every lint: annotation parses and carries a reason",
         }
     }
 
@@ -89,13 +60,9 @@ impl Rule {
     #[must_use]
     pub fn from_id(id: &str) -> Option<Rule> {
         match id {
-            "determinism" => Some(Rule::Determinism),
-            "panic" => Some(Rule::Panic),
-            "snapshot" => Some(Rule::Snapshot),
             "registry" => Some(Rule::Registry),
             "exhaustiveness" => Some(Rule::Exhaustiveness),
             "barrier" => Some(Rule::Barrier),
-            "errors" => Some(Rule::Errors),
             _ => None,
         }
     }
@@ -111,7 +78,7 @@ impl fmt::Display for Rule {
 /// dry-run unified diffs (never applied in place).
 #[derive(Debug, Clone)]
 pub enum FixKind {
-    /// Delete a stale `// lint:`/`// snapshot:` annotation comment: the
+    /// Delete a stale `// lint:` annotation comment: the
     /// whole line when the comment stands alone, just the comment when it
     /// trails code.
     RemoveAnnotation,

@@ -10,9 +10,9 @@
 //!   `on_event` fires first, then the typed hook). A new variant that
 //!   `dispatch` does not mention compiles fine once someone adds a `_`
 //!   arm — and then silently never reaches `on_phase`-style hooks.
-//! - `TelemetryRecorder` and `TeeObserver` implement *every* `SimObserver`
-//!   hook: the recorder counts them, the tee fans them out. A hook added
-//!   to the trait with a default body vanishes from both unless someone
+//! - `TelemetryRecorder` implements *every* `SimObserver` hook: it is the
+//!   recorder of what a run did, so a hook added to the trait with a
+//!   default body vanishes from traces and metrics unless someone
 //!   remembers to mirror it.
 //!
 //! This rule checks both statically. A handler function listed in
@@ -41,10 +41,9 @@ fn in_scope(path: &str, file_name: &str) -> bool {
 }
 
 /// Trait → implementor pairs that must define every trait method.
-pub const FULL_IMPLS: &[(&str, &str)] =
-    &[("SimObserver", "TelemetryRecorder"), ("SimObserver", "TeeObserver")];
+pub const FULL_IMPLS: &[(&str, &str)] = &[("SimObserver", "TelemetryRecorder")];
 
-/// Runs the exhaustiveness rule over the parsed strict-profile files.
+/// Runs the exhaustiveness rule over the parsed files.
 #[must_use]
 pub fn check(parsed: &[ParsedFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();

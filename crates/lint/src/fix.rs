@@ -1,10 +1,9 @@
 //! Dry-run autofix rendering (`--fix`): unified diffs for the mechanical
 //! findings, never applied in place.
 //!
-//! Two fix shapes exist (see [`FixKind`]): deleting a stale
-//! `// lint:`/`// snapshot:` annotation, and inserting template lines
-//! (an `# Errors` doc section, a `barrier-only` marker) above an item at
-//! its indentation. The renderer re-reads the files under the lint root,
+//! Two fix shapes exist (see [`FixKind`]): deleting a stale `// lint:`
+//! annotation, and inserting template lines (a `barrier-only` marker)
+//! above an item at its indentation. The renderer re-reads the files under the lint root,
 //! applies the edits to an in-memory copy, and prints standard
 //! `--- a/..` / `+++ b/..` hunks with two lines of context — reviewable
 //! with any diff tool, applicable with `patch -p1` if the template text
@@ -90,7 +89,7 @@ fn build_changes(old_lines: &[&str], diags: &[&Diagnostic]) -> Vec<Change> {
 /// when the comment stands alone, a trailing-comment trim otherwise.
 fn remove_annotation(old_lines: &[&str], line: usize) -> Option<Change> {
     let original = *old_lines.get(line.checked_sub(1)?)?;
-    let marker = original.rfind("// lint:").or_else(|| original.rfind("// snapshot:"))?;
+    let marker = original.rfind("// lint:")?;
     let prefix = &original[..marker];
     if prefix.trim().is_empty() {
         Some(Change { old_line: line, removed: vec![original.to_string()], added: Vec::new() })

@@ -62,22 +62,6 @@ pub struct Comment {
     pub trailing: bool,
 }
 
-/// How strictly a file is linted.
-///
-/// Library crates get the full rule set ([`Profile::Strict`]); benchmark
-/// binaries and examples get a relaxed profile ([`Profile::Relaxed`]) where
-/// `.expect()` aborts and ordinary collections are legal but the
-/// simulation-poisoning constructs (`Instant`, `SystemTime`, `thread_rng`)
-/// and `.unwrap()`/panic macros stay banned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Profile {
-    /// Every rule family runs: library-crate sources.
-    Strict,
-    /// Panic + determinism families only, with binary-appropriate
-    /// exemptions: `crates/bench` and `examples/`.
-    Relaxed,
-}
-
 /// A lexed source file: the rule input.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -87,24 +71,15 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     /// The comments, in source order.
     pub comments: Vec<Comment>,
-    /// Which rule profile applies to this file.
-    pub profile: Profile,
 }
 
 impl SourceFile {
-    /// Lexes `content` into a strict-profile [`SourceFile`] and marks
-    /// test-only spans.
+    /// Lexes `content` into a [`SourceFile`] and marks test-only spans.
     #[must_use]
     pub fn lex(path: &str, content: &str) -> Self {
-        Self::lex_profiled(path, content, Profile::Strict)
-    }
-
-    /// Lexes `content` under an explicit rule [`Profile`].
-    #[must_use]
-    pub fn lex_profiled(path: &str, content: &str, profile: Profile) -> Self {
         let (mut tokens, comments) = scan(content);
         mark_test_spans(&mut tokens);
-        Self { path: path.to_string(), tokens, comments, profile }
+        Self { path: path.to_string(), tokens, comments }
     }
 }
 
@@ -178,6 +153,7 @@ fn scan(content: &str) -> (Vec<Token>, Vec<Comment>) {
                 // Raw (and raw-byte) strings: r"..", r#".."#, br#".."# ...
                 let (prefix_len, hashes) = match raw_string_hashes(&chars, i) {
                     Some(v) => v,
+                    #[expect(clippy::unreachable, reason = "the arm's guard saw `Some`")]
                     None => unreachable!("guard checked raw_string_hashes is Some"),
                 };
                 let mut j = i + prefix_len;

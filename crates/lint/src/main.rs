@@ -71,7 +71,7 @@ fn main() -> ExitCode {
                 }
                 println!(
                     "\n--fix prints dry-run unified diffs for the mechanical findings\n\
-                     (stale annotations, missing `# Errors` sections); nothing is\n\
+                     (stale annotations, missing `barrier-only` markers); nothing is\n\
                      written. Exits 1 on findings, 2 on usage errors."
                 );
                 return ExitCode::SUCCESS;

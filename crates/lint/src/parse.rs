@@ -11,8 +11,7 @@
 //! - `trait` items with their method names,
 //! - `impl` blocks with the trait implemented (if any) and the methods
 //!   defined,
-//! - `struct` names (field extraction stays in the snapshot rule, which
-//!   owns that grammar),
+//! - `struct` names,
 //! - per-function *call lists* — every `name(..)` invocation inside the
 //!   body — giving a conservative, name-based call-graph approximation,
 //! - per-function `Enum::Variant` path mentions, which is how the

@@ -1,36 +1,25 @@
-//! The workspace driver: which files are linted under which profile, and
-//! how the rule families and allow-annotations compose into the final
-//! finding list.
+//! The workspace driver: which files are linted, and how the rule
+//! families and allow-annotations compose into the final finding list.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::annotate::{self, FileAnnotations};
 use crate::diag::{Diagnostic, Rule};
-use crate::lexer::{Profile, SourceFile};
+use crate::lexer::SourceFile;
 use crate::parse::{self, ParsedFile};
-use crate::{barrier, determinism, errors, exhaustive, panics, registry, snapshot};
+use crate::{barrier, exhaustive, registry};
 
-/// The deterministic library crates that get the full rule set: the
-/// structural families (snapshot parity, registry hygiene, exhaustiveness,
-/// barrier discipline, error hygiene) plus strict determinism and
-/// panic-freedom. The telemetry crate is **inside** the net — its whole
-/// value is that traces and metrics stay deterministic, so host clocks are
-/// banned there too (host-time profiling lives in the bench runner
-/// instead).
+/// The deterministic library crates the source-level rules run over: the
+/// ones that hold the executor, the registries and the observer hooks. The
+/// same four crates deny clippy's panic / determinism / error-doc lints at
+/// their crate roots; `crates/bench` and `examples/` carry the relaxed
+/// clippy set and nothing here reads them.
 pub const TARGET_DIRS: &[&str] =
     &["crates/core/src", "crates/datagen/src", "crates/dnn/src", "crates/telemetry/src"];
 
-/// Directories linted under the relaxed profile: panic + determinism
-/// families only, with binary-appropriate exemptions (`.expect()` aborts
-/// and ordinary collections are fine; wall clocks and ambient RNG are not,
-/// outside [`determinism::WALL_CLOCK_FILES`]). The offline shims stay
-/// outside the net entirely — they mirror third-party APIs verbatim.
-pub const RELAXED_DIRS: &[&str] = &["crates/bench/src", "examples"];
-
 /// Lints the workspace rooted at `root`: every `.rs` file under
-/// [`TARGET_DIRS`] (strict) and [`RELAXED_DIRS`] (relaxed), with
-/// `README.md` for the registry-hygiene rule.
+/// [`TARGET_DIRS`], with `README.md` for the registry-hygiene rule.
 ///
 /// # Errors
 ///
@@ -38,20 +27,18 @@ pub const RELAXED_DIRS: &[&str] = &["crates/bench/src", "examples"];
 /// must not silently pass because it was pointed at the wrong place.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let mut files = Vec::new();
-    for (dirs, profile) in [(TARGET_DIRS, Profile::Strict), (RELAXED_DIRS, Profile::Relaxed)] {
-        for dir in dirs {
-            let dir_path = root.join(dir);
-            let mut paths = Vec::new();
-            collect_rs_files(&dir_path, &mut paths)
-                .map_err(|e| format!("cannot read {}: {e}", dir_path.display()))?;
-            paths.sort();
-            for path in paths {
-                let content = fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                let relative =
-                    path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
-                files.push(SourceFile::lex_profiled(&relative, &content, profile));
-            }
+    for dir in TARGET_DIRS {
+        let dir_path = root.join(dir);
+        let mut paths = Vec::new();
+        collect_rs_files(&dir_path, &mut paths)
+            .map_err(|e| format!("cannot read {}: {e}", dir_path.display()))?;
+        paths.sort();
+        for path in paths {
+            let content = fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let relative =
+                path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
+            files.push(SourceFile::lex(&relative, &content));
         }
     }
     let readme = fs::read_to_string(root.join("README.md")).ok();
@@ -81,50 +68,27 @@ pub fn lint_files(files: &[SourceFile], readme: Option<&str>) -> Vec<Diagnostic>
     let mut raw = Vec::new();
     for ((file, annots), items) in files.iter().zip(&annotations).zip(&parsed) {
         raw.extend(annots.malformed.iter().cloned());
-        raw.extend(determinism::check(file));
-        raw.extend(panics::check(file));
-        if file.profile == Profile::Strict {
-            if registry::is_registry_module(file) {
-                raw.extend(registry::check(file, readme));
-            }
-            raw.extend(errors::check(items));
-            if barrier::is_cluster_file(&file.path) {
-                raw.extend(barrier::check(items, annots));
-            } else {
-                raw.extend(barrier::check_misplaced(&file.path, annots));
-            }
+        if registry::is_registry_module(file) {
+            raw.extend(registry::check(file, readme));
+        }
+        if barrier::is_cluster_file(&file.path) {
+            raw.extend(barrier::check(items, annots));
         } else {
             raw.extend(barrier::check_misplaced(&file.path, annots));
         }
     }
-    raw.extend(snapshot::check(files, &annotations));
-    let strict_parsed: Vec<ParsedFile> = files
-        .iter()
-        .zip(parsed)
-        .filter(|(file, _)| file.profile == Profile::Strict)
-        .map(|(_, items)| items)
-        .collect();
-    raw.extend(exhaustive::check(&strict_parsed));
-    // Allow-annotations filter the allowable families; the meta-rule and
-    // the snapshot rule (which has its own skip/as grammar) pass through.
+    raw.extend(exhaustive::check(&parsed));
+    // Allow-annotations filter the rule families; the meta-rule passes
+    // through.
     let by_path: std::collections::BTreeMap<&str, &FileAnnotations> =
         files.iter().zip(&annotations).map(|(file, annots)| (file.path.as_str(), annots)).collect();
     let mut out: Vec<Diagnostic> = raw
         .into_iter()
         .filter(|diag| {
-            let allowable = matches!(
-                diag.rule,
-                Rule::Determinism
-                    | Rule::Panic
-                    | Rule::Registry
-                    | Rule::Exhaustiveness
-                    | Rule::Barrier
-                    | Rule::Errors
-            );
-            !(allowable
-                && by_path
+            diag.rule == Rule::Annotation
+                || !by_path
                     .get(diag.path.as_str())
-                    .is_some_and(|annots| annots.allowed(diag.rule, diag.line)))
+                    .is_some_and(|annots| annots.allowed(diag.rule, diag.line))
         })
         .collect();
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));

@@ -2,15 +2,15 @@
 
 /// The meta-rule fires on each malformed annotation below.
 pub fn noisy() {
-    // lint: allow(panic)
+    // lint: allow(barrier)
     let a = 1;
     // lint: allow(nonsense) — not a rule
     let b = 2;
-    // lint: deny(panic) — unknown verb
+    // lint: deny(barrier) — unknown verb
     let c = 3;
-    // snapshot: keep(thing) — unknown snapshot verb
+    // lint: allow(panic) — clippy owns this family; its opt-out is #[expect]
     let d = 4;
-    // snapshot: skip(thing)
+    // lint: allow — no clause
     let e = 5;
     let _ = (a, b, c, d, e);
 }

@@ -1,5 +1,5 @@
 //! Exhaustiveness fixture: a miniature event enum, its dispatch fn, and
-//! the observer impls the rule holds to full coverage.
+//! the observer impl the rule holds to full coverage.
 
 /// The fixture's event alphabet.
 pub enum SessionEvent {
@@ -33,8 +33,10 @@ impl SimObserver for TelemetryRecorder {
     fn on_phase(&mut self) {}
 }
 
-pub struct TeeObserver;
+pub struct Replay;
 
-impl SimObserver for TeeObserver { // lint: allow(exhaustiveness) — fixture: deliberately partial tee
-    fn on_event(&mut self, _event: &SessionEvent) {}
+impl Replay {
+    fn dispatch(&self, event: &SessionEvent) { // lint: allow(exhaustiveness) — fixture: deliberately partial replay
+        if let SessionEvent::Phase = event {}
+    }
 }

@@ -20,6 +20,16 @@ impl Undocumented {
     }
 }
 
+/// A third factory, excused by a standalone annotation.
+pub struct Excused;
+
+impl Excused {
+    // lint: allow(registry) — fixture: internal name, undocumented on purpose
+    fn name(&self) -> &'static str {
+        "excused-name"
+    }
+}
+
 fn seed() {
     let _ = Registry::new("widget", ParamNames::Split, &["reserved-name", "drifted-name"]);
 }

@@ -2,10 +2,21 @@
 //! the constructs that historically desynchronize hand-rolled Rust lexers
 //! — nested raw strings, lifetimes vs char literals, raw identifiers —
 //! each get a test proving the stream stays in sync *through* them (a
-//! banned construct after the edge case is still seen, and string
-//! contents never leak into the identifier stream).
+//! flagged construct after the edge case is still seen, and string
+//! contents never leak into the identifier stream). The probe is the
+//! barrier rule: in a `cluster.rs`, a sink call (`take_exports`,
+//! `admit_samples`) outside a `barrier-only` fn is a finding at its line.
 
 use dacapo_lint::{lint_files, parse_file, Rule, SourceFile, TokenKind};
+
+/// The executor anchors the barrier rule looks for, as lines 1 and 2 of
+/// every probe source.
+const ANCHORS: &str = "fn run_windows() {}\nfn run_until() {}\n";
+
+/// Lexes `body` below [`ANCHORS`] as the cluster executor.
+fn cluster_file(body: &str) -> SourceFile {
+    SourceFile::lex("crates/core/src/cluster.rs", &format!("{ANCHORS}{body}"))
+}
 
 /// The identifier texts of `file`, in source order.
 fn idents(file: &SourceFile) -> Vec<String> {
@@ -15,34 +26,36 @@ fn idents(file: &SourceFile) -> Vec<String> {
 #[test]
 fn nested_raw_strings_do_not_desynchronize_the_stream() {
     // The `"#` inside the r##-string must not terminate it early; the
-    // banned call inside it must not be seen, and the one after it must.
-    let src = "fn f() -> u32 {\n\
-               let s = r##\"quote \"# Instant::now() still inside\"##;\n\
-               let t = std::time::Instant::now();\n\
-               s.len() as u32\n\
-               }\n";
-    let file = SourceFile::lex("crates/core/src/edge.rs", src);
+    // sink call inside it must not be seen, and the one after it must.
+    let file = cluster_file(
+        "fn f(cam: &mut Camera) -> u32 {\n\
+         let s = r##\"quote \"# cam.take_exports() still inside\"##;\n\
+         cam.take_exports();\n\
+         s.len() as u32\n\
+         }\n",
+    );
     assert_eq!(
-        file.tokens.iter().filter(|t| t.text == "Instant").count(),
+        file.tokens.iter().filter(|t| t.text == "take_exports").count(),
         1,
-        "the Instant inside the raw string must be literal text"
+        "the call inside the raw string must be literal text"
     );
     let findings = lint_files(&[file], None);
     let got: Vec<(u32, Rule)> = findings.iter().map(|d| (d.line, d.rule)).collect();
-    assert_eq!(got, vec![(3, Rule::Determinism)], "findings: {findings:?}");
+    assert_eq!(got, vec![(5, Rule::Barrier)], "findings: {findings:?}");
 }
 
 #[test]
 fn raw_strings_hide_banned_text_and_plain_code_still_fires() {
-    let src = "fn f(x: Option<u32>) -> u32 {\n\
-               let doc = r#\"call .unwrap() and panic!\"#;\n\
-               let _ = doc;\n\
-               x.unwrap()\n\
-               }\n";
-    let file = SourceFile::lex("crates/core/src/edge.rs", src);
+    let file = cluster_file(
+        "fn f(cam: &mut Camera) {\n\
+         let doc = r#\"call .admit_samples() and on_share(..)\"#;\n\
+         let _ = doc;\n\
+         cam.admit_samples()\n\
+         }\n",
+    );
     let findings = lint_files(&[file], None);
     let got: Vec<(u32, Rule)> = findings.iter().map(|d| (d.line, d.rule)).collect();
-    assert_eq!(got, vec![(4, Rule::Panic)], "findings: {findings:?}");
+    assert_eq!(got, vec![(6, Rule::Barrier)], "findings: {findings:?}");
 }
 
 #[test]
@@ -70,11 +83,12 @@ fn lifetimes_in_generic_args_are_not_char_literals() {
 
 #[test]
 fn char_literals_do_not_hide_following_banned_calls() {
-    let src = "fn f() {\n    let c = 'x';\n    let t = std::time::Instant::now();\n    let _ = (c, t);\n}\n";
-    let file = SourceFile::lex("crates/core/src/edge.rs", src);
+    let file = cluster_file(
+        "fn f(cam: &mut Camera) {\n    let c = 'x';\n    cam.take_exports();\n    let _ = c;\n}\n",
+    );
     let findings = lint_files(&[file], None);
     let got: Vec<(u32, Rule)> = findings.iter().map(|d| (d.line, d.rule)).collect();
-    assert_eq!(got, vec![(3, Rule::Determinism)], "findings: {findings:?}");
+    assert_eq!(got, vec![(5, Rule::Barrier)], "findings: {findings:?}");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use std::path::Path;
 
 use dacapo_lint::{
-    lint_files, lint_workspace, render_fix_diffs, to_json, to_sarif, Profile, Rule, SourceFile,
+    lint_files, lint_workspace, render_fix_diffs, to_json, to_sarif, Rule, SourceFile,
 };
 
 /// Lexes one fixture from `tests/fixtures/` under its repo-relative path.
@@ -27,73 +27,6 @@ fn assert_findings(diagnostics: &[dacapo_lint::Diagnostic], expected: &[(u32, Ru
 }
 
 #[test]
-fn determinism_rule_flags_each_banned_construct_once() {
-    let file = fixture("determinism.rs", include_str!("fixtures/determinism.rs"));
-    let findings = lint_files(&[file], None);
-    assert_findings(
-        &findings,
-        &[
-            (3, Rule::Determinism),  // use .. HashMap
-            (4, Rule::Determinism),  // use .. Instant
-            (8, Rule::Determinism),  // HashMap::new()
-            (9, Rule::Determinism),  // Instant::now()
-            (10, Rule::Determinism), // std::env::var
-        ],
-    );
-    assert!(
-        findings.iter().all(|d| d.path == "crates/lint/tests/fixtures/determinism.rs"),
-        "diagnostics must carry the lexed path"
-    );
-}
-
-#[test]
-fn panic_rule_flags_calls_and_macros_but_honors_both_annotation_forms() {
-    let file = fixture("panics.rs", include_str!("fixtures/panics.rs"));
-    let findings = lint_files(&[file], None);
-    assert_findings(
-        &findings,
-        &[
-            (5, Rule::Panic),  // .unwrap()
-            (6, Rule::Panic),  // .expect()
-            (8, Rule::Panic),  // panic!
-            (11, Rule::Panic), // todo!
-            (12, Rule::Panic), // unimplemented!
-            (13, Rule::Panic), // unreachable!
-        ],
-    );
-}
-
-#[test]
-fn snapshot_rule_flags_a_session_field_missing_from_the_snapshot() {
-    let file = fixture("snapshot.rs", include_str!("fixtures/snapshot.rs"));
-    let findings = lint_files(&[file], None);
-    // The one uncovered field (`forgotten`, line 12) is the only finding:
-    // same-name, as-rename, skip, and field-is-the-snapshot-type coverage
-    // all hold for the rest.
-    assert_findings(&findings, &[(12, Rule::Snapshot)]);
-    assert!(
-        findings[0].message.contains("`forgotten`")
-            && findings[0].message.contains("SNAPSHOT_VERSION"),
-        "message should name the field and the fix: {}",
-        findings[0].message
-    );
-}
-
-#[test]
-fn snapshot_rule_flags_stale_skips_and_bad_renames() {
-    let file = fixture("snapshot_stale.rs", include_str!("fixtures/snapshot_stale.rs"));
-    let findings = lint_files(&[file], None);
-    assert_findings(
-        &findings,
-        &[
-            (6, Rule::Annotation), // skip(step) but step rides the snapshot
-            (8, Rule::Snapshot),   // as(missing_target): no such field
-            (9, Rule::Annotation), // skip(ghost): names no field
-        ],
-    );
-}
-
-#[test]
 fn registry_rule_flags_undocumented_builtins_and_drifted_reserved_lists() {
     let file = fixture("registry.rs", include_str!("fixtures/registry.rs"));
     let readme = "The `good-name` widget and the `reserved-name` placeholder.";
@@ -101,16 +34,18 @@ fn registry_rule_flags_undocumented_builtins_and_drifted_reserved_lists() {
     // `good-name` is fully clean: documented in module docs and README.
     // `reserved-name` is documented as reserved but has no factory, so the
     // drift check still fires; `drifted-name` fails both reserved checks,
-    // and `undocumented-name` fails both documentation checks.
+    // `undocumented-name` fails both documentation checks, and the equally
+    // undocumented `excused-name` (line 29) is absorbed by the standalone
+    // `lint: allow(registry)` above its fn.
     let lines: Vec<(u32, Rule)> = findings.iter().map(|d| (d.line, d.rule)).collect();
     assert_eq!(
         lines,
         vec![
             (19, Rule::Registry), // undocumented-name: not in module docs
             (19, Rule::Registry), // undocumented-name: not in README
-            (24, Rule::Registry), // drifted-name: no builtin factory
-            (24, Rule::Registry), // drifted-name: not documented as reserved
-            (24, Rule::Registry), // reserved-name: no builtin factory
+            (34, Rule::Registry), // drifted-name: no builtin factory
+            (34, Rule::Registry), // drifted-name: not documented as reserved
+            (34, Rule::Registry), // reserved-name: no builtin factory
         ],
         "findings:\n{}",
         findings.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
@@ -124,11 +59,11 @@ fn malformed_annotations_are_findings_under_the_meta_rule() {
     assert_findings(
         &findings,
         &[
-            (5, Rule::Annotation),  // allow(panic) without a reason
+            (5, Rule::Annotation),  // allow(barrier) without a reason
             (7, Rule::Annotation),  // allow(nonsense): unknown rule
             (9, Rule::Annotation),  // deny(..): unknown lint verb
-            (11, Rule::Annotation), // snapshot: keep(..): unknown verb
-            (13, Rule::Annotation), // snapshot: skip without a reason
+            (11, Rule::Annotation), // allow(panic): a family clippy owns now
+            (13, Rule::Annotation), // no `verb(argument)` clause at all
         ],
     );
 }
@@ -138,8 +73,9 @@ fn exhaustiveness_rule_flags_missing_variants_and_hooks() {
     let file = fixture("exhaustive/session.rs", include_str!("fixtures/exhaustive/session.rs"));
     let findings = lint_files(&[file], None);
     // `dispatch` (line 20) never matches `Finished`; the recorder impl
-    // (line 31) never defines `on_drift`; the tee impl's trailing
-    // allow(exhaustiveness) absorbs its two missing hooks.
+    // (line 31) never defines `on_drift`; the second `dispatch` (line 39)
+    // handles one variant of three, and its trailing
+    // allow(exhaustiveness) absorbs both findings.
     assert_findings(&findings, &[(20, Rule::Exhaustiveness), (31, Rule::Exhaustiveness)]);
     assert!(
         findings[0].message.contains("SessionEvent::Finished"),
@@ -224,47 +160,8 @@ fn barrier_only_markers_outside_cluster_files_are_flagged() {
 }
 
 #[test]
-fn errors_rule_wants_typed_errors_and_errors_docs_on_public_results() {
-    let file = fixture("errors.rs", include_str!("fixtures/errors.rs"));
-    let findings = lint_files(&[file], None);
-    // `undocumented` (line 21) lacks an `# Errors` section; `boxed`
-    // (line 30) type-erases its error. The documented fn, the private
-    // fn, and the trailing-allowed fn are all clean.
-    assert_findings(&findings, &[(21, Rule::Errors), (30, Rule::Errors)]);
-    assert!(findings[0].message.contains("# Errors"), "{}", findings[0].message);
-    assert!(findings[0].fix.is_some(), "missing `# Errors` gets a template fix");
-    assert!(findings[1].message.contains("Box<dyn Error>"), "{}", findings[1].message);
-}
-
-#[test]
-fn relaxed_profile_allows_expect_but_keeps_wall_clocks_banned() {
-    let src = "use std::collections::HashMap;\n\
-               use std::time::Instant;\n\
-               fn main() {\n\
-                   let m: HashMap<u32, u32> = HashMap::new();\n\
-                   let v = std::env::var(\"X\");\n\
-                   let t = Instant::now();\n\
-                   let x = v.expect(\"fine in binaries\");\n\
-                   let y = x.len().checked_add(m.len()).unwrap();\n\
-               }\n";
-    let file = SourceFile::lex_profiled("crates/bench/src/bin/fixture.rs", src, Profile::Relaxed);
-    let findings = lint_files(&[file], None);
-    // HashMap, std::env, and .expect() are binary-appropriate; the wall
-    // clock and .unwrap() stay banned.
-    assert_findings(&findings, &[(2, Rule::Determinism), (6, Rule::Determinism), (8, Rule::Panic)]);
-}
-
-#[test]
-fn wall_clock_files_may_read_host_clocks() {
-    let src = "use std::time::Instant;\nfn stamp() -> Instant {\n    Instant::now()\n}\n";
-    let file = SourceFile::lex_profiled("crates/bench/src/profile.rs", src, Profile::Relaxed);
-    let findings = lint_files(&[file], None);
-    assert_findings(&findings, &[]);
-}
-
-#[test]
 fn sarif_output_carries_rules_and_locations() {
-    let file = fixture("snapshot_stale.rs", include_str!("fixtures/snapshot_stale.rs"));
+    let file = fixture("barrier/cluster.rs", include_str!("fixtures/barrier/cluster.rs"));
     let findings = lint_files(&[file], None);
     let sarif = to_sarif(&findings);
     assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
@@ -273,42 +170,49 @@ fn sarif_output_carries_rules_and_locations() {
     for rule in Rule::ALL {
         assert!(sarif.contains(&format!("\"id\": \"{}\"", rule.id())), "{sarif}");
     }
-    assert!(sarif.contains("\"uri\": \"crates/lint/tests/fixtures/snapshot_stale.rs\""), "{sarif}");
-    assert!(sarif.contains("\"startLine\": 9"), "{sarif}");
+    assert!(
+        sarif.contains("\"uri\": \"crates/lint/tests/fixtures/barrier/cluster.rs\""),
+        "{sarif}"
+    );
+    assert!(sarif.contains("\"startLine\": 45"), "{sarif}");
 }
 
 #[test]
 fn fix_renders_dry_run_diffs_for_mechanical_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let stale = fixture("snapshot_stale.rs", include_str!("fixtures/snapshot_stale.rs"));
-    let errors = fixture("errors.rs", include_str!("fixtures/errors.rs"));
-    let findings = lint_files(&[stale, errors], None);
+    let file = fixture("barrier/cluster.rs", include_str!("fixtures/barrier/cluster.rs"));
+    let findings = lint_files(&[file], None);
     let diffs = render_fix_diffs(&root, &findings);
-    // The stale skip(ghost) annotation is removed outright...
-    assert!(diffs.contains("--- a/crates/lint/tests/fixtures/snapshot_stale.rs"), "{diffs}");
-    assert!(diffs.contains("-    // snapshot: skip(ghost) — names no field at all"), "{diffs}");
-    // ...and the undocumented fn gains an `# Errors` template.
-    assert!(diffs.contains("--- a/crates/lint/tests/fixtures/errors.rs"), "{diffs}");
-    assert!(diffs.contains("+/// # Errors"), "{diffs}");
-    // Dry run: the fixture files themselves are untouched on disk.
-    let on_disk = std::fs::read_to_string(root.join("crates/lint/tests/fixtures/errors.rs"))
-        .expect("fixture readable");
-    assert_eq!(on_disk, include_str!("fixtures/errors.rs"));
+    assert!(diffs.contains("--- a/crates/lint/tests/fixtures/barrier/cluster.rs"), "{diffs}");
+    // The stale marker before the struct is removed outright...
+    assert!(
+        diffs.contains("-// lint: barrier-only(stale — nothing follows but a struct)"),
+        "{diffs}"
+    );
+    // ...and the fn calling a sink from the parallel loop gains a marker
+    // template.
+    assert!(diffs.contains("+// lint: barrier-only("), "{diffs}");
+    // Dry run: the fixture file itself is untouched on disk.
+    let on_disk =
+        std::fs::read_to_string(root.join("crates/lint/tests/fixtures/barrier/cluster.rs"))
+            .expect("fixture readable");
+    assert_eq!(on_disk, include_str!("fixtures/barrier/cluster.rs"));
 }
 
 #[test]
 fn diagnostics_render_as_file_line_rule_message() {
-    let file = fixture("snapshot.rs", include_str!("fixtures/snapshot.rs"));
+    let file = fixture("exhaustive/session.rs", include_str!("fixtures/exhaustive/session.rs"));
     let findings = lint_files(&[file], None);
     let rendered = findings[0].to_string();
     assert!(
-        rendered.starts_with("crates/lint/tests/fixtures/snapshot.rs:12: [snapshot] "),
+        rendered
+            .starts_with("crates/lint/tests/fixtures/exhaustive/session.rs:20: [exhaustiveness] "),
         "unexpected rendering: {rendered}"
     );
     let json = to_json(&findings);
-    assert!(json.contains("\"line\": 12"), "{json}");
-    assert!(json.contains("\"rule\": \"snapshot\""), "{json}");
-    assert!(json.contains("\"count\": 1"), "{json}");
+    assert!(json.contains("\"line\": 20"), "{json}");
+    assert!(json.contains("\"rule\": \"exhaustiveness\""), "{json}");
+    assert!(json.contains("\"count\": 2"), "{json}");
 }
 
 #[test]

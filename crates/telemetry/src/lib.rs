@@ -14,10 +14,11 @@
 //!    per-window JSON-Lines [`MetricsRecord`]s: accuracy, buffer freshness,
 //!    labels produced locally / in the cloud / via sharing, queue depth, and
 //!    per-accelerator utilization.
-//! 3. **Host-time profiling** lives in the bench runner (the only place
-//!    wall clocks are legal under `dacapo-lint`), not in this crate; this
-//!    crate supplies the [`TeeObserver`] that lets the bench drive the
-//!    recorder and a profiler from one observed run.
+//! 3. **Host-time profiling** is not in this crate, where wall clocks are a
+//!    clippy error (`clippy.toml`'s `disallowed-types`): the frozen
+//!    benchmark under `benchmark/` times runs from outside and reports the
+//!    recorder's cost as `telemetry.null_overhead_pct` /
+//!    `telemetry.overhead_pct`.
 //!
 //! ## The sink registry family
 //!
@@ -49,6 +50,14 @@
 //! [`SimObserver::on_window_sample`]: dacapo_core::SimObserver::on_window_sample
 //! [`SimObserver::on_accelerator_sample`]: dacapo_core::SimObserver::on_accelerator_sample
 
+// Library code of this crate is in the strict clippy tier (see the root
+// Cargo.toml): beyond the workspace-wide bans, no `.expect()`, no
+// undocumented `Result`, no unordered maps / clock types / `dyn Error`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::missing_errors_doc, clippy::disallowed_types)
+)]
+
 pub mod error;
 pub mod metrics;
 pub mod recorder;
@@ -57,6 +66,6 @@ pub mod trace;
 
 pub use error::{Result, TelemetryError};
 pub use metrics::{FieldValue, Histogram, MetricsRecord, MetricsRegistry};
-pub use recorder::{TeeObserver, TelemetryRecorder, TelemetrySummary};
+pub use recorder::{TelemetryRecorder, TelemetrySummary};
 pub use sink::{SinkFactory, TelemetrySink};
 pub use trace::{TraceEvent, CLUSTER_PID};

@@ -676,115 +676,6 @@ impl SimObserver for TelemetryRecorder {
     }
 }
 
-/// Forwards every [`SimObserver`] hook to two observers, in order — the
-/// bench runner uses it to drive the recorder and the host-time profiler
-/// from one observed run.
-pub struct TeeObserver<'a> {
-    first: &'a mut dyn SimObserver,
-    second: &'a mut dyn SimObserver,
-}
-
-impl<'a> TeeObserver<'a> {
-    /// Pairs two observers.
-    pub fn new(first: &'a mut dyn SimObserver, second: &'a mut dyn SimObserver) -> Self {
-        Self { first, second }
-    }
-}
-
-impl SimObserver for TeeObserver<'_> {
-    fn on_phase(&mut self, phase: &PhaseRecord) {
-        self.first.on_phase(phase);
-        self.second.on_phase(phase);
-    }
-
-    fn on_drift(&mut self, at_s: f64, response_index: usize) {
-        self.first.on_drift(at_s, response_index);
-        self.second.on_drift(at_s, response_index);
-    }
-
-    fn on_accuracy(&mut self, at_s: f64, accuracy: f64) {
-        self.first.on_accuracy(at_s, accuracy);
-        self.second.on_accuracy(at_s, accuracy);
-    }
-
-    fn on_finished(&mut self) {
-        self.first.on_finished();
-        self.second.on_finished();
-    }
-
-    fn on_event(&mut self, event: &dacapo_core::SessionEvent) {
-        self.first.on_event(event);
-        self.second.on_event(event);
-    }
-
-    fn on_step_context(&mut self, camera: &str, camera_index: usize, accelerator: usize) {
-        self.first.on_step_context(camera, camera_index, accelerator);
-        self.second.on_step_context(camera, camera_index, accelerator);
-    }
-
-    fn on_window_barrier(&mut self, window_index: usize, boundary_s: f64) {
-        self.first.on_window_barrier(window_index, boundary_s);
-        self.second.on_window_barrier(window_index, boundary_s);
-    }
-
-    fn on_window_sample(&mut self, sample: &WindowSample<'_>) {
-        self.first.on_window_sample(sample);
-        self.second.on_window_sample(sample);
-    }
-
-    fn on_accelerator_sample(&mut self, sample: &AcceleratorSample) {
-        self.first.on_accelerator_sample(sample);
-        self.second.on_accelerator_sample(sample);
-    }
-
-    fn on_share(&mut self, exporter: &str, importer: &str, admitted: usize, boundary_s: f64) {
-        self.first.on_share(exporter, importer, admitted, boundary_s);
-        self.second.on_share(exporter, importer, admitted, boundary_s);
-    }
-
-    fn on_offload_route(
-        &mut self,
-        camera: &str,
-        route: LabelRoute,
-        window_index: usize,
-        boundary_s: f64,
-    ) {
-        self.first.on_offload_route(camera, route, window_index, boundary_s);
-        self.second.on_offload_route(camera, route, window_index, boundary_s);
-    }
-
-    fn on_churn_join(&mut self, camera: &str, accelerator: Option<usize>, at_s: f64) {
-        self.first.on_churn_join(camera, accelerator, at_s);
-        self.second.on_churn_join(camera, accelerator, at_s);
-    }
-
-    fn on_churn_leave(&mut self, camera: &str, at_s: f64) {
-        self.first.on_churn_leave(camera, at_s);
-        self.second.on_churn_leave(camera, at_s);
-    }
-
-    fn on_churn_drain(&mut self, accelerator: usize, at_s: f64) {
-        self.first.on_churn_drain(accelerator, at_s);
-        self.second.on_churn_drain(accelerator, at_s);
-    }
-
-    fn on_migration(
-        &mut self,
-        camera: &str,
-        from_accelerator: usize,
-        to_accelerator: Option<usize>,
-        at_s: f64,
-    ) {
-        self.first.on_migration(camera, from_accelerator, to_accelerator, at_s);
-        self.second.on_migration(camera, from_accelerator, to_accelerator, at_s);
-    }
-
-    fn on_uplink_transfer(&mut self, camera: &str, at_s: f64, bytes: u64, labels: usize) {
-        self.first.on_uplink_transfer(camera, at_s, bytes, labels);
-        self.second.on_uplink_transfer(camera, at_s, bytes, labels);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

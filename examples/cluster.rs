@@ -135,7 +135,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(CoreError::AdmissionRejected { camera, reason }) => {
             println!("admission rejected: camera '{camera}' ({reason})");
         }
-        other => panic!("expected an admission rejection, got {other:?}"), // lint: allow(panic) — example asserts the error path; aborting with the surprise value is the point
+        #[expect(
+            clippy::panic,
+            reason = "example asserts the error path; aborting with the surprise value is the point"
+        )]
+        other => panic!("expected an admission rejection, got {other:?}"),
     }
     Ok(())
 }

@@ -131,7 +131,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(CoreError::InvalidConfig { reason }) => {
             println!("unknown policy rejected up front: {reason}");
         }
-        other => panic!("expected an invalid-config error, got {other:?}"), // lint: allow(panic) — example asserts the error path; aborting with the surprise value is the point
+        #[expect(
+            clippy::panic,
+            reason = "example asserts the error path; aborting with the surprise value is the point"
+        )]
+        other => panic!("expected an invalid-config error, got {other:?}"),
     }
     Ok(())
 }

@@ -211,13 +211,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(CoreError::InvalidConfig { reason }) => {
             println!("malformed parameters rejected up front: {reason}");
         }
-        other => panic!("expected an invalid-config error, got {other:?}"), // lint: allow(panic) — example asserts the error path; aborting with the surprise value is the point
+        #[expect(
+            clippy::panic,
+            reason = "example asserts the error path; aborting with the surprise value is the point"
+        )]
+        other => panic!("expected an invalid-config error, got {other:?}"),
     }
     match build_cluster("teleport")?.run() {
         Err(CoreError::InvalidConfig { reason }) => {
             println!("unknown policy rejected up front: {reason}");
         }
-        other => panic!("expected an invalid-config error, got {other:?}"), // lint: allow(panic) — example asserts the error path; aborting with the surprise value is the point
+        #[expect(
+            clippy::panic,
+            reason = "example asserts the error path; aborting with the surprise value is the point"
+        )]
+        other => panic!("expected an invalid-config error, got {other:?}"),
     }
     Ok(())
 }

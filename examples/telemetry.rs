@@ -152,8 +152,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(TelemetryError::InvalidConfig { reason }) => {
             println!("unknown sink rejected up front: {reason}");
         }
-        Err(other) => panic!("expected an invalid-config error, got {other:?}"), // lint: allow(panic) — example asserts the error path; aborting with the surprise value is the point
-        Ok(_) => panic!("expected an invalid-config error, got a recorder"), // lint: allow(panic) — example asserts the error path; aborting with the surprise value is the point
+        #[expect(
+            clippy::panic,
+            reason = "example asserts the error path; aborting with the surprise value is the point"
+        )]
+        Err(other) => panic!("expected an invalid-config error, got {other:?}"),
+        #[expect(
+            clippy::panic,
+            reason = "example asserts the error path; aborting with the surprise value is the point"
+        )]
+        Ok(_) => panic!("expected an invalid-config error, got a recorder"),
     }
     Ok(())
 }

@@ -12,15 +12,15 @@ fmt-check:
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
-# The workspace invariant checker: determinism, panic-freedom, snapshot
-# completeness, registry hygiene, event/hook exhaustiveness, barrier
-# discipline, error hygiene (see README "Static analysis"). Extra flags
-# pass through, e.g. `just lint --rule barrier --format sarif`.
+# The workspace invariant checker: registry hygiene, event/hook
+# exhaustiveness, barrier discipline (see README "Static analysis";
+# panic-freedom, determinism and error docs are `just clippy`). Extra
+# flags pass through, e.g. `just lint --rule barrier --format sarif`.
 lint *ARGS:
     cargo run -p dacapo-lint -- {{ARGS}}
 
 # Dry-run unified diffs for the mechanical findings (stale annotations,
-# missing `# Errors` templates). Nothing is written.
+# missing `barrier-only` markers). Nothing is written.
 lint-fix:
     cargo run -p dacapo-lint -- --fix
 
@@ -34,16 +34,6 @@ build:
 # Tier-1 verify: the whole workspace's tests.
 test:
     cargo test -q
-
-bench:
-    cargo bench -p dacapo-bench
-
-# Executor throughput microbench (README "Performance"): steps/s on the
-# churn-free steady fleet, recorded in results/BENCH_steps.json and
-# regression-checked against the checked-in baseline. Extra flags pass
-# through, e.g. `just perf --quick` for the larger tier without the gate.
-perf *ARGS='--smoke --check':
-    cargo bench -p dacapo-bench --bench steps_bench -- {{ARGS}}
 
 # The frozen repo benchmark (`benchmark/`, its own workspace) against this
 # tree: its own tests, then the barrier-heavy workload — share + offload +
@@ -99,11 +89,12 @@ edge-cloud:
     cargo run --release -p dacapo-bench --bin edge_cloud -- --quick
 
 # Observability demo (custom CSV sink registered by name) plus the
-# executor host-time profile; leaves results/BENCH_trace.json,
-# results/BENCH_metrics.jsonl, and results/BENCH_profile.json behind.
+# contention sweep's smallest point traced through both file sinks, as CI's
+# "Traced smoke run" does; leaves results/BENCH_trace.json and
+# results/BENCH_metrics.jsonl behind.
 trace:
     cargo run --release --example telemetry
-    cargo run --release -p dacapo-bench --bin executor_profile -- --quick
+    cargo run --release -p dacapo-bench --bin cluster_contention -- --smoke --trace results/BENCH_trace.json --metrics results/BENCH_metrics.jsonl
 
 # The CI smoke tier: every experiment at its smallest meaningful size, so
 # results/*.json is fully populated in well under a minute.
@@ -113,3 +104,19 @@ bench-smoke:
 # Regenerate every figure/table quickly.
 figures:
     cargo run --release -p dacapo-bench --bin run_all -- --quick
+
+# Per-crate non-test code-line counts, as used in CHANGES.md tables: over
+# every .rs file under src/ and benches/, the lines above the file's
+# top-level `#[cfg(test)]` that are neither blank nor a `//` comment. Run it
+# in a clone of the parent commit for the "before" column.
+loc:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for crate in crates/* shims; do
+        find "$crate" -name '*.rs' \( -path '*/src/*' -o -path '*/benches/*' \) -print0 | xargs -0 awk '
+            FNR == 1 { live = 1 }
+            /^#\[cfg\(test\)\]/ { live = 0 }
+            live && !/^[[:space:]]*(\/\/|$)/ { n++ }
+            END { printf "%6d  ", n }'
+        echo "$crate"
+    done
