@@ -506,6 +506,9 @@ impl SessionSnapshot {
         {
             return bad(format!("phases[{i}] has a non-finite start or duration"));
         }
+        if let Err(e) = self.student.network().validate() {
+            return bad(format!("student does not match its own configuration: {e}"));
+        }
         let feature_dim = self.config.stream.feature_dim;
         let student_dim = self.student.network().config().input_dim;
         if student_dim != feature_dim {
@@ -582,7 +585,7 @@ impl Session {
                 .collect();
             let rows: Vec<&[f32]> = pretrain.iter().map(|f| f.sample.features.as_slice()).collect();
             let labels: Vec<usize> = pretrain.iter().map(|f| f.sample.true_class).collect();
-            student.retrain_rows_with(&rows, &labels, 2, &mut rt.scratch)?;
+            student.retrain(&rows, &labels, 2, &mut rt.scratch)?;
         }
 
         let state = SessionSnapshot {
@@ -1036,7 +1039,7 @@ impl Session {
     pub(crate) fn finish_staged_retrain(&mut self, staged: StagedRetrain) -> Result<()> {
         let (rows, labels) = self.state.buffer.gather(&staged.validation);
         self.state.last_validation =
-            Some(self.state.student.accuracy_on_rows_with(&rows, &labels, &mut self.rt.scratch)?);
+            Some(self.state.student.accuracy_on_rows(&rows, &labels, &mut self.rt.scratch)?);
         self.push_phase(PhaseRecord {
             kind: PhaseKind::Retrain,
             start_s: self.state.now_s,
@@ -1164,7 +1167,7 @@ impl Session {
                             shipped.iter().map(|l| l.sample.features.as_slice()).collect();
                         let labels: Vec<usize> =
                             shipped.iter().map(|l| l.sample.teacher_label).collect();
-                        self.state.last_labeling = Some(self.state.student.accuracy_on_rows_with(
+                        self.state.last_labeling = Some(self.state.student.accuracy_on_rows(
                             &rows,
                             &labels,
                             &mut self.rt.scratch,
@@ -1183,7 +1186,7 @@ impl Session {
                         .collect();
                     // acc_l: the current student's accuracy on the freshly
                     // labeled data, judged by the teacher's labels.
-                    self.state.last_labeling = Some(self.state.student.accuracy_on_rows_with(
+                    self.state.last_labeling = Some(self.state.student.accuracy_on_rows(
                         &rows,
                         &labels,
                         &mut self.rt.scratch,
@@ -1263,14 +1266,9 @@ impl Session {
                     }));
                 }
                 let (rows, labels) = self.state.buffer.gather(&train);
-                self.state.student.retrain_rows_with(
-                    &rows,
-                    &labels,
-                    epochs.max(1),
-                    &mut self.rt.scratch,
-                )?;
+                self.state.student.retrain(&rows, &labels, epochs.max(1), &mut self.rt.scratch)?;
                 let (rows, labels) = self.state.buffer.gather(&validation);
-                self.state.last_validation = Some(self.state.student.accuracy_on_rows_with(
+                self.state.last_validation = Some(self.state.student.accuracy_on_rows(
                     &rows,
                     &labels,
                     &mut self.rt.scratch,
@@ -1338,9 +1336,8 @@ impl Session {
                     reason: "measurement interval produced no evaluation frames".into(),
                 });
             }
-            let accuracy =
-                self.state.student.accuracy_on_frames_with(&frames, &mut self.rt.scratch)?
-                    * (1.0 - self.rt.drop_rate);
+            let accuracy = self.state.student.accuracy_on_frames(&frames, &mut self.rt.scratch)?
+                * (1.0 - self.rt.drop_rate);
             self.state.timeline.push((self.state.next_measure_s, accuracy));
             self.state
                 .pending
@@ -1357,6 +1354,7 @@ mod tests {
     use crate::sched::SchedulerKind;
     use crate::sim::test_support::short_config;
     use crate::ClSimulator;
+    use dacapo_dnn::{Activation, Dense};
 
     #[test]
     fn stepped_session_matches_one_shot_run_exactly() {
@@ -1744,6 +1742,21 @@ mod tests {
         }
     }
 
+    /// Rewrites the layer list of the snapshot's serialised student (its
+    /// fields are private, as a hostile file's are not).
+    fn edit_student_layers(snapshot: &mut SessionSnapshot, edit: impl FnOnce(&mut Vec<Value>)) {
+        fn field<'v>(value: &'v mut Value, key: &str) -> &'v mut Value {
+            let Value::Object(entries) = value else { panic!("{key}'s parent is an object") };
+            &mut entries.iter_mut().find(|(k, _)| k == key).expect("the field exists").1
+        }
+        let mut student = snapshot.student.to_value();
+        let Value::Array(layers) = field(field(&mut student, "network"), "layers") else {
+            panic!("layers is an array")
+        };
+        edit(layers);
+        snapshot.student = StudentModel::from_value(&student).unwrap();
+    }
+
     #[test]
     fn restore_rejects_state_it_cannot_run() {
         type Mutation = (&'static str, fn(&mut SessionSnapshot));
@@ -1758,6 +1771,14 @@ mod tests {
             ("phase start", |s| s.phases[0].start_s = f64::INFINITY),
             ("phase duration", |s| s.phases.last_mut().unwrap().duration_s = f64::NAN),
             ("feature_dim vs student", |s| s.config.stream.feature_dim += 1),
+            ("student without layers", |s| edit_student_layers(s, Vec::clear)),
+            ("student missing a layer", |s| {
+                edit_student_layers(s, |layers| drop(layers.remove(1)))
+            }),
+            ("student weight width", |s| {
+                let wide = Dense::new(s.config.stream.feature_dim, 65, Activation::Relu, 0);
+                edit_student_layers(s, |layers| layers[0] = wide.unwrap().to_value());
+            }),
             ("buffer capacity", |s| s.buffer = SampleBuffer::new(s.buffer.capacity() + 1)),
             ("buffer row width", |s| {
                 let wide = vec![0.0; s.config.stream.feature_dim + 1];

@@ -1,7 +1,6 @@
 //! The deployed student model: a thin continuous-learning wrapper around the
 //! trainable network.
 
-use crate::buffer::LabeledSample;
 use crate::{CoreError, Result};
 use dacapo_datagen::{Frame, NUM_CLASSES};
 use dacapo_dnn::{Mlp, MlpConfig, QuantMode, TrainScratch};
@@ -12,7 +11,9 @@ use serde::{Deserialize, Serialize};
 /// Wraps the trainable [`Mlp`] and exposes the three operations the runtime
 /// needs: per-frame inference accuracy (against ground truth, for reporting),
 /// validation accuracy (against teacher labels, what the system can observe),
-/// and retraining on buffered samples.
+/// and retraining on buffered samples. Each runs through a caller-owned
+/// [`TrainScratch`], so a session's steady-state loops copy no samples and
+/// allocate no matrices; a scratch carries no numeric state between calls.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StudentModel {
     network: Mlp,
@@ -64,52 +65,25 @@ impl StudentModel {
     /// # Errors
     ///
     /// Returns [`CoreError::Dnn`] if the feature width does not match.
-    pub fn accuracy_on_frames(&self, frames: &[Frame]) -> Result<f64> {
-        self.accuracy_on_frames_with(frames, &mut TrainScratch::new())
-    }
-
-    /// [`StudentModel::accuracy_on_frames`] against a caller-owned scratch
-    /// arena, so steady-state measurement loops allocate no matrices. The
-    /// result is bit-identical to the allocating variant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Dnn`] if the feature width does not match.
-    pub(crate) fn accuracy_on_frames_with(
-        &self,
-        frames: &[Frame],
-        scratch: &mut TrainScratch,
-    ) -> Result<f64> {
+    pub fn accuracy_on_frames(&self, frames: &[Frame], scratch: &mut TrainScratch) -> Result<f64> {
         let rows: Vec<&[f32]> = frames.iter().map(|f| f.sample.features.as_slice()).collect();
         let labels: Vec<usize> = frames.iter().map(|f| f.sample.true_class).collect();
-        self.accuracy_on_rows_with(&rows, &labels, scratch)
+        self.accuracy_on_rows(&rows, &labels, scratch)
     }
 
-    /// Accuracy on labeled samples, judged against the *teacher* labels —
-    /// the observable quantity Algorithm 1 uses for both validation
-    /// (`acc_v`) and freshly-labeled data (`acc_l`).
-    ///
-    /// Returns 0 for an empty slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Dnn`] if the feature width does not match.
-    pub fn accuracy_on_samples(&self, samples: &[LabeledSample]) -> Result<f64> {
-        let (rows, labels) = rows_and_teacher_labels(samples);
-        self.accuracy_on_rows_with(&rows, &labels, &mut TrainScratch::new())
-    }
-
-    /// Accuracy on feature rows against `labels` (one per row) through a
-    /// caller-owned scratch arena: the form every accuracy query reduces
-    /// to, so rows can come straight from a sample buffer's slab, a frame
-    /// batch, or owned records without being copied first.
+    /// Accuracy on feature rows against `labels` (one per row): the form
+    /// every accuracy query reduces to, so rows can come straight from a
+    /// sample buffer's slab, a frame batch, or owned records without being
+    /// copied first. Judged against *teacher* labels this is the observable
+    /// quantity Algorithm 1 uses for both validation (`acc_v`) and
+    /// freshly-labeled data (`acc_l`).
     ///
     /// Returns 0 for no rows.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Dnn`] if the feature width does not match.
-    pub(crate) fn accuracy_on_rows_with(
+    pub fn accuracy_on_rows(
         &self,
         rows: &[&[f32]],
         labels: &[usize],
@@ -121,8 +95,9 @@ impl StudentModel {
         Ok(f64::from(self.network.evaluate_rows_with(rows, labels, scratch)?))
     }
 
-    /// Retrains the student on labeled samples for the given number of
-    /// epochs, using the teacher labels as targets.
+    /// Retrains the student on feature rows against `labels` (one per row;
+    /// the teacher labels, in the deployed loop) for the given number of
+    /// epochs.
     ///
     /// Returns the number of sample presentations processed (samples ×
     /// epochs), which is what the platform's retraining throughput is charged
@@ -131,20 +106,7 @@ impl StudentModel {
     /// # Errors
     ///
     /// Returns [`CoreError::Dnn`] on dimension mismatches.
-    pub fn retrain(&mut self, samples: &[LabeledSample], epochs: usize) -> Result<usize> {
-        let (rows, labels) = rows_and_teacher_labels(samples);
-        self.retrain_rows_with(&rows, &labels, epochs, &mut TrainScratch::new())
-    }
-
-    /// Retrains on feature rows against `labels` (one per row) through a
-    /// caller-owned scratch arena, so steady-state retraining loops copy no
-    /// samples and allocate no matrices. The resulting weights are
-    /// bit-identical to [`StudentModel::retrain`] on the same data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Dnn`] on dimension mismatches.
-    pub(crate) fn retrain_rows_with(
+    pub fn retrain(
         &mut self,
         rows: &[&[f32]],
         labels: &[usize],
@@ -178,15 +140,10 @@ impl StudentModel {
     }
 }
 
-/// The feature rows and teacher labels of owned records, as the row-based
-/// kernels take them.
-fn rows_and_teacher_labels(samples: &[LabeledSample]) -> (Vec<&[f32]>, Vec<usize>) {
-    samples.iter().map(|s| (s.features.as_slice(), s.teacher_label)).unzip()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::LabeledSample;
     use dacapo_datagen::{FrameStream, Scenario, StreamConfig};
 
     fn make_student() -> StudentModel {
@@ -205,6 +162,22 @@ mod tests {
             .collect()
     }
 
+    /// The feature rows and teacher labels of owned records, as the student
+    /// takes them.
+    fn rows_and_teacher_labels(samples: &[LabeledSample]) -> (Vec<&[f32]>, Vec<usize>) {
+        samples.iter().map(|s| (s.features.as_slice(), s.teacher_label)).unzip()
+    }
+
+    fn retrain_on(student: &mut StudentModel, samples: &[LabeledSample], epochs: usize) -> usize {
+        let (rows, labels) = rows_and_teacher_labels(samples);
+        student.retrain(&rows, &labels, epochs, &mut TrainScratch::new()).unwrap()
+    }
+
+    fn accuracy_on_samples(student: &StudentModel, samples: &[LabeledSample]) -> f64 {
+        let (rows, labels) = rows_and_teacher_labels(samples);
+        student.accuracy_on_rows(&rows, &labels, &mut TrainScratch::new()).unwrap()
+    }
+
     #[test]
     fn zero_batch_size_is_rejected() {
         assert!(StudentModel::new(16, QuantMode::Fp32, QuantMode::Fp32, 0.02, 0, 1).is_err());
@@ -213,9 +186,12 @@ mod tests {
     #[test]
     fn empty_inputs_return_zero_accuracy_and_no_work() {
         let mut student = make_student();
-        assert_eq!(student.accuracy_on_frames(&[]).unwrap(), 0.0);
-        assert_eq!(student.accuracy_on_samples(&[]).unwrap(), 0.0);
-        assert_eq!(student.retrain(&[], 5).unwrap(), 0);
+        let scratch = &mut TrainScratch::new();
+        assert_eq!(student.accuracy_on_frames(&[], scratch).unwrap(), 0.0);
+        assert_eq!(student.accuracy_on_rows(&[], &[], scratch).unwrap(), 0.0);
+        assert_eq!(student.retrain(&[], &[], 5, scratch).unwrap(), 0);
+        let row = [0.0f32; 16];
+        assert_eq!(student.retrain(&[&row], &[0], 0, scratch).unwrap(), 0, "zero epochs");
     }
 
     #[test]
@@ -223,11 +199,12 @@ mod tests {
         let stream = FrameStream::new(&Scenario::s1(), StreamConfig::default());
         let frames = stream.frames_between(0.0, 20.0, 2);
         let mut student = make_student();
-        let before = student.accuracy_on_frames(&frames).unwrap();
+        let scratch = &mut TrainScratch::new();
+        let before = student.accuracy_on_frames(&frames, scratch).unwrap();
         let samples = labeled_from_frames(&frames);
-        let processed = student.retrain(&samples, 5).unwrap();
+        let processed = retrain_on(&mut student, &samples, 5);
         assert_eq!(processed, samples.len() * 5);
-        let after = student.accuracy_on_frames(&frames).unwrap();
+        let after = student.accuracy_on_frames(&frames, scratch).unwrap();
         assert!(
             after > before + 0.2 && after > 0.6,
             "retraining should lift accuracy substantially: {before:.2} -> {after:.2}"
@@ -255,19 +232,20 @@ mod tests {
             .expect("ES1 has drift");
 
         let mut student = make_student();
+        let scratch = &mut TrainScratch::new();
         let old_frames = stream.frames_between(0.0, 30.0, 2);
-        student.retrain(&labeled_from_frames(&old_frames), 6).unwrap();
-        let acc_old = student.accuracy_on_frames(&old_frames).unwrap();
+        retrain_on(&mut student, &labeled_from_frames(&old_frames), 6);
+        let acc_old = student.accuracy_on_frames(&old_frames, scratch).unwrap();
 
         let new_frames = stream.frames_between(drift_time, drift_time + 30.0, 2);
-        let acc_drifted = student.accuracy_on_frames(&new_frames).unwrap();
+        let acc_drifted = student.accuracy_on_frames(&new_frames, scratch).unwrap();
         assert!(
             acc_drifted < acc_old - 0.1,
             "drift should hurt: old-segment {acc_old:.2}, drifted {acc_drifted:.2}"
         );
 
-        student.retrain(&labeled_from_frames(&new_frames), 6).unwrap();
-        let acc_recovered = student.accuracy_on_frames(&new_frames).unwrap();
+        retrain_on(&mut student, &labeled_from_frames(&new_frames), 6);
+        let acc_recovered = student.accuracy_on_frames(&new_frames, scratch).unwrap();
         assert!(
             acc_recovered > acc_drifted + 0.1,
             "retraining on the new segment should recover: {acc_drifted:.2} -> {acc_recovered:.2}"
@@ -280,14 +258,14 @@ mod tests {
         let frames = stream.frames_between(0.0, 10.0, 3);
         let mut student = make_student();
         let mut samples = labeled_from_frames(&frames);
-        student.retrain(&samples, 6).unwrap();
-        let truthful = student.accuracy_on_samples(&samples).unwrap();
+        retrain_on(&mut student, &samples, 6);
+        let truthful = accuracy_on_samples(&student, &samples);
         // Corrupt the teacher labels: observable accuracy collapses even
         // though the model did not change.
         for s in &mut samples {
             s.teacher_label = (s.teacher_label + 1) % NUM_CLASSES;
         }
-        let corrupted = student.accuracy_on_samples(&samples).unwrap();
+        let corrupted = accuracy_on_samples(&student, &samples);
         assert!(corrupted < truthful);
     }
 }

@@ -223,8 +223,7 @@ impl FrameStream {
     }
 
     /// Draws the frame's class from the segment's label distribution using
-    /// the frame RNG. Shared by the cached and uncached generation paths so
-    /// they consume the RNG identically.
+    /// the frame RNG.
     fn draw_class(rng: &mut StdRng, attributes: &SegmentAttributes) -> usize {
         let prior = class_prior(attributes);
         let mut draw: f64 = rng.gen_range(0.0..1.0);
@@ -255,37 +254,37 @@ impl FrameStream {
         StdRng::seed_from_u64(self.config.seed.wrapping_mul(0x100_0000_01b3).wrapping_add(index))
     }
 
-    /// Generates the frame at `index` (clamped semantics are not provided:
-    /// indices past the end still generate deterministic frames using the
-    /// last segment's attributes).
-    #[must_use]
-    pub fn frame_at(&self, index: u64) -> Frame {
+    /// The one frame body: the frame RNG draws the class, `center` supplies
+    /// that class's centre (derived fresh or replayed from a cache), and the
+    /// same RNG draws the noise around it. The centre RNGs are seeded
+    /// independently of the frame RNG, so where the centre comes from cannot
+    /// change a draw.
+    fn frame_with<C: AsRef<[f32]>>(
+        &self,
+        index: u64,
+        center: impl FnOnce(usize, &SegmentAttributes) -> C,
+    ) -> Frame {
         let timestamp_s = index as f64 / self.config.fps;
         let attributes = self.scenario.attributes_at(timestamp_s);
         let mut rng = self.frame_rng(index);
         let true_class = Self::draw_class(&mut rng, &attributes);
-        // Draw the feature vector around the (class, attributes) centre.
-        let center = self.class_center(true_class, &attributes);
-        let features = self.features_around(&center, &mut rng);
+        let features = self.features_around(center(true_class, &attributes).as_ref(), &mut rng);
         Frame { index, timestamp_s, attributes, sample: Sample { features, true_class } }
+    }
+
+    /// Generates the frame at `index` (clamped semantics are not provided:
+    /// indices past the end still generate deterministic frames using the
+    /// last segment's attributes), deriving its one class centre fresh.
+    #[must_use]
+    pub fn frame_at(&self, index: u64) -> Frame {
+        self.frame_with(index, |class, attributes| self.class_center(class, attributes))
     }
 
     /// [`Self::frame_at`] with the class-centre lookup served by `cache` —
     /// bit-identical output, an order of magnitude less RNG work on hits.
-    ///
-    /// The centre is a pure function of `(config, context, class)` whose
-    /// RNGs are seeded independently of the frame RNG, so replaying it from
-    /// the cache consumes exactly the same frame-RNG draws as deriving it
-    /// fresh; only the redundant re-derivation is skipped.
     #[must_use]
     pub fn frame_at_cached(&self, index: u64, cache: &mut CenterCache) -> Frame {
-        let timestamp_s = index as f64 / self.config.fps;
-        let attributes = self.scenario.attributes_at(timestamp_s);
-        let mut rng = self.frame_rng(index);
-        let true_class = Self::draw_class(&mut rng, &attributes);
-        let center = cache.center(self, true_class, &attributes);
-        let features = self.features_around(center, &mut rng);
-        Frame { index, timestamp_s, attributes, sample: Sample { features, true_class } }
+        self.frame_with(index, |class, attributes| cache.center(self, class, attributes))
     }
 
     /// Iterator over all frames of the scenario in order.
@@ -295,22 +294,19 @@ impl FrameStream {
 
     /// Collects every `step`-th frame of the half-open time range
     /// `[start_s, end_s)` — the sampling primitive used by the labeling
-    /// kernel.
+    /// kernel: [`Self::frames_between_cached`] with a fresh cache.
     ///
     /// # Panics
     ///
     /// Panics if `step` is zero or the range is inverted.
     #[must_use]
     pub fn frames_between(&self, start_s: f64, end_s: f64, step: u64) -> Vec<Frame> {
-        assert!(step > 0, "step must be positive");
-        assert!(end_s >= start_s, "time range is inverted");
-        let first = (start_s * self.config.fps).ceil() as u64;
-        let last = ((end_s * self.config.fps).ceil() as u64).min(self.num_frames());
-        (first..last).step_by(step as usize).map(|i| self.frame_at(i)).collect()
+        self.frames_between_cached(start_s, end_s, step, &mut CenterCache::new())
     }
 
-    /// [`Self::frames_between`] with centre lookups served by `cache` —
-    /// bit-identical frames (see [`Self::frame_at_cached`]).
+    /// Collects every `step`-th frame of the half-open time range
+    /// `[start_s, end_s)`, with centre lookups served by `cache` (see
+    /// [`Self::frame_at_cached`]).
     ///
     /// # Panics
     ///
@@ -323,11 +319,8 @@ impl FrameStream {
         step: u64,
         cache: &mut CenterCache,
     ) -> Vec<Frame> {
-        assert!(step > 0, "step must be positive");
         assert!(end_s >= start_s, "time range is inverted");
-        let first = (start_s * self.config.fps).ceil() as u64;
-        let last = ((end_s * self.config.fps).ceil() as u64).min(self.num_frames());
-        (first..last).step_by(step as usize).map(|i| self.frame_at_cached(i, cache)).collect()
+        self.cursor_at(start_s).frames_until_cached(self, end_s, step, cache)
     }
 
     /// A resumable cursor at the start of the stream. Frames are a pure
@@ -357,10 +350,11 @@ impl FrameStream {
 /// is a *pure function* of the stream config, the segment's context id, and
 /// the class, and scenarios only have a handful of contexts, so a run
 /// re-derives the same few centres tens of thousands of times. This cache
-/// memoises them; the `*_cached` generation methods
-/// ([`FrameStream::frame_at_cached`] and friends) are bit-identical to
-/// their uncached counterparts because the centre RNGs are seeded
-/// independently of the per-frame RNG.
+/// memoises them. Every range method generates through it — the forms
+/// without a `_cached` suffix bring a fresh one — and only
+/// [`FrameStream::frame_at`] derives its single centre directly; the two
+/// agree bit for bit because the centre RNGs are seeded independently of
+/// the per-frame RNG.
 ///
 /// The cache remembers which stream configuration filled it and resets
 /// itself when handed a stream with a different one, so a stale or shared
@@ -486,28 +480,23 @@ impl StreamCursor {
     }
 
     /// Consumes every `step`-th frame from the current position up to (but
-    /// excluding) `end_s`, advancing the cursor to the range's end — the
-    /// cursor-based equivalent of [`FrameStream::frames_between`] starting
-    /// at the cursor.
+    /// excluding) `end_s`, advancing the cursor to the range's end:
+    /// [`Self::frames_until_cached`] with a fresh cache.
     ///
     /// # Panics
     ///
     /// Panics if `step` is zero.
     #[must_use]
     pub fn frames_until(&mut self, stream: &FrameStream, end_s: f64, step: u64) -> Vec<Frame> {
-        assert!(step > 0, "step must be positive");
-        let last = ((end_s * stream.config.fps).ceil() as u64).min(stream.num_frames());
-        if last <= self.next_index {
-            return Vec::new();
-        }
-        let frames = (self.next_index..last).step_by(step as usize).map(|i| stream.frame_at(i));
-        let collected = frames.collect();
-        self.next_index = last;
-        collected
+        self.frames_until_cached(stream, end_s, step, &mut CenterCache::new())
     }
 
-    /// [`Self::frames_until`] with centre lookups served by `cache` —
-    /// bit-identical frames (see [`FrameStream::frame_at_cached`]).
+    /// Consumes every `step`-th frame from the current position up to (but
+    /// excluding) `end_s`, clamped to the stream's end, advancing the cursor
+    /// to the range's end — the one range computation, which
+    /// [`FrameStream::frames_between_cached`] runs from a cursor at its start
+    /// time. Centre lookups are served by `cache` (see
+    /// [`FrameStream::frame_at_cached`]).
     ///
     /// # Panics
     ///
@@ -660,18 +649,18 @@ mod tests {
         }
         assert!(cache.contexts_cached() >= 2, "ES1 drifts across contexts");
 
-        assert_eq!(
-            s.frames_between_cached(5.0, 65.0, 7, &mut cache),
-            s.frames_between(5.0, 65.0, 7)
-        );
+        // 30 fps: [5 s, 65 s) is frames 150..1950, [30 s, 90 s) is 900..2700.
+        let between: Vec<Frame> = (150..1950).step_by(7).map(|i| s.frame_at(i)).collect();
+        assert_eq!(s.frames_between_cached(5.0, 65.0, 7, &mut cache), between);
+        assert_eq!(s.frames_between(5.0, 65.0, 7), between);
 
+        let until: Vec<Frame> = (900..2700).step_by(3).map(|i| s.frame_at(i)).collect();
         let mut plain = s.cursor_at(30.0);
         let mut cached = s.cursor_at(30.0);
-        assert_eq!(
-            cached.frames_until_cached(&s, 90.0, 3, &mut cache),
-            plain.frames_until(&s, 90.0, 3)
-        );
+        assert_eq!(cached.frames_until_cached(&s, 90.0, 3, &mut cache), until);
+        assert_eq!(plain.frames_until(&s, 90.0, 3), until);
         assert_eq!(cached, plain);
+        assert_eq!(cached.position(), 2700);
     }
 
     #[test]
@@ -740,9 +729,10 @@ mod tests {
         cursor.seek_time(&s, 5.0);
         assert_eq!(cursor.position(), 300, "backward seeks are no-ops");
 
-        let direct = s.frames_between(10.0, 20.0, 7);
+        let by_index: Vec<Frame> = (300..600).step_by(7).map(|i| s.frame_at(i)).collect();
         let via_cursor = cursor.frames_until(&s, 20.0, 7);
-        assert_eq!(via_cursor, direct);
+        assert_eq!(via_cursor, by_index);
+        assert_eq!(s.frames_between(10.0, 20.0, 7), by_index);
         assert_eq!(cursor.position(), 600, "frames_until consumes the whole range");
         assert!(cursor.frames_until(&s, 15.0, 1).is_empty(), "past ranges yield nothing");
 

@@ -1,9 +1,8 @@
-//! Scratch-reuse and stacked-dispatch training.
+//! The production forward/backward pass and its stacked dispatch.
 //!
 //! The continuous-learning loop retrains a small MLP thousands of times per
-//! simulated run; with the naive path every forward/backward pass allocates
-//! operand clones, quantised copies, transposes, and gradient matrices. This
-//! module holds the data-oriented alternative:
+//! simulated run, so there is one forward pass and one backward pass, and
+//! both run out of caller-owned scratch:
 //!
 //! * [`TrainScratch`] — one arena of reusable matrices plus a packed-GEMM
 //!   [`Workspace`] covering everything a forward/backward pass needs. Buffers
@@ -11,7 +10,9 @@
 //!   so steady-state training steps perform no heap allocation in the kernel
 //!   path. A scratch carries no numeric state between calls (every pass fully
 //!   overwrites what it reads), so sharing one across models cannot change
-//!   results — which is exactly what stacked dispatch exploits.
+//!   results — which is exactly what stacked dispatch exploits. Every `Mlp`
+//!   entry point runs these passes; the ones that take no scratch
+//!   (`Mlp::{forward, predict, evaluate, train}`) bring a fresh one.
 //! * [`StackedJob`] / [`train_stacked`] — the per-window batched dispatch the
 //!   cluster executor uses: when several co-resident sessions retrain in the
 //!   same scheduling window, their jobs are submitted as one stack sharing a
@@ -22,11 +23,13 @@
 //!   unbatched per-session retraining by construction, and property tests
 //!   enforce it.
 //!
-//! Bit-identity with the allocating reference path is the design constraint
-//! throughout: the packed kernels accumulate in the same order as the naive
-//! loops, the ReLU backward uses the same multiply form as the mask-and-
-//! hadamard reference, and the MX paths quantise exactly the operands the
-//! reference quantises.
+//! Bit-identity with the layer reference — the [`Dense::forward`] /
+//! [`Dense::backward`] / `loss::cross_entropy` chain, which allocates every
+//! intermediate and exists for the tests to compare against — is the design
+//! constraint throughout: the packed kernels accumulate in the same order
+//! as the naive loops, the ReLU backward uses the same multiply form as the
+//! mask-and-hadamard reference, and the MX paths quantise exactly the
+//! operands the reference quantises.
 
 use crate::layer::{Activation, Dense};
 use crate::mlp::TrainReport;
@@ -113,8 +116,8 @@ impl Default for TrainScratch {
 }
 
 /// Forward pass through `layers`, writing activation `i` into `acts[i]` and
-/// per-layer caches into `lscr`. Bit-identical to the allocating
-/// `Dense::forward` chain.
+/// per-layer caches into `lscr`. Bit-identical to the reference
+/// [`Dense::forward`] chain.
 pub(crate) fn forward_pass(
     layers: &[Dense],
     x0: &Matrix,
@@ -133,11 +136,11 @@ pub(crate) fn forward_pass(
         match precision {
             Some(p) => {
                 quant::quantize_rows_into(x, p, &mut scr.x_q)?;
-                quant::mx_matmul_prequant_into(&scr.x_q, layer.weights_ref(), p, &mut scr.pre, ws)?;
+                quant::mx_matmul_prequant_into(&scr.x_q, layer.weights(), p, &mut scr.pre, ws)?;
             }
-            None => ops::matmul_into(x, layer.weights_ref(), &mut scr.pre, ws)?,
+            None => ops::matmul_into(x, layer.weights(), &mut scr.pre, ws)?,
         }
-        ops::add_row_broadcast_inplace(&mut scr.pre, layer.bias_ref())?;
+        ops::add_row_broadcast_inplace(&mut scr.pre, layer.bias())?;
         let out = &mut rest[0];
         match layer.activation_kind() {
             Activation::Relu => {
@@ -153,8 +156,8 @@ pub(crate) fn forward_pass(
     Ok(())
 }
 
-/// Backward pass with immediate SGD application, mirroring the allocating
-/// `Dense::backward` + `apply_gradients` sequence layer by layer (gradients
+/// Backward pass with immediate SGD application, mirroring the reference
+/// [`Dense::backward`] + `apply_gradients` sequence layer by layer (gradients
 /// for layer `i` are always computed against pre-update weights).
 // The arguments are the disjoint fields of a destructured `TrainScratch`:
 // bundling them back into a struct would re-merge borrows the caller
@@ -214,19 +217,14 @@ pub(crate) fn backward_pass(
         // Layer 0's input gradient has no consumer, so its `w_t` transpose
         // and `δ · wᵀ` GEMM are skipped entirely; weights are unaffected.
         match precision {
-            Some(p) => {
-                quant::mx_matmul_at_b_into(x_input, delta, p, d_w, ws)?;
-                if i > 0 {
-                    ops::transpose_into(layer.weights_ref(), w_t);
-                    quant::mx_matmul_into(delta, w_t, p, d_x, ws)?;
-                }
-            }
-            None => {
-                ops::matmul_at_b(x_input, delta, d_w, ws)?;
-                if i > 0 {
-                    ops::transpose_into(layer.weights_ref(), w_t);
-                    ops::matmul_into(delta, w_t, d_x, ws)?;
-                }
+            Some(p) => quant::mx_matmul_at_b_into(x_input, delta, p, d_w, ws)?,
+            None => ops::matmul_at_b(x_input, delta, d_w, ws)?,
+        }
+        if i > 0 {
+            ops::transpose_into(layer.weights(), w_t);
+            match precision {
+                Some(p) => quant::mx_matmul_into(delta, w_t, p, d_x, ws)?,
+                None => ops::matmul_into(delta, w_t, d_x, ws)?,
             }
         }
         ops::sum_rows_into(delta, d_b);
@@ -374,11 +372,14 @@ mod tests {
         for mode in [QuantMode::Fp32, QuantMode::Mx(dacapo_mx::MxPrecision::Mx6)] {
             let (features, labels) = data(15, 95);
             let net = Mlp::new(config(mode)).unwrap();
+            let (reference_logits, _) = net.reference_forward(&features, mode);
+            let reference = crate::loss::accuracy(&reference_logits, &labels).unwrap();
             let rows: Vec<&[f32]> = features.iter_rows().collect();
             let mut scratch = TrainScratch::new();
             let with_scratch = net.evaluate_rows_with(&rows, &labels, &mut scratch).unwrap();
-            let reference = net.evaluate(&features, &labels).unwrap();
             assert!(with_scratch.to_bits() == reference.to_bits());
+            assert_eq!(net.forward(&features, mode).unwrap(), reference_logits);
+            assert!(net.evaluate(&features, &labels).unwrap().to_bits() == reference.to_bits());
         }
     }
 }

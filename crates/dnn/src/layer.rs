@@ -41,6 +41,11 @@ impl Activation {
 /// weights through the MX round trip, emulating execution on a DaCapo
 /// sub-accelerator configured at that precision.
 ///
+/// [`Dense::forward`] and [`Dense::backward`] are the layer *reference*:
+/// each step allocates its result ([`ForwardCache`], [`Gradients`]) and is
+/// written for legibility. `Mlp` runs the scratch-based passes of
+/// [`batch`](crate::batch), which tests hold bit-identical to this chain.
+///
 /// # Examples
 ///
 /// ```
@@ -210,11 +215,7 @@ impl Dense {
         Ok(())
     }
 
-    pub(crate) fn weights_ref(&self) -> &Matrix {
-        &self.weights
-    }
-
-    pub(crate) fn bias_ref(&self) -> &Matrix {
+    pub(crate) fn bias(&self) -> &Matrix {
         &self.bias
     }
 

@@ -6,7 +6,9 @@ use dacapo_tensor::{ops, Matrix};
 /// Computes the mean softmax cross-entropy loss and its gradient with respect
 /// to the logits.
 ///
-/// `labels[i]` is the class index of sample `i` (row `i` of `logits`).
+/// `labels[i]` is the class index of sample `i` (row `i` of `logits`). This
+/// is the reference form — one allocated matrix per step — that tests hold
+/// the training loop's [`cross_entropy_into`] bit-identical to.
 ///
 /// # Errors
 ///
@@ -49,8 +51,8 @@ pub fn cross_entropy(logits: &Matrix, labels: &[usize]) -> Result<(f32, Matrix)>
 /// Fuses the softmax, the label subtraction, and the `1/batch` scaling into
 /// one pass per row. Every element still goes through the identical
 /// arithmetic sequence (`exp(x - max)`, `/ sum`, `- 1` at the label,
-/// `× 1/batch`), so loss and gradient are bit-identical to the allocating
-/// form — the training loop relies on that when it swaps this in.
+/// `× 1/batch`), so loss and gradient are bit-identical to the reference
+/// form. This is the loss the training loop runs.
 ///
 /// # Errors
 ///

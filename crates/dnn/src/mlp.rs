@@ -2,7 +2,7 @@
 //! optional MX fake-quantisation.
 
 use crate::batch::{backward_pass, forward_pass, TrainScratch};
-use crate::layer::{Activation, Dense, ForwardCache};
+use crate::layer::{Activation, Dense};
 use crate::{loss, DnnError, Result};
 use dacapo_mx::MxPrecision;
 use dacapo_tensor::Matrix;
@@ -130,21 +130,17 @@ impl Mlp {
         }
         let mut layers = Vec::with_capacity(config.hidden.len() + 1);
         let mut previous = config.input_dim;
-        for (i, &width) in config.hidden.iter().enumerate() {
+        for (i, &width) in config.hidden.iter().chain([&config.num_classes]).enumerate() {
+            let activation =
+                if i < config.hidden.len() { Activation::Relu } else { Activation::Linear };
             layers.push(Dense::new(
                 previous,
                 width,
-                Activation::Relu,
+                activation,
                 config.seed.wrapping_add(i as u64),
             )?);
             previous = width;
         }
-        layers.push(Dense::new(
-            previous,
-            config.num_classes,
-            Activation::Linear,
-            config.seed.wrapping_add(config.hidden.len() as u64),
-        )?);
         Ok(Self { layers, config })
     }
 
@@ -152,6 +148,41 @@ impl Mlp {
     #[must_use]
     pub fn config(&self) -> &MlpConfig {
         &self.config
+    }
+
+    /// Checks that the layers realise the configuration: one layer per
+    /// hidden width plus the output layer, layer `i` a `previous × width`
+    /// weight matrix with a `1 × width` bias along `input_dim → hidden… →
+    /// num_classes`. [`Mlp::new`] builds exactly that; a deserialised
+    /// network is whatever its bytes said, and the kernels index by these
+    /// shapes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::InvalidConfig`] naming the first layer that does
+    /// not fit.
+    pub fn validate(&self) -> Result<()> {
+        let widths = self.config.hidden.iter().chain([&self.config.num_classes]);
+        if self.layers.len() != self.config.hidden.len() + 1 {
+            return Err(DnnError::InvalidConfig {
+                reason: format!(
+                    "{} layers for {} hidden widths and an output layer",
+                    self.layers.len(),
+                    self.config.hidden.len()
+                ),
+            });
+        }
+        let mut previous = self.config.input_dim;
+        for (i, (layer, &width)) in self.layers.iter().zip(widths).enumerate() {
+            let fits = |m: &Matrix, rows| m.shape() == (rows, width) && m.len() == rows * width;
+            if !(fits(layer.weights(), previous) && fits(layer.bias(), 1)) {
+                return Err(DnnError::InvalidConfig {
+                    reason: format!("layers[{i}] is not {previous}×{width} with a 1×{width} bias"),
+                });
+            }
+            previous = width;
+        }
+        Ok(())
     }
 
     /// Total number of trainable parameters.
@@ -166,30 +197,19 @@ impl Mlp {
         self.layers.iter().map(|l| (l.input_dim() * l.output_dim()) as u64).sum()
     }
 
-    /// Runs a forward pass in the given mode and returns the logits.
+    /// Runs a forward pass in the given mode and returns the logits: the
+    /// production forward pass of [`Mlp::evaluate_rows_with`] through a
+    /// fresh [`TrainScratch`].
     ///
     /// # Errors
     ///
     /// Returns [`DnnError::DimensionMismatch`] if the feature width is wrong.
     pub fn forward(&self, features: &Matrix, mode: QuantMode) -> Result<Matrix> {
-        let (logits, _) = self.forward_with_caches(features, mode)?;
-        Ok(logits)
-    }
-
-    fn forward_with_caches(
-        &self,
-        features: &Matrix,
-        mode: QuantMode,
-    ) -> Result<(Matrix, Vec<ForwardCache>)> {
-        let precision = mode.precision();
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut current = features.clone();
-        for layer in &self.layers {
-            let (next, cache) = layer.forward(&current, precision)?;
-            caches.push(cache);
-            current = next;
-        }
-        Ok((current, caches))
+        let mut scratch = TrainScratch::new();
+        scratch.ensure(self.layers.len());
+        let TrainScratch { ws, acts, layers: lscr, .. } = &mut scratch;
+        forward_pass(&self.layers, features, mode.precision(), ws, acts, lscr)?;
+        Ok(scratch.acts.swap_remove(self.layers.len() - 1))
     }
 
     /// Predicts class indices for a batch of features using the configured
@@ -215,7 +235,8 @@ impl Mlp {
     }
 
     /// Retrains the network with mini-batch SGD in the configured training
-    /// mode.
+    /// mode: [`Mlp::train_rows_with`] over the rows of `features` through a
+    /// fresh [`TrainScratch`].
     ///
     /// The paper's retraining hyperparameters (Section VII-A) are SGD with
     /// learning rate `1e-3` and batch size 16; callers pass them explicitly so
@@ -233,11 +254,6 @@ impl Mlp {
         batch_size: usize,
         learning_rate: f32,
     ) -> Result<TrainReport> {
-        if labels.len() != features.rows() {
-            return Err(DnnError::InvalidLabels {
-                reason: format!("{} labels for {} feature rows", labels.len(), features.rows()),
-            });
-        }
         let rows: Vec<&[f32]> = features.iter_rows().collect();
         self.train_rows_with(
             &rows,
@@ -250,9 +266,9 @@ impl Mlp {
     }
 
     /// Retrains on a slice of feature rows through a reusable
-    /// [`TrainScratch`] arena — the allocation-free path the cluster's
-    /// stacked per-window dispatch uses. Bit-identical to [`Mlp::train`] on
-    /// the same data.
+    /// [`TrainScratch`] arena — the one training implementation, allocation-
+    /// free once the arena has grown, which sessions and the cluster's
+    /// stacked per-window dispatch call directly.
     ///
     /// # Errors
     ///
@@ -323,7 +339,6 @@ impl Mlp {
 
     /// Classification accuracy on a slice of feature rows through a reusable
     /// [`TrainScratch`] arena, using the configured inference mode.
-    /// Bit-identical to [`Mlp::evaluate`] on the same data.
     ///
     /// # Errors
     ///
@@ -352,6 +367,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::ForwardCache;
     use dacapo_tensor::init;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -388,6 +404,33 @@ mod tests {
         assert!(Mlp::new(MlpConfig { input_dim: 0, ..fp32_config(4, 2) }).is_err());
         assert!(Mlp::new(MlpConfig { num_classes: 0, ..fp32_config(4, 2) }).is_err());
         assert!(Mlp::new(MlpConfig { hidden: vec![8, 0], ..fp32_config(4, 2) }).is_err());
+    }
+
+    #[test]
+    fn validate_accepts_built_networks_and_names_the_layer_that_does_not_fit() {
+        let config = MlpConfig { hidden: vec![16, 8], ..fp32_config(10, 3) };
+        let net = Mlp::new(config).unwrap();
+        net.validate().unwrap();
+        Mlp::new(MlpConfig { hidden: vec![], ..fp32_config(10, 3) }).unwrap().validate().unwrap();
+
+        type Misfit = (&'static str, fn(&mut Mlp));
+        let misfits: [Misfit; 5] = [
+            ("1 layers", |n| n.layers.truncate(1)),
+            ("0 layers", |n| n.layers.clear()),
+            ("layers[1]", |n| n.layers[1] = Dense::new(16, 9, Activation::Relu, 0).unwrap()),
+            ("layers[2]", |n| n.layers[2] = Dense::new(9, 3, Activation::Linear, 0).unwrap()),
+            ("layers[0]", |n| n.config.input_dim = 11),
+        ];
+        for (names, mutate) in misfits {
+            let mut broken = net.clone();
+            mutate(&mut broken);
+            match broken.validate() {
+                Err(DnnError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(names), "{reason}")
+                }
+                other => panic!("{names}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -438,15 +481,37 @@ mod tests {
         assert!(acc9 + 1e-6 >= acc4, "MX9 {acc9} vs MX4 {acc4}");
     }
 
-    /// Mini-batch SGD through the allocating `Dense::forward` /
-    /// `Dense::backward` layer API: the reference the scratch path mirrors.
+    impl Mlp {
+        /// The layer reference forward pass — the [`Dense::forward`] chain,
+        /// one allocation per intermediate — with the caches
+        /// [`Dense::backward`] consumes. Production passes
+        /// (`batch::forward_pass`) are tested bit-identical to it.
+        pub(crate) fn reference_forward(
+            &self,
+            features: &Matrix,
+            mode: QuantMode,
+        ) -> (Matrix, Vec<ForwardCache>) {
+            let mut caches = Vec::with_capacity(self.layers.len());
+            let mut current = features.clone();
+            for layer in &self.layers {
+                let (next, cache) = layer.forward(&current, mode.precision()).unwrap();
+                caches.push(cache);
+                current = next;
+            }
+            (current, caches)
+        }
+    }
+
+    /// Mini-batch SGD through the layer reference API (`Dense::forward` /
+    /// `Dense::backward` / `loss::cross_entropy`): what the production path
+    /// must reproduce bit for bit.
     fn train_reference(net: &mut Mlp, features: &Matrix, labels: &[usize], epochs: usize) {
         let mode = net.config.training_mode;
         let rows: Vec<&[f32]> = features.iter_rows().collect();
         for _ in 0..epochs {
             for (batch_rows, batch_labels) in rows.chunks(16).zip(labels.chunks(16)) {
                 let batch = Matrix::from_rows(batch_rows).unwrap();
-                let (logits, caches) = net.forward_with_caches(&batch, mode).unwrap();
+                let (logits, caches) = net.reference_forward(&batch, mode);
                 let (_, mut upstream) = loss::cross_entropy(&logits, batch_labels).unwrap();
                 for (layer, cache) in net.layers.iter_mut().zip(&caches).rev() {
                     let grads = layer.backward(cache, &upstream, mode.precision()).unwrap();

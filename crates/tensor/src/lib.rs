@@ -32,7 +32,7 @@ mod workspace;
 
 pub use error::TensorError;
 pub use matrix::Matrix;
-pub use workspace::{MatrixSlot, Workspace, K_BLOCK};
+pub use workspace::{Workspace, K_BLOCK};
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -126,11 +126,6 @@ impl Matrix {
         Ok(m)
     }
 
-    /// The smallest valid matrix (1×1 zero), used to seed reusable slots.
-    pub(crate) fn unit() -> Self {
-        Self { rows: 1, cols: 1, data: vec![0.0] }
-    }
-
     /// Resizes the matrix to `rows`×`cols` and zero-fills it, reusing the
     /// backing storage — the reset primitive of the scratch-reuse path.
     ///
@@ -371,6 +366,11 @@ mod tests {
             Matrix::from_vec(0, 0, vec![]),
             Err(TensorError::InvalidDimension { .. })
         ));
+        let mut reused = Matrix::filled(4, 8, 5.0).unwrap();
+        assert!(matches!(reused.reset_to(0, 3), Err(TensorError::InvalidDimension { .. })));
+        assert_eq!(reused, Matrix::filled(4, 8, 5.0).unwrap(), "a failed reset changes nothing");
+        reused.reset_to(2, 3).unwrap();
+        assert_eq!(reused, Matrix::zeros(2, 3).unwrap(), "a reused matrix comes back zeroed");
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! Matrix operations: GEMM, transpose, elementwise ops and reductions.
 //!
-//! The GEMM family comes in two layers: allocating conveniences
-//! ([`matmul`]) and the packed, allocation-free kernels ([`matmul_into`])
-//! that the hot retraining path uses with a reusable
-//! [`Workspace`]. Both produce bit-identical results:
-//! every output element accumulates its products in strictly ascending
-//! reduction order, so blocking and packing change memory traffic, never
-//! arithmetic.
+//! Every GEMM here and in [`quant`](crate::quant) is one kernel: a
+//! [`K_BLOCK`] loop that packs a panel of `B` and folds it into the output
+//! through a single register tile. The `*_into` / `*_inplace` forms, which
+//! take their output (and, for GEMMs, a reusable [`Workspace`]) from the
+//! caller, are the implementations; the forms that return a fresh matrix
+//! ([`matmul`], [`transpose`], [`add_row_broadcast`], [`sum_rows`]) call
+//! them with a new output. Every output element accumulates its products in
+//! strictly ascending reduction order, so blocking and packing change
+//! memory traffic, never arithmetic; [`matmul_reference`] is the naive loop
+//! the tests hold the kernel bit-identical to.
 
 use crate::workspace::K_BLOCK;
 use crate::{Matrix, Result, TensorError, Workspace};
 
 /// Matrix multiplication `A (m×k) · B (k×n) → C (m×n)` in `f32`.
 ///
-/// Allocating convenience wrapper over [`matmul_into`]; results are
-/// bit-identical to the packed kernel and to [`matmul_reference`].
+/// [`matmul_into`] with a fresh output and workspace.
 ///
 /// # Errors
 ///
@@ -35,9 +37,8 @@ use crate::{Matrix, Result, TensorError, Workspace};
 /// # }
 /// ```
 pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let mut ws = Workspace::new();
-    let mut out = Matrix::unit();
-    matmul_into(a, b, &mut out, &mut ws)?;
+    let mut out = Matrix::identity(1);
+    matmul_into(a, b, &mut out, &mut Workspace::new())?;
     Ok(out)
 }
 
@@ -55,22 +56,17 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `A.cols() != B.rows()`.
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace) -> Result<()> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch { op: "matmul", left: a.shape(), right: b.shape() });
-    }
-    let (m, k) = a.shape();
-    let n = b.cols();
-    out.reset_to(m, n)?;
-    for kb in (0..k).step_by(K_BLOCK) {
-        let kc = K_BLOCK.min(k - kb);
+    let k = a.cols();
+    for (kb, kc) in reduction_blocks("matmul", a, b, a.shape(), out)? {
         pack_panel(&mut ws.panel, b, kb, kc);
         accumulate_panel(a.as_slice(), k, kb, kc, &ws.panel, out);
     }
     Ok(())
 }
 
-/// Naive triple-loop GEMM kept as the bit-identity reference for the packed
-/// kernels (property tests assert `matmul_into == matmul_reference`).
+/// The naive triple-loop GEMM: the reference the packed kernels are tested
+/// bit-identical to (`matmul_into == matmul_reference`), not a production
+/// path.
 ///
 /// # Errors
 ///
@@ -94,10 +90,29 @@ pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
+/// The opening every packed GEMM shares: checks that the left operand —
+/// read by the kernel as `m × k`, which is `a.shape()` or, for the
+/// transposed-left kernels, its reverse — and `b` agree on the reduction
+/// length, zeroes `out` to `m × b.cols()`, and yields the `(kb, kc)` start
+/// and length of each [`K_BLOCK`] reduction block in ascending order.
+pub(crate) fn reduction_blocks(
+    op: &'static str,
+    a: &Matrix,
+    b: &Matrix,
+    (m, k): (usize, usize),
+    out: &mut Matrix,
+) -> Result<impl Iterator<Item = (usize, usize)>> {
+    if k != b.rows() {
+        return Err(TensorError::ShapeMismatch { op, left: a.shape(), right: b.shape() });
+    }
+    out.reset_to(m, b.cols())?;
+    Ok((0..k).step_by(K_BLOCK).map(move |kb| (kb, K_BLOCK.min(k - kb))))
+}
+
 /// Copies rows `kb..kb + kc` of `b` into the packed panel (row-major by
 /// reduction index — for a row-major `B` this is one contiguous copy), then
-/// pads the panel with [`J_TILE`] zeros so the fixed-width tail kernel in
-/// [`accumulate_panel`] may read one full tile past the last row.
+/// pads the panel with [`J_TILE`] zeros so the fixed-width tail tile of
+/// [`row_strip`] may read one full tile past the last row.
 pub(crate) fn pack_panel(panel: &mut Vec<f32>, b: &Matrix, kb: usize, kc: usize) {
     let n = b.cols();
     panel.clear();
@@ -115,20 +130,80 @@ pub(crate) const J_TILE: usize = 32;
 /// `I_TILE × J_TILE` accumulator block out of registers.
 pub(crate) const I_TILE: usize = 4;
 
-/// Accumulates one reduction block of the packed GEMM:
-/// `out[i][j] += sum_{kk} a[i][kb + kk] * panel[kk][j]`, with the panel
-/// rows visited in ascending reduction order.
+/// The register tile every packed GEMM runs: `R` output rows by `W` panel
+/// columns, of which the first `jw` are stored.
 ///
-/// The kernel walks the output in [`I_TILE`]`×`[`J_TILE`] register blocks:
-/// each block loads its current `out` values once, folds the whole
-/// reduction block in registers, and stores once. The `I_TILE` rows share
-/// every panel load and give the CPU that many independent
+/// `out` and `panel` start at the tile's first row and column and keep the
+/// full row stride `n`; `lhs(kk)` is the left operand's `R` values for
+/// reduction index `kk`. The tile loads its current `out` values once,
+/// folds the whole reduction block in registers, and stores once. The `R`
+/// rows share every panel load and give the CPU that many independent
 /// accumulator chains per column vector, so the loop is throughput- rather
 /// than latency-bound. Per output element this performs *exactly* the same
 /// additions in the same order as updating memory after every product —
 /// blocking only changes which elements progress concurrently, never the
 /// reduction order within an element — so the result stays bit-identical
-/// to [`matmul_reference`].
+/// to [`matmul_reference`]. Lanes past `jw` multiply whatever follows in
+/// the panel (the next row, or the padding after the last) and are never
+/// stored, which keeps the loop vectorised at full width.
+#[inline(always)]
+fn tile<const R: usize, const W: usize>(
+    lhs: impl Fn(usize) -> [f32; R],
+    kc: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    jw: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        acc_row[..jw].copy_from_slice(&out[r * n..r * n + jw]);
+    }
+    for kk in 0..kc {
+        let b_tile = &panel[kk * n..kk * n + W];
+        let x = lhs(kk);
+        for (l, &bv) in b_tile.iter().enumerate() {
+            for r in 0..R {
+                acc[r][l] += x[r] * bv;
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n..r * n + jw].copy_from_slice(&acc_row[..jw]);
+    }
+}
+
+/// Runs [`tile`] across one strip of `R` output rows (`out` is those rows,
+/// `R × n`): full [`J_TILE`] tiles, then one tail tile — full width over
+/// the panel's padding when more than half a tile is live, half width
+/// otherwise (a 10-class logits column block wastes far fewer dead lanes
+/// that way).
+#[inline(always)]
+fn row_strip<const R: usize>(
+    lhs: impl Fn(usize) -> [f32; R],
+    kc: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+) {
+    const H_TILE: usize = J_TILE / 2;
+    let mut jt = 0;
+    while jt + J_TILE <= n {
+        tile::<R, J_TILE>(&lhs, kc, &panel[jt..], &mut out[jt..], n, J_TILE);
+        jt += J_TILE;
+    }
+    let jw = n - jt;
+    if jw > H_TILE {
+        tile::<R, J_TILE>(&lhs, kc, &panel[jt..], &mut out[jt..], n, jw);
+    } else if jw > 0 {
+        tile::<R, H_TILE>(&lhs, kc, &panel[jt..], &mut out[jt..], n, jw);
+    }
+}
+
+/// Accumulates one reduction block of the packed GEMM:
+/// `out[i][j] += sum_{kk} a[i][kb + kk] * panel[kk][j]`, with the panel
+/// rows visited in ascending reduction order — [`I_TILE`]-row strips of
+/// [`tile`]s, then single rows.
 pub(crate) fn accumulate_panel(
     a_data: &[f32],
     k: usize,
@@ -139,118 +214,17 @@ pub(crate) fn accumulate_panel(
 ) {
     let (m, n) = out.shape();
     let out_data = out.as_mut_slice();
+    let a_row = |i: usize| &a_data[i * k + kb..i * k + kb + kc];
     let mut i = 0;
     while i + I_TILE <= m {
-        let a0 = &a_data[i * k + kb..i * k + kb + kc];
-        let a1 = &a_data[(i + 1) * k + kb..(i + 1) * k + kb + kc];
-        let a2 = &a_data[(i + 2) * k + kb..(i + 2) * k + kb + kc];
-        let a3 = &a_data[(i + 3) * k + kb..(i + 3) * k + kb + kc];
-        let mut jt = 0;
-        while jt + J_TILE <= n {
-            let mut acc = [[0.0f32; J_TILE]; I_TILE];
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                acc_row.copy_from_slice(&out_data[(i + r) * n + jt..(i + r) * n + jt + J_TILE]);
-            }
-            for kk in 0..kc {
-                let b_tile = &panel[kk * n + jt..kk * n + jt + J_TILE];
-                let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                for (l, &bv) in b_tile.iter().enumerate() {
-                    acc[0][l] += x0 * bv;
-                    acc[1][l] += x1 * bv;
-                    acc[2][l] += x2 * bv;
-                    acc[3][l] += x3 * bv;
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                out_data[(i + r) * n + jt..(i + r) * n + jt + J_TILE].copy_from_slice(acc_row);
-            }
-            jt += J_TILE;
-        }
-        let jw = n - jt;
-        if jw > J_TILE / 2 {
-            // Fixed-width kernel over the panel's zero padding: lanes past
-            // `jw` compute garbage that is never stored, keeping the loop
-            // vectorised at full width.
-            let mut acc = [[0.0f32; J_TILE]; I_TILE];
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                acc_row[..jw].copy_from_slice(&out_data[(i + r) * n + jt..(i + r + 1) * n]);
-            }
-            for kk in 0..kc {
-                let b_tile = &panel[kk * n + jt..kk * n + jt + J_TILE];
-                let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                for (l, &bv) in b_tile.iter().enumerate() {
-                    acc[0][l] += x0 * bv;
-                    acc[1][l] += x1 * bv;
-                    acc[2][l] += x2 * bv;
-                    acc[3][l] += x3 * bv;
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                out_data[(i + r) * n + jt..(i + r + 1) * n].copy_from_slice(&acc_row[..jw]);
-            }
-        } else if jw > 0 {
-            // Narrow tail (≤ half a tile, e.g. a 10-class logits column
-            // block): the half-width variant wastes far fewer dead lanes.
-            const H_TILE: usize = J_TILE / 2;
-            let mut acc = [[0.0f32; H_TILE]; I_TILE];
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                acc_row[..jw].copy_from_slice(&out_data[(i + r) * n + jt..(i + r + 1) * n]);
-            }
-            for kk in 0..kc {
-                let b_tile = &panel[kk * n + jt..kk * n + jt + H_TILE];
-                let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                for (l, &bv) in b_tile.iter().enumerate() {
-                    acc[0][l] += x0 * bv;
-                    acc[1][l] += x1 * bv;
-                    acc[2][l] += x2 * bv;
-                    acc[3][l] += x3 * bv;
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                out_data[(i + r) * n + jt..(i + r + 1) * n].copy_from_slice(&acc_row[..jw]);
-            }
-        }
+        let (a0, a1, a2, a3) = (a_row(i), a_row(i + 1), a_row(i + 2), a_row(i + 3));
+        let strip = &mut out_data[i * n..(i + I_TILE) * n];
+        row_strip(|kk| [a0[kk], a1[kk], a2[kk], a3[kk]], kc, panel, strip, n);
         i += I_TILE;
     }
-    // Remaining < I_TILE rows: the single-row variant of the same kernel.
     while i < m {
-        let a_row = &a_data[i * k + kb..i * k + kb + kc];
-        let mut jt = 0;
-        while jt + J_TILE <= n {
-            let mut acc = [0.0f32; J_TILE];
-            acc.copy_from_slice(&out_data[i * n + jt..i * n + jt + J_TILE]);
-            for (kk, &a_ik) in a_row.iter().enumerate() {
-                let b_tile = &panel[kk * n + jt..kk * n + jt + J_TILE];
-                for (o, &bv) in acc.iter_mut().zip(b_tile) {
-                    *o += a_ik * bv;
-                }
-            }
-            out_data[i * n + jt..i * n + jt + J_TILE].copy_from_slice(&acc);
-            jt += J_TILE;
-        }
-        let jw = n - jt;
-        if jw > J_TILE / 2 {
-            let mut acc = [0.0f32; J_TILE];
-            acc[..jw].copy_from_slice(&out_data[i * n + jt..(i + 1) * n]);
-            for (kk, &a_ik) in a_row.iter().enumerate() {
-                let b_tile = &panel[kk * n + jt..kk * n + jt + J_TILE];
-                for (o, &bv) in acc.iter_mut().zip(b_tile) {
-                    *o += a_ik * bv;
-                }
-            }
-            out_data[i * n + jt..(i + 1) * n].copy_from_slice(&acc[..jw]);
-        } else if jw > 0 {
-            const H_TILE: usize = J_TILE / 2;
-            let mut acc = [0.0f32; H_TILE];
-            acc[..jw].copy_from_slice(&out_data[i * n + jt..(i + 1) * n]);
-            for (kk, &a_ik) in a_row.iter().enumerate() {
-                let b_tile = &panel[kk * n + jt..kk * n + jt + H_TILE];
-                for (o, &bv) in acc.iter_mut().zip(b_tile) {
-                    *o += a_ik * bv;
-                }
-            }
-            out_data[i * n + jt..(i + 1) * n].copy_from_slice(&acc[..jw]);
-        }
+        let a0 = a_row(i);
+        row_strip(|kk| [a0[kk]], kc, panel, &mut out_data[i * n..(i + 1) * n], n);
         i += 1;
     }
 }
@@ -271,29 +245,19 @@ pub(crate) fn accumulate_panel(
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `A.rows() != B.rows()`.
 pub fn matmul_at_b(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace) -> Result<()> {
-    if a.rows() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_at_b",
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
     let (r, m) = a.shape();
-    let n = b.cols();
-    out.reset_to(m, n)?;
-    for rb in (0..r).step_by(K_BLOCK) {
-        let rc = K_BLOCK.min(r - rb);
+    for (rb, rc) in reduction_blocks("matmul_at_b", a, b, (m, r), out)? {
         pack_panel(&mut ws.panel, b, rb, rc);
         accumulate_panel_t(a.as_slice(), m, rb, rc, &ws.panel, out);
     }
     Ok(())
 }
 
-/// The [`accumulate_panel`] kernel with the left operand read transposed:
-/// `out[i][j] += sum_{kk} a[rb + kk][i] * panel[kk][j]`. Identical register
-/// blocking and reduction order; only the `a` element addressing changes
-/// (column-strided scalar loads instead of a contiguous row), so the result
-/// is bit-identical to transposing `a` and running [`accumulate_panel`].
+/// [`accumulate_panel`] with the left operand read transposed:
+/// `out[i][j] += sum_{kk} a[rb + kk][i] * panel[kk][j]`. Same strips, tiles
+/// and reduction order; only the `a` element addressing changes
+/// (column-strided loads instead of contiguous rows), so the result is
+/// bit-identical to transposing `a` and running [`accumulate_panel`].
 pub(crate) fn accumulate_panel_t(
     a_data: &[f32],
     m: usize,
@@ -307,126 +271,25 @@ pub(crate) fn accumulate_panel_t(
     let out_data = out.as_mut_slice();
     let mut i = 0;
     while i + I_TILE <= m {
-        let mut jt = 0;
-        while jt + J_TILE <= n {
-            let mut acc = [[0.0f32; J_TILE]; I_TILE];
-            for (s, acc_row) in acc.iter_mut().enumerate() {
-                acc_row.copy_from_slice(&out_data[(i + s) * n + jt..(i + s) * n + jt + J_TILE]);
-            }
-            for kk in 0..rc {
-                let b_tile = &panel[kk * n + jt..kk * n + jt + J_TILE];
-                let a_row = &a_block[kk * m + i..kk * m + i + I_TILE];
-                let (x0, x1, x2, x3) = (a_row[0], a_row[1], a_row[2], a_row[3]);
-                for (l, &bv) in b_tile.iter().enumerate() {
-                    acc[0][l] += x0 * bv;
-                    acc[1][l] += x1 * bv;
-                    acc[2][l] += x2 * bv;
-                    acc[3][l] += x3 * bv;
-                }
-            }
-            for (s, acc_row) in acc.iter().enumerate() {
-                out_data[(i + s) * n + jt..(i + s) * n + jt + J_TILE].copy_from_slice(acc_row);
-            }
-            jt += J_TILE;
-        }
-        let jw = n - jt;
-        if jw > 0 {
-            // Fixed-width half-tile over the panel's zero padding, as in
-            // `accumulate_panel`'s tail.
-            const H_TILE: usize = J_TILE / 2;
-            if jw > H_TILE {
-                let mut acc = [[0.0f32; J_TILE]; I_TILE];
-                for (s, acc_row) in acc.iter_mut().enumerate() {
-                    acc_row[..jw].copy_from_slice(&out_data[(i + s) * n + jt..(i + s + 1) * n]);
-                }
-                for kk in 0..rc {
-                    let b_tile = &panel[kk * n + jt..kk * n + jt + J_TILE];
-                    let a_row = &a_block[kk * m + i..kk * m + i + I_TILE];
-                    let (x0, x1, x2, x3) = (a_row[0], a_row[1], a_row[2], a_row[3]);
-                    for (l, &bv) in b_tile.iter().enumerate() {
-                        acc[0][l] += x0 * bv;
-                        acc[1][l] += x1 * bv;
-                        acc[2][l] += x2 * bv;
-                        acc[3][l] += x3 * bv;
-                    }
-                }
-                for (s, acc_row) in acc.iter().enumerate() {
-                    out_data[(i + s) * n + jt..(i + s + 1) * n].copy_from_slice(&acc_row[..jw]);
-                }
-            } else {
-                let mut acc = [[0.0f32; H_TILE]; I_TILE];
-                for (s, acc_row) in acc.iter_mut().enumerate() {
-                    acc_row[..jw].copy_from_slice(&out_data[(i + s) * n + jt..(i + s + 1) * n]);
-                }
-                for kk in 0..rc {
-                    let b_tile = &panel[kk * n + jt..kk * n + jt + H_TILE];
-                    let a_row = &a_block[kk * m + i..kk * m + i + I_TILE];
-                    let (x0, x1, x2, x3) = (a_row[0], a_row[1], a_row[2], a_row[3]);
-                    for (l, &bv) in b_tile.iter().enumerate() {
-                        acc[0][l] += x0 * bv;
-                        acc[1][l] += x1 * bv;
-                        acc[2][l] += x2 * bv;
-                        acc[3][l] += x3 * bv;
-                    }
-                }
-                for (s, acc_row) in acc.iter().enumerate() {
-                    out_data[(i + s) * n + jt..(i + s + 1) * n].copy_from_slice(&acc_row[..jw]);
-                }
-            }
-        }
+        let lhs = |kk: usize| {
+            let a = &a_block[kk * m + i..kk * m + i + I_TILE];
+            [a[0], a[1], a[2], a[3]]
+        };
+        row_strip(lhs, rc, panel, &mut out_data[i * n..(i + I_TILE) * n], n);
         i += I_TILE;
     }
     while i < m {
-        let mut jt = 0;
-        while jt + J_TILE <= n {
-            let mut acc = [0.0f32; J_TILE];
-            acc.copy_from_slice(&out_data[i * n + jt..i * n + jt + J_TILE]);
-            for kk in 0..rc {
-                let b_tile = &panel[kk * n + jt..kk * n + jt + J_TILE];
-                let x = a_block[kk * m + i];
-                for (o, &bv) in acc.iter_mut().zip(b_tile) {
-                    *o += x * bv;
-                }
-            }
-            out_data[i * n + jt..i * n + jt + J_TILE].copy_from_slice(&acc);
-            jt += J_TILE;
-        }
-        let jw = n - jt;
-        if jw > 0 {
-            const H_TILE: usize = J_TILE / 2;
-            if jw > H_TILE {
-                let mut acc = [0.0f32; J_TILE];
-                acc[..jw].copy_from_slice(&out_data[i * n + jt..(i + 1) * n]);
-                for kk in 0..rc {
-                    let b_tile = &panel[kk * n + jt..kk * n + jt + J_TILE];
-                    let x = a_block[kk * m + i];
-                    for (o, &bv) in acc.iter_mut().zip(b_tile) {
-                        *o += x * bv;
-                    }
-                }
-                out_data[i * n + jt..(i + 1) * n].copy_from_slice(&acc[..jw]);
-            } else {
-                let mut acc = [0.0f32; H_TILE];
-                acc[..jw].copy_from_slice(&out_data[i * n + jt..(i + 1) * n]);
-                for kk in 0..rc {
-                    let b_tile = &panel[kk * n + jt..kk * n + jt + H_TILE];
-                    let x = a_block[kk * m + i];
-                    for (o, &bv) in acc.iter_mut().zip(b_tile) {
-                        *o += x * bv;
-                    }
-                }
-                out_data[i * n + jt..(i + 1) * n].copy_from_slice(&acc[..jw]);
-            }
-        }
+        row_strip(|kk| [a_block[kk * m + i]], rc, panel, &mut out_data[i * n..(i + 1) * n], n);
         i += 1;
     }
 }
 
-/// Transposes a matrix.
+/// Transposes a matrix: [`transpose_into`] with a fresh output.
 #[must_use]
 pub fn transpose(a: &Matrix) -> Matrix {
-    let (m, n) = a.shape();
-    Matrix::from_fn(n, m, |r, c| a[(c, r)]).expect("source dimensions are positive")
+    let mut out = Matrix::identity(1);
+    transpose_into(a, &mut out);
+    out
 }
 
 /// Transposes `a` into a reusable output matrix (no allocation once `out`
@@ -503,33 +366,21 @@ pub fn scale(a: &Matrix, factor: f32) -> Matrix {
     a.map(|v| v * factor)
 }
 
-/// Adds a row vector (1×n or plain slice semantics) to every row of `a`,
-/// the bias-add primitive.
+/// Adds a 1×n row vector to every row of `a`, the bias-add primitive:
+/// [`add_row_broadcast_inplace`] on a copy of `a`.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `bias.cols() != a.cols()` or the
 /// bias has more than one row.
 pub fn add_row_broadcast(a: &Matrix, bias: &Matrix) -> Result<Matrix> {
-    if bias.rows() != 1 || bias.cols() != a.cols() {
-        return Err(TensorError::ShapeMismatch {
-            op: "add_row_broadcast",
-            left: a.shape(),
-            right: bias.shape(),
-        });
-    }
-    let b = bias.row(0);
     let mut out = a.clone();
-    for row in 0..out.rows() {
-        for (v, bv) in out.row_mut(row).iter_mut().zip(b) {
-            *v += bv;
-        }
-    }
+    add_row_broadcast_inplace(&mut out, bias)?;
     Ok(out)
 }
 
-/// Adds a 1×n row vector to every row of `a` in place — the allocation-free
-/// bias-add used by the scratch-based DNN forward pass.
+/// Adds a 1×n row vector to every row of `a` in place — the bias-add of the
+/// DNN forward pass.
 ///
 /// # Errors
 ///
@@ -608,20 +459,17 @@ pub fn mean(a: &Matrix) -> f32 {
     sum(a) / a.len() as f32
 }
 
-/// Column-wise sum, returned as a 1×n matrix (the bias-gradient primitive).
+/// Column-wise sum, returned as a 1×n matrix (the bias-gradient primitive):
+/// [`sum_rows_into`] with a fresh output.
 #[must_use]
 pub fn sum_rows(a: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(1, a.cols()).expect("cols > 0");
-    for row in a.iter_rows() {
-        for (acc, v) in out.row_mut(0).iter_mut().zip(row) {
-            *acc += v;
-        }
-    }
+    let mut out = Matrix::identity(1);
+    sum_rows_into(a, &mut out);
     out
 }
 
-/// Column sums of `a` into a reusable 1×n output (bit-identical to
-/// [`sum_rows`]: rows are accumulated top to bottom).
+/// Column sums of `a` into a reusable 1×n output; rows are accumulated top
+/// to bottom.
 pub fn sum_rows_into(a: &Matrix, out: &mut Matrix) {
     out.reset_to(1, a.cols()).expect("cols > 0");
     let acc = out.as_mut_slice();

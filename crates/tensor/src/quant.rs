@@ -6,8 +6,9 @@
 //! multiplication proceeds in `f32`, so the result matches what the DPE array
 //! would produce.
 
-use crate::workspace::K_BLOCK;
-use crate::{ops, Matrix, Result, TensorError, Workspace};
+use crate::{ops, Matrix, Result, Workspace};
+#[cfg(doc)]
+use crate::{TensorError, K_BLOCK};
 use dacapo_mx::{MxError, MxPrecision, MxVector};
 
 /// Quantises every row of a matrix through the MX encode/decode round trip.
@@ -20,7 +21,7 @@ use dacapo_mx::{MxError, MxPrecision, MxVector};
 /// Returns [`TensorError::Quantization`] if the matrix contains non-finite
 /// values.
 pub fn quantize_rows(a: &Matrix, precision: MxPrecision) -> Result<Matrix> {
-    let mut out = Matrix::unit();
+    let mut out = Matrix::identity(1);
     quantize_rows_into(a, precision, &mut out)?;
     Ok(out)
 }
@@ -47,7 +48,9 @@ pub fn quantize_rows_into(a: &Matrix, precision: MxPrecision, out: &mut Matrix) 
 /// the columns. (This is also what DaCapo's precision-conversion unit does in
 /// "column-major" mode when producing transposed operands for retraining.)
 /// Bit-identical to transposing, quantising rows, and transposing back; the
-/// kernel works down the columns in place of the two transpose copies.
+/// kernel works down the columns in place of the two transpose copies. The
+/// GEMMs below quantise `B` one panel at a time instead; this whole-matrix
+/// form is the reference their tests compare against.
 ///
 /// # Errors
 ///
@@ -76,8 +79,8 @@ fn pack_quantized_panel(
     precision: MxPrecision,
 ) -> Result<()> {
     let n = b.cols();
-    // J_TILE zeros of padding let the fixed-width tail kernel in
-    // accumulate_panel read one full tile past the last packed row.
+    // J_TILE zeros of padding let the fixed-width tail tile read one full
+    // tile past the last packed row.
     panel.resize(kc * n + ops::J_TILE, 0.0);
     let (packed, padding) = panel.split_at_mut(kc * n);
     padding.fill(0.0);
@@ -94,7 +97,8 @@ fn pack_quantized_panel(
 /// MX GEMM into a reusable output, fusing B-operand quantisation into panel
 /// packing. The left operand is quantised row-wise into the workspace, the
 /// right operand column-wise one reduction block at a time; accumulation is
-/// ascending-`k` FP32, so the result is bit-identical to [`mx_matmul`].
+/// ascending-`k` FP32, so the result is bit-identical to
+/// `matmul_reference(quantize_rows(a), quantize_cols(b))`.
 ///
 /// # Errors
 ///
@@ -107,23 +111,14 @@ pub fn mx_matmul_into(
     out: &mut Matrix,
     ws: &mut Workspace,
 ) -> Result<()> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "mx_matmul",
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
     let (m, k) = a.shape();
-    let n = b.cols();
-    out.reset_to(m, n)?;
+    let blocks = ops::reduction_blocks("mx_matmul", a, b, (m, k), out)?;
     let Workspace { panel, qa } = ws;
     qa.resize(m * k, 0.0);
     for r in 0..m {
         MxVector::quantize_into(a.row(r), precision, &mut qa[r * k..(r + 1) * k])?;
     }
-    for kb in (0..k).step_by(K_BLOCK) {
-        let kc = K_BLOCK.min(k - kb);
+    for (kb, kc) in blocks {
         pack_quantized_panel(panel, b, kb, kc, precision)?;
         ops::accumulate_panel(qa, k, kb, kc, panel, out);
     }
@@ -149,20 +144,12 @@ pub fn mx_matmul_at_b_into(
     out: &mut Matrix,
     ws: &mut Workspace,
 ) -> Result<()> {
-    if a.rows() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "mx_matmul_at_b",
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
     let (r, m) = a.shape();
-    out.reset_to(m, b.cols())?;
+    let blocks = ops::reduction_blocks("mx_matmul_at_b", a, b, (m, r), out)?;
     let Workspace { panel, qa } = ws;
     qa.resize(r * m, 0.0);
     MxVector::quantize_columns_into(a.as_slice(), m, precision, qa)?;
-    for rb in (0..r).step_by(K_BLOCK) {
-        let rc = K_BLOCK.min(r - rb);
+    for (rb, rc) in blocks {
         pack_quantized_panel(panel, b, rb, rc, precision)?;
         ops::accumulate_panel_t(qa, m, rb, rc, panel, out);
     }
@@ -184,18 +171,8 @@ pub fn mx_matmul_prequant_into(
     out: &mut Matrix,
     ws: &mut Workspace,
 ) -> Result<()> {
-    if qa.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "mx_matmul",
-            left: qa.shape(),
-            right: b.shape(),
-        });
-    }
-    let (m, k) = qa.shape();
-    let n = b.cols();
-    out.reset_to(m, n)?;
-    for kb in (0..k).step_by(K_BLOCK) {
-        let kc = K_BLOCK.min(k - kb);
+    let k = qa.cols();
+    for (kb, kc) in ops::reduction_blocks("mx_matmul", qa, b, qa.shape(), out)? {
         pack_quantized_panel(&mut ws.panel, b, kb, kc, precision)?;
         ops::accumulate_panel(qa.as_slice(), k, kb, kc, &ws.panel, out);
     }
@@ -204,6 +181,7 @@ pub fn mx_matmul_prequant_into(
 
 /// MX-quantised GEMM: both operands are quantised along the reduction
 /// dimension at `precision`, then multiplied with FP32 accumulation.
+/// [`mx_matmul_into`] with a fresh output and workspace.
 ///
 /// # Errors
 ///
@@ -227,16 +205,8 @@ pub fn mx_matmul_prequant_into(
 /// # }
 /// ```
 pub fn mx_matmul(a: &Matrix, b: &Matrix, precision: MxPrecision) -> Result<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "mx_matmul",
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
-    let mut ws = Workspace::new();
-    let mut out = Matrix::unit();
-    mx_matmul_into(a, b, precision, &mut out, &mut ws)?;
+    let mut out = Matrix::identity(1);
+    mx_matmul_into(a, b, precision, &mut out, &mut Workspace::new())?;
     Ok(out)
 }
 
@@ -259,6 +229,7 @@ pub fn mx_matmul_relative_error(a: &Matrix, b: &Matrix, precision: MxPrecision) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TensorError;
 
     fn operands() -> (Matrix, Matrix) {
         let a = Matrix::from_fn(16, 48, |r, c| (((r * 131 + c * 29) % 37) as f32 - 18.0) * 0.11)
@@ -331,7 +302,7 @@ mod tests {
     #[test]
     fn mx_at_b_gemm_validates_shapes_and_matches_the_transposed_gemm() {
         let (a, b) = operands();
-        let (mut out, mut ws) = (Matrix::unit(), Workspace::new());
+        let (mut out, mut ws) = (Matrix::identity(1), Workspace::new());
         assert!(matches!(
             mx_matmul_at_b_into(&a, &b, MxPrecision::Mx9, &mut out, &mut ws),
             Err(TensorError::ShapeMismatch { op: "mx_matmul_at_b", .. })

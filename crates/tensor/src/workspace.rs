@@ -8,10 +8,12 @@
 //! packed B panel and the quantised left operand — so steady-state kernel
 //! invocations allocate nothing.
 //!
-//! [`MatrixSlot`] is the matrix-shaped counterpart: a lazily grown slot that
-//! callers reuse as the output of `*_into` kernels (or as zeroed scratch)
-//! without reallocating between calls. Higher layers compose these into
-//! per-model scratch bundles (see `dacapo_dnn::batch::TrainScratch`).
+//! Outputs need no counterpart type: every `*_into` kernel resizes and fully
+//! overwrites the [`Matrix`](crate::Matrix) it is handed, keeping its
+//! backing storage, so a caller reuses a plain matrix (seeded with any
+//! placeholder, conventionally `Matrix::identity(1)`). Higher layers compose
+//! the two into per-model scratch bundles (see
+//! `dacapo_dnn::batch::TrainScratch`).
 //!
 //! # Examples
 //!
@@ -28,8 +30,6 @@
 //! # Ok(())
 //! # }
 //! ```
-
-use crate::{Matrix, Result};
 
 /// Reduction-dimension block size of the packed GEMM kernels.
 ///
@@ -65,64 +65,9 @@ impl Workspace {
     }
 }
 
-/// A lazily allocated, reusable matrix slot.
-///
-/// The slot keeps its backing storage across reuse, so resizing to a shape
-/// already seen allocates nothing. Used for the outputs of the `*_into`
-/// kernels and for per-layer scratch in the DNN training path.
-#[derive(Debug, Clone, Default)]
-pub struct MatrixSlot {
-    inner: Option<Matrix>,
-}
-
-impl MatrixSlot {
-    /// Creates an empty slot.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Borrows the slot as a kernel output target of unspecified shape and
-    /// contents. Pass the result to an `*_into` kernel, which resizes and
-    /// fully overwrites it.
-    pub fn target(&mut self) -> &mut Matrix {
-        self.inner.get_or_insert_with(Matrix::unit)
-    }
-
-    /// Borrows the slot as a zero-filled `rows`×`cols` matrix, reusing the
-    /// backing storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidDimension`](crate::TensorError) if
-    /// either dimension is zero.
-    pub fn zeroed(&mut self, rows: usize, cols: usize) -> Result<&mut Matrix> {
-        let m = self.inner.get_or_insert_with(Matrix::unit);
-        m.reset_to(rows, cols)?;
-        Ok(m)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slot_reuses_storage_across_shapes() {
-        let mut slot = MatrixSlot::new();
-        let m = slot.zeroed(4, 8).unwrap();
-        m[(3, 7)] = 5.0;
-        let again = slot.zeroed(2, 3).unwrap();
-        assert_eq!(again.shape(), (2, 3));
-        assert!(again.as_slice().iter().all(|&v| v == 0.0));
-        assert_eq!(slot.target().shape(), (2, 3));
-    }
-
-    #[test]
-    fn zeroed_rejects_zero_dimensions() {
-        let mut slot = MatrixSlot::new();
-        assert!(slot.zeroed(0, 3).is_err());
-    }
 
     #[test]
     fn k_block_is_an_mx_block_multiple() {

@@ -25,6 +25,44 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// All five GEMM entry points against the naive reference on shapes chosen
+/// to hit every tile of the kernel — full, padded-full and half-width
+/// column tiles, 4-row strips and single rows — on both sides of the
+/// K_BLOCK (64) boundary, so the transposed-left kernels run with `rb > 0`
+/// as any retraining batch over 64 rows does. One workspace and output serve
+/// the whole sweep: nothing may leak between calls.
+#[test]
+fn every_gemm_entry_point_matches_the_reference_on_a_tile_boundary_sweep() {
+    let mut ws = Workspace::new();
+    let mut out = Matrix::identity(1);
+    for k in [1, 16, 63, 64, 65, 128, 130] {
+        for m in [1, 3, 4, 5, 8, 9] {
+            for n in [1, 10, 16, 17, 31, 32, 33, 48, 49, 64, 70] {
+                let shape = format!("m={m} k={k} n={n}");
+                let a = matrix(m, k, (k * 1000 + m * 100 + n) as u64);
+                let a_t = ops::transpose(&a);
+                let b = matrix(k, n, (n * 1000 + k) as u64);
+                let reference = ops::matmul_reference(&a, &b).unwrap();
+                ops::matmul_into(&a, &b, &mut out, &mut ws).unwrap();
+                assert_eq!(bits(&out), bits(&reference), "matmul_into {shape}");
+                ops::matmul_at_b(&a_t, &b, &mut out, &mut ws).unwrap();
+                assert_eq!(bits(&out), bits(&reference), "matmul_at_b {shape}");
+                for p in [MxPrecision::Mx4, MxPrecision::Mx6, MxPrecision::Mx9] {
+                    let qa = quant::quantize_rows(&a, p).unwrap();
+                    let qb = quant::quantize_cols(&b, p).unwrap();
+                    let reference = ops::matmul_reference(&qa, &qb).unwrap();
+                    quant::mx_matmul_into(&a, &b, p, &mut out, &mut ws).unwrap();
+                    assert_eq!(bits(&out), bits(&reference), "mx_matmul_into {p:?} {shape}");
+                    quant::mx_matmul_prequant_into(&qa, &b, p, &mut out, &mut ws).unwrap();
+                    assert_eq!(bits(&out), bits(&reference), "prequant {p:?} {shape}");
+                    quant::mx_matmul_at_b_into(&a_t, &b, p, &mut out, &mut ws).unwrap();
+                    assert_eq!(bits(&out), bits(&reference), "mx_matmul_at_b_into {p:?} {shape}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     /// (A·B)·C == A·(B·C) within floating point tolerance.
     #[test]
@@ -203,13 +241,20 @@ proptest! {
         prop_assert_eq!(&out, &ops::matmul_reference(&ops::transpose(&a), &b).unwrap());
     }
 
-    /// Transposing into a reused slot matches the allocating transpose.
+    /// Transposing — into a reused output of another shape, and through the
+    /// allocating wrapper — puts every element at its mirrored index.
     #[test]
-    fn transpose_into_matches_transpose((m, k, _) in dims(), seed in 0u64..1000) {
+    fn transpose_into_matches_transpose((m, k, n) in dims(), seed in 0u64..1000) {
         let a = matrix(m, k, seed);
-        let mut out = Matrix::zeros(1, 1).unwrap();
+        let mut out = matrix(n, m, seed.wrapping_add(1));
         ops::transpose_into(&a, &mut out);
-        prop_assert_eq!(out, ops::transpose(&a));
+        prop_assert_eq!(out.shape(), (k, m));
+        for r in 0..m {
+            for c in 0..k {
+                prop_assert_eq!(out[(c, r)].to_bits(), a[(r, c)].to_bits());
+            }
+        }
+        prop_assert_eq!(ops::transpose(&a), out);
     }
 
     /// axpy(a, s, b) == a + s*b elementwise.

@@ -105,18 +105,8 @@ bench-smoke:
 figures:
     cargo run --release -p dacapo-bench --bin run_all -- --quick
 
-# Per-crate non-test code-line counts, as used in CHANGES.md tables: over
-# every .rs file under src/ and benches/, the lines above the file's
-# top-level `#[cfg(test)]` that are neither blank nor a `//` comment. Run it
-# in a clone of the parent commit for the "before" column.
-loc:
-    #!/usr/bin/env bash
-    set -euo pipefail
-    for crate in crates/* shims; do
-        find "$crate" -name '*.rs' \( -path '*/src/*' -o -path '*/benches/*' \) -print0 | xargs -0 awk '
-            FNR == 1 { live = 1 }
-            /^#\[cfg\(test\)\]/ { live = 0 }
-            live && !/^[[:space:]]*(\/\/|$)/ { n++ }
-            END { printf "%6d  ", n }'
-        echo "$crate"
-    done
+# Per-crate non-test code-line counts, as used in CHANGES.md tables (the
+# counting rule is in the script, which also runs without `just`); file
+# arguments give one count per file, e.g. `just loc crates/tensor/src/ops.rs`.
+loc *FILES:
+    scripts/loc.sh {{FILES}}
