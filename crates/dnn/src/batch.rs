@@ -27,9 +27,11 @@
 //! [`Dense::backward`] / `loss::cross_entropy` chain, which allocates every
 //! intermediate and exists for the tests to compare against — is the design
 //! constraint throughout: the packed kernels accumulate in the same order
-//! as the naive loops, the ReLU backward uses the same multiply form as the
-//! mask-and-hadamard reference, and the MX paths quantise exactly the
-//! operands the reference quantises.
+//! as the naive loops, the two gradient GEMMs address the operand the
+//! reference transposes instead of copying it (`xᵀ · δ` by columns,
+//! `δ · Wᵀ` as a transposed panel), the ReLU backward uses the same multiply
+//! form as the mask-and-hadamard reference, and the MX paths quantise
+//! exactly the operands the reference quantises.
 
 use crate::layer::{Activation, Dense};
 use crate::mlp::TrainReport;
@@ -46,8 +48,6 @@ pub(crate) struct LayerScratch {
     pub(crate) pre: Matrix,
     /// Upstream gradient after the activation derivative.
     pub(crate) delta: Matrix,
-    /// Transposed weights (for the input gradient GEMM).
-    pub(crate) w_t: Matrix,
     /// Weight gradient.
     pub(crate) d_w: Matrix,
     /// Bias gradient.
@@ -62,7 +62,6 @@ impl LayerScratch {
             x_q: Matrix::identity(1),
             pre: Matrix::identity(1),
             delta: Matrix::identity(1),
-            w_t: Matrix::identity(1),
             d_w: Matrix::identity(1),
             d_b: Matrix::identity(1),
             d_x: Matrix::identity(1),
@@ -140,17 +139,31 @@ pub(crate) fn forward_pass(
             }
             None => ops::matmul_into(x, layer.weights(), &mut scr.pre, ws)?,
         }
-        ops::add_row_broadcast_inplace(&mut scr.pre, layer.bias())?;
-        let out = &mut rest[0];
-        match layer.activation_kind() {
-            Activation::Relu => {
-                let (rows, cols) = scr.pre.shape();
-                out.reset_to(rows, cols)?;
-                for (o, &v) in out.as_mut_slice().iter_mut().zip(scr.pre.as_slice()) {
-                    *o = v.max(0.0);
-                }
+        let (rows, cols) = scr.pre.shape();
+        let bias = layer.bias();
+        if bias.shape() != (1, cols) {
+            return Err(TensorError::ShapeMismatch {
+                op: "add_row_broadcast",
+                left: scr.pre.shape(),
+                right: bias.shape(),
             }
-            Activation::Linear => out.copy_from(&scr.pre),
+            .into());
+        }
+        // Bias-add and activation in one pass: `pre` keeps `x·W + b` for the
+        // backward pass, `out` takes the activation of the same value.
+        let out = &mut rest[0];
+        out.resize_for_overwrite(rows, cols)?;
+        let relu = layer.activation_kind() == Activation::Relu;
+        for (pre, out) in scr
+            .pre
+            .as_mut_slice()
+            .chunks_exact_mut(cols)
+            .zip(out.as_mut_slice().chunks_exact_mut(cols))
+        {
+            for ((p, o), b) in pre.iter_mut().zip(out).zip(bias.as_slice()) {
+                *p += b;
+                *o = if relu { p.max(0.0) } else { *p };
+            }
         }
     }
     Ok(())
@@ -177,9 +190,9 @@ pub(crate) fn backward_pass(
     for i in (0..depth).rev() {
         let (shallow, deep) = lscr.split_at_mut(i + 1);
         let upstream: &Matrix = if i + 1 == depth { grad } else { &deep[0].d_x };
-        let LayerScratch { x_q, pre, delta, w_t, d_w, d_b, d_x } = &mut shallow[i];
+        let LayerScratch { x_q, pre, delta, d_w, d_b, d_x } = &mut shallow[i];
         let layer = &mut layers[i];
-        match layer.activation_kind() {
+        let delta: &Matrix = match layer.activation_kind() {
             Activation::Relu => {
                 if upstream.shape() != pre.shape() {
                     return Err(TensorError::ShapeMismatch {
@@ -190,7 +203,7 @@ pub(crate) fn backward_pass(
                     .into());
                 }
                 let (rows, cols) = pre.shape();
-                delta.reset_to(rows, cols)?;
+                delta.resize_for_overwrite(rows, cols)?;
                 // Multiply by a 1.0/0.0 factor (not a branch) for bitwise
                 // parity with hadamard(upstream, mask), signed zeros included.
                 for ((d, &u), &p) in
@@ -198,9 +211,10 @@ pub(crate) fn backward_pass(
                 {
                     *d = u * (if p > 0.0 { 1.0 } else { 0.0 });
                 }
+                delta
             }
-            Activation::Linear => delta.copy_from(upstream),
-        }
+            Activation::Linear => upstream,
+        };
         let x_input: &Matrix = match precision {
             Some(_) => x_q,
             None => {
@@ -211,20 +225,20 @@ pub(crate) fn backward_pass(
                 }
             }
         };
-        // The weight gradient `xᵀ · δ` takes the transpose-free kernels:
-        // they accumulate (and, in MX, block the operands along the batch)
-        // exactly as the GEMM on a materialised `xᵀ` does (property-tested).
-        // Layer 0's input gradient has no consumer, so its `w_t` transpose
-        // and `δ · wᵀ` GEMM are skipped entirely; weights are unaffected.
+        // Neither gradient GEMM materialises a transpose: `d_w = xᵀ · δ` reads
+        // `x` by columns and `d_x = δ · Wᵀ` packs its panel from `W`'s
+        // columns, each accumulating (and, in MX, blocking its operands along
+        // the reduction dimension) exactly as the GEMM on the materialised
+        // transpose does (property-tested). Layer 0's input gradient has no
+        // consumer, so it is skipped entirely; weights are unaffected.
         match precision {
             Some(p) => quant::mx_matmul_at_b_into(x_input, delta, p, d_w, ws)?,
             None => ops::matmul_at_b(x_input, delta, d_w, ws)?,
         }
         if i > 0 {
-            ops::transpose_into(layer.weights(), w_t);
             match precision {
-                Some(p) => quant::mx_matmul_into(delta, w_t, p, d_x, ws)?,
-                None => ops::matmul_into(delta, w_t, d_x, ws)?,
+                Some(p) => quant::mx_matmul_a_bt_into(delta, layer.weights(), p, d_x, ws)?,
+                None => ops::matmul_a_bt(delta, layer.weights(), d_x, ws)?,
             }
         }
         ops::sum_rows_into(delta, d_b);

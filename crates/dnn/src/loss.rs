@@ -63,7 +63,7 @@ pub fn cross_entropy_into(logits: &Matrix, labels: &[usize], grad: &mut Matrix) 
     let (rows, cols) = logits.shape();
     let batch = rows as f32;
     let inv_batch = 1.0 / batch;
-    grad.reset_to(rows, cols).map_err(crate::DnnError::from)?;
+    grad.resize_for_overwrite(rows, cols).map_err(crate::DnnError::from)?;
     let src = logits.as_slice();
     let dst = grad.as_mut_slice();
     let mut loss = 0.0f32;

@@ -174,7 +174,9 @@ impl Mlp {
         }
         let mut previous = self.config.input_dim;
         for (i, (layer, &width)) in self.layers.iter().zip(widths).enumerate() {
-            let fits = |m: &Matrix, rows| m.shape() == (rows, width) && m.len() == rows * width;
+            // A `Matrix` always holds `rows × cols` elements (decoding checks
+            // it too), so the shape is the whole fit.
+            let fits = |m: &Matrix, rows| m.shape() == (rows, width);
             if !(fits(layer.weights(), previous) && fits(layer.bias(), 1)) {
                 return Err(DnnError::InvalidConfig {
                     reason: format!("layers[{i}] is not {previous}×{width} with a 1×{width} bias"),
@@ -431,6 +433,30 @@ mod tests {
                 other => panic!("{names}: expected InvalidConfig, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_serialised_network_with_a_short_weight_matrix_does_not_deserialise() {
+        use serde::{Deserialize as _, Serialize as _, Value};
+        /// Drops the last element of the first `"data"` array under `value`.
+        fn truncate_first_data(value: &mut Value) -> bool {
+            match value {
+                Value::Object(entries) => entries.iter_mut().any(|(key, v)| match v {
+                    Value::Array(items) if key == "data" => items.pop().is_some(),
+                    _ => truncate_first_data(v),
+                }),
+                Value::Array(items) => items.iter_mut().any(truncate_first_data),
+                _ => false,
+            }
+        }
+        // `validate` checks shapes only: that a decoded matrix's storage
+        // matches its shape is the type's guarantee.
+        let net = Mlp::new(fp32_config(4, 2)).unwrap();
+        let mut encoded = net.to_value();
+        assert_eq!(Mlp::from_value(&encoded).unwrap(), net);
+        assert!(truncate_first_data(&mut encoded));
+        let err = Mlp::from_value(&encoded).unwrap_err().to_string();
+        assert!(err.contains("data length mismatch"), "{err}");
     }
 
     #[test]

@@ -40,19 +40,12 @@ pub struct FnItem {
     /// token when present, else the `fn` line. Annotations above the item
     /// resolve to this line.
     pub item_line: u32,
-    /// Whether the function is plain `pub` (crate-restricted visibility
-    /// like `pub(crate)` does not count — it is not API surface).
-    pub is_pub: bool,
     /// Whether the item lies inside `#[cfg(test)]`/`#[test]` code.
     pub in_test: bool,
     /// The `impl` block's self type, for methods.
     pub owner: Option<String>,
     /// The trait being implemented, for `impl Trait for Type` methods.
     pub trait_impl: Option<String>,
-    /// The doc-comment lines attached above the item (untrimmed).
-    pub docs: Vec<String>,
-    /// The return-type tokens after `->`, up to the body/`where`/`;`.
-    pub return_tokens: Vec<String>,
     /// Every `name(..)` invocation in the body: `(callee, line)`. A
     /// conservative name-based approximation — no receiver-type
     /// resolution — which is exactly what the barrier rule wants: a
@@ -146,26 +139,6 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
     out
 }
 
-/// Pending item prefix (attributes / visibility) accumulated before the
-/// item keyword.
-#[derive(Default)]
-struct Pending {
-    start_line: Option<u32>,
-    is_pub: bool,
-}
-
-impl Pending {
-    fn note(&mut self, line: u32) {
-        self.start_line.get_or_insert(line);
-    }
-
-    fn take(&mut self) -> (Option<u32>, bool) {
-        let state = (self.start_line.take(), self.is_pub);
-        self.is_pub = false;
-        state
-    }
-}
-
 /// Walks one item scope (file top level, `mod` body, or `impl` body) and
 /// records the items found. Function bodies are consumed whole by
 /// [`parse_fn`], never walked.
@@ -178,66 +151,67 @@ fn walk(
     out: &mut ParsedFile,
 ) {
     let tokens = &file.tokens;
-    let mut pending = Pending::default();
+    // The line the pending item prefix (attributes / visibility / modifiers)
+    // starts on, accumulated before the item keyword.
+    let mut pending: Option<u32> = None;
     let mut i = start;
     while i < end {
         let text = tokens[i].text.as_str();
         match text {
             "#" => {
-                pending.note(tokens[i].line);
+                pending.get_or_insert(tokens[i].line);
                 i = skip_attribute(tokens, i);
             }
             "pub" => {
-                pending.note(tokens[i].line);
-                if token_text(tokens, i + 1) == Some("(") {
-                    // `pub(crate)` / `pub(super)`: restricted, not API.
-                    i = skip_parens(tokens, i + 1);
+                pending.get_or_insert(tokens[i].line);
+                // `pub(crate)` / `pub(super)` carry a parenthesised scope.
+                i = if token_text(tokens, i + 1) == Some("(") {
+                    skip_parens(tokens, i + 1)
                 } else {
-                    pending.is_pub = true;
-                    i += 1;
-                }
+                    i + 1
+                };
             }
             "unsafe" | "async" => {
-                pending.note(tokens[i].line);
+                pending.get_or_insert(tokens[i].line);
                 i += 1;
             }
             "extern" => {
                 // `extern "C" fn` is a modifier; `extern crate ..;` and
                 // `extern "C" { .. }` are items to skip.
-                pending.note(tokens[i].line);
+                pending.get_or_insert(tokens[i].line);
                 let after_abi =
                     if tokens.get(i + 1).is_some_and(|t| t.kind == TokenKind::Str) { 2 } else { 1 };
                 if token_text(tokens, i + after_abi) == Some("fn") {
                     i += after_abi;
                 } else {
-                    pending.take();
+                    pending = None;
                     i = skip_item(tokens, i);
                 }
             }
             "const" | "static" => {
                 // `const fn` is a modifier; `const NAME: ..` is an item.
-                pending.note(tokens[i].line);
+                pending.get_or_insert(tokens[i].line);
                 if matches!(token_text(tokens, i + 1), Some("fn" | "unsafe" | "async" | "extern")) {
                     i += 1;
                 } else {
-                    pending.take();
+                    pending = None;
                     i = skip_to_semicolon(tokens, i, end);
                 }
             }
             "use" | "type" => {
-                pending.take();
+                pending = None;
                 i = skip_to_semicolon(tokens, i, end);
             }
             "macro_rules" => {
-                pending.take();
+                pending = None;
                 i = skip_item(tokens, i);
             }
             "fn" => {
-                let (start_line, is_pub) = pending.take();
-                i = parse_fn(file, i, start_line, is_pub, owner, trait_name, out);
+                let start_line = pending.take();
+                i = parse_fn(file, i, start_line, owner, trait_name, out);
             }
             "mod" => {
-                pending.take();
+                pending = None;
                 if let Some((open, close)) = item_body(tokens, i, end) {
                     walk(file, open + 1, close, None, None, out);
                     i = close + 1;
@@ -246,26 +220,26 @@ fn walk(
                 }
             }
             "trait" => {
-                let _ = pending.take();
+                pending = None;
                 i = parse_trait(file, i, end, out);
             }
             "enum" => {
-                let _ = pending.take();
+                pending = None;
                 i = parse_enum(tokens, i, end, out);
             }
             "struct" => {
-                let _ = pending.take();
+                pending = None;
                 if let Some(name) = tokens.get(i + 1).filter(|t| t.kind == TokenKind::Ident) {
                     out.structs.push((name.text.clone(), name.line));
                 }
                 i = skip_item(tokens, i);
             }
             "impl" => {
-                let _ = pending.take();
+                pending = None;
                 i = parse_impl(file, i, end, out);
             }
             _ => {
-                pending.take();
+                pending = None;
                 i += 1;
             }
         }
@@ -274,12 +248,10 @@ fn walk(
 
 /// Parses one `fn` item starting at the `fn` keyword; returns the index
 /// past the body (or terminating `;`).
-#[allow(clippy::too_many_lines)]
 fn parse_fn(
     file: &SourceFile,
     at: usize,
     start_line: Option<u32>,
-    is_pub: bool,
     owner: Option<&str>,
     trait_name: Option<&str>,
     out: &mut ParsedFile,
@@ -298,25 +270,9 @@ fn parse_fn(
         return j;
     }
     j = skip_parens(tokens, j);
-    // Return type: `-> ..` up to the body, the `where` clause, or `;`.
-    let mut return_tokens = Vec::new();
-    if token_text(tokens, j) == Some("-") && token_text(tokens, j + 1) == Some(">") {
-        j += 2;
-        while let Some(token) = tokens.get(j) {
-            if token.text == "{" || token.text == ";" || token.text == "where" {
-                break;
-            }
-            return_tokens.push(token.text.clone());
-            j += 1;
-        }
-    }
-    if token_text(tokens, j) == Some("where") {
-        while let Some(token) = tokens.get(j) {
-            if token.text == "{" || token.text == ";" {
-                break;
-            }
-            j += 1;
-        }
+    // The return type and `where` clause, up to the body or `;`.
+    while tokens.get(j).is_some_and(|t| t.text != "{" && t.text != ";") {
+        j += 1;
     }
     let (calls, enum_paths, next) = match token_text(tokens, j) {
         Some("{") => {
@@ -331,12 +287,9 @@ fn parse_fn(
         name: name_token.text.clone(),
         line,
         item_line,
-        is_pub,
         in_test: tokens[at].in_test,
         owner: owner.map(str::to_string),
         trait_impl: trait_name.map(str::to_string),
-        docs: attached_docs(file, item_line),
-        return_tokens,
         calls,
         enum_paths,
     });
@@ -524,27 +477,6 @@ fn extract_calls(tokens: &[Token], start: usize, end: usize) -> (Vec<CallSite>, 
     (calls, paths)
 }
 
-/// The doc-comment lines directly above `item_line` (non-doc comments —
-/// e.g. lint annotations — may interleave without breaking the run).
-fn attached_docs(file: &SourceFile, item_line: u32) -> Vec<String> {
-    let mut docs_rev: Vec<&str> = Vec::new();
-    let mut cursor = item_line.saturating_sub(1);
-    while cursor > 0 {
-        let Some(comment) = file
-            .comments
-            .iter()
-            .find(|c| c.line == cursor && !c.trailing && !c.text.contains('\n'))
-        else {
-            break;
-        };
-        if comment.doc {
-            docs_rev.push(&comment.text);
-        }
-        cursor -= 1;
-    }
-    docs_rev.iter().rev().map(|s| (*s).to_string()).collect()
-}
-
 fn token_text(tokens: &[Token], i: usize) -> Option<&str> {
     tokens.get(i).map(|t| t.text.as_str())
 }
@@ -716,14 +648,11 @@ mod tests {
         assert_eq!(parsed.fns.len(), 3);
         let fallible = &parsed.fns[0];
         assert_eq!(fallible.name, "fallible");
-        assert!(fallible.is_pub);
         assert_eq!(fallible.line, 6);
         assert_eq!(fallible.item_line, 5);
-        assert!(fallible.docs.iter().any(|d| d.contains("# Errors")));
-        assert!(fallible.return_tokens.contains(&"Result".to_string()));
         assert_eq!(fallible.calls, vec![("helper".to_string(), 6)]);
-        assert!(!parsed.fns[1].is_pub, "pub(crate) is not plain pub");
-        assert!(!parsed.fns[2].is_pub);
+        assert_eq!(parsed.fns[1].name, "internal");
+        assert_eq!(parsed.fns[2].name, "private");
     }
 
     #[test]
@@ -781,7 +710,7 @@ mod tests {
         );
         let run = &parsed.fns[0];
         assert_eq!(run.owner.as_deref(), Some("Loop"));
-        assert!(run.return_tokens.contains(&"Option".to_string()));
+        assert_eq!(run.calls, vec![("Some".to_string(), 2), ("f".to_string(), 2)]);
         assert_eq!(parsed.fns[1].name, "r#match");
     }
 }

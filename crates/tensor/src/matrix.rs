@@ -1,7 +1,7 @@
 //! Row-major dense `f32` matrix.
 
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
+use serde::{de, DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -23,11 +23,26 @@ use std::ops::{Index, IndexMut};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// Deserialises through [`Matrix::from_vec`], so a decoded matrix holds what
+/// a constructed one does — positive dimensions and exactly `rows × cols`
+/// elements — which is what lets the kernels slice `data` by shape.
+impl Deserialize for Matrix {
+    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
+        let rows: usize = de::field(value, "Matrix", "rows")?;
+        let cols: usize = de::field(value, "Matrix", "cols")?;
+        let data: Vec<f32> = de::field(value, "Matrix", "data")?;
+        if rows.checked_mul(cols).is_none() {
+            return Err(DeError::new(format!("Matrix: {rows} × {cols} elements overflow")));
+        }
+        Self::from_vec(rows, cols, data).map_err(|e| DeError::new(format!("Matrix: {e}")))
+    }
 }
 
 impl Matrix {
@@ -126,20 +141,33 @@ impl Matrix {
         Ok(m)
     }
 
-    /// Resizes the matrix to `rows`×`cols` and zero-fills it, reusing the
-    /// backing storage — the reset primitive of the scratch-reuse path.
+    /// Resizes the matrix to `rows`×`cols`, reusing the backing storage and
+    /// leaving the contents unspecified (whatever earlier use left there,
+    /// zeros where the storage grew) — for an output its caller then
+    /// overwrites in full, as every `*_into` kernel does.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidDimension`] if either dimension is zero.
-    pub fn reset_to(&mut self, rows: usize, cols: usize) -> Result<()> {
+    pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) -> Result<()> {
         if rows == 0 || cols == 0 {
             return Err(TensorError::InvalidDimension { rows, cols });
         }
         self.rows = rows;
         self.cols = cols;
-        self.data.clear();
         self.data.resize(rows * cols, 0.0);
+        Ok(())
+    }
+
+    /// [`Matrix::resize_for_overwrite`], then zero-fills: the reset of an
+    /// output that accumulates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidDimension`] if either dimension is zero.
+    pub fn reset_to(&mut self, rows: usize, cols: usize) -> Result<()> {
+        self.resize_for_overwrite(rows, cols)?;
+        self.data.fill(0.0);
         Ok(())
     }
 
@@ -371,6 +399,32 @@ mod tests {
         assert_eq!(reused, Matrix::filled(4, 8, 5.0).unwrap(), "a failed reset changes nothing");
         reused.reset_to(2, 3).unwrap();
         assert_eq!(reused, Matrix::zeros(2, 3).unwrap(), "a reused matrix comes back zeroed");
+    }
+
+    #[test]
+    fn deserialising_rejects_what_the_constructors_reject() {
+        let encoded = |rows: u64, cols: u64, len: usize| {
+            Value::Object(vec![
+                ("rows".into(), Value::UInt(rows)),
+                ("cols".into(), Value::UInt(cols)),
+                ("data".into(), Value::Array(vec![Value::Float(1.0); len])),
+            ])
+        };
+        let m = Matrix::filled(2, 3, 1.0).unwrap();
+        assert_eq!(m.to_value(), encoded(2, 3, 6));
+        assert_eq!(Matrix::from_value(&encoded(2, 3, 6)).unwrap(), m);
+        // Shape and storage disagree: `ops::matmul` would slice out of bounds.
+        for (rows, cols, len) in [(4, 4, 1), (2, 3, 7), (1, 1, 0)] {
+            let err = Matrix::from_value(&encoded(rows, cols, len)).unwrap_err().to_string();
+            assert!(err.contains("data length mismatch"), "{rows}x{cols}/{len}: {err}");
+        }
+        for (rows, cols) in [(0, 0), (0, 3), (3, 0)] {
+            let err = Matrix::from_value(&encoded(rows, cols, 0)).unwrap_err().to_string();
+            assert!(err.contains("invalid matrix dimension"), "{rows}x{cols}: {err}");
+        }
+        let err = Matrix::from_value(&encoded(u64::MAX, 2, 2)).unwrap_err().to_string();
+        assert!(err.contains("overflow"), "{err}");
+        assert!(Matrix::from_value(&Value::Array(vec![])).is_err());
     }
 
     #[test]

@@ -1,13 +1,33 @@
 //! Matrix operations: GEMM, transpose, elementwise ops and reductions.
 //!
 //! Every GEMM here and in [`quant`](crate::quant) is one kernel: a
-//! [`K_BLOCK`] loop that packs a panel of `B` and folds it into the output
-//! through a single register tile. The `*_into` / `*_inplace` forms, which
-//! take their output (and, for GEMMs, a reusable [`Workspace`]) from the
-//! caller, are the implementations; the forms that return a fresh matrix
-//! ([`matmul`], [`transpose`], [`add_row_broadcast`], [`sum_rows`]) call
-//! them with a new output. Every output element accumulates its products in
-//! strictly ascending reduction order, so blocking and packing change
+//! [`K_BLOCK`] loop that hands a `kc × n` panel of the right operand — row
+//! `kk` holding the `n` values at reduction index `kb + kk` — to a single
+//! register tile, which folds it into the output. The three entry points
+//! differ only in how they address their operands:
+//!
+//! * `A·B` ([`matmul_into`]): `A` by rows, and `B`'s rows `kb..kb + kc` *are*
+//!   the panel.
+//! * `Aᵀ·B` ([`matmul_at_b`]): `A` by columns (strided loads), `B` as above.
+//! * `A·Bᵀ` ([`matmul_a_bt`]): `A` by rows, and the panel is `B`'s columns
+//!   `kb..kb + kc`, stored transposed through the block routine
+//!   [`transpose_into`] also runs.
+//!
+//! A panel is *packed* — copied into the [`Workspace`] — only when it has
+//! to be: for `A·Bᵀ` (the transposition is the packing), for the MX GEMMs
+//! (quantisation is), and for `A·B` / `Aᵀ·B` when `B`'s width is not a
+//! multiple of the register tile's, because the tile for the last columns
+//! reads a full tile width and needs padding after the last row. Otherwise
+//! the kernel reads `B` where it lies.
+//!
+//! The `*_into` / `*_inplace` forms, which take their output (and, for
+//! GEMMs, a reusable [`Workspace`]) from the caller, are the
+//! implementations; the forms that return a fresh matrix ([`matmul`],
+//! [`transpose`], [`add_row_broadcast`], [`sum_rows`]) call them with a new
+//! output. No GEMM clears its output first: the tile starts the first
+//! reduction block from zero in registers and stores over whatever was
+//! there. Every output element accumulates its products in strictly
+//! ascending reduction order, so blocking, packing and addressing change
 //! memory traffic, never arithmetic; [`matmul_reference`] is the naive loop
 //! the tests hold the kernel bit-identical to.
 
@@ -42,24 +62,24 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// Blocked, packed GEMM writing into a reusable output matrix.
+/// Blocked GEMM writing into a reusable output matrix.
 ///
-/// The kernel tiles the reduction dimension into [`K_BLOCK`]-wide blocks,
-/// packs each block of `B` into the workspace panel (dense, contiguous by
-/// reduction index), and runs an i-k-j inner loop over the panel. Every
-/// output element still accumulates its `k` products in ascending order, so
-/// the result is bit-identical to the naive triple loop
-/// ([`matmul_reference`]); the blocking only improves locality and lets the
-/// caller amortise all allocations through `ws` and `out`.
+/// The kernel tiles the reduction dimension into [`K_BLOCK`]-wide blocks and
+/// runs an i-k-j inner loop over each block's rows of `B`, in place or
+/// packed (see the [module docs](self)). Every output element still
+/// accumulates its `k` products in ascending order, so the result is
+/// bit-identical to the naive triple loop ([`matmul_reference`]); the
+/// blocking only improves locality and lets the caller amortise all
+/// allocations through `ws` and `out`.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `A.cols() != B.rows()`.
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace) -> Result<()> {
     let k = a.cols();
-    for (kb, kc) in reduction_blocks("matmul", a, b, a.shape(), out)? {
-        pack_panel(&mut ws.panel, b, kb, kc);
-        accumulate_panel(a.as_slice(), k, kb, kc, &ws.panel, out);
+    for (kb, kc) in reduction_blocks("matmul", a, b, a.shape(), b.shape(), out)? {
+        let panel = panel_rows(&mut ws.panel, b, kb, kc);
+        accumulate_panel(a.as_slice(), k, kb, kc, panel, out);
     }
     Ok(())
 }
@@ -90,34 +110,55 @@ pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// The opening every packed GEMM shares: checks that the left operand —
-/// read by the kernel as `m × k`, which is `a.shape()` or, for the
-/// transposed-left kernels, its reverse — and `b` agree on the reduction
-/// length, zeroes `out` to `m × b.cols()`, and yields the `(kb, kc)` start
-/// and length of each [`K_BLOCK`] reduction block in ascending order.
+/// The opening every GEMM shares: checks that the operands as the kernel
+/// reads them — the left one as `m × k`, the right one as `k × n`, each its
+/// own shape or, for a transposed operand, the reverse — agree on the
+/// reduction length, resizes `out` to `m × n` without clearing it (the
+/// first block's tiles overwrite every element), and yields the `(kb, kc)`
+/// start and length of each [`K_BLOCK`] reduction block in ascending order.
 pub(crate) fn reduction_blocks(
     op: &'static str,
     a: &Matrix,
     b: &Matrix,
     (m, k): (usize, usize),
+    (b_k, n): (usize, usize),
     out: &mut Matrix,
 ) -> Result<impl Iterator<Item = (usize, usize)>> {
-    if k != b.rows() {
+    if k != b_k {
         return Err(TensorError::ShapeMismatch { op, left: a.shape(), right: b.shape() });
     }
-    out.reset_to(m, b.cols())?;
+    out.resize_for_overwrite(m, n)?;
     Ok((0..k).step_by(K_BLOCK).map(move |kb| (kb, K_BLOCK.min(k - kb))))
 }
 
-/// Copies rows `kb..kb + kc` of `b` into the packed panel (row-major by
-/// reduction index — for a row-major `B` this is one contiguous copy), then
-/// pads the panel with [`J_TILE`] zeros so the fixed-width tail tile of
-/// [`row_strip`] may read one full tile past the last row.
-pub(crate) fn pack_panel(panel: &mut Vec<f32>, b: &Matrix, kb: usize, kc: usize) {
+/// Rows `kb..kb + kc` of `b` as the kernel's panel. When `b`'s width is a
+/// [`J_TILE`] multiple every tile is a full one and no load passes the end
+/// of a row, so the rows are handed over where they lie; otherwise they are
+/// copied into `panel` and followed by [`J_TILE`] zeros, so the fixed-width
+/// tail tile of [`row_strip`] may read one full tile past the last row.
+pub(crate) fn panel_rows<'a>(
+    panel: &'a mut Vec<f32>,
+    b: &'a Matrix,
+    kb: usize,
+    kc: usize,
+) -> &'a [f32] {
     let n = b.cols();
-    panel.clear();
-    panel.extend_from_slice(&b.as_slice()[kb * n..(kb + kc) * n]);
+    let rows = &b.as_slice()[kb * n..(kb + kc) * n];
+    if n.is_multiple_of(J_TILE) {
+        return rows;
+    }
+    padded_panel(panel, kc, n).copy_from_slice(rows);
+    panel
+}
+
+/// Sizes `panel` for `kc` rows of `n` values that the caller is about to
+/// overwrite, followed by the [`J_TILE`] zeros of padding the tail tile may
+/// read; returns the rows.
+pub(crate) fn padded_panel(panel: &mut Vec<f32>, kc: usize, n: usize) -> &mut [f32] {
     panel.resize(kc * n + J_TILE, 0.0);
+    let (rows, padding) = panel.split_at_mut(kc * n);
+    padding.fill(0.0);
+    rows
 }
 
 /// Column-tile width of the register-accumulated inner kernel: two 16-lane
@@ -135,12 +176,13 @@ pub(crate) const I_TILE: usize = 4;
 ///
 /// `out` and `panel` start at the tile's first row and column and keep the
 /// full row stride `n`; `lhs(kk)` is the left operand's `R` values for
-/// reduction index `kk`. The tile loads its current `out` values once,
-/// folds the whole reduction block in registers, and stores once. The `R`
-/// rows share every panel load and give the CPU that many independent
-/// accumulator chains per column vector, so the loop is throughput- rather
-/// than latency-bound. Per output element this performs *exactly* the same
-/// additions in the same order as updating memory after every product —
+/// reduction index `kk`. The tile starts from zero for the `first`
+/// reduction block and from its current `out` values for a later one, folds
+/// the whole block in registers, and stores once. The `R` rows share every
+/// panel load and give the CPU that many independent accumulator chains per
+/// column vector, so the loop is throughput- rather than latency-bound. Per
+/// output element this performs *exactly* the same additions in the same
+/// order as updating a zeroed output in memory after every product —
 /// blocking only changes which elements progress concurrently, never the
 /// reduction order within an element — so the result stays bit-identical
 /// to [`matmul_reference`]. Lanes past `jw` multiply whatever follows in
@@ -154,10 +196,13 @@ fn tile<const R: usize, const W: usize>(
     out: &mut [f32],
     n: usize,
     jw: usize,
+    first: bool,
 ) {
     let mut acc = [[0.0f32; W]; R];
-    for (r, acc_row) in acc.iter_mut().enumerate() {
-        acc_row[..jw].copy_from_slice(&out[r * n..r * n + jw]);
+    if !first {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            acc_row[..jw].copy_from_slice(&out[r * n..r * n + jw]);
+        }
     }
     for kk in 0..kc {
         let b_tile = &panel[kk * n..kk * n + W];
@@ -185,25 +230,27 @@ fn row_strip<const R: usize>(
     panel: &[f32],
     out: &mut [f32],
     n: usize,
+    first: bool,
 ) {
     const H_TILE: usize = J_TILE / 2;
     let mut jt = 0;
     while jt + J_TILE <= n {
-        tile::<R, J_TILE>(&lhs, kc, &panel[jt..], &mut out[jt..], n, J_TILE);
+        tile::<R, J_TILE>(&lhs, kc, &panel[jt..], &mut out[jt..], n, J_TILE, first);
         jt += J_TILE;
     }
     let jw = n - jt;
     if jw > H_TILE {
-        tile::<R, J_TILE>(&lhs, kc, &panel[jt..], &mut out[jt..], n, jw);
+        tile::<R, J_TILE>(&lhs, kc, &panel[jt..], &mut out[jt..], n, jw, first);
     } else if jw > 0 {
-        tile::<R, H_TILE>(&lhs, kc, &panel[jt..], &mut out[jt..], n, jw);
+        tile::<R, H_TILE>(&lhs, kc, &panel[jt..], &mut out[jt..], n, jw, first);
     }
 }
 
-/// Accumulates one reduction block of the packed GEMM:
-/// `out[i][j] += sum_{kk} a[i][kb + kk] * panel[kk][j]`, with the panel
-/// rows visited in ascending reduction order — [`I_TILE`]-row strips of
-/// [`tile`]s, then single rows.
+/// Accumulates one reduction block of the GEMM:
+/// `out[i][j] += sum_{kk} a[i][kb + kk] * panel[kk][j]` — `=` for the first
+/// block, `kb == 0`, which is what initialises `out` — with the panel rows
+/// visited in ascending reduction order: [`I_TILE`]-row strips of [`tile`]s,
+/// then single rows.
 pub(crate) fn accumulate_panel(
     a_data: &[f32],
     k: usize,
@@ -219,12 +266,12 @@ pub(crate) fn accumulate_panel(
     while i + I_TILE <= m {
         let (a0, a1, a2, a3) = (a_row(i), a_row(i + 1), a_row(i + 2), a_row(i + 3));
         let strip = &mut out_data[i * n..(i + I_TILE) * n];
-        row_strip(|kk| [a0[kk], a1[kk], a2[kk], a3[kk]], kc, panel, strip, n);
+        row_strip(|kk| [a0[kk], a1[kk], a2[kk], a3[kk]], kc, panel, strip, n, kb == 0);
         i += I_TILE;
     }
     while i < m {
         let a0 = a_row(i);
-        row_strip(|kk| [a0[kk]], kc, panel, &mut out_data[i * n..(i + 1) * n], n);
+        row_strip(|kk| [a0[kk]], kc, panel, &mut out_data[i * n..(i + 1) * n], n, kb == 0);
         i += 1;
     }
 }
@@ -232,7 +279,7 @@ pub(crate) fn accumulate_panel(
 /// `Aᵀ · B` into a reusable output, without materialising the transpose.
 ///
 /// With `A` of shape `r×m` and `B` of shape `r×n`, computes the `m×n`
-/// product `C[i][j] = Σ_rr A[rr][i] · B[rr][j]` with the same packing,
+/// product `C[i][j] = Σ_rr A[rr][i] · B[rr][j]` with the same panels,
 /// blocking, and register kernel as [`matmul_into`] — only the `A` operand
 /// is addressed column-wise instead of being materialised transposed. Per
 /// output element the products accumulate in ascending `rr` order, exactly
@@ -246,9 +293,9 @@ pub(crate) fn accumulate_panel(
 /// Returns [`TensorError::ShapeMismatch`] if `A.rows() != B.rows()`.
 pub fn matmul_at_b(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace) -> Result<()> {
     let (r, m) = a.shape();
-    for (rb, rc) in reduction_blocks("matmul_at_b", a, b, (m, r), out)? {
-        pack_panel(&mut ws.panel, b, rb, rc);
-        accumulate_panel_t(a.as_slice(), m, rb, rc, &ws.panel, out);
+    for (rb, rc) in reduction_blocks("matmul_at_b", a, b, (m, r), b.shape(), out)? {
+        let panel = panel_rows(&mut ws.panel, b, rb, rc);
+        accumulate_panel_t(a.as_slice(), m, rb, rc, panel, out);
     }
     Ok(())
 }
@@ -275,13 +322,39 @@ pub(crate) fn accumulate_panel_t(
             let a = &a_block[kk * m + i..kk * m + i + I_TILE];
             [a[0], a[1], a[2], a[3]]
         };
-        row_strip(lhs, rc, panel, &mut out_data[i * n..(i + I_TILE) * n], n);
+        row_strip(lhs, rc, panel, &mut out_data[i * n..(i + I_TILE) * n], n, rb == 0);
         i += I_TILE;
     }
     while i < m {
-        row_strip(|kk| [a_block[kk * m + i]], rc, panel, &mut out_data[i * n..(i + 1) * n], n);
+        let lhs = |kk: usize| [a_block[kk * m + i]];
+        row_strip(lhs, rc, panel, &mut out_data[i * n..(i + 1) * n], n, rb == 0);
         i += 1;
     }
+}
+
+/// `A · Bᵀ` into a reusable output, without materialising the transpose.
+///
+/// With `A` of shape `m×k` and `B` of shape `n×k`, computes the `m×n`
+/// product `C[i][j] = Σ_kk A[i][kk] · B[j][kk]`. Packing a panel is where the
+/// transposition happens: the panel of a reduction block is `B`'s columns
+/// `kb..kb + kc`, stored row-major by reduction index through the block
+/// routine of [`transpose_into`], and the kernel folds it exactly as it
+/// folds a panel of `transpose(B)`'s rows — so the result is bit-identical
+/// to `matmul_into(A, transpose(B))` (property-tested). This is the
+/// input-gradient kernel of the backward pass: `d_x = δ · Wᵀ` without the
+/// per-step weight transpose.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `A.cols() != B.cols()`.
+pub fn matmul_a_bt(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace) -> Result<()> {
+    let (n, k) = b.shape();
+    for (kb, kc) in reduction_blocks("matmul_a_bt", a, b, a.shape(), (k, n), out)? {
+        let panel = padded_panel(&mut ws.panel, kc, n);
+        transpose_blocks(&b.as_slice()[kb..], k, n, kc, panel, n);
+        accumulate_panel(a.as_slice(), k, kb, kc, &ws.panel, out);
+    }
+    Ok(())
 }
 
 /// Transposes a matrix: [`transpose_into`] with a fresh output.
@@ -293,25 +366,52 @@ pub fn transpose(a: &Matrix) -> Matrix {
 }
 
 /// Transposes `a` into a reusable output matrix (no allocation once `out`
-/// has grown to size).
-///
-/// Works in 16×16 tiles so the destination is written in contiguous runs
-/// while the strided source reads stay within one tile of cache lines
-/// (transposition moves data, never computes, so tiling cannot affect
-/// values).
+/// has grown to size), in 8×8 blocks whose rows are read and written as
+/// contiguous runs (transposition moves data, never computes, so blocking
+/// cannot affect values).
 pub fn transpose_into(a: &Matrix, out: &mut Matrix) {
-    const T_BLOCK: usize = 16;
     let (m, n) = a.shape();
-    out.reset_to(n, m).expect("source dimensions are positive");
-    let src = a.as_slice();
-    let dst = out.as_mut_slice();
-    for rb in (0..m).step_by(T_BLOCK) {
-        let rend = (rb + T_BLOCK).min(m);
-        for cb in (0..n).step_by(T_BLOCK) {
-            let cend = (cb + T_BLOCK).min(n);
-            for c in cb..cend {
-                for r in rb..rend {
-                    dst[c * m + r] = src[r * n + c];
+    out.resize_for_overwrite(n, m).expect("source dimensions are positive");
+    transpose_blocks(a.as_slice(), n, m, n, out.as_mut_slice(), m);
+}
+
+/// The one transposition routine: `dst[c][r] = src[r][c]` for `r < rows`,
+/// `c < cols`, where `src` and `dst` start at the first element of a
+/// row-major region and hold their rows `src_stride` and `dst_stride`
+/// apart — so either side may be a window of a wider matrix.
+///
+/// Works in 8×8 blocks: eight source rows are read as eight-element runs
+/// and each destination row is written as one run gathered across them,
+/// which the compiler turns into vector loads, shuffles and stores (the
+/// block edges of other sizes take the scalar loop). Transposition moves
+/// data, never computes, so blocking cannot affect values.
+pub(crate) fn transpose_blocks(
+    src: &[f32],
+    src_stride: usize,
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    dst_stride: usize,
+) {
+    const T: usize = 8;
+    for rb in (0..rows).step_by(T) {
+        for cb in (0..cols).step_by(T) {
+            let src = &src[rb * src_stride + cb..];
+            let dst = &mut dst[cb * dst_stride + rb..];
+            if rb + T <= rows && cb + T <= cols {
+                let runs: [&[f32]; T] =
+                    std::array::from_fn(|r| &src[r * src_stride..r * src_stride + T]);
+                for c in 0..T {
+                    let out = &mut dst[c * dst_stride..c * dst_stride + T];
+                    for (o, run) in out.iter_mut().zip(runs) {
+                        *o = run[c];
+                    }
+                }
+            } else {
+                for c in 0..T.min(cols - cb) {
+                    for r in 0..T.min(rows - rb) {
+                        dst[c * dst_stride + r] = src[r * src_stride + c];
+                    }
                 }
             }
         }
@@ -524,6 +624,18 @@ mod tests {
     fn matmul_rejects_incompatible_shapes() {
         let (a, _) = sample();
         assert!(matches!(matmul(&a, &a), Err(TensorError::ShapeMismatch { op: "matmul", .. })));
+    }
+
+    #[test]
+    fn a_bt_validates_shapes_and_matches_the_gemm_on_the_transpose() {
+        let (a, b) = sample();
+        let (mut out, mut ws) = (Matrix::identity(1), Workspace::new());
+        assert!(matches!(
+            matmul_a_bt(&a, &b, &mut out, &mut ws),
+            Err(TensorError::ShapeMismatch { op: "matmul_a_bt", left: (2, 3), right: (3, 2) })
+        ));
+        matmul_a_bt(&a, &transpose(&b), &mut out, &mut ws).unwrap();
+        assert_eq!(out, matmul(&a, &b).unwrap());
     }
 
     #[test]

@@ -34,10 +34,14 @@ pub fn quantize_rows(a: &Matrix, precision: MxPrecision) -> Result<Matrix> {
 /// Returns [`TensorError::Quantization`] if the matrix contains non-finite
 /// values.
 pub fn quantize_rows_into(a: &Matrix, precision: MxPrecision, out: &mut Matrix) -> Result<()> {
-    let (m, k) = a.shape();
-    out.reset_to(m, k)?;
-    for r in 0..m {
-        MxVector::quantize_into(a.row(r), precision, out.row_mut(r))?;
+    out.resize_for_overwrite(a.rows(), a.cols())?;
+    quantize_each_row(a, precision, out.as_mut_slice())
+}
+
+/// Quantises every row of `a` into the same-shaped row-major `out`.
+fn quantize_each_row(a: &Matrix, precision: MxPrecision, out: &mut [f32]) -> Result<()> {
+    for (row, quantised) in a.iter_rows().zip(out.chunks_exact_mut(a.cols())) {
+        MxVector::quantize_into(row, precision, quantised)?;
     }
     Ok(())
 }
@@ -63,14 +67,34 @@ pub fn quantize_cols(a: &Matrix, precision: MxPrecision) -> Result<Matrix> {
     Ok(out)
 }
 
-/// Quantises rows `kb..kb + kc` of `b` down their columns, straight into the
-/// workspace panel (row-major by reduction index).
+/// Quantises `rows` — the `n`-wide rows of one reduction block of a right
+/// operand, row-major by reduction index — down their columns, straight into
+/// the workspace panel. `position` maps an index in `rows` to the element's
+/// index in the operand, for reporting a non-finite value.
 ///
-/// Because `kb` is always a [`K_BLOCK`] multiple and `K_BLOCK` is a multiple
-/// of the 16-element MX block size, the MX blocks of each column segment
-/// coincide exactly with the blocks of the full column — so fusing
+/// Because a block starts at a [`K_BLOCK`] multiple and `K_BLOCK` is a
+/// multiple of the 16-element MX block size, the MX blocks of each column
+/// segment coincide exactly with the blocks of the full column — so fusing
 /// quantisation into packing is bit-identical to quantising whole columns
 /// up front.
+fn quantize_panel(
+    panel: &mut Vec<f32>,
+    rows: &[f32],
+    n: usize,
+    precision: MxPrecision,
+    position: impl Fn(usize) -> usize,
+) -> Result<()> {
+    let packed = ops::padded_panel(panel, rows.len() / n, n);
+    MxVector::quantize_columns_into(rows, n, precision, packed).map_err(|e| match e {
+        MxError::NonFiniteInput { index, value } => {
+            MxError::NonFiniteInput { index: position(index), value }
+        }
+        other => other,
+    })?;
+    Ok(())
+}
+
+/// The `A·B` / `Aᵀ·B` panel: rows `kb..kb + kc` of `b`, quantised.
 fn pack_quantized_panel(
     panel: &mut Vec<f32>,
     b: &Matrix,
@@ -79,19 +103,26 @@ fn pack_quantized_panel(
     precision: MxPrecision,
 ) -> Result<()> {
     let n = b.cols();
-    // J_TILE zeros of padding let the fixed-width tail tile read one full
-    // tile past the last packed row.
-    panel.resize(kc * n + ops::J_TILE, 0.0);
-    let (packed, padding) = panel.split_at_mut(kc * n);
-    padding.fill(0.0);
     let rows = &b.as_slice()[kb * n..(kb + kc) * n];
-    MxVector::quantize_columns_into(rows, n, precision, packed).map_err(|e| match e {
-        MxError::NonFiniteInput { index, value } => {
-            MxError::NonFiniteInput { index: kb * n + index, value }
-        }
-        other => other,
-    })?;
-    Ok(())
+    quantize_panel(panel, rows, n, precision, |index| kb * n + index)
+}
+
+/// The `A·Bᵀ` panel: columns `kb..kb + kc` of the `n×k` matrix `b`, stored
+/// transposed into `staged` as [`ops::matmul_a_bt`] stores them into its
+/// panel, then quantised — [`pack_quantized_panel`] on `transpose(b)`
+/// without the whole-matrix transpose.
+fn pack_quantized_panel_t(
+    panel: &mut Vec<f32>,
+    staged: &mut Vec<f32>,
+    b: &Matrix,
+    kb: usize,
+    kc: usize,
+    precision: MxPrecision,
+) -> Result<()> {
+    let (n, k) = b.shape();
+    staged.resize(kc * n, 0.0);
+    ops::transpose_blocks(&b.as_slice()[kb..], k, n, kc, staged, n);
+    quantize_panel(panel, staged, n, precision, |index| (index % n) * k + kb + index / n)
 }
 
 /// MX GEMM into a reusable output, fusing B-operand quantisation into panel
@@ -111,15 +142,46 @@ pub fn mx_matmul_into(
     out: &mut Matrix,
     ws: &mut Workspace,
 ) -> Result<()> {
-    let (m, k) = a.shape();
-    let blocks = ops::reduction_blocks("mx_matmul", a, b, (m, k), out)?;
-    let Workspace { panel, qa } = ws;
-    qa.resize(m * k, 0.0);
-    for r in 0..m {
-        MxVector::quantize_into(a.row(r), precision, &mut qa[r * k..(r + 1) * k])?;
-    }
+    let blocks = ops::reduction_blocks("mx_matmul", a, b, a.shape(), b.shape(), out)?;
+    let Workspace { panel, qa, .. } = ws;
+    qa.resize(a.len(), 0.0);
+    quantize_each_row(a, precision, qa)?;
     for (kb, kc) in blocks {
         pack_quantized_panel(panel, b, kb, kc, precision)?;
+        ops::accumulate_panel(qa, a.cols(), kb, kc, panel, out);
+    }
+    Ok(())
+}
+
+/// MX `A · Bᵀ` into a reusable output, without materialising the transpose:
+/// with `A` of shape `m×k` and `B` of shape `n×k`, both operands are
+/// quantised along their rows — the shared reduction dimension `k` — `B` one
+/// reduction block at a time, as its panel is packed: the block's columns
+/// are stored transposed, as [`ops::matmul_a_bt`] stores them, and quantised
+/// down the transposed columns. Bit-identical to
+/// `mx_matmul_into(A, transpose(B))`. This is the MX input-gradient kernel
+/// of the backward pass: `d_x = δ · Wᵀ` without the per-step weight
+/// transpose.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `a.cols() != b.cols()` and
+/// [`TensorError::Quantization`] on non-finite inputs; a
+/// [`MxError::NonFiniteInput`] carries the element's index in its operand.
+pub fn mx_matmul_a_bt_into(
+    a: &Matrix,
+    b: &Matrix,
+    precision: MxPrecision,
+    out: &mut Matrix,
+    ws: &mut Workspace,
+) -> Result<()> {
+    let (n, k) = b.shape();
+    let blocks = ops::reduction_blocks("mx_matmul_a_bt", a, b, a.shape(), (k, n), out)?;
+    let Workspace { panel, qa, staged } = ws;
+    qa.resize(a.len(), 0.0);
+    quantize_each_row(a, precision, qa)?;
+    for (kb, kc) in blocks {
+        pack_quantized_panel_t(panel, staged, b, kb, kc, precision)?;
         ops::accumulate_panel(qa, k, kb, kc, panel, out);
     }
     Ok(())
@@ -145,8 +207,8 @@ pub fn mx_matmul_at_b_into(
     ws: &mut Workspace,
 ) -> Result<()> {
     let (r, m) = a.shape();
-    let blocks = ops::reduction_blocks("mx_matmul_at_b", a, b, (m, r), out)?;
-    let Workspace { panel, qa } = ws;
+    let blocks = ops::reduction_blocks("mx_matmul_at_b", a, b, (m, r), b.shape(), out)?;
+    let Workspace { panel, qa, .. } = ws;
     qa.resize(r * m, 0.0);
     MxVector::quantize_columns_into(a.as_slice(), m, precision, qa)?;
     for (rb, rc) in blocks {
@@ -172,7 +234,7 @@ pub fn mx_matmul_prequant_into(
     ws: &mut Workspace,
 ) -> Result<()> {
     let k = qa.cols();
-    for (kb, kc) in ops::reduction_blocks("mx_matmul", qa, b, qa.shape(), out)? {
+    for (kb, kc) in ops::reduction_blocks("mx_matmul", qa, b, qa.shape(), b.shape(), out)? {
         pack_quantized_panel(&mut ws.panel, b, kb, kc, precision)?;
         ops::accumulate_panel(qa.as_slice(), k, kb, kc, &ws.panel, out);
     }

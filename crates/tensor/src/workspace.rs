@@ -5,8 +5,8 @@
 //! and outputs on every call makes the allocator the bottleneck long before
 //! the FPU. A [`Workspace`] owns every intermediate buffer the blocked
 //! kernels in [`ops`](crate::ops) and [`quant`](crate::quant) need — the
-//! packed B panel and the quantised left operand — so steady-state kernel
-//! invocations allocate nothing.
+//! packed B panel, the quantised left operand and the MX `A·Bᵀ` staging
+//! area — so steady-state kernel invocations allocate nothing.
 //!
 //! Outputs need no counterpart type: every `*_into` kernel resizes and fully
 //! overwrites the [`Matrix`](crate::Matrix) it is handed, keeping its
@@ -51,10 +51,13 @@ const _: () = assert!(K_BLOCK.is_multiple_of(dacapo_mx::BLOCK_SIZE));
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// Packed B panel for the current reduction block (`kc × n`, row-major
-    /// by reduction index).
+    /// by reduction index), when the kernel cannot read `B` in place.
     pub(crate) panel: Vec<f32>,
     /// Quantised copy of the left GEMM operand (row-major, same shape).
     pub(crate) qa: Vec<f32>,
+    /// The MX `A·Bᵀ` panel before quantisation: `B`'s columns of the current
+    /// reduction block, transposed (`kc × n`).
+    pub(crate) staged: Vec<f32>,
 }
 
 impl Workspace {

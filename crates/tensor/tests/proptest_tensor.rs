@@ -1,7 +1,7 @@
 //! Property-based tests for matrix operations and MX-quantised GEMM.
 
-use dacapo_mx::MxPrecision;
-use dacapo_tensor::{init, ops, quant, Matrix, Workspace};
+use dacapo_mx::{MxError, MxPrecision};
+use dacapo_tensor::{init, ops, quant, Matrix, TensorError, Workspace};
 use proptest::prelude::*;
 
 /// Small matrix dimensions keep the O(n^3) reference checks fast.
@@ -25,7 +25,7 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// All five GEMM entry points against the naive reference on shapes chosen
+/// Every GEMM entry point against the naive reference on shapes chosen
 /// to hit every tile of the kernel — full, padded-full and half-width
 /// column tiles, 4-row strips and single rows — on both sides of the
 /// K_BLOCK (64) boundary, so the transposed-left kernels run with `rb > 0`
@@ -42,11 +42,14 @@ fn every_gemm_entry_point_matches_the_reference_on_a_tile_boundary_sweep() {
                 let a = matrix(m, k, (k * 1000 + m * 100 + n) as u64);
                 let a_t = ops::transpose(&a);
                 let b = matrix(k, n, (n * 1000 + k) as u64);
+                let b_t = ops::transpose(&b);
                 let reference = ops::matmul_reference(&a, &b).unwrap();
                 ops::matmul_into(&a, &b, &mut out, &mut ws).unwrap();
                 assert_eq!(bits(&out), bits(&reference), "matmul_into {shape}");
                 ops::matmul_at_b(&a_t, &b, &mut out, &mut ws).unwrap();
                 assert_eq!(bits(&out), bits(&reference), "matmul_at_b {shape}");
+                ops::matmul_a_bt(&a, &b_t, &mut out, &mut ws).unwrap();
+                assert_eq!(bits(&out), bits(&reference), "matmul_a_bt {shape}");
                 for p in [MxPrecision::Mx4, MxPrecision::Mx6, MxPrecision::Mx9] {
                     let qa = quant::quantize_rows(&a, p).unwrap();
                     let qb = quant::quantize_cols(&b, p).unwrap();
@@ -57,9 +60,75 @@ fn every_gemm_entry_point_matches_the_reference_on_a_tile_boundary_sweep() {
                     assert_eq!(bits(&out), bits(&reference), "prequant {p:?} {shape}");
                     quant::mx_matmul_at_b_into(&a_t, &b, p, &mut out, &mut ws).unwrap();
                     assert_eq!(bits(&out), bits(&reference), "mx_matmul_at_b_into {p:?} {shape}");
+                    quant::mx_matmul_a_bt_into(&a, &b_t, p, &mut out, &mut ws).unwrap();
+                    assert_eq!(bits(&out), bits(&reference), "mx_matmul_a_bt_into {p:?} {shape}");
                 }
             }
         }
+    }
+}
+
+/// No GEMM clears its output: each must overwrite every element itself. A
+/// larger output full of NaN — which any surviving or accumulated-onto
+/// element would keep — gives what a fresh one gives, on either side of the
+/// K_BLOCK boundary (one reduction block, and a first block followed by
+/// accumulating ones) and for in-place and packed panels (n = 32, 64 vs the
+/// rest).
+#[test]
+fn every_gemm_overwrites_a_larger_nan_filled_output() {
+    type Gemm = fn(&Matrix, &Matrix, &Matrix, &Matrix, &mut Matrix, &mut Workspace);
+    const MX: MxPrecision = MxPrecision::Mx9;
+    // Each takes (a, aᵀ, b, bᵀ) and picks the operands it multiplies as a·b.
+    let gemms: [(&str, Gemm); 7] = [
+        ("matmul_into", |a, _, b, _, out, ws| ops::matmul_into(a, b, out, ws).unwrap()),
+        ("matmul_at_b", |_, a_t, b, _, out, ws| ops::matmul_at_b(a_t, b, out, ws).unwrap()),
+        ("matmul_a_bt", |a, _, _, b_t, out, ws| ops::matmul_a_bt(a, b_t, out, ws).unwrap()),
+        ("mx_matmul_into", |a, _, b, _, out, ws| quant::mx_matmul_into(a, b, MX, out, ws).unwrap()),
+        ("mx_matmul_prequant_into", |a, _, b, _, out, ws| {
+            quant::mx_matmul_prequant_into(a, b, MX, out, ws).unwrap()
+        }),
+        ("mx_matmul_at_b_into", |_, a_t, b, _, out, ws| {
+            quant::mx_matmul_at_b_into(a_t, b, MX, out, ws).unwrap()
+        }),
+        ("mx_matmul_a_bt_into", |a, _, _, b_t, out, ws| {
+            quant::mx_matmul_a_bt_into(a, b_t, MX, out, ws).unwrap()
+        }),
+    ];
+    let mut ws = Workspace::new();
+    for (m, k, n) in [(5, 7, 10), (4, 64, 32), (6, 70, 33), (9, 130, 64), (1, 65, 17)] {
+        let (a, b) = (matrix(m, k, 41), matrix(k, n, 42));
+        let (a_t, b_t) = (ops::transpose(&a), ops::transpose(&b));
+        for (name, gemm) in gemms {
+            let mut fresh = Matrix::identity(1);
+            gemm(&a, &a_t, &b, &b_t, &mut fresh, &mut ws);
+            let mut dirty = Matrix::filled(m + 3, n + 5, f32::NAN).unwrap();
+            gemm(&a, &a_t, &b, &b_t, &mut dirty, &mut ws);
+            assert_eq!(dirty.shape(), (m, n), "{name} m={m} k={k} n={n}");
+            assert_eq!(bits(&dirty), bits(&fresh), "{name} m={m} k={k} n={n}");
+        }
+    }
+}
+
+/// The MX `A·Bᵀ` kernel quantises a transposed copy of `b`'s columns, yet a
+/// non-finite element is reported where it sits in `b` — in the first
+/// reduction block and in a later one.
+#[test]
+fn mx_a_bt_reports_a_non_finite_element_at_its_index_in_b() {
+    let (n, k) = (5, 70);
+    let a = matrix(3, k, 1);
+    for (row, col) in [(0, 0), (3, 17), (4, 66), (2, 69)] {
+        let mut b = matrix(n, k, 2);
+        b[(row, col)] = f32::NEG_INFINITY;
+        let err = quant::mx_matmul_a_bt_into(
+            &a,
+            &b,
+            MxPrecision::Mx6,
+            &mut Matrix::identity(1),
+            &mut Workspace::new(),
+        )
+        .unwrap_err();
+        let expected = MxError::NonFiniteInput { index: row * k + col, value: f32::NEG_INFINITY };
+        assert_eq!(err, TensorError::Quantization(expected), "b[({row}, {col})]");
     }
 }
 
@@ -239,6 +308,30 @@ proptest! {
         ops::matmul_at_b(&a, &b, &mut out, &mut ws).unwrap();
         prop_assert_eq!(&out, &reference);
         prop_assert_eq!(&out, &ops::matmul_reference(&ops::transpose(&a), &b).unwrap());
+    }
+
+    /// The transpose-free input-gradient kernels are bit-identical to
+    /// materialising the transpose and running the GEMM on it — in f32 and at
+    /// the two MX precisions the student runs — over shapes that cross every
+    /// edge: k past K_BLOCK, k and n off the 8-wide transposition block, n in
+    /// each column-tile regime (≤ 16, 17..=31, ≥ 32 with a tail), m off
+    /// I_TILE. One workspace and output serve all calls.
+    #[test]
+    fn a_bt_gemms_are_bit_identical_to_the_gemm_on_the_transpose((m, k, n) in gemm_dims(), seed in 0u64..1000) {
+        let a = matrix(m, k, seed);
+        let b = matrix(n, k, seed.wrapping_add(5));
+        let b_t = ops::transpose(&b);
+        let mut ws = Workspace::new();
+        let mut out = Matrix::zeros(1, 1).unwrap();
+        let mut reference = Matrix::zeros(1, 1).unwrap();
+        ops::matmul_into(&a, &b_t, &mut reference, &mut ws).unwrap();
+        ops::matmul_a_bt(&a, &b, &mut out, &mut ws).unwrap();
+        prop_assert_eq!(bits(&out), bits(&reference));
+        for precision in [MxPrecision::Mx6, MxPrecision::Mx9] {
+            quant::mx_matmul_into(&a, &b_t, precision, &mut reference, &mut ws).unwrap();
+            quant::mx_matmul_a_bt_into(&a, &b, precision, &mut out, &mut ws).unwrap();
+            prop_assert_eq!(bits(&out), bits(&reference));
+        }
     }
 
     /// Transposing — into a reused output of another shape, and through the

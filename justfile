@@ -55,6 +55,15 @@ bench-barrier *ARGS='--quick':
 bench-steady *ARGS='--quick':
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload fleet-steady {{ARGS}}
 
+# The frozen benchmark's observed workload against this tree: the steady
+# fleet again, its measured repetitions run through a `TelemetryRecorder`
+# with both file sinks — the windowed executor with observer sampling at
+# every barrier, and the full telemetry sink path — and checked against the
+# unobserved warm-up. Extra flags pass through, e.g.
+# `just bench-observed --seed 3 --seconds 15 --trace 0`.
+bench-observed *ARGS='--quick':
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload fleet-observed {{ARGS}}
+
 # The frozen benchmark's paper-default workload against this tree: four
 # full-length `platform("dacapo")` sessions whose arithmetic is all MX (MX9
 # retraining, MX6 measurement), i.e. `dacapo_mx`'s conversion kernel and
