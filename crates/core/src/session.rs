@@ -1131,17 +1131,19 @@ impl Session {
 
                 // Spread the labeled samples over the phase's time range,
                 // consuming the stream through its resumable cursor (the
-                // position snapshots carry).
+                // position snapshots carry): the cursor moves to the
+                // phase's end, and of the strided frames it passed only the
+                // `actual_samples` that get labeled are synthesised.
                 let step = ((phase_duration * fps) as u64 / actual_samples as u64).max(1);
-                self.state.stream_cursor.seek_time(&self.rt.stream, self.state.now_s);
-                let frames = self.state.stream_cursor.frames_until_cached(
-                    &self.rt.stream,
-                    self.state.now_s + phase_duration,
-                    step,
-                    &mut self.rt.center_cache,
-                );
-                let mut selected = frames;
-                selected.truncate(actual_samples);
+                let cursor = &mut self.state.stream_cursor;
+                cursor.seek_time(&self.rt.stream, self.state.now_s);
+                let first = cursor.position();
+                cursor.seek_time(&self.rt.stream, self.state.now_s + phase_duration);
+                let selected: Vec<Frame> = (first..cursor.position())
+                    .step_by(step as usize)
+                    .take(actual_samples)
+                    .map(|i| self.rt.stream.frame_at_cached(i, &mut self.rt.center_cache))
+                    .collect();
                 let phase_samples;
                 if let Some((uplink, tier)) = uplink.zip(self.state.edge.as_mut()) {
                     // Cloud path: each sampled frame runs the near-duplicate
@@ -1352,7 +1354,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::sched::SchedulerKind;
-    use crate::sim::test_support::short_config;
+    use crate::sim::test_support::{short_config, short_scenario};
     use crate::ClSimulator;
     use dacapo_dnn::{Activation, Dense};
 
@@ -1588,6 +1590,58 @@ mod tests {
         let mut restored = Session::restore(parsed).unwrap();
         restored.run_to_end().unwrap();
         assert_eq!(restored.into_result(), expected);
+    }
+
+    /// A label phase synthesises only the frames it labels, yet consumes the
+    /// stream as the cursor's own range method does: the labeled rows are the
+    /// first `samples` of `frames_until` over the phase's time range, and the
+    /// cursor ends where `frames_until` leaves it.
+    #[test]
+    fn label_phases_label_the_head_of_the_strided_range_and_consume_all_of_it() {
+        // This pair's labeling rate on the DaCapo platform does not divide
+        // the frame rate, so its phases stride over more frames than they
+        // label.
+        let config = SimConfig::builder(short_scenario(), dacapo_dnn::zoo::ModelPair::VitB32VitB16)
+            .platform("dacapo")
+            .scheduler(SchedulerKind::DaCapoSpatiotemporal)
+            .measurement(5.0, 20)
+            .pretrain_samples(128)
+            .build()
+            .unwrap();
+        let mut session = Session::new(config).unwrap();
+        session.set_record_labels(true);
+        let fps = session.config().stream.fps;
+        let mut label_phases = 0;
+        let mut dropped = 0;
+        let mut cursor = session.stream_cursor();
+        while !session.is_finished() {
+            if session.state.pending.is_empty() {
+                // The next step runs an action: this is where it starts from.
+                cursor = session.stream_cursor();
+            }
+            let SessionEvent::Phase(phase) = session.step().unwrap() else { continue };
+            if phase.kind != PhaseKind::Label || phase.samples == 0 {
+                continue;
+            }
+            let end_s = phase.start_s + phase.duration_s;
+            let step = ((phase.duration_s * fps) as u64 / phase.samples as u64).max(1);
+            cursor.seek_time(&session.rt.stream, phase.start_s);
+            let mut expected = cursor.frames_until(&session.rt.stream, end_s, step);
+            assert_eq!(session.stream_cursor(), cursor, "phase at {}", phase.start_s);
+            dropped += expected.len().saturating_sub(phase.samples);
+            expected.truncate(phase.samples);
+            let labeled = session.take_fresh_labels();
+            assert_eq!(labeled.len(), expected.len(), "phase at {}", phase.start_s);
+            for (i, frame) in expected.iter().enumerate() {
+                let row = labeled.get(i);
+                assert_eq!(row.timestamp_s, frame.timestamp_s);
+                assert_eq!(row.true_class, frame.sample.true_class);
+                assert_eq!(row.features, frame.sample.features.as_slice());
+            }
+            label_phases += 1;
+        }
+        assert!(label_phases >= 3, "the run labels repeatedly ({label_phases})");
+        assert!(dropped > 0, "some phase's strided range is longer than what it labels");
     }
 
     #[test]

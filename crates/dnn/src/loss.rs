@@ -99,9 +99,7 @@ pub fn cross_entropy_into(logits: &Matrix, labels: &[usize], grad: &mut Matrix) 
 /// [`cross_entropy`].
 pub fn accuracy(logits: &Matrix, labels: &[usize]) -> Result<f32> {
     validate_labels(logits, labels)?;
-    let predictions = ops::argmax_rows(logits);
-    let correct = predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
-    Ok(correct as f32 / labels.len() as f32)
+    Ok(ops::argmax_matches(logits, labels) as f32 / labels.len() as f32)
 }
 
 fn validate_labels(logits: &Matrix, labels: &[usize]) -> Result<()> {

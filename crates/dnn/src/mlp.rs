@@ -5,7 +5,7 @@ use crate::batch::{backward_pass, forward_pass, TrainScratch};
 use crate::layer::{Activation, Dense};
 use crate::{loss, DnnError, Result};
 use dacapo_mx::MxPrecision;
-use dacapo_tensor::Matrix;
+use dacapo_tensor::{ops, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Arithmetic mode a pass executes in.
@@ -14,7 +14,10 @@ use serde::{Deserialize, Serialize};
 /// MX6 on the DaCapo accelerator, while GPU baselines run in FP32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum QuantMode {
-    /// Full single-precision floating point (GPU baselines).
+    /// Full single-precision floating point (GPU baselines). Its GEMMs
+    /// accumulate the way those GPUs do, with the fused multiply–add — one
+    /// rounding per product (`dacapo_tensor::ops`); everything elementwise
+    /// rounds each operation.
     #[default]
     Fp32,
     /// MX block floating point at the given precision (DaCapo).
@@ -222,7 +225,7 @@ impl Mlp {
     /// Returns [`DnnError::DimensionMismatch`] if the feature width is wrong.
     pub fn predict(&self, features: &Matrix) -> Result<Vec<usize>> {
         let logits = self.forward(features, self.config.inference_mode)?;
-        Ok(dacapo_tensor::ops::argmax_rows(&logits))
+        Ok(ops::argmax_rows(&logits))
     }
 
     /// Classification accuracy on a labeled batch, using the configured
@@ -314,8 +317,7 @@ impl Mlp {
                 let logits = &acts[self.layers.len() - 1];
                 let batch_loss = loss::cross_entropy_into(logits, batch_labels, grad)?;
                 total_loss += f64::from(batch_loss);
-                total_correct += (loss::accuracy(logits, batch_labels)? * batch_labels.len() as f32)
-                    .round() as usize;
+                total_correct += ops::argmax_matches(logits, batch_labels);
                 total_samples += batch_labels.len();
                 batches += 1;
 

@@ -30,6 +30,20 @@
 //! ascending reduction order, so blocking, packing and addressing change
 //! memory traffic, never arithmetic; [`matmul_reference`] is the naive loop
 //! the tests hold the kernel bit-identical to.
+//!
+//! The multiply–accumulate of that loop, and so of the kernel, is the
+//! *fused* one: `acc ← round(a·b + acc)`, IEEE-754 `fusedMultiplyAdd`, one
+//! rounding per product where `acc += a * b` has two. It is written out as
+//! the explicit fused operation of `f32` — never left to the compiler to
+//! contract, which Rust does not do — so it yields the same bits on every
+//! target and at every optimisation level; "bit-identical to the naive
+//! loop" means to the naive loop with this accumulate. It is how the GPUs
+//! the FP32 baseline stands for accumulate, and it halves the kernel's
+//! floating-point instructions. Only the GEMMs fuse: [`axpy`] and the
+//! elementwise and softmax paths round each product. On a build without
+//! hardware FMA (x86-64 without the `fma` target feature, i.e. without this
+//! repository's `.cargo/config.toml`) the operation is a libm call per
+//! product — same results, an order of magnitude slower.
 
 use crate::workspace::K_BLOCK;
 use crate::{Matrix, Result, TensorError, Workspace};
@@ -86,7 +100,11 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace)
 
 /// The naive triple-loop GEMM: the reference the packed kernels are tested
 /// bit-identical to (`matmul_into == matmul_reference`), not a production
-/// path.
+/// path. Each element folds its `k` products in ascending order with the
+/// fused multiply–add — one rounding per product (see the
+/// [module docs](self)) — and this loop is the definition of that
+/// arithmetic: the tests pin it to a scalar fused loop and, on a crafted
+/// operand, apart from the two-rounding `acc += a * b`.
 ///
 /// # Errors
 ///
@@ -102,7 +120,7 @@ pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Result<Matrix> {
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a[(i, kk)] * b[(kk, j)];
+                acc = a[(i, kk)].mul_add(b[(kk, j)], acc);
             }
             out[(i, j)] = acc;
         }
@@ -161,9 +179,11 @@ pub(crate) fn padded_panel(panel: &mut Vec<f32>, kc: usize, n: usize) -> &mut [f
     rows
 }
 
-/// Column-tile width of the register-accumulated inner kernel: two 16-lane
-/// f32 vectors on AVX-512, a handful of registers on narrower ISAs, and a
-/// whole tile for the common 32/64-wide hidden layers.
+/// Column-tile width of the register-accumulated inner kernel: four 8-lane
+/// f32 vectors per row on AVX2 and on AVX-512 servers alike (LLVM prefers
+/// 256-bit vectors there; the release binary's tile is all `ymm`), a
+/// handful of registers on narrower ISAs, and a whole tile for the common
+/// 32/64-wide hidden layers.
 pub(crate) const J_TILE: usize = 32;
 
 /// Rows processed together by the register-blocked inner kernel: enough
@@ -181,13 +201,15 @@ pub(crate) const I_TILE: usize = 4;
 /// the whole block in registers, and stores once. The `R` rows share every
 /// panel load and give the CPU that many independent accumulator chains per
 /// column vector, so the loop is throughput- rather than latency-bound. Per
-/// output element this performs *exactly* the same additions in the same
-/// order as updating a zeroed output in memory after every product —
-/// blocking only changes which elements progress concurrently, never the
+/// output element this performs *exactly* the same fused multiply–adds in
+/// the same order as updating a zeroed output in memory after every product
+/// — blocking only changes which elements progress concurrently, never the
 /// reduction order within an element — so the result stays bit-identical
-/// to [`matmul_reference`]. Lanes past `jw` multiply whatever follows in
-/// the panel (the next row, or the padding after the last) and are never
-/// stored, which keeps the loop vectorised at full width.
+/// to [`matmul_reference`], whose accumulate the inner line is (one
+/// rounding per product; with hardware FMA, one vector instruction per
+/// eight of them). Lanes past `jw` multiply whatever follows in the panel
+/// (the next row, or the padding after the last) and are never stored,
+/// which keeps the loop vectorised at full width.
 #[inline(always)]
 fn tile<const R: usize, const W: usize>(
     lhs: impl Fn(usize) -> [f32; R],
@@ -209,7 +231,7 @@ fn tile<const R: usize, const W: usize>(
         let x = lhs(kk);
         for (l, &bv) in b_tile.iter().enumerate() {
             for r in 0..R {
-                acc[r][l] += x[r] * bv;
+                acc[r][l] = x[r].mul_add(bv, acc[r][l]);
             }
         }
     }
@@ -525,26 +547,30 @@ pub fn softmax_rows(a: &Matrix) -> Matrix {
     out
 }
 
+/// Index of the maximum element of `row` (ties resolve to the first).
+fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .fold(
+            (0usize, f32::NEG_INFINITY),
+            |(bi, bv), (i, &v)| if v > bv { (i, v) } else { (bi, bv) },
+        )
+        .0
+}
+
 /// Index of the maximum element in each row (ties resolve to the first).
 #[must_use]
 pub fn argmax_rows(a: &Matrix) -> Vec<usize> {
-    a.iter_rows()
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .fold(
-                    (0usize, f32::NEG_INFINITY),
-                    |(bi, bv), (i, &v)| {
-                        if v > bv {
-                            (i, v)
-                        } else {
-                            (bi, bv)
-                        }
-                    },
-                )
-                .0
-        })
-        .collect()
+    a.iter_rows().map(argmax).collect()
+}
+
+/// Number of rows whose maximum sits at the row's label — the count of
+/// correct predictions over a batch of logits, by the tie rule of
+/// [`argmax_rows`] and without its `Vec`. Rows and labels pair up in order;
+/// the longer of the two is cut to the shorter.
+#[must_use]
+pub fn argmax_matches(a: &Matrix, labels: &[usize]) -> usize {
+    a.iter_rows().zip(labels).filter(|&(row, &label)| argmax(row) == label).count()
 }
 
 /// Sum of every element.
@@ -720,6 +746,12 @@ mod tests {
     fn argmax_rows_picks_largest() {
         let a = Matrix::from_rows(&[&[0.1, 0.9, 0.0], &[5.0, -1.0, 2.0]]).unwrap();
         assert_eq!(argmax_rows(&a), vec![1, 0]);
+        assert_eq!(argmax_matches(&a, &[1, 2]), 1);
+        // A tie resolves to the first maximum, for both.
+        let tied = Matrix::from_rows(&[&[3.0, 3.0], &[f32::NAN, 1.0]]).unwrap();
+        assert_eq!(argmax_rows(&tied), vec![0, 1]);
+        assert_eq!(argmax_matches(&tied, &[0, 1]), 2);
+        assert_eq!(argmax_matches(&tied, &[1, 0]), 0);
     }
 
     #[test]

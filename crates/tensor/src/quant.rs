@@ -5,6 +5,17 @@
 //! quantised block-by-block along the reduction (K) dimension, then the
 //! multiplication proceeds in `f32`, so the result matches what the DPE array
 //! would produce.
+//!
+//! The GEMMs here run the register tile of [`ops`], whose accumulate is the
+//! fused multiply–add, yet their results are those of the two-rounding
+//! `acc += a * b`: an MX-quantised value is a mantissa code of at most 7
+//! bits times a power of two, so the product of two of them has at most 14
+//! significant bits and is exact in `f32` — there is no product rounding for
+//! the fused form to skip, and both round the same sum. The bound is product
+//! underflow: a product below `f32`'s smallest normal (2⁻¹²⁶, operands
+//! around 1e-19) can lose bits unfused that fused keeps. For operands that
+//! are zero or of magnitude in [2⁻⁴⁰, 2⁴⁰) the equality is property-tested
+//! for all four GEMMs at every precision.
 
 use crate::{ops, Matrix, Result, Workspace};
 #[cfg(doc)]

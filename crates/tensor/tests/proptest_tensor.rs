@@ -25,6 +25,46 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The naive triple loop written out here, with the multiply–accumulate as
+/// a parameter: what `ops::matmul_reference` must equal when `mac` is
+/// [`fused`], and what it must not silently go back to ([`unfused`]).
+fn naive_gemm(a: &Matrix, b: &Matrix, mac: fn(f32, f32, f32) -> f32) -> Matrix {
+    Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+        (0..a.cols()).fold(0.0, |acc, kk| mac(a[(i, kk)], b[(kk, j)], acc))
+    })
+    .expect("positive dims")
+}
+
+/// One rounding per multiply–accumulate: IEEE-754 `fusedMultiplyAdd`.
+fn fused(x: f32, y: f32, acc: f32) -> f32 {
+    x.mul_add(y, acc)
+}
+
+/// Two roundings: the product, then the sum.
+fn unfused(x: f32, y: f32, acc: f32) -> f32 {
+    acc + x * y
+}
+
+/// A zero (one draw in eight) or a value of magnitude in [1, 16), of either
+/// sign: a few binades of spread inside an MX block, so most elements keep
+/// mantissa bits after quantisation.
+fn operand() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        1 => Just(0.0f32),
+        7 => (0i32..4, 1.0f32..2.0, 0u8..2).prop_map(|(exponent, mantissa, negative)| {
+            let magnitude = mantissa * 2f32.powi(exponent);
+            if negative == 1 { -magnitude } else { magnitude }
+        }),
+    ]
+}
+
+/// `rows × cols` of `values`, scaled by `2^exponent` (exact).
+fn scaled_matrix(rows: usize, cols: usize, values: &[f32], exponent: i32) -> Matrix {
+    let scale = 2f32.powi(exponent);
+    Matrix::from_vec(rows, cols, values[..rows * cols].iter().map(|v| v * scale).collect())
+        .expect("positive dims")
+}
+
 /// Every GEMM entry point against the naive reference on shapes chosen
 /// to hit every tile of the kernel — full, padded-full and half-width
 /// column tiles, 4-row strips and single rows — on both sides of the
@@ -132,6 +172,46 @@ fn mx_a_bt_reports_a_non_finite_element_at_its_index_in_b() {
     }
 }
 
+/// The multiply–accumulate of the reference and of the kernel is the fused
+/// one. With `k = 2`, `−(1 + 2⁻¹¹)·1` and then `(1 + 2⁻¹²)²`: the square is
+/// `1 + 2⁻¹¹ + 2⁻²⁴`, which the fused form adds unrounded, leaving `2⁻²⁴`;
+/// rounded to `f32` first it is `1 + 2⁻¹¹` (a tie, to even) and the sum is
+/// `0`. A revert to `acc += a * b` in either place fails here.
+#[test]
+fn the_gemm_accumulates_with_one_rounding_per_product() {
+    let (x, y) = (1.0 + 2f32.powi(-11), 1.0 + 2f32.powi(-12));
+    let a = Matrix::from_rows(&[&[-x, y]]).unwrap();
+    let b = Matrix::from_rows(&[&[1.0], &[y]]).unwrap();
+    assert_eq!(naive_gemm(&a, &b, fused)[(0, 0)], 2f32.powi(-24));
+    assert_eq!(naive_gemm(&a, &b, unfused)[(0, 0)], 0.0);
+    assert_eq!(ops::matmul_reference(&a, &b).unwrap()[(0, 0)], 2f32.powi(-24));
+    let (mut out, mut ws) = (Matrix::identity(1), Workspace::new());
+    ops::matmul_into(&a, &b, &mut out, &mut ws).unwrap();
+    assert_eq!(out[(0, 0)], 2f32.powi(-24), "matmul_into");
+    ops::matmul_at_b(&ops::transpose(&a), &b, &mut out, &mut ws).unwrap();
+    assert_eq!(out[(0, 0)], 2f32.powi(-24), "matmul_at_b");
+    ops::matmul_a_bt(&a, &ops::transpose(&b), &mut out, &mut ws).unwrap();
+    assert_eq!(out[(0, 0)], 2f32.powi(-24), "matmul_a_bt");
+}
+
+/// `f32::mul_add` is one instruction only where the build targets hardware
+/// FMA; elsewhere it is a libm call per multiply–accumulate — still the
+/// same bits, an order of magnitude slower.
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[expect(
+    clippy::assertions_on_constants,
+    reason = "a property of the build, reported as a test failure with instructions rather \
+              than as a compile error that takes the file's other tests with it"
+)]
+fn the_build_targets_hardware_fma() {
+    assert!(
+        cfg!(target_feature = "fma"),
+        "built without the `fma` target feature: run cargo from the repository root so that \
+         .cargo/config.toml (target-cpu=native) applies, on a host that has FMA"
+    );
+}
+
 proptest! {
     /// (A·B)·C == A·(B·C) within floating point tolerance.
     #[test]
@@ -237,6 +317,49 @@ proptest! {
         ops::matmul_into(&b, &c, &mut out, &mut ws).unwrap();
         ops::matmul_into(&a, &b, &mut out, &mut ws).unwrap();
         prop_assert_eq!(&out, &reference);
+    }
+
+    /// `matmul_reference` is the naive loop with the fused
+    /// multiply–accumulate, bit for bit.
+    #[test]
+    fn reference_gemm_is_the_scalar_fused_loop((m, k, n) in gemm_dims(), seed in 0u64..1000) {
+        let a = matrix(m, k, seed);
+        let b = matrix(k, n, seed.wrapping_add(5));
+        prop_assert_eq!(bits(&ops::matmul_reference(&a, &b).unwrap()), bits(&naive_gemm(&a, &b, fused)));
+    }
+
+    /// Fusing the accumulate moved no bit of the paper's MX arithmetic: the
+    /// product of two MX-quantised values (mantissa codes of at most 7 bits)
+    /// is exact in `f32`, so the fused sum rounds what the unfused one
+    /// rounds. All four MX GEMMs equal the *unfused* naive accumulate over
+    /// the quantised operands, for operands that are zero or of magnitude in
+    /// [2⁻⁴⁰, 2⁴⁰) — the bound is product underflow, which these stay clear
+    /// of.
+    #[test]
+    fn mx_gemms_equal_the_unfused_accumulate_over_quantised_operands(
+        (m, k, n) in gemm_dims(),
+        a_values in prop::collection::vec(operand(), 9 * 149),
+        b_values in prop::collection::vec(operand(), 149 * 79),
+        (a_exponent, b_exponent) in (-40i32..37, -40i32..37),
+    ) {
+        let a = scaled_matrix(m, k, &a_values, a_exponent);
+        let b = scaled_matrix(k, n, &b_values, b_exponent);
+        let (a_t, b_t) = (ops::transpose(&a), ops::transpose(&b));
+        let mut ws = Workspace::new();
+        let mut out = Matrix::identity(1);
+        for p in [MxPrecision::Mx4, MxPrecision::Mx6, MxPrecision::Mx9] {
+            let qa = quant::quantize_rows(&a, p).unwrap();
+            let qb = quant::quantize_cols(&b, p).unwrap();
+            let reference = bits(&naive_gemm(&qa, &qb, unfused));
+            quant::mx_matmul_into(&a, &b, p, &mut out, &mut ws).unwrap();
+            prop_assert_eq!(&bits(&out), &reference, "mx_matmul_into {:?}", p);
+            quant::mx_matmul_prequant_into(&qa, &b, p, &mut out, &mut ws).unwrap();
+            prop_assert_eq!(&bits(&out), &reference, "mx_matmul_prequant_into {:?}", p);
+            quant::mx_matmul_at_b_into(&a_t, &b, p, &mut out, &mut ws).unwrap();
+            prop_assert_eq!(&bits(&out), &reference, "mx_matmul_at_b_into {:?}", p);
+            quant::mx_matmul_a_bt_into(&a, &b_t, p, &mut out, &mut ws).unwrap();
+            prop_assert_eq!(&bits(&out), &reference, "mx_matmul_a_bt_into {:?}", p);
+        }
     }
 
     /// The fused quantise-and-pack MX GEMM is bit-identical to the unfused

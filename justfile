@@ -1,7 +1,7 @@
 # Development shortcuts mirroring .github/workflows/ci.yml.
 
 # Run the full CI pipeline locally.
-ci: fmt-check clippy lint doc build test
+ci: fmt-check clippy lint doc build test test-kernels
 
 fmt:
     cargo fmt
@@ -34,6 +34,12 @@ build:
 # Tier-1 verify: the whole workspace's tests.
 test:
     cargo test -q
+
+# The kernel crates' tests in the release profile: `just test` runs them
+# unoptimised, where the GEMM register tile is scalar; this compares the
+# vectorised fused-multiply-add tile production runs with the reference.
+test-kernels:
+    cargo test --release -p dacapo-tensor -p dacapo-dnn
 
 # The frozen repo benchmark (`benchmark/`, its own workspace) against this
 # tree: its own tests, then the barrier-heavy workload — share + offload +
