@@ -1,0 +1,475 @@
+//! One accelerator's virtual-time event loop: everything a worker thread
+//! can reach inside a window. Nothing here names the sibling `barrier`
+//! module — the cross-camera stages, and this loop's own barrier-side
+//! methods, live there and are private to it.
+
+use crate::arbiter::{self, GrantRequest, PeerSession};
+use crate::buffer::SampleBlock;
+use crate::config::SimConfig;
+use crate::edge::EdgeAccum;
+use crate::fleet::prefix_camera;
+use crate::session::{report_uplink, Session, SessionEvent, SimObserver, StagedRetrain};
+use crate::sim::{PhaseKind, SimResult};
+use crate::{CoreError, Result};
+use dacapo_dnn::{train_stacked, StackedJob, TrainScratch};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// A heap entry: when a session's next step is due on the cluster clock.
+/// Orders by due time (IEEE total order), ties broken by admission sequence
+/// so the executor is deterministic; the event queue is a
+/// `BinaryHeap<Reverse<Due>>`, earliest first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct Due {
+    at: f64,
+    seq: u64,
+    slot: usize,
+}
+
+impl Eq for Due {}
+
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.at.total_cmp(&other.at).then(self.seq.cmp(&other.seq))
+    }
+}
+
+/// One admitted session's executor state. The session itself is dropped
+/// (converted to its [`SimResult`]) the moment it finishes — or taken when
+/// its camera leaves or migrates — so heap entries may reference slots
+/// whose session is gone; the event loop skips those stale entries.
+pub(super) struct Slot {
+    pub(super) camera_index: usize,
+    pub(super) session: Option<Session>,
+    pub(super) now_s: f64,
+    pub(super) recovering: bool,
+}
+
+/// One entry of an accelerator's admission queue: either a camera that has
+/// not started yet (`session: None`) or a mid-run migrant from a drained
+/// accelerator awaiting resumption.
+pub(super) struct PendingEntry {
+    pub(super) camera_index: usize,
+    pub(super) session: Option<Box<Session>>,
+    pub(super) recovering: bool,
+    /// The drain event's scheduled time, for migrants: the time from there
+    /// to resumption counts toward
+    /// [`ChurnMetrics::migration_stall_s`](super::ChurnMetrics::migration_stall_s).
+    pub(super) drain_at_s: Option<f64>,
+}
+
+impl PendingEntry {
+    /// A camera that has not run yet.
+    pub(super) fn fresh(camera_index: usize) -> Self {
+        Self { camera_index, session: None, recovering: false, drain_at_s: None }
+    }
+}
+
+/// What one accelerator's event loop produced.
+#[derive(Default)]
+pub(super) struct AccelOutcome {
+    /// `(camera index, result)` for every camera that ran here.
+    pub(super) results: Vec<(usize, SimResult)>,
+    /// Stretch factor of every arbitrated (label/retrain) step.
+    pub(super) stretches: Vec<f64>,
+    /// Total phases executed (including waits).
+    pub(super) steps: usize,
+    /// Arbitrated session-seconds executed (the accelerator's busy time).
+    pub(super) busy_s: f64,
+    /// Cluster time at which the last resident finished.
+    pub(super) makespan_s: f64,
+    /// Peak event-heap depth.
+    pub(super) peak_depth: usize,
+    /// Cameras that waited in the admission queue.
+    pub(super) queued: usize,
+    /// Virtual seconds queued migrants stalled here before resuming.
+    pub(super) stall_s: f64,
+    /// Edge-tier counters of every session finalised on this accelerator.
+    pub(super) edge: EdgeAccum,
+}
+
+/// One accelerator's re-entrant virtual-time event loop, advanced in
+/// window-bounded increments by [`AccelLoop::run_until`] (state persisting
+/// across barriers); an unbounded window runs it to completion in one call.
+pub(super) struct AccelLoop<'a> {
+    pub(super) accel: usize,
+    cameras: &'a [(String, SimConfig)],
+    arbiter: Box<dyn arbiter::Arbiter>,
+    record_labels: bool,
+    /// Resident-session bound (`usize::MAX` when unbounded).
+    pub(super) capacity: usize,
+    /// Whether this accelerator has been drained by a churn event; drained
+    /// loops accept no further work.
+    pub(super) drained: bool,
+    /// The initial residents, admitted at cluster time 0 when the loop is
+    /// first advanced — inside the worker, so session construction is as
+    /// parallel as stepping and a loop nobody has advanced yet holds no
+    /// sessions. They count as live from the start.
+    initial: Vec<usize>,
+    pub(super) pending: VecDeque<PendingEntry>,
+    pub(super) slots: Vec<Slot>,
+    pub(super) heap: BinaryHeap<Reverse<Due>>,
+    /// Slot indices of the currently resident (unfinished) sessions, in
+    /// admission order; a slot's index doubles as its admission index.
+    pub(super) active: Vec<usize>,
+    seq: u64,
+    pub(super) outcome: AccelOutcome,
+    /// `(camera index, batch)` of freshly teacher-labeled samples collected
+    /// since the barrier last took them.
+    pub(super) exports: Vec<(usize, SampleBlock)>,
+    /// Whether co-resident retraining phases are batched into one stacked
+    /// dispatch at each window's start
+    /// ([`Cluster::batch_retraining`](super::Cluster::batch_retraining)).
+    batch: bool,
+    /// The stacked dispatch's shared scratch arena, reused across windows.
+    batch_scratch: TrainScratch,
+    /// Reusable peer-summary buffer for arbitration requests, refilled per
+    /// arbitrated step instead of allocated.
+    residents: Vec<PeerSession>,
+}
+
+impl<'a> AccelLoop<'a> {
+    /// Creates the loop with its assigned cameras split at the capacity
+    /// bound into initial residents and the admission queue. No session
+    /// exists until the loop is first advanced.
+    pub(super) fn new(
+        accel: usize,
+        assigned: &[usize],
+        cameras: &'a [(String, SimConfig)],
+        arbiter_name: &str,
+        capacity: Option<usize>,
+        record_labels: bool,
+        batch: bool,
+    ) -> Result<Self> {
+        let capacity = capacity.unwrap_or(usize::MAX);
+        let (initial, queued) = assigned.split_at(assigned.len().min(capacity));
+        Ok(Self {
+            accel,
+            cameras,
+            arbiter: arbiter::create(arbiter_name)?,
+            record_labels,
+            capacity,
+            drained: false,
+            initial: initial.to_vec(),
+            pending: queued.iter().map(|&index| PendingEntry::fresh(index)).collect(),
+            slots: Vec::with_capacity(initial.len()),
+            heap: BinaryHeap::new(),
+            active: Vec::new(),
+            seq: 0,
+            outcome: AccelOutcome {
+                results: Vec::with_capacity(assigned.len()),
+                queued: queued.len(),
+                ..AccelOutcome::default()
+            },
+            exports: Vec::new(),
+            batch,
+            batch_scratch: TrainScratch::new(),
+            residents: Vec::new(),
+        })
+    }
+
+    /// Whether every assigned session has finished.
+    pub(super) fn is_done(&self) -> bool {
+        self.heap.is_empty() && self.initial.is_empty()
+    }
+
+    /// Number of currently resident (live) sessions.
+    pub(super) fn live_count(&self) -> usize {
+        self.active.len() + self.initial.len()
+    }
+
+    /// Load figure for deterministic placement decisions: live residents
+    /// plus queued cameras.
+    pub(super) fn load(&self) -> usize {
+        self.live_count() + self.pending.len()
+    }
+
+    /// Cluster time of this loop's next due event, if any remains.
+    pub(super) fn next_due_s(&self) -> Option<f64> {
+        if self.initial.is_empty() {
+            self.heap.peek().map(|Reverse(due)| due.at)
+        } else {
+            Some(0.0)
+        }
+    }
+
+    /// Pre-executes, at a window's start, the first phase of every resident
+    /// session due inside the window, batching the retraining phases among
+    /// them into **one** stacked GEMM dispatch ([`train_stacked`]) that
+    /// shares a single scratch arena across the co-resident networks.
+    ///
+    /// Bit-identity with unstaged execution holds because nothing outside a
+    /// session touches it between barriers (the module's barrier
+    /// discipline), each session's numeric work is independent of its
+    /// peers', and the produced events stay queued inside the session until
+    /// the event loop pops them at the exact time — and in the exact order —
+    /// it would have executed them (property-tested batched ≡ unbatched).
+    /// Only sessions whose next pop lands inside this window are staged;
+    /// staging a later-window phase would leak state past a barrier.
+    fn stage_window(&mut self, stop_at_s: f64) -> Result<()> {
+        let mut staged: Vec<(usize, StagedRetrain)> = Vec::new();
+        for &slot_index in &self.active {
+            let slot = &mut self.slots[slot_index];
+            if slot.now_s >= stop_at_s {
+                continue;
+            }
+            let Some(session) = slot.session.as_mut() else { continue };
+            let camera_name = &self.cameras[slot.camera_index].0;
+            if let Some(retrain) =
+                session.stage_phase().map_err(|e| prefix_camera(camera_name, e))?
+            {
+                staged.push((slot_index, retrain));
+            }
+        }
+        if staged.is_empty() {
+            return Ok(());
+        }
+        staged.sort_by_key(|&(slot_index, _)| slot_index);
+        let mut jobs: Vec<StackedJob<'_>> = Vec::with_capacity(staged.len());
+        {
+            let mut wanted = staged.iter();
+            let mut next = wanted.next();
+            for (index, slot) in self.slots.iter_mut().enumerate() {
+                let Some(&(slot_index, ref retrain)) = next else { break };
+                if slot_index != index {
+                    continue;
+                }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "only slots with a live session were staged a few lines up, and \
+                              nothing drops sessions in between"
+                )]
+                let session = slot.session.as_mut().expect("staged slots hold live sessions");
+                let (net, learning_rate, batch_size, buffer) = session.stacked_parts();
+                let (rows, labels) = buffer.gather(&retrain.train);
+                jobs.push(StackedJob {
+                    net,
+                    rows,
+                    labels,
+                    epochs: retrain.epochs,
+                    batch_size,
+                    learning_rate,
+                });
+                next = wanted.next();
+            }
+        }
+        train_stacked(&mut jobs, &mut self.batch_scratch).map_err(CoreError::from)?;
+        drop(jobs);
+        for (slot_index, retrain) in staged {
+            let slot = &mut self.slots[slot_index];
+            let camera_name = &self.cameras[slot.camera_index].0;
+            #[expect(
+                clippy::expect_used,
+                reason = "same invariant as the job-building walk above"
+            )]
+            slot.session
+                .as_mut()
+                .expect("staged slots hold live sessions")
+                .finish_staged_retrain(retrain)
+                .map_err(|e| prefix_camera(camera_name, e))?;
+        }
+        Ok(())
+    }
+
+    /// Pops and executes events due strictly before `stop_at_s` (every
+    /// remaining event when it is +∞), forwarding each step's burst to the
+    /// observer if one is given. The first call admits the initial
+    /// residents; loop state persists, so the next call resumes exactly
+    /// where this one stopped.
+    pub(super) fn run_until(
+        &mut self,
+        stop_at_s: f64,
+        mut observer: Option<&mut (dyn SimObserver + '_)>,
+    ) -> Result<()> {
+        for camera_index in std::mem::take(&mut self.initial) {
+            self.admit(PendingEntry::fresh(camera_index), 0.0)?;
+        }
+        if self.batch {
+            self.stage_window(stop_at_s)?;
+        }
+        while let Some(&Reverse(due)) = self.heap.peek() {
+            if due.at >= stop_at_s {
+                break;
+            }
+            self.heap.pop();
+            let slot = &mut self.slots[due.slot];
+            // A slot without a session is a stale entry: its camera left or
+            // migrated away at a churn barrier after the entry was queued.
+            let Some(session) = slot.session.as_mut() else { continue };
+            let camera_index = slot.camera_index;
+            let camera_name = &self.cameras[camera_index].0;
+            // A staged phase already shipped its uplink bytes at the
+            // window's start; its parked baseline (consumed here either
+            // way, so it never outlives its burst) replaces the live meter
+            // read, keeping the observer's delta identical to an unstaged
+            // run.
+            let staged_baseline = session.take_staged_uplink_baseline();
+            let uplink_before = if observer.is_some() {
+                staged_baseline.or_else(|| session.uplink_meter())
+            } else {
+                None
+            };
+            let events = session.step_phase().map_err(|e| prefix_camera(camera_name, e))?;
+
+            // A drift response entering this step marks the session as
+            // recovering *before* arbitration, so drift-aware arbiters can
+            // boost the response itself; the recovery ends once a retraining
+            // phase completes (checked after the grant below).
+            if events.iter().any(|e| matches!(e, SessionEvent::Drift { .. })) {
+                slot.recovering = true;
+            }
+            let phase = events.iter().rev().find_map(|event| match event {
+                SessionEvent::Phase(p) => Some(*p),
+                _ => None,
+            });
+
+            match phase {
+                Some(phase) => {
+                    self.outcome.steps += 1;
+                    // A cloud-offloaded labeling phase consumed no local
+                    // accelerator compute — the uplink already charged its
+                    // bytes and latency — so, like a wait, it passes through
+                    // unarbitrated and unstretched.
+                    let offloaded =
+                        phase.kind == PhaseKind::Label && session.last_phase_offloaded();
+                    if self.record_labels && phase.kind == PhaseKind::Label {
+                        let fresh = session.take_fresh_labels();
+                        if !fresh.is_empty() {
+                            self.exports.push((camera_index, fresh));
+                        }
+                    }
+                    let arbitrated =
+                        !offloaded && matches!(phase.kind, PhaseKind::Label | PhaseKind::Retrain);
+                    let stretch = if arbitrated {
+                        self.residents.clear();
+                        for &slot in &self.active {
+                            self.residents.push(PeerSession {
+                                camera_index: self.slots[slot].camera_index,
+                                admission_index: slot,
+                                recovering: self.slots[slot].recovering,
+                            });
+                        }
+                        let share = self.arbiter.grant(&GrantRequest {
+                            now_s: due.at,
+                            accelerator: self.accel,
+                            camera: camera_name,
+                            camera_index,
+                            admission_index: due.slot,
+                            recovering: self.slots[due.slot].recovering,
+                            residents: &self.residents,
+                        });
+                        // A share too small to invert would park the session
+                        // at +∞ on the cluster clock, which no window reaches.
+                        if !(share > 0.0 && share <= 1.0 && (1.0 / share).is_finite()) {
+                            return Err(CoreError::InvalidConfig {
+                                reason: format!(
+                                    "arbiter '{}' granted an invalid capacity share ({share}) to \
+                                     camera '{camera_name}'; shares must lie in (0, 1]",
+                                    self.arbiter.name()
+                                ),
+                            });
+                        }
+                        self.outcome.busy_s += phase.duration_s;
+                        let stretch = 1.0 / share;
+                        self.outcome.stretches.push(stretch);
+                        stretch
+                    } else {
+                        // Waits consume no accelerator compute, so they pass
+                        // through unstretched and unarbitrated.
+                        1.0
+                    };
+                    let slot = &mut self.slots[due.slot];
+                    if phase.kind == PhaseKind::Retrain {
+                        slot.recovering = false;
+                    }
+                    slot.now_s += phase.duration_s * stretch;
+                    self.heap.push(Reverse(Due { at: slot.now_s, seq: self.seq, slot: due.slot }));
+                    self.seq += 1;
+                    self.outcome.peak_depth = self.outcome.peak_depth.max(self.heap.len());
+                }
+                None => {
+                    // The session finished (the burst ended with `Finished`,
+                    // possibly after trailing accuracy flushes): collect its
+                    // result now and drop the session so finished cameras
+                    // never accumulate live model state.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the stale-entry check above saw this slot's session, and \
+                                  only this branch removes it"
+                    )]
+                    let session = slot.session.take().expect("presence checked on pop");
+                    let at = slot.now_s;
+                    if let Some(accum) = session.edge_accum() {
+                        self.outcome.edge.merge(&accum);
+                    }
+                    self.outcome.results.push((camera_index, session.into_result()));
+                    self.active.retain(|&slot| slot != due.slot);
+                    self.outcome.makespan_s = self.outcome.makespan_s.max(at);
+                    self.start_next_pending(at)?;
+                }
+            }
+            if let Some(observer) = observer.as_deref_mut() {
+                observer.on_step_context(camera_name, camera_index, self.accel);
+                let slot = &self.slots[due.slot];
+                let uplink_after = slot.session.as_ref().and_then(Session::uplink_meter);
+                report_uplink(observer, camera_name, slot.now_s, uplink_before, uplink_after);
+                for event in &events {
+                    event.dispatch(observer);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Enters `entry`'s camera into this accelerator's event loop at cluster
+    /// time `at`: a camera that has not run yet gets its session built here,
+    /// a migrant resumes the one it carries — the resumption half of a
+    /// snapshot migration. Returns the migrant's stall (drain to
+    /// resumption), `0` for everyone else.
+    pub(super) fn admit(&mut self, entry: PendingEntry, at: f64) -> Result<f64> {
+        let (name, config) = &self.cameras[entry.camera_index];
+        let mut session = match entry.session {
+            Some(session) => *session,
+            None => Session::new(config.clone()).map_err(|e| prefix_camera(name, e))?,
+        };
+        session.set_record_labels(self.record_labels);
+        self.slots.push(Slot {
+            camera_index: entry.camera_index,
+            session: Some(session),
+            now_s: at,
+            recovering: entry.recovering,
+        });
+        let slot = self.slots.len() - 1;
+        self.heap.push(Reverse(Due { at, seq: self.seq, slot }));
+        self.active.push(slot);
+        self.seq += 1;
+        self.outcome.peak_depth = self.outcome.peak_depth.max(self.heap.len());
+        Ok(entry.drain_at_s.map_or(0.0, |drain_at_s| (at - drain_at_s).max(0.0)))
+    }
+
+    /// Starts the next queued camera (or resumes a queued migrant) at
+    /// cluster time `at`, if any is waiting.
+    pub(super) fn start_next_pending(&mut self, at: f64) -> Result<()> {
+        if let Some(next) = self.pending.pop_front() {
+            self.outcome.stall_s += self.admit(next, at)?;
+        }
+        Ok(())
+    }
+
+    /// Finalises the loop into its outcome (call only once drained).
+    pub(super) fn into_outcome(mut self) -> AccelOutcome {
+        debug_assert!(self.heap.is_empty(), "outcomes are collected only after the loop drained");
+        debug_assert!(
+            self.active.is_empty(),
+            "the event loop drains only when every session finished"
+        );
+        self.outcome.results.sort_by_key(|(camera_index, _)| *camera_index);
+        self.outcome
+    }
+}

@@ -42,6 +42,12 @@ pub enum ParamNames {
 impl<F: ?Sized> Registry<F> {
     /// Creates a registry seeded with builtin factories. Seeding bypasses
     /// the reserved-name check — that is how reserved builtins get in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a reserved name is not among the seeded factories: a
+    /// reserved list that drifted from the builtins would protect a name
+    /// nothing answers to.
     pub fn new(
         what: &'static str,
         params: ParamNames,
@@ -51,6 +57,12 @@ impl<F: ?Sized> Registry<F> {
         let mut factories = BTreeMap::new();
         for (name, factory) in seed {
             factories.insert(name.to_lowercase(), factory);
+        }
+        for name in reserved {
+            assert!(
+                factories.contains_key(*name),
+                "{what} name '{name}' is reserved but no builtin is seeded under it"
+            );
         }
         Self { what, params, reserved, factories: RwLock::new(factories) }
     }
@@ -171,6 +183,13 @@ mod tests {
     #[should_panic(expected = "reserved")]
     fn reserved_names_cannot_be_reclaimed() {
         registry().register("builtin", Arc::new(N(3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved but no builtin")]
+    fn reserved_names_must_be_seeded() {
+        let _: Registry<dyn Named> =
+            Registry::new("test factory", ParamNames::Split, &["builtin"], Vec::new());
     }
 
     #[test]

@@ -79,7 +79,9 @@ impl SessionEvent {
     /// through its typed hook. The one dispatch every observed execution
     /// shares ([`Session::run_with`] and the cluster executor); the match
     /// is exhaustive on purpose, so adding a variant is a compile error
-    /// here until its dispatch is decided.
+    /// here until its dispatch is decided — and the two denied lints keep a
+    /// `_` arm from ever standing in for one variant or for several.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub(crate) fn dispatch(&self, observer: &mut dyn SimObserver) {
         observer.on_event(self);
         match self {
@@ -1796,19 +1798,24 @@ mod tests {
         }
     }
 
-    /// Rewrites the layer list of the snapshot's serialised student (its
-    /// fields are private, as a hostile file's are not).
-    fn edit_student_layers(snapshot: &mut SessionSnapshot, edit: impl FnOnce(&mut Vec<Value>)) {
+    /// Decodes `snapshot`'s JSON with the layer list of its student
+    /// rewritten — how a hostile file arrives: an `Mlp` in memory cannot be
+    /// mis-shaped, so the edit has to ride the serialised form.
+    fn with_student_layers(
+        snapshot: &SessionSnapshot,
+        edit: impl FnOnce(&mut Vec<Value>),
+    ) -> Result<SessionSnapshot> {
         fn field<'v>(value: &'v mut Value, key: &str) -> &'v mut Value {
             let Value::Object(entries) = value else { panic!("{key}'s parent is an object") };
             &mut entries.iter_mut().find(|(k, _)| k == key).expect("the field exists").1
         }
-        let mut student = snapshot.student.to_value();
-        let Value::Array(layers) = field(field(&mut student, "network"), "layers") else {
+        let mut tree = snapshot.to_value();
+        let Value::Array(layers) = field(field(field(&mut tree, "student"), "network"), "layers")
+        else {
             panic!("layers is an array")
         };
         edit(layers);
-        snapshot.student = StudentModel::from_value(&student).unwrap();
+        SessionSnapshot::from_json(&serde_json::to_string(&tree).unwrap())
     }
 
     #[test]
@@ -1825,14 +1832,6 @@ mod tests {
             ("phase start", |s| s.phases[0].start_s = f64::INFINITY),
             ("phase duration", |s| s.phases.last_mut().unwrap().duration_s = f64::NAN),
             ("feature_dim vs student", |s| s.config.stream.feature_dim += 1),
-            ("student without layers", |s| edit_student_layers(s, Vec::clear)),
-            ("student missing a layer", |s| {
-                edit_student_layers(s, |layers| drop(layers.remove(1)))
-            }),
-            ("student weight width", |s| {
-                let wide = Dense::new(s.config.stream.feature_dim, 65, Activation::Relu, 0);
-                edit_student_layers(s, |layers| layers[0] = wide.unwrap().to_value());
-            }),
             ("buffer capacity", |s| s.buffer = SampleBuffer::new(s.buffer.capacity() + 1)),
             ("buffer row width", |s| {
                 let wide = vec![0.0; s.config.stream.feature_dim + 1];
@@ -1866,6 +1865,22 @@ mod tests {
                 mutate(&mut hostile);
                 assert_unrestorable(Ok(hostile), what);
             }
+        }
+        for snapshot in [&plain, &edged] {
+            assert_unrestorable(
+                with_student_layers(snapshot, Vec::clear),
+                "student without layers",
+            );
+            assert_unrestorable(
+                with_student_layers(snapshot, |layers| drop(layers.remove(1))),
+                "student missing a layer",
+            );
+            let wide = Dense::new(snapshot.config.stream.feature_dim, 65, Activation::Relu, 0);
+            assert_unrestorable(
+                with_student_layers(snapshot, |layers| layers[0] = wide.unwrap().to_value()),
+                "student weight width",
+            );
+            assert!(with_student_layers(snapshot, |_| {}).and_then(Session::restore).is_ok());
         }
         let mut hostile = plain.clone();
         hostile.edge = edged.edge.clone();

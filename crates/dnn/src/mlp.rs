@@ -6,7 +6,7 @@ use crate::layer::{Activation, Dense};
 use crate::{loss, DnnError, Result};
 use dacapo_mx::MxPrecision;
 use dacapo_tensor::{ops, Matrix};
-use serde::{Deserialize, Serialize};
+use serde::{de, DeError, Deserialize, Serialize, Value};
 
 /// Arithmetic mode a pass executes in.
 ///
@@ -108,10 +108,24 @@ pub struct TrainReport {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
     config: MlpConfig,
+}
+
+/// Deserialises through [`Mlp::validate`], so a decoded network holds what a
+/// built one does — a layer per configured width, each of the shape the
+/// kernels will index it by.
+impl Deserialize for Mlp {
+    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
+        let net = Self {
+            layers: de::field(value, "Mlp", "layers")?,
+            config: de::field(value, "Mlp", "config")?,
+        };
+        net.validate().map_err(|e| DeError::new(format!("Mlp: {e}")))?;
+        Ok(net)
+    }
 }
 
 impl Mlp {
@@ -156,9 +170,8 @@ impl Mlp {
     /// Checks that the layers realise the configuration: one layer per
     /// hidden width plus the output layer, layer `i` a `previous × width`
     /// weight matrix with a `1 × width` bias along `input_dim → hidden… →
-    /// num_classes`. [`Mlp::new`] builds exactly that; a deserialised
-    /// network is whatever its bytes said, and the kernels index by these
-    /// shapes.
+    /// num_classes`. [`Mlp::new`] builds exactly that, decoding an `Mlp`
+    /// ends in this check, and the kernels index by these shapes.
     ///
     /// # Errors
     ///
@@ -412,10 +425,12 @@ mod tests {
 
     #[test]
     fn validate_accepts_built_networks_and_names_the_layer_that_does_not_fit() {
+        use serde::Serialize as _;
         let config = MlpConfig { hidden: vec![16, 8], ..fp32_config(10, 3) };
         let net = Mlp::new(config).unwrap();
         net.validate().unwrap();
         Mlp::new(MlpConfig { hidden: vec![], ..fp32_config(10, 3) }).unwrap().validate().unwrap();
+        assert_eq!(Mlp::from_value(&net.to_value()).unwrap(), net);
 
         type Misfit = (&'static str, fn(&mut Mlp));
         let misfits: [Misfit; 5] = [
@@ -434,6 +449,10 @@ mod tests {
                 }
                 other => panic!("{names}: expected InvalidConfig, got {other:?}"),
             }
+            // Decoding ends in the same check: the misfit, serialised, is a
+            // `DeError` naming the layer, not a network that panics later.
+            let err: DeError = Mlp::from_value(&broken.to_value()).unwrap_err();
+            assert!(err.to_string().contains(names), "{err}");
         }
     }
 

@@ -336,8 +336,9 @@ impl TelemetryRecorder {
 impl SimObserver for TelemetryRecorder {
     // Deliberate no-op: every event kind already reaches the recorder
     // through its typed hook below, so counting here would double-record.
-    // Defined (rather than defaulted) so the exhaustiveness lint keeps
-    // this impl on its full-coverage contract.
+    // Defined (rather than defaulted) because this impl overrides every
+    // `SimObserver` hook, which `tests/source_invariants.rs`
+    // (`the_recorder_overrides_every_observer_hook`) checks by name.
     fn on_event(&mut self, _event: &dacapo_core::SessionEvent) {}
 
     fn on_phase(&mut self, phase: &PhaseRecord) {

@@ -1,7 +1,7 @@
 # Development shortcuts mirroring .github/workflows/ci.yml.
 
 # Run the full CI pipeline locally.
-ci: fmt-check clippy lint doc build test test-kernels
+ci: fmt-check clippy doc build test test-kernels
 
 fmt:
     cargo fmt
@@ -11,18 +11,6 @@ fmt-check:
 
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
-
-# The workspace invariant checker: registry hygiene, event/hook
-# exhaustiveness, barrier discipline (see README "Static analysis";
-# panic-freedom, determinism and error docs are `just clippy`). Extra
-# flags pass through, e.g. `just lint --rule barrier --format sarif`.
-lint *ARGS:
-    cargo run -p dacapo-lint -- {{ARGS}}
-
-# Dry-run unified diffs for the mechanical findings (stale annotations,
-# missing `barrier-only` markers). Nothing is written.
-lint-fix:
-    cargo run -p dacapo-lint -- --fix
 
 # API docs with broken intra-doc links treated as errors.
 doc:

@@ -8,7 +8,8 @@
 //!
 //! Unlike the real crate there is **no shrinking** and no persisted failure
 //! seeds: each test runs `cases` deterministic samples drawn from an RNG
-//! seeded by the test's name, so failures reproduce exactly across runs.
+//! seeded by the test's name, so failures reproduce exactly across runs, and
+//! a failing test prints which case it was (`test_runner::CaseGuard`).
 
 #![forbid(unsafe_code)]
 
@@ -55,7 +56,11 @@ macro_rules! proptest {
                 let config: $crate::test_runner::ProptestConfig = $config;
                 let mut rng = $crate::test_runner::TestRng::from_name(stringify!($name));
                 for case in 0..config.cases {
-                    let _ = case;
+                    let _guard = $crate::test_runner::CaseGuard {
+                        test: stringify!($name),
+                        case,
+                        cases: config.cases,
+                    };
                     $(let $arg = $crate::strategy::Strategy::sample(&($strat), &mut rng);)*
                     $body
                 }

@@ -1,5 +1,7 @@
 //! Test configuration and the deterministic RNG driving sample generation.
 
+use std::io::Write as _;
+
 /// Configuration for one `proptest!` test, mirroring
 /// `proptest::test_runner::Config`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +21,34 @@ impl ProptestConfig {
 impl Default for ProptestConfig {
     fn default() -> Self {
         Self { cases: 32 }
+    }
+}
+
+/// Held across one sampled case of a `proptest!` test: if the case's body
+/// panics, dropping the guard says which case it was — the assertion alone
+/// does not, and with no shrinking the case number is the whole repro.
+#[derive(Debug)]
+pub struct CaseGuard {
+    /// The test function's name.
+    pub test: &'static str,
+    /// The running case, counted from 0.
+    pub case: u32,
+    /// How many cases the test runs.
+    pub cases: u32,
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // A failed write must not panic inside an unwind.
+            let _ = writeln!(
+                std::io::stderr(),
+                "{}: failed at case {} of {} (cases are a pure function of the test name)",
+                self.test,
+                self.case,
+                self.cases
+            );
+        }
     }
 }
 

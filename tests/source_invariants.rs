@@ -1,0 +1,98 @@
+//! Two invariants that live in source text rather than in types, checked
+//! over the live code: every name a registry ships is documented where
+//! users look for it, and the telemetry recorder overrides every observer
+//! hook. (A `SessionEvent` variant without a dispatch arm is a compile
+//! error, and a `_` arm there a clippy error — see `SessionEvent::dispatch`.)
+
+use dacapo::core::{arbiter, edge, platform, sched, share};
+use dacapo::telemetry::sink;
+use std::collections::BTreeSet;
+
+const README: &str = include_str!("../README.md");
+
+/// The text of a source file under `crates/`.
+macro_rules! src {
+    ($path:literal) => {
+        include_str!(concat!("../crates/", $path))
+    };
+}
+
+/// Whether `text` mentions `name` as a word of its own (`"broadcast"`,
+/// `budget:<bytes>`), not inside a longer name.
+fn mentions(text: &str, name: &str) -> bool {
+    let part_of_a_name = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+    text.match_indices(name).any(|(at, _)| {
+        !text[..at].ends_with(part_of_a_name)
+            && !text[at + name.len()..].starts_with(part_of_a_name)
+    })
+}
+
+/// The `//` comment lines of a source file, lower-cased.
+fn comment_lines(source: &str) -> Vec<String> {
+    let comments = source.lines().map(str::trim_start).filter(|line| line.starts_with("//"));
+    comments.map(str::to_lowercase).collect()
+}
+
+#[test]
+fn every_registry_builtin_is_documented_in_its_module_and_in_the_readme() {
+    // Family, its live names, the module that seeds it, its reserved names.
+    // Nothing in this test binary registers a plugin, so the names are the
+    // builtins.
+    let families: [(&str, Vec<String>, &str, &[&str]); 7] = [
+        ("scheduler", sched::registered_names(), src!("core/src/sched.rs"), &[]),
+        ("platform", platform::registered_names(), src!("core/src/platform.rs"), &[]),
+        ("arbiter", arbiter::registered_names(), src!("core/src/arbiter.rs"), &[]),
+        ("share", share::registered_names(), src!("core/src/share.rs"), &["none"]),
+        ("offload", edge::registered_offload_policies(), src!("core/src/edge.rs"), &["local-only"]),
+        ("uplink", edge::registered_uplinks(), src!("core/src/edge.rs"), &[]),
+        ("sink", sink::registered_names(), src!("telemetry/src/sink.rs"), &["null"]),
+    ];
+    let readme = README.to_lowercase();
+    let mut builtins = 0;
+    for (family, names, source, reserved) in families {
+        let comments = comment_lines(source);
+        for name in &names {
+            builtins += 1;
+            assert!(
+                comments.iter().any(|line| mentions(line, name)),
+                "{family} builtin '{name}' is not mentioned in its module's comments"
+            );
+            assert!(mentions(&readme, name), "{family} builtin '{name}' is not in README.md");
+        }
+        for name in reserved {
+            assert!(names.iter().any(|n| n == name), "reserved {family} '{name}' is not seeded");
+            assert!(
+                comments.iter().any(|line| line.contains("reserved") && mentions(line, name)),
+                "no comment in the {family} module calls '{name}' reserved"
+            );
+        }
+    }
+    // An anchor: a registry that stopped listing its builtins checks nothing.
+    assert!(builtins >= 29, "only {builtins} builtins found across the seven registries");
+}
+
+/// The `fn on_*` names inside the item that opens with `header` and closes
+/// with a brace at column 0.
+fn hooks<'s>(source: &'s str, header: &str) -> BTreeSet<&'s str> {
+    let after = source.split_once(header).expect(header).1;
+    let body = after.split_once("\n}\n").expect("the item closes at column 0").0;
+    body.lines()
+        .filter_map(|line| line.trim_start().strip_prefix("fn "))
+        .filter(|rest| rest.starts_with("on_"))
+        .map(|rest| rest.split_once('(').map_or(rest, |(name, _)| name))
+        .collect()
+}
+
+#[test]
+fn the_recorder_overrides_every_observer_hook() {
+    let declared = hooks(src!("core/src/session.rs"), "pub trait SimObserver {");
+    let overridden =
+        hooks(src!("telemetry/src/recorder.rs"), "impl SimObserver for TelemetryRecorder {");
+    // An anchor: a renamed trait or a moved impl must not make this vacuous.
+    assert!(declared.len() >= 16, "only {} SimObserver hooks found", declared.len());
+    let missing: Vec<_> = declared.difference(&overridden).collect();
+    assert!(
+        missing.is_empty(),
+        "TelemetryRecorder leaves {missing:?} to SimObserver's no-op default"
+    );
+}
