@@ -1,21 +1,29 @@
 //! The integer MX conversion kernel: `f32` bit patterns in, quantised `f32`
 //! bit patterns out.
 //!
-//! The per-lane arithmetic ([`code`], [`value`]) is integer shifts, masks and
-//! one exact multiply, with no data-dependent branch, so the loops the two
-//! drivers run over it compile to vector instructions. The lanes of a pass
-//! are adjacent elements when quantising along a slice ([`quantize_run`]),
-//! or neighbouring columns when quantising down the rows of a matrix
-//! ([`quantize_down`]); only how the shared and subgroup exponents are
-//! gathered differs. (The loops run over slices of run-time length on
-//! purpose: over fixed sixteen-element arrays the compiler unrolls first and
-//! then fails to re-vectorise.) See the [crate docs](crate#the-integer-algorithm) for
-//! the algorithm and why it is exact.
+//! A fake-quantised value is the input's own bit pattern with its low
+//! fraction bits rounded away, so a lane never leaves the integer domain
+//! ([`requantize`]): no mantissa code is formed, converted to a float and
+//! scaled back. [`code`] and [`value`], the two halves of that round trip,
+//! stay for [`MxBlock`](crate::MxBlock), which stores codes, and as the
+//! reference `requantize` is tested against. Nothing per lane branches on
+//! data, so the loops the two drivers run compile to vector instructions.
+//!
+//! Both drivers work on a subgroup at a time — two lanes, one effective
+//! exponent ([`requantize_pair`]) — and differ in where a subgroup's lanes
+//! and its block's shared exponent come from: adjacent elements of a slice
+//! and a maximum per sixteen of them ([`quantize_run`]), or two rows of a
+//! matrix and a maximum down each column ([`quantize_down`]). (The loops run
+//! over slices of run-time length on purpose: over fixed sixteen-element
+//! arrays the compiler unrolls first and then fails to re-vectorise.) See the
+//! [crate docs](crate#the-integer-algorithm) for the algorithm and why it is
+//! exact.
 
-use crate::{MxPrecision, RoundingMode, BLOCK_SIZE, SUBGROUP_SIZE};
+use crate::{MxPrecision, RoundingMode, BLOCK_SIZE, SUBGROUP_COUNT, SUBGROUP_SIZE};
 
 /// Lanes the drivers below work on per pass: a whole number of blocks, small
-/// enough that the per-lane exponents stay in registers or L1.
+/// enough that the shared exponents gathered for them stay in registers or
+/// L1.
 pub(crate) const CHUNK: usize = 4 * BLOCK_SIZE;
 
 const SIGN: u32 = 0x8000_0000;
@@ -102,45 +110,62 @@ pub(crate) fn sign(bits: u32, shared: u32) -> u32 {
     bits & SIGN & mask(shared != 0)
 }
 
-/// The encode → decode round trip of one lane.
+/// The encode → decode round trip of one lane, `value(sign, code(..), ..)`
+/// without the trip: the magnitude bits of the input, rounded in place.
+///
+/// One code unit is `2^shift` units of the 24-bit significand, so for
+/// `shift ≤ 23` the quantised magnitude is the input's own bit pattern with
+/// half a unit added and its low `shift` fraction bits cleared. A carry out
+/// of the fraction lands in the exponent field, which is the next power of
+/// two's bit pattern. At `shift = 24` (one unit is twice the lane's power of
+/// two) nearest rounding gives exactly one unit, `2^(e + 1 − 127)`: the same
+/// add-and-clear with the fraction as the whole mask. Truncation there, and
+/// either mode from `25` up, gives zero. The clamp is an integer `min`
+/// against the bits of `max_code` units, non-negative floats being ordered
+/// as their bit patterns are. A non-zero output keeps an exponent field of
+/// at least the input's `e ≥ 1`, so it is never subnormal.
 #[inline(always)]
 fn requantize(bits: u32, eff: u32, shared: u32, format: Format) -> f32 {
-    value(sign(bits, shared), code(bits, eff, format), eff, format.mant_bits)
+    let e = exponent(bits);
+    // `eff >= e` within a block, so at least `24 - mant_bits`; from 25 up
+    // the lane is zeroed and the two clamps only keep the shifts in the word.
+    let shift = 24 + eff - e - format.mant_bits;
+    let half = format.round << (shift - 1).min(31);
+    let rounded = ((bits & !SIGN) + half) & (u32::MAX << shift.min(23));
+    let top = (eff << 23) | ((format.max_code >> 1) << (24 - format.mant_bits));
+    let kept = mask((shift < 24 + format.round) & (e != 0));
+    f32::from_bits(sign(bits, shared) | (rounded.min(top) & kept))
 }
 
-/// Quantises up to [`CHUNK`] adjacent values — whole blocks, the last one
-/// possibly short — into `out` (same length). Returns `false`, leaving `out`
-/// unspecified, if a value is NaN or infinite.
+/// One subgroup through [`requantize`]: two lanes of a block whose shared
+/// exponent is `shared`, at the effective exponent their own maximum sets.
+#[inline(always)]
+fn requantize_pair(a: u32, b: u32, shared: u32, format: Format) -> (f32, f32) {
+    let eff = effective(exponent(a).max(exponent(b)), shared);
+    (requantize(a, eff, shared, format), requantize(b, eff, shared, format))
+}
+
+/// Quantises up to [`CHUNK`] adjacent values — whole blocks: the caller pads
+/// a short one with zeros — into `out` (same length). Returns `false`,
+/// leaving `out` unspecified, if a value is NaN or infinite.
 #[inline]
 pub(crate) fn quantize_run(values: &[f32], format: Format, out: &mut [f32]) -> bool {
-    // Lane `i`'s exponent sits at `e[i + 1]`, so every lane has a neighbour
-    // on either side; lanes past `values.len()` stay zero: padding.
-    let mut e = [0; CHUNK + 2];
-    for (e, v) in e[1..=CHUNK].iter_mut().zip(values) {
-        *e = exponent(v.to_bits());
-    }
-    let mut shared = [0; CHUNK];
+    debug_assert!(values.len() <= CHUNK && values.len().is_multiple_of(BLOCK_SIZE));
+    // Per subgroup, its block's shared exponent: the exponent of the block's
+    // largest magnitude, magnitudes being ordered as their bit patterns are.
+    let mut shared = [0; CHUNK / SUBGROUP_SIZE];
     let mut top = 0;
-    for (shared, e) in shared
-        .chunks_exact_mut(BLOCK_SIZE)
-        .zip(e[1..=CHUNK].chunks_exact(BLOCK_SIZE))
-        .take(values.len().div_ceil(BLOCK_SIZE))
+    for (shared, block) in
+        shared.chunks_exact_mut(SUBGROUP_COUNT).zip(values.chunks_exact(BLOCK_SIZE))
     {
-        let max = e.iter().fold(0, |m, &x| m.max(x));
+        let max = exponent(block.iter().fold(0, |max, v| max.max(v.to_bits() & !SIGN)));
         shared.fill(max);
         top = top.max(max);
     }
-    for (i, ((((out, v), before), after), shared)) in
-        out.iter_mut().zip(values).zip(&e[..CHUNK]).zip(&e[2..]).zip(&shared).enumerate()
+    for ((out, pair), shared) in
+        out.chunks_exact_mut(SUBGROUP_SIZE).zip(values.chunks_exact(SUBGROUP_SIZE)).zip(&shared)
     {
-        let bits = v.to_bits();
-        // The other lane of the subgroup: the next one for even lanes, the
-        // previous one for odd lanes (a mask, not a branch, so the loop
-        // stays two plain loads).
-        let even = mask(i % SUBGROUP_SIZE == 0);
-        let partner = (after & even) | (before & !even);
-        let eff = effective(exponent(bits).max(partner), *shared);
-        *out = requantize(bits, eff, *shared, format);
+        (out[0], out[1]) = requantize_pair(pair[0].to_bits(), pair[1].to_bits(), *shared, format);
     }
     top != NON_FINITE
 }
@@ -181,11 +206,61 @@ pub(crate) fn quantize_down(
         for ((((out_up, out_lo), up), lo), shared) in
             out_up.iter_mut().zip(out_lo).zip(up).zip(lo).zip(&shared)
         {
-            let (up, lo) = (up.to_bits(), lo.to_bits());
-            let eff = effective(exponent(up).max(exponent(lo)), *shared);
-            *out_up = requantize(up, eff, *shared, format);
-            *out_lo = requantize(lo, eff, *shared, format);
+            (*out_up, *out_lo) = requantize_pair(up.to_bits(), lo.to_bits(), *shared, format);
         }
     }
     !shared[..width].contains(&NON_FINITE)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::hostile::Rng;
+
+    /// One lane of [`requantize`] against the code → value round trip it
+    /// stands for.
+    fn assert_lane(bits: u32, eff: u32, shared: u32, format: Format) {
+        let expected = value(sign(bits, shared), code(bits, eff, format), eff, format.mant_bits);
+        let got = requantize(bits, eff, shared, format);
+        assert!(
+            got.to_bits() == expected.to_bits() && !got.is_subnormal(),
+            "{bits:#010x} eff {eff} shared {shared} {format:?}: {got:e}, expected {expected:e}"
+        );
+    }
+
+    #[test]
+    fn in_place_rounding_equals_the_decoded_code_and_is_never_subnormal() {
+        let mut rng = Rng(0xDACA_0004);
+        for precision in MxPrecision::ALL {
+            for rounding in [RoundingMode::Nearest, RoundingMode::Truncate] {
+                let format = Format::new(precision, rounding);
+                for gap in 0..=40 {
+                    // A lone fraction bit `below` places under the first bit
+                    // kept; none where that is the hidden bit or above it.
+                    let shift = 24 + gap - format.mant_bits;
+                    let lone = |below| 1u32.checked_shl(shift - below).unwrap_or(0) & FRACTION;
+                    let fractions = [0, 1, FRACTION, lone(1), lone(2), FRACTION ^ lone(1)];
+                    // Zeros and subnormals, the smallest normals, the
+                    // largest the gap leaves room for.
+                    let top = 254 - gap;
+                    for e in [0, 1, 2, top - 1, top] {
+                        for fraction in fractions {
+                            for negative in [0, SIGN] {
+                                let bits = negative | (e << 23) | fraction;
+                                for shared in [e + gap, e + gap + 1] {
+                                    assert_lane(bits, e + gap, shared, format);
+                                }
+                            }
+                        }
+                    }
+                    for _ in 0..2_000 {
+                        let e = rng.below(u64::from(top) + 1) as u32;
+                        let bits = (rng.next() as u32 & (SIGN | FRACTION)) | (e << 23);
+                        let shared = e + gap + rng.below(2) as u32;
+                        assert_lane(bits, e + gap, shared, format);
+                    }
+                }
+            }
+        }
+    }
 }

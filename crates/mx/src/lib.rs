@@ -23,8 +23,8 @@
 //!
 //! # The integer algorithm
 //!
-//! Conversion never leaves the integer domain until its last step. With `m`
-//! the mantissa width, and working on the `f32` bit patterns of a block:
+//! Conversion never leaves the integer domain. With `m` the mantissa width,
+//! and working on the `f32` bit patterns of a block:
 //!
 //! 1. **Exponents.** Each lane's biased exponent field `e` is
 //!    `(bits >> 23) & 0xFF`. The shared exponent is the maximum of the
@@ -37,9 +37,9 @@
 //!    (decoded as `+0.0` in every lane). NaN and the infinities have field
 //!    `255`, which no finite value reaches, so `shared == 255` is the whole
 //!    non-finite check.
-//! 2. **Codes.** The 24-bit significand `mant24 = 1.fraction` (zero when
-//!    `e == 0`) is cut down to `m` bits at the subgroup's scale:
-//!    `code = min((mant24 + half) >> s, 2^m − 1)` with
+//! 2. **Codes**, which an [`MxBlock`] stores. The 24-bit significand
+//!    `mant24 = 1.fraction` (zero when `e == 0`) is cut down to `m` bits at
+//!    the subgroup's scale: `code = min((mant24 + half) >> s, 2^m − 1)` with
 //!    `s = 24 + eff − e − m`, where `half = 1 << (s − 1)` rounds to nearest
 //!    (ties away from zero) and `half = 0` truncates. `eff ≥ e` within a
 //!    block, so `s ≥ 24 − m ≥ 17`. From `s = 25` on the result is zero for any
@@ -47,7 +47,7 @@
 //!    clamped at `31`: the clamp keeps the shift inside the word without
 //!    changing a single code. A carry out of the rounding (`1.11…1` rounding
 //!    up to `2.0`) saturates at `2^m − 1` instead of raising the exponent.
-//! 3. **Values.** A lane decodes to
+//! 3. **Values**, which [`MxBlock::decode`] returns. A code decodes to
 //!    `sign | code × 2^(eff − 127 − (m − 1))`, computed as one `f32`
 //!    multiply of the code by a power of two built from its bit pattern.
 //!    The multiply rounds nothing: `code < 2^7` has at most seven
@@ -55,14 +55,40 @@
 //!    `0 − 127 − 6 = −133`, so the lowest set bit of the product is at
 //!    `2^-133` or above — inside the subnormal range, which reaches down to
 //!    `2^-149`. At the other end `127 × 2^(254 − 133) < 2^128` stays finite.
+//! 4. **Fake quantisation rounds in place.** [`MxVector::quantize_into`] and
+//!    [`MxVector::quantize_columns_into`] want the value of step 3 and never
+//!    form the code of step 2. One code unit is `2^s` units of the lane's
+//!    own significand, so the value is the lane's bit pattern with its low
+//!    `s` fraction bits rounded away: with `mag` the bits below the sign,
+//!    `(mag + half) & (!0 << s)` for `s ≤ 23`.
+//!    * *The carry is the exponent bump.* When the kept bits are all ones
+//!      and the rounding adds one more, the add carries out of the fraction
+//!      field into the exponent field next to it and leaves `e + 1` over a
+//!      zero fraction: the bit pattern of `2^(e + 1 − 127)`, which is the
+//!      rounded value. No renormalisation step exists to get wrong.
+//!    * *`s = 24`*, one unit being twice the lane's power of two: to nearest,
+//!      `mant24 + 2^23` lies in `[2^24, 2^25)` and the code is `1` whatever
+//!      the fraction, i.e. `2^(e + 1 − 127)` again — the same add with the
+//!      whole fraction cleared, so the mask's shift stops at `23`.
+//!      Truncation there, and either mode from `s = 25`, give zero.
+//!    * *The clamp is an integer `min`.* The saturated code `2^m − 1` at
+//!      `eff` is the float `1.1…1 × 2^(eff − 127)` with `m` ones, bits
+//!      `eff << 23 | (2^(m−1) − 1) << (24 − m)`. Non-negative floats are
+//!      ordered as their bit patterns, so `min` against those bits catches a
+//!      carry past `eff` — including the one that would reach field `255`.
+//!    * *No output is subnormal.* A lane with `e = 0` gives zero; any other
+//!      lane gives zero or keeps an exponent field of at least its own
+//!      `e ≥ 1`. Step 3's subnormal *scale* (`eff < m`) has no counterpart
+//!      here: the products it forms from real lanes were normal all along.
 //!
-//! The same per-lane arithmetic serves a block of sixteen adjacent values
-//! ([`MxBlock`], [`MxVector::quantize_into`]) and sixteen rows of a matrix
-//! quantised down its columns ([`MxVector::quantize_columns_into`]); only the
-//! direction the maxima of step 1 run in differs. It is branch-free, so the
-//! loops over it compile to vector instructions, and it is checked bit for
-//! bit against the format's floating-point definition (`f64` division,
-//! `round`, `powi`), which survives in the tests as the oracle.
+//! The same per-lane arithmetic serves sixteen adjacent values
+//! ([`MxVector::quantize_into`]) and sixteen rows of a matrix quantised down
+//! its columns ([`MxVector::quantize_columns_into`]); only the direction the
+//! maxima of step 1 run in differs. It is branch-free, so the loops over it
+//! compile to vector instructions. Step 4 is checked lane by lane against
+//! steps 2 and 3, and those bit for bit against the format's floating-point
+//! definition (`f64` division, `round`, `powi`), which survives in the tests
+//! as the oracle.
 //!
 //! # Examples
 //!

@@ -82,8 +82,9 @@ impl MxVector {
         Ok(Self::encode(values, precision)?.decode())
     }
 
-    /// Allocation-free fake quantisation: encode/decode each 16-element block
-    /// on the stack and write the round-tripped values into `out`.
+    /// Allocation-free fake quantisation: every 16-element block of `values`
+    /// is rounded to its MX grid in place of an encode and a decode, and the
+    /// result written into `out`.
     ///
     /// Produces exactly the values [`MxVector::quantize`] would, without heap
     /// traffic — this is the entry point the hot retraining GEMMs use.
@@ -100,12 +101,23 @@ impl MxVector {
             return Err(MxError::LengthMismatch { left: values.len(), right: out.len() });
         }
         let format = Format::new(precision, RoundingMode::Nearest);
+        let (whole, tail) = values.split_at(values.len() - values.len() % BLOCK_SIZE);
+        let (out_whole, out_tail) = out.split_at_mut(whole.len());
         for (run, (chunk, out_chunk)) in
-            values.chunks(kernel::CHUNK).zip(out.chunks_mut(kernel::CHUNK)).enumerate()
+            whole.chunks(kernel::CHUNK).zip(out_whole.chunks_mut(kernel::CHUNK)).enumerate()
         {
             if !kernel::quantize_run(chunk, format, out_chunk) {
                 return Err(MxError::first_non_finite(chunk, run * kernel::CHUNK));
             }
+        }
+        // A short last block goes through the kernel padded with zeros.
+        if !tail.is_empty() {
+            let (mut padded, mut quantised) = ([0.0; BLOCK_SIZE], [0.0; BLOCK_SIZE]);
+            padded[..tail.len()].copy_from_slice(tail);
+            if !kernel::quantize_run(&padded, format, &mut quantised) {
+                return Err(MxError::first_non_finite(tail, whole.len()));
+            }
+            out_tail.copy_from_slice(&quantised[..tail.len()]);
         }
         Ok(())
     }

@@ -16,11 +16,19 @@
 //! around 1e-19) can lose bits unfused that fused keeps. For operands that
 //! are zero or of magnitude in [2⁻⁴⁰, 2⁴⁰) the equality is property-tested
 //! for all four GEMMs at every precision.
+//!
+//! A left operand is quantised along its rows, whole, before the panel loop.
+//! When its width is a multiple of the 16-element block size — the student's
+//! 16-, 64- and 32-wide activations and its 32-wide `δ` — no block straddles
+//! two rows, and the matrix goes to the conversion kernel as one run of
+//! blocks; a ragged width (the 10-wide logits gradient) goes one row at a
+//! time, each row's last block padded. Which of the two runs depends on the
+//! operand's shape alone, the values produced on neither.
 
 use crate::{ops, Matrix, Result, Workspace};
 #[cfg(doc)]
 use crate::{TensorError, K_BLOCK};
-use dacapo_mx::{MxError, MxPrecision, MxVector};
+use dacapo_mx::{MxError, MxPrecision, MxVector, BLOCK_SIZE};
 
 /// Quantises every row of a matrix through the MX encode/decode round trip.
 ///
@@ -49,12 +57,32 @@ pub fn quantize_rows_into(a: &Matrix, precision: MxPrecision, out: &mut Matrix) 
     quantize_each_row(a, precision, out.as_mut_slice())
 }
 
-/// Quantises every row of `a` into the same-shaped row-major `out`.
+/// Quantises every row of `a` into the same-shaped row-major `out`. A width
+/// that is a multiple of [`BLOCK_SIZE`] puts every block boundary on a row
+/// boundary, so the whole matrix is one run of blocks; any other width goes
+/// row by row, each row's last block short. A non-finite element is reported
+/// by its index in `a` either way.
 fn quantize_each_row(a: &Matrix, precision: MxPrecision, out: &mut [f32]) -> Result<()> {
-    for (row, quantised) in a.iter_rows().zip(out.chunks_exact_mut(a.cols())) {
-        MxVector::quantize_into(row, precision, quantised)?;
+    let cols = a.cols();
+    if cols.is_multiple_of(BLOCK_SIZE) {
+        return Ok(MxVector::quantize_into(a.as_slice(), precision, out)?);
+    }
+    for (r, (row, quantised)) in a.iter_rows().zip(out.chunks_exact_mut(cols)).enumerate() {
+        MxVector::quantize_into(row, precision, quantised)
+            .map_err(|e| at_position(e, |index| r * cols + index))?;
     }
     Ok(())
+}
+
+/// `error` with a non-finite element's index mapped to its position in the
+/// operand.
+fn at_position(error: MxError, position: impl Fn(usize) -> usize) -> MxError {
+    match error {
+        MxError::NonFiniteInput { index, value } => {
+            MxError::NonFiniteInput { index: position(index), value }
+        }
+        other => other,
+    }
 }
 
 /// Quantises every column of a matrix through the MX encode/decode round trip.
@@ -96,12 +124,8 @@ fn quantize_panel(
     position: impl Fn(usize) -> usize,
 ) -> Result<()> {
     let packed = ops::padded_panel(panel, rows.len() / n, n);
-    MxVector::quantize_columns_into(rows, n, precision, packed).map_err(|e| match e {
-        MxError::NonFiniteInput { index, value } => {
-            MxError::NonFiniteInput { index: position(index), value }
-        }
-        other => other,
-    })?;
+    MxVector::quantize_columns_into(rows, n, precision, packed)
+        .map_err(|e| at_position(e, position))?;
     Ok(())
 }
 
@@ -370,6 +394,31 @@ mod tests {
         b[(66, 1)] = f32::INFINITY;
         let expected = MxError::NonFiniteInput { index: 66 * 3 + 1, value: f32::INFINITY };
         assert_eq!(mx_matmul(&a, &b, MxPrecision::Mx9), Err(TensorError::Quantization(expected)));
+    }
+
+    #[test]
+    fn non_finite_in_a_later_row_reports_its_position_in_the_left_operand() {
+        // A width the whole operand is one run of blocks at, and a ragged one.
+        for cols in [16, 21] {
+            let mut a = Matrix::zeros(3, cols).unwrap();
+            a[(2, 5)] = f32::NAN;
+            let (b, b_t) = (Matrix::zeros(cols, 4).unwrap(), Matrix::zeros(4, cols).unwrap());
+            let (mut out, mut ws) = (Matrix::identity(1), Workspace::new());
+            let errors = [
+                quantize_rows_into(&a, MxPrecision::Mx9, &mut out),
+                mx_matmul_into(&a, &b, MxPrecision::Mx9, &mut out, &mut ws),
+                mx_matmul_a_bt_into(&a, &b_t, MxPrecision::Mx9, &mut out, &mut ws),
+            ];
+            for error in errors {
+                match error {
+                    Err(TensorError::Quantization(MxError::NonFiniteInput { index, value })) => {
+                        assert_eq!(index, 2 * cols + 5, "{cols} columns");
+                        assert!(value.is_nan());
+                    }
+                    other => panic!("expected NonFiniteInput, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for matrix operations and MX-quantised GEMM.
 
-use dacapo_mx::{MxError, MxPrecision};
+use dacapo_mx::{MxError, MxPrecision, MxVector};
 use dacapo_tensor::{init, ops, quant, Matrix, TensorError, Workspace};
 use proptest::prelude::*;
 
@@ -56,6 +56,19 @@ fn operand() -> impl Strategy<Value = f32> {
             if negative == 1 { -magnitude } else { magnitude }
         }),
     ]
+}
+
+/// Any finite bit pattern a row operand may hold: a signed zero, a
+/// subnormal, or a normal over sixty binades, so that the lanes of a block
+/// mix magnitudes and some fall below the block's last mantissa bit.
+fn element() -> impl Strategy<Value = f32> {
+    let magnitude = prop_oneof![
+        1 => Just(0u32),
+        1 => 1u32..0x0080_0000,
+        6 => 97u32 << 23..157u32 << 23,
+    ];
+    (magnitude, 0u32..2)
+        .prop_map(|(magnitude, negative)| f32::from_bits(negative << 31 | magnitude))
 }
 
 /// `rows × cols` of `values`, scaled by `2^exponent` (exact).
@@ -293,6 +306,32 @@ proptest! {
                 let bound = row_max * precision.mantissa_ulp() + 1e-6;
                 for (x, y) in row_a.iter().zip(row_q) {
                     prop_assert!((x - y).abs() <= bound);
+                }
+            }
+        }
+    }
+
+    /// Row quantisation — the whole matrix as one run of blocks when the
+    /// width is a multiple of the MX block, row by row otherwise — is
+    /// `MxVector::quantize` of each row on its own, for widths on both sides
+    /// of a block (16) and of the kernel's chunk (64), one row and many.
+    #[test]
+    fn row_quantisation_is_mx_vector_quantize_row_by_row(
+        values in prop::collection::vec(element(), 40 * 64),
+    ) {
+        let mut out = Matrix::identity(1);
+        for rows in [1, 2, 16, 40] {
+            for cols in (1..=40).chain([48, 64]) {
+                let a = Matrix::from_vec(rows, cols, values[..rows * cols].to_vec()).unwrap();
+                for precision in MxPrecision::ALL {
+                    quant::quantize_rows_into(&a, precision, &mut out).unwrap();
+                    prop_assert_eq!(out.shape(), a.shape());
+                    let expected: Vec<f32> = a
+                        .iter_rows()
+                        .flat_map(|row| MxVector::quantize(row, precision).unwrap())
+                        .collect();
+                    let expected = Matrix::from_vec(rows, cols, expected).unwrap();
+                    prop_assert_eq!(bits(&out), bits(&expected), "{}x{} {:?}", rows, cols, precision);
                 }
             }
         }

@@ -24,10 +24,17 @@ test:
     cargo test -q
 
 # The kernel crates' tests in the release profile: `just test` runs them
-# unoptimised, where the GEMM register tile is scalar; this compares the
-# vectorised fused-multiply-add tile production runs with the reference.
+# unoptimised, where the GEMM register tile and the MX conversion kernel are
+# scalar; this compares the vectorised fused-multiply-add tile and conversion
+# loops production runs with their references.
 test-kernels:
-    cargo test --release -p dacapo-tensor -p dacapo-dnn
+    cargo test --release -p dacapo-mx -p dacapo-tensor -p dacapo-dnn
+
+# What a kernel compiled to in the release benchmark binary: per matching
+# symbol, the instruction count and the xmm/ymm/zmm, vcvt* and vmul* tallies,
+# e.g. `just asm quantize_into`.
+asm SYMBOL:
+    scripts/asm.sh {{SYMBOL}}
 
 # The frozen repo benchmark (`benchmark/`, its own workspace) against this
 # tree: its own tests, then the barrier-heavy workload — share + offload +
