@@ -44,6 +44,7 @@ mod attributes;
 mod classes;
 mod error;
 mod fleet;
+mod noise;
 mod scenario;
 mod stream;
 

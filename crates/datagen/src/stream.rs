@@ -3,10 +3,10 @@
 use crate::attributes::SegmentAttributes;
 use crate::classes::{class_prior, NUM_CLASSES};
 use crate::error::DatagenError;
+use crate::noise;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic frame stream.
@@ -172,8 +172,8 @@ impl FrameStream {
     /// classes' base appearance vectors; a model can fit any single context
     /// well, but fitting the union of conflicting contexts is beyond it —
     /// exactly the "data drift" premise of the paper.
-    fn context_permutation(&self, attributes: &SegmentAttributes) -> Vec<usize> {
-        let mut permutation: Vec<usize> = (0..NUM_CLASSES).collect();
+    fn context_permutation(&self, attributes: &SegmentAttributes) -> [usize; NUM_CLASSES] {
+        let mut permutation: [usize; NUM_CLASSES] = std::array::from_fn(|class| class);
         let mut rng = StdRng::seed_from_u64(
             self.config
                 .seed
@@ -222,31 +222,16 @@ impl FrameStream {
         center
     }
 
-    /// Draws the frame's class from the segment's label distribution using
-    /// the frame RNG.
-    fn draw_class(rng: &mut StdRng, attributes: &SegmentAttributes) -> usize {
-        let prior = class_prior(attributes);
-        let mut draw: f64 = rng.gen_range(0.0..1.0);
-        let mut true_class = NUM_CLASSES - 1;
-        for (i, p) in prior.iter().enumerate() {
+    /// The class whose share of the unit interval, laid out in `prior`'s
+    /// order, holds the frame RNG's uniform `draw`.
+    fn class_at(prior: &[f64; NUM_CLASSES], mut draw: f64) -> usize {
+        for (class, p) in prior.iter().enumerate() {
             if draw < *p {
-                true_class = i;
-                break;
+                return class;
             }
             draw -= p;
         }
-        true_class
-    }
-
-    /// Samples the feature vector around `center` with the frame RNG.
-    fn features_around(&self, center: &[f32], rng: &mut StdRng) -> Vec<f32> {
-        #[expect(
-            clippy::expect_used,
-            reason = "noise_std was validated non-negative and finite by StreamConfig::validate \
-                      in FrameStream::new"
-        )]
-        let noise = Normal::new(0.0f32, self.config.noise_std).expect("std is validated");
-        center.iter().map(|c| c + noise.sample(rng)).collect()
+        NUM_CLASSES - 1
     }
 
     /// The RNG that drives a single frame's class and noise draws.
@@ -254,37 +239,47 @@ impl FrameStream {
         StdRng::seed_from_u64(self.config.seed.wrapping_mul(0x100_0000_01b3).wrapping_add(index))
     }
 
-    /// The one frame body: the frame RNG draws the class, `center` supplies
-    /// that class's centre (derived fresh or replayed from a cache), and the
-    /// same RNG draws the noise around it. The centre RNGs are seeded
-    /// independently of the frame RNG, so where the centre comes from cannot
-    /// change a draw.
+    /// The one frame body: the frame RNG's first draw picks the class,
+    /// `context` turns it into that class and its centre — from a prior and
+    /// a centre derived fresh, or both replayed from a cache — and the same
+    /// RNG draws the noise around the centre ([`noise::around`]). Prior and
+    /// centres are functions of the attributes alone, seeded independently of
+    /// the frame RNG, so where they come from cannot change a draw.
     fn frame_with<C: AsRef<[f32]>>(
         &self,
         index: u64,
-        center: impl FnOnce(usize, &SegmentAttributes) -> C,
+        context: impl FnOnce(&SegmentAttributes, f64) -> (usize, C),
     ) -> Frame {
         let timestamp_s = index as f64 / self.config.fps;
         let attributes = self.scenario.attributes_at(timestamp_s);
         let mut rng = self.frame_rng(index);
-        let true_class = Self::draw_class(&mut rng, &attributes);
-        let features = self.features_around(center(true_class, &attributes).as_ref(), &mut rng);
+        let (true_class, center) = context(&attributes, rng.gen_range(0.0..1.0));
+        let features = noise::around(center.as_ref(), self.config.noise_std, &mut rng);
         Frame { index, timestamp_s, attributes, sample: Sample { features, true_class } }
     }
 
     /// Generates the frame at `index` (clamped semantics are not provided:
     /// indices past the end still generate deterministic frames using the
-    /// last segment's attributes), deriving its one class centre fresh.
+    /// last segment's attributes), deriving its class prior and its one
+    /// class centre fresh.
     #[must_use]
     pub fn frame_at(&self, index: u64) -> Frame {
-        self.frame_with(index, |class, attributes| self.class_center(class, attributes))
+        self.frame_with(index, |attributes, draw| {
+            let class = Self::class_at(&class_prior(attributes), draw);
+            (class, self.class_center(class, attributes))
+        })
     }
 
-    /// [`Self::frame_at`] with the class-centre lookup served by `cache` —
-    /// bit-identical output, an order of magnitude less RNG work on hits.
+    /// [`Self::frame_at`] with the class prior and the class centres served
+    /// by `cache` — bit-identical output, an order of magnitude less RNG
+    /// work on hits.
     #[must_use]
     pub fn frame_at_cached(&self, index: u64, cache: &mut CenterCache) -> Frame {
-        self.frame_with(index, |class, attributes| cache.center(self, class, attributes))
+        self.frame_with(index, |attributes, draw| {
+            let (prior, centers) = cache.context(self, attributes);
+            let class = Self::class_at(prior, draw);
+            (class, &centers[class])
+        })
     }
 
     /// Iterator over all frames of the scenario in order.
@@ -341,20 +336,20 @@ impl FrameStream {
     }
 }
 
-/// A memo table for [`FrameStream::class_center`] keyed by
-/// `(context, class)`.
+/// A memo table of what a frame needs from its segment's context: the
+/// [`class_prior`] and every class's [`FrameStream::class_center`].
 ///
 /// Deriving a class centre seeds three `StdRng`s and draws
 /// `2 × feature_dim` uniforms — per frame, that is an order of magnitude
-/// more RNG work than the frame's own class-and-noise draws. But the centre
-/// is a *pure function* of the stream config, the segment's context id, and
-/// the class, and scenarios only have a handful of contexts, so a run
-/// re-derives the same few centres tens of thousands of times. This cache
-/// memoises them. Every range method generates through it — the forms
-/// without a `_cached` suffix bring a fresh one — and only
-/// [`FrameStream::frame_at`] derives its single centre directly; the two
-/// agree bit for bit because the centre RNGs are seeded independently of
-/// the per-frame RNG.
+/// more RNG work than the frame's own class-and-noise draws — and the prior
+/// is ten `f64` divides. But both are *pure functions* of the stream config
+/// and the segment's context id (and, for a centre, the class), and
+/// scenarios only have a handful of contexts, so a run re-derives the same
+/// few values tens of thousands of times. This cache memoises them. Every
+/// range method generates through it — the forms without a `_cached` suffix
+/// bring a fresh one — and only [`FrameStream::frame_at`] derives its prior
+/// and its single centre directly; the two agree bit for bit because neither
+/// depends on the per-frame RNG.
 ///
 /// The cache remembers which stream configuration filled it and resets
 /// itself when handed a stream with a different one, so a stale or shared
@@ -376,9 +371,9 @@ pub struct CenterCache {
     /// The configuration the cached centres were derived under; a mismatch
     /// invalidates everything.
     config: Option<StreamConfig>,
-    /// `(context id, per-class centres)` — scenarios have a handful of
-    /// contexts, so a linear scan beats hashing.
-    contexts: Vec<(u64, Vec<Vec<f32>>)>,
+    /// `(context id, class prior, per-class centres)` — scenarios have a
+    /// handful of contexts, so a linear scan beats hashing.
+    contexts: Vec<(u64, [f64; NUM_CLASSES], Vec<Vec<f32>>)>,
 }
 
 impl CenterCache {
@@ -394,30 +389,30 @@ impl CenterCache {
         self.contexts.len()
     }
 
-    /// The cached centre for `(class, attributes)` under `stream`'s
-    /// configuration, deriving and storing all of the context's class
-    /// centres on first sight of the context.
-    fn center(
+    /// The cached class prior and per-class centres for `attributes` under
+    /// `stream`'s configuration, deriving and storing them on first sight of
+    /// the context.
+    fn context(
         &mut self,
         stream: &FrameStream,
-        class: usize,
         attributes: &SegmentAttributes,
-    ) -> &[f32] {
+    ) -> (&[f64; NUM_CLASSES], &[Vec<f32>]) {
         if self.config != Some(stream.config) {
             self.contexts.clear();
             self.config = Some(stream.config);
         }
         let context = attributes.context_id();
-        let slot = match self.contexts.iter().position(|(id, _)| *id == context) {
+        let slot = match self.contexts.iter().position(|(id, ..)| *id == context) {
             Some(found) => found,
             None => {
                 let centers =
                     (0..NUM_CLASSES).map(|c| stream.class_center(c, attributes)).collect();
-                self.contexts.push((context, centers));
+                self.contexts.push((context, class_prior(attributes), centers));
                 self.contexts.len() - 1
             }
         };
-        &self.contexts[slot].1[class]
+        let (_, prior, centers) = &self.contexts[slot];
+        (prior, centers)
     }
 }
 

@@ -24,11 +24,12 @@ test:
     cargo test -q
 
 # The kernel crates' tests in the release profile: `just test` runs them
-# unoptimised, where the GEMM register tile and the MX conversion kernel are
-# scalar; this compares the vectorised fused-multiply-add tile and conversion
-# loops production runs with their references.
+# unoptimised, where the GEMM register tile, the MX conversion kernel and the
+# frame-noise kernel are scalar; this compares the vectorised
+# fused-multiply-add tile, conversion loops and Box–Muller lanes production
+# runs with their references.
 test-kernels:
-    cargo test --release -p dacapo-mx -p dacapo-tensor -p dacapo-dnn
+    cargo test --release -p dacapo-mx -p dacapo-tensor -p dacapo-dnn -p dacapo-datagen
 
 # What a kernel compiled to in the release benchmark binary: per matching
 # symbol, the instruction count and the xmm/ymm/zmm, vcvt* and vmul* tallies,
