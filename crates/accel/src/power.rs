@@ -50,7 +50,7 @@ pub const TABLE4_FREQUENCY_HZ: f64 = 500e6;
 /// The paper does not publish a per-component table; this split follows the
 /// usual breakdown of systolic-array accelerators of this size (compute array
 /// dominates, then SRAM, then the memory interface and vector/precision
-/// conversion units) and is documented in DESIGN.md.
+/// conversion units).
 const COMPONENT_SPLIT: &[(&str, f64)] = &[
     ("dpe-array", 0.68),
     ("on-chip-sram", 0.18),

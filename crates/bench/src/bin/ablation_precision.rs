@@ -1,122 +1,12 @@
 //! Ablation: MX precision assignment.
 //!
-//! Section IV of the paper fixes MX9 for retraining and MX6 for
-//! inference/labeling after observing that MX4 degrades accuracy while lower
-//! precision buys throughput. This ablation quantifies both sides on our
-//! stack: the DPE-array throughput of each precision mode and the accuracy of
-//! the continuous-learning loop when the student's inference / training
-//! passes run at each precision.
+//! One entry of `dacapo_bench::EXPERIMENTS`, by name; the experiment itself
+//! is `src/experiments/ablation_precision.rs`.
 //!
-//! Run with `cargo run --release -p dacapo-bench --bin ablation_precision
-//! [--quick] [--json]`.
+//! ```text
+//! cargo run --release -p dacapo-bench --bin ablation_precision -- [--quick] [--json]
+//! ```
 
-use dacapo_accel::estimator::{estimate, PrecisionPlan};
-use dacapo_accel::power::PowerModel;
-use dacapo_accel::{AccelConfig, DaCapoAccelerator};
-use dacapo_bench::runner::truncate_scenario;
-use dacapo_bench::{pct, render_table, write_json, ExperimentOptions};
-use dacapo_core::platform::{KernelRate, Sharing};
-use dacapo_core::{ClSimulator, PlatformRates, SchedulerKind, SimConfig};
-use dacapo_datagen::Scenario;
-use dacapo_dnn::zoo::ModelPair;
-use dacapo_mx::MxPrecision;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    inference: String,
-    retraining: String,
-    retraining_sps: f64,
-    accuracy: f64,
-}
-
-fn main() {
-    let options = ExperimentOptions::from_args();
-    let pair = ModelPair::ResNet18Wrn50;
-    let accel_config = AccelConfig::default();
-    let accel = DaCapoAccelerator::new(accel_config).expect("valid config");
-    let scenario = if options.quick {
-        truncate_scenario(&Scenario::s1(), 4)
-    } else {
-        truncate_scenario(&Scenario::s1(), 8)
-    };
-
-    // Candidate (inference, retraining) precision assignments, including the
-    // paper's choice (MX6, MX9) and the aggressive all-MX4 point.
-    let candidates = [
-        (MxPrecision::Mx4, MxPrecision::Mx4),
-        (MxPrecision::Mx6, MxPrecision::Mx6),
-        (MxPrecision::Mx6, MxPrecision::Mx9),
-        (MxPrecision::Mx9, MxPrecision::Mx9),
-    ];
-
-    let mut rows = Vec::new();
-    for (inference, retraining) in candidates {
-        let plan = PrecisionPlan { inference, labeling: inference, retraining };
-        let tsa_rows = dacapo_accel::estimator::spatial_allocation(&accel, pair, 30.0, &plan)
-            .expect("allocation");
-        let est = estimate(&accel, pair, tsa_rows, 16, &plan).expect("estimate");
-        // Custom precision plans fall outside the builtin provider's
-        // defaults, so build the capability sheet directly from the
-        // estimator's output.
-        let rates = PlatformRates::new(
-            format!(
-                "DaCapo ({}x{} DPEs, {inference}/{retraining})",
-                accel_config.rows, accel_config.cols
-            ),
-            KernelRate::mx(est.inference_fps, inference),
-            KernelRate::mx(est.labeling_samples_per_s, plan.labeling),
-            KernelRate::mx(est.retraining_samples_per_s, retraining),
-            Sharing::Partitioned { tsa_rows: est.tsa_rows, bsa_rows: est.bsa_rows },
-            PowerModel::for_config(&accel_config).total_power_w(),
-        )
-        .expect("rates");
-        let config = SimConfig::builder(scenario.clone(), pair)
-            .platform_rates(rates)
-            .scheduler(SchedulerKind::DaCapoSpatiotemporal)
-            .measurement(10.0, 25)
-            .build()
-            .expect("config");
-        let result = ClSimulator::new(config).expect("sim").run().expect("run");
-        rows.push(Row {
-            inference: inference.to_string(),
-            retraining: retraining.to_string(),
-            retraining_sps: est.retraining_samples_per_s,
-            accuracy: result.mean_accuracy,
-        });
-    }
-
-    println!(
-        "Ablation: MX precision assignment, (ResNet18, WideResNet50) on {}\n",
-        scenario.name()
-    );
-    let table = render_table(
-        &["Inference", "Retraining", "Retraining sps", "Accuracy"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.inference.clone(),
-                    r.retraining.clone(),
-                    format!("{:.1}", r.retraining_sps),
-                    pct(r.accuracy),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("{table}");
-    println!(
-        "Reading: lower precision buys retraining throughput (the samples/s column), which in \
-         this reproduction translates directly into faster drift recovery. The accuracy *cost* of \
-         MX4/MX6 training that motivates the paper's MX9 choice does not materialise here because \
-         the synthetic student is a two-layer MLP that tolerates 2-bit mantissas; the paper's \
-         ResNet/ViT students do not (see EXPERIMENTS.md for this documented divergence)."
-    );
-
-    if options.json {
-        match write_json("ablation_precision", &rows) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: {e}"),
-        }
-    }
+fn main() -> std::process::ExitCode {
+    dacapo_bench::driver::main(env!("CARGO_BIN_NAME"))
 }

@@ -1,105 +1,12 @@
-//! Energy and power comparison (Sections I and VII-B): DaCapo achieves its
-//! accuracy while consuming 254× less power than the Orin-High baseline and
-//! 127× less than Orin-Low.
+//! Energy and power comparison (Sections I and VII-B).
 //!
-//! Run with `cargo run --release -p dacapo-bench --bin energy_comparison
-//! [--quick] [--json]`.
+//! One entry of `dacapo_bench::EXPERIMENTS`, by name; the experiment itself
+//! is `src/experiments/energy_comparison.rs`.
+//!
+//! ```text
+//! cargo run --release -p dacapo-bench --bin energy_comparison -- [--quick] [--json]
+//! ```
 
-use dacapo_bench::runner::{run_system, SystemUnderTest};
-use dacapo_bench::{pct, render_table, write_json, ExperimentOptions};
-use dacapo_core::SchedulerKind;
-use dacapo_datagen::Scenario;
-use dacapo_dnn::zoo::ModelPair;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    system: String,
-    power_watts: f64,
-    energy_joules: f64,
-    mean_accuracy: f64,
-    power_ratio_vs_dacapo: f64,
-    energy_ratio_vs_dacapo: f64,
-}
-
-fn main() {
-    let options = ExperimentOptions::from_args();
-    let scenario = Scenario::s1();
-    let pair = ModelPair::ResNet18Wrn50;
-    let systems = [
-        SystemUnderTest {
-            label: "DaCapo-Spatiotemporal",
-            platform: "dacapo",
-            scheduler: SchedulerKind::DaCapoSpatiotemporal,
-        },
-        SystemUnderTest {
-            label: "OrinLow-Ekya",
-            platform: "orin-low",
-            scheduler: SchedulerKind::Ekya,
-        },
-        SystemUnderTest {
-            label: "OrinHigh-Ekya",
-            platform: "orin-high",
-            scheduler: SchedulerKind::Ekya,
-        },
-        // A point the closed platform enum could not express: the Orin
-        // pinned to a 45 W DVFS target through the parameterised
-        // `orin-dvfs` platform provider.
-        SystemUnderTest {
-            label: "OrinDvfs45-Ekya",
-            platform: "orin-dvfs:45",
-            scheduler: SchedulerKind::Ekya,
-        },
-    ];
-
-    let results: Vec<_> = systems
-        .iter()
-        .map(|&s| {
-            (s, run_system(scenario.clone(), pair, s, options.quick).expect("simulation runs"))
-        })
-        .collect();
-    let dacapo_power = results[0].1.power_watts;
-    let dacapo_energy = results[0].1.energy_joules;
-
-    let rows: Vec<Row> = results
-        .iter()
-        .map(|(s, r)| Row {
-            system: s.label.to_string(),
-            power_watts: r.power_watts,
-            energy_joules: r.energy_joules,
-            mean_accuracy: r.mean_accuracy,
-            power_ratio_vs_dacapo: r.power_watts / dacapo_power,
-            energy_ratio_vs_dacapo: r.energy_joules / dacapo_energy,
-        })
-        .collect();
-
-    println!("Energy/power comparison on scenario S1, (ResNet18, WideResNet50)\n");
-    let table = render_table(
-        &["System", "Power (W)", "Energy (kJ)", "Accuracy", "Power ratio", "Energy ratio"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.system.clone(),
-                    format!("{:.3}", r.power_watts),
-                    format!("{:.2}", r.energy_joules / 1e3),
-                    pct(r.mean_accuracy),
-                    format!("{:.0}x", r.power_ratio_vs_dacapo),
-                    format!("{:.0}x", r.energy_ratio_vs_dacapo),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("{table}");
-    println!(
-        "Shape check: the paper reports 254x (Orin-High) and 127x (Orin-Low) more power than \
-         DaCapo at equal or lower accuracy."
-    );
-
-    if options.json {
-        match write_json("energy_comparison", &rows) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: {e}"),
-        }
-    }
+fn main() -> std::process::ExitCode {
+    dacapo_bench::driver::main(env!("CARGO_BIN_NAME"))
 }

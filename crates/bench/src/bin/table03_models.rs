@@ -1,65 +1,12 @@
 //! Table III: specifications of the evaluated DNN models.
 //!
-//! Prints parameters (millions) and forward GFLOPs for the six models,
-//! measured from the GEMM-level model specs, next to the values the paper
-//! reports.
+//! One entry of `dacapo_bench::EXPERIMENTS`, by name; the experiment itself
+//! is `src/experiments/table03_models.rs`.
 //!
-//! Run with `cargo run -p dacapo-bench --bin table03_models [--json]`.
+//! ```text
+//! cargo run -p dacapo-bench --bin table03_models -- [--json]
+//! ```
 
-use dacapo_bench::{render_table, write_json, ExperimentOptions};
-use dacapo_dnn::zoo::PaperModel;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    model: String,
-    role: &'static str,
-    params_millions: f64,
-    paper_params_millions: f64,
-    gflops: f64,
-    paper_gflops: f64,
-}
-
-fn main() {
-    let options = ExperimentOptions::from_args();
-    let rows: Vec<Row> = PaperModel::ALL
-        .iter()
-        .map(|&model| {
-            let spec = model.spec();
-            Row {
-                model: model.to_string(),
-                role: if model.is_student() { "Student" } else { "Teacher" },
-                params_millions: spec.params() as f64 / 1e6,
-                paper_params_millions: model.table3_params_millions(),
-                gflops: spec.forward_gflops(),
-                paper_gflops: model.table3_gflops(),
-            }
-        })
-        .collect();
-
-    println!("Table III: specifications of the evaluated DNN models\n");
-    let table = render_table(
-        &["Type", "Name", "Params (M)", "paper", "GFLOPs", "paper"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.role.to_string(),
-                    r.model.clone(),
-                    format!("{:.1}", r.params_millions),
-                    format!("{:.1}", r.paper_params_millions),
-                    format!("{:.2}", r.gflops),
-                    format!("{:.2}", r.paper_gflops),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("{table}");
-
-    if options.json {
-        match write_json("table03_models", &rows) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: {e}"),
-        }
-    }
+fn main() -> std::process::ExitCode {
+    dacapo_bench::driver::main(env!("CARGO_BIN_NAME"))
 }

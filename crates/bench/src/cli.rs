@@ -1,6 +1,6 @@
-//! Tier sizing shared by the experiment binaries.
+//! Tier sizing shared by the experiments.
 //!
-//! Every sweep binary runs at one of three sizes — the CI `--smoke` tier,
+//! Every sweep runs at one of three sizes — the CI `--smoke` tier,
 //! the `--quick` tier, and the full sweep — and used to re-implement the
 //! same `if smoke { .. } else if quick { .. } else { .. }` chain. [`tier`]
 //! is that chain, written once.
@@ -16,7 +16,7 @@ use crate::ExperimentOptions;
 /// ```
 /// use dacapo_bench::{cli, ExperimentOptions};
 ///
-/// let options = ExperimentOptions::from_iter(["--smoke".to_string()]);
+/// let options = ExperimentOptions::from_iter(["--smoke".to_string()]).unwrap();
 /// let (cameras, accelerators) = cli::tier(&options, (4, 2), (6, 2), (12, 3));
 /// assert_eq!((cameras, accelerators), (4, 2));
 /// ```
@@ -35,7 +35,7 @@ mod tests {
     use super::*;
 
     fn options(args: &[&str]) -> ExperimentOptions {
-        ExperimentOptions::from_iter(args.iter().map(|s| (*s).to_string()))
+        ExperimentOptions::from_iter(args.iter().map(|s| (*s).to_string())).unwrap()
     }
 
     #[test]

@@ -1,18 +1,40 @@
-//! Shared plumbing for the experiment binaries that regenerate the paper's
-//! tables and figures.
+//! The paper's evaluation as data: every table, figure, ablation and sweep
+//! is one function in [`experiments`], all of them are listed once in
+//! [`EXPERIMENTS`], and one [`driver`] runs them.
 //!
-//! Every binary in `src/bin/` reproduces one table or figure (see DESIGN.md's
-//! experiment index). They share the small utilities here: command-line flag
-//! handling (`--quick`, `--json`), tabular printing, and JSON result dumps
-//! under `results/`.
+//! An experiment maps [`ExperimentOptions`] (which tier to run) to a
+//! [`Report`]: its rows as JSON plus the rendered tables and shape-check
+//! text. It prints nothing, writes nothing and cannot read a clock, so the
+//! rows are a pure function of experiment and tier — `tests/golden_experiments.rs`
+//! holds every one of them to `tests/fixtures/golden/<name>.json` byte for
+//! byte. Everything around that is the driver's: flag parsing (an unknown
+//! argument is exit code 2, not a silently ignored extra), printing,
+//! `results/<name>.json` under `--json`, error → exit code, and the crate's
+//! one wall-clock read ([`HostRecord::timed`]), whose measurements go to
+//! stdout and `results/BENCH_<name>.json` and never into the rows.
+//!
+//! The binaries in `src/bin/` are the table's entries by name (CI, the
+//! `justfile` and the README call them); `run_all` loops over the table
+//! in-process. The README's "Experiments" section is the index: name, paper
+//! artefact, tiers.
 
 pub mod cli;
+pub mod driver;
+pub mod experiments;
 pub mod runner;
+
+pub use driver::{Experiment, HostRecord};
+pub use experiments::EXPERIMENTS;
 
 use dacapo_telemetry::TelemetryRecorder;
 use serde::Serialize;
+use std::fmt;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// The flags every experiment binary accepts, as the usage line prints them.
+pub const USAGE: &str =
+    "[--quick|--smoke] [--json] [--trace <path>] [--metrics <path>] [--show-config]";
 
 /// Common command-line options for experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -33,24 +55,26 @@ pub struct ExperimentOptions {
     /// Write the per-window metrics timeseries (JSON Lines) to this path
     /// (`--metrics <path>`).
     pub metrics: Option<String>,
-    /// Extra positional arguments (experiment-specific).
-    pub extra: Vec<String>,
+    /// Also print the Table I hyperparameters (`--show-config`, read by
+    /// `fig09_end_to_end`).
+    pub show_config: bool,
 }
 
 impl ExperimentOptions {
-    /// Parses options from `std::env::args`.
-    #[must_use]
-    pub fn from_args() -> Self {
-        Self::from_iter(std::env::args().skip(1))
-    }
-
-    /// Parses options from an explicit argument list (used by tests).
+    /// Parses options from an argument list (the process arguments minus the
+    /// program name).
+    ///
+    /// # Errors
+    ///
+    /// Names the first argument that is not one of [`USAGE`]'s flags, or the
+    /// value flag that ends the list without its value.
     // Not the std trait: this is argument parsing, not collection building.
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter(args: impl IntoIterator<Item = String>) -> Self {
+    pub fn from_iter(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut options = Self::default();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
             match arg.as_str() {
                 "--quick" => options.quick = true,
                 "--smoke" => {
@@ -58,12 +82,13 @@ impl ExperimentOptions {
                     options.quick = true;
                 }
                 "--json" => options.json = true,
-                "--trace" => options.trace = args.next(),
-                "--metrics" => options.metrics = args.next(),
-                other => options.extra.push(other.to_string()),
+                "--trace" => options.trace = Some(value()?),
+                "--metrics" => options.metrics = Some(value()?),
+                "--show-config" => options.show_config = true,
+                other => return Err(format!("unknown argument '{other}'")),
             }
         }
-        options
+        Ok(options)
     }
 
     /// Whether `--trace` or `--metrics` asked for a telemetry-observed run.
@@ -93,6 +118,41 @@ impl ExperimentOptions {
                 .map_err(|e| e.to_string())?;
         }
         Ok(recorder)
+    }
+}
+
+/// Why an experiment, or the driver around it, stopped: the message of
+/// whichever error ended it. Any displayable error converts, so experiment
+/// bodies use `?` on every crate's `Result` alike; the driver prints the
+/// message next to the experiment's name.
+#[derive(Debug)]
+pub struct Failure(pub String);
+
+impl<E: fmt::Display> From<E> for Failure {
+    fn from(error: E) -> Self {
+        Self(error.to_string())
+    }
+}
+
+/// What an experiment produces. Both halves are a pure function of the
+/// experiment and its tier: no wall-clock reading reaches either.
+#[derive(Debug)]
+pub struct Report {
+    /// The rows, pretty-printed: the exact bytes of `results/<name>.json`
+    /// and of the golden fixture.
+    pub rows: String,
+    /// The rendered tables and shape-check text, as printed to stdout.
+    pub text: String,
+}
+
+impl Report {
+    /// Serialises `rows` next to the rendered `text`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the serialiser's message.
+    pub fn new<T: Serialize + ?Sized>(rows: &T, text: String) -> Result<Self, Failure> {
+        Ok(Self { rows: serde_json::to_string_pretty(rows)?, text })
     }
 }
 
@@ -140,25 +200,22 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 pub fn results_dir() -> PathBuf {
     // crates/bench -> crates -> workspace root.
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    match manifest.parent().and_then(std::path::Path::parent) {
+    match manifest.parent().and_then(Path::parent) {
         Some(root) => root.join("results"),
         None => PathBuf::from("results"),
     }
 }
 
-/// Writes a serialisable result to `results/<name>.json` under the
-/// workspace root (see [`results_dir`]), returning the path.
+/// Writes an already serialised result to `<dir>/<name>.json`, creating the
+/// directory, and returns the path. The driver passes [`results_dir`].
 ///
 /// # Errors
 ///
 /// Returns an error string if the directory cannot be created or the file
 /// cannot be written.
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> Result<PathBuf, String> {
-    let dir = results_dir();
-    fs::create_dir_all(&dir).map_err(|e| format!("cannot create results directory: {e}"))?;
+pub fn write_json(dir: &Path, name: &str, payload: &str) -> Result<PathBuf, String> {
+    fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(format!("{name}.json"));
-    let payload =
-        serde_json::to_string_pretty(value).map_err(|e| format!("serialisation failed: {e}"))?;
     fs::write(&path, payload).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     Ok(path)
 }
@@ -173,48 +230,50 @@ pub fn pct(value: f64) -> String {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<ExperimentOptions, String> {
+        ExperimentOptions::from_iter(args.iter().map(|s| (*s).to_string()))
+    }
+
     #[test]
     fn options_parse_flags_and_extras() {
-        let options = ExperimentOptions::from_iter(
-            ["--quick", "--json", "S3"].iter().map(|s| (*s).to_string()),
-        );
+        let options = parse(&["--quick", "--json", "--show-config"]).unwrap();
         assert!(options.quick);
         assert!(!options.smoke);
         assert!(options.json);
-        assert_eq!(options.extra, vec!["S3".to_string()]);
-        assert_eq!(ExperimentOptions::from_iter(std::iter::empty()), ExperimentOptions::default());
+        assert!(options.show_config);
+        assert_eq!(parse(&[]).unwrap(), ExperimentOptions::default());
+        // There are no extras: a mistyped flag or a stray positional is an
+        // error naming it, not an ignored argument in front of a full run.
+        assert_eq!(parse(&["--quik"]).unwrap_err(), "unknown argument '--quik'");
+        assert_eq!(parse(&["--quick", "S3"]).unwrap_err(), "unknown argument 'S3'");
     }
 
     #[test]
     fn trace_and_metrics_flags_take_values() {
-        let options = ExperimentOptions::from_iter(
-            ["--trace", "out/trace.json", "--metrics", "out/metrics.jsonl", "--smoke"]
-                .iter()
-                .map(|s| (*s).to_string()),
-        );
+        let options =
+            parse(&["--trace", "out/trace.json", "--metrics", "out/metrics.jsonl", "--smoke"])
+                .unwrap();
         assert_eq!(options.trace.as_deref(), Some("out/trace.json"));
         assert_eq!(options.metrics.as_deref(), Some("out/metrics.jsonl"));
         assert!(options.wants_telemetry());
-        assert!(options.extra.is_empty());
         let recorder = options.telemetry_recorder().unwrap();
         assert!(recorder.is_enabled());
     }
 
     #[test]
     fn without_telemetry_flags_the_recorder_is_disabled() {
-        let options = ExperimentOptions::from_iter(std::iter::empty());
+        let options = parse(&[]).unwrap();
         assert!(!options.wants_telemetry());
         let recorder = options.telemetry_recorder().unwrap();
         assert!(!recorder.is_enabled(), "no flags must keep the null fast path");
-        // A dangling value flag parses as None rather than an extra.
-        let dangling = ExperimentOptions::from_iter(["--trace".to_string()]);
-        assert_eq!(dangling.trace, None);
-        assert!(dangling.extra.is_empty());
+        // A dangling value flag is an error rather than a silent None.
+        assert_eq!(parse(&["--trace"]).unwrap_err(), "--trace needs a value");
+        assert_eq!(parse(&["--json", "--metrics"]).unwrap_err(), "--metrics needs a value");
     }
 
     #[test]
     fn smoke_implies_quick() {
-        let options = ExperimentOptions::from_iter(["--smoke".to_string()]);
+        let options = parse(&["--smoke"]).unwrap();
         assert!(options.smoke);
         assert!(options.quick, "--smoke runs at least as reduced as --quick");
         assert!(!options.json);
@@ -243,11 +302,12 @@ mod tests {
 
     #[test]
     fn write_json_creates_file() {
-        let value = vec![1, 2, 3];
-        let path = write_json("unit_test_output", &value).unwrap();
-        assert!(path.exists());
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains('1'));
-        std::fs::remove_file(path).ok();
+        let dir = std::env::temp_dir().join(format!("dacapo-bench-test-{}", std::process::id()));
+        let report = Report::new(&vec![1, 2, 3], String::new()).unwrap();
+        let path = write_json(&dir, "unit_test_output", &report.rows).unwrap();
+        let content = std::fs::read_to_string(&path);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(path, dir.join("unit_test_output.json"));
+        assert_eq!(content.unwrap(), report.rows);
     }
 }

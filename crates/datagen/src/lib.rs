@@ -6,14 +6,13 @@
 //! *weather* (Table II, Figure 8). Those attribute changes are the data
 //! drifts the continuous-learning system must absorb.
 //!
-//! This crate reproduces that workload synthetically (the substitution is
-//! argued in DESIGN.md): each [`Scenario`] is a timeline of [`Segment`]s with
-//! attributes; each frame of the 30 FPS stream draws an object class from the
-//! segment's label distribution and a feature vector from a class- and
-//! attribute-conditioned Gaussian. When the segment attributes change, the
-//! feature distribution moves, so a student trained on the old segment loses
-//! accuracy until it is retrained on freshly labeled samples — exactly the
-//! dynamics the DaCapo allocator exploits.
+//! This crate reproduces that workload synthetically: each [`Scenario`] is a
+//! timeline of [`Segment`]s with attributes; each frame of the 30 FPS stream
+//! draws an object class from the segment's label distribution and a feature
+//! vector from a class- and attribute-conditioned Gaussian. When the segment
+//! attributes change, the feature distribution moves, so a student trained on
+//! the old segment loses accuracy until it is retrained on freshly labeled
+//! samples — exactly the dynamics the DaCapo allocator exploits.
 //!
 //! Beyond the eight Table II presets, [`FleetScenario`] derives N
 //! *correlated* per-camera scenarios from any base scenario — controllable

@@ -13,8 +13,7 @@
 //!    WideResNet50/101, ViT-B/32, ViT-B/16) whose parameter counts and
 //!    forward GFLOPs match Table III. These specs feed the performance
 //!    estimator and the cycle-level accelerator simulator; they are *not*
-//!    trained (Rust has no production DNN-training stack — see DESIGN.md for
-//!    the substitution argument).
+//!    trained (Rust has no production DNN-training stack).
 //!
 //! The [`workload`] module converts a (student, teacher) pair plus
 //! continuous-learning hyperparameters into the per-kernel FLOP/GEMM

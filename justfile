@@ -1,7 +1,7 @@
 # Development shortcuts mirroring .github/workflows/ci.yml.
 
 # Run the full CI pipeline locally.
-ci: fmt-check clippy doc build test test-kernels
+ci: fmt-check clippy doc build test test-kernels golden-check
 
 fmt:
     cargo fmt
@@ -75,26 +75,29 @@ bench-paper *ARGS='--quick':
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload solo-paper {{ARGS}}
 
 # Cluster execution demo (custom arbiter, admission control) plus the
-# contention sweep; leaves results/BENCH_cluster.json behind.
+# contention sweep; its per-point host times go to
+# results/BENCH_cluster_contention.json.
 cluster:
     cargo run --release --example cluster
     cargo run --release -p dacapo-bench --bin cluster_contention -- --quick
 
 # Cross-camera sharing demo (custom policy, four policies compared) plus the
-# overlap x policy sweep; leaves results/BENCH_cross_camera.json behind.
+# overlap x policy sweep; its per-point host times go to
+# results/BENCH_cross_camera.json.
 cross-camera:
     cargo run --release --example cross_camera
     cargo run --release -p dacapo-bench --bin cross_camera -- --quick
 
 # Checkpoint/restore + elastic membership demo (stateful custom scheduler
-# snapshotted by name) plus the churn sweep; leaves results/BENCH_churn.json
-# behind.
+# snapshotted by name) plus the churn sweep; its per-profile host times go to
+# results/BENCH_elastic_churn.json.
 churn:
     cargo run --release --example checkpoint_resume
     cargo run --release -p dacapo-bench --bin elastic_churn -- --quick
 
 # Edge-cloud offload demo (custom offload policy registered by name) plus
-# the uplink x policy sweep; leaves results/BENCH_edge_cloud.json behind.
+# the uplink x policy sweep; its per-point host times go to
+# results/BENCH_edge_cloud.json.
 edge-cloud:
     cargo run --release --example edge_cloud
     cargo run --release -p dacapo-bench --bin edge_cloud -- --quick
@@ -107,10 +110,21 @@ trace:
     cargo run --release --example telemetry
     cargo run --release -p dacapo-bench --bin cluster_contention -- --smoke --trace results/BENCH_trace.json --metrics results/BENCH_metrics.jsonl
 
-# The CI smoke tier: every experiment at its smallest meaningful size, so
-# results/*.json is fully populated in well under a minute.
+# The CI smoke tier: all 17 experiments of `dacapo_bench::EXPERIMENTS` at
+# their smallest meaningful size in one process, so results/*.json is fully
+# populated in about a second.
 bench-smoke:
     cargo run --release -p dacapo-bench --bin run_all -- --smoke
+
+# The release-profile half of the golden pin (`cargo test` is the debug
+# half): what the smoke tier writes must be, byte for byte, the fixtures.
+golden-check: bench-smoke
+    for golden in tests/fixtures/golden/*.json; do cmp "$golden" "results/$(basename "$golden")" || exit 1; done
+
+# Regenerate tests/fixtures/golden/ from the smoke tier — only for a change
+# that means to move an experiment's output, and CHANGES.md says which and why.
+golden: bench-smoke
+    for bin in crates/bench/src/bin/*.rs; do name=$(basename "$bin" .rs); [ "$name" = run_all ] || cp "results/$name.json" "tests/fixtures/golden/$name.json" || exit 1; done
 
 # Regenerate every figure/table quickly.
 figures:
