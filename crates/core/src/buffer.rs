@@ -141,6 +141,11 @@ impl SampleBlock {
         }
     }
 
+    /// Every row, in order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = SampleRef<'_>> + '_ {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
     /// Appends one row.
     ///
     /// # Panics
@@ -223,7 +228,7 @@ impl SampleBlock {
 /// [`LabeledSample::from_value`].
 impl Serialize for SampleBlock {
     fn to_value(&self) -> Value {
-        Value::Array((0..self.len()).map(|i| self.get(i).to_value()).collect())
+        Value::Array(self.rows().map(|row| row.to_value()).collect())
     }
 }
 

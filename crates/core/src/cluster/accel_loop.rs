@@ -127,8 +127,12 @@ pub(super) struct AccelLoop<'a> {
     /// dispatch at each window's start
     /// ([`Cluster::batch_retraining`](super::Cluster::batch_retraining)).
     batch: bool,
-    /// The stacked dispatch's shared scratch arena, reused across windows.
-    batch_scratch: TrainScratch,
+    /// The accelerator's one training arena, lent to everything its
+    /// residents compute: admission pre-training, every stepped or staged
+    /// phase, the stacked dispatch and its validation. It grows to the
+    /// largest batch any resident evaluates and stays warm from one
+    /// resident's step to the next; no session here holds one of its own.
+    scratch: TrainScratch,
     /// Reusable peer-summary buffer for arbitration requests, refilled per
     /// arbitrated step instead of allocated.
     residents: Vec<PeerSession>,
@@ -169,7 +173,7 @@ impl<'a> AccelLoop<'a> {
             },
             exports: Vec::new(),
             batch,
-            batch_scratch: TrainScratch::new(),
+            scratch: TrainScratch::new(),
             residents: Vec::new(),
         })
     }
@@ -201,8 +205,9 @@ impl<'a> AccelLoop<'a> {
 
     /// Pre-executes, at a window's start, the first phase of every resident
     /// session due inside the window, batching the retraining phases among
-    /// them into **one** stacked GEMM dispatch ([`train_stacked`]) that
-    /// shares a single scratch arena across the co-resident networks.
+    /// them into **one** stacked GEMM dispatch ([`train_stacked`]) — over
+    /// the loop's arena, like the staging before it and the validation
+    /// after it.
     ///
     /// Bit-identity with unstaged execution holds because nothing outside a
     /// session touches it between barriers (the module's barrier
@@ -222,7 +227,7 @@ impl<'a> AccelLoop<'a> {
             let Some(session) = slot.session.as_mut() else { continue };
             let camera_name = &self.cameras[slot.camera_index].0;
             if let Some(retrain) =
-                session.stage_phase().map_err(|e| prefix_camera(camera_name, e))?
+                session.stage_phase(&mut self.scratch).map_err(|e| prefix_camera(camera_name, e))?
             {
                 staged.push((slot_index, retrain));
             }
@@ -259,7 +264,7 @@ impl<'a> AccelLoop<'a> {
                 next = wanted.next();
             }
         }
-        train_stacked(&mut jobs, &mut self.batch_scratch).map_err(CoreError::from)?;
+        train_stacked(&mut jobs, &mut self.scratch).map_err(CoreError::from)?;
         drop(jobs);
         for (slot_index, retrain) in staged {
             let slot = &mut self.slots[slot_index];
@@ -271,7 +276,7 @@ impl<'a> AccelLoop<'a> {
             slot.session
                 .as_mut()
                 .expect("staged slots hold live sessions")
-                .finish_staged_retrain(retrain)
+                .finish_staged_retrain(retrain, &mut self.scratch)
                 .map_err(|e| prefix_camera(camera_name, e))?;
         }
         Ok(())
@@ -315,7 +320,9 @@ impl<'a> AccelLoop<'a> {
             } else {
                 None
             };
-            let events = session.step_phase().map_err(|e| prefix_camera(camera_name, e))?;
+            let events = session
+                .step_phase_in(&mut self.scratch)
+                .map_err(|e| prefix_camera(camera_name, e))?;
 
             // A drift response entering this step marks the session as
             // recovering *before* arbitration, so drift-aware arbiters can
@@ -428,15 +435,17 @@ impl<'a> AccelLoop<'a> {
     }
 
     /// Enters `entry`'s camera into this accelerator's event loop at cluster
-    /// time `at`: a camera that has not run yet gets its session built here,
-    /// a migrant resumes the one it carries — the resumption half of a
-    /// snapshot migration. Returns the migrant's stall (drain to
+    /// time `at`: a camera that has not run yet gets its session built here
+    /// (pre-trained in the loop's arena), a migrant resumes the one it
+    /// carries — the resumption half of a snapshot migration; a restored
+    /// session owns no arena, so it too computes in this loop's from now on. Returns the migrant's stall (drain to
     /// resumption), `0` for everyone else.
     pub(super) fn admit(&mut self, entry: PendingEntry, at: f64) -> Result<f64> {
         let (name, config) = &self.cameras[entry.camera_index];
         let mut session = match entry.session {
             Some(session) => *session,
-            None => Session::new(config.clone()).map_err(|e| prefix_camera(name, e))?,
+            None => Session::new_in(config.clone(), &mut self.scratch)
+                .map_err(|e| prefix_camera(name, e))?,
         };
         session.set_record_labels(self.record_labels);
         self.slots.push(Slot {
@@ -471,5 +480,43 @@ impl<'a> AccelLoop<'a> {
         );
         self.outcome.results.sort_by_key(|(camera_index, _)| *camera_index);
         self.outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sched::SchedulerKind;
+    use crate::sim::test_support::short_config;
+
+    /// Advances one loop of `residents` identical cameras until each has run
+    /// about ten of its own seconds — pre-training, labeling, retraining,
+    /// validation and measurements all behind it — and returns the loop
+    /// arena's size beside the residents' own arenas' sizes.
+    fn arena_bytes_after_a_while(residents: usize) -> (usize, Vec<usize>) {
+        let cameras: Vec<(String, SimConfig)> = (0..residents)
+            .map(|i| (format!("cam-{i}"), short_config(SchedulerKind::DaCapoSpatiotemporal)))
+            .collect();
+        let assigned: Vec<usize> = (0..residents).collect();
+        let mut accel_loop =
+            AccelLoop::new(0, &assigned, &cameras, "fair-share", None, false, true).unwrap();
+        // Fair share stretches every step by the resident count.
+        accel_loop.run_until(10.0 * residents as f64, None).unwrap();
+        let sessions = accel_loop.slots.iter().filter_map(|slot| slot.session.as_ref());
+        (accel_loop.scratch.capacity_bytes(), sessions.map(Session::own_arena_bytes).collect())
+    }
+
+    /// The guard against a per-session buffer coming back: a loop's
+    /// training memory is its one arena, whose size is set by the largest
+    /// batch any resident computes — not by how many residents there are —
+    /// and a resident holds none.
+    #[test]
+    fn the_loop_arena_does_not_grow_with_the_resident_count_and_residents_own_none() {
+        let (few, own_few) = arena_bytes_after_a_while(4);
+        let (many, own_many) = arena_bytes_after_a_while(40);
+        assert!(few > 0, "the residents computed in the loop's arena");
+        assert_eq!(few, many, "ten times the residents, the same arena");
+        assert_eq!((own_few.len(), own_many.len()), (4, 40), "nobody finished yet");
+        assert!(own_few.iter().chain(&own_many).all(|&bytes| bytes == 0));
     }
 }

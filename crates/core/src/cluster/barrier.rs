@@ -375,7 +375,10 @@ impl<'b, 'a, 'o> Barrier<'b, 'a, 'o> {
                     let camera_name = &cameras[migrant.camera_index].0;
                     // Live migration goes through the public snapshot format:
                     // the restored session is bit-identical to the original
-                    // (property-tested), so drains never perturb results.
+                    // (property-tested), so drains never perturb results. It
+                    // arrives owning no training arena — none rides a
+                    // snapshot — and computes in its new loop's from the
+                    // first step there.
                     let restored = Session::restore(migrant.session.snapshot())
                         .map_err(|e| prefix_camera(camera_name, e))?;
                     let entry = PendingEntry {

@@ -78,6 +78,25 @@
 //! accelerator's sessions at a time, where finite windows keep every
 //! accelerator's residents alive from window 0 on.
 //!
+//! # Who owns the training arena
+//!
+//! The accelerator, as in the paper's hardware, where a sub-accelerator's
+//! buffers serve whichever model's kernel is scheduled on it. Each
+//! accelerator loop holds exactly one `TrainScratch` and lends it to
+//! everything its residents compute: the pre-training of a camera it admits,
+//! every stepped or staged phase (labeling accuracy, measurements,
+//! retraining, validation) and the stacked dispatch. A resident session —
+//! built here, or restored by a drain migration — never has an arena of its
+//! own; what a camera costs while resident is its student's weights, its
+//! sample buffer and its timeline. Lending is sound because an arena carries
+//! capacity and no numeric state (every kernel overwrites what it reads:
+//! `dacapo_dnn`'s tests, lifted to whole sessions of differing shapes and
+//! precisions by `core`'s), and it needs no lock because a loop is what a
+//! worker thread holds: one arena per loop means `threads(n)` shares
+//! nothing. The arena's size is set by the largest batch any resident
+//! evaluates, not by the resident count (a unit test of the loop holds
+//! both), and it stays in cache from one resident's step to the next.
+//!
 //! # Barrier discipline
 //!
 //! Within a window the accelerator loops run in parallel and touch only
@@ -1114,6 +1133,33 @@ mod tests {
         assert_eq!(unbatched, build(true, 1));
         assert_eq!(unbatched, build(true, 2));
         assert_eq!(unbatched, build(true, 8));
+    }
+
+    #[test]
+    fn batching_is_invisible_when_residents_disagree_on_every_arena_shape() {
+        // Staged phases, the stacked dispatch, its validation and every
+        // ordinary step of a loop compute in that loop's one arena. Put
+        // cameras on it that reshape the arena's every buffer between turns
+        // (fp32 and MX, three feature widths, three mini-batch sizes), cut
+        // the run into windows so staging happens throughout, and neither
+        // the dispatch toggle nor the thread count may show — and every
+        // camera still reports what it reports alone, in an arena of its own.
+        let configs = crate::sim::test_support::mixed_configs(7);
+        let build = |batch: bool, threads: usize| {
+            let mut cluster =
+                Cluster::new(2).share_window_s(7.0).threads(threads).batch_retraining(batch);
+            for (i, config) in configs.iter().enumerate() {
+                cluster = cluster.camera(format!("cam-{i}"), config.clone());
+            }
+            cluster.run_with(&mut ()).unwrap()
+        };
+        let unbatched = build(false, 1);
+        assert_eq!(unbatched, build(true, 1));
+        assert_eq!(unbatched, build(true, 2));
+        for (i, config) in configs.into_iter().enumerate() {
+            let solo = crate::ClSimulator::new(config).unwrap().run().unwrap();
+            assert_eq!(unbatched.camera(&format!("cam-{i}")), Some(&solo));
+        }
     }
 
     #[test]

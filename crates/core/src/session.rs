@@ -15,8 +15,9 @@
 //! A session is an explicit state/behavior split, and the split is the
 //! type: a [`Session`] holds one versioned [`SessionSnapshot`] — everything
 //! mutable — plus a private runtime (the frame stream, the platform
-//! capability sheet, the scheduler *instance*, scratch arenas) that one
-//! constructor derives from the snapshot's configuration. So
+//! capability sheet, the scheduler *instance*, the centre cache, and — for a
+//! standalone session only — a training arena) that one constructor derives
+//! from the snapshot's configuration. So
 //! [`Session::snapshot`] is a clone of the first half, [`Session::restore`]
 //! validates a snapshot and rebuilds the second half around it, and a piece
 //! of state that is in neither — mutable but not snapshotted — has nowhere
@@ -38,7 +39,7 @@ use crate::sched::{Action, Scheduler, SchedulerContext};
 use crate::sim::{PhaseKind, PhaseRecord, SimResult};
 use crate::student::StudentModel;
 use crate::{CoreError, Result};
-use dacapo_datagen::{CenterCache, Frame, FrameStream, StreamCursor};
+use dacapo_datagen::{CenterCache, Frame, FrameStream, StreamCursor, NUM_CLASSES};
 use dacapo_dnn::{Mlp, TeacherOracle, TrainScratch};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
@@ -311,9 +312,9 @@ pub struct Session {
 /// it rides a snapshot. The frame stream, platform sheet and uplink are pure
 /// functions of the configuration; the scheduler *instance* is re-created
 /// through the registry (its decision state travels as
-/// [`SessionSnapshot::scheduler_state`]); the scratch arena and centre cache
-/// carry capacity and memoised pure values, never numeric state, so a cold
-/// one is bit-identical (property-tested).
+/// [`SessionSnapshot::scheduler_state`]); the centre cache memoises pure
+/// values and a training arena carries capacity, never numeric state, so a
+/// cold one — or somebody else's — is bit-identical (property-tested).
 struct Runtime {
     stream: FrameStream,
     scheduler: Box<dyn Scheduler>,
@@ -325,7 +326,12 @@ struct Runtime {
     /// The resolved uplink, present exactly when the configuration has an
     /// edge tier (and so exactly when [`SessionSnapshot::edge`] is `Some`).
     uplink: Option<ResolvedUplink>,
-    scratch: TrainScratch,
+    /// The standalone path's training arena: what the no-argument
+    /// [`Session::new`] / [`Session::step`] family computes in. Every kernel
+    /// call takes its arena as a parameter, and a session stepped by the
+    /// cluster executor is lent the accelerator loop's, so a resident never
+    /// has one of its own (`None`, as after [`Session::restore`]).
+    scratch: Option<Box<TrainScratch>>,
     center_cache: CenterCache,
     /// Observer baseline for a phase pre-executed by the cluster's batched
     /// retraining dispatch; consumed when that phase's events pop, before
@@ -352,7 +358,7 @@ impl Runtime {
             drop_rate: platform.frame_drop_rate(config.stream.fps),
             platform,
             uplink,
-            scratch: TrainScratch::new(),
+            scratch: None,
             center_cache: CenterCache::new(),
             staged_uplink_before: None,
         })
@@ -526,13 +532,14 @@ impl SessionSnapshot {
                 self.config.hyper.buffer_capacity
             ));
         }
-        if let Some(row) = self.buffer.samples().next().filter(|r| r.features.len() != feature_dim)
-        {
-            return bad(format!(
-                "buffer holds {}-feature samples but config.stream.feature_dim is {feature_dim}",
-                row.features.len()
-            ));
-        }
+        // Every stored row is a future retraining or exchange operand: one of
+        // the wrong width, or of a class the student has no logit for, must
+        // stop here — not inside a kernel on whichever loop the session
+        // migrated to.
+        check_rows("buffer", "", feature_dim, self.buffer.samples())?;
+        check_rows("fresh_labels", "", feature_dim, self.fresh_labels.rows())?;
+        let in_flight = self.edge.iter().flat_map(|edge| &edge.in_flight);
+        check_rows("edge.in_flight", ".sample", feature_dim, in_flight.map(|l| l.sample.view()))?;
         if self.stream_cursor.position() > stream.num_frames() {
             return bad(format!(
                 "stream_cursor is at frame {} of a {}-frame stream",
@@ -553,6 +560,34 @@ impl SessionSnapshot {
     }
 }
 
+/// Rejects the first row of a snapshot's sample store (`store[i]`, its record
+/// under the `record` suffix) that the configured student could not take:
+/// another width than the stream's, or a class index past the classes.
+fn check_rows<'a>(
+    store: &str,
+    record: &str,
+    feature_dim: usize,
+    rows: impl Iterator<Item = SampleRef<'a>>,
+) -> Result<()> {
+    for (i, row) in rows.enumerate() {
+        let problem = if row.features.len() == feature_dim {
+            [("teacher_label", row.teacher_label), ("true_class", row.true_class)]
+                .into_iter()
+                .find(|&(_, class)| class >= NUM_CLASSES)
+                .map(|(field, class)| {
+                    format!(".{field} is {class} but there are {NUM_CLASSES} classes")
+                })
+        } else {
+            let width = row.features.len();
+            Some(format!(" has {width} features but config.stream.feature_dim is {feature_dim}"))
+        };
+        if let Some(problem) = problem {
+            return Err(CoreError::Snapshot { reason: format!("{store}[{i}]{record}{problem}") });
+        }
+    }
+    Ok(())
+}
+
 impl Session {
     /// Builds a session: constructs the stream, pre-trains the student on the
     /// general (mixed-context) distribution, and instantiates the scheduler
@@ -563,6 +598,22 @@ impl Session {
     /// Returns [`CoreError::InvalidConfig`] if the configuration is invalid
     /// or names an unregistered scheduling policy.
     pub fn new(config: SimConfig) -> Result<Self> {
+        let mut own = Box::default();
+        let mut session = Self::new_in(config, &mut own)?;
+        session.rt.scratch = Some(own);
+        Ok(session)
+    }
+
+    /// [`Session::new`] with the pre-training computed in a lent arena: how
+    /// the cluster executor admits a camera, so the session it builds owns
+    /// none. The `*_in` forms below are the same split for stepping; the
+    /// arena carries no numeric state between calls, so whose it is never
+    /// shows in a result.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Session::new`].
+    pub(crate) fn new_in(config: SimConfig, scratch: &mut TrainScratch) -> Result<Self> {
         // The runtime resolves the policy and platform before the (expensive)
         // pretraining below, so an unregistered name fails fast.
         let mut rt = Runtime::build(&config)?;
@@ -587,14 +638,14 @@ impl Session {
                 .collect();
             let rows: Vec<&[f32]> = pretrain.iter().map(|f| f.sample.features.as_slice()).collect();
             let labels: Vec<usize> = pretrain.iter().map(|f| f.sample.true_class).collect();
-            student.retrain(&rows, &labels, 2, &mut rt.scratch)?;
+            student.retrain(&rows, &labels, 2, scratch)?;
         }
 
         let state = SessionSnapshot {
             version: SNAPSHOT_VERSION,
             student,
             teacher: TeacherOracle::new(
-                dacapo_datagen::NUM_CLASSES,
+                NUM_CLASSES,
                 config.teacher_accuracy,
                 config.seed.wrapping_add(1),
             ),
@@ -613,9 +664,10 @@ impl Session {
             finished: false,
             record_labels: false,
             fresh_labels: SampleBlock::default(),
-            edge: config.edge.as_ref().map(|edge| {
-                EdgeTierState::new(edge, dacapo_datagen::NUM_CLASSES, config.seed.wrapping_add(2))
-            }),
+            edge: config
+                .edge
+                .as_ref()
+                .map(|edge| EdgeTierState::new(edge, NUM_CLASSES, config.seed.wrapping_add(2))),
             config,
         };
         Ok(Self { state, rt })
@@ -645,7 +697,9 @@ impl Session {
     /// Returns [`CoreError::Snapshot`] for a snapshot from a different
     /// [`SNAPSHOT_VERSION`] or one whose state the session could not run
     /// (a non-finite or negative clock, a buffer or student of another
-    /// shape than the configuration's, a cursor past the stream's end, edge
+    /// shape than the configuration's, a buffered, recorded or in-flight
+    /// sample of another width than the stream's or of a class index past
+    /// the classes, a cursor past the stream's end, edge
     /// state without an edge tier or the reverse — the reason names the
     /// field), [`CoreError::InvalidConfig`] when the embedded configuration
     /// no longer validates or names an unregistered scheduler or platform,
@@ -738,6 +792,13 @@ impl Session {
     /// reads bound one step's shipment.
     pub(crate) fn uplink_meter(&self) -> Option<(u64, u64)> {
         self.state.edge.as_ref().map(|tier| (tier.bytes_shipped, tier.labels_cloud))
+    }
+
+    /// Bytes held by the session's own training arena: 0 unless a
+    /// no-argument stepping method ever ran on it.
+    #[cfg(test)]
+    pub(crate) fn own_arena_bytes(&self) -> usize {
+        self.rt.scratch.as_ref().map_or(0, |arena| arena.capacity_bytes())
     }
 
     /// The sample buffer, for tests that stage or inspect its contents.
@@ -868,15 +929,29 @@ impl Session {
     /// Returns an error if a kernel invocation fails (which indicates a
     /// configuration inconsistency, such as mismatched feature dimensions).
     pub fn step(&mut self) -> Result<SessionEvent> {
+        self.with_own_scratch(Self::step_in)
+    }
+
+    /// Runs `f` with the session's own arena (made on first use) lent to
+    /// it: every no-argument stepping method is its `*_in` form under this.
+    fn with_own_scratch<R>(&mut self, f: impl FnOnce(&mut Self, &mut TrainScratch) -> R) -> R {
+        let mut own = self.rt.scratch.take().unwrap_or_default();
+        let out = f(self, &mut own);
+        self.rt.scratch = Some(own);
+        out
+    }
+
+    /// [`Session::step`], computing in `scratch`.
+    fn step_in(&mut self, scratch: &mut TrainScratch) -> Result<SessionEvent> {
         if self.state.pending.is_empty() && !self.state.finished {
             if self.state.now_s >= self.rt.duration_s {
                 // Flush any remaining measurement points, then finish.
-                self.measure_until(self.rt.duration_s)?;
+                self.measure_until(self.rt.duration_s, scratch)?;
                 self.state.finished = true;
                 self.state.pending.push_back(SessionEvent::Finished);
             } else {
                 // Queues at least the phase event of the action it ran.
-                self.execute_next_action()?;
+                self.execute_next_action(scratch)?;
             }
         }
         // Only a finished session's queue is ever empty here.
@@ -927,9 +1002,22 @@ impl Session {
     ///
     /// Propagates the first error from [`Session::step`].
     pub fn step_phase(&mut self) -> Result<Vec<SessionEvent>> {
+        self.with_own_scratch(Self::step_phase_in)
+    }
+
+    /// [`Session::step_phase`], computing in `scratch` — the cluster
+    /// executor's stepping call, with its accelerator loop's arena.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Session::step_phase`].
+    pub(crate) fn step_phase_in(
+        &mut self,
+        scratch: &mut TrainScratch,
+    ) -> Result<Vec<SessionEvent>> {
         let mut events = Vec::new();
         loop {
-            let event = self.step()?;
+            let event = self.step_in(scratch)?;
             let boundary = matches!(event, SessionEvent::Phase(_) | SessionEvent::Finished);
             events.push(event);
             if boundary {
@@ -975,8 +1063,8 @@ impl Session {
 
     /// Asks the scheduler for one action and executes it, queueing the
     /// resulting events in chronological order.
-    fn execute_next_action(&mut self) -> Result<()> {
-        self.execute_or_stage(false).map(|staged| {
+    fn execute_next_action(&mut self, scratch: &mut TrainScratch) -> Result<()> {
+        self.execute_or_stage(false, scratch).map(|staged| {
             debug_assert!(staged.is_none(), "staging only happens when requested");
         })
     }
@@ -1001,7 +1089,10 @@ impl Session {
     /// # Errors
     ///
     /// Same conditions as [`Session::step`].
-    pub(crate) fn stage_phase(&mut self) -> Result<Option<StagedRetrain>> {
+    pub(crate) fn stage_phase(
+        &mut self,
+        scratch: &mut TrainScratch,
+    ) -> Result<Option<StagedRetrain>> {
         if self.state.finished
             || !self.state.pending.is_empty()
             || self.state.now_s >= self.rt.duration_s
@@ -1012,7 +1103,7 @@ impl Session {
         // event loop's observer reads the meter; park the pre-phase reading
         // so the pop still reports the correct delta.
         self.rt.staged_uplink_before = self.uplink_meter();
-        self.execute_or_stage(true)
+        self.execute_or_stage(true, scratch)
     }
 
     /// Takes the uplink-meter baseline parked by [`Session::stage_phase`],
@@ -1038,10 +1129,14 @@ impl Session {
     ///
     /// Returns [`CoreError::Dnn`] if the validation batch's feature width
     /// does not match (a configuration inconsistency).
-    pub(crate) fn finish_staged_retrain(&mut self, staged: StagedRetrain) -> Result<()> {
+    pub(crate) fn finish_staged_retrain(
+        &mut self,
+        staged: StagedRetrain,
+        scratch: &mut TrainScratch,
+    ) -> Result<()> {
         let (rows, labels) = self.state.buffer.gather(&staged.validation);
         self.state.last_validation =
-            Some(self.state.student.accuracy_on_rows(&rows, &labels, &mut self.rt.scratch)?);
+            Some(self.state.student.accuracy_on_rows(&rows, &labels, scratch)?);
         self.push_phase(PhaseRecord {
             kind: PhaseKind::Retrain,
             start_s: self.state.now_s,
@@ -1056,7 +1151,11 @@ impl Session {
     /// The shared body of [`Session::execute_next_action`] (`stage: false`)
     /// and [`Session::stage_phase`] (`stage: true`); see the latter for the
     /// staging contract.
-    fn execute_or_stage(&mut self, stage: bool) -> Result<Option<StagedRetrain>> {
+    fn execute_or_stage(
+        &mut self,
+        stage: bool,
+        scratch: &mut TrainScratch,
+    ) -> Result<Option<StagedRetrain>> {
         let duration = self.rt.duration_s;
         let fps = self.state.config.stream.fps;
         // Cloud labels whose uplink round trip has completed land in the
@@ -1113,7 +1212,7 @@ impl Session {
                     // Labeling is starved out entirely (e.g. an overloaded
                     // GPU); burn the rest of the scenario waiting.
                     let wait = (duration - self.state.now_s).max(MIN_PHASE_SECONDS);
-                    self.measure_until(self.state.now_s + wait)?;
+                    self.measure_until(self.state.now_s + wait, scratch)?;
                     self.push_phase(PhaseRecord {
                         kind: PhaseKind::Wait,
                         start_s: self.state.now_s,
@@ -1171,11 +1270,8 @@ impl Session {
                             shipped.iter().map(|l| l.sample.features.as_slice()).collect();
                         let labels: Vec<usize> =
                             shipped.iter().map(|l| l.sample.teacher_label).collect();
-                        self.state.last_labeling = Some(self.state.student.accuracy_on_rows(
-                            &rows,
-                            &labels,
-                            &mut self.rt.scratch,
-                        )?);
+                        self.state.last_labeling =
+                            Some(self.state.student.accuracy_on_rows(&rows, &labels, scratch)?);
                     }
                 } else {
                     let rows: Vec<&[f32]> =
@@ -1190,11 +1286,8 @@ impl Session {
                         .collect();
                     // acc_l: the current student's accuracy on the freshly
                     // labeled data, judged by the teacher's labels.
-                    self.state.last_labeling = Some(self.state.student.accuracy_on_rows(
-                        &rows,
-                        &labels,
-                        &mut self.rt.scratch,
-                    )?);
+                    self.state.last_labeling =
+                        Some(self.state.student.accuracy_on_rows(&rows, &labels, scratch)?);
                     if let Some(tier) = self.state.edge.as_mut() {
                         tier.note_local_labels(selected.len());
                         tier.last_phase_offloaded = false;
@@ -1216,7 +1309,7 @@ impl Session {
                     phase_samples = actual_samples;
                 }
 
-                self.measure_until(self.state.now_s + phase_duration)?;
+                self.measure_until(self.state.now_s + phase_duration, scratch)?;
                 self.push_phase(PhaseRecord {
                     kind: PhaseKind::Label,
                     start_s: self.state.now_s,
@@ -1234,7 +1327,7 @@ impl Session {
                 );
                 if train.is_empty() {
                     let wait = MIN_PHASE_SECONDS.max(1.0);
-                    self.measure_until(self.state.now_s + wait)?;
+                    self.measure_until(self.state.now_s + wait, scratch)?;
                     self.push_phase(PhaseRecord {
                         kind: PhaseKind::Wait,
                         start_s: self.state.now_s,
@@ -1256,7 +1349,7 @@ impl Session {
 
                 // The old model keeps serving inference during retraining;
                 // the updated weights deploy when the phase completes.
-                self.measure_until(self.state.now_s + phase_duration)?;
+                self.measure_until(self.state.now_s + phase_duration, scratch)?;
                 if stage {
                     // The schedule is decided and the measurements taken;
                     // hand the gradient work to the stacked dispatch. The
@@ -1270,13 +1363,10 @@ impl Session {
                     }));
                 }
                 let (rows, labels) = self.state.buffer.gather(&train);
-                self.state.student.retrain(&rows, &labels, epochs.max(1), &mut self.rt.scratch)?;
+                self.state.student.retrain(&rows, &labels, epochs.max(1), scratch)?;
                 let (rows, labels) = self.state.buffer.gather(&validation);
-                self.state.last_validation = Some(self.state.student.accuracy_on_rows(
-                    &rows,
-                    &labels,
-                    &mut self.rt.scratch,
-                )?);
+                self.state.last_validation =
+                    Some(self.state.student.accuracy_on_rows(&rows, &labels, scratch)?);
 
                 self.push_phase(PhaseRecord {
                     kind: PhaseKind::Retrain,
@@ -1301,7 +1391,7 @@ impl Session {
                 }
                 let remaining = duration - self.state.now_s;
                 let wait = seconds.clamp(MIN_PHASE_SECONDS.min(remaining), remaining);
-                self.measure_until(self.state.now_s + wait)?;
+                self.measure_until(self.state.now_s + wait, scratch)?;
                 self.push_phase(PhaseRecord {
                     kind: PhaseKind::Wait,
                     start_s: self.state.now_s,
@@ -1323,7 +1413,7 @@ impl Session {
     /// Records accuracy measurements at every measurement point in
     /// `[next_measure, until)` using the student's current weights, queueing
     /// one event per point.
-    fn measure_until(&mut self, until: f64) -> Result<()> {
+    fn measure_until(&mut self, until: f64, scratch: &mut TrainScratch) -> Result<()> {
         let interval = self.state.config.measure_interval_s;
         let frames_wanted = self.state.config.eval_frames_per_measurement as u64;
         while self.state.next_measure_s < until && self.state.next_measure_s < self.rt.duration_s {
@@ -1340,7 +1430,7 @@ impl Session {
                     reason: "measurement interval produced no evaluation frames".into(),
                 });
             }
-            let accuracy = self.state.student.accuracy_on_frames(&frames, &mut self.rt.scratch)?
+            let accuracy = self.state.student.accuracy_on_frames(&frames, scratch)?
                 * (1.0 - self.rt.drop_rate);
             self.state.timeline.push((self.state.next_measure_s, accuracy));
             self.state
@@ -1843,6 +1933,25 @@ mod tests {
                     timestamp_s: 0.0,
                 });
             }),
+            ("buffer class", |s| {
+                s.buffer.push(crate::LabeledSample {
+                    features: vec![0.0; s.config.stream.feature_dim],
+                    teacher_label: NUM_CLASSES,
+                    true_class: 0,
+                    timestamp_s: 0.0,
+                });
+            }),
+            ("recorded row width", |s| {
+                let features = &vec![0.0; s.config.stream.feature_dim - 1];
+                let row = SampleRef { features, teacher_label: 0, true_class: 0, timestamp_s: 0.0 };
+                s.fresh_labels.push(row);
+            }),
+            ("recorded class", |s| {
+                let features = &vec![0.0; s.config.stream.feature_dim];
+                let row =
+                    SampleRef { features, teacher_label: 0, true_class: 10, timestamp_s: 0.0 };
+                s.fresh_labels.push(row);
+            }),
             ("cursor past the end", |s| {
                 let past = Value::Object(vec![("next_index".to_string(), Value::UInt(u64::MAX))]);
                 s.stream_cursor = StreamCursor::from_value(&past).unwrap();
@@ -1853,6 +1962,12 @@ mod tests {
             ("uplink clock", |s| s.edge.as_mut().unwrap().uplink_free_at_s = f64::NAN),
             ("arrival time", |s| {
                 s.edge.as_mut().unwrap().in_flight[0].arrival_s = f64::INFINITY;
+            }),
+            ("in-flight class", |s| {
+                s.edge.as_mut().unwrap().in_flight[0].sample.teacher_label = usize::MAX;
+            }),
+            ("in-flight row width", |s| {
+                s.edge.as_mut().unwrap().in_flight[0].sample.features.push(0.0);
             }),
         ];
         let [plain, edged] = mid_run_snapshots();
@@ -1911,6 +2026,97 @@ mod tests {
             Ok(_) => panic!("unregistered schedulers must not restore"),
         };
         assert!(err.to_string().contains("never-registered-policy"), "{err}");
+    }
+
+    /// Steps `session` one burst in `arena` the way an accelerator loop may:
+    /// plainly, or — `staged` — with the phase pre-executed by
+    /// [`Session::stage_phase`], a staged retraining dispatched through
+    /// [`train_stacked`](dacapo_dnn::train_stacked) and finished, and the
+    /// queued burst popped afterwards.
+    fn step_lent(
+        session: &mut Session,
+        arena: &mut TrainScratch,
+        staged: bool,
+    ) -> Vec<SessionEvent> {
+        if staged {
+            if let Some(retrain) = session.stage_phase(arena).unwrap() {
+                let (net, learning_rate, batch_size, buffer) = session.stacked_parts();
+                let (rows, labels) = buffer.gather(&retrain.train);
+                let epochs = retrain.epochs;
+                let mut jobs = [dacapo_dnn::StackedJob {
+                    net,
+                    rows,
+                    labels,
+                    epochs,
+                    batch_size,
+                    learning_rate,
+                }];
+                dacapo_dnn::train_stacked(&mut jobs, arena).unwrap();
+                session.finish_staged_retrain(retrain, arena).unwrap();
+            }
+            session.take_staged_uplink_baseline();
+        }
+        session.step_phase_in(arena).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4))]
+
+        /// Whose arena a session computes in never shows in what it
+        /// computes: four sessions that agree on nothing an arena's shape
+        /// depends on (fp32 and MX, three feature widths, three mini-batch
+        /// sizes), admitted into and stepped through ONE lent arena in a
+        /// random interleaving of plain and staged steps — one of them
+        /// snapshotted and restored on the way, as a migration does — emit
+        /// the events, end in the snapshots and return the results of the
+        /// same sessions each run alone in its own arena. And none of the
+        /// lent ones ever grows an arena of its own.
+        #[test]
+        fn sessions_interleaved_through_one_lent_arena_match_sessions_with_their_own(
+            seed in 0u64..1_000_000,
+            schedule in proptest::collection::vec(0usize..8, 40),
+            migrant in 0usize..4,
+            migrate_after in 0usize..5,
+        ) {
+            let configs = crate::sim::test_support::mixed_configs(seed);
+            let mut arena = TrainScratch::new();
+            let mut lent: Vec<Session> = configs
+                .iter()
+                .map(|config| Session::new_in(config.clone(), &mut arena).unwrap())
+                .collect();
+            let mut lent_events = vec![Vec::new(); lent.len()];
+            let mut bursts = [0usize; 4];
+            // The schedule first, then round-robin until everyone finished.
+            for pick in schedule.into_iter().chain((0..8).cycle()) {
+                if lent.iter().all(Session::is_finished) {
+                    break;
+                }
+                let (index, staged) = (pick % 4, pick >= 4);
+                if lent[index].is_finished() {
+                    continue;
+                }
+                if index == migrant && bursts[index] == migrate_after {
+                    lent[index] = Session::restore(lent[index].snapshot()).unwrap();
+                }
+                lent_events[index].extend(step_lent(&mut lent[index], &mut arena, staged));
+                bursts[index] += 1;
+            }
+            proptest::prop_assert!(bursts[migrant] > migrate_after, "the migrant moved mid-run");
+            proptest::prop_assert!(arena.capacity_bytes() > 0);
+
+            for ((config, lent), lent_events) in configs.into_iter().zip(lent).zip(lent_events) {
+                proptest::prop_assert_eq!(lent.own_arena_bytes(), 0, "a lent session owns no arena");
+                let mut own = Session::new(config).unwrap();
+                let mut own_events = Vec::new();
+                while !own.is_finished() {
+                    own_events.extend(own.step_phase().unwrap());
+                }
+                proptest::prop_assert!(own.own_arena_bytes() > 0);
+                proptest::prop_assert_eq!(lent_events, own_events);
+                proptest::prop_assert_eq!(lent.snapshot(), own.snapshot());
+                proptest::prop_assert_eq!(lent.into_result(), own.into_result());
+            }
+        }
     }
 
     #[test]

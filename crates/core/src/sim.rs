@@ -211,6 +211,31 @@ pub(crate) mod test_support {
         .expect("test rates are valid")
     }
 
+    /// Four cameras that share nothing an arena's shape depends on: fp32
+    /// and MX (`"dacapo"`) platforms, three feature widths, three mini-batch
+    /// sizes — so stepping them through one training arena resizes its
+    /// every buffer between residents. Forty seconds each, one drift.
+    pub(crate) fn mixed_configs(seed: u64) -> Vec<SimConfig> {
+        [(false, 16, 16), (true, 10, 8), (false, 21, 5), (true, 16, 16)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mx, feature_dim, batch_size))| {
+                let mut segments = short_scenario().segments().to_vec();
+                segments.iter_mut().for_each(|segment| segment.duration_s = 20.0);
+                let mut config = short_config(SchedulerKind::DaCapoSpatiotemporal);
+                config.scenario = Scenario::from_segments("mixed", segments);
+                if mx {
+                    config.platform = "dacapo".into();
+                }
+                config.stream.feature_dim = feature_dim;
+                config.hyper.batch_size = batch_size;
+                config.pretrain_samples = 48;
+                config.seed = seed.wrapping_add(i as u64);
+                config
+            })
+            .collect()
+    }
+
     pub(crate) fn short_config(scheduler: SchedulerKind) -> SimConfig {
         SimConfig::builder(short_scenario(), ModelPair::ResNet18Wrn50)
             .platform_rates(fast_rates("test"))

@@ -10,14 +10,27 @@
 //!   so steady-state training steps perform no heap allocation in the kernel
 //!   path. A scratch carries no numeric state between calls (every pass fully
 //!   overwrites what it reads), so sharing one across models cannot change
-//!   results — which is exactly what stacked dispatch exploits. Every `Mlp`
-//!   entry point runs these passes; the ones that take no scratch
+//!   results — which is what lets an arena belong to whoever *runs* the
+//!   kernels rather than to a model. Every `Mlp` entry point runs these
+//!   passes; the ones that take no scratch
 //!   (`Mlp::{forward, predict, evaluate, train}`) bring a fresh one.
+//!
+//!   **Who owns one.** The executor, not the camera: in `dacapo-core` each
+//!   accelerator loop of a cluster holds exactly one arena and lends it to
+//!   every kernel call of every resident session — admission pre-training,
+//!   labeling-accuracy and validation evaluations, measurements, retraining
+//!   and the stacked dispatch alike — the way a sub-accelerator's buffers
+//!   serve whichever model's kernel is scheduled on it. A session stepped on
+//!   its own (`Session::step`) computes in one it makes for itself. The
+//!   arena is then as large as the largest batch any resident computes
+//!   ([`TrainScratch::capacity_bytes`]), independent of how many residents
+//!   there are, and it is the same few dozen kilobytes under every step,
+//!   where per-session arenas are that much cold memory per camera.
 //! * [`StackedJob`] / [`train_stacked`] — the per-window batched dispatch the
 //!   cluster executor uses: when several co-resident sessions retrain in the
-//!   same scheduling window, their jobs are submitted as one stack sharing a
-//!   single arena, amortising per-camera dispatch into per-window dispatch.
-//!   Jobs run back to back over the shared scratch (each session trains its
+//!   same scheduling window, their jobs are submitted as one stack over the
+//!   loop's arena, amortising per-camera dispatch into per-window dispatch.
+//!   Jobs run back to back over that arena (each session trains its
 //!   own weights, so fusing across jobs into one GEMM would merely pad a
 //!   block-diagonal operand with zeros); results are bit-identical to
 //!   unbatched per-session retraining by construction, and property tests
@@ -95,6 +108,19 @@ impl TrainScratch {
             acts: Vec::new(),
             layers: Vec::new(),
         }
+    }
+
+    /// Bytes of backing storage the arena has grown to: the sum of its
+    /// buffers' capacities, which is what a holder of one pays for it. It
+    /// only ever rises, to the high-water mark of the shapes seen.
+    #[must_use]
+    pub fn capacity_bytes(&self) -> usize {
+        let Self { ws, features, grad, acts, layers } = self;
+        let per_layer =
+            layers.iter().flat_map(|l| [&l.x_q, &l.pre, &l.delta, &l.d_w, &l.d_b, &l.d_x]);
+        let elements: usize =
+            [features, grad].into_iter().chain(acts).chain(per_layer).map(Matrix::capacity).sum();
+        ws.capacity_bytes() + elements * std::mem::size_of::<f32>()
     }
 
     /// Grows the per-layer slots to cover a network of `layers` layers.
@@ -379,6 +405,25 @@ mod tests {
         reused.train_rows_with(&rows, &labels, 2, 8, 0.05, &mut dirty_scratch).unwrap();
 
         assert_eq!(reused, fresh);
+    }
+
+    #[test]
+    fn capacity_bytes_is_a_high_water_mark() {
+        let mut scratch = TrainScratch::new();
+        assert!(scratch.capacity_bytes() <= 64, "a fresh arena holds two placeholders");
+        let mut net = Mlp::new(config(QuantMode::Mx(dacapo_mx::MxPrecision::Mx9))).unwrap();
+        let mut train = |n: usize, scratch: &mut TrainScratch| {
+            let (features, labels) = data(n, 96);
+            let rows: Vec<&[f32]> = features.iter_rows().collect();
+            net.train_rows_with(&rows, &labels, 1, n, 0.05, scratch).unwrap();
+            scratch.capacity_bytes()
+        };
+        let grown = train(24, &mut scratch);
+        // At least the gathered batch and one activation per layer.
+        assert!(grown >= 24 * (10 + 12 + 8 + 4) * std::mem::size_of::<f32>(), "{grown}");
+        assert_eq!(train(24, &mut scratch), grown, "the same shapes again allocate nothing");
+        assert_eq!(train(7, &mut scratch), grown, "smaller shapes fit inside");
+        assert!(train(40, &mut scratch) > grown);
     }
 
     #[test]

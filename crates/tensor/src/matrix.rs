@@ -232,6 +232,13 @@ impl Matrix {
         self.data.len()
     }
 
+    /// Number of elements the backing storage holds without reallocating —
+    /// at least [`Matrix::len`]; what a reused scratch matrix has grown to.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Whether the matrix holds no elements (never true for constructed
     /// matrices, which always have positive dimensions).
     #[must_use]

@@ -66,6 +66,13 @@ impl Workspace {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Bytes of backing storage the workspace has grown to.
+    #[must_use]
+    pub fn capacity_bytes(&self) -> usize {
+        (self.panel.capacity() + self.qa.capacity() + self.staged.capacity())
+            * std::mem::size_of::<f32>()
+    }
 }
 
 #[cfg(test)]

@@ -135,3 +135,12 @@ figures:
 # arguments give one count per file, e.g. `just loc crates/tensor/src/ops.rs`.
 loc *FILES:
     scripts/loc.sh {{FILES}}
+
+# The before/after table of a performance claim: builds the frozen benchmark
+# from PARENT and from this tree side by side (outside the repository, at
+# paths of one length), runs alternating `--seconds 15 --trace 0` pairs of
+# one workload over seeds 1..PAIRS, and prints per-metric medians,
+# quartiles, wins and whether `mean_accuracy_pct` matched per seed, e.g.
+# `just pairs HEAD~1 fleet-steady`.
+pairs PARENT WORKLOAD PAIRS='10':
+    scripts/pairs.sh {{PARENT}} {{WORKLOAD}} {{PAIRS}}

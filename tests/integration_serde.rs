@@ -12,7 +12,7 @@ use dacapo_core::{
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// JSON-text round trip: serialise, parse, compare.
 fn round_trip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T) {
@@ -274,4 +274,106 @@ fn a_golden_v2_snapshot_round_trips_byte_for_byte() {
     let mut restored = restored;
     restored.run_to_end().expect("the restored session finishes");
     assert!(restored.is_finished());
+}
+
+/// The golden snapshot's JSON with the value at `path` — object keys, and
+/// decimal indices into arrays — handed to `edit`: a hostile file, as one
+/// would arrive.
+fn golden_with(path: &[&str], edit: impl FnOnce(&mut Value)) -> String {
+    let mut tree = serde_json::value_from_str(include_str!("fixtures/session_snapshot_v2.json"))
+        .expect("the golden snapshot is JSON");
+    let mut node = &mut tree;
+    for step in path {
+        node = match node {
+            Value::Object(fields) => {
+                fields.iter_mut().find(|(key, _)| key == step).map(|f| &mut f.1)
+            }
+            Value::Array(items) => step.parse().ok().and_then(|index: usize| items.get_mut(index)),
+            _ => None,
+        }
+        .expect("every step of the path names a field or an element");
+    }
+    edit(node);
+    serde_json::to_string(&tree).expect("the tree serialises")
+}
+
+/// Every sample a snapshot stores — buffered, recorded for export, or in
+/// flight from the cloud — is checked on restore against the stream's
+/// feature width and the class count, and the error names the store, the
+/// row and the field: a migrant with a bad row must fail at the barrier that
+/// moves it, not later inside a kernel on its new accelerator.
+#[test]
+fn restore_names_the_bad_sample_of_a_mutated_golden_snapshot() {
+    fn set(value: u64) -> impl FnOnce(&mut Value) {
+        move |node| *node = Value::UInt(value)
+    }
+    /// Two well-formed 16-feature samples lifted from the fixture's buffer,
+    /// edited, as the whole array at the visited node.
+    fn rows(edit: fn(&mut Vec<Value>)) -> impl FnOnce(&mut Value) {
+        let mut row = Value::Null;
+        golden_with(&["buffer", "samples", "0"], |node| row = node.clone());
+        let mut block = vec![row.clone(), row];
+        edit(&mut block);
+        move |node| *node = Value::Array(block)
+    }
+    fn field(row: &mut Value, key: &str, value: u64) {
+        let Value::Object(fields) = row else { panic!("a sample is an object") };
+        fields.iter_mut().find(|(k, _)| k == key).expect("the field exists").1 = Value::UInt(value);
+    }
+    fn narrow(row: &mut Value) {
+        let Value::Object(fields) = row else { panic!("a sample is an object") };
+        let Value::Array(features) = &mut fields[0].1 else { panic!("features come first") };
+        features.pop();
+    }
+
+    let cases: Vec<(String, &str)> = vec![
+        (
+            golden_with(&["buffer", "samples", "5", "teacher_label"], set(10)),
+            "buffer[5].teacher_label",
+        ),
+        (golden_with(&["buffer", "samples", "23", "true_class"], set(10)), "buffer[23].true_class"),
+        (
+            golden_with(&["fresh_labels"], rows(|block| block.iter_mut().for_each(narrow))),
+            "fresh_labels[0] has 15 features",
+        ),
+        (
+            golden_with(&["fresh_labels"], rows(|block| field(&mut block[1], "teacher_label", 10))),
+            "fresh_labels[1].teacher_label",
+        ),
+        (
+            golden_with(
+                &["fresh_labels"],
+                rows(|block| field(&mut block[0], "true_class", u64::MAX)),
+            ),
+            "fresh_labels[0].true_class",
+        ),
+        (
+            golden_with(&["edge", "in_flight", "2", "sample", "teacher_label"], set(10)),
+            "edge.in_flight[2].sample.teacher_label",
+        ),
+        (
+            golden_with(&["edge", "in_flight", "7", "sample", "true_class"], set(10)),
+            "edge.in_flight[7].sample.true_class",
+        ),
+        (
+            golden_with(&["edge", "in_flight", "0", "sample"], narrow),
+            "edge.in_flight[0].sample has 15 features",
+        ),
+    ];
+    for (text, named) in cases {
+        let snapshot = SessionSnapshot::from_json(&text).expect("the mutation keeps the shape");
+        match Session::restore(snapshot) {
+            Err(dacapo_core::CoreError::Snapshot { reason }) => {
+                assert!(reason.contains(named), "expected '{named}' in: {reason}");
+            }
+            Err(other) => panic!("{named}: expected CoreError::Snapshot, got {other:?}"),
+            Ok(_) => panic!("{named}: a hostile sample must not restore"),
+        }
+    }
+    // The harness itself is harmless: untouched, and with well-formed
+    // recorded rows, the golden snapshot still restores.
+    for text in [golden_with(&[], |_| {}), golden_with(&["fresh_labels"], rows(|_| {}))] {
+        let snapshot = SessionSnapshot::from_json(&text).expect("parses");
+        assert!(Session::restore(snapshot).is_ok());
+    }
 }
