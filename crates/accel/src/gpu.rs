@@ -15,7 +15,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// These reflect the well-known utilisation gap between small-batch
 /// inference and batched training on GPUs; they are calibration knobs, not
-/// measurements, and EXPERIMENTS.md discusses their effect.
+/// measurements. The defaults are set to reproduce the paper's premise (the
+/// `Default` impl says which), not fitted to a profiled device, so a GPU
+/// baseline's absolute throughput and accuracy follow from that calibration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UtilizationProfile {
     /// Batch-1 student inference.

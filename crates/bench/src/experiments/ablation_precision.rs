@@ -107,7 +107,8 @@ pub(super) fn run(options: &ExperimentOptions, _host: &mut HostRecord) -> Result
          this reproduction translates directly into faster drift recovery. The accuracy *cost* of \
          MX4/MX6 training that motivates the paper's MX9 choice does not materialise here because \
          the synthetic student is a two-layer MLP that tolerates 2-bit mantissas; the paper's \
-         ResNet/ViT students do not (see EXPERIMENTS.md for this documented divergence)."
+         ResNet/ViT students do not. That is a divergence of this reproduction's student, not \
+         evidence against the paper's choice."
     )?;
     Report::new(&rows, text)
 }

@@ -8,10 +8,10 @@ use crate::buffer::SampleBlock;
 use crate::config::SimConfig;
 use crate::edge::EdgeAccum;
 use crate::fleet::prefix_camera;
-use crate::session::{report_uplink, Session, SessionEvent, SimObserver, StagedRetrain};
+use crate::session::{report_uplink, Session, SessionEvent, SimObserver};
 use crate::sim::{PhaseKind, SimResult};
 use crate::{CoreError, Result};
-use dacapo_dnn::{train_stacked, StackedJob, TrainScratch};
+use dacapo_dnn::TrainScratch;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -123,15 +123,11 @@ pub(super) struct AccelLoop<'a> {
     /// `(camera index, batch)` of freshly teacher-labeled samples collected
     /// since the barrier last took them.
     pub(super) exports: Vec<(usize, SampleBlock)>,
-    /// Whether co-resident retraining phases are batched into one stacked
-    /// dispatch at each window's start
-    /// ([`Cluster::batch_retraining`](super::Cluster::batch_retraining)).
-    batch: bool,
     /// The accelerator's one training arena, lent to everything its
-    /// residents compute: admission pre-training, every stepped or staged
-    /// phase, the stacked dispatch and its validation. It grows to the
-    /// largest batch any resident evaluates and stays warm from one
-    /// resident's step to the next; no session here holds one of its own.
+    /// residents compute: admission pre-training and every phase, each
+    /// executed when its event pops. It grows to the largest batch any
+    /// resident evaluates and stays warm from one resident's step to the
+    /// next; no session here holds one of its own.
     scratch: TrainScratch,
     /// Reusable peer-summary buffer for arbitration requests, refilled per
     /// arbitrated step instead of allocated.
@@ -149,7 +145,6 @@ impl<'a> AccelLoop<'a> {
         arbiter_name: &str,
         capacity: Option<usize>,
         record_labels: bool,
-        batch: bool,
     ) -> Result<Self> {
         let capacity = capacity.unwrap_or(usize::MAX);
         let (initial, queued) = assigned.split_at(assigned.len().min(capacity));
@@ -172,7 +167,6 @@ impl<'a> AccelLoop<'a> {
                 ..AccelOutcome::default()
             },
             exports: Vec::new(),
-            batch,
             scratch: TrainScratch::new(),
             residents: Vec::new(),
         })
@@ -203,85 +197,6 @@ impl<'a> AccelLoop<'a> {
         }
     }
 
-    /// Pre-executes, at a window's start, the first phase of every resident
-    /// session due inside the window, batching the retraining phases among
-    /// them into **one** stacked GEMM dispatch ([`train_stacked`]) — over
-    /// the loop's arena, like the staging before it and the validation
-    /// after it.
-    ///
-    /// Bit-identity with unstaged execution holds because nothing outside a
-    /// session touches it between barriers (the module's barrier
-    /// discipline), each session's numeric work is independent of its
-    /// peers', and the produced events stay queued inside the session until
-    /// the event loop pops them at the exact time — and in the exact order —
-    /// it would have executed them (property-tested batched ≡ unbatched).
-    /// Only sessions whose next pop lands inside this window are staged;
-    /// staging a later-window phase would leak state past a barrier.
-    fn stage_window(&mut self, stop_at_s: f64) -> Result<()> {
-        let mut staged: Vec<(usize, StagedRetrain)> = Vec::new();
-        for &slot_index in &self.active {
-            let slot = &mut self.slots[slot_index];
-            if slot.now_s >= stop_at_s {
-                continue;
-            }
-            let Some(session) = slot.session.as_mut() else { continue };
-            let camera_name = &self.cameras[slot.camera_index].0;
-            if let Some(retrain) =
-                session.stage_phase(&mut self.scratch).map_err(|e| prefix_camera(camera_name, e))?
-            {
-                staged.push((slot_index, retrain));
-            }
-        }
-        if staged.is_empty() {
-            return Ok(());
-        }
-        staged.sort_by_key(|&(slot_index, _)| slot_index);
-        let mut jobs: Vec<StackedJob<'_>> = Vec::with_capacity(staged.len());
-        {
-            let mut wanted = staged.iter();
-            let mut next = wanted.next();
-            for (index, slot) in self.slots.iter_mut().enumerate() {
-                let Some(&(slot_index, ref retrain)) = next else { break };
-                if slot_index != index {
-                    continue;
-                }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "only slots with a live session were staged a few lines up, and \
-                              nothing drops sessions in between"
-                )]
-                let session = slot.session.as_mut().expect("staged slots hold live sessions");
-                let (net, learning_rate, batch_size, buffer) = session.stacked_parts();
-                let (rows, labels) = buffer.gather(&retrain.train);
-                jobs.push(StackedJob {
-                    net,
-                    rows,
-                    labels,
-                    epochs: retrain.epochs,
-                    batch_size,
-                    learning_rate,
-                });
-                next = wanted.next();
-            }
-        }
-        train_stacked(&mut jobs, &mut self.scratch).map_err(CoreError::from)?;
-        drop(jobs);
-        for (slot_index, retrain) in staged {
-            let slot = &mut self.slots[slot_index];
-            let camera_name = &self.cameras[slot.camera_index].0;
-            #[expect(
-                clippy::expect_used,
-                reason = "same invariant as the job-building walk above"
-            )]
-            slot.session
-                .as_mut()
-                .expect("staged slots hold live sessions")
-                .finish_staged_retrain(retrain, &mut self.scratch)
-                .map_err(|e| prefix_camera(camera_name, e))?;
-        }
-        Ok(())
-    }
-
     /// Pops and executes events due strictly before `stop_at_s` (every
     /// remaining event when it is +∞), forwarding each step's burst to the
     /// observer if one is given. The first call admits the initial
@@ -295,9 +210,6 @@ impl<'a> AccelLoop<'a> {
         for camera_index in std::mem::take(&mut self.initial) {
             self.admit(PendingEntry::fresh(camera_index), 0.0)?;
         }
-        if self.batch {
-            self.stage_window(stop_at_s)?;
-        }
         while let Some(&Reverse(due)) = self.heap.peek() {
             if due.at >= stop_at_s {
                 break;
@@ -309,17 +221,7 @@ impl<'a> AccelLoop<'a> {
             let Some(session) = slot.session.as_mut() else { continue };
             let camera_index = slot.camera_index;
             let camera_name = &self.cameras[camera_index].0;
-            // A staged phase already shipped its uplink bytes at the
-            // window's start; its parked baseline (consumed here either
-            // way, so it never outlives its burst) replaces the live meter
-            // read, keeping the observer's delta identical to an unstaged
-            // run.
-            let staged_baseline = session.take_staged_uplink_baseline();
-            let uplink_before = if observer.is_some() {
-                staged_baseline.or_else(|| session.uplink_meter())
-            } else {
-                None
-            };
+            let uplink_before = session.uplink_meter();
             let events = session
                 .step_phase_in(&mut self.scratch)
                 .map_err(|e| prefix_camera(camera_name, e))?;
@@ -499,7 +401,7 @@ mod tests {
             .collect();
         let assigned: Vec<usize> = (0..residents).collect();
         let mut accel_loop =
-            AccelLoop::new(0, &assigned, &cameras, "fair-share", None, false, true).unwrap();
+            AccelLoop::new(0, &assigned, &cameras, "fair-share", None, false).unwrap();
         // Fair share stretches every step by the resident count.
         accel_loop.run_until(10.0 * residents as f64, None).unwrap();
         let sessions = accel_loop.slots.iter().filter_map(|slot| slot.session.as_ref());

@@ -740,7 +740,7 @@ mod tests {
                     .iter()
                     .enumerate()
                     .map(|(accel, assigned)| {
-                        AccelLoop::new(accel, assigned, &cameras, "fair-share", None, true, false)
+                        AccelLoop::new(accel, assigned, &cameras, "fair-share", None, true)
                             .unwrap()
                     })
                     .collect();

@@ -83,9 +83,9 @@
 //! The accelerator, as in the paper's hardware, where a sub-accelerator's
 //! buffers serve whichever model's kernel is scheduled on it. Each
 //! accelerator loop holds exactly one `TrainScratch` and lends it to
-//! everything its residents compute: the pre-training of a camera it admits,
-//! every stepped or staged phase (labeling accuracy, measurements,
-//! retraining, validation) and the stacked dispatch. A resident session —
+//! everything its residents compute: the pre-training of a camera it admits
+//! and every phase (labeling accuracy, measurements, retraining,
+//! validation), each executed when its event pops. A resident session —
 //! built here, or restored by a drain migration — never has an arena of its
 //! own; what a camera costs while resident is its student's weights, its
 //! sample buffer and its timeline. Lending is sound because an arena carries
@@ -281,7 +281,6 @@ pub struct Cluster {
     share_window_s: f64,
     churn: ChurnPlan,
     offload: String,
-    batch: bool,
 }
 
 impl Cluster {
@@ -303,7 +302,6 @@ impl Cluster {
             share_window_s: DEFAULT_SHARE_WINDOW_S,
             churn: ChurnPlan::new(),
             offload: "local-only".to_string(),
-            batch: true,
         }
     }
 
@@ -398,16 +396,11 @@ impl Cluster {
         self
     }
 
-    /// Toggles batched per-window retraining (default: on). When enabled,
-    /// each window's first phase per resident is pre-staged at the window's
-    /// start and the co-resident retraining phases are dispatched as one
-    /// stacked GEMM batch sharing a single scratch arena — once per window,
-    /// so once in all for a run with no stages (one unbounded window).
-    /// Results are bit-identical either way (property-tested): the unbatched
-    /// dispatch is the tests' reference and what step-timing tracers select.
+    /// Accepted and ignored: every phase runs when its event pops, in its
+    /// accelerator loop's one arena, whatever is passed here. Kept because
+    /// the frozen benchmark calls it.
     #[must_use]
-    pub fn batch_retraining(mut self, enabled: bool) -> Self {
-        self.batch = enabled;
+    pub fn batch_retraining(self, _enabled: bool) -> Self {
         self
     }
 
@@ -508,7 +501,6 @@ impl Cluster {
                     &arbiter_name,
                     self.capacity,
                     share.is_some(),
-                    self.batch,
                 )
             })
             .collect::<Result<Vec<_>>>()?;
@@ -1113,62 +1105,36 @@ mod tests {
     }
 
     #[test]
-    fn batched_retraining_is_bit_identical_to_unbatched() {
-        // The windowed path is where batching engages: both cameras share
-        // one accelerator, so their retraining phases co-occur in windows
-        // and ride the stacked dispatch. Toggling the dispatch — at any
-        // thread count — must never change a single bit of the result.
-        let build = |batch: bool, threads: usize| {
-            Cluster::new(1)
-                .camera("a", short_config(SchedulerKind::DaCapoSpatiotemporal))
-                .camera("b", short_config(SchedulerKind::DaCapoSpatial))
-                .share("broadcast")
-                .share_window_s(20.0)
-                .threads(threads)
-                .batch_retraining(batch)
-                .run()
-                .unwrap()
-        };
-        let unbatched = build(false, 1);
-        assert_eq!(unbatched, build(true, 1));
-        assert_eq!(unbatched, build(true, 2));
-        assert_eq!(unbatched, build(true, 8));
-    }
-
-    #[test]
     fn batching_is_invisible_when_residents_disagree_on_every_arena_shape() {
-        // Staged phases, the stacked dispatch, its validation and every
-        // ordinary step of a loop compute in that loop's one arena. Put
+        // Every phase of a loop computes in that loop's one arena. Put
         // cameras on it that reshape the arena's every buffer between turns
         // (fp32 and MX, three feature widths, three mini-batch sizes), cut
-        // the run into windows so staging happens throughout, and neither
-        // the dispatch toggle nor the thread count may show — and every
-        // camera still reports what it reports alone, in an arena of its own.
+        // the run into short windows, and the thread count may not show —
+        // and every camera still reports what it reports alone, in an arena
+        // of its own.
         let configs = crate::sim::test_support::mixed_configs(7);
-        let build = |batch: bool, threads: usize| {
-            let mut cluster =
-                Cluster::new(2).share_window_s(7.0).threads(threads).batch_retraining(batch);
+        let build = |threads: usize| {
+            let mut cluster = Cluster::new(2).share_window_s(7.0).threads(threads);
             for (i, config) in configs.iter().enumerate() {
                 cluster = cluster.camera(format!("cam-{i}"), config.clone());
             }
             cluster.run_with(&mut ()).unwrap()
         };
-        let unbatched = build(false, 1);
-        assert_eq!(unbatched, build(true, 1));
-        assert_eq!(unbatched, build(true, 2));
+        let serial = build(1);
+        assert_eq!(serial, build(2));
         for (i, config) in configs.into_iter().enumerate() {
             let solo = crate::ClSimulator::new(config).unwrap().run().unwrap();
-            assert_eq!(unbatched.camera(&format!("cam-{i}")), Some(&solo));
+            assert_eq!(serial.camera(&format!("cam-{i}")), Some(&solo));
         }
     }
 
     #[test]
-    fn batched_retraining_composes_with_churn_and_offload() {
-        // Staging must respect barriers: joins, leaves, snapshot migration
-        // (drain), and offload routing all mutate sessions between windows,
-        // and a staged phase leaking past a barrier would diverge. Compare
-        // the full composition batched vs unbatched.
-        let build = |batch: bool| {
+    fn share_churn_and_offload_compose_identically_at_any_thread_count() {
+        // Joins, leaves, snapshot migration (drain), label exchange and
+        // offload routing all mutate sessions between windows, on one
+        // thread; the loops between them run in parallel. No thread count
+        // may show in the result.
+        let build = |threads: usize| {
             let plan = ChurnPlan::new()
                 .join(40.0, "late", edge_camera(SchedulerKind::DaCapoSpatiotemporal, "wifi"))
                 .drain(60.0, 1)
@@ -1181,11 +1147,17 @@ mod tests {
                 .share_window_s(20.0)
                 .offload("threshold:1")
                 .churn(plan)
-                .batch_retraining(batch)
+                .threads(threads)
                 .run()
                 .unwrap()
         };
-        assert_eq!(build(false), build(true));
+        let serial = build(1);
+        let churn = &serial.churn;
+        assert_eq!((churn.joins, churn.drains, churn.leaves), (1, 1, 1), "{churn:?}");
+        assert!(serial.share.labels_reused > 0, "{:?}", serial.share);
+        assert!(serial.edge.labels_cloud > 0, "{:?}", serial.edge);
+        assert_eq!(serial, build(2));
+        assert_eq!(serial, build(8));
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::sim::{PhaseKind, PhaseRecord, SimResult};
 use crate::student::StudentModel;
 use crate::{CoreError, Result};
 use dacapo_datagen::{CenterCache, Frame, FrameStream, StreamCursor, NUM_CLASSES};
-use dacapo_dnn::{Mlp, TeacherOracle, TrainScratch};
+use dacapo_dnn::{TeacherOracle, TrainScratch};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 
@@ -333,10 +333,6 @@ struct Runtime {
     /// has one of its own (`None`, as after [`Session::restore`]).
     scratch: Option<Box<TrainScratch>>,
     center_cache: CenterCache,
-    /// Observer baseline for a phase pre-executed by the cluster's batched
-    /// retraining dispatch; consumed when that phase's events pop, before
-    /// any barrier or snapshot.
-    staged_uplink_before: Option<(u64, u64)>,
 }
 
 impl Runtime {
@@ -360,30 +356,8 @@ impl Runtime {
             uplink,
             scratch: None,
             center_cache: CenterCache::new(),
-            staged_uplink_before: None,
         })
     }
-}
-
-/// A retraining phase whose schedule is fully decided but whose gradient
-/// work has not run yet: the output of [`Session::stage_phase`], consumed by
-/// the cluster executor's stacked dispatch and then completed with
-/// [`Session::finish_staged_retrain`]. Between the two calls the session
-/// must not be stepped or snapshotted.
-#[derive(Debug)]
-pub(crate) struct StagedRetrain {
-    /// The drawn training batch, as indices into the session's sample
-    /// buffer (which nothing mutates until the phase is finished).
-    pub(crate) train: Vec<usize>,
-    /// The drawn validation batch (buffer indices likewise), evaluated
-    /// after the weights update.
-    validation: Vec<usize>,
-    /// Training epochs, already clamped to at least one.
-    pub(crate) epochs: usize,
-    /// Sample presentations charged to the platform (`train.len() × epochs`).
-    presentations: usize,
-    /// The phase's simulated duration in seconds.
-    phase_duration: f64,
 }
 
 /// The version tag of the public snapshot format. Bump it whenever the
@@ -518,11 +492,17 @@ impl SessionSnapshot {
             return bad(format!("student does not match its own configuration: {e}"));
         }
         let feature_dim = self.config.stream.feature_dim;
-        let student_dim = self.student.network().config().input_dim;
-        if student_dim != feature_dim {
+        let student = self.student.network().config();
+        if student.input_dim != feature_dim {
             return bad(format!(
-                "student takes {student_dim}-feature inputs but config.stream.feature_dim is \
-                 {feature_dim}"
+                "student takes {}-feature inputs but config.stream.feature_dim is {feature_dim}",
+                student.input_dim
+            ));
+        }
+        if student.num_classes != NUM_CLASSES {
+            return bad(format!(
+                "student.network.config.num_classes is {} but there are {NUM_CLASSES} classes",
+                student.num_classes
             ));
         }
         if self.buffer.capacity() != self.config.hyper.buffer_capacity {
@@ -697,7 +677,8 @@ impl Session {
     /// Returns [`CoreError::Snapshot`] for a snapshot from a different
     /// [`SNAPSHOT_VERSION`] or one whose state the session could not run
     /// (a non-finite or negative clock, a buffer or student of another
-    /// shape than the configuration's, a buffered, recorded or in-flight
+    /// shape than the configuration's, a student with another class count
+    /// than the stream's, a buffered, recorded or in-flight
     /// sample of another width than the stream's or of a class index past
     /// the classes, a cursor past the stream's end, edge
     /// state without an edge tier or the reverse — the reason names the
@@ -1064,98 +1045,6 @@ impl Session {
     /// Asks the scheduler for one action and executes it, queueing the
     /// resulting events in chronological order.
     fn execute_next_action(&mut self, scratch: &mut TrainScratch) -> Result<()> {
-        self.execute_or_stage(false, scratch).map(|staged| {
-            debug_assert!(staged.is_none(), "staging only happens when requested");
-        })
-    }
-
-    /// Pre-executes the session's next phase at a cluster window's start, so
-    /// co-resident retraining phases can be dispatched as one stacked batch.
-    ///
-    /// Within a window nothing outside the session touches its state (label
-    /// exchange, routing, and churn all happen at barriers), so executing
-    /// the phase early is bit-identical to executing it when the event loop
-    /// pops it — the produced events stay queued in `pending` and drain at
-    /// the pop exactly as an unstaged burst would. A retraining phase with a
-    /// non-empty batch stops short of the gradient work and returns the
-    /// [`StagedRetrain`] describing it; the caller runs the stacked dispatch
-    /// and then [`Session::finish_staged_retrain`]. Every other action
-    /// executes fully here and returns `None`.
-    ///
-    /// Returns `None` without doing anything when the session is finished,
-    /// mid-burst (`pending` non-empty), or out of scenario time — those
-    /// sessions take the ordinary stepping path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Session::step`].
-    pub(crate) fn stage_phase(
-        &mut self,
-        scratch: &mut TrainScratch,
-    ) -> Result<Option<StagedRetrain>> {
-        if self.state.finished
-            || !self.state.pending.is_empty()
-            || self.state.now_s >= self.rt.duration_s
-        {
-            return Ok(None);
-        }
-        // A labeling phase executed here ships its uplink bytes before the
-        // event loop's observer reads the meter; park the pre-phase reading
-        // so the pop still reports the correct delta.
-        self.rt.staged_uplink_before = self.uplink_meter();
-        self.execute_or_stage(true, scratch)
-    }
-
-    /// Takes the uplink-meter baseline parked by [`Session::stage_phase`],
-    /// if the upcoming event burst was pre-executed there.
-    pub(crate) fn take_staged_uplink_baseline(&mut self) -> Option<(u64, u64)> {
-        self.rt.staged_uplink_before.take()
-    }
-
-    /// The pieces a stacked retraining job borrows from this session:
-    /// `(network, learning_rate, batch_size, buffer)` — the buffer is what
-    /// a [`StagedRetrain`]'s indices resolve against.
-    pub(crate) fn stacked_parts(&mut self) -> (&mut Mlp, f32, usize, &SampleBuffer) {
-        let (learning_rate, batch_size) = self.state.student.hyperparams();
-        (self.state.student.network_mut(), learning_rate, batch_size, &self.state.buffer)
-    }
-
-    /// Completes a retraining phase staged by [`Session::stage_phase`] after
-    /// the stacked dispatch updated the weights: evaluates validation
-    /// accuracy against the new weights, records the phase, and advances the
-    /// clock — exactly the tail [`Session::execute_or_stage`] skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Dnn`] if the validation batch's feature width
-    /// does not match (a configuration inconsistency).
-    pub(crate) fn finish_staged_retrain(
-        &mut self,
-        staged: StagedRetrain,
-        scratch: &mut TrainScratch,
-    ) -> Result<()> {
-        let (rows, labels) = self.state.buffer.gather(&staged.validation);
-        self.state.last_validation =
-            Some(self.state.student.accuracy_on_rows(&rows, &labels, scratch)?);
-        self.push_phase(PhaseRecord {
-            kind: PhaseKind::Retrain,
-            start_s: self.state.now_s,
-            duration_s: staged.phase_duration,
-            samples: staged.presentations,
-            drift_response: false,
-        });
-        self.state.now_s += staged.phase_duration;
-        Ok(())
-    }
-
-    /// The shared body of [`Session::execute_next_action`] (`stage: false`)
-    /// and [`Session::stage_phase`] (`stage: true`); see the latter for the
-    /// staging contract.
-    fn execute_or_stage(
-        &mut self,
-        stage: bool,
-        scratch: &mut TrainScratch,
-    ) -> Result<Option<StagedRetrain>> {
         let duration = self.rt.duration_s;
         let fps = self.state.config.stream.fps;
         // Cloud labels whose uplink round trip has completed land in the
@@ -1221,7 +1110,7 @@ impl Session {
                         drift_response: reset_buffer,
                     });
                     self.state.now_s += wait;
-                    return Ok(None);
+                    return Ok(());
                 }
                 let remaining = duration - self.state.now_s;
                 let ideal_duration = samples.max(1) as f64 / rate;
@@ -1336,7 +1225,7 @@ impl Session {
                         drift_response: false,
                     });
                     self.state.now_s += wait;
-                    return Ok(None);
+                    return Ok(());
                 }
                 let presentations = train.len() * epochs.max(1);
                 let rate = self.rt.platform.effective_retraining_sps(fps);
@@ -1350,18 +1239,6 @@ impl Session {
                 // The old model keeps serving inference during retraining;
                 // the updated weights deploy when the phase completes.
                 self.measure_until(self.state.now_s + phase_duration, scratch)?;
-                if stage {
-                    // The schedule is decided and the measurements taken;
-                    // hand the gradient work to the stacked dispatch. The
-                    // caller completes the phase via finish_staged_retrain.
-                    return Ok(Some(StagedRetrain {
-                        train,
-                        validation,
-                        epochs: epochs.max(1),
-                        presentations,
-                        phase_duration,
-                    }));
-                }
                 let (rows, labels) = self.state.buffer.gather(&train);
                 self.state.student.retrain(&rows, &labels, epochs.max(1), scratch)?;
                 let (rows, labels) = self.state.buffer.gather(&validation);
@@ -1402,7 +1279,7 @@ impl Session {
                 self.state.now_s += wait;
             }
         }
-        Ok(None)
+        Ok(())
     }
 
     fn push_phase(&mut self, phase: PhaseRecord) {
@@ -1448,7 +1325,7 @@ mod tests {
     use crate::sched::SchedulerKind;
     use crate::sim::test_support::{short_config, short_scenario};
     use crate::ClSimulator;
-    use dacapo_dnn::{Activation, Dense};
+    use dacapo_dnn::{Activation, Dense, Mlp, MlpConfig};
 
     #[test]
     fn stepped_session_matches_one_shot_run_exactly() {
@@ -1878,34 +1755,46 @@ mod tests {
         [plain, edged.snapshot()]
     }
 
-    /// Restoring `snapshot` must fail with a typed snapshot error.
+    /// Restoring `snapshot` must fail with a typed snapshot error, whose
+    /// reason comes back.
     #[track_caller]
-    fn assert_unrestorable(snapshot: Result<SessionSnapshot>, what: &str) {
+    fn assert_unrestorable(snapshot: Result<SessionSnapshot>, what: &str) -> String {
         match snapshot.and_then(Session::restore) {
-            Err(CoreError::Snapshot { reason }) => assert!(!reason.is_empty(), "{what}"),
+            Err(CoreError::Snapshot { reason }) if !reason.is_empty() => reason,
             Err(other) => panic!("{what}: expected CoreError::Snapshot, got {other:?}"),
             Ok(_) => panic!("{what}: hostile state must not restore"),
         }
     }
 
-    /// Decodes `snapshot`'s JSON with the layer list of its student
-    /// rewritten — how a hostile file arrives: an `Mlp` in memory cannot be
-    /// mis-shaped, so the edit has to ride the serialised form.
+    /// The `key` entry of an object in a serialised tree.
+    fn field<'v>(value: &'v mut Value, key: &str) -> &'v mut Value {
+        let Value::Object(entries) = value else { panic!("{key}'s parent is an object") };
+        &mut entries.iter_mut().find(|(k, _)| k == key).expect("the field exists").1
+    }
+
+    /// Decodes `snapshot`'s JSON with its student's network rewritten — how
+    /// a hostile file arrives: an `Mlp` in memory cannot be mis-shaped, so
+    /// the edit has to ride the serialised form.
+    fn with_student_network(
+        snapshot: &SessionSnapshot,
+        edit: impl FnOnce(&mut Value),
+    ) -> Result<SessionSnapshot> {
+        let mut tree = snapshot.to_value();
+        edit(field(field(&mut tree, "student"), "network"));
+        SessionSnapshot::from_json(&serde_json::to_string(&tree).unwrap())
+    }
+
+    /// [`with_student_network`] with the network's layer list rewritten.
     fn with_student_layers(
         snapshot: &SessionSnapshot,
         edit: impl FnOnce(&mut Vec<Value>),
     ) -> Result<SessionSnapshot> {
-        fn field<'v>(value: &'v mut Value, key: &str) -> &'v mut Value {
-            let Value::Object(entries) = value else { panic!("{key}'s parent is an object") };
-            &mut entries.iter_mut().find(|(k, _)| k == key).expect("the field exists").1
-        }
-        let mut tree = snapshot.to_value();
-        let Value::Array(layers) = field(field(field(&mut tree, "student"), "network"), "layers")
-        else {
-            panic!("layers is an array")
-        };
-        edit(layers);
-        SessionSnapshot::from_json(&serde_json::to_string(&tree).unwrap())
+        with_student_network(snapshot, |network| {
+            let Value::Array(layers) = field(network, "layers") else {
+                panic!("layers is an array")
+            };
+            edit(layers);
+        })
     }
 
     #[test]
@@ -1995,6 +1884,15 @@ mod tests {
                 with_student_layers(snapshot, |layers| layers[0] = wide.unwrap().to_value()),
                 "student weight width",
             );
+            // A well-formed network for the wrong number of classes.
+            let config = snapshot.student.network().config();
+            let narrow = MlpConfig { num_classes: NUM_CLASSES - 1, ..config.clone() };
+            let narrow = Mlp::new(narrow).unwrap().to_value();
+            let reason = assert_unrestorable(
+                with_student_network(snapshot, |network| *network = narrow),
+                "student class count",
+            );
+            assert!(reason.contains("student.network.config.num_classes"), "{reason}");
             assert!(with_student_layers(snapshot, |_| {}).and_then(Session::restore).is_ok());
         }
         let mut hostile = plain.clone();
@@ -2028,37 +1926,6 @@ mod tests {
         assert!(err.to_string().contains("never-registered-policy"), "{err}");
     }
 
-    /// Steps `session` one burst in `arena` the way an accelerator loop may:
-    /// plainly, or — `staged` — with the phase pre-executed by
-    /// [`Session::stage_phase`], a staged retraining dispatched through
-    /// [`train_stacked`](dacapo_dnn::train_stacked) and finished, and the
-    /// queued burst popped afterwards.
-    fn step_lent(
-        session: &mut Session,
-        arena: &mut TrainScratch,
-        staged: bool,
-    ) -> Vec<SessionEvent> {
-        if staged {
-            if let Some(retrain) = session.stage_phase(arena).unwrap() {
-                let (net, learning_rate, batch_size, buffer) = session.stacked_parts();
-                let (rows, labels) = buffer.gather(&retrain.train);
-                let epochs = retrain.epochs;
-                let mut jobs = [dacapo_dnn::StackedJob {
-                    net,
-                    rows,
-                    labels,
-                    epochs,
-                    batch_size,
-                    learning_rate,
-                }];
-                dacapo_dnn::train_stacked(&mut jobs, arena).unwrap();
-                session.finish_staged_retrain(retrain, arena).unwrap();
-            }
-            session.take_staged_uplink_baseline();
-        }
-        session.step_phase_in(arena).unwrap()
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4))]
 
@@ -2066,15 +1933,15 @@ mod tests {
         /// computes: four sessions that agree on nothing an arena's shape
         /// depends on (fp32 and MX, three feature widths, three mini-batch
         /// sizes), admitted into and stepped through ONE lent arena in a
-        /// random interleaving of plain and staged steps — one of them
-        /// snapshotted and restored on the way, as a migration does — emit
-        /// the events, end in the snapshots and return the results of the
-        /// same sessions each run alone in its own arena. And none of the
-        /// lent ones ever grows an arena of its own.
+        /// random interleaving — one of them snapshotted and restored on
+        /// the way, as a migration does — emit the events, end in the
+        /// snapshots and return the results of the same sessions each run
+        /// alone in its own arena. And none of the lent ones ever grows an
+        /// arena of its own.
         #[test]
         fn sessions_interleaved_through_one_lent_arena_match_sessions_with_their_own(
             seed in 0u64..1_000_000,
-            schedule in proptest::collection::vec(0usize..8, 40),
+            schedule in proptest::collection::vec(0usize..4, 40),
             migrant in 0usize..4,
             migrate_after in 0usize..5,
         ) {
@@ -2087,18 +1954,17 @@ mod tests {
             let mut lent_events = vec![Vec::new(); lent.len()];
             let mut bursts = [0usize; 4];
             // The schedule first, then round-robin until everyone finished.
-            for pick in schedule.into_iter().chain((0..8).cycle()) {
+            for index in schedule.into_iter().chain((0..4).cycle()) {
                 if lent.iter().all(Session::is_finished) {
                     break;
                 }
-                let (index, staged) = (pick % 4, pick >= 4);
                 if lent[index].is_finished() {
                     continue;
                 }
                 if index == migrant && bursts[index] == migrate_after {
                     lent[index] = Session::restore(lent[index].snapshot()).unwrap();
                 }
-                lent_events[index].extend(step_lent(&mut lent[index], &mut arena, staged));
+                lent_events[index].extend(lent[index].step_phase_in(&mut arena).unwrap());
                 bursts[index] += 1;
             }
             proptest::prop_assert!(bursts[migrant] > migrate_after, "the migrant moved mid-run");

@@ -126,18 +126,6 @@ impl StudentModel {
         )?;
         Ok(report.samples_processed)
     }
-
-    /// Mutable access to the wrapped network, for the cluster executor's
-    /// stacked retraining dispatch (the jobs borrow each session's network).
-    pub(crate) fn network_mut(&mut self) -> &mut Mlp {
-        &mut self.network
-    }
-
-    /// The SGD hyperparameters a stacked retraining job must replicate:
-    /// `(learning_rate, batch_size)`.
-    pub(crate) fn hyperparams(&self) -> (f32, usize) {
-        (self.learning_rate, self.batch_size)
-    }
 }
 
 #[cfg(test)]

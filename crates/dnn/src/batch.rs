@@ -1,4 +1,4 @@
-//! The production forward/backward pass and its stacked dispatch.
+//! The production forward/backward pass and the arena it runs in.
 //!
 //! The continuous-learning loop retrains a small MLP thousands of times per
 //! simulated run, so there is one forward pass and one backward pass, and
@@ -18,23 +18,20 @@
 //!   **Who owns one.** The executor, not the camera: in `dacapo-core` each
 //!   accelerator loop of a cluster holds exactly one arena and lends it to
 //!   every kernel call of every resident session — admission pre-training,
-//!   labeling-accuracy and validation evaluations, measurements, retraining
-//!   and the stacked dispatch alike — the way a sub-accelerator's buffers
-//!   serve whichever model's kernel is scheduled on it. A session stepped on
-//!   its own (`Session::step`) computes in one it makes for itself. The
+//!   labeling-accuracy and validation evaluations, measurements and
+//!   retraining alike — the way a sub-accelerator's buffers serve whichever
+//!   model's kernel is scheduled on it. A session stepped on its own
+//!   (`Session::step`) computes in one it makes for itself. The
 //!   arena is then as large as the largest batch any resident computes
 //!   ([`TrainScratch::capacity_bytes`]), independent of how many residents
 //!   there are, and it is the same few dozen kilobytes under every step,
 //!   where per-session arenas are that much cold memory per camera.
-//! * [`StackedJob`] / [`train_stacked`] — the per-window batched dispatch the
-//!   cluster executor uses: when several co-resident sessions retrain in the
-//!   same scheduling window, their jobs are submitted as one stack over the
-//!   loop's arena, amortising per-camera dispatch into per-window dispatch.
-//!   Jobs run back to back over that arena (each session trains its
-//!   own weights, so fusing across jobs into one GEMM would merely pad a
-//!   block-diagonal operand with zeros); results are bit-identical to
-//!   unbatched per-session retraining by construction, and property tests
-//!   enforce it.
+//! * [`StackedJob`] / [`train_stacked`] — several networks' retraining run
+//!   back to back over one arena: a `for` loop over [`Mlp::train_rows_with`],
+//!   which a session's retraining phase calls directly. Their only caller is
+//!   the frozen benchmark's layer sheet (`dnn.train_stacked_us_per_sample`).
+//!   Fusing jobs into one GEMM would merely pad a block-diagonal operand
+//!   with zeros, since each network trains its own weights.
 //!
 //! Bit-identity with the layer reference — the [`Dense::forward`] /
 //! [`Dense::backward`] / `loss::cross_entropy` chain, which allocates every
@@ -273,8 +270,7 @@ pub(crate) fn backward_pass(
     Ok(())
 }
 
-/// One session's retraining work, as submitted to the per-window stacked
-/// dispatch.
+/// One network's retraining work, as submitted to [`train_stacked`].
 #[derive(Debug)]
 pub struct StackedJob<'a> {
     /// The network to train (each job owns distinct weights).
@@ -293,11 +289,10 @@ pub struct StackedJob<'a> {
 
 /// Runs a stack of retraining jobs through one shared arena.
 ///
-/// This is the cluster's per-window batched dispatch: jobs execute back to
-/// back over `scratch`, so the whole window performs a single dispatch and
-/// zero steady-state allocation regardless of how many sessions retrain.
-/// Each job is bit-identical to calling [`Mlp::train_rows_with`] for that
-/// session alone — the arena carries no numeric state between jobs.
+/// Jobs execute back to back over `scratch`; each is bit-identical to
+/// calling [`Mlp::train_rows_with`] for that network alone, since the arena
+/// carries no numeric state between jobs. The frozen benchmark's layer sheet
+/// is the only caller (see the [module docs](self)).
 ///
 /// # Errors
 ///

@@ -285,8 +285,8 @@ impl Mlp {
 
     /// Retrains on a slice of feature rows through a reusable
     /// [`TrainScratch`] arena — the one training implementation, allocation-
-    /// free once the arena has grown, which sessions and the cluster's
-    /// stacked per-window dispatch call directly.
+    /// free once the arena has grown, which a session's retraining phase
+    /// calls directly.
     ///
     /// # Errors
     ///

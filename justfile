@@ -141,6 +141,7 @@ loc *FILES:
 # paths of one length), runs alternating `--seconds 15 --trace 0` pairs of
 # one workload over seeds 1..PAIRS, and prints per-metric medians,
 # quartiles, wins and whether `mean_accuracy_pct` matched per seed, e.g.
-# `just pairs HEAD~1 fleet-steady`.
+# `just pairs HEAD~1 fleet-steady`. WORKLOAD `all` runs the four workloads
+# of BENCHMARK.json in turn on the same two builds, one table each.
 pairs PARENT WORKLOAD PAIRS='10':
     scripts/pairs.sh {{PARENT}} {{WORKLOAD}} {{PAIRS}}

@@ -3,7 +3,10 @@
 # give it: alternating parent/change runs of one workload of the frozen
 # benchmark, then per-metric medians, quartiles and wins.
 #
-#   scripts/pairs.sh <parent-ref> <workload> [pairs=10]
+#   scripts/pairs.sh <parent-ref> <workload|all> [pairs=10]
+#
+# `all` runs the workloads BENCHMARK.json names, in its order, on the same two
+# builds and prints one table each: a no-gain PR's evidence in one command.
 #
 # Exports <parent-ref> and this tree (uncommitted edits included) side by
 # side under $PAIRS_DIR (default ${TMPDIR:-/tmp}/dacapo-pairs) as `parent/`
@@ -18,11 +21,17 @@
 # run pins one core.
 set -euo pipefail
 if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
-    echo "usage: scripts/pairs.sh <parent-ref> <workload> [pairs=10]" >&2
+    echo "usage: scripts/pairs.sh <parent-ref> <workload|all> [pairs=10]" >&2
     exit 2
 fi
-ref=$1 workload=$2 pairs=${3:-10}
+ref=$1 pairs=${3:-10}
 repo=$(cd "$(dirname "$0")/.." && pwd)
+if [ "$2" = all ]; then
+    # The names in BENCHMARK.json's "workloads" array.
+    workloads=$(sed -n '/"workloads"/,/\]/s/.*"name": *"\([^"]*\)".*/\1/p' "$repo/BENCHMARK.json")
+else
+    workloads=$2
+fi
 work=${PAIRS_DIR:-${TMPDIR:-/tmp}/dacapo-pairs}
 git -C "$repo" rev-parse --verify --quiet "$ref^{commit}" >/dev/null || {
     echo "pairs.sh: '$ref' is not a commit" >&2
@@ -43,65 +52,73 @@ for side in parent change; do
         cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 done
 
-runs=$work/$workload.runs
-: >"$runs"
-for ((seed = 1; seed <= pairs; seed++)); do
-    if ((seed % 2 == 1)); then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        json=$(cd "$work/$side" && "$work/target-$side/release/dacapo-benchmark" \
-            --workload "$workload" --seed "$seed" --seconds 15 --trace 0 | tail -n 1)
-        echo "$side $seed $(value steps_per_s) $(value setup_s) $(value peak_rss_mb)" \
-            "$(value mean_accuracy_pct) $(grep -o '"failed":[0-9]*' <<<"$json" | sed 's/.*://')" \
-            "$(grep -o '"correct":[a-z]*' <<<"$json" | sed 's/.*://')" | tee -a "$runs" >&2
+# One workload's alternating pairs, then its table.
+table() {
+    local workload=$1 runs=$work/$1.runs
+    : >"$runs"
+    for ((seed = 1; seed <= pairs; seed++)); do
+        if ((seed % 2 == 1)); then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            json=$(cd "$work/$side" && "$work/target-$side/release/dacapo-benchmark" \
+                --workload "$workload" --seed "$seed" --seconds 15 --trace 0 | tail -n 1)
+            echo "$side $seed $(value steps_per_s) $(value setup_s) $(value peak_rss_mb)" \
+                "$(value mean_accuracy_pct) $(grep -o '"failed":[0-9]*' <<<"$json" | sed 's/.*://')" \
+                "$(grep -o '"correct":[a-z]*' <<<"$json" | sed 's/.*://')" | tee -a "$runs" >&2
+        done
     done
-done
 
-# Columns of $runs: side seed steps_per_s setup_s peak_rss_mb accuracy failed correct.
-awk -v workload="$workload" -v ref="$ref" '
-function quantile(sorted, n, p,    at, lo) {
-    at = (n - 1) * p; lo = int(at)
-    return sorted[lo + 1] + (at - lo) * (sorted[(lo + 2 > n ? n : lo + 2)] - sorted[lo + 1])
-}
-function summary(side, column,    n, seed, sorted, i, v) {
-    n = 0
-    for (seed in seen) {
-        v = cell[side, seed, column] + 0
-        for (i = n++; i >= 1 && sorted[i] > v; i--) sorted[i + 1] = sorted[i]
-        sorted[i + 1] = v
+    # Columns of $runs: side seed steps_per_s setup_s peak_rss_mb accuracy failed correct.
+    awk -v workload="$workload" -v ref="$ref" '
+    function quantile(sorted, n, p,    at, lo) {
+        at = (n - 1) * p; lo = int(at)
+        return sorted[lo + 1] + (at - lo) * (sorted[(lo + 2 > n ? n : lo + 2)] - sorted[lo + 1])
     }
-    med[side] = quantile(sorted, n, 0.5); q1[side] = quantile(sorted, n, 0.25); q3[side] = quantile(sorted, n, 0.75)
-}
-{
-    seen[$2] = 1
-    for (c = 3; c <= 6; c++) cell[$1, $2, c] = $c
-    failed[$1] += $7
-    if ($8 != "true") incorrect[$1]++
-}
-END {
-    split("steps_per_s setup_s peak_rss_mb mean_accuracy_pct", name, " ")
-    split("higher lower lower higher", better, " ")
-    pairs = 0
-    for (seed in seen) pairs++
-    printf "%s, %d alternating pairs against %s, --seconds 15 --trace 0\n", workload, pairs, ref
-    printf "%-18s %34s %34s %8s %6s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "wins"
-    for (m = 1; m <= 4; m++) {
-        summary("parent", m + 2); summary("change", m + 2)
-        wins = 0
+    function summary(side, column,    n, seed, sorted, i, v) {
+        n = 0
         for (seed in seen) {
-            p = cell["parent", seed, m + 2]; c = cell["change", seed, m + 2]
-            if (better[m] == "higher" ? c > p : c < p) wins++
+            v = cell[side, seed, column] + 0
+            for (i = n++; i >= 1 && sorted[i] > v; i--) sorted[i + 1] = sorted[i]
+            sorted[i + 1] = v
         }
-        printf "%-18s %12.4f [%9.4f, %9.4f] %12.4f [%9.4f, %9.4f] %+7.1f%% %3d/%d\n", name[m],
-            med["parent"], q1["parent"], q3["parent"], med["change"], q1["change"], q3["change"],
-            (med["change"] / med["parent"] - 1) * 100, wins, pairs
-        if (m == 1) {
-            gap = med["change"] - med["parent"]; iqr = q3["parent"] - q1["parent"]
-            claim = sprintf("steps_per_s: %d/%d wins, median gap %.1f against a parent interquartile range of %.1f", wins, pairs, gap, iqr)
-        }
+        med[side] = quantile(sorted, n, 0.5); q1[side] = quantile(sorted, n, 0.25); q3[side] = quantile(sorted, n, 0.75)
     }
-    same = 0
-    for (seed in seen) if (cell["parent", seed, 6] == cell["change", seed, 6]) same++
-    printf "mean_accuracy_pct equal per seed: %d/%d; failed operations parent %d, change %d; incorrect runs parent %d, change %d\n",
-        same, pairs, failed["parent"], failed["change"], incorrect["parent"], incorrect["change"]
-    print claim
-}' "$runs"
+    {
+        seen[$2] = 1
+        for (c = 3; c <= 6; c++) cell[$1, $2, c] = $c
+        failed[$1] += $7
+        if ($8 != "true") incorrect[$1]++
+    }
+    END {
+        split("steps_per_s setup_s peak_rss_mb mean_accuracy_pct", name, " ")
+        split("higher lower lower higher", better, " ")
+        pairs = 0
+        for (seed in seen) pairs++
+        printf "%s, %d alternating pairs against %s, --seconds 15 --trace 0\n", workload, pairs, ref
+        printf "%-18s %34s %34s %8s %6s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "wins"
+        for (m = 1; m <= 4; m++) {
+            summary("parent", m + 2); summary("change", m + 2)
+            wins = 0
+            for (seed in seen) {
+                p = cell["parent", seed, m + 2]; c = cell["change", seed, m + 2]
+                if (better[m] == "higher" ? c > p : c < p) wins++
+            }
+            printf "%-18s %12.4f [%9.4f, %9.4f] %12.4f [%9.4f, %9.4f] %+7.1f%% %3d/%d\n", name[m],
+                med["parent"], q1["parent"], q3["parent"], med["change"], q1["change"], q3["change"],
+                (med["change"] / med["parent"] - 1) * 100, wins, pairs
+            if (m == 1) {
+                gap = med["change"] - med["parent"]; iqr = q3["parent"] - q1["parent"]
+                claim = sprintf("steps_per_s: %d/%d wins, median gap %.1f against a parent interquartile range of %.1f", wins, pairs, gap, iqr)
+            }
+        }
+        same = 0
+        for (seed in seen) if (cell["parent", seed, 6] == cell["change", seed, 6]) same++
+        printf "mean_accuracy_pct equal per seed: %d/%d; failed operations parent %d, change %d; incorrect runs parent %d, change %d\n",
+            same, pairs, failed["parent"], failed["change"], incorrect["parent"], incorrect["change"]
+        print claim
+    }' "$runs"
+}
+
+for workload in $workloads; do
+    table "$workload"
+    echo
+done

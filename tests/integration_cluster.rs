@@ -124,9 +124,9 @@ proptest! {
 
     /// Observed ≡ unobserved, which is finite ≡ unbounded windows: an
     /// observer is a barrier stage, so `run_with` cuts the run into
-    /// `share_window_s` windows (sessions admitted in window 0, batched
-    /// retraining staged per window, a barrier at every boundary) where
-    /// `run` executes one unbounded window. The whole `ClusterResult` —
+    /// `share_window_s` windows (sessions admitted in window 0, a barrier at
+    /// every boundary) where `run` executes one unbounded window. The whole
+    /// `ClusterResult` —
     /// camera results, contention, churn peak residency, share, edge — must
     /// not notice, at any window length, capacity bound or thread count.
     #[test]
