@@ -33,7 +33,7 @@
 //!   to fleet scope, so drift recovery finishes sooner at the price of
 //!   slowing calm streams.
 
-use crate::registry::{split_params, ParamNames, Registry};
+use crate::registry::Registry;
 use crate::{CoreError, Result};
 use std::sync::{Arc, OnceLock};
 
@@ -258,8 +258,7 @@ fn registry() -> &'static Registry<dyn ArbiterFactory> {
         let builtins: [Arc<dyn ArbiterFactory>; 3] =
             [Arc::new(FairShareFactory), Arc::new(PriorityFactory), Arc::new(DriftFirstFactory)];
         Registry::new(
-            "arbiter factory",
-            ParamNames::Split,
+            "arbiter",
             &[],
             builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
         )
@@ -300,13 +299,8 @@ pub fn registered_names() -> Vec<String> {
 /// Returns [`CoreError::InvalidConfig`] for an unregistered name or
 /// malformed parameters.
 pub fn create(name: &str) -> Result<Box<dyn Arbiter>> {
-    let (base, params) = split_params(name);
-    let factory = by_name(base).ok_or_else(|| CoreError::InvalidConfig {
-        reason: format!(
-            "unknown arbiter '{base}'; registered arbiters: {}",
-            registered_names().join(", ")
-        ),
-    })?;
+    let (factory, params) =
+        registry().resolve(name).map_err(|reason| CoreError::InvalidConfig { reason })?;
     factory.build(params)
 }
 
@@ -428,7 +422,7 @@ mod tests {
             Ok(_) => panic!("unknown arbiter must not resolve"),
         };
         assert!(err.to_string().contains("no-such-arbiter"), "{err}");
-        assert!(err.to_string().contains("registered arbiters"), "{err}");
+        assert!(err.to_string().contains("registered arbiter names"), "{err}");
     }
 
     #[test]

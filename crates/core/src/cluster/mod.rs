@@ -48,8 +48,8 @@
 //! only the rows that survive the importer's FIFO eviction are copied (see
 //! [`crate::share`] for the cost model). The deterministic exchange order keeps
 //! shared runs bit-identical across worker-thread counts. Sharing telemetry
-//! lands in [`ClusterResult::share`]; the reserved `"none"` policy means the
-//! exchange stage is absent.
+//! lands in [`ClusterResult::share`]; the reserved name `"none"` selects no
+//! policy: it means the exchange stage is absent.
 //!
 //! # Edge–cloud offload
 //!
@@ -61,15 +61,15 @@
 //! deterministic at any worker-thread count. A cloud-offloaded labeling
 //! phase consumes no local accelerator compute — the executor exempts it
 //! from arbitration exactly like a wait — and uplink telemetry aggregates
-//! into [`ClusterResult::edge`]. The reserved `"local-only"` policy (the
-//! default) means the routing stage is absent.
+//! into [`ClusterResult::edge`]. The reserved name `"local-only"` (the
+//! default) selects no policy: it means the routing stage is absent.
 //!
 //! # One executor
 //!
 //! Every run is the same loop over windows (`run_windows`): advance every
 //! accelerator loop to the window boundary, then run the barrier's stages
 //! in a fixed order — label exchange, churn, offload routing, observer
-//! sampling. Each stage is optional: a reserved policy name (`"none"`,
+//! sampling. Each stage is optional: a reserved name (`"none"`,
 //! `"local-only"`), an empty [`ChurnPlan`] or an unobserved run means the
 //! stage is absent, not that another executor runs. A run with no stages
 //! is one unbounded window: its boundary is +∞, so no barrier is ever
@@ -612,12 +612,12 @@ impl Cluster {
             }
             check_camera(name, config)?;
         }
-        // Resolve the arbiter and share policy once up front: an
-        // unregistered policy or malformed parameters must not fail mid-run.
+        // Resolve every policy once up front: an unregistered policy or
+        // malformed parameters must not fail mid-run. A reserved name has
+        // no policy to resolve: its stage is absent.
         arbiter::create(&self.arbiter)?;
-        share::create(&self.share)?;
-        edge::create_offload(&self.offload)?;
         if !share::is_disabled(&self.share) {
+            share::create(&self.share)?;
             // Shared labels are copied row for row into peers' buffers, so
             // every camera that can take part in an exchange (joiners
             // included) must produce rows of one length.
@@ -644,6 +644,7 @@ impl Cluster {
             }
         }
         if !edge::is_local_only(&self.offload) {
+            edge::create_offload(&self.offload)?;
             let has_edge_camera = self.cameras.iter().any(|(_, config)| config.edge.is_some())
                 || self.churn.events().iter().any(|event| {
                     matches!(event, ChurnEvent::Join { config, .. } if config.edge.is_some())

@@ -14,24 +14,23 @@
 //! deterministic barriers label sharing and churn use) whether each camera
 //! labels locally or in the cloud.
 //!
-//! # Registries
+//! # Uplink profiles and the offload registry
 //!
-//! Two registry families mirror [`crate::sched`], [`crate::platform`],
-//! [`crate::arbiter`], and [`crate::share`]:
-//!
-//! * **Uplink profiles** ([`register_uplink`] / [`uplink_by_name`] /
-//!   [`create_uplink`]) resolve a name like `"lte"` or `"wifi:100,15"` into
-//!   an [`UplinkSpec`]. Builtins: `"broadband"` (100 Mbit/s, 10 ms),
+//! * **Uplink profiles** are a fixed table, [`UPLINK_PROFILES`]:
+//!   [`create_uplink`] resolves a name like `"lte"` or `"wifi:100,15"` into
+//!   an [`UplinkSpec`]. The profiles: `"broadband"` (100 Mbit/s, 10 ms),
 //!   `"wifi"` (54 Mbit/s, 20 ms), `"lte"` (12 Mbit/s, 60 ms), and
 //!   `"degraded"` (0.25 Mbit/s, 200 ms); each accepts an optional
 //!   `:<mbps>[,<latency_ms>]` parameter suffix describing a whole family of
-//!   links through one name.
+//!   links through one name, so any link is one name away without a plugin.
 //! * **Offload policies** ([`register_offload`] / [`offload_by_name`] /
-//!   [`create_offload`]) choose a [`LabelRoute`] per camera per window.
-//!   Builtins: `"local-only"` (**reserved** — the cluster runs without a
-//!   routing stage under it, mirroring the share registry's `"none"`),
-//!   `"cloud-only"`, `"threshold:<queue-depth>"` (offload when more than
-//!   `queue-depth` cameras share the accelerator), and
+//!   [`create_offload`]) choose a [`LabelRoute`] per camera per window, a
+//!   registry family mirroring [`crate::sched`], [`crate::platform`],
+//!   [`crate::arbiter`], and [`crate::share`]. `"local-only"` (the default)
+//!   is not a policy: it is the family's **reserved** name, meaning the
+//!   routing stage is absent, as the share registry's `"none"` does.
+//!   Builtins: `"cloud-only"`, `"threshold:<queue-depth>"` (offload when
+//!   more than `queue-depth` cameras share the accelerator), and
 //!   `"budget:<bytes-per-window>"` (cloud labeling under a per-window uplink
 //!   byte budget, falling back to the local teacher once it is spent).
 //!
@@ -42,7 +41,7 @@
 //! exactly like schedulers.
 
 use crate::buffer::LabeledSample;
-use crate::registry::{split_params, ParamNames, Registry};
+use crate::registry::{split_params, Registry};
 use crate::{CoreError, Result};
 use dacapo_datagen::SegmentAttributes;
 use dacapo_dnn::CloudTeacher;
@@ -133,61 +132,14 @@ impl UplinkSpec {
     }
 }
 
-/// Trait-object factory for uplink profiles, the extension point of the
-/// uplink registry: resolves an optional `:<params>` suffix into a concrete
-/// [`UplinkSpec`].
-pub trait UplinkProvider: Send + Sync {
-    /// The canonical (case-insensitive) base name the provider registers
-    /// under, without any parameter suffix.
-    fn name(&self) -> &str;
-
-    /// Builds the uplink model for one camera.
-    ///
-    /// # Errors
-    ///
-    /// Providers must validate `params` and return
-    /// [`CoreError::InvalidConfig`] for malformed parameters rather than
-    /// panicking.
-    fn build(&self, params: Option<&str>) -> Result<UplinkSpec>;
-}
-
-/// One builtin link-technology profile: a default bandwidth/latency point,
-/// overridable through a `:<mbps>[,<latency_ms>]` parameter suffix.
-struct ProfileUplink {
-    name: &'static str,
-    default_mbps: f64,
-    default_latency_ms: f64,
-}
-
-impl UplinkProvider for ProfileUplink {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn build(&self, params: Option<&str>) -> Result<UplinkSpec> {
-        let (mut mbps, mut latency_ms) = (self.default_mbps, self.default_latency_ms);
-        if let Some(raw) = params {
-            let mut parts = raw.splitn(2, ',');
-            let mbps_raw = parts.next().unwrap_or("").trim();
-            mbps = mbps_raw.parse::<f64>().map_err(|_| CoreError::InvalidConfig {
-                reason: format!(
-                    "uplink profile '{}' expects ':<mbps>[,<latency_ms>]', got ':{raw}'",
-                    self.name
-                ),
-            })?;
-            if let Some(latency_raw) = parts.next() {
-                latency_ms =
-                    latency_raw.trim().parse::<f64>().map_err(|_| CoreError::InvalidConfig {
-                        reason: format!(
-                            "uplink profile '{}' expects a numeric latency in ms, got '{latency_raw}'",
-                            self.name
-                        ),
-                    })?;
-            }
-        }
-        UplinkSpec::new(mbps * 1e6, latency_ms / 1e3, DEFAULT_FRAME_OVERHEAD_BYTES)
-    }
-}
+/// The builtin uplink profiles: name, bandwidth in Mbit/s, latency in ms.
+/// [`create_uplink`] looks a name up here, case-insensitively.
+pub const UPLINK_PROFILES: [(&str, f64, f64); 4] = [
+    ("broadband", 100.0, 10.0),
+    ("wifi", 54.0, 20.0),
+    ("lte", 12.0, 60.0),
+    ("degraded", 0.25, 200.0),
+];
 
 // --------------------------------------------------------------------------
 // Offload policies
@@ -292,36 +244,6 @@ pub trait OffloadPolicyFactory: Send + Sync {
     /// name, if any) and return [`CoreError::InvalidConfig`] for malformed
     /// parameters rather than panicking.
     fn build(&self, params: Option<&str>) -> Result<Box<dyn OffloadPolicy>>;
-}
-
-/// `"local-only"`: every window labels on the local teacher.
-struct LocalOnly;
-
-impl OffloadPolicy for LocalOnly {
-    fn name(&self) -> String {
-        "local-only".to_string()
-    }
-
-    fn route(&mut self, _ctx: &OffloadContext<'_>) -> LabelRoute {
-        LabelRoute::Local
-    }
-}
-
-struct LocalOnlyFactory;
-
-impl OffloadPolicyFactory for LocalOnlyFactory {
-    fn name(&self) -> &str {
-        "local-only"
-    }
-
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn OffloadPolicy>> {
-        if let Some(params) = params {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("offload policy 'local-only' takes no parameters, got ':{params}'"),
-            });
-        }
-        Ok(Box::new(LocalOnly))
-    }
 }
 
 /// `"cloud-only"`: every window ships to the cloud teacher.
@@ -446,47 +368,13 @@ impl OffloadPolicyFactory for BudgetFactory {
 fn offload_registry() -> &'static Registry<dyn OffloadPolicyFactory> {
     static REGISTRY: OnceLock<Registry<dyn OffloadPolicyFactory>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let builtins: [Arc<dyn OffloadPolicyFactory>; 4] = [
-            Arc::new(LocalOnlyFactory),
-            Arc::new(CloudOnlyFactory),
-            Arc::new(ThresholdFactory),
-            Arc::new(BudgetFactory),
-        ];
+        let builtins: [Arc<dyn OffloadPolicyFactory>; 3] =
+            [Arc::new(CloudOnlyFactory), Arc::new(ThresholdFactory), Arc::new(BudgetFactory)];
         Registry::new(
             "offload policy",
-            ParamNames::Split,
-            // The local-only policy is load-bearing: under it the cluster
-            // executor has no routing stage at all, so a replacement would
-            // never be consulted.
+            // Under `"local-only"` the cluster executor has no routing stage
+            // at all, so a factory registered there would never be consulted.
             &["local-only"],
-            builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
-        )
-    })
-}
-
-/// The global uplink-profile registry, seeded with the builtin link
-/// technologies.
-fn uplink_registry() -> &'static Registry<dyn UplinkProvider> {
-    static REGISTRY: OnceLock<Registry<dyn UplinkProvider>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let builtins: [Arc<dyn UplinkProvider>; 4] = [
-            Arc::new(ProfileUplink {
-                name: "broadband",
-                default_mbps: 100.0,
-                default_latency_ms: 10.0,
-            }),
-            Arc::new(ProfileUplink { name: "wifi", default_mbps: 54.0, default_latency_ms: 20.0 }),
-            Arc::new(ProfileUplink { name: "lte", default_mbps: 12.0, default_latency_ms: 60.0 }),
-            Arc::new(ProfileUplink {
-                name: "degraded",
-                default_mbps: 0.25,
-                default_latency_ms: 200.0,
-            }),
-        ];
-        Registry::new(
-            "uplink profile",
-            ParamNames::Split,
-            &[],
             builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
         )
     })
@@ -498,8 +386,8 @@ fn uplink_registry() -> &'static Registry<dyn UplinkProvider> {
 /// # Panics
 ///
 /// Panics if the factory's name contains `':'` (reserved for parameter
-/// suffixes during lookup) or is `"local-only"` — the reserved cloud-free
-/// policy.
+/// suffixes during lookup) or is `"local-only"` — the reserved name of the
+/// absent routing stage.
 pub fn register_offload(factory: Arc<dyn OffloadPolicyFactory>) {
     let name = factory.name().to_string();
     offload_registry().register(&name, factory);
@@ -519,11 +407,11 @@ pub fn registered_offload_policies() -> Vec<String> {
     offload_registry().names()
 }
 
-/// Whether `name` selects the reserved cloud-free policy (`"local-only"`,
-/// in any case) — the cluster executor then runs without a routing stage.
+/// Whether `name` is the reserved `"local-only"` (in any case, without a
+/// suffix) — the cluster executor then runs without a routing stage.
 #[must_use]
 pub fn is_local_only(name: &str) -> bool {
-    split_params(name).0.eq_ignore_ascii_case("local-only")
+    offload_registry().is_reserved(name)
 }
 
 /// Instantiates the offload policy selected by `name` (with optional
@@ -531,60 +419,49 @@ pub fn is_local_only(name: &str) -> bool {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidConfig`] for an unregistered name or
-/// malformed parameters.
+/// Returns [`CoreError::InvalidConfig`] for an unregistered name, the
+/// reserved `"local-only"` (it selects no policy), or malformed parameters.
 pub fn create_offload(name: &str) -> Result<Box<dyn OffloadPolicy>> {
-    let (base, params) = split_params(name);
-    let factory = offload_by_name(base).ok_or_else(|| CoreError::InvalidConfig {
-        reason: format!(
-            "unknown offload policy '{base}'; registered policies: {}",
-            registered_offload_policies().join(", ")
-        ),
-    })?;
+    let (factory, params) =
+        offload_registry().resolve(name).map_err(|reason| CoreError::InvalidConfig { reason })?;
     factory.build(params)
 }
 
-/// Registers (or replaces) an uplink provider under its case-insensitive
-/// [`UplinkProvider::name`].
-///
-/// # Panics
-///
-/// Panics if the provider's name contains `':'` (reserved for parameter
-/// suffixes during lookup).
-pub fn register_uplink(provider: Arc<dyn UplinkProvider>) {
-    let name = provider.name().to_string();
-    uplink_registry().register(&name, provider);
-}
-
-/// Looks up an uplink provider by case-insensitive name, ignoring a
-/// `:<params>` suffix (`uplink_by_name("lte:20")` resolves `"lte"`).
-#[must_use]
-pub fn uplink_by_name(name: &str) -> Option<Arc<dyn UplinkProvider>> {
-    uplink_registry().by_name(name)
-}
-
-/// The base names of every registered uplink profile, sorted.
-#[must_use]
-pub fn registered_uplinks() -> Vec<String> {
-    uplink_registry().names()
-}
-
-/// Resolves the uplink profile selected by `name` (with optional
-/// `:<params>` suffix) into a concrete [`UplinkSpec`].
+/// Resolves the uplink profile selected by `name` (one of
+/// [`UPLINK_PROFILES`], in any case, with an optional
+/// `:<mbps>[,<latency_ms>]` override) into a concrete [`UplinkSpec`].
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidConfig`] for an unregistered name or
-/// malformed parameters.
+/// Returns [`CoreError::InvalidConfig`] for an unknown profile or malformed
+/// parameters.
 pub fn create_uplink(name: &str) -> Result<UplinkSpec> {
     let (base, params) = split_params(name);
-    let provider = uplink_by_name(base).ok_or_else(|| CoreError::InvalidConfig {
-        reason: format!(
-            "unknown uplink profile '{base}'; registered profiles: {}",
-            registered_uplinks().join(", ")
-        ),
-    })?;
-    provider.build(params)
+    let Some(&(profile, mut mbps, mut latency_ms)) =
+        UPLINK_PROFILES.iter().find(|(profile, ..)| profile.eq_ignore_ascii_case(base))
+    else {
+        let names = UPLINK_PROFILES.map(|(profile, ..)| profile).join(", ");
+        return Err(CoreError::InvalidConfig {
+            reason: format!("unknown uplink profile '{base}'; known profiles: {names}"),
+        });
+    };
+    if let Some(raw) = params {
+        let mut parts = raw.splitn(2, ',');
+        let mbps_raw = parts.next().unwrap_or("").trim();
+        mbps = mbps_raw.parse::<f64>().map_err(|_| CoreError::InvalidConfig {
+            reason: format!(
+                "uplink profile '{profile}' expects ':<mbps>[,<latency_ms>]', got ':{raw}'"
+            ),
+        })?;
+        if let Some(latency_raw) = parts.next() {
+            latency_ms = latency_raw.trim().parse::<f64>().map_err(|_| CoreError::InvalidConfig {
+                reason: format!(
+                    "uplink profile '{profile}' expects a numeric latency in ms, got '{latency_raw}'"
+                ),
+            })?;
+        }
+    }
+    UplinkSpec::new(mbps * 1e6, latency_ms / 1e3, DEFAULT_FRAME_OVERHEAD_BYTES)
 }
 
 // --------------------------------------------------------------------------
@@ -596,9 +473,8 @@ pub fn create_uplink(name: &str) -> Result<UplinkSpec> {
 /// [`SimConfigBuilder::edge`](crate::SimConfigBuilder::edge)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EdgeConfig {
-    /// Uplink profile name resolved through the uplink registry, with
-    /// optional `:<mbps>[,<latency_ms>]` parameters (e.g. `"lte"`,
-    /// `"wifi:100,15"`).
+    /// Uplink profile name, one of [`UPLINK_PROFILES`], with optional
+    /// `:<mbps>[,<latency_ms>]` parameters (e.g. `"lte"`, `"wifi:100,15"`).
     pub uplink: String,
     /// Near-duplicate filter threshold in `[0, 1]`: a sampled frame is
     /// dropped before the uplink when its similarity to the last shipped
@@ -731,7 +607,7 @@ pub(crate) struct ResolvedUplink {
 }
 
 impl ResolvedUplink {
-    /// Resolves `config`'s uplink profile through the registry for a camera
+    /// Resolves `config`'s uplink profile ([`create_uplink`]) for a camera
     /// with `feature_dim`-float samples ([`EdgeConfig::validate`] has checked
     /// the threshold's range by the time a runtime is built).
     pub(crate) fn resolve(config: &EdgeConfig, feature_dim: usize) -> Result<Self> {
@@ -992,15 +868,21 @@ mod tests {
 
     #[test]
     fn local_only_and_cloud_only_route_unconditionally() {
-        let mut local = create_offload("local-only").unwrap();
+        // `local-only` routes every window locally because nothing is
+        // built: the routing stage is absent.
+        for name in ["local-only", "LOCAL-ONLY", "local-only:1", "local-only:x"] {
+            let err = match create_offload(name) {
+                Err(err) => err,
+                Ok(_) => panic!("'{name}' must select no policy"),
+            };
+            assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err:?}");
+            assert!(err.to_string().contains("stage is absent"), "{err}");
+        }
         let mut cloud = create_offload("cloud-only").unwrap();
         for residents in [1, 4, 64] {
-            assert_eq!(local.route(&context(residents)), LabelRoute::Local);
             assert_eq!(cloud.route(&context(residents)), LabelRoute::Cloud { byte_budget: None });
         }
-        assert_eq!(local.name(), "local-only");
         assert_eq!(cloud.name(), "cloud-only");
-        assert!(create_offload("local-only:1").is_err(), "local-only takes no parameters");
         assert!(create_offload("cloud-only:x").is_err(), "cloud-only takes no parameters");
     }
 
@@ -1040,15 +922,16 @@ mod tests {
         assert!(offload_by_name("Budget:123").is_some());
         assert!(offload_by_name("no-such-policy").is_none());
         let names = registered_offload_policies();
-        for builtin in ["local-only", "cloud-only", "threshold", "budget"] {
+        for builtin in ["cloud-only", "threshold", "budget"] {
             assert!(names.contains(&builtin.to_string()), "{builtin} missing from {names:?}");
         }
+        assert!(!names.contains(&"local-only".to_string()), "the reserved name is not a policy");
         let err = match create_offload("no-such-policy") {
             Err(err) => err,
             Ok(_) => panic!("unknown policy must not resolve"),
         };
         assert!(err.to_string().contains("no-such-policy"), "{err}");
-        assert!(err.to_string().contains("registered policies"), "{err}");
+        assert!(err.to_string().contains("registered offload policy names"), "{err}");
     }
 
     #[test]
@@ -1057,6 +940,10 @@ mod tests {
         assert!(is_local_only("LOCAL-ONLY"));
         assert!(!is_local_only("cloud-only"));
         assert!(!is_local_only("local-only-ish"));
+        assert!(
+            !is_local_only("local-only:1"),
+            "a suffixed sentinel is an error, not the sentinel"
+        );
     }
 
     #[test]
@@ -1118,8 +1005,9 @@ mod tests {
         assert_eq!(slower.bandwidth_bps(), 0.1e6);
         assert_eq!(slower.latency_s(), 0.2, "latency keeps the profile default");
         for profile in ["broadband", "wifi", "lte", "degraded"] {
-            assert!(uplink_by_name(profile).is_some(), "{profile} missing");
+            assert!(create_uplink(profile).is_ok(), "{profile} missing");
         }
+        assert_eq!(create_uplink("LTE").unwrap(), lte, "lookups are case-insensitive");
     }
 
     #[test]
@@ -1135,23 +1023,7 @@ mod tests {
             Ok(_) => panic!("unknown profile must not resolve"),
         };
         assert!(err.to_string().contains("carrier-pigeon"), "{err}");
-        assert!(err.to_string().contains("registered profiles"), "{err}");
-    }
-
-    #[test]
-    fn external_uplink_providers_plug_in_through_the_registry() {
-        struct Starlink;
-        impl UplinkProvider for Starlink {
-            fn name(&self) -> &str {
-                "starlink"
-            }
-            fn build(&self, _params: Option<&str>) -> Result<UplinkSpec> {
-                UplinkSpec::new(220.0e6, 0.04, 60_000)
-            }
-        }
-        register_uplink(Arc::new(Starlink));
-        assert_eq!(create_uplink("starlink").unwrap().bandwidth_bps(), 220.0e6);
-        assert!(registered_uplinks().contains(&"starlink".to_string()));
+        assert!(err.to_string().contains("known profiles: broadband, wifi"), "{err}");
     }
 
     #[test]

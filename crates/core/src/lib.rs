@@ -146,9 +146,9 @@
 //! [`ClusterResult::share`] (labels reused, labeling seconds saved, import
 //! rejects).
 //!
-//! Builtins: `"none"` (reserved: the exchange stage is absent, and a run
-//! with no stages is one unbounded window), `"broadcast"` (admit
-//! everything), and
+//! `"none"` is not a policy but the family's reserved name: the exchange
+//! stage is absent, and a run with no stages is one unbounded window.
+//! Builtins: `"broadcast"` (admit everything) and
 //! `"correlated[:<threshold>]"` (admit only from peers whose scenarios
 //! overlap in attributes at least `threshold`, per
 //! [`Scenario::attribute_overlap`](dacapo_datagen::Scenario::attribute_overlap)).
@@ -185,8 +185,8 @@
 //!
 //! Real deployments rarely get a cloud-grade teacher on-device. The
 //! [`edge`] subsystem models the alternative: a camera configured with an
-//! [`EdgeConfig`] owns a deterministic **uplink** ([`UplinkSpec`], resolved
-//! through the uplink registry — `"broadband"`, `"wifi"`, `"lte"`,
+//! [`EdgeConfig`] owns a deterministic **uplink** ([`UplinkSpec`], one of
+//! the [`edge::UPLINK_PROFILES`] — `"broadband"`, `"wifi"`, `"lte"`,
 //! `"degraded"`, each parameterisable as `"lte:<mbps>[,<latency_ms>]"`) to
 //! a [`CloudTeacher`](dacapo_dnn::CloudTeacher): higher labeling accuracy
 //! and zero local compute, paid for in uplink bytes and a round-trip
@@ -195,9 +195,9 @@
 //! attributes match the last shipped frame before they reach the uplink.
 //!
 //! Which tier labels a given window is decided by a pluggable
-//! [`edge::OffloadPolicy`] selected via [`Cluster::offload`] — the sixth
-//! registry family. Builtins: `"local-only"` (reserved: the routing stage
-//! is absent), `"cloud-only"`,
+//! [`edge::OffloadPolicy`] selected via [`Cluster::offload`] — the fifth
+//! registry family. `"local-only"` is not a policy but the family's reserved
+//! name: the routing stage is absent. Builtins: `"cloud-only"`,
 //! `"threshold:<queue-depth>"` (offload cameras on crowded accelerators),
 //! and `"budget:<bytes-per-window>"`. Decisions happen at the same
 //! deterministic window barriers as label sharing and churn, offloaded

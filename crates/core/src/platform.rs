@@ -22,7 +22,7 @@
 //! names (`"dacapo"`, `"orin-high"`, `"orin-low"`, `"rtx-3090"`), plus the
 //! two parameterised families `"orin-dvfs"` and `"scaled-dacapo"`.
 
-use crate::registry::{split_params, ParamNames, Registry};
+use crate::registry::{split_params, Registry};
 use crate::{CoreError, Result};
 use dacapo_accel::estimator::{estimate, spatial_allocation, PrecisionPlan};
 use dacapo_accel::gpu::{GpuDevice, UtilizationProfile};
@@ -648,7 +648,7 @@ fn registry() -> &'static Registry<dyn PlatformProvider> {
         let families: [Arc<dyn PlatformProvider>; 2] =
             [Arc::new(OrinDvfsProvider), Arc::new(ScaledDaCapoProvider)];
         seed.extend(families.into_iter().map(|p| (p.name().to_string(), p)));
-        Registry::new("platform provider", ParamNames::Split, &[], seed)
+        Registry::new("platform", &[], seed)
     })
 }
 
@@ -711,13 +711,9 @@ impl PlatformSpec {
         match self {
             PlatformSpec::Kind(kind) => PlatformRates::for_kind(*kind, pair, fps, accel),
             PlatformSpec::Named(name) => {
-                let (base, params) = split_params(name);
-                let provider = by_name(base).ok_or_else(|| CoreError::InvalidConfig {
-                    reason: format!(
-                        "unknown platform '{base}'; registered platforms: {}",
-                        registered_names().join(", ")
-                    ),
-                })?;
+                let (provider, params) = registry()
+                    .resolve(name)
+                    .map_err(|reason| CoreError::InvalidConfig { reason })?;
                 provider.build(&PlatformRequest { pair, fps, accel, params })
             }
             PlatformSpec::Rates(rates) => {
@@ -1115,7 +1111,7 @@ mod tests {
         let err =
             spec.resolve(ModelPair::ResNet18Wrn50, 30.0, &AccelConfig::default()).unwrap_err();
         assert!(err.to_string().contains("does-not-exist"), "{err}");
-        assert!(err.to_string().contains("registered platforms"), "{err}");
+        assert!(err.to_string().contains("registered platform names"), "{err}");
     }
 
     #[test]

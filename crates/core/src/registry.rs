@@ -1,104 +1,106 @@
 //! The shared machinery behind the workspace's pluggable-factory registries.
 //!
-//! Six subsystems in this crate expose the same extension pattern —
+//! Five subsystems in this crate expose the same extension pattern —
 //! schedulers ([`crate::sched`]), platforms ([`crate::platform`]), arbiters
-//! ([`crate::arbiter`]), share policies ([`crate::share`]), and the edge
-//! tier's uplink profiles and offload policies ([`crate::edge`]): a global,
-//! case-insensitive name → `Arc<dyn Factory>` map with `register` /
-//! `by_name` / `registered_names` entry points, optional `:<params>` name
-//! suffixes, and reserved-name protection. Each module keeps its public
-//! functions (so the API is unchanged) and delegates the storage, lookup,
-//! and name-validation rules here instead of carrying its own copy.
+//! ([`crate::arbiter`]), share policies ([`crate::share`]) and offload
+//! policies ([`crate::edge`]) — and `dacapo-telemetry`'s sinks are the
+//! sixth: a global, case-insensitive name → `Arc<dyn Factory>` map with
+//! `register` / `by_name` / `registered_names` entry points. Every name
+//! follows one grammar, `<name>[:<params>]`, and [`Registry::resolve`] is
+//! the one place it is parsed: the base name picks the factory, the suffix
+//! is handed to it, and an unknown base name is an error listing every
+//! registered one.
+//!
+//! A family whose stage is optional declares the name that leaves it out
+//! as **reserved** (`"none"` for sharing, `"local-only"` for offload,
+//! `"null"` for sinks). Nothing is built behind a reserved name: the caller
+//! asks [`Registry::is_reserved`] and skips the stage, `resolve` refuses it
+//! as selecting no policy, and `register` refuses to claim it.
 //!
 //! The machinery is public so sibling crates can add registry families of
-//! their own with the exact same semantics — `dacapo-telemetry`'s sink
-//! registry (`chrome-trace`, `json-lines`, `summary`, reserved `null`) is
-//! built on [`Registry`] this way.
+//! their own with the exact same semantics, as `dacapo-telemetry` does.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 /// A global factory registry: lower-cased name → factory.
 pub struct Registry<F: ?Sized> {
-    /// What the registry holds, for panic messages (e.g. `"share policy"`).
+    /// What the registry holds, for messages (e.g. `"share policy"`).
     what: &'static str,
-    /// Whether lookups strip a `:<params>` suffix before resolving (and
-    /// `register` therefore rejects colon-bearing names as unreachable).
-    params: ParamNames,
-    /// Names [`Registry::register`] refuses to (re)claim.
+    /// The family's stage-absent names, lower-case: never registered,
+    /// never resolved.
     reserved: &'static [&'static str],
     factories: RwLock<BTreeMap<String, Arc<F>>>,
 }
 
-/// Whether a registry's names may carry `:<params>` suffixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParamNames {
-    /// Lookups strip a `:<suffix>`; registered names must not contain `':'`.
-    Split,
-    /// Names resolve verbatim (the scheduler registry's convention).
-    Verbatim,
-}
-
 impl<F: ?Sized> Registry<F> {
-    /// Creates a registry seeded with builtin factories. Seeding bypasses
-    /// the reserved-name check — that is how reserved builtins get in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a reserved name is not among the seeded factories: a
-    /// reserved list that drifted from the builtins would protect a name
-    /// nothing answers to.
+    /// Creates a registry seeded with builtin factories.
     pub fn new(
         what: &'static str,
-        params: ParamNames,
         reserved: &'static [&'static str],
         seed: Vec<(String, Arc<F>)>,
     ) -> Self {
-        let mut factories = BTreeMap::new();
-        for (name, factory) in seed {
-            factories.insert(name.to_lowercase(), factory);
-        }
-        for name in reserved {
-            assert!(
-                factories.contains_key(*name),
-                "{what} name '{name}' is reserved but no builtin is seeded under it"
-            );
-        }
-        Self { what, params, reserved, factories: RwLock::new(factories) }
+        let factories = seed.into_iter().map(|(name, f)| (name.to_lowercase(), f)).collect();
+        Self { what, reserved, factories: RwLock::new(factories) }
     }
 
     /// Registers (or replaces) a factory under the case-insensitive `name`.
     ///
     /// # Panics
     ///
-    /// Panics if `name` contains `':'` in a [`ParamNames::Split`] registry
-    /// (the colon introduces the parameter suffix during lookup, so such a
-    /// name could never be resolved), or if `name` is reserved.
+    /// Panics if `name` contains `':'` (the colon introduces the parameter
+    /// suffix during lookup, so such a name could never be resolved), or if
+    /// `name` is reserved.
     pub fn register(&self, name: &str, factory: Arc<F>) {
         let key = name.to_lowercase();
-        if self.params == ParamNames::Split {
-            assert!(
-                !key.contains(':'),
-                "{} name '{key}' must not contain ':' (reserved for parameter suffixes)",
-                self.what
-            );
-        }
         assert!(
-            !self.reserved.contains(&key.as_str()),
-            "{} name '{key}' is reserved for the builtin policy",
+            !key.contains(':'),
+            "{} name '{key}' must not contain ':' (reserved for parameter suffixes)",
+            self.what
+        );
+        assert!(
+            !self.is_reserved(&key),
+            "{} name '{key}' is reserved: it means the stage is absent",
             self.what
         );
         self.lock_write().insert(key, factory);
     }
 
-    /// Looks up a factory by case-insensitive name, stripping a `:<params>`
-    /// suffix first in [`ParamNames::Split`] registries.
+    /// Looks up a factory by case-insensitive name, ignoring a `:<params>`
+    /// suffix. Reserved names have no factory.
     pub fn by_name(&self, name: &str) -> Option<Arc<F>> {
-        let base = match self.params {
-            ParamNames::Split => split_params(name).0,
-            ParamNames::Verbatim => name,
-        };
-        self.lock_read().get(&base.to_lowercase()).cloned()
+        self.lock_read().get(&split_params(name).0.to_lowercase()).cloned()
+    }
+
+    /// Whether `name` — the bare name, in any case, without a suffix — is
+    /// one of the family's stage-absent names.
+    pub fn is_reserved(&self, name: &str) -> bool {
+        self.reserved.iter().any(|reserved| reserved.eq_ignore_ascii_case(name))
+    }
+
+    /// Resolves `<name>[:<params>]` into its factory and parameter suffix.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason as text, for the family to wrap in its own error
+    /// type: a reserved base name selects no policy, and an unknown one is
+    /// named together with every registered name.
+    pub fn resolve<'n>(&self, name: &'n str) -> Result<(Arc<F>, Option<&'n str>), String> {
+        let (base, params) = split_params(name);
+        if self.is_reserved(base) {
+            return Err(format!(
+                "{} '{name}' selects no policy: '{base}' is reserved and means the stage is absent",
+                self.what
+            ));
+        }
+        match self.by_name(base) {
+            Some(factory) => Ok((factory, params)),
+            None => Err(format!(
+                "unknown {what} '{base}'; registered {what} names: {}",
+                self.names().join(", "),
+                what = self.what
+            )),
+        }
     }
 
     /// The registered base names, sorted.
@@ -147,8 +149,7 @@ mod tests {
     fn registry() -> Registry<dyn Named> {
         Registry::new(
             "test factory",
-            ParamNames::Split,
-            &["builtin"],
+            &["absent"],
             vec![("Builtin".to_string(), Arc::new(N(0)) as Arc<dyn Named>)],
         )
     }
@@ -165,12 +166,29 @@ mod tests {
     }
 
     #[test]
-    fn verbatim_registries_resolve_colons_literally() {
-        let registry: Registry<dyn Named> =
-            Registry::new("verbatim factory", ParamNames::Verbatim, &[], Vec::new());
-        registry.register("weird:name", Arc::new(N(7)));
-        assert_eq!(registry.by_name("weird:name").unwrap().id(), 7);
-        assert!(registry.by_name("weird").is_none());
+    fn resolve_hands_the_suffix_to_the_factory_and_names_what_is_registered() {
+        let registry = registry();
+        let (factory, params) = registry.resolve("BUILTIN:3,4").unwrap();
+        assert_eq!((factory.id(), params), (0, Some("3,4")));
+        assert_eq!(registry.resolve("builtin").unwrap().1, None);
+        let err = registry.resolve("missing:1").err().unwrap();
+        assert!(err.contains("unknown test factory 'missing'"), "{err}");
+        assert!(err.contains("registered test factory names: builtin"), "{err}");
+    }
+
+    #[test]
+    fn reserved_names_are_bare_and_resolve_to_no_policy() {
+        let registry = registry();
+        assert!(registry.is_reserved("absent"));
+        assert!(registry.is_reserved("ABSENT"));
+        assert!(!registry.is_reserved("absent:1"), "only the bare name is the sentinel");
+        assert!(!registry.is_reserved("absently"));
+        assert!(registry.by_name("absent").is_none());
+        assert!(!registry.names().contains(&"absent".to_string()));
+        for name in ["absent", "Absent:1"] {
+            let err = registry.resolve(name).err().unwrap();
+            assert!(err.contains("selects no policy") && err.contains("absent"), "{err}");
+        }
     }
 
     #[test]
@@ -182,14 +200,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved")]
     fn reserved_names_cannot_be_reclaimed() {
-        registry().register("builtin", Arc::new(N(3)));
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved but no builtin")]
-    fn reserved_names_must_be_seeded() {
-        let _: Registry<dyn Named> =
-            Registry::new("test factory", ParamNames::Split, &["builtin"], Vec::new());
+        registry().register("Absent", Arc::new(N(3)));
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //! [`SchedulerSpec::Named`] (the `SimConfig` builder accepts a `&str`
 //! scheduler directly). The paper's five builtin policies are pre-registered
 //! under their lower-cased display names (`"dacapo-spatiotemporal"`,
-//! `"dacapo-spatial"`, `"ekya"`, `"eomu"`, `"no-adaptation"`).
+//! `"dacapo-spatial"`, `"ekya"`, `"eomu"`, `"no-adaptation"`). Names follow
+//! the workspace's one `<name>[:<params>]` grammar ([`crate::registry`]),
+//! but a [`SchedulerFactory`] takes no parameters, so a suffixed name
+//! (`"ekya:3"`) is an error naming the suffix.
 
 use crate::config::Hyperparams;
-use crate::registry::{ParamNames, Registry};
+use crate::registry::{split_params, Registry};
 use crate::{CoreError, Result};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -249,8 +252,7 @@ impl SchedulerFactory for KindFactory {
 }
 
 /// The global policy registry, seeded with the builtin kinds; storage and
-/// lookup rules live in [`crate::registry`]. Scheduler names resolve
-/// verbatim (no `:<params>` suffixes), matching the original convention.
+/// lookup rules live in [`crate::registry`].
 fn registry() -> &'static Registry<dyn SchedulerFactory> {
     static REGISTRY: OnceLock<Registry<dyn SchedulerFactory>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
@@ -261,18 +263,24 @@ fn registry() -> &'static Registry<dyn SchedulerFactory> {
                 (name.clone(), Arc::new(KindFactory { kind, name }) as Arc<dyn SchedulerFactory>)
             })
             .collect();
-        Registry::new("scheduler factory", ParamNames::Verbatim, &[], seed)
+        Registry::new("scheduler", &[], seed)
     })
 }
 
 /// Registers (or replaces) a policy factory under its
 /// case-insensitive [`SchedulerFactory::name`].
+///
+/// # Panics
+///
+/// Panics if the factory's name contains `':'` — the colon introduces the
+/// parameter suffix during lookup, so such a name could never be resolved.
 pub fn register(factory: Arc<dyn SchedulerFactory>) {
     let name = factory.name().to_string();
     registry().register(&name, factory);
 }
 
-/// Looks up a policy factory by case-insensitive name.
+/// Looks up a policy factory by case-insensitive name, ignoring a
+/// `:<params>` suffix.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Arc<dyn SchedulerFactory>> {
     registry().by_name(name)
@@ -305,18 +313,20 @@ impl SchedulerSpec {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if a named policy is not
-    /// registered.
+    /// registered or carries a `:<params>` suffix.
     pub fn create(&self, hyper: &Hyperparams) -> Result<Box<dyn Scheduler>> {
         match self {
             SchedulerSpec::Kind(kind) => Ok(kind.create(hyper)),
-            SchedulerSpec::Named(name) => by_name(name)
-                .map(|factory| factory.build(hyper))
-                .ok_or_else(|| CoreError::InvalidConfig {
+            SchedulerSpec::Named(name) => match registry().resolve(name) {
+                Ok((factory, None)) => Ok(factory.build(hyper)),
+                Ok((factory, Some(params))) => Err(CoreError::InvalidConfig {
                     reason: format!(
-                        "unknown scheduler '{name}'; registered policies: {}",
-                        registered_names().join(", ")
+                        "scheduler '{}' takes no parameters, got ':{params}'",
+                        factory.name()
                     ),
                 }),
+                Err(reason) => Err(CoreError::InvalidConfig { reason }),
+            },
         }
     }
 
@@ -324,12 +334,15 @@ impl SchedulerSpec {
     /// selected by name (`Named("ekya")` resolves to
     /// `Some(SchedulerKind::Ekya)`). Resolution goes through the registry,
     /// so a custom factory registered over a builtin name correctly reports
-    /// `None`.
+    /// `None`, and suffixed names are never builtin.
     #[must_use]
     pub fn kind(&self) -> Option<SchedulerKind> {
         match self {
             SchedulerSpec::Kind(kind) => Some(*kind),
-            SchedulerSpec::Named(name) => by_name(name).and_then(|factory| factory.kind()),
+            SchedulerSpec::Named(name) => match split_params(name) {
+                (base, None) => by_name(base).and_then(|factory| factory.kind()),
+                (_, Some(_)) => None,
+            },
         }
     }
 }
@@ -999,7 +1012,35 @@ mod tests {
             Ok(_) => panic!("unknown policy must not resolve"),
         };
         assert!(err.to_string().contains("does-not-exist"), "{err}");
-        assert!(err.to_string().contains("registered policies"), "{err}");
+        assert!(err.to_string().contains("registered scheduler names"), "{err}");
+    }
+
+    #[test]
+    fn a_suffixed_builtin_is_an_error_naming_the_suffix() {
+        let spec = SchedulerSpec::from("ekya:3");
+        assert_eq!(spec.kind(), None, "suffixed names are never builtin");
+        assert_ne!(spec, SchedulerKind::Ekya);
+        let err = match spec.create(&Hyperparams::default()) {
+            Err(err) => err,
+            Ok(_) => panic!("a builtin takes no parameters"),
+        };
+        assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err:?}");
+        assert!(err.to_string().contains("':3'"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "must not contain ':'")]
+    fn registering_a_scheduler_name_with_a_colon_panics() {
+        struct Colon;
+        impl SchedulerFactory for Colon {
+            fn name(&self) -> &str {
+                "ekya:fast"
+            }
+            fn build(&self, hyper: &Hyperparams) -> Box<dyn Scheduler> {
+                SchedulerKind::Ekya.create(hyper)
+            }
+        }
+        register(Arc::new(Colon));
     }
 
     #[test]

@@ -439,8 +439,8 @@ pub struct SessionSnapshot {
     /// The edge–cloud tier's mutable state (cloud teacher RNG, in-flight
     /// labels, uplink meters), present exactly when the configuration
     /// carries an [`EdgeConfig`](crate::edge::EdgeConfig). The uplink model
-    /// itself is behavior and is re-resolved from the configuration through
-    /// the uplink registry on restore.
+    /// itself is behavior and is re-resolved from the configuration's
+    /// uplink profile on restore.
     pub edge: Option<EdgeTierState>,
 }
 

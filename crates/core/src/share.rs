@@ -42,13 +42,15 @@
 //! [`crate::arbiter::register`]: implement [`SharePolicy`] and
 //! [`SharePolicyFactory`], [`register`] the factory, and select it by name
 //! via [`Cluster::share`](crate::Cluster::share). Names may carry a
-//! `:<params>` suffix forwarded to the factory. Three builtins are
-//! pre-registered:
+//! `:<params>` suffix forwarded to the factory.
 //!
-//! * `"none"` — sharing disabled; the cluster takes the exact same execution
-//!   path (and produces bit-identical results) as a cluster built before the
-//!   share subsystem existed. The name is **reserved**: [`register`] rejects
-//!   factories trying to claim it.
+//! `"none"` (the default) is not a policy: it is the family's **reserved**
+//! name, meaning the exchange stage is absent — the cluster runs without
+//! one, bit-identical to a cluster built before the share subsystem
+//! existed. Nothing is registered under it, [`register`] rejects factories
+//! trying to claim it, and [`create`] refuses it (with or without a
+//! suffix). Two builtins are pre-registered:
+//!
 //! * `"broadcast"` — every camera admits every peer's full export batch.
 //! * `"correlated[:<threshold>]"` — a camera admits a peer's exports only
 //!   when the two cameras' scenarios overlap in attributes
@@ -56,7 +58,7 @@
 //!   at least `threshold` (default `0.5`), the ECCO-style exploitation of
 //!   cross-camera correlation.
 
-use crate::registry::{split_params, ParamNames, Registry};
+use crate::registry::Registry;
 use crate::{CoreError, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
@@ -175,36 +177,6 @@ impl ShareMetrics {
 // Builtin policies
 // --------------------------------------------------------------------------
 
-/// `"none"`: sharing disabled.
-struct NoSharing;
-
-impl SharePolicy for NoSharing {
-    fn name(&self) -> String {
-        "none".to_string()
-    }
-
-    fn admit_fraction(&mut self, _ctx: &ShareContext<'_>) -> f64 {
-        0.0
-    }
-}
-
-struct NoSharingFactory;
-
-impl SharePolicyFactory for NoSharingFactory {
-    fn name(&self) -> &str {
-        "none"
-    }
-
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn SharePolicy>> {
-        if let Some(params) = params {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("share policy 'none' takes no parameters, got ':{params}'"),
-            });
-        }
-        Ok(Box::new(NoSharing))
-    }
-}
-
 /// `"broadcast"`: every camera admits every peer's full batch.
 struct Broadcast;
 
@@ -290,14 +262,12 @@ impl SharePolicyFactory for CorrelatedFactory {
 fn registry() -> &'static Registry<dyn SharePolicyFactory> {
     static REGISTRY: OnceLock<Registry<dyn SharePolicyFactory>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let builtins: [Arc<dyn SharePolicyFactory>; 3] =
-            [Arc::new(NoSharingFactory), Arc::new(BroadcastFactory), Arc::new(CorrelatedFactory)];
+        let builtins: [Arc<dyn SharePolicyFactory>; 2] =
+            [Arc::new(BroadcastFactory), Arc::new(CorrelatedFactory)];
         Registry::new(
             "share policy",
-            ParamNames::Split,
-            // The disabled policy is load-bearing: under `"none"` the
-            // cluster executor has no exchange stage at all, so a
-            // replacement would never be consulted.
+            // Under `"none"` the cluster executor has no exchange stage at
+            // all, so a factory registered there would never be consulted.
             &["none"],
             builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
         )
@@ -310,7 +280,8 @@ fn registry() -> &'static Registry<dyn SharePolicyFactory> {
 /// # Panics
 ///
 /// Panics if the factory's name contains `':'` (reserved for parameter
-/// suffixes during lookup) or is `"none"` — the reserved disabled policy.
+/// suffixes during lookup) or is `"none"` — the reserved name of the absent
+/// exchange stage.
 pub fn register(factory: Arc<dyn SharePolicyFactory>) {
     let name = factory.name().to_string();
     registry().register(&name, factory);
@@ -330,11 +301,11 @@ pub fn registered_names() -> Vec<String> {
     registry().names()
 }
 
-/// Whether `name` selects the reserved disabled policy (`"none"`, in any
-/// case) — the cluster executor then runs without an exchange stage.
+/// Whether `name` is the reserved `"none"` (in any case, without a
+/// suffix) — the cluster executor then runs without an exchange stage.
 #[must_use]
 pub fn is_disabled(name: &str) -> bool {
-    split_params(name).0.eq_ignore_ascii_case("none")
+    registry().is_reserved(name)
 }
 
 /// Instantiates the sharing policy selected by `name` (with optional
@@ -342,16 +313,11 @@ pub fn is_disabled(name: &str) -> bool {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidConfig`] for an unregistered name or
-/// malformed parameters.
+/// Returns [`CoreError::InvalidConfig`] for an unregistered name, the
+/// reserved `"none"` (it selects no policy), or malformed parameters.
 pub fn create(name: &str) -> Result<Box<dyn SharePolicy>> {
-    let (base, params) = split_params(name);
-    let factory = by_name(base).ok_or_else(|| CoreError::InvalidConfig {
-        reason: format!(
-            "unknown share policy '{base}'; registered policies: {}",
-            registered_names().join(", ")
-        ),
-    })?;
+    let (factory, params) =
+        registry().resolve(name).map_err(|reason| CoreError::InvalidConfig { reason })?;
     factory.build(params)
 }
 
@@ -374,15 +340,20 @@ mod tests {
 
     #[test]
     fn none_admits_nothing_and_broadcast_everything() {
-        let mut none = create("none").unwrap();
+        // `none` admits nothing because nothing is built: the stage is absent.
+        for name in ["none", "NONE", "none:1", "none:x"] {
+            let err = match create(name) {
+                Err(err) => err,
+                Ok(_) => panic!("'{name}' must select no policy"),
+            };
+            assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err:?}");
+            assert!(err.to_string().contains("stage is absent"), "{err}");
+        }
         let mut broadcast = create("broadcast").unwrap();
         for correlation in [0.0, 0.5, 1.0] {
-            assert_eq!(none.admit_fraction(&context(correlation)), 0.0);
             assert_eq!(broadcast.admit_fraction(&context(correlation)), 1.0);
         }
-        assert_eq!(none.name(), "none");
         assert_eq!(broadcast.name(), "broadcast");
-        assert!(create("none:1").is_err(), "none takes no parameters");
         assert!(create("broadcast:0.5").is_err(), "broadcast takes no parameters");
     }
 
@@ -414,15 +385,16 @@ mod tests {
         assert!(by_name("Correlated:0.9").is_some());
         assert!(by_name("no-such-policy").is_none());
         let names = registered_names();
-        for builtin in ["none", "broadcast", "correlated"] {
+        for builtin in ["broadcast", "correlated"] {
             assert!(names.contains(&builtin.to_string()), "{builtin} missing from {names:?}");
         }
+        assert!(!names.contains(&"none".to_string()), "the reserved name is not a policy");
         let err = match create("no-such-policy") {
             Err(err) => err,
             Ok(_) => panic!("unknown policy must not resolve"),
         };
         assert!(err.to_string().contains("no-such-policy"), "{err}");
-        assert!(err.to_string().contains("registered policies"), "{err}");
+        assert!(err.to_string().contains("registered share policy names"), "{err}");
     }
 
     #[test]
@@ -431,6 +403,7 @@ mod tests {
         assert!(is_disabled("NONE"));
         assert!(!is_disabled("broadcast"));
         assert!(!is_disabled("nonesuch"));
+        assert!(!is_disabled("none:1"), "a suffixed sentinel is an error, not the sentinel");
     }
 
     #[test]

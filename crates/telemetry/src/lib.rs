@@ -25,10 +25,11 @@
 //! Output is pluggable through [`TelemetrySink`] factories registered by
 //! name, mirroring the scheduler/policy registries in `dacapo-core`. The
 //! builtins are `chrome-trace:<path>` (trace JSON), `json-lines:<path>`
-//! (metrics timeseries), and `summary` (stdout table at finish); the `null`
-//! name is **reserved** — [`TelemetryRecorder::with_sink_spec`] treats it as
-//! "no sink", which keeps the recorder on its do-nothing fast path so a
-//! null-sink observed run is bit-identical to a telemetry-free run.
+//! (metrics timeseries), and `summary` (stdout table at finish). `null` is
+//! not a sink but the family's **reserved** name:
+//! [`TelemetryRecorder::with_sink_spec`] treats it as "no sink", which keeps
+//! the recorder on its do-nothing fast path so a null-sink observed run is
+//! bit-identical to a telemetry-free run.
 //! Out-of-crate sinks register with [`sink::register`]; see
 //! `examples/telemetry.rs` for a CSV sink registered by name.
 //!

@@ -153,8 +153,8 @@ impl TelemetryRecorder {
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::InvalidConfig`] for an unregistered name or
-    /// malformed parameters.
+    /// Returns [`TelemetryError::InvalidConfig`] for an unregistered name,
+    /// malformed parameters, or a suffixed `"null:<anything>"`.
     pub fn with_sink_spec(mut self, spec: &str) -> Result<Self> {
         if sink::is_null(spec) {
             return Ok(self);

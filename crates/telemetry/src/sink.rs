@@ -8,10 +8,13 @@
 //! - `json-lines:<path>` — buffers per-window metrics records and writes a
 //!   JSON-Lines timeseries to `<path>` at finish;
 //! - `summary` — counts everything it sees and prints a compact table to
-//!   stdout at finish;
-//! - `null` — drops everything. The `null` name is **reserved**: selecting
-//!   it must always mean "record nothing" (the recorder keeps the
-//!   telemetry-free fast path for it), so user sinks cannot shadow it.
+//!   stdout at finish.
+//!
+//! `null` is not a sink: it is the family's **reserved** name, meaning no
+//! sink at all — [`crate::TelemetryRecorder::with_sink_spec`] adds nothing
+//! for it, which keeps the recorder on its telemetry-free fast path. User
+//! sinks cannot claim it, and [`create`] refuses it (so does
+//! `with_sink_spec`, given a suffix such as `null:x`).
 //!
 //! Out-of-crate sinks implement [`TelemetrySink`] + [`SinkFactory`] and call
 //! [`register`]; `examples/telemetry.rs` registers a CSV sink this way. Name
@@ -22,7 +25,7 @@
 use crate::error::{Result, TelemetryError};
 use crate::metrics::MetricsRecord;
 use crate::trace::TraceEvent;
-use dacapo_core::registry::{split_params, ParamNames, Registry};
+use dacapo_core::registry::Registry;
 use std::sync::{Arc, OnceLock};
 
 /// One destination for telemetry output. All hooks default to no-ops so a
@@ -86,18 +89,12 @@ pub trait SinkFactory: Send + Sync {
 fn registry() -> &'static Registry<dyn SinkFactory> {
     static REGISTRY: OnceLock<Registry<dyn SinkFactory>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let builtins: [Arc<dyn SinkFactory>; 4] = [
-            Arc::new(NullFactory),
-            Arc::new(SummaryFactory),
-            Arc::new(ChromeTraceFactory),
-            Arc::new(JsonLinesFactory),
-        ];
+        let builtins: [Arc<dyn SinkFactory>; 3] =
+            [Arc::new(SummaryFactory), Arc::new(ChromeTraceFactory), Arc::new(JsonLinesFactory)];
         Registry::new(
             "telemetry sink",
-            ParamNames::Split,
-            // The null sink is reserved: the recorder's fast-path guarantee
-            // ("null" means no telemetry work at all) must survive user
-            // registrations.
+            // The recorder's fast-path guarantee ("null" means no telemetry
+            // work at all) must survive user registrations.
             &["null"],
             builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
         )
@@ -110,7 +107,7 @@ fn registry() -> &'static Registry<dyn SinkFactory> {
 /// # Panics
 ///
 /// Panics if the factory's name contains `':'` (reserved for parameter
-/// suffixes during lookup) or is `"null"` — the reserved no-op sink.
+/// suffixes during lookup) or is `"null"` — the reserved no-sink name.
 pub fn register(factory: Arc<dyn SinkFactory>) {
     let name = factory.name().to_string();
     registry().register(&name, factory);
@@ -129,10 +126,11 @@ pub fn registered_names() -> Vec<String> {
     registry().names()
 }
 
-/// Whether `spec` selects the reserved no-op sink (`"null"`, in any case).
+/// Whether `spec` is the reserved `"null"` (in any case, without a
+/// suffix): no sink at all.
 #[must_use]
 pub fn is_null(spec: &str) -> bool {
-    split_params(spec).0.eq_ignore_ascii_case("null")
+    registry().is_reserved(spec)
 }
 
 /// Instantiates the sink selected by `spec` (a registered name with an
@@ -140,49 +138,17 @@ pub fn is_null(spec: &str) -> bool {
 ///
 /// # Errors
 ///
-/// Returns [`TelemetryError::InvalidConfig`] for an unregistered name or
-/// malformed parameters.
+/// Returns [`TelemetryError::InvalidConfig`] for an unregistered name, the
+/// reserved `"null"` (it selects no sink), or malformed parameters.
 pub fn create(spec: &str) -> Result<Box<dyn TelemetrySink>> {
-    let (base, params) = split_params(spec);
-    let Some(factory) = registry().by_name(base) else {
-        return Err(TelemetryError::InvalidConfig {
-            reason: format!(
-                "unknown telemetry sink '{base}'; registered sinks: {}",
-                registered_names().join(", ")
-            ),
-        });
-    };
+    let (factory, params) =
+        registry().resolve(spec).map_err(|reason| TelemetryError::InvalidConfig { reason })?;
     factory.create(params)
 }
 
 /// Maps an I/O failure at `path` to the crate error type.
 fn io_error(path: &str, error: &std::io::Error) -> TelemetryError {
     TelemetryError::Io { path: path.to_string(), reason: error.to_string() }
-}
-
-// ---------------------------------------------------------------------------
-// Builtin: null
-// ---------------------------------------------------------------------------
-
-/// The reserved no-op sink: drops everything.
-struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn name(&self) -> &str {
-        "null"
-    }
-}
-
-struct NullFactory;
-
-impl SinkFactory for NullFactory {
-    fn name(&self) -> &str {
-        "null"
-    }
-
-    fn create(&self, _params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
-        Ok(Box::new(NullSink))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -350,9 +316,10 @@ mod tests {
         assert!(by_name("Json-Lines").is_some());
         assert!(by_name("no-such-sink").is_none());
         let names = registered_names();
-        for builtin in ["null", "summary", "chrome-trace", "json-lines"] {
+        for builtin in ["summary", "chrome-trace", "json-lines"] {
             assert!(names.contains(&builtin.to_string()), "{builtin} missing from {names:?}");
         }
+        assert!(!names.contains(&"null".to_string()), "the reserved name is not a sink");
     }
 
     #[test]
@@ -369,14 +336,50 @@ mod tests {
             Ok(_) => panic!("unknown sink must not resolve"),
         };
         assert!(err.to_string().contains("no-such-sink"), "{err}");
-        assert!(err.to_string().contains("registered sinks"), "{err}");
+        assert!(err.to_string().contains("registered telemetry sink names"), "{err}");
     }
 
     #[test]
-    fn null_detection_ignores_case_and_params() {
+    fn null_detection_ignores_case_but_not_params() {
         assert!(is_null("null"));
-        assert!(is_null("NULL:whatever"));
+        assert!(is_null("NULL"));
+        assert!(!is_null("NULL:whatever"), "a suffixed sentinel is an error, not the sentinel");
         assert!(!is_null("summary"));
+    }
+
+    #[test]
+    fn null_selects_no_sink_with_or_without_a_suffix() {
+        for spec in ["null", "Null", "null:x"] {
+            let err = match create(spec) {
+                Err(err) => err,
+                Ok(_) => panic!("'{spec}' must select no sink"),
+            };
+            assert!(matches!(err, TelemetryError::InvalidConfig { .. }), "{err:?}");
+            assert!(err.to_string().contains("stage is absent"), "{err}");
+        }
+        // The recorder takes the bare name as "no sink" and the suffixed one
+        // as the error it is.
+        let recorder = crate::TelemetryRecorder::new().with_sink_spec("NULL").unwrap();
+        assert!(!recorder.is_enabled());
+        assert!(matches!(
+            crate::TelemetryRecorder::new().with_sink_spec("null:x"),
+            Err(TelemetryError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn registering_over_the_reserved_null_name_panics() {
+        struct Impostor;
+        impl SinkFactory for Impostor {
+            fn name(&self) -> &str {
+                "null"
+            }
+            fn create(&self, _params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
+                SummaryFactory.create(None)
+            }
+        }
+        register(Arc::new(Impostor));
     }
 
     #[test]

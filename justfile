@@ -1,7 +1,7 @@
 # Development shortcuts mirroring .github/workflows/ci.yml.
 
 # Run the full CI pipeline locally.
-ci: fmt-check clippy doc build test test-kernels golden-check
+ci: fmt-check clippy doc build test examples test-kernels golden-check
 
 fmt:
     cargo fmt
@@ -22,6 +22,17 @@ build:
 # Tier-1 verify: the whole workspace's tests.
 test:
     cargo test -q
+
+# The six registry examples CI's Tests step runs, one per registry family,
+# each plugging in an out-of-crate implementation: arbiter, share policy,
+# scheduler (with snapshot state), offload policy, telemetry sink, platform.
+examples:
+    cargo run --release --example cluster
+    cargo run --release --example cross_camera
+    cargo run --release --example checkpoint_resume
+    cargo run --release --example edge_cloud
+    cargo run --release --example telemetry
+    cargo run --release --example custom_platform
 
 # The kernel crates' tests in the release profile: `just test` runs them
 # unoptimised, where the GEMM register tile, the MX conversion kernel and the

@@ -147,7 +147,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_whitespace();
+            let at = self.pos;
             let key = self.parse_string()?;
+            if entries.iter().any(|(seen, _)| *seen == key) {
+                return Err(Error(format!("duplicate key '{key}' in object (at byte {at})")));
+            }
             self.skip_whitespace();
             self.expect(b':')?;
             self.skip_whitespace();
@@ -190,18 +194,7 @@ impl Parser<'_> {
                         't' => out.push('\t'),
                         'b' => out.push('\u{8}'),
                         'f' => out.push('\u{c}'),
-                        'u' => {
-                            let hex = self
-                                .text
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("malformed \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by the writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
+                        'u' => out.push(self.parse_unicode_escape()?),
                         other => {
                             return Err(self.error(&format!("unknown escape '\\{other}'")));
                         }
@@ -210,6 +203,43 @@ impl Parser<'_> {
                 c => out.push(c),
             }
         }
+    }
+
+    /// The character of a `\uXXXX` escape whose `\u` was just consumed,
+    /// joining a UTF-16 surrogate pair written as two escapes. A lone or
+    /// unpaired surrogate is an error, as in serde_json.
+    fn parse_unicode_escape(&mut self) -> Result<char, Error> {
+        let start = self.pos - 2;
+        let high = self.hex4()?;
+        let code = match high {
+            0xD800..=0xDBFF => {
+                if !self.eat_literal("\\u") {
+                    return Err(Error(format!("lone leading surrogate (at byte {start})")));
+                }
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(Error(format!("unpaired leading surrogate (at byte {start})")));
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => {
+                return Err(Error(format!("lone trailing surrogate (at byte {start})")));
+            }
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| self.error("invalid \\u escape"))
+    }
+
+    /// Exactly four hex digits, as a `\u` escape requires.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let code = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .filter(|digits| digits.bytes().all(|d| d.is_ascii_hexdigit()))
+            .and_then(|digits| u32::from_str_radix(digits, 16).ok())
+            .ok_or_else(|| self.error("a \\u escape needs four hex digits"))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn parse_number(&mut self) -> Result<Value, Error> {
@@ -438,5 +468,42 @@ mod tests {
     #[test]
     fn unicode_escapes_parse() {
         assert_eq!(value_from_str("\"\\u0041\\t\"").unwrap(), Value::Str("A\t".to_string()));
+    }
+
+    #[test]
+    fn surrogate_pairs_join_and_broken_escapes_are_rejected() {
+        // (document, Ok(decoded) or Err(text the error carries))
+        let table: [(&str, Result<&str, &str>); 10] = [
+            // A pair as Python's `json.dumps("😀")` writes it.
+            (r#""\ud83d\ude00""#, Ok("😀")),
+            (r#""a\uD834\uDD1Eb""#, Ok("a𝄞b")),
+            (r#""\u00e9\uFFFF""#, Ok("é\u{ffff}")),
+            (r#""x\ud83d""#, Err("lone leading surrogate (at byte 2)")),
+            (r#""\ud83d\u0041""#, Err("unpaired leading surrogate (at byte 1)")),
+            (r#""\ud83dx""#, Err("lone leading surrogate (at byte 1)")),
+            (r#""ok\ude00""#, Err("lone trailing surrogate (at byte 3)")),
+            // Exactly four hex digits: no sign, no fewer.
+            (r#""\u+041""#, Err("four hex digits")),
+            (r#""\u-041""#, Err("four hex digits")),
+            (r#""\u41""#, Err("four hex digits")),
+        ];
+        for (text, expected) in table {
+            match (value_from_str(text), expected) {
+                (Ok(value), Ok(decoded)) => assert_eq!(value, Value::Str(decoded.into()), "{text}"),
+                (Err(err), Err(needle)) => assert!(err.0.contains(needle), "{text}: {err}"),
+                (got, _) => panic!("{text}: expected {expected:?}, got {got:?}"),
+            }
+        }
+        // What the writer emits for any char reads back as that char.
+        let all = "\u{0}\u{1f}é😀\u{10ffff}";
+        assert_eq!(value_from_str(&to_string(all).unwrap()).unwrap(), Value::Str(all.into()));
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected_naming_the_key() {
+        let err = value_from_str(r#"{"a": 1, "b": {"a": 2}, "a": 3}"#).unwrap_err();
+        assert!(err.0.contains("duplicate key 'a'") && err.0.contains("at byte 24"), "{err}");
+        // The same key in different objects is fine.
+        assert!(value_from_str(r#"{"a": 1, "b": {"a": 2}}"#).is_ok());
     }
 }

@@ -1,10 +1,10 @@
-//! Edge–cloud tier integration: the reserved `local-only` policy is
+//! Edge–cloud tier integration: the reserved `local-only` name is
 //! bit-identical to a fleet with no edge tier at all (at any worker-thread
 //! count), offloaded clusters are deterministic across thread counts, a
 //! session snapshotted mid-window with cloud labels still in flight
-//! round-trips through JSON exactly, `EdgeMetrics` survives serde, and the
-//! uplink/offload registries resolve builtins and out-of-crate entries
-//! alike.
+//! round-trips through JSON exactly, `EdgeMetrics` survives serde, the
+//! offload registry resolves builtins and out-of-crate entries alike, and
+//! every uplink profile resolves.
 
 use dacapo_core::edge::{self, OffloadContext, OffloadPolicy, OffloadPolicyFactory};
 use dacapo_core::platform::{KernelRate, PlatformRates, Sharing};
@@ -180,8 +180,8 @@ fn edge_metrics_survive_a_serde_round_trip() {
 }
 
 /// Out-of-crate offload policies resolve through the registry by name,
-/// exactly like builtins, and the uplink registry resolves every builtin
-/// profile with and without parameter overrides.
+/// exactly like builtins, and every uplink profile resolves with and
+/// without parameter overrides.
 #[test]
 fn registries_resolve_builtins_and_out_of_crate_policies() {
     struct EvenWindows;
@@ -210,9 +210,10 @@ fn registries_resolve_builtins_and_out_of_crate_policies() {
     assert!(edge::offload_by_name("even-windows").is_some());
     assert!(edge::offload_by_name("EVEN-WINDOWS").is_some(), "lookups are case-insensitive");
     assert!(edge::registered_offload_policies().contains(&"even-windows".to_string()));
-    for builtin in ["local-only", "cloud-only", "threshold", "budget"] {
+    for builtin in ["cloud-only", "threshold", "budget"] {
         assert!(edge::offload_by_name(builtin).is_some(), "{builtin} missing");
     }
+    assert!(edge::offload_by_name("local-only").is_none(), "the reserved name is not a policy");
 
     // And the registered policy drives a real cluster run end to end.
     let result = build_cluster(2, 0xE7E4, Some("wifi"), "even-windows", 2)
@@ -221,9 +222,10 @@ fn registries_resolve_builtins_and_out_of_crate_policies() {
     assert!(result.edge.labels_cloud > 0, "window 0 routes cloud: {:?}", result.edge);
     assert_eq!(result.edge.policy, "even-windows");
 
-    // The builtin uplink profiles resolve, with parameter overrides.
+    // The uplink profiles resolve, in any case, with parameter overrides.
     for builtin in ["broadband", "wifi", "lte", "degraded"] {
-        assert!(edge::uplink_by_name(builtin).is_some(), "{builtin} missing");
+        assert!(edge::create_uplink(builtin).is_ok(), "{builtin} missing");
+        assert!(edge::create_uplink(&builtin.to_uppercase()).is_ok(), "{builtin} is case-blind");
     }
     let default_lte = edge::create_uplink("lte").expect("lte resolves");
     assert!((default_lte.bandwidth_bps() - 12e6).abs() < 1e-6);

@@ -377,3 +377,20 @@ fn restore_names_the_bad_sample_of_a_mutated_golden_snapshot() {
         assert!(Session::restore(snapshot).is_ok());
     }
 }
+
+/// A snapshot that repeats a field is refused at parse time, naming the
+/// key: reading either copy would silently drop the other.
+#[test]
+fn a_snapshot_repeating_a_field_is_refused_naming_the_key() {
+    let text = golden_with(&[], |node| {
+        let Value::Object(fields) = node else { panic!("a snapshot is an object") };
+        fields.push(("now_s".to_string(), Value::Int(-1)));
+    });
+    match SessionSnapshot::from_json(&text) {
+        Err(dacapo_core::CoreError::Snapshot { reason }) => {
+            assert!(reason.contains("duplicate key 'now_s'"), "{reason}");
+        }
+        Err(other) => panic!("expected CoreError::Snapshot, got {other:?}"),
+        Ok(_) => panic!("a repeated field must not parse"),
+    }
+}

@@ -213,8 +213,10 @@ fn out_of_crate_policies_resolve_through_the_registry() {
     assert!(share::by_name("zero-admit").is_some());
     assert!(share::by_name("ZERO-ADMIT").is_some(), "lookups are case-insensitive");
     assert!(share::registered_names().contains(&"zero-admit".to_string()));
-    // And the builtin set is intact alongside it.
-    for builtin in ["none", "broadcast", "correlated"] {
+    // And the builtin set is intact alongside it; the reserved `none` is
+    // no policy at all.
+    for builtin in ["broadcast", "correlated"] {
         assert!(share::by_name(builtin).is_some(), "{builtin} missing");
     }
+    assert!(share::by_name("none").is_none());
 }

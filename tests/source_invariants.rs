@@ -35,40 +35,45 @@ fn comment_lines(source: &str) -> Vec<String> {
 
 #[test]
 fn every_registry_builtin_is_documented_in_its_module_and_in_the_readme() {
-    // Family, its live names, the module that seeds it, its reserved names.
-    // Nothing in this test binary registers a plugin, so the names are the
-    // builtins.
+    // Family, its live names, the module that defines it, its reserved
+    // (stage-absent) names. Nothing in this test binary registers a plugin,
+    // so the names are the builtins.
+    let uplinks = edge::UPLINK_PROFILES.iter().map(|(name, ..)| name.to_string()).collect();
     let families: [(&str, Vec<String>, &str, &[&str]); 7] = [
         ("scheduler", sched::registered_names(), src!("core/src/sched.rs"), &[]),
         ("platform", platform::registered_names(), src!("core/src/platform.rs"), &[]),
         ("arbiter", arbiter::registered_names(), src!("core/src/arbiter.rs"), &[]),
         ("share", share::registered_names(), src!("core/src/share.rs"), &["none"]),
         ("offload", edge::registered_offload_policies(), src!("core/src/edge.rs"), &["local-only"]),
-        ("uplink", edge::registered_uplinks(), src!("core/src/edge.rs"), &[]),
+        ("uplink", uplinks, src!("core/src/edge.rs"), &[]),
         ("sink", sink::registered_names(), src!("telemetry/src/sink.rs"), &["null"]),
     ];
+    // The reserved names are the ones their families skip the stage on.
+    assert!(
+        share::is_disabled("none") && edge::is_local_only("local-only") && sink::is_null("null")
+    );
     let readme = README.to_lowercase();
-    let mut builtins = 0;
+    let mut checked = 0;
     for (family, names, source, reserved) in families {
         let comments = comment_lines(source);
-        for name in &names {
-            builtins += 1;
+        for name in names.iter().map(String::as_str).chain(reserved.iter().copied()) {
+            checked += 1;
             assert!(
                 comments.iter().any(|line| mentions(line, name)),
-                "{family} builtin '{name}' is not mentioned in its module's comments"
+                "{family} name '{name}' is not mentioned in its module's comments"
             );
-            assert!(mentions(&readme, name), "{family} builtin '{name}' is not in README.md");
+            assert!(mentions(&readme, name), "{family} name '{name}' is not in README.md");
         }
         for name in reserved {
-            assert!(names.iter().any(|n| n == name), "reserved {family} '{name}' is not seeded");
+            assert!(!names.iter().any(|n| n == name), "reserved {family} '{name}' is registered");
             assert!(
                 comments.iter().any(|line| line.contains("reserved") && mentions(line, name)),
                 "no comment in the {family} module calls '{name}' reserved"
             );
         }
     }
-    // An anchor: a registry that stopped listing its builtins checks nothing.
-    assert!(builtins >= 29, "only {builtins} builtins found across the seven registries");
+    // An anchor: a registry that stopped listing its names checks nothing.
+    assert!(checked >= 29, "only {checked} names found across the six registries and the uplinks");
 }
 
 /// The `fn on_*` names inside the item that opens with `header` and closes
