@@ -88,17 +88,15 @@ impl AccelLoop<'_> {
     /// Removes a departing camera at a churn barrier, freeing its capacity
     /// for the next queued camera (which starts at `boundary_s`).
     fn leave(&mut self, camera_index: usize, boundary_s: f64) -> Result<LeaveOutcome> {
-        let live = self.active.iter().position(|&slot| {
-            self.slots[slot].camera_index == camera_index && self.slots[slot].session.is_some()
+        let live = self.active.iter().enumerate().find_map(|(position, &slot)| {
+            let slot = &mut self.slots[slot];
+            if slot.camera_index != camera_index {
+                return None;
+            }
+            slot.session.take().map(|session| (position, session))
         });
-        if let Some(position) = live {
-            let slot_index = self.active.remove(position);
-            #[expect(
-                clippy::expect_used,
-                reason = "the position search above only matched slots whose session.is_some()"
-            )]
-            let session =
-                self.slots[slot_index].session.take().expect("position matched a live session");
+        if let Some((position, session)) = live {
+            self.active.remove(position);
             if let Some(accum) = session.edge_accum() {
                 self.outcome.edge.merge(&accum);
             }
@@ -108,14 +106,8 @@ impl AccelLoop<'_> {
             self.start_next_pending(boundary_s)?;
             return Ok(LeaveOutcome::Departed(session.into_result()));
         }
-        if let Some(position) =
-            self.pending.iter().position(|entry| entry.camera_index == camera_index)
-        {
-            #[expect(
-                clippy::expect_used,
-                reason = "position came from iter().position() on the same queue one line up"
-            )]
-            let entry = self.pending.remove(position).expect("position is in bounds");
+        let queued = self.pending.iter().position(|entry| entry.camera_index == camera_index);
+        if let Some(entry) = queued.and_then(|position| self.pending.remove(position)) {
             return Ok(LeaveOutcome::Dequeued(entry.session.map(|session| {
                 if let Some(accum) = session.edge_accum() {
                     self.outcome.edge.merge(&accum);

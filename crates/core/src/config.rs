@@ -94,8 +94,9 @@ impl Hyperparams {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if any count is zero, the
-    /// validation set is not smaller than the retraining set, or the buffer
-    /// cannot hold one retraining draw.
+    /// validation set is not smaller than the retraining set, the buffer
+    /// cannot hold one retraining draw, or the window length or learning
+    /// rate is not positive and finite (the reason names the field).
     pub fn validate(&self) -> Result<()> {
         if self.retrain_samples == 0
             || self.validation_samples == 0
@@ -125,10 +126,17 @@ impl Hyperparams {
                 ),
             });
         }
-        if self.window_seconds <= 0.0 || self.learning_rate <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "window length and learning rate must be positive".into(),
-            });
+        // `!(x > 0.0 && x.is_finite())` rather than `x <= 0.0`: NaN and +∞
+        // pass the latter, and a NaN learning rate trains weights to NaN.
+        for (field, value) in [
+            ("window_seconds", self.window_seconds),
+            ("learning_rate", f64::from(self.learning_rate)),
+        ] {
+            if !(value > 0.0 && value.is_finite()) {
+                return Err(CoreError::InvalidConfig {
+                    reason: format!("{field} must be positive and finite, got {value}"),
+                });
+            }
         }
         Ok(())
     }
@@ -217,9 +225,12 @@ impl SimConfig {
         // Surface bad stream parameters as a typed error here rather than
         // letting FrameStream::new panic mid-construction.
         self.stream.validate().map_err(|e| CoreError::InvalidConfig { reason: e.to_string() })?;
-        if self.measure_interval_s <= 0.0 {
+        if !(self.measure_interval_s > 0.0 && self.measure_interval_s.is_finite()) {
             return Err(CoreError::InvalidConfig {
-                reason: "measurement interval must be positive".into(),
+                reason: format!(
+                    "measure_interval_s must be positive and finite, got {}",
+                    self.measure_interval_s
+                ),
             });
         }
         if self.eval_frames_per_measurement == 0 {
@@ -404,6 +415,42 @@ mod tests {
         assert!(hp.validate().is_err());
         let hp = Hyperparams { learning_rate: -1.0, ..Hyperparams::default() };
         assert!(hp.validate().is_err());
+    }
+
+    /// `reason` of an `InvalidConfig`, or a panic naming what came instead.
+    fn invalid_reason(result: Result<()>) -> String {
+        match result {
+            Err(CoreError::InvalidConfig { reason }) => reason,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_non_finite_learning_rate_is_rejected_by_name() {
+        for bad in [f32::NAN, f32::INFINITY] {
+            let hp = Hyperparams { learning_rate: bad, ..Hyperparams::default() };
+            let reason = invalid_reason(hp.validate());
+            assert!(reason.contains("learning_rate"), "{reason}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_window_length_is_rejected_by_name() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let hp = Hyperparams { window_seconds: bad, ..Hyperparams::default() };
+            let reason = invalid_reason(hp.validate());
+            assert!(reason.contains("window_seconds"), "{reason}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_measurement_interval_is_rejected_by_name() {
+        let valid = SimConfig::builder(Scenario::s1(), ModelPair::ResNet18Wrn50).build().unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let config = SimConfig { measure_interval_s: bad, ..valid.clone() };
+            let reason = invalid_reason(config.validate());
+            assert!(reason.contains("measure_interval_s"), "{reason}");
+        }
     }
 
     #[test]

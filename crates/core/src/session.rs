@@ -1561,6 +1561,44 @@ mod tests {
         assert_eq!(restored.into_result(), expected);
     }
 
+    /// An MX student's quantised inference weights are derived, not snapshot
+    /// state: after every retraining phase, and after a snapshot is restored
+    /// as it is or through JSON text, the student equals — copy included —
+    /// and evaluates as a network rebuilt from its weights alone (the
+    /// serialised form, which carries no copy).
+    #[test]
+    fn an_mx_students_inference_weights_follow_its_weights_through_restores() {
+        let config = SimConfig {
+            platform: "dacapo".into(),
+            ..short_config(SchedulerKind::DaCapoSpatiotemporal)
+        };
+        let features =
+            dacapo_tensor::init::uniform(24, config.stream.feature_dim, -1.0, 1.0, 5).unwrap();
+        let assert_follows = |session: &Session, what: &str| {
+            let net = session.state.student.network();
+            assert!(matches!(net.config().inference_mode, dacapo_dnn::QuantMode::Mx(_)));
+            let rebuilt = Mlp::from_value(&net.to_value()).unwrap();
+            assert_eq!(net, &rebuilt, "{what}");
+            let mode = net.config().inference_mode;
+            assert_eq!(net.forward(&features, mode), rebuilt.forward(&features, mode), "{what}");
+        };
+        let mut session = Session::new(config).unwrap();
+        assert_follows(&session, "pre-trained");
+        let mut retrains = 0;
+        while retrains < 3 {
+            let event = session.step().unwrap();
+            assert_ne!(event, SessionEvent::Finished, "the run retrains three times");
+            if matches!(event, SessionEvent::Phase(PhaseRecord { kind: PhaseKind::Retrain, .. })) {
+                retrains += 1;
+                assert_follows(&session, &format!("retrain {retrains}"));
+            }
+        }
+        let snapshot = session.snapshot();
+        assert_follows(&Session::restore(snapshot.clone()).unwrap(), "restored");
+        let parsed = SessionSnapshot::from_json(&snapshot.to_json()).unwrap();
+        assert_follows(&Session::restore(parsed).unwrap(), "restored from JSON");
+    }
+
     /// A label phase synthesises only the frames it labels, yet consumes the
     /// stream as the cursor's own range method does: the labeled rows are the
     /// first `samples` of `frames_until` over the phase's time range, and the

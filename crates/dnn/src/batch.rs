@@ -137,13 +137,48 @@ impl Default for TrainScratch {
     }
 }
 
+/// Each layer's weights quantised down their columns at one precision: the
+/// right operands of an MX forward pass, exactly what
+/// [`quant::mx_matmul_prequant_into`] packs one panel at a time. An `Mlp`
+/// whose inference mode is MX derives one from its weights wherever they
+/// change, so an evaluation quantises only its activations.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct QuantisedWeights {
+    precision: MxPrecision,
+    /// Per layer, its quantised weights, or the error quantising them gave
+    /// (a non-finite weight): the first pass to reach the layer returns it,
+    /// as the per-panel quantisation would have.
+    layers: Vec<std::result::Result<Matrix, TensorError>>,
+}
+
+impl QuantisedWeights {
+    pub(crate) fn new(layers: &[Dense], precision: MxPrecision) -> Self {
+        let quantise = |layer: &Dense| quant::quantize_cols(layer.weights(), precision);
+        Self { precision, layers: layers.iter().map(quantise).collect() }
+    }
+}
+
+/// The arithmetic of a forward pass, and where its weight operands come from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Pass<'a> {
+    /// FP32 GEMMs on the weights as they are.
+    Fp32,
+    /// MX at this precision, each layer's weights quantised as the GEMM
+    /// packs them: training, whose weights move every step.
+    Mx(MxPrecision),
+    /// MX, the weights quantised already: the plain packed GEMM on
+    /// row-quantised activations. Bit-identical to [`Pass::Mx`] at the same
+    /// precision on the weights the copy was taken from.
+    Prequantised(&'a QuantisedWeights),
+}
+
 /// Forward pass through `layers`, writing activation `i` into `acts[i]` and
 /// per-layer caches into `lscr`. Bit-identical to the reference
 /// [`Dense::forward`] chain.
 pub(crate) fn forward_pass(
     layers: &[Dense],
     x0: &Matrix,
-    precision: Option<MxPrecision>,
+    pass: Pass<'_>,
     ws: &mut Workspace,
     acts: &mut [Matrix],
     lscr: &mut [LayerScratch],
@@ -155,12 +190,20 @@ pub(crate) fn forward_pass(
             return Err(DnnError::DimensionMismatch { expected: layer.input_dim(), got: x.cols() });
         }
         let scr = &mut lscr[i];
-        match precision {
-            Some(p) => {
+        let (x, weights) = match pass {
+            Pass::Fp32 => (x, layer.weights()),
+            Pass::Mx(p) => {
                 quant::quantize_rows_into(x, p, &mut scr.x_q)?;
-                quant::mx_matmul_prequant_into(&scr.x_q, layer.weights(), p, &mut scr.pre, ws)?;
+                (&scr.x_q, layer.weights())
             }
-            None => ops::matmul_into(x, layer.weights(), &mut scr.pre, ws)?,
+            Pass::Prequantised(QuantisedWeights { precision, layers }) => {
+                quant::quantize_rows_into(x, *precision, &mut scr.x_q)?;
+                (&scr.x_q, layers[i].as_ref().map_err(Clone::clone)?)
+            }
+        };
+        match pass {
+            Pass::Mx(p) => quant::mx_matmul_prequant_into(x, weights, p, &mut scr.pre, ws)?,
+            Pass::Fp32 | Pass::Prequantised(_) => ops::matmul_into(x, weights, &mut scr.pre, ws)?,
         }
         let (rows, cols) = scr.pre.shape();
         let bias = layer.bias();

@@ -1,7 +1,7 @@
 //! The trainable student network: a multi-layer perceptron with SGD and
 //! optional MX fake-quantisation.
 
-use crate::batch::{backward_pass, forward_pass, TrainScratch};
+use crate::batch::{backward_pass, forward_pass, Pass, QuantisedWeights, TrainScratch};
 use crate::layer::{Activation, Dense};
 use crate::{loss, DnnError, Result};
 use dacapo_mx::MxPrecision;
@@ -30,6 +30,11 @@ impl QuantMode {
             QuantMode::Fp32 => None,
             QuantMode::Mx(p) => Some(p),
         }
+    }
+
+    /// A forward pass in this mode that quantises the weights it multiplies.
+    fn pass(self) -> Pass<'static> {
+        self.precision().map_or(Pass::Fp32, Pass::Mx)
     }
 }
 
@@ -108,10 +113,19 @@ pub struct TrainReport {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// A network whose inference mode is MX also holds its weights quantised at
+/// that precision. The copy is derived, not state: it is rebuilt wherever
+/// the weights change ([`Mlp::new`], decoding, the end of
+/// [`Mlp::train_rows_with`]) and never serialised, so the format and every
+/// result are those of quantising the weights at each evaluation. Two
+/// networks with equal weights and configuration hold equal copies.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
     config: MlpConfig,
+    #[serde(skip)]
+    inference_weights: Option<QuantisedWeights>,
 }
 
 /// Deserialises through [`Mlp::validate`], so a decoded network holds what a
@@ -119,11 +133,13 @@ pub struct Mlp {
 /// kernels will index it by.
 impl Deserialize for Mlp {
     fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
-        let net = Self {
+        let mut net = Self {
             layers: de::field(value, "Mlp", "layers")?,
             config: de::field(value, "Mlp", "config")?,
+            inference_weights: None,
         };
         net.validate().map_err(|e| DeError::new(format!("Mlp: {e}")))?;
+        net.quantise_inference_weights();
         Ok(net)
     }
 }
@@ -158,7 +174,27 @@ impl Mlp {
             )?);
             previous = width;
         }
-        Ok(Self { layers, config })
+        let mut net = Self { layers, config, inference_weights: None };
+        net.quantise_inference_weights();
+        Ok(net)
+    }
+
+    /// Rebuilds the quantised copy of the weights an MX inference mode
+    /// multiplies by; an FP32 inference mode keeps none.
+    fn quantise_inference_weights(&mut self) {
+        self.inference_weights = self
+            .config
+            .inference_mode
+            .precision()
+            .map(|precision| QuantisedWeights::new(&self.layers, precision));
+    }
+
+    /// The forward pass [`Mlp::forward`] runs in `mode`.
+    fn pass(&self, mode: QuantMode) -> Pass<'_> {
+        match &self.inference_weights {
+            Some(weights) if mode == self.config.inference_mode => Pass::Prequantised(weights),
+            _ => mode.pass(),
+        }
     }
 
     /// The configuration the network was built with.
@@ -217,7 +253,8 @@ impl Mlp {
 
     /// Runs a forward pass in the given mode and returns the logits: the
     /// production forward pass of [`Mlp::evaluate_rows_with`] through a
-    /// fresh [`TrainScratch`].
+    /// fresh [`TrainScratch`] — over the quantised copy of the weights at an
+    /// MX inference mode, quantising them per call at any other mode.
     ///
     /// # Errors
     ///
@@ -226,7 +263,7 @@ impl Mlp {
         let mut scratch = TrainScratch::new();
         scratch.ensure(self.layers.len());
         let TrainScratch { ws, acts, layers: lscr, .. } = &mut scratch;
-        forward_pass(&self.layers, features, mode.precision(), ws, acts, lscr)?;
+        forward_pass(&self.layers, features, self.pass(mode), ws, acts, lscr)?;
         Ok(scratch.acts.swap_remove(self.layers.len() - 1))
     }
 
@@ -286,13 +323,31 @@ impl Mlp {
     /// Retrains on a slice of feature rows through a reusable
     /// [`TrainScratch`] arena — the one training implementation, allocation-
     /// free once the arena has grown, which a session's retraining phase
-    /// calls directly.
+    /// calls directly. Every step quantises the weights it multiplies (in an
+    /// MX training mode); the quantised copy inference uses is rebuilt once,
+    /// at the end, whether training finished or failed part-way.
     ///
     /// # Errors
     ///
     /// Returns an error on dimension or label mismatches, or if `batch_size`
     /// or `epochs` is zero.
     pub fn train_rows_with(
+        &mut self,
+        rows: &[&[f32]],
+        labels: &[usize],
+        epochs: usize,
+        batch_size: usize,
+        learning_rate: f32,
+        scratch: &mut TrainScratch,
+    ) -> Result<TrainReport> {
+        let report = self.sgd(rows, labels, epochs, batch_size, learning_rate, scratch);
+        self.quantise_inference_weights();
+        report
+    }
+
+    /// The body of [`Mlp::train_rows_with`]: mini-batch SGD, which leaves
+    /// the quantised inference weights behind the weights it moves.
+    fn sgd(
         &mut self,
         rows: &[&[f32]],
         labels: &[usize],
@@ -311,7 +366,7 @@ impl Mlp {
                 reason: format!("{} labels for {} feature rows", labels.len(), rows.len()),
             });
         }
-        let precision = self.config.training_mode.precision();
+        let mode = self.config.training_mode;
         scratch.ensure(self.layers.len());
         let TrainScratch { ws, features, grad, acts, layers: lscr } = scratch;
         let mut total_loss = 0.0f64;
@@ -326,7 +381,7 @@ impl Mlp {
                 features.copy_rows_from(&rows[start..end])?;
                 let batch_labels = &labels[start..end];
 
-                forward_pass(&self.layers, features, precision, ws, acts, lscr)?;
+                forward_pass(&self.layers, features, mode.pass(), ws, acts, lscr)?;
                 let logits = &acts[self.layers.len() - 1];
                 let batch_loss = loss::cross_entropy_into(logits, batch_labels, grad)?;
                 total_loss += f64::from(batch_loss);
@@ -338,7 +393,7 @@ impl Mlp {
                     &mut self.layers,
                     features,
                     grad,
-                    precision,
+                    mode.precision(),
                     learning_rate,
                     ws,
                     acts,
@@ -372,7 +427,7 @@ impl Mlp {
         forward_pass(
             &self.layers,
             features,
-            self.config.inference_mode.precision(),
+            self.pass(self.config.inference_mode),
             ws,
             acts,
             lscr,
@@ -576,14 +631,127 @@ mod tests {
         let (features, labels) = two_cluster_data(40, 20, 47);
         let modes = MxPrecision::ALL.map(QuantMode::Mx).into_iter().chain([QuantMode::Fp32]);
         for mode in modes {
-            let config =
-                MlpConfig { hidden: vec![24, 9], training_mode: mode, ..fp32_config(20, 3) };
-            let mut reference = Mlp::new(config).unwrap();
-            let mut net = reference.clone();
-            train_reference(&mut reference, &features, &labels, 2);
-            let rows: Vec<&[f32]> = features.iter_rows().collect();
+            // An inference mode equal to the training mode too: training must
+            // quantise the weights of every step, never the copy inference
+            // keeps of the weights it started from.
+            for inference_mode in [QuantMode::Fp32, mode] {
+                let config = MlpConfig {
+                    hidden: vec![24, 9],
+                    training_mode: mode,
+                    inference_mode,
+                    ..fp32_config(20, 3)
+                };
+                let mut reference = Mlp::new(config).unwrap();
+                let mut net = reference.clone();
+                train_reference(&mut reference, &features, &labels, 2);
+                reference.quantise_inference_weights();
+                let rows: Vec<&[f32]> = features.iter_rows().collect();
+                net.train_rows_with(&rows, &labels, 2, 16, 0.05, &mut TrainScratch::new()).unwrap();
+                assert_eq!(net, reference, "{mode:?}, inference {inference_mode:?}");
+            }
+        }
+    }
+
+    /// `net` built again from its weights and configuration alone.
+    fn rebuilt(net: &Mlp) -> Mlp {
+        let mut rebuilt =
+            Mlp { layers: net.layers.clone(), config: net.config.clone(), inference_weights: None };
+        rebuilt.quantise_inference_weights();
+        rebuilt
+    }
+
+    /// `net` evaluates `features` at its inference mode exactly as the layer
+    /// reference, which quantises the weights at every call, does — logits
+    /// and accuracy — and holds the quantised copy a network rebuilt from its
+    /// weights holds.
+    fn assert_evaluates_as_its_weights(net: &Mlp, features: &Matrix, labels: &[usize], what: &str) {
+        let mode = net.config.inference_mode;
+        let (reference, _) = net.reference_forward(features, mode);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&net.forward(features, mode).unwrap()), bits(&reference), "{what}");
+        let rows: Vec<&[f32]> = features.iter_rows().collect();
+        let accuracy = net.evaluate_rows_with(&rows, labels, &mut TrainScratch::new()).unwrap();
+        let expected = loss::accuracy(&reference, labels).unwrap();
+        assert_eq!(accuracy.to_bits(), expected.to_bits(), "{what}");
+        assert_eq!(net, &rebuilt(net), "{what}");
+    }
+
+    #[test]
+    fn every_way_to_a_network_evaluates_as_its_weights() {
+        use serde::{Deserialize as _, Serialize as _};
+        let (features, labels) = two_cluster_data(40, 16, 48);
+        let rows: Vec<&[f32]> = features.iter_rows().collect();
+        for (inference, training) in [
+            (QuantMode::Mx(MxPrecision::Mx6), QuantMode::Mx(MxPrecision::Mx9)),
+            (QuantMode::Mx(MxPrecision::Mx6), QuantMode::Fp32),
+            (QuantMode::Mx(MxPrecision::Mx9), QuantMode::Mx(MxPrecision::Mx9)),
+        ] {
+            let config = MlpConfig {
+                hidden: vec![64, 32],
+                inference_mode: inference,
+                training_mode: training,
+                ..fp32_config(16, 10)
+            };
+            let mut net = Mlp::new(config).unwrap();
+            assert!(net.inference_weights.is_some());
+            assert_evaluates_as_its_weights(&net, &features, &labels, "built");
             net.train_rows_with(&rows, &labels, 2, 16, 0.05, &mut TrainScratch::new()).unwrap();
-            assert_eq!(net, reference, "{mode:?}");
+            assert_evaluates_as_its_weights(&net, &features, &labels, "retrained");
+            assert_evaluates_as_its_weights(&net.clone(), &features, &labels, "cloned");
+            let decoded = Mlp::from_value(&net.to_value()).unwrap();
+            assert_evaluates_as_its_weights(&decoded, &features, &labels, "decoded");
+            // A training call that fails part-way has moved the weights of
+            // the batches before the failure; the copy follows them too.
+            let mut bad_rows = rows.clone();
+            let narrow = [0.5f32; 15];
+            bad_rows[20] = &narrow;
+            let before = net.clone();
+            assert!(net
+                .train_rows_with(&bad_rows, &labels, 1, 16, 0.05, &mut TrainScratch::new())
+                .is_err());
+            assert_ne!(net.layers, before.layers, "the first batch trained");
+            assert_evaluates_as_its_weights(&net, &features, &labels, "failed part-way");
+        }
+        // An FP32 inference mode keeps no copy.
+        assert!(Mlp::new(fp32_config(16, 10)).unwrap().inference_weights.is_none());
+    }
+
+    #[test]
+    fn a_non_finite_weight_fails_the_first_evaluation_after_it() {
+        let (features, labels) = two_cluster_data(16, 16, 49);
+        let rows: Vec<&[f32]> = features.iter_rows().collect();
+        let config = MlpConfig {
+            hidden: vec![64, 32],
+            inference_mode: QuantMode::Mx(MxPrecision::Mx6),
+            ..fp32_config(16, 10)
+        };
+        let mut net = Mlp::new(config).unwrap();
+        // One FP32 batch at an infinite rate: it succeeds, and leaves every
+        // layer's weights non-finite.
+        net.train_rows_with(&rows, &labels, 1, 16, f32::INFINITY, &mut TrainScratch::new())
+            .unwrap();
+        assert!(net.layers[0].weights().as_slice().iter().any(|w| !w.is_finite()));
+        // What the pass that quantises the weights at every call reports.
+        let mut scratch = TrainScratch::new();
+        scratch.ensure(net.layers.len());
+        let TrainScratch { ws, acts, layers: lscr, .. } = &mut scratch;
+        let mode = QuantMode::Mx(MxPrecision::Mx6);
+        let expected = forward_pass(&net.layers, &features, mode.pass(), ws, acts, lscr);
+        let Err(DnnError::Tensor(dacapo_tensor::TensorError::Quantization(expected))) = expected
+        else {
+            panic!("expected a quantisation error, got {expected:?}");
+        };
+        let got = [
+            net.evaluate_rows_with(&rows, &labels, &mut TrainScratch::new()).unwrap_err(),
+            net.forward(&features, mode).unwrap_err(),
+            net.evaluate(&features, &labels).unwrap_err(),
+        ];
+        for error in got {
+            // `{:?}` compares a NaN value as its text, which `==` cannot.
+            assert_eq!(
+                format!("{error:?}"),
+                format!("{:?}", DnnError::Tensor(expected.clone().into()))
+            );
         }
     }
 

@@ -122,6 +122,68 @@ impl MxVector {
         Ok(())
     }
 
+    /// Fake quantisation **along the rows** of a row-major matrix: `values`
+    /// holds `values.len() / cols` rows of `cols` elements, and every row is
+    /// quantised in blocks of [`BLOCK_SIZE`] of its own — what
+    /// [`MxVector::quantize_into`] produces for each row alone, the last
+    /// block of a row short when `cols` is not a multiple of the block size.
+    /// This is how a GEMM's left-hand operand is blocked.
+    ///
+    /// At a width that is a whole number of blocks no block straddles two
+    /// rows, and the matrix is one run of blocks. Otherwise the blocks are
+    /// staged a run at a time, each short one zero-padded to a whole block:
+    /// a zero is the neutral element of the shared-exponent maximum and, in
+    /// a subgroup beside a value, never lowers its microexponent, so the
+    /// padding changes no value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MxError::EmptyInput`] for an empty slice,
+    /// [`MxError::LengthMismatch`] if `out.len() != values.len()` or the
+    /// length is not a multiple of `cols`, and [`MxError::NonFiniteInput`]
+    /// with the position in `values` of the first NaN or infinity.
+    pub fn quantize_rows_into(
+        values: &[f32],
+        cols: usize,
+        precision: MxPrecision,
+        out: &mut [f32],
+    ) -> Result<()> {
+        check_matrix(values, cols, out)?;
+        if cols.is_multiple_of(BLOCK_SIZE) {
+            return Self::quantize_into(values, precision, out);
+        }
+        let format = Format::new(precision, RoundingMode::Nearest);
+        const RUN: usize = kernel::CHUNK / BLOCK_SIZE;
+        let (mut staged, mut quantised) = ([[0.0; BLOCK_SIZE]; RUN], [[0.0; BLOCK_SIZE]; RUN]);
+        // The run's blocks as `(start, len)` in `values`, and where the next
+        // block starts: a row, and a column within it.
+        let mut run = [(0, 0); RUN];
+        let (mut row, mut column) = (0, 0);
+        while row < values.len() {
+            let mut count = 0;
+            while count < RUN && row < values.len() {
+                let (start, len) = (row + column, BLOCK_SIZE.min(cols - column));
+                stage(&mut staged[count], &values[start..], len);
+                run[count] = (start, len);
+                count += 1;
+                column += BLOCK_SIZE;
+                if column >= cols {
+                    (row, column) = (row + cols, 0);
+                }
+            }
+            let n = count * BLOCK_SIZE;
+            let quantised = &mut quantised.as_flattened_mut()[..n];
+            if !kernel::quantize_run(&staged.as_flattened()[..n], format, quantised) {
+                let start = run[0].0;
+                return Err(MxError::first_non_finite(&values[start..], start));
+            }
+            for (lanes, &(start, len)) in quantised.chunks_exact(BLOCK_SIZE).zip(&run[..count]) {
+                unstage(&mut out[start..], lanes, len);
+            }
+        }
+        Ok(())
+    }
+
     /// Fake quantisation **down the columns** of a row-major matrix:
     /// `values` holds `values.len() / cols` rows of `cols` elements, and
     /// every column is quantised in blocks of [`BLOCK_SIZE`] rows — what
@@ -141,15 +203,7 @@ impl MxVector {
         precision: MxPrecision,
         out: &mut [f32],
     ) -> Result<()> {
-        if values.is_empty() {
-            return Err(MxError::EmptyInput);
-        }
-        if out.len() != values.len() {
-            return Err(MxError::LengthMismatch { left: values.len(), right: out.len() });
-        }
-        if cols == 0 || !values.len().is_multiple_of(cols) {
-            return Err(MxError::LengthMismatch { left: values.len(), right: cols });
-        }
+        check_matrix(values, cols, out)?;
         let format = Format::new(precision, RoundingMode::Nearest);
         for (src, dst) in values.chunks(BLOCK_SIZE * cols).zip(out.chunks_mut(BLOCK_SIZE * cols)) {
             let rows = src.len() / cols;
@@ -238,6 +292,58 @@ impl MxVector {
     pub fn blocks(&self) -> impl Iterator<Item = &MxBlock> {
         self.blocks.iter()
     }
+}
+
+/// `lanes = src[..n]` followed by zeros, for a block of `n ≤ BLOCK_SIZE`
+/// values starting `src`. With a whole block of `src` in bounds the loop has
+/// a fixed trip count and compiles to a vector load and select; only at the
+/// end of the operand is it a copy and a fill.
+#[inline(always)]
+fn stage(lanes: &mut [f32; BLOCK_SIZE], src: &[f32], n: usize) {
+    match src.get(..BLOCK_SIZE) {
+        Some(window) => {
+            for (l, (lane, &value)) in lanes.iter_mut().zip(window).enumerate() {
+                *lane = if l < n { value } else { 0.0 };
+            }
+        }
+        None => {
+            lanes[..n].copy_from_slice(&src[..n]);
+            lanes[n..].fill(0.0);
+        }
+    }
+}
+
+/// `dst[..n] = lanes[..n]`, [`stage`] undone. With a whole block of `dst` in
+/// bounds the loop has a fixed trip count and compiles to a masked vector
+/// store. It never reads `dst`: a read-modify-write of the whole block would
+/// load lanes the previous block's store has just written, and wait for it.
+#[inline(always)]
+fn unstage(dst: &mut [f32], lanes: &[f32], n: usize) {
+    match dst.get_mut(..BLOCK_SIZE) {
+        Some(window) => {
+            for (l, (slot, &value)) in window.iter_mut().zip(lanes).enumerate() {
+                if l < n {
+                    *slot = value;
+                }
+            }
+        }
+        None => dst[..n].copy_from_slice(&lanes[..n]),
+    }
+}
+
+/// The argument checks of the matrix entry points: a non-empty `values` of
+/// whole `cols`-wide rows, and an `out` of its length.
+fn check_matrix(values: &[f32], cols: usize, out: &[f32]) -> Result<()> {
+    if values.is_empty() {
+        return Err(MxError::EmptyInput);
+    }
+    if out.len() != values.len() {
+        return Err(MxError::LengthMismatch { left: values.len(), right: out.len() });
+    }
+    if cols == 0 || !values.len().is_multiple_of(cols) {
+        return Err(MxError::LengthMismatch { left: values.len(), right: cols });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -406,6 +512,49 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_value_in_a_staged_row_is_reported_at_its_index() {
+        for (rows, cols) in [(5, 10), (3, 21), (7, 3), (2, 17), (4, 33)] {
+            for at in 0..rows * cols {
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut data: Vec<f32> = (0..rows * cols).map(|i| i as f32 - 7.5).collect();
+                    data[at] = bad;
+                    // A later one too: the first is the one reported.
+                    if let Some(later) = data.get_mut(at + cols + 1) {
+                        *later = f32::NAN;
+                    }
+                    let mut out = vec![0.0; data.len()];
+                    match MxVector::quantize_rows_into(&data, cols, MxPrecision::Mx9, &mut out) {
+                        Err(MxError::NonFiniteInput { index, value }) => {
+                            assert_eq!(index, at, "{rows}x{cols}");
+                            assert_eq!(value.to_bits(), bad.to_bits());
+                        }
+                        other => panic!("{rows}x{cols} at {at}: got {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_rows_into_validates_lengths() {
+        let mut out = [0.0f32; 6];
+        assert_eq!(
+            MxVector::quantize_rows_into(&[], 1, MxPrecision::Mx6, &mut []),
+            Err(MxError::EmptyInput)
+        );
+        assert_eq!(
+            MxVector::quantize_rows_into(&[1.0; 6], 3, MxPrecision::Mx6, &mut out[..5]),
+            Err(MxError::LengthMismatch { left: 6, right: 5 })
+        );
+        for cols in [0, 4] {
+            assert_eq!(
+                MxVector::quantize_rows_into(&[1.0; 6], cols, MxPrecision::Mx6, &mut out),
+                Err(MxError::LengthMismatch { left: 6, right: cols })
+            );
+        }
+    }
+
+    #[test]
     fn non_finite_in_the_third_block_reports_the_first_offending_lane() {
         let mut data = vec![1.0f32; 40];
         data[35] = f32::NEG_INFINITY;
@@ -414,8 +563,12 @@ mod tests {
         assert_eq!(MxVector::encode(&data, MxPrecision::Mx6), Err(error.clone()));
         let mut out = vec![0.0f32; 40];
         assert_eq!(MxVector::quantize_into(&data, MxPrecision::Mx6, &mut out), Err(error.clone()));
-        // Down the columns of an 8 × 5 matrix the same element is row 7,
-        // column 0; the report is still its position in the slice.
+        // In an 8 × 5 matrix the same element is row 7, column 0; along the
+        // rows or down the columns, the report is its position in the slice.
+        assert_eq!(
+            MxVector::quantize_rows_into(&data, 5, MxPrecision::Mx6, &mut out),
+            Err(error.clone())
+        );
         assert_eq!(
             MxVector::quantize_columns_into(&data, 5, MxPrecision::Mx6, &mut out),
             Err(error)

@@ -17,18 +17,19 @@
 //! are zero or of magnitude in [2⁻⁴⁰, 2⁴⁰) the equality is property-tested
 //! for all four GEMMs at every precision.
 //!
-//! A left operand is quantised along its rows, whole, before the panel loop.
-//! When its width is a multiple of the 16-element block size — the student's
-//! 16-, 64- and 32-wide activations and its 32-wide `δ` — no block straddles
-//! two rows, and the matrix goes to the conversion kernel as one run of
-//! blocks; a ragged width (the 10-wide logits gradient) goes one row at a
-//! time, each row's last block padded. Which of the two runs depends on the
-//! operand's shape alone, the values produced on neither.
+//! A left operand is quantised along its rows, whole, before the panel loop
+//! ([`MxVector::quantize_rows_into`]). When its width is a multiple of the
+//! 16-element block size — the student's 16-, 64- and 32-wide activations
+//! and its 32-wide `δ` — no block straddles two rows, and the matrix goes to
+//! the conversion kernel as one run of blocks. A ragged width (the 10-wide
+//! logits gradient) is staged: its blocks, each row's last one zero-padded,
+//! go to the kernel four at a time as one run. Which of the two runs depends
+//! on the operand's shape alone, the values produced on neither.
 
 use crate::{ops, Matrix, Result, Workspace};
 #[cfg(doc)]
 use crate::{TensorError, K_BLOCK};
-use dacapo_mx::{MxError, MxPrecision, MxVector, BLOCK_SIZE};
+use dacapo_mx::{MxError, MxPrecision, MxVector};
 
 /// Quantises every row of a matrix through the MX encode/decode round trip.
 ///
@@ -54,24 +55,7 @@ pub fn quantize_rows(a: &Matrix, precision: MxPrecision) -> Result<Matrix> {
 /// values.
 pub fn quantize_rows_into(a: &Matrix, precision: MxPrecision, out: &mut Matrix) -> Result<()> {
     out.resize_for_overwrite(a.rows(), a.cols())?;
-    quantize_each_row(a, precision, out.as_mut_slice())
-}
-
-/// Quantises every row of `a` into the same-shaped row-major `out`. A width
-/// that is a multiple of [`BLOCK_SIZE`] puts every block boundary on a row
-/// boundary, so the whole matrix is one run of blocks; any other width goes
-/// row by row, each row's last block short. A non-finite element is reported
-/// by its index in `a` either way.
-fn quantize_each_row(a: &Matrix, precision: MxPrecision, out: &mut [f32]) -> Result<()> {
-    let cols = a.cols();
-    if cols.is_multiple_of(BLOCK_SIZE) {
-        return Ok(MxVector::quantize_into(a.as_slice(), precision, out)?);
-    }
-    for (r, (row, quantised)) in a.iter_rows().zip(out.chunks_exact_mut(cols)).enumerate() {
-        MxVector::quantize_into(row, precision, quantised)
-            .map_err(|e| at_position(e, |index| r * cols + index))?;
-    }
-    Ok(())
+    Ok(MxVector::quantize_rows_into(a.as_slice(), a.cols(), precision, out.as_mut_slice())?)
 }
 
 /// `error` with a non-finite element's index mapped to its position in the
@@ -180,7 +164,7 @@ pub fn mx_matmul_into(
     let blocks = ops::reduction_blocks("mx_matmul", a, b, a.shape(), b.shape(), out)?;
     let Workspace { panel, qa, .. } = ws;
     qa.resize(a.len(), 0.0);
-    quantize_each_row(a, precision, qa)?;
+    MxVector::quantize_rows_into(a.as_slice(), a.cols(), precision, qa)?;
     for (kb, kc) in blocks {
         pack_quantized_panel(panel, b, kb, kc, precision)?;
         ops::accumulate_panel(qa, a.cols(), kb, kc, panel, out);
@@ -214,7 +198,7 @@ pub fn mx_matmul_a_bt_into(
     let blocks = ops::reduction_blocks("mx_matmul_a_bt", a, b, a.shape(), (k, n), out)?;
     let Workspace { panel, qa, staged } = ws;
     qa.resize(a.len(), 0.0);
-    quantize_each_row(a, precision, qa)?;
+    MxVector::quantize_rows_into(a.as_slice(), k, precision, qa)?;
     for (kb, kc) in blocks {
         pack_quantized_panel_t(panel, staged, b, kb, kc, precision)?;
         ops::accumulate_panel(qa, k, kb, kc, panel, out);
@@ -398,24 +382,32 @@ mod tests {
 
     #[test]
     fn non_finite_in_a_later_row_reports_its_position_in_the_left_operand() {
-        // A width the whole operand is one run of blocks at, and a ragged one.
-        for cols in [16, 21] {
-            let mut a = Matrix::zeros(3, cols).unwrap();
-            a[(2, 5)] = f32::NAN;
-            let (b, b_t) = (Matrix::zeros(cols, 4).unwrap(), Matrix::zeros(4, cols).unwrap());
-            let (mut out, mut ws) = (Matrix::identity(1), Workspace::new());
-            let errors = [
-                quantize_rows_into(&a, MxPrecision::Mx9, &mut out),
-                mx_matmul_into(&a, &b, MxPrecision::Mx9, &mut out, &mut ws),
-                mx_matmul_a_bt_into(&a, &b_t, MxPrecision::Mx9, &mut out, &mut ws),
-            ];
-            for error in errors {
-                match error {
-                    Err(TensorError::Quantization(MxError::NonFiniteInput { index, value })) => {
-                        assert_eq!(index, 2 * cols + 5, "{cols} columns");
-                        assert!(value.is_nan());
+        // At every position of the operand: a width the whole operand is one
+        // run of blocks at, and ragged ones whose blocks are staged — the
+        // logits gradient's 10, and 21.
+        for (rows, cols) in [(3, 16), (5, 10), (3, 21)] {
+            for (r, c) in (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))) {
+                let mut a =
+                    Matrix::from_fn(rows, cols, |r, c| (r * cols + c) as f32 - 9.0).unwrap();
+                a[(r, c)] = if (r + c) % 2 == 0 { f32::NAN } else { f32::NEG_INFINITY };
+                let (b, b_t) = (Matrix::zeros(cols, 4).unwrap(), Matrix::zeros(4, cols).unwrap());
+                let (mut out, mut ws) = (Matrix::identity(1), Workspace::new());
+                let errors = [
+                    quantize_rows_into(&a, MxPrecision::Mx9, &mut out),
+                    mx_matmul_into(&a, &b, MxPrecision::Mx9, &mut out, &mut ws),
+                    mx_matmul_a_bt_into(&a, &b_t, MxPrecision::Mx9, &mut out, &mut ws),
+                ];
+                for error in errors {
+                    match error {
+                        Err(TensorError::Quantization(MxError::NonFiniteInput {
+                            index,
+                            value,
+                        })) => {
+                            assert_eq!(index, r * cols + c, "{rows}x{cols}");
+                            assert_eq!(value.to_bits(), a[(r, c)].to_bits());
+                        }
+                        other => panic!("expected NonFiniteInput, got {other:?}"),
                     }
-                    other => panic!("expected NonFiniteInput, got {other:?}"),
                 }
             }
         }

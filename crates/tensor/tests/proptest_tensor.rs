@@ -312,26 +312,47 @@ proptest! {
     }
 
     /// Row quantisation — the whole matrix as one run of blocks when the
-    /// width is a multiple of the MX block, row by row otherwise — is
-    /// `MxVector::quantize` of each row on its own, for widths on both sides
-    /// of a block (16) and of the kernel's chunk (64), one row and many.
+    /// width is a multiple of the MX block, staged blocks with each row's
+    /// last one zero-padded otherwise — is `MxVector::quantize_into` of each
+    /// row on its own, at every width from 1 to 40 and every height from 1 to
+    /// 20 (so every count of staged blocks modulo a run), and at a block and
+    /// the kernel's chunk (16, 64) wide.
     #[test]
     fn row_quantisation_is_mx_vector_quantize_row_by_row(
         values in prop::collection::vec(element(), 40 * 64),
     ) {
         let mut out = Matrix::identity(1);
-        for rows in [1, 2, 16, 40] {
+        for rows in (1..=20).chain([40]) {
             for cols in (1..=40).chain([48, 64]) {
                 let a = Matrix::from_vec(rows, cols, values[..rows * cols].to_vec()).unwrap();
                 for precision in MxPrecision::ALL {
                     quant::quantize_rows_into(&a, precision, &mut out).unwrap();
                     prop_assert_eq!(out.shape(), a.shape());
-                    let expected: Vec<f32> = a
-                        .iter_rows()
-                        .flat_map(|row| MxVector::quantize(row, precision).unwrap())
-                        .collect();
+                    let mut expected = vec![f32::NAN; a.len()];
+                    for (row, quantised) in a.iter_rows().zip(expected.chunks_mut(cols)) {
+                        MxVector::quantize_into(row, precision, quantised).unwrap();
+                    }
                     let expected = Matrix::from_vec(rows, cols, expected).unwrap();
                     prop_assert_eq!(bits(&out), bits(&expected), "{}x{} {:?}", rows, cols, precision);
+                }
+            }
+        }
+    }
+
+    /// Down the columns, at every width from 1 to 40 and odd heights — a last
+    /// row alone in its subgroup, a last block short, both — the whole-matrix
+    /// form is transposing, quantising rows and transposing back.
+    #[test]
+    fn column_quantisation_is_transposed_rows_at_every_narrow_width(
+        values in prop::collection::vec(element(), 33 * 40),
+    ) {
+        for rows in [1, 3, 15, 17, 33] {
+            for cols in 1..=40 {
+                let b = Matrix::from_vec(rows, cols, values[..rows * cols].to_vec()).unwrap();
+                for precision in MxPrecision::ALL {
+                    let via_rows = ops::transpose(&quant::quantize_rows(&ops::transpose(&b), precision).unwrap());
+                    let via_cols = quant::quantize_cols(&b, precision).unwrap();
+                    prop_assert_eq!(bits(&via_cols), bits(&via_rows), "{}x{} {:?}", rows, cols, precision);
                 }
             }
         }

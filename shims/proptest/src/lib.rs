@@ -10,6 +10,16 @@
 //! seeds: each test runs `cases` deterministic samples drawn from an RNG
 //! seeded by the test's name, so failures reproduce exactly across runs, and
 //! a failing test prints which case it was (`test_runner::CaseGuard`).
+//!
+//! To rerun only that case, set `PROPTEST_CASE`:
+//!
+//! ```text
+//! PROPTEST_CASE=7 cargo test -p dacapo-core my_property
+//! ```
+//!
+//! Every property the run reaches then executes its case 7 alone. The
+//! inputs of cases 0–6 are still drawn (and dropped), so case 7 sees exactly
+//! the inputs it saw in the full run; a property with fewer cases runs none.
 
 #![forbid(unsafe_code)]
 
@@ -55,6 +65,7 @@ macro_rules! proptest {
             fn $name() {
                 let config: $crate::test_runner::ProptestConfig = $config;
                 let mut rng = $crate::test_runner::TestRng::from_name(stringify!($name));
+                let only = $crate::test_runner::selected_case();
                 for case in 0..config.cases {
                     let _guard = $crate::test_runner::CaseGuard {
                         test: stringify!($name),
@@ -62,7 +73,11 @@ macro_rules! proptest {
                         cases: config.cases,
                     };
                     $(let $arg = $crate::strategy::Strategy::sample(&($strat), &mut rng);)*
-                    $body
+                    match only {
+                        Some(k) if case < k => continue,
+                        Some(k) if case > k => break,
+                        _ => $body,
+                    }
                 }
             }
         )*

@@ -43,13 +43,32 @@ impl Drop for CaseGuard {
             // A failed write must not panic inside an unwind.
             let _ = writeln!(
                 std::io::stderr(),
-                "{}: failed at case {} of {} (cases are a pure function of the test name)",
-                self.test,
-                self.case,
-                self.cases
+                "{test}: failed at case {case} of {cases} (cases are a pure function of the test \
+                 name); rerun it alone with `PROPTEST_CASE={case} cargo test {test}`",
+                test = self.test,
+                case = self.case,
+                cases = self.cases
             );
         }
     }
+}
+
+/// The case `PROPTEST_CASE=<k>` selects: every property then runs its case
+/// `k` alone (drawing, and dropping, the inputs of the cases before it), or
+/// none if it has no case `k`. `None` when the variable is unset: every case
+/// runs.
+///
+/// # Panics
+///
+/// Panics if the variable is set to anything but a case number.
+#[must_use]
+pub fn selected_case() -> Option<u32> {
+    // Test tooling: the one environment read, and only a test binary's.
+    #[allow(clippy::disallowed_methods)]
+    let value = std::env::var_os("PROPTEST_CASE")?;
+    let case = value.to_str().and_then(|text| text.trim().parse().ok());
+    assert!(case.is_some(), "PROPTEST_CASE must be a case number, got {value:?}");
+    case
 }
 
 /// Deterministic splitmix64 generator seeded from the test name, so every run
@@ -108,5 +127,38 @@ mod tests {
         let mut c = TestRng::from_name("y");
         assert_eq!(a.next_u64(), b.next_u64());
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    crate::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+        #[test]
+        fn printing_property(x in crate::arbitrary::any::<u64>(), y in 0u32..1000) {
+            println!("input: {x} {y}");
+        }
+    }
+
+    /// The inputs `printing_property` printed when this test binary ran it
+    /// alone, with `PROPTEST_CASE` set to `case` or unset.
+    fn printed_inputs(case: Option<&str>) -> Vec<String> {
+        let mut command = std::process::Command::new(std::env::current_exe().unwrap());
+        command.args(["--exact", "test_runner::tests::printing_property", "--nocapture"]);
+        command.env_remove("PROPTEST_CASE");
+        if let Some(case) = case {
+            command.env("PROPTEST_CASE", case);
+        }
+        let output = command.output().unwrap();
+        assert!(output.status.success(), "{output:?}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        stdout.lines().filter(|line| line.starts_with("input: ")).map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn proptest_case_runs_one_case_on_the_inputs_of_the_full_run() {
+        let full = printed_inputs(None);
+        assert_eq!(full.len(), 6);
+        for case in [0, 3, 5] {
+            assert_eq!(printed_inputs(Some(&case.to_string())), [full[case].clone()]);
+        }
+        assert!(printed_inputs(Some("6")).is_empty(), "a property without case 6 runs none");
     }
 }

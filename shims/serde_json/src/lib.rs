@@ -270,10 +270,13 @@ impl Parser<'_> {
                 return Ok(Value::UInt(u));
             }
         }
-        literal
-            .parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error(format!("malformed number '{literal}' (at byte {start})")))
+        // `parse` saturates a literal past `f64::MAX` to ±∞; serde_json
+        // refuses it, and so does this parser.
+        match literal.parse::<f64>() {
+            Ok(float) if float.is_finite() => Ok(Value::Float(float)),
+            Ok(_) => Err(Error(format!("number out of range '{literal}' (at byte {start})"))),
+            Err(_) => Err(Error(format!("malformed number '{literal}' (at byte {start})"))),
+        }
     }
 }
 
@@ -461,6 +464,18 @@ mod tests {
         assert!(value_from_str("\"unterminated").is_err());
         assert!(value_from_str("nully").is_err());
         assert!(value_from_str("1.2.3").is_err());
+        // Out of `f64`'s range is an error, not ±∞; underflow is zero, and a
+        // huge integer is still a float, as in serde_json.
+        for (text, at) in [("1e999", 0), ("[0, -1.5e400]", 4)] {
+            let err = value_from_str(text).unwrap_err();
+            assert!(
+                err.0.contains("number out of range") && err.0.contains(&format!("at byte {at}"))
+            );
+        }
+        assert_eq!(value_from_str("1e-999").unwrap(), Value::Float(0.0));
+        assert_eq!(value_from_str("1e308").unwrap(), Value::Float(1e308));
+        let huge = value_from_str("123456789012345678901234").unwrap();
+        assert_eq!(huge, Value::Float(123_456_789_012_345_678_901_234.0));
         let deep = "[".repeat(500) + &"]".repeat(500);
         assert!(value_from_str(&deep).is_err(), "depth-capped");
     }

@@ -378,6 +378,26 @@ fn restore_names_the_bad_sample_of_a_mutated_golden_snapshot() {
     }
 }
 
+/// A float literal past `f64`'s range is refused at parse time with its
+/// byte offset: read as +∞, it would reach `restore` as a clock that never
+/// advances.
+#[test]
+fn a_snapshot_with_an_out_of_range_number_is_refused_at_its_byte() {
+    let golden = include_str!("fixtures/session_snapshot_v2.json");
+    let field = "\"now_s\": ";
+    let start = golden.find(field).expect("the fixture has a clock") + field.len();
+    let end = start + golden[start..].find([',', '\n']).expect("the value ends");
+    let text = format!("{}1e999{}", &golden[..start], &golden[end..]);
+    match SessionSnapshot::from_json(&text) {
+        Err(dacapo_core::CoreError::Snapshot { reason }) => {
+            let at = format!("at byte {start}");
+            assert!(reason.contains("number out of range") && reason.contains(&at), "{reason}");
+        }
+        Err(other) => panic!("expected CoreError::Snapshot, got {other:?}"),
+        Ok(_) => panic!("an out-of-range number must not parse"),
+    }
+}
+
 /// A snapshot that repeats a field is refused at parse time, naming the
 /// key: reading either copy would silently drop the other.
 #[test]
