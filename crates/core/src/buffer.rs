@@ -16,19 +16,42 @@
 //! | operation | cost |
 //! |---|---|
 //! | `push` / `admit_row` | one `dim`-float copy + three scalar stores, no allocation once the slab reached `capacity × dim` |
-//! | `admit_prefixes` (a barrier's imports) | at most `capacity` row copies, however many samples were granted |
+//! | `admit_grants`, grants short of `capacity` | one row copy per granted row |
+//! | `admit_grants`, grants reaching `capacity` | one `Arc` clone; the tail's `capacity` row copies are paid once per barrier by the first buffer with that tail |
 //! | `draw_indices` | one shuffled `Vec<usize>` of `len` indices, no sample copied |
 //! | `gather` | one `&[f32]` and one label per drawn index |
 //!
 //! The slab grows on demand (never beyond `capacity × dim`), so a buffer
-//! that stays small never pays for its capacity.
+//! that stays small never pays for its capacity. A buffer over a shared
+//! tail is full, and takes all of it on its first own row.
+//!
+//! # Shared tails
+//!
+//! A FIFO of capacity `C` fed a sequence `S` ends as the last `C` elements
+//! of `old ++ S`, so when one barrier grants an importer at least `C` rows
+//! its old rows are all evicted and what it holds is a function of the
+//! grants alone. Importers granted the same rows (in a broadcast fleet,
+//! every importer whose own export is not among the last `C` rows) would
+//! hold byte-identical buffers, so the barrier builds that tail once, as a
+//! [`SampleBlock`] behind an `Arc` ([`SharedTails`]), and each such buffer
+//! becomes a view of it. The buffer's own later rows fill the physical slots
+//! `[0, k)` in front of the shared `[k, C)`, oldest first, so nothing is
+//! copied on first write; at `k == C` (or on `reset`) the base is dropped
+//! and the buffer is a plain ring again. The first own row sizes that
+//! prefix's slab for all `C` slots, as a full ring's is: grown by doubling,
+//! what each buffer owned would follow how many rows happened to arrive
+//! between two barriers, and a fleet's peak memory with it, seed by seed.
+//! The contents are at every point exactly what the row-by-row FIFO would
+//! hold, so serde, equality and draws cannot tell the states apart.
 
 use crate::{CoreError, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{de, DeError, Deserialize, Serialize, Value};
+use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// One sample that has been labeled by the teacher, as an owned record.
 ///
@@ -184,6 +207,15 @@ impl SampleBlock {
         self.extend_from_rows(other, 0..other.len());
     }
 
+    /// Appends `rows` of `src`, or refuses a stride mismatch.
+    fn try_extend_from_rows(&mut self, src: &SampleBlock, rows: Range<usize>) -> Result<()> {
+        if !self.accepts(src.dim) {
+            return Err(stride_error(src.dim, self.dim));
+        }
+        self.extend_from_rows(src, rows);
+        Ok(())
+    }
+
     /// Overwrites the rows starting at `at` with `rows` of `src` (same
     /// stride, checked by the caller).
     fn overwrite_rows(&mut self, at: usize, src: &SampleBlock, rows: Range<usize>) {
@@ -254,6 +286,72 @@ impl Deserialize for SampleBlock {
     }
 }
 
+/// The error for a `dim`-feature row offered to rows of `resident_dim`.
+fn stride_error(dim: usize, resident_dim: usize) -> CoreError {
+    CoreError::InvalidConfig {
+        reason: format!(
+            "a {dim}-feature sample cannot enter a buffer of {resident_dim}-feature samples"
+        ),
+    }
+}
+
+/// One grant of a barrier's exchange: the first `rows` rows of `block`,
+/// camera `source`'s export batch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Grant<'a> {
+    /// The exporting camera's admission index: within one barrier it names
+    /// `block`, so two importers' grants compare without their rows.
+    pub(crate) source: usize,
+    pub(crate) block: &'a SampleBlock,
+    pub(crate) rows: usize,
+}
+
+/// The tails one barrier built for the buffers its grants fill, keyed by
+/// where their rows come from: one `(source, first row, end row)` per run.
+/// Each is built on the first request for its key and shared by every later
+/// one; the barrier drops the table, so a tail lives exactly as long as some
+/// buffer still views it.
+#[derive(Debug, Default)]
+pub(crate) struct SharedTails {
+    built: BTreeMap<Vec<(usize, usize, usize)>, Arc<SampleBlock>>,
+    /// The key being looked up, kept to reuse its allocation.
+    key: Vec<(usize, usize, usize)>,
+}
+
+impl SharedTails {
+    /// The last `capacity` rows of `grants` (which hold at least that many).
+    fn tail(&mut self, grants: &[Grant<'_>], capacity: usize) -> Result<Arc<SampleBlock>> {
+        // Walk back from the newest grant until the grants hold `capacity`
+        // rows: the tail starts in that one, past its oldest `skip` rows.
+        let mut held = 0;
+        let first = grants
+            .iter()
+            .rposition(|grant| {
+                held += grant.rows;
+                held >= capacity
+            })
+            .unwrap_or(0);
+        let skip = held.saturating_sub(capacity);
+        let runs = grants[first..]
+            .iter()
+            .enumerate()
+            .map(move |(i, grant)| (grant, if i == 0 { skip } else { 0 }..grant.rows));
+        self.key.clear();
+        self.key.extend(runs.clone().map(|(grant, rows)| (grant.source, rows.start, rows.end)));
+        if let Some(tail) = self.built.get(self.key.as_slice()) {
+            return Ok(Arc::clone(tail));
+        }
+        let mut tail = SampleBlock::default();
+        tail.reserve_rows_exact(capacity, grants[first].block.dim);
+        for (grant, rows) in runs {
+            tail.try_extend_from_rows(grant.block, rows)?;
+        }
+        let tail = Arc::new(tail);
+        self.built.insert(self.key.clone(), Arc::clone(&tail));
+        Ok(tail)
+    }
+}
+
 /// Fixed-capacity buffer of labeled samples (Section VI-A).
 ///
 /// New samples evict the oldest ones once the capacity is reached; a data
@@ -262,7 +360,9 @@ impl Deserialize for SampleBlock {
 /// `len × dim` features, grown on demand up to `capacity × dim`, beside
 /// parallel label / class / timestamp columns — so a steady-state push is
 /// O(1), overwrites the oldest slot in place and allocates nothing, and
-/// [`SampleBuffer::draw`] hands out borrowed rows instead of clones.
+/// [`SampleBuffer::draw`] hands out borrowed rows instead of clones. After a
+/// barrier's grants filled it, the ring may view a tail it shares with
+/// other importers (see the module docs); no method can tell.
 ///
 /// All resident samples share one feature length, fixed by the first sample
 /// pushed into an empty buffer.
@@ -287,11 +387,16 @@ impl Deserialize for SampleBlock {
 #[derive(Debug, Clone)]
 pub struct SampleBuffer {
     capacity: usize,
-    /// Slot of the oldest sample. Non-zero only once the ring is full:
-    /// until then slots fill in order from 0.
+    /// Slot of the oldest sample: 0 while the ring fills in order from slot
+    /// 0, and while `base` is set the first shared slot (`slots.len()`).
     head: usize,
-    /// The slots, in physical order (`slots.len() <= capacity`).
+    /// The buffer's own rows, in physical order: every slot without a
+    /// `base`, the prefix `[0, k)` in front of it with one
+    /// (`slots.len() <= capacity`).
     slots: SampleBlock,
+    /// A tail of exactly `capacity` rows shared with other buffers: slot
+    /// `s >= slots.len()` reads its row `s`.
+    base: Option<Arc<SampleBlock>>,
 }
 
 impl SampleBuffer {
@@ -303,7 +408,7 @@ impl SampleBuffer {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "sample buffer capacity must be positive");
-        Self { capacity, head: 0, slots: SampleBlock::default() }
+        Self { capacity, head: 0, slots: SampleBlock::default(), base: None }
     }
 
     /// Buffer capacity `C_b`.
@@ -315,13 +420,17 @@ impl SampleBuffer {
     /// Number of buffered samples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.len()
+        if self.base.is_some() {
+            self.capacity
+        } else {
+            self.slots.len()
+        }
     }
 
     /// Whether the buffer holds no samples.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
     /// The slot holding the `i`-th oldest sample.
@@ -336,7 +445,11 @@ impl SampleBuffer {
 
     /// The `i`-th oldest sample.
     fn get(&self, i: usize) -> SampleRef<'_> {
-        self.slots.get(self.slot(i))
+        let slot = self.slot(i);
+        match &self.base {
+            Some(base) if slot >= self.slots.len() => base.get(slot),
+            _ => self.slots.get(slot),
+        }
     }
 
     /// Iterates over the buffered samples, oldest first.
@@ -354,7 +467,7 @@ impl SampleBuffer {
     /// samples' (rows share one stride).
     pub fn push(&mut self, sample: LabeledSample) {
         assert!(
-            self.slots.accepts(sample.features.len()),
+            self.resident().accepts(sample.features.len()),
             "sample feature length must match the buffered samples'"
         );
         self.insert(sample.view());
@@ -382,56 +495,82 @@ impl SampleBuffer {
         Ok(())
     }
 
-    /// Admits the first `n` rows of each `(block, n)` grant, in order —
-    /// exactly as if every granted row had been pushed one by one — while
-    /// copying only the rows that survive.
+    /// Admits the first `rows` rows of each grant, in order — exactly as if
+    /// every granted row had been pushed one by one — while copying only
+    /// the rows that survive.
     ///
-    /// A FIFO of capacity `C` fed a sequence `S` ends as the last `C`
-    /// elements of `old ++ S`, so the first `|S| - C` granted rows (when
-    /// there are that many) would be evicted before the call returns; they
-    /// are skipped, and the result is bit-identical to the per-sample loop.
-    /// The cost is at most `C` row copies per call, however large the
-    /// grants are.
+    /// Grants short of `capacity` rows are copied in, beside the residents
+    /// that survive them. Grants reaching it evict every resident, so the
+    /// buffer becomes a view of their last `capacity` rows, which `tails`
+    /// builds once for every buffer granted the same rows (see the module
+    /// docs).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if a granted block's feature
-    /// length differs from the buffered samples'. Grants before the
-    /// offending one may already have been admitted.
-    pub(crate) fn admit_prefixes(&mut self, grants: &[(&SampleBlock, usize)]) -> Result<()> {
-        let granted: usize = grants.iter().map(|&(_, n)| n).sum();
-        let mut skip = granted.saturating_sub(self.capacity);
-        for &(block, n) in grants {
-            if skip >= n {
-                skip -= n;
-                continue;
+    /// Returns [`CoreError::InvalidConfig`] if a surviving block's feature
+    /// length differs from the buffered samples' or from another surviving
+    /// block's. Grants before the offending one may already have been
+    /// admitted.
+    pub(crate) fn admit_grants(
+        &mut self,
+        grants: &[Grant<'_>],
+        tails: &mut SharedTails,
+    ) -> Result<()> {
+        let granted: usize = grants.iter().map(|grant| grant.rows).sum();
+        if granted < self.capacity {
+            for grant in grants.iter().filter(|grant| grant.rows > 0) {
+                self.check_stride(grant.block.dim)?;
+                self.insert_rows(grant.block, grant.rows);
             }
-            self.check_stride(block.dim)?;
-            self.insert_rows(block, skip..n);
-            skip = 0;
+            return Ok(());
         }
+        let tail = tails.tail(grants, self.capacity)?;
+        self.check_stride(tail.dim)?;
+        self.slots.clear();
+        self.head = 0;
+        self.base = Some(tail);
         Ok(())
     }
 
+    /// A block holding resident rows, if any: their stride is its.
+    fn resident(&self) -> &SampleBlock {
+        self.base.as_deref().unwrap_or(&self.slots)
+    }
+
     fn check_stride(&self, dim: usize) -> Result<()> {
-        if self.slots.accepts(dim) {
+        let resident = self.resident();
+        if resident.accepts(dim) {
             return Ok(());
         }
-        Err(CoreError::InvalidConfig {
-            reason: format!(
-                "a {dim}-feature sample cannot enter a buffer of {}-feature samples",
-                self.slots.dim
-            ),
-        })
+        Err(stride_error(dim, resident.dim))
     }
 
     /// Grows the slot columns for `additional` more rows: doubling, but
-    /// never past `capacity` rows.
+    /// never past `capacity` rows. Over a shared base the buffer is full, so
+    /// its own rows get all `capacity` slots at once, as a full ring holds
+    /// them: how much a buffer owns then never depends on how many rows
+    /// happened to arrive between two barriers.
     fn grow(&mut self, additional: usize, dim: usize) {
         let len = self.slots.len();
         if len + additional > self.slots.teacher_labels.capacity() {
-            let target = (len + additional).max(len * 2).max(4).min(self.capacity);
+            let target = if self.base.is_some() {
+                self.capacity
+            } else {
+                (len + additional).max(len * 2).max(4).min(self.capacity)
+            };
             self.slots.reserve_rows_exact(target - len, dim);
+        }
+    }
+
+    /// Moves the head past own rows just written into free slots: over a
+    /// shared base it follows the own prefix, and once that prefix covers
+    /// every slot the base is dropped and slot 0 holds the oldest row.
+    fn claim_filled(&mut self) {
+        if self.base.is_some() {
+            self.head = self.slots.len() % self.capacity;
+            if self.head == 0 {
+                self.base = None;
+            }
         }
     }
 
@@ -440,26 +579,27 @@ impl SampleBuffer {
         if self.slots.len() < self.capacity {
             self.grow(1, row.features.len());
             self.slots.push(row);
+            self.claim_filled();
         } else {
             self.slots.set(self.head, row);
             self.head = self.slot(1);
         }
     }
 
-    /// Inserts `rows` of a stride-checked block (at most `capacity` of
-    /// them): free slots fill first, then the oldest slots are overwritten
-    /// in at most two contiguous runs.
-    fn insert_rows(&mut self, block: &SampleBlock, rows: Range<usize>) {
-        debug_assert!(rows.len() <= self.capacity);
-        let mut next = rows.start;
-        let fill = (self.capacity - self.slots.len()).min(rows.len());
+    /// Inserts the first `rows` rows of a stride-checked block (fewer than
+    /// `capacity`): free or shared slots fill first, then the oldest slots
+    /// are overwritten in at most two contiguous runs.
+    fn insert_rows(&mut self, block: &SampleBlock, rows: usize) {
+        debug_assert!(rows < self.capacity);
+        let fill = (self.capacity - self.slots.len()).min(rows);
         if fill > 0 {
             self.grow(fill, block.dim);
-            self.slots.extend_from_rows(block, next..next + fill);
-            next += fill;
+            self.slots.extend_from_rows(block, 0..fill);
+            self.claim_filled();
         }
-        while next < rows.end {
-            let run = (rows.end - next).min(self.capacity - self.head);
+        let mut next = fill;
+        while next < rows {
+            let run = (rows - next).min(self.capacity - self.head);
             self.slots.overwrite_rows(self.head, block, next..next + run);
             self.head = self.slot(run);
             next += run;
@@ -470,6 +610,7 @@ impl SampleBuffer {
     pub fn reset(&mut self) {
         self.slots.clear();
         self.head = 0;
+        self.base = None;
     }
 
     /// Draws disjoint retraining and validation subsets of up to `train` and
@@ -546,6 +687,12 @@ impl SampleBuffer {
             .unzip()
     }
 
+    /// How many own rows cover the shared tail the buffer views, if any.
+    #[cfg(test)]
+    pub(crate) fn own_rows_over_shared_tail(&self) -> Option<usize> {
+        self.base.as_ref().map(|_| self.slots.len())
+    }
+
     /// Fraction of buffered samples captured at or after `timestamp_s`, a
     /// cheap freshness measure used by diagnostics.
     #[must_use]
@@ -553,8 +700,10 @@ impl SampleBuffer {
         if self.is_empty() {
             return 0.0;
         }
-        let fresh = self.slots.timestamps_s.iter().filter(|&&t| t >= timestamp_s).count();
-        fresh as f64 / self.len() as f64
+        let fresh = |stamps: &[f64]| stamps.iter().filter(|&&t| t >= timestamp_s).count();
+        let shared =
+            self.base.as_deref().map_or(0, |base| fresh(&base.timestamps_s[self.slots.len()..]));
+        (fresh(&self.slots.timestamps_s) + shared) as f64 / self.len() as f64
     }
 }
 
@@ -594,7 +743,7 @@ impl Deserialize for SampleBuffer {
                 slots.len()
             )));
         }
-        Ok(Self { capacity, head: 0, slots })
+        Ok(Self { capacity, head: 0, slots, base: None })
     }
 }
 
@@ -619,6 +768,10 @@ mod tests {
         let mut block = SampleBlock::default();
         samples.iter().for_each(|s| block.push(s.view()));
         block
+    }
+
+    fn grant(source: usize, block: &SampleBlock, rows: usize) -> Grant<'_> {
+        Grant { source, block, rows }
     }
 
     #[test]
@@ -669,12 +822,24 @@ mod tests {
         let wide = LabeledSample { features: vec![0.0; 5], ..sample(1.0, 0) };
         let err = buffer.admit_row(wide.view()).unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err}");
-        let block = block_of(&[wide]);
-        assert!(buffer.admit_prefixes(&[(&block, 1)]).is_err());
+        let block = block_of(&[wide.clone(), wide.clone(), wide.clone(), wide]);
+        let tails = &mut SharedTails::default();
+        assert!(buffer.admit_grants(&[grant(0, &block, 1)], tails).is_err());
         assert_eq!(buffer.len(), 1, "a refused admit leaves the buffer untouched");
+        assert!(buffer.admit_grants(&[grant(0, &block, 4)], tails).is_err(), "a refused tail");
+        assert_eq!(buffer.len(), 1, "a refused tail leaves the buffer untouched");
+        // Rows of two lengths cannot make one tail either.
+        let narrow = block_of(&[sample(0.0, 0)]);
+        let mixed = [grant(0, &narrow, 1), grant(1, &block, 4)];
+        assert!(
+            SampleBuffer::new(4).admit_grants(&mixed, tails).is_ok(),
+            "the narrow row is evicted"
+        );
+        let mixed = [grant(0, &block, 3), grant(1, &narrow, 1)];
+        assert!(SampleBuffer::new(4).admit_grants(&mixed, &mut SharedTails::default()).is_err());
         // An emptied buffer takes whatever length comes first.
         buffer.reset();
-        buffer.admit_prefixes(&[(&block, 1)]).unwrap();
+        buffer.admit_grants(&[grant(0, &block, 1)], tails).unwrap();
         assert_eq!(buffer.samples().next().unwrap().features.len(), 5);
     }
 
@@ -870,6 +1035,7 @@ mod tests {
 
     /// The `VecDeque`-of-records buffer the ring replaced, kept as the
     /// reference the ring is tested against.
+    #[derive(Clone)]
     struct Reference {
         capacity: usize,
         samples: VecDeque<LabeledSample>,
@@ -947,19 +1113,34 @@ mod tests {
             .collect()
     }
 
+    /// Two grants drawn from `clock`, as one barrier offers them: `n` rows
+    /// from camera 0, then half of `n / 2 + 1` rows from camera 1.
+    fn two_grants(clock: &mut u64, n: usize) -> ([SampleBlock; 2], [usize; 2], Vec<LabeledSample>) {
+        let first = fresh(clock, n);
+        let second = fresh(clock, n / 2 + 1);
+        let keep = second.len() / 2;
+        let blocks = [block_of(&first), block_of(&second)];
+        let admitted = first.into_iter().chain(second.into_iter().take(keep)).collect();
+        (blocks, [n, keep], admitted)
+    }
+
     proptest! {
-        /// The ring behaves exactly like the `VecDeque` reference under any
-        /// interleaving of single pushes, bulk extends, block admits and
-        /// resets — across wrap-around, at every step.
+        /// Two rings behave exactly like two `VecDeque` references under any
+        /// interleaving of single pushes, bulk extends, partial and full
+        /// grants (full ones through one tail table, so the rings may share
+        /// a base), resets and clone-then-mutate — across wrap-around, at
+        /// every step, and writing into one ring never moves the other.
         #[test]
         fn the_ring_matches_the_vecdeque_reference(
             capacity in 1usize..24,
-            ops in prop::collection::vec((0u8..8, 0usize..60), 1..24),
+            ops in prop::collection::vec((0u8..8, 0usize..60, 0usize..2), 1..32),
         ) {
-            let mut ring = SampleBuffer::new(capacity);
-            let mut reference = Reference { capacity, samples: VecDeque::new() };
+            let mut rings = [SampleBuffer::new(capacity), SampleBuffer::new(capacity)];
+            let empty = Reference { capacity, samples: VecDeque::new() };
+            let mut references = [empty.clone(), empty];
             let mut clock = 0u64;
-            for (op, n) in ops {
+            for (op, n, target) in ops {
+                let (ring, reference) = (&mut rings[target], &mut references[target]);
                 match op {
                     0 => {
                         ring.reset();
@@ -971,29 +1152,159 @@ mod tests {
                             reference.push(sample);
                         }
                     }
-                    3 | 4 => {
+                    3 => {
                         let batch = fresh(&mut clock, n);
                         ring.extend(batch.iter().cloned());
                         batch.into_iter().for_each(|s| reference.push(s));
                     }
+                    4 | 5 => {
+                        let (blocks, rows, admitted) = two_grants(&mut clock, n);
+                        let grants = [grant(0, &blocks[0], rows[0]), grant(1, &blocks[1], rows[1])];
+                        ring.admit_grants(&grants, &mut SharedTails::default()).unwrap();
+                        admitted.into_iter().for_each(|s| reference.push(s));
+                    }
+                    6 => {
+                        // One barrier's grants to both rings: a tail they
+                        // reach is built once and viewed by both.
+                        let (blocks, rows, admitted) = two_grants(&mut clock, n);
+                        let grants = [grant(0, &blocks[0], rows[0]), grant(1, &blocks[1], rows[1])];
+                        let tails = &mut SharedTails::default();
+                        for (ring, reference) in rings.iter_mut().zip(&mut references) {
+                            ring.admit_grants(&grants, tails).unwrap();
+                            admitted.iter().cloned().for_each(|s| reference.push(s));
+                        }
+                        if rows[0] + rows[1] >= capacity {
+                            let [a, b] = &rings;
+                            prop_assert!(a.base.as_ref().zip(b.base.as_ref()).is_some_and(|(a, b)| Arc::ptr_eq(a, b)));
+                        }
+                    }
                     _ => {
-                        // Two grants, the second only partially admitted.
-                        let first = fresh(&mut clock, n);
-                        let second = fresh(&mut clock, n / 2 + 1);
-                        let keep = second.len() / 2;
-                        let blocks = [
-                            block_of(&first),
-                            block_of(&second),
-                        ];
-                        ring.admit_prefixes(&[(&blocks[0], first.len()), (&blocks[1], keep)])
-                            .unwrap();
-                        first.into_iter().for_each(|s| reference.push(s));
-                        second.into_iter().take(keep).for_each(|s| reference.push(s));
+                        rings[1 - target] = rings[target].clone();
+                        references[1 - target] = references[target].clone();
                     }
                 }
-                prop_assert!(ring.len() <= capacity);
-                assert_matches_reference(&ring, &reference, clock);
+                for (ring, reference) in rings.iter().zip(&references) {
+                    prop_assert!(ring.len() <= capacity);
+                    prop_assert!(ring.base.as_ref().is_none_or(|base| base.len() == capacity));
+                    assert_matches_reference(ring, reference, clock);
+                }
             }
         }
+    }
+
+    #[test]
+    fn importers_outside_the_tail_region_share_one_block() {
+        // Six cameras export three rows each; every camera imports all of
+        // its peers' rows into a buffer of eight, as a broadcast barrier
+        // grants them. The last eight rows of cameras 0–2's grants come from
+        // cameras 3–5 alone, so those three importers view one tail; cameras
+        // 3–5 each skip their own export and keep a tail of their own.
+        let exports: Vec<SampleBlock> = (0..6)
+            .map(|camera| {
+                block_of(&(0..3).map(|k| sample((camera * 3 + k) as f64, k)).collect::<Vec<_>>())
+            })
+            .collect();
+        let tails = &mut SharedTails::default();
+        let buffers: Vec<SampleBuffer> = (0..6)
+            .map(|importer| {
+                let grants: Vec<Grant<'_>> = (0..6)
+                    .filter(|&exporter| exporter != importer)
+                    .map(|exporter| grant(exporter, &exports[exporter], 3))
+                    .collect();
+                let mut buffer = SampleBuffer::new(8);
+                buffer.push(sample(-1.0, 0));
+                buffer.admit_grants(&grants, tails).unwrap();
+                // The contents are the per-sample FIFO's.
+                let mut reference = SampleBuffer::new(8);
+                reference.push(sample(-1.0, 0));
+                for &Grant { block, rows, .. } in &grants {
+                    (0..rows).for_each(|i| reference.push(block.get(i).to_sample()));
+                }
+                assert_eq!(buffer, reference);
+                assert_eq!(buffer.to_value(), reference.to_value());
+                buffer
+            })
+            .collect();
+        let base = |i: usize| buffers[i].base.as_ref().unwrap();
+        assert!(Arc::ptr_eq(base(0), base(1)) && Arc::ptr_eq(base(0), base(2)));
+        for own in 3..6 {
+            assert!((0..6).filter(|&i| i != own).all(|i| !Arc::ptr_eq(base(own), base(i))));
+        }
+        assert_eq!(tails.built.len(), 4, "one tail for cameras 0–2, one each for 3–5");
+    }
+
+    /// A buffer in each of its states: growing, a full and wrapped ring, a
+    /// shared base, and a shared base under an own prefix.
+    fn buffers_in_every_state() -> Vec<(&'static str, SampleBuffer)> {
+        let mut growing = SampleBuffer::new(6);
+        growing.extend((0..4).map(|t| sample(t as f64, t)));
+        let mut ring = SampleBuffer::new(6);
+        ring.extend((0..9).map(|t| sample(t as f64, t)));
+        let peers = block_of(&(10..20).map(|t| sample(t as f64, t % 7)).collect::<Vec<_>>());
+        let mut shared = SampleBuffer::new(6);
+        shared.admit_grants(&[grant(1, &peers, 10)], &mut SharedTails::default()).unwrap();
+        let mut prefixed = shared.clone();
+        prefixed.extend((20..23).map(|t| sample(t as f64, t % 7)));
+        assert!(shared.base.is_some() && shared.slots.is_empty());
+        assert!(prefixed.base.is_some() && prefixed.slots.len() == 3);
+        vec![("growing", growing), ("ring", ring), ("shared", shared), ("prefixed", prefixed)]
+    }
+
+    #[test]
+    fn every_buffer_state_is_a_serde_fixed_point() {
+        for (state, buffer) in buffers_in_every_state() {
+            let text = serde_json::to_string(&buffer).unwrap();
+            let decoded: SampleBuffer = serde_json::from_str(&text).unwrap();
+            assert_eq!(decoded, buffer, "{state}");
+            assert_eq!(serde_json::to_string(&decoded).unwrap(), text, "{state}");
+            // The same rows pushed one by one serialise to the same bytes.
+            let mut pushed = SampleBuffer::new(buffer.capacity());
+            pushed.extend(buffer.samples().map(|s| s.to_sample()));
+            assert_eq!(serde_json::to_string(&pushed).unwrap(), text, "{state}");
+        }
+    }
+
+    #[test]
+    fn a_shared_base_is_dropped_once_own_rows_cover_it_or_on_reset() {
+        let (_, shared) = buffers_in_every_state().swap_remove(2);
+        let mut covered = shared.clone();
+        covered.extend((30..35).map(|t| sample(t as f64, 0)));
+        assert!(covered.base.is_some(), "five own rows over six slots");
+        covered.push(sample(35.0, 0));
+        assert!(covered.base.is_none() && covered.head == 0, "a plain ring again");
+        let times: Vec<f64> = covered.samples().map(|s| s.timestamp_s).collect();
+        assert_eq!(times, [30.0, 31.0, 32.0, 33.0, 34.0, 35.0]);
+        // A grant that crosses the last shared slot drops the base mid-run.
+        let mut crossed = shared.clone();
+        let own = block_of(&(40..48).map(|t| sample(t as f64, 0)).collect::<Vec<_>>());
+        crossed.admit_grants(&[grant(2, &own, 5)], &mut SharedTails::default()).unwrap();
+        assert!(crossed.base.is_some());
+        crossed.admit_grants(&[grant(2, &own, 3)], &mut SharedTails::default()).unwrap();
+        let mut reference = SampleBuffer::new(6);
+        reference.extend(shared.samples().map(|s| s.to_sample()));
+        (0..5).chain(0..3).for_each(|i| reference.push(own.get(i).to_sample()));
+        assert!(crossed.base.is_none());
+        assert_eq!(crossed, reference);
+        let mut reset = shared;
+        reset.reset();
+        assert!(reset.is_empty() && reset.base.is_none());
+    }
+
+    #[test]
+    fn own_rows_over_a_shared_base_take_a_full_rings_slab_at_once() {
+        // A growing buffer doubles its slab; a full one over a shared base
+        // sizes it for every slot on its first own row, so what it owns does
+        // not depend on how many rows arrive before the next barrier.
+        let (_, mut shared) = buffers_in_every_state().swap_remove(2);
+        assert_eq!(shared.slots.teacher_labels.capacity(), 0);
+        shared.push(sample(30.0, 0));
+        assert_eq!(shared.slots.teacher_labels.capacity(), shared.capacity());
+        let own = block_of(&(40..42).map(|t| sample(t as f64, 0)).collect::<Vec<_>>());
+        let mut granted = buffers_in_every_state().swap_remove(2).1;
+        granted.admit_grants(&[grant(2, &own, 2)], &mut SharedTails::default()).unwrap();
+        assert_eq!(granted.slots.teacher_labels.capacity(), granted.capacity());
+        let mut growing = SampleBuffer::new(64);
+        growing.push(sample(0.0, 0));
+        assert!(growing.slots.teacher_labels.capacity() < growing.capacity());
     }
 }

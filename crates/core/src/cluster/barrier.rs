@@ -7,7 +7,7 @@
 use super::accel_loop::{AccelLoop, PendingEntry};
 use super::plan::{ChurnAction, PreparedEvent};
 use super::{AdmissionPolicy, ChurnMetrics};
-use crate::buffer::SampleBlock;
+use crate::buffer::{Grant, SampleBlock, SharedTails};
 use crate::config::SimConfig;
 use crate::edge::{EdgeAccum, OffloadContext, OffloadPolicy};
 use crate::fleet::prefix_camera;
@@ -15,7 +15,7 @@ use crate::session::{AcceleratorSample, Session, SimObserver, WindowSample};
 use crate::share::{ShareContext, ShareMetrics, SharePolicy};
 use crate::sim::SimResult;
 use crate::{CoreError, Result};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{btree_map, BTreeMap, VecDeque};
 
 /// The label-exchange stage's state: present only under an active share
 /// policy.
@@ -235,23 +235,33 @@ impl<'b, 'a, 'o> Barrier<'b, 'a, 'o> {
     /// for every exporter — validation, metrics and observer calls included
     /// — and only records what was granted. Pass two hands the grants to the
     /// importer's buffer, which copies just the rows that survive its own
-    /// FIFO eviction (at most `C_b` of them). A barrier therefore costs `N²`
-    /// policy calls plus `N · C_b` row copies, not `N² · batch` sample
-    /// clones.
+    /// FIFO eviction — or, when the grants fill it, views their tail, built
+    /// once per barrier for every importer granted the same rows. A barrier
+    /// therefore costs `N²` policy calls plus at most `N · C_b` row copies,
+    /// and one `C_b`-row tail per distinct grant set when grants exceed
+    /// `C_b`, not `N² · batch` sample clones.
     pub(super) fn exchange_window(&mut self, stage: &mut ShareStage) -> Result<()> {
         let ShareStage { policy, correlations, metrics } = stage;
         let cameras = self.cameras;
         let mut exports: BTreeMap<usize, SampleBlock> = BTreeMap::new();
         for accel_loop in self.loops.iter_mut() {
             for (camera_index, batch) in accel_loop.take_exports() {
-                exports.entry(camera_index).or_default().append(&batch);
+                // A camera that labeled once in the window hands over its
+                // block; only a second one is copied onto it.
+                match exports.entry(camera_index) {
+                    btree_map::Entry::Vacant(entry) => {
+                        entry.insert(batch);
+                    }
+                    btree_map::Entry::Occupied(mut entry) => entry.get_mut().append(&batch),
+                }
             }
         }
         metrics.labels_exported += exports.values().map(SampleBlock::len).sum::<usize>();
         if exports.is_empty() {
             return Ok(());
         }
-        let mut grants: Vec<(&SampleBlock, usize)> = Vec::with_capacity(exports.len());
+        let mut grants: Vec<Grant<'_>> = Vec::with_capacity(exports.len());
+        let mut tails = SharedTails::default();
         for &resident in self.roster.iter() {
             let importer_index = resident.camera_index;
             let Some(session) = resident_session(self.loops, resident) else { continue };
@@ -293,7 +303,7 @@ impl<'b, 'a, 'o> Barrier<'b, 'a, 'o> {
                     }
                     continue;
                 }
-                grants.push((batch, admitted));
+                grants.push(Grant { source: exporter_index, block: batch, rows: admitted });
                 if let Some(observer) = self.observer.as_deref_mut() {
                     observer.on_share(
                         &cameras[exporter_index].0,
@@ -308,7 +318,7 @@ impl<'b, 'a, 'o> Barrier<'b, 'a, 'o> {
                 }
             }
             session
-                .admit_samples(&grants)
+                .admit_samples(&grants, &mut tails)
                 .map_err(|e| prefix_camera(&cameras[importer_index].0, e))?;
         }
         Ok(())
@@ -689,6 +699,70 @@ mod tests {
         block
     }
 
+    /// Snapshots taken between the windows of a broadcast exchange — buffers
+    /// viewing a shared tail, some under rows of their own — re-encode to
+    /// the bytes they decoded from, and to the bytes the same rows pushed
+    /// one by one into a plain ring give.
+    #[test]
+    fn mid_run_snapshots_of_broadcast_importers_are_serde_fixed_points() {
+        let cameras: Vec<(String, SimConfig)> = (0..6)
+            .map(|i| {
+                let mut config = short_config(SchedulerKind::DaCapoSpatial);
+                // Five peers' label phases overfill the buffer; one of its
+                // own does not.
+                config.hyper.buffer_capacity = 12;
+                config.hyper.label_samples = 4;
+                config.hyper.retrain_samples = 6;
+                config.hyper.validation_samples = 2;
+                config.seed = 70 + i;
+                (format!("cam-{i}"), config)
+            })
+            .collect();
+        let assigned: Vec<usize> = (0..cameras.len()).collect();
+        let mut loops =
+            vec![AccelLoop::new(0, &assigned, &cameras, "fair-share", None, true).unwrap()];
+        let mut stage = ShareStage {
+            policy: crate::share::create("broadcast").unwrap(),
+            correlations: PairCorrelations::new(cameras.len()),
+            metrics: ShareMetrics::fresh("broadcast".to_string(), 5.0),
+        };
+        let mut roster = Vec::new();
+        let (mut shared, mut prefixed) = (0, 0);
+        for window in 0..12 {
+            let boundary_s = 5.0 * (window + 1) as f64;
+            loops[0].run_until(boundary_s, None).unwrap();
+            Barrier::new(&mut loops, &mut roster, &cameras, window, boundary_s, None)
+                .exchange_window(&mut stage)
+                .unwrap();
+            // Step on to the middle of the next window, so some importers
+            // write own rows over their shared tail.
+            loops[0].run_until(boundary_s + 2.5, None).unwrap();
+            for session in loops[0].slots.iter_mut().filter_map(|slot| slot.session.as_mut()) {
+                let snapshot = session.snapshot();
+                if let Some(own_rows) = snapshot.buffer.own_rows_over_shared_tail() {
+                    shared += 1;
+                    prefixed += usize::from(own_rows > 0);
+                }
+                let json = snapshot.to_json();
+                let decoded = crate::SessionSnapshot::from_json(&json).unwrap();
+                assert_eq!(
+                    decoded.buffer.own_rows_over_shared_tail(),
+                    None,
+                    "decoded as a plain ring"
+                );
+                assert_eq!(decoded.to_json(), json);
+                let mut plain = snapshot;
+                let mut rebuilt = SampleBuffer::new(plain.buffer.capacity());
+                rebuilt.extend(plain.buffer.samples().map(|row| row.to_sample()));
+                plain.buffer = rebuilt;
+                assert_eq!(plain.to_json(), json);
+            }
+        }
+        assert!(stage.metrics.labels_reused > 0);
+        assert!(shared > 0, "no importer was ever filled by its grants");
+        assert!(prefixed > 0);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
 
@@ -747,7 +821,8 @@ mod tests {
                         let session = accel_loop.slots[slot].session.as_mut().unwrap();
                         *session.buffer_mut() = SampleBuffer::new(capacity);
                         let resident = labeled_block(camera, 0, prefill[camera] % (capacity + 1), dim);
-                        session.admit_samples(&[(&resident, resident.len())]).unwrap();
+                        let prefill = Grant { source: camera, block: &resident, rows: resident.len() };
+                        session.admit_samples(&[prefill], &mut SharedTails::default()).unwrap();
                         let batch = batches[camera] % (3 * capacity + 1);
                         // Exports arrive as one block, as two (two labeling
                         // phases in the window), or not at all.

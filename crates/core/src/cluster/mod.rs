@@ -139,7 +139,7 @@ use crate::arbiter;
 use crate::config::SimConfig;
 use crate::edge::{self, EdgeMetrics, OffloadPolicy};
 use crate::fleet::{aggregate, prefix_camera, CameraResult, FleetResult};
-use crate::metrics::{mean, percentile};
+use crate::metrics::{mean, percentiles};
 use crate::session::SimObserver;
 use crate::share::{self, ShareMetrics};
 use crate::sim::SimResult;
@@ -558,14 +558,15 @@ impl Cluster {
                 result.map(|result| CameraResult { camera, result })
             })
             .collect();
+        let [p50_step_stretch, p99_step_stretch] = percentiles(&stretches, [50.0, 99.0]);
         let contention = ContentionMetrics {
             accelerators,
             arbiter: arbiter_name,
             makespan_s,
             steps_executed,
             mean_step_stretch: mean(&stretches),
-            p50_step_stretch: percentile(&stretches, 50.0),
-            p99_step_stretch: percentile(&stretches, 99.0),
+            p50_step_stretch,
+            p99_step_stretch,
             max_step_stretch: stretches.iter().copied().fold(0.0, f64::max),
             mean_accelerator_utilization: mean(&utilization),
             accelerator_utilization: utilization,

@@ -807,6 +807,8 @@ impl EdgeMetrics {
     /// Aggregates per-camera accumulators into the cluster-level metrics.
     #[must_use]
     pub(crate) fn from_accum(policy: String, accum: &EdgeAccum, mean_accuracy: f64) -> Self {
+        let [latency_p50_s, latency_p99_s] =
+            crate::metrics::percentiles(&accum.latencies_s, [50.0, 99.0]);
         Self {
             policy,
             labels_local: accum.labels_local,
@@ -814,8 +816,8 @@ impl EdgeMetrics {
             frames_shipped: accum.frames_shipped,
             frames_filtered: accum.frames_filtered,
             bytes_shipped: accum.bytes_shipped,
-            cloud_label_latency_p50_s: crate::metrics::percentile(&accum.latencies_s, 50.0),
-            cloud_label_latency_p99_s: crate::metrics::percentile(&accum.latencies_s, 99.0),
+            cloud_label_latency_p50_s: latency_p50_s,
+            cloud_label_latency_p99_s: latency_p99_s,
             accuracy_per_byte: if accum.bytes_shipped > 0 {
                 mean_accuracy / accum.bytes_shipped as f64
             } else {

@@ -12,7 +12,7 @@
 
 use crate::cluster::Cluster;
 use crate::config::SimConfig;
-use crate::metrics::{mean, percentile};
+use crate::metrics::{mean, percentiles};
 use crate::sim::SimResult;
 use crate::{CoreError, Result};
 use serde::{Deserialize, Serialize};
@@ -221,10 +221,11 @@ pub(crate) fn aggregate(cameras: Vec<CameraResult>) -> FleetResult {
     } else {
         0.0
     };
+    let [p50_accuracy, p10_accuracy] = percentiles(&accuracies, [50.0, 10.0]);
     FleetResult {
         mean_accuracy: mean(&accuracies),
-        p50_accuracy: percentile(&accuracies, 50.0),
-        p10_accuracy: percentile(&accuracies, 10.0),
+        p50_accuracy,
+        p10_accuracy,
         min_accuracy: accuracies.iter().copied().fold(min_floor, f64::min),
         total_energy_joules,
         aggregate_drop_rate,

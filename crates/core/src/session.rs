@@ -31,7 +31,7 @@
 //! and the teacher's RNG and the stream's [`StreamCursor`] are captured
 //! exactly.
 
-use crate::buffer::{SampleBlock, SampleBuffer, SampleRef};
+use crate::buffer::{Grant, SampleBlock, SampleBuffer, SampleRef, SharedTails};
 use crate::config::SimConfig;
 use crate::edge::{EdgeAccum, EdgeTierState, LabelRoute, ResolvedUplink};
 use crate::platform::PlatformRates;
@@ -718,9 +718,10 @@ impl Session {
     }
 
     /// Admits externally labeled samples (correlated peers' exports) into
-    /// the sample buffer: the first `n` rows of each `(batch, n)` grant, in
-    /// order, evicting the oldest residents as needed — copying only the
-    /// rows that survive the call (see `SampleBuffer::admit_prefixes`).
+    /// the sample buffer: the first `rows` rows of each grant, in order,
+    /// evicting the oldest residents as needed — copying only the rows that
+    /// survive the call, or none when the grants fill the buffer and `tails`
+    /// already holds their tail (see `SampleBuffer::admit_grants`).
     /// Admitted imports are *not* re-exported by
     /// [`Session::take_fresh_labels`], so shared labels never echo around
     /// the fleet.
@@ -729,8 +730,12 @@ impl Session {
     ///
     /// Returns [`CoreError::InvalidConfig`] if a batch's feature length
     /// differs from the buffered samples'.
-    pub(crate) fn admit_samples(&mut self, grants: &[(&SampleBlock, usize)]) -> Result<()> {
-        self.state.buffer.admit_prefixes(grants)
+    pub(crate) fn admit_samples(
+        &mut self,
+        grants: &[Grant<'_>],
+        tails: &mut SharedTails,
+    ) -> Result<()> {
+        self.state.buffer.admit_grants(grants, tails)
     }
 
     /// The session's effective teacher-labeling throughput in samples per

@@ -22,18 +22,29 @@
 //! # What an exchange costs
 //!
 //! With `N` live cameras, export batches of `B` samples and buffers of
-//! capacity `C_b`, one boundary costs `N²` [`SharePolicy::admit_fraction`]
-//! calls plus at most `N · C_b` row copies — not `N² · B` sample clones.
-//! Each importer is served in two passes. Pass one consults the policy for
-//! every exporter, in order, and accounts every granted sample
-//! ([`ShareMetrics::labels_reused`], `labeling_seconds_saved`,
+//! capacity `C_b`, one boundary costs:
+//!
+//! | part | cost |
+//! |---|---|
+//! | collecting exports | one block move per exporter; a row copy only for a camera's second batch in the window |
+//! | policy pass | `N²` [`SharePolicy::admit_fraction`] calls, each correlation from a flat triangular memo |
+//! | an importer granted fewer than `C_b` rows | one row copy per granted row |
+//! | an importer granted `C_b` rows or more | one `Arc` clone; `C_b` row copies once per distinct set of surviving rows |
+//!
+//! — not `N² · B` sample clones. Each importer is served in two passes.
+//! Pass one consults the policy for every exporter, in order, and accounts
+//! every granted sample ([`ShareMetrics::labels_reused`],
+//! `labeling_seconds_saved`,
 //! [`SimObserver::on_share`](crate::SimObserver::on_share)); pass two
-//! copies only the granted rows that survive the importer's own eviction.
+//! admits only the granted rows that survive the importer's own eviction.
 //! A FIFO of capacity `C` fed a sequence `S` ends as the last `C` elements
 //! of `old ++ S`, so skipping the first `|S| − C` granted samples leaves
 //! the buffer bit-identical to admitting them one by one (property-tested
-//! against the per-sample loop). The pair correlation in [`ShareContext`]
-//! never changes during a run and is served from a flat triangular memo.
+//! against the per-sample loop). When `|S| ≥ C` nothing old survives, and
+//! importers granted the same last `C` rows view one shared block of them
+//! (see [`SampleBuffer`](crate::SampleBuffer)): on the frozen benchmark's
+//! broadcast fleet that is about four blocks per barrier for 192 importers.
+//! The pair correlation in [`ShareContext`] never changes during a run.
 //!
 //! # Pluggable policies
 //!

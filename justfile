@@ -1,7 +1,7 @@
 # Development shortcuts mirroring .github/workflows/ci.yml.
 
 # Run the full CI pipeline locally.
-ci: fmt-check clippy doc build test examples test-kernels golden-check
+ci: fmt-check clippy doc build test test-shims examples test-kernels golden-check
 
 fmt:
     cargo fmt
@@ -22,6 +22,11 @@ build:
 # Tier-1 verify: the whole workspace's tests.
 test:
     cargo test -q
+
+# The in-repo shims' own tests (JSON parser, serde derive, proptest runner,
+# RNGs): they are not default members, so `just test` does not reach them.
+test-shims:
+    cargo test -q -p proptest -p serde_json -p serde -p rand -p rand_distr
 
 # The six registry examples CI's Tests step runs, one per registry family,
 # each plugging in an out-of-crate implementation: arbiter, share policy,

@@ -1,6 +1,7 @@
 //! Serde round-trips of the public result/config surface: `SimConfig`,
 //! `PlatformSpec`, `SimResult`, `FleetResult`, and `ClusterResult` all
-//! survive a JSON text round trip exactly, so observer logs, bench records,
+//! survive a JSON text round trip exactly, and re-encode to the same bytes
+//! (encode → decode → encode is a fixed point), so observer logs, bench records,
 //! and snapshots written by one process can be read back by another — and a
 //! golden `SessionSnapshot` file pins the snapshot format byte for byte.
 
@@ -14,14 +15,17 @@ use dacapo_dnn::zoo::ModelPair;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
-/// JSON-text round trip: serialise, parse, compare.
+/// JSON-text round trip: serialise, parse, compare — and encode → decode →
+/// encode is a fixed point, byte for byte, in both layouts.
 fn round_trip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T) {
     let compact = serde_json::to_string(value).expect("serialises");
     let reparsed: T = serde_json::from_str(&compact).expect("parses back");
     assert_eq!(&reparsed, value, "compact JSON round trip changed the value");
+    assert_eq!(serde_json::to_string(&reparsed).expect("serialises"), compact);
     let pretty = serde_json::to_string_pretty(value).expect("serialises pretty");
     let reparsed: T = serde_json::from_str(&pretty).expect("parses back pretty");
     assert_eq!(&reparsed, value, "pretty JSON round trip changed the value");
+    assert_eq!(serde_json::to_string_pretty(&reparsed).expect("serialises"), pretty);
 }
 
 /// A value in (0, 1] derived from raw bits, guaranteed finite.
