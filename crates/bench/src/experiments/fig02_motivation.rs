@@ -9,7 +9,8 @@
 
 use crate::runner::{run_system, SystemUnderTest};
 use crate::{pct, render_table, ExperimentOptions, Failure, HostRecord, Report};
-use dacapo_core::{PlatformKind, SchedulerKind};
+use dacapo_accel::gpu::GpuDevice;
+use dacapo_core::SchedulerKind;
 use dacapo_datagen::{FrameStream, Scenario, StreamConfig};
 use dacapo_dnn::workload::{unit_costs, Kernel};
 use dacapo_dnn::zoo::ModelPair;
@@ -26,18 +27,8 @@ struct Row {
 }
 
 /// Accuracy of running the *teacher* on every frame: the teacher's labeling
-/// accuracy degraded by the frames it drops on this platform.
-fn teacher_on_every_frame(pair: ModelPair, platform: PlatformKind, scenario: &Scenario) -> f64 {
-    let device = match platform {
-        PlatformKind::Rtx3090 => dacapo_accel::gpu::GpuDevice::rtx_3090(),
-        PlatformKind::OrinHigh => dacapo_accel::gpu::GpuDevice::jetson_orin_high(),
-        PlatformKind::OrinLow => dacapo_accel::gpu::GpuDevice::jetson_orin_low(),
-        #[expect(
-            clippy::unreachable,
-            reason = "figure 2 compares GPU baselines only; DaCapo is filtered out above"
-        )]
-        PlatformKind::DaCapo => unreachable!("figure 2 only compares GPUs"),
-    };
+/// accuracy degraded by the frames it drops on this device.
+fn teacher_on_every_frame(pair: ModelPair, device: &GpuDevice, scenario: &Scenario) -> f64 {
     let stream_config = StreamConfig::default();
     let per_frame = unit_costs(pair).labeling_per_sample;
     let capacity_fps = device.units_per_second(Kernel::Labeling, per_frame);
@@ -62,14 +53,13 @@ pub(super) fn run(options: &ExperimentOptions, _host: &mut HostRecord) -> Result
     let mut text = String::new();
     let scenario = Scenario::s1();
     let pairs = [ModelPair::ResNet18Wrn50, ModelPair::ResNet34Wrn101];
-    // Platforms are selected by registry name; the kind (parsed back through
-    // `FromStr`) drives the GPU roofline lookup for the teacher column.
-    let gpus = ["rtx-3090", "orin-high"];
+    // Each GPU's registry name selects its platform; the device drives the
+    // roofline lookup for the teacher column.
+    let gpus = [("rtx-3090", GpuDevice::rtx_3090()), ("orin-high", GpuDevice::jetson_orin_high())];
 
     let mut rows = Vec::new();
     for pair in pairs {
-        for gpu in gpus {
-            let kind: PlatformKind = gpu.parse()?;
+        for (gpu, device) in &gpus {
             // Student without continuous learning: the pre-trained model only.
             let student = run_system(
                 scenario.clone(),
@@ -88,15 +78,11 @@ pub(super) fn run(options: &ExperimentOptions, _host: &mut HostRecord) -> Result
                 SystemUnderTest { label: "Ekya", platform: gpu, scheduler: SchedulerKind::Ekya },
                 options.quick,
             )?;
-            let gpu_name = match kind {
-                PlatformKind::Rtx3090 => dacapo_accel::gpu::GpuDevice::rtx_3090().name,
-                _ => dacapo_accel::gpu::GpuDevice::jetson_orin_high().name,
-            };
             rows.push(Row {
                 pair: pair.to_string(),
-                gpu: gpu_name,
+                gpu: device.name.clone(),
                 student_accuracy: student.mean_accuracy,
-                teacher_accuracy: teacher_on_every_frame(pair, kind, &scenario),
+                teacher_accuracy: teacher_on_every_frame(pair, device, &scenario),
                 ekya_accuracy: ekya.mean_accuracy,
             });
         }

@@ -36,16 +36,14 @@
 //!
 //! Offload decisions ride the cluster's single-threaded window barriers in
 //! camera admission-index order, so edge-tier runs stay bit-identical
-//! across worker-thread counts; policy state survives checkpoints through
-//! the [`OffloadPolicy::state`] / [`OffloadPolicy::restore_state`] hooks,
-//! exactly like schedulers.
+//! across worker-thread counts.
 
 use crate::buffer::LabeledSample;
 use crate::registry::{split_params, Registry};
 use crate::{CoreError, Result};
 use dacapo_datagen::SegmentAttributes;
 use dacapo_dnn::CloudTeacher;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Default per-frame payload overhead in bytes: the encoded frame crop plus
@@ -190,43 +188,13 @@ pub struct OffloadContext<'a> {
 /// `Send` is required so the policy can live inside a cluster run that
 /// spreads accelerator loops across worker threads; it is only ever invoked
 /// at single-threaded window barriers, in deterministic camera
-/// admission-index order, so implementations may keep state. Stateful
-/// policies should implement [`OffloadPolicy::state`] /
-/// [`OffloadPolicy::restore_state`] (mirroring
-/// [`Scheduler::state`](crate::sched::Scheduler::state)) so their decision
-/// state can ride checkpoints.
+/// admission-index order, so implementations may keep state.
 pub trait OffloadPolicy: Send {
     /// The policy's display name (used for reporting, e.g. `"cloud-only"`).
     fn name(&self) -> String;
 
     /// Routes one camera's next labeling window.
     fn route(&mut self, ctx: &OffloadContext<'_>) -> LabelRoute;
-
-    /// The policy's serialisable decision state (`Null` for stateless
-    /// policies, the default).
-    fn state(&self) -> Value {
-        Value::Null
-    }
-
-    /// Restores state previously captured by [`OffloadPolicy::state`].
-    ///
-    /// # Errors
-    ///
-    /// The default implementation accepts only `Null`; stateful policies
-    /// must override both hooks and return [`CoreError::Snapshot`] (or
-    /// [`CoreError::InvalidConfig`]) for undecodable state.
-    fn restore_state(&mut self, state: &Value) -> Result<()> {
-        if matches!(state, Value::Null) {
-            Ok(())
-        } else {
-            Err(CoreError::Snapshot {
-                reason: format!(
-                    "offload policy '{}' is stateless but the snapshot carries state",
-                    self.name()
-                ),
-            })
-        }
-    }
 }
 
 /// Trait-object factory for offload policies, the extension point of the
@@ -908,14 +876,6 @@ mod tests {
         assert!(create_offload("budget:0").is_err(), "a zero budget is a misconfiguration");
         assert!(create_offload("budget:-3").is_err());
         assert!(create_offload("budget: 1000 ").is_ok(), "whitespace around the count is fine");
-    }
-
-    #[test]
-    fn stateless_policies_reject_foreign_state() {
-        let mut policy = create_offload("cloud-only").unwrap();
-        assert_eq!(policy.state(), Value::Null);
-        assert!(policy.restore_state(&Value::Null).is_ok());
-        assert!(policy.restore_state(&Value::UInt(3)).is_err());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! names (`"dacapo"`, `"orin-high"`, `"orin-low"`, `"rtx-3090"`), plus the
 //! two parameterised families `"orin-dvfs"` and `"scaled-dacapo"`.
 
-use crate::registry::{split_params, Registry};
+use crate::registry::Registry;
 use crate::{CoreError, Result};
 use dacapo_accel::estimator::{estimate, spatial_allocation, PrecisionPlan};
 use dacapo_accel::gpu::{GpuDevice, UtilizationProfile};
@@ -34,7 +34,6 @@ use dacapo_dnn::QuantMode;
 use dacapo_mx::MxPrecision;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 /// Predefined execution platforms, matching the hardware column of the
@@ -77,25 +76,6 @@ impl fmt::Display for PlatformKind {
             PlatformKind::OrinLow => write!(f, "Orin-Low"),
             PlatformKind::Rtx3090 => write!(f, "RTX-3090"),
         }
-    }
-}
-
-impl FromStr for PlatformKind {
-    type Err = CoreError;
-
-    /// Parses a builtin platform kind case-insensitively, with the same
-    /// semantics as [`PlatformSpec::Named`] name matching (`"orin-high"`,
-    /// `"Orin-High"`, and `"ORIN-HIGH"` all parse).
-    fn from_str(s: &str) -> Result<Self> {
-        let wanted = s.trim().to_lowercase();
-        PlatformKind::ALL.into_iter().find(|kind| kind.registry_name() == wanted).ok_or_else(|| {
-            CoreError::InvalidConfig {
-                reason: format!(
-                    "unknown builtin platform '{s}' (expected one of {})",
-                    PlatformKind::ALL.map(|k| k.registry_name()).join(", ")
-                ),
-            }
-        })
     }
 }
 
@@ -505,14 +485,6 @@ pub trait PlatformProvider: Send + Sync {
     /// [`PlatformRequest::params`]) and return [`CoreError`] rather than
     /// panicking or producing non-finite rates.
     fn build(&self, request: &PlatformRequest<'_>) -> Result<PlatformRates>;
-
-    /// The builtin kind this provider produces, if any. Custom providers
-    /// keep the default `None`; [`PlatformSpec::kind`] relies on this to
-    /// tell builtins apart from custom platforms registered over builtin
-    /// names.
-    fn kind(&self) -> Option<PlatformKind> {
-        None
-    }
 }
 
 /// Provider wrapping a builtin [`PlatformKind`].
@@ -533,10 +505,6 @@ impl PlatformProvider for KindProvider {
             });
         }
         PlatformRates::for_kind(self.kind, request.pair, request.fps, request.accel)
-    }
-
-    fn kind(&self) -> Option<PlatformKind> {
-        Some(self.kind)
     }
 }
 
@@ -682,12 +650,12 @@ pub fn registered_names() -> Vec<String> {
 /// registered provider by name (with an optional `:<params>` suffix), or an
 /// explicit capability sheet.
 ///
-/// Equality is semantic, not structural: `Named("orin-high")`,
-/// `Named("Orin-High")`, and `Kind(PlatformKind::OrinHigh)` all select the
-/// same platform and compare equal — unless a custom provider has been
-/// [`register`]ed over the builtin name, in which case the name resolves to
-/// the custom platform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// `Kind(k)` builds the builtin directly; `Named(s)` resolves through the
+/// registry, so a custom provider [`register`]ed over a builtin name wins
+/// for the named form. Equality is structural: `Named("orin-high")` and
+/// `Kind(PlatformKind::OrinHigh)` select the same platform but are
+/// different specs.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PlatformSpec {
     /// One of the paper's builtin platforms.
     Kind(PlatformKind),
@@ -725,55 +693,11 @@ impl PlatformSpec {
             }
         }
     }
-
-    /// The builtin kind this spec selects, if any — including builtins
-    /// selected by name (`Named("dacapo")` resolves to
-    /// `Some(PlatformKind::DaCapo)`). Resolution goes through the registry,
-    /// so a custom provider registered over a builtin name correctly reports
-    /// `None`, and parameterised names are never builtin.
-    #[must_use]
-    pub fn kind(&self) -> Option<PlatformKind> {
-        match self {
-            PlatformSpec::Kind(kind) => Some(*kind),
-            PlatformSpec::Named(name) => {
-                let (base, params) = split_params(name);
-                if params.is_some() {
-                    return None;
-                }
-                by_name(base).and_then(|provider| provider.kind())
-            }
-            PlatformSpec::Rates(_) => None,
-        }
-    }
-}
-
-impl PartialEq for PlatformSpec {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (PlatformSpec::Rates(a), PlatformSpec::Rates(b)) => a == b,
-            (PlatformSpec::Rates(_), _) | (_, PlatformSpec::Rates(_)) => false,
-            _ => match (self.kind(), other.kind()) {
-                (Some(a), Some(b)) => a == b,
-                (None, None) => match (self, other) {
-                    (PlatformSpec::Named(a), PlatformSpec::Named(b)) => {
-                        a.to_lowercase() == b.to_lowercase()
-                    }
-                    #[expect(
-                        clippy::unreachable,
-                        reason = "(None, None) with a non-Named variant is impossible: kind() \
-                                  covers every Kind variant"
-                    )]
-                    _ => unreachable!("kind() is Some for every Kind variant"),
-                },
-                _ => false,
-            },
-        }
-    }
 }
 
 impl PartialEq<PlatformKind> for PlatformSpec {
     fn eq(&self, other: &PlatformKind) -> bool {
-        self.kind() == Some(*other)
+        *self == PlatformSpec::Kind(*other)
     }
 }
 
@@ -937,24 +861,10 @@ mod tests {
     }
 
     #[test]
-    fn kind_display_and_fromstr_round_trip() {
-        for kind in PlatformKind::ALL {
-            assert_eq!(kind.to_string().parse::<PlatformKind>().unwrap(), kind);
-            assert_eq!(kind.registry_name().parse::<PlatformKind>().unwrap(), kind);
-            assert_eq!(kind.registry_name().to_uppercase().parse::<PlatformKind>().unwrap(), kind);
-        }
-        assert_eq!("orin-high".parse::<PlatformKind>().unwrap(), PlatformKind::OrinHigh);
-        assert_eq!("RTX-3090".parse::<PlatformKind>().unwrap(), PlatformKind::Rtx3090);
-        let err = "not-a-platform".parse::<PlatformKind>().unwrap_err();
-        assert!(err.to_string().contains("not-a-platform"), "{err}");
-        assert!(err.to_string().contains("orin-low"), "{err}");
-    }
-
-    #[test]
     fn builtin_platforms_are_registered_by_display_name() {
         for kind in PlatformKind::ALL {
             let provider = by_name(&kind.to_string()).expect("builtin registered");
-            assert_eq!(provider.kind(), Some(kind));
+            assert_eq!(provider.name(), kind.registry_name());
         }
         // Lookup is case-insensitive and ignores parameter suffixes.
         assert!(by_name("DACAPO").is_some());
@@ -1096,9 +1006,6 @@ mod tests {
 
         register(Arc::new(Photonic));
         let spec = PlatformSpec::from("photonic");
-        // Custom providers report no builtin kind, so name-selected custom
-        // platforms never masquerade as builtins in kind-based branches.
-        assert_eq!(spec.kind(), None);
         let rates = spec.resolve(ModelPair::ResNet18Wrn50, 30.0, &AccelConfig::default()).unwrap();
         assert_eq!(rates.name(), "Photonic Mesh");
         assert_eq!(rates.inference_fps_capacity(), 240.0);
@@ -1116,13 +1023,17 @@ mod tests {
 
     #[test]
     fn spec_equality_is_semantic_across_kind_and_name_forms() {
-        assert_eq!(PlatformSpec::from("dacapo").kind(), Some(PlatformKind::DaCapo));
-        assert_eq!(PlatformSpec::from("Orin-High"), PlatformKind::OrinHigh);
-        assert_eq!(PlatformSpec::from("orin-high"), PlatformSpec::Kind(PlatformKind::OrinHigh));
+        // Selection is semantic: a builtin named in any case resolves to its
+        // kind's sheet, and a parameterised name never to a builtin's.
+        // Equality is structural: a name never equals a kind.
+        let accel = AccelConfig::default();
+        let resolve =
+            |spec: PlatformSpec| spec.resolve(ModelPair::ResNet18Wrn50, 30.0, &accel).unwrap();
+        let dacapo = resolve(PlatformKind::DaCapo.into());
+        assert_eq!(resolve("dacapo".into()), dacapo);
+        assert_eq!(resolve("Orin-High".into()), resolve(PlatformKind::OrinHigh.into()));
+        assert_ne!(resolve("scaled-dacapo:32".into()), dacapo);
         assert_ne!(PlatformSpec::from("orin-high"), PlatformSpec::Kind(PlatformKind::OrinLow));
-        // Parameterised names are never builtin and compare by name.
-        assert_eq!(PlatformSpec::from("scaled-dacapo:32").kind(), None);
-        assert_eq!(PlatformSpec::from("Scaled-DaCapo:32"), PlatformSpec::from("scaled-dacapo:32"));
         assert_ne!(PlatformSpec::from("scaled-dacapo:32"), PlatformSpec::from("scaled-dacapo:64"));
         assert_ne!(
             PlatformSpec::from("scaled-dacapo:32"),

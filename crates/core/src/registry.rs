@@ -21,7 +21,7 @@
 //! their own with the exact same semantics, as `dacapo-telemetry` does.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A global factory registry: lower-cased name → factory.
 pub struct Registry<F: ?Sized> {
@@ -108,18 +108,15 @@ impl<F: ?Sized> Registry<F> {
         self.lock_read().keys().cloned().collect()
     }
 
-    #[expect(
-        clippy::panic,
-        reason = "a poisoned registry lock means a register() call panicked mid-insert; no \
-                  caller can make progress after that"
-    )]
-    fn lock_read(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<String, Arc<F>>> {
-        self.factories.read().unwrap_or_else(|_| panic!("{} registry poisoned", self.what))
+    // `register` asserts before it locks, so the write lock can be poisoned
+    // only by a replaced factory's `Drop` panicking, after `insert` has
+    // completed: a poisoned map is still a consistent one.
+    fn lock_read(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<F>>> {
+        self.factories.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    #[expect(clippy::panic, reason = "same poisoning invariant as lock_read")]
-    fn lock_write(&self) -> std::sync::RwLockWriteGuard<'_, BTreeMap<String, Arc<F>>> {
-        self.factories.write().unwrap_or_else(|_| panic!("{} registry poisoned", self.what))
+    fn lock_write(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Arc<F>>> {
+        self.factories.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -201,6 +198,34 @@ mod tests {
     #[should_panic(expected = "reserved")]
     fn reserved_names_cannot_be_reclaimed() {
         registry().register("Absent", Arc::new(N(3)));
+    }
+
+    #[test]
+    fn a_factory_whose_drop_panics_leaves_the_registry_usable() {
+        struct Exploding;
+        impl Named for Exploding {
+            fn id(&self) -> u32 {
+                7
+            }
+        }
+        impl Drop for Exploding {
+            fn drop(&mut self) {
+                panic!("replaced factory panicked on drop");
+            }
+        }
+        let registry = registry();
+        registry.register("volatile", Arc::new(Exploding));
+        // Replacing it drops the old factory under the write lock, and its
+        // panic poisons the lock; the insert has already completed.
+        let replace = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            registry.register("volatile", Arc::new(N(1)));
+        }));
+        assert!(replace.is_err(), "the drop panic propagates to the caller");
+        assert_eq!(registry.by_name("VOLATILE").unwrap().id(), 1);
+        assert_eq!(registry.resolve("volatile:x").map(|(f, p)| (f.id(), p)), Ok((1, Some("x"))));
+        assert_eq!(registry.names(), vec!["builtin".to_string(), "volatile".to_string()]);
+        registry.register("later", Arc::new(N(2)));
+        assert_eq!(registry.by_name("later").unwrap().id(), 2);
     }
 
     #[test]

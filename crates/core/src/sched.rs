@@ -22,7 +22,7 @@
 //! (`"ekya:3"`) is an error naming the suffix.
 
 use crate::config::Hyperparams;
-use crate::registry::{split_params, Registry};
+use crate::registry::Registry;
 use crate::{CoreError, Result};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -111,10 +111,6 @@ impl Scheduler for NoAdaptation {
         SchedulerKind::NoAdaptation.to_string()
     }
 
-    fn kind(&self) -> Option<SchedulerKind> {
-        Some(SchedulerKind::NoAdaptation)
-    }
-
     fn next_action(&mut self, _ctx: &SchedulerContext) -> Action {
         Action::Wait { seconds: 30.0 }
     }
@@ -173,12 +169,6 @@ pub trait Scheduler: Send {
     /// `"DaCapo-Spatiotemporal"`).
     fn name(&self) -> String;
 
-    /// The builtin kind this policy corresponds to, if any. Custom policies
-    /// registered through [`SchedulerFactory`] return `None` (the default).
-    fn kind(&self) -> Option<SchedulerKind> {
-        None
-    }
-
     /// Decides what the T-SA (or GPU leftover) does next.
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action;
 
@@ -222,13 +212,6 @@ pub trait SchedulerFactory: Send + Sync {
 
     /// Builds a fresh policy instance for one session.
     fn build(&self, hyper: &Hyperparams) -> Box<dyn Scheduler>;
-
-    /// The builtin kind this factory produces, if any. Custom factories keep
-    /// the default `None`; [`SchedulerSpec::kind`] relies on this to tell
-    /// builtins apart from custom policies registered over builtin names.
-    fn kind(&self) -> Option<SchedulerKind> {
-        None
-    }
 }
 
 /// Factory wrapping a builtin [`SchedulerKind`].
@@ -244,10 +227,6 @@ impl SchedulerFactory for KindFactory {
 
     fn build(&self, hyper: &Hyperparams) -> Box<dyn Scheduler> {
         self.kind.create(hyper)
-    }
-
-    fn kind(&self) -> Option<SchedulerKind> {
-        Some(self.kind)
     }
 }
 
@@ -295,11 +274,12 @@ pub fn registered_names() -> Vec<String> {
 /// How a `SimConfig` selects its scheduling policy: a builtin kind, or a
 /// registered policy by name.
 ///
-/// Equality is semantic, not structural: `Named("ekya")`, `Named("Ekya")`,
-/// and `Kind(SchedulerKind::Ekya)` all select the same policy and compare
-/// equal — unless a custom factory has been [`register`]ed over the builtin
-/// name, in which case the name resolves to the custom policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// `Kind(k)` builds the builtin directly; `Named(s)` resolves through the
+/// registry, so a custom factory [`register`]ed over a builtin name wins for
+/// the named form. Equality is structural: `Named("ekya")` and
+/// `Kind(SchedulerKind::Ekya)` select the same policy but are different
+/// specs.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SchedulerSpec {
     /// One of the paper's builtin policies.
     Kind(SchedulerKind),
@@ -329,42 +309,6 @@ impl SchedulerSpec {
             },
         }
     }
-
-    /// The builtin kind this spec selects, if any — including builtins
-    /// selected by name (`Named("ekya")` resolves to
-    /// `Some(SchedulerKind::Ekya)`). Resolution goes through the registry,
-    /// so a custom factory registered over a builtin name correctly reports
-    /// `None`, and suffixed names are never builtin.
-    #[must_use]
-    pub fn kind(&self) -> Option<SchedulerKind> {
-        match self {
-            SchedulerSpec::Kind(kind) => Some(*kind),
-            SchedulerSpec::Named(name) => match split_params(name) {
-                (base, None) => by_name(base).and_then(|factory| factory.kind()),
-                (_, Some(_)) => None,
-            },
-        }
-    }
-}
-
-impl PartialEq for SchedulerSpec {
-    fn eq(&self, other: &Self) -> bool {
-        match (self.kind(), other.kind()) {
-            (Some(a), Some(b)) => a == b,
-            (None, None) => match (self, other) {
-                (SchedulerSpec::Named(a), SchedulerSpec::Named(b)) => {
-                    a.to_lowercase() == b.to_lowercase()
-                }
-                #[expect(
-                    clippy::unreachable,
-                    reason = "(None, None) with a non-Named variant is impossible: kind() \
-                              returns Some for every Kind variant"
-                )]
-                _ => unreachable!("kind() is Some for every Kind variant"),
-            },
-            _ => false,
-        }
-    }
 }
 
 impl From<SchedulerKind> for SchedulerSpec {
@@ -387,7 +331,7 @@ impl From<String> for SchedulerSpec {
 
 impl PartialEq<SchedulerKind> for SchedulerSpec {
     fn eq(&self, other: &SchedulerKind) -> bool {
-        self.kind() == Some(*other)
+        *self == SchedulerSpec::Kind(*other)
     }
 }
 
@@ -443,10 +387,6 @@ impl Spatiotemporal {
 impl Scheduler for Spatiotemporal {
     fn name(&self) -> String {
         SchedulerKind::DaCapoSpatiotemporal.to_string()
-    }
-
-    fn kind(&self) -> Option<SchedulerKind> {
-        Some(SchedulerKind::DaCapoSpatiotemporal)
     }
 
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
@@ -542,10 +482,6 @@ impl Scheduler for SpatialOnly {
         SchedulerKind::DaCapoSpatial.to_string()
     }
 
-    fn kind(&self) -> Option<SchedulerKind> {
-        Some(SchedulerKind::DaCapoSpatial)
-    }
-
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
         // Move to the window that contains `now`.
         while ctx.now_s >= self.window_end() {
@@ -637,10 +573,6 @@ impl Ekya {
 impl Scheduler for Ekya {
     fn name(&self) -> String {
         SchedulerKind::Ekya.to_string()
-    }
-
-    fn kind(&self) -> Option<SchedulerKind> {
-        Some(SchedulerKind::Ekya)
     }
 
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
@@ -738,10 +670,6 @@ impl Eomu {
 impl Scheduler for Eomu {
     fn name(&self) -> String {
         SchedulerKind::Eomu.to_string()
-    }
-
-    fn kind(&self) -> Option<SchedulerKind> {
-        Some(SchedulerKind::Eomu)
     }
 
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
@@ -959,8 +887,14 @@ mod tests {
         for kind in SchedulerKind::BUILTINS {
             let factory = by_name(&kind.to_string()).expect("builtin registered");
             let scheduler = factory.build(&Hyperparams::default());
-            assert_eq!(scheduler.kind(), Some(kind));
             assert_eq!(scheduler.name(), kind.to_string());
+            // Selecting the builtin by kind and by its registry name runs
+            // the same session.
+            let by_kind = crate::sim::test_support::short_config(kind);
+            let mut by_name = by_kind.clone();
+            by_name.scheduler = kind.to_string().to_lowercase().into();
+            let run = |config| crate::ClSimulator::new(config).unwrap().run().unwrap();
+            assert_eq!(run(by_kind), run(by_name), "{kind}");
         }
         // Lookup is case-insensitive.
         assert!(by_name("EKYA").is_some());
@@ -992,12 +926,8 @@ mod tests {
 
         register(Arc::new(LazyFactory));
         let spec = SchedulerSpec::from("lazy");
-        // Custom factories report no builtin kind, so name-selected custom
-        // policies never masquerade as builtins in kind-based branches.
-        assert_eq!(spec.kind(), None);
         let mut scheduler = spec.create(&Hyperparams::default()).unwrap();
         assert_eq!(scheduler.name(), "Lazy");
-        assert_eq!(scheduler.kind(), None);
         assert!(matches!(
             scheduler.next_action(&ctx(0.0, 0, None, None)),
             Action::Wait { seconds } if seconds == 60.0
@@ -1018,7 +948,6 @@ mod tests {
     #[test]
     fn a_suffixed_builtin_is_an_error_naming_the_suffix() {
         let spec = SchedulerSpec::from("ekya:3");
-        assert_eq!(spec.kind(), None, "suffixed names are never builtin");
         assert_ne!(spec, SchedulerKind::Ekya);
         let err = match spec.create(&Hyperparams::default()) {
             Err(err) => err,
@@ -1049,26 +978,21 @@ mod tests {
         assert_eq!(spec, SchedulerKind::Ekya);
         assert_ne!(spec, SchedulerKind::Eomu);
         assert_eq!(spec.to_string(), "Ekya");
-        assert_eq!(spec.kind(), Some(SchedulerKind::Ekya));
         let named = SchedulerSpec::from("custom-policy");
-        assert_eq!(named.kind(), None);
         assert_eq!(named.to_string(), "custom-policy");
         assert_ne!(named, SchedulerKind::Ekya);
     }
 
     #[test]
     fn spec_equality_is_semantic_across_kind_and_name_forms() {
-        // A builtin selected by name resolves to its kind and compares equal
-        // to the kind form, case-insensitively.
-        assert_eq!(SchedulerSpec::from("ekya").kind(), Some(SchedulerKind::Ekya));
-        assert_eq!(SchedulerSpec::from("Ekya"), SchedulerKind::Ekya);
-        assert_eq!(SchedulerSpec::from("ekya"), SchedulerSpec::Kind(SchedulerKind::Ekya));
-        assert_eq!(
-            SchedulerSpec::from("DaCapo-Spatiotemporal"),
-            SchedulerSpec::Kind(SchedulerKind::DaCapoSpatiotemporal)
-        );
-        // Custom names compare case-insensitively against each other.
-        assert_eq!(SchedulerSpec::from("My-Policy"), SchedulerSpec::from("my-policy"));
+        // Selection is semantic: a builtin named in any case builds the
+        // policy its kind builds. Equality is structural: a name never
+        // equals a kind, and names compare as spelled.
+        let hyper = Hyperparams::default();
+        for name in ["ekya", "Ekya", "DaCapo-Spatiotemporal"] {
+            let policy = SchedulerSpec::from(name).create(&hyper).unwrap();
+            assert_eq!(policy.name().to_lowercase(), name.to_lowercase());
+        }
         assert_ne!(SchedulerSpec::from("my-policy"), SchedulerSpec::from("other-policy"));
         assert_ne!(SchedulerSpec::from("my-policy"), SchedulerSpec::Kind(SchedulerKind::Ekya));
     }

@@ -689,10 +689,6 @@ mod tests {
     }
 
     impl TelemetrySink for CaptureSink {
-        fn name(&self) -> &str {
-            "capture"
-        }
-
         fn on_trace_event(&mut self, event: &TraceEvent) -> Result<()> {
             self.traces.lock().unwrap().push(event.to_json());
             Ok(())
@@ -795,9 +791,6 @@ mod tests {
     fn sink_errors_surface_from_finish() {
         struct FailingSink;
         impl TelemetrySink for FailingSink {
-            fn name(&self) -> &str {
-                "failing"
-            }
             fn on_trace_event(&mut self, _event: &TraceEvent) -> Result<()> {
                 Err(TelemetryError::InvalidConfig { reason: "boom".into() })
             }

@@ -32,9 +32,6 @@ use std::sync::{Arc, OnceLock};
 /// sink only implements the streams it cares about; buffering sinks flush
 /// in [`TelemetrySink::finish`].
 pub trait TelemetrySink: Send {
-    /// The sink's registry base name (lower-case, no `':'`).
-    fn name(&self) -> &str;
-
     /// Receives one trace event, in deterministic recording order.
     ///
     /// # Errors
@@ -166,10 +163,6 @@ struct SummarySink {
 }
 
 impl TelemetrySink for SummarySink {
-    fn name(&self) -> &str {
-        "summary"
-    }
-
     fn on_trace_event(&mut self, event: &TraceEvent) -> Result<()> {
         self.trace_events += 1;
         match event {
@@ -229,10 +222,6 @@ struct ChromeTraceSink {
 }
 
 impl TelemetrySink for ChromeTraceSink {
-    fn name(&self) -> &str {
-        "chrome-trace"
-    }
-
     fn on_trace_event(&mut self, event: &TraceEvent) -> Result<()> {
         self.events.push(event.to_json());
         Ok(())
@@ -272,10 +261,6 @@ struct JsonLinesSink {
 }
 
 impl TelemetrySink for JsonLinesSink {
-    fn name(&self) -> &str {
-        "json-lines"
-    }
-
     fn on_metrics_record(&mut self, record: &MetricsRecord) -> Result<()> {
         self.lines.push(record.to_json_line());
         Ok(())

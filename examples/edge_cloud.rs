@@ -1,9 +1,7 @@
 //! Edge–cloud offload: a fleet of uplink-equipped cameras shipping frames
 //! to a cloud teacher under policies from the pluggable offload registry —
 //! including a *stateful* one defined in this file and registered by name,
-//! exactly the way an out-of-crate policy would plug in. Its decision state
-//! rides checkpoints through the `state()` / `restore_state()` hooks, like
-//! a custom scheduler's.
+//! exactly the way an out-of-crate policy would plug in.
 //!
 //! ```text
 //! cargo run --release --example edge_cloud
@@ -17,23 +15,15 @@ use dacapo_core::{
 };
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
-use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// An offload policy `dacapo-core` knows nothing about, with real mutable
 /// state: route every camera to the cloud, but when a window ships more
 /// than `cap` uplink bytes, back off to local labeling for `cooldown`
-/// windows before retrying — per camera. Without the `state()` /
-/// `restore_state()` hooks a checkpoint could not capture which cameras
-/// are mid-cooldown.
+/// windows before retrying — per camera.
 struct Backoff {
     cap: u64,
     cooldown: usize,
-    state: BackoffState,
-}
-
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct BackoffState {
     /// Remaining cooldown windows, per camera name.
     cooling: Vec<(String, usize)>,
 }
@@ -44,29 +34,18 @@ impl OffloadPolicy for Backoff {
     }
 
     fn route(&mut self, ctx: &OffloadContext<'_>) -> LabelRoute {
-        if let Some(slot) = self.state.cooling.iter().position(|(name, _)| name == ctx.camera) {
-            self.state.cooling[slot].1 -= 1;
-            if self.state.cooling[slot].1 == 0 {
-                self.state.cooling.remove(slot);
+        if let Some(slot) = self.cooling.iter().position(|(name, _)| name == ctx.camera) {
+            self.cooling[slot].1 -= 1;
+            if self.cooling[slot].1 == 0 {
+                self.cooling.remove(slot);
             }
             return LabelRoute::Local;
         }
         if ctx.window_bytes > self.cap {
-            self.state.cooling.push((ctx.camera.to_string(), self.cooldown));
+            self.cooling.push((ctx.camera.to_string(), self.cooldown));
             return LabelRoute::Local;
         }
         LabelRoute::Cloud { byte_budget: None }
-    }
-
-    fn state(&self) -> Value {
-        self.state.to_value()
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), CoreError> {
-        self.state = BackoffState::from_value(state).map_err(|e| CoreError::Snapshot {
-            reason: format!("backoff state does not parse: {e}"),
-        })?;
-        Ok(())
     }
 }
 
@@ -90,7 +69,7 @@ impl OffloadPolicyFactory for BackoffFactory {
                 reason: "backoff cooldown must be at least one window".to_string(),
             });
         }
-        Ok(Box::new(Backoff { cap, cooldown, state: BackoffState::default() }))
+        Ok(Box::new(Backoff { cap, cooldown, cooling: Vec::new() }))
     }
 }
 
@@ -181,32 +160,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (backoff.fleet.mean_accuracy - local.fleet.mean_accuracy) * 100.0,
     );
 
-    // 3. The policy's decision state rides checkpoints: capture it mid-
-    //    cooldown, restore into a fresh instance, and the cadence resumes
-    //    where it stood instead of restarting.
-    let mut original = edge::create_offload("backoff:100,2")?;
-    let ctx = OffloadContext {
-        window_index: 1,
-        boundary_s: 30.0,
-        camera: "cam-00",
-        camera_index: 0,
-        accelerator: 0,
-        resident_cameras: 3,
-        buffer_len: 64,
-        bytes_shipped: 500,
-        window_bytes: 500, // over the 100-byte cap: trips the cooldown
-    };
-    assert_eq!(original.route(&ctx), LabelRoute::Local);
-    let state = original.state();
-    let mut restored = edge::create_offload("backoff:100,2")?;
-    restored.restore_state(&state)?;
-    for window_index in 2..4 {
-        let ctx = OffloadContext { window_index, window_bytes: 0, ..ctx };
-        assert_eq!(restored.route(&ctx), original.route(&ctx), "restored cadence diverged");
-    }
-    println!("backoff state rode a checkpoint: restored instance resumes mid-cooldown");
-
-    // 4. Misconfigurations fail fast, before any simulation runs.
+    // 3. Misconfigurations fail fast, before any simulation runs.
     match build_cluster("backoff:fast")?.run() {
         Err(CoreError::InvalidConfig { reason }) => {
             println!("malformed parameters rejected up front: {reason}");

@@ -23,10 +23,6 @@ struct CsvSink {
 }
 
 impl TelemetrySink for CsvSink {
-    fn name(&self) -> &str {
-        "csv"
-    }
-
     fn on_metrics_record(&mut self, record: &MetricsRecord) -> Result<(), TelemetryError> {
         for (field, value) in &record.fields {
             self.rows.push(format!(

@@ -8,7 +8,8 @@
 use dacapo_core::platform::{KernelRate, PlatformSpec, Sharing};
 use dacapo_core::{
     Cluster, FleetResult, PhaseKind, PhaseRecord, PlatformKind, PlatformRates, SchedulerKind,
-    Session, SessionEvent, SessionSnapshot, ShareMetrics, SimConfig, SimResult, SNAPSHOT_VERSION,
+    SchedulerSpec, Session, SessionEvent, SessionSnapshot, ShareMetrics, SimConfig, SimResult,
+    SNAPSHOT_VERSION,
 };
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
@@ -254,6 +255,22 @@ fn session_events_and_metrics_round_trip() {
         total_drift_responses: 0,
     };
     round_trip(&empty);
+}
+
+/// Every config and snapshot carries its scheduler and platform as a spec:
+/// a builtin is `{"Kind": ..}` and a registry name `{"Named": ..}`, and
+/// each form reads back as itself, never as the other.
+#[test]
+fn spec_forms_serialise_to_their_pinned_json() {
+    fn pinned<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: T, json: &str) {
+        assert_eq!(serde_json::to_string(&value).expect("serialises"), json);
+        assert_eq!(serde_json::from_str::<T>(json).expect("parses"), value);
+        round_trip(&value);
+    }
+    pinned(SchedulerSpec::Kind(SchedulerKind::Ekya), r#"{"Kind":"Ekya"}"#);
+    pinned(SchedulerSpec::Named("ekya".into()), r#"{"Named":"ekya"}"#);
+    pinned(PlatformSpec::Kind(PlatformKind::OrinHigh), r#"{"Kind":"OrinHigh"}"#);
+    pinned(PlatformSpec::Named("scaled-dacapo:32".into()), r#"{"Named":"scaled-dacapo:32"}"#);
 }
 
 /// A version-2 `SessionSnapshot` written by the commit *before* the sample

@@ -84,10 +84,6 @@ struct CaptureSink {
 }
 
 impl TelemetrySink for CaptureSink {
-    fn name(&self) -> &str {
-        "capture"
-    }
-
     fn on_trace_event(
         &mut self,
         event: &dacapo::telemetry::TraceEvent,

@@ -1,12 +1,14 @@
-//! Two invariants that live in source text rather than in types, checked
+//! Three invariants that live in source text rather than in types, checked
 //! over the live code: every name a registry ships is documented where
-//! users look for it, and the telemetry recorder overrides every observer
-//! hook. (A `SessionEvent` variant without a dispatch arm is a compile
-//! error, and a `_` arm there a clippy error — see `SessionEvent::dispatch`.)
+//! users look for it, the telemetry recorder overrides every observer hook,
+//! and the panic-family lint opt-outs only ever get fewer. (A
+//! `SessionEvent` variant without a dispatch arm is a compile error, and a
+//! `_` arm there a clippy error — see `SessionEvent::dispatch`.)
 
 use dacapo::core::{arbiter, edge, platform, sched, share};
 use dacapo::telemetry::sink;
 use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 const README: &str = include_str!("../README.md");
 
@@ -99,5 +101,59 @@ fn the_recorder_overrides_every_observer_hook() {
     assert!(
         missing.is_empty(),
         "TelemetryRecorder leaves {missing:?} to SimObserver's no-op default"
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively, in a stable order.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries = std::fs::read_dir(dir).expect("readable source dir");
+    let mut entries: Vec<_> = entries.map(|e| e.expect("readable entry").path()).collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The most `#[expect(..)]` attributes naming `clippy::panic`,
+/// `clippy::unreachable` or `clippy::expect_used` that `crates/` and
+/// `examples/` may hold. Each one is a place the code may still panic; a
+/// change that removes some lowers this ceiling.
+const PANIC_FAMILY_OPT_OUT_CEILING: usize = 12;
+
+#[test]
+fn panic_family_opt_outs_never_grow() {
+    const LINTS: [&str; 3] = ["clippy::panic", "clippy::unreachable", "clippy::expect_used"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    rust_files(&root.join("examples"), &mut files);
+    let mut sites = Vec::new();
+    for file in &files {
+        let source = std::fs::read_to_string(file).expect("readable source file");
+        for (at, _) in source.match_indices("#[expect(") {
+            let attribute = &source[at + "#[expect(".len()..];
+            // The lint list runs up to the reason (or the attribute's end).
+            let lints = attribute.split(")]").next().unwrap_or_default();
+            let lints = lints.split("reason").next().unwrap_or_default();
+            let named: Vec<_> =
+                lints.split(',').map(str::trim).filter(|lint| LINTS.contains(lint)).collect();
+            if !named.is_empty() {
+                let line = source[..at].matches('\n').count() + 1;
+                let file = file.strip_prefix(root).unwrap_or(file).display();
+                sites.push(format!("{file}:{line} {}", named.join(", ")));
+            }
+        }
+    }
+    // An anchor: a walk that found no source checks nothing.
+    assert!(files.len() > 50, "only {} source files under crates/ and examples/", files.len());
+    assert!(
+        sites.len() <= PANIC_FAMILY_OPT_OUT_CEILING,
+        "{} panic-family #[expect]s, ceiling {PANIC_FAMILY_OPT_OUT_CEILING}:\n{}",
+        sites.len(),
+        sites.join("\n")
     );
 }
