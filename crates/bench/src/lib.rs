@@ -99,12 +99,14 @@ impl ExperimentOptions {
 
     /// Builds a [`TelemetryRecorder`] from the `--trace` / `--metrics`
     /// flags: a `chrome-trace` sink for the trace path and a `json-lines`
-    /// sink for the metrics path. With neither flag set, the recorder is
-    /// disabled (the reserved `null` sink's fast path).
+    /// sink for the metrics path, each creating its file here. With neither
+    /// flag set, the recorder is disabled (the reserved `null` sink's fast
+    /// path).
     ///
     /// # Errors
     ///
-    /// Returns the sink-registry error message for a malformed path.
+    /// Returns the sink-registry error message for a malformed path or one
+    /// whose file cannot be created.
     pub fn telemetry_recorder(&self) -> Result<TelemetryRecorder, String> {
         let mut recorder = TelemetryRecorder::new();
         if let Some(path) = &self.trace {
@@ -250,14 +252,21 @@ mod tests {
 
     #[test]
     fn trace_and_metrics_flags_take_values() {
-        let options =
-            parse(&["--trace", "out/trace.json", "--metrics", "out/metrics.jsonl", "--smoke"])
-                .unwrap();
-        assert_eq!(options.trace.as_deref(), Some("out/trace.json"));
-        assert_eq!(options.metrics.as_deref(), Some("out/metrics.jsonl"));
+        let dir = std::env::temp_dir().join("dacapo-bench-flags-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("trace.json").display().to_string();
+        let metrics = dir.join("metrics.jsonl").display().to_string();
+        let options = parse(&["--trace", &trace, "--metrics", &metrics, "--smoke"]).unwrap();
+        assert_eq!(options.trace.as_deref(), Some(trace.as_str()));
+        assert_eq!(options.metrics.as_deref(), Some(metrics.as_str()));
         assert!(options.wants_telemetry());
         let recorder = options.telemetry_recorder().unwrap();
         assert!(recorder.is_enabled());
+        // The file sinks create their files up front, so a path under a
+        // missing directory fails here rather than after the run.
+        let missing = dir.join("no-such-directory").join("trace.json").display().to_string();
+        let error = parse(&["--trace", &missing]).unwrap().telemetry_recorder().err().unwrap();
+        assert!(error.contains(&missing), "{error}");
     }
 
     #[test]

@@ -25,7 +25,14 @@
 //! Output is pluggable through [`TelemetrySink`] factories registered by
 //! name, mirroring the scheduler/policy registries in `dacapo-core`. The
 //! builtins are `chrome-trace:<path>` (trace JSON), `json-lines:<path>`
-//! (metrics timeseries), and `summary` (stdout table at finish). `null` is
+//! (metrics timeseries), and `summary` (stdout table at finish). The two
+//! file sinks stream: each opens its file when it is created, so a path
+//! that cannot be created fails in
+//! [`TelemetryRecorder::with_sink_spec`], and writes every event as it is
+//! recorded through one fixed-size buffer, so observing a run costs
+//! constant memory however long it runs. Events and records borrow what
+//! they name, and the recorder serialises them in place: recording one
+//! allocates nothing. A run that errors leaves a partial file. `null` is
 //! not a sink but the family's **reserved** name:
 //! [`TelemetryRecorder::with_sink_spec`] treats it as "no sink", which keeps
 //! the recorder on its do-nothing fast path so a null-sink observed run is

@@ -2,18 +2,18 @@
 //! histograms, and the per-window JSON-Lines record they are sampled into.
 //!
 //! Everything here is ordered — registries store series in [`BTreeMap`]s and
-//! records carry their fields as insertion-ordered vectors — so a metrics
+//! records carry their fields as ordered slices — so a metrics
 //! timeseries is bit-identical across runs and worker-thread counts.
 //! Sampling happens at the cluster's single-threaded window barriers (see
 //! the crate docs for the exact hook order), never from worker threads.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::{self, Write};
 
 /// One metric field value. Floats are serialized with Rust's shortest
 /// round-trip formatting, so equal values always render to equal bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldValue<'a> {
     /// A signed integer field.
     Int(i64),
     /// An unsigned integer field (counters).
@@ -23,62 +23,86 @@ pub enum FieldValue {
     /// A boolean field.
     Bool(bool),
     /// A text field.
-    Text(String),
+    Text(&'a str),
 }
 
-impl FieldValue {
+impl FieldValue<'_> {
+    /// Writes the value as a JSON fragment.
+    ///
+    /// # Errors
+    ///
+    /// Returns the writer's error.
+    pub fn write_json<W: Write + ?Sized>(&self, out: &mut W) -> io::Result<()> {
+        match *self {
+            Self::Int(v) => write!(out, "{v}"),
+            Self::Uint(v) => write!(out, "{v}"),
+            Self::Float(v) => write_number(out, v),
+            Self::Bool(v) => write!(out, "{v}"),
+            Self::Text(v) => {
+                out.write_all(b"\"")?;
+                write_escaped(out, v)?;
+                out.write_all(b"\"")
+            }
+        }
+    }
+
     /// Renders the value as a JSON fragment.
     #[must_use]
     pub fn to_json(&self) -> String {
-        match self {
-            Self::Int(v) => format!("{v}"),
-            Self::Uint(v) => format!("{v}"),
-            Self::Float(v) => json_number(*v),
-            Self::Bool(v) => format!("{v}"),
-            Self::Text(v) => format!("\"{}\"", escape_json(v)),
-        }
+        render(|out| self.write_json(out))
     }
 }
 
-/// Renders a float as a JSON number (`null` when non-finite, which JSON
+/// Collects what `write` writes into a `String`.
+pub(crate) fn render(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::new();
+    // Writing into a `Vec` cannot fail, and every writer here writes whole
+    // `str`s, so the bytes are UTF-8; the fallbacks are unreachable.
+    write(&mut out).unwrap_or_default();
+    String::from_utf8(out).unwrap_or_default()
+}
+
+/// Writes a float as a JSON number (`null` when non-finite, which JSON
 /// cannot represent).
-#[must_use]
-pub fn json_number(value: f64) -> String {
+pub(crate) fn write_number<W: Write + ?Sized>(out: &mut W, value: f64) -> io::Result<()> {
     if value.is_finite() {
-        format!("{value}")
+        write!(out, "{value}")
     } else {
-        "null".to_string()
+        out.write_all(b"null")
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                // write! to a String cannot fail; the unwrap_or_default
-                // keeps the formatter's Result from bubbling a panic path.
-                write!(out, "\\u{:04x}", c as u32).unwrap_or_default();
-            }
-            c => out.push(c),
+/// Writes `text` escaped for a JSON string literal (without the quotes).
+/// Only ASCII needs escaping, so the text is scanned byte by byte and the
+/// runs between escapes go out as they are.
+pub(crate) fn write_escaped<W: Write + ?Sized>(out: &mut W, text: &str) -> io::Result<()> {
+    let bytes = text.as_bytes();
+    let mut run = 0;
+    for (at, &byte) in bytes.iter().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        out.write_all(&bytes[run..at])?;
+        match byte {
+            b'"' => out.write_all(b"\\\"")?,
+            b'\\' => out.write_all(b"\\\\")?,
+            b'\n' => out.write_all(b"\\n")?,
+            b'\r' => out.write_all(b"\\r")?,
+            b'\t' => out.write_all(b"\\t")?,
+            control => write!(out, "\\u{control:04x}")?,
+        }
+        run = at + 1;
     }
-    out
+    out.write_all(&bytes[run..])
 }
 
-/// One line of the per-window metrics timeseries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsRecord {
+/// One line of the per-window metrics timeseries. It borrows everything it
+/// names, so recording one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MetricsRecord<'a> {
     /// Record family: `"camera"`, `"window"`, `"accelerator"`, or
     /// `"cluster"` from the builtin recorder; custom sinks may add more.
-    pub kind: String,
+    pub kind: &'a str,
     /// Window index the record describes (camera-local for `"camera"`
     /// records, cluster-wide otherwise).
     pub window_index: usize,
@@ -86,48 +110,38 @@ pub struct MetricsRecord {
     pub end_s: f64,
     /// What the record describes: a camera name, `accelerator-N`, or
     /// `cluster`.
-    pub scope: String,
-    /// Field name/value pairs, in insertion order.
-    pub fields: Vec<(String, FieldValue)>,
+    pub scope: &'a str,
+    /// Field name/value pairs, in order.
+    pub fields: &'a [(&'a str, FieldValue<'a>)],
 }
 
-impl MetricsRecord {
-    /// Creates an empty record.
-    #[must_use]
-    pub fn new(
-        kind: impl Into<String>,
-        window_index: usize,
-        end_s: f64,
-        scope: impl Into<String>,
-    ) -> Self {
-        Self { kind: kind.into(), window_index, end_s, scope: scope.into(), fields: Vec::new() }
-    }
-
-    /// Appends a field (builder-style).
-    #[must_use]
-    pub fn field(mut self, name: impl Into<String>, value: FieldValue) -> Self {
-        self.fields.push((name.into(), value));
-        self
+impl MetricsRecord<'_> {
+    /// Writes the record as one JSON-Lines line (no trailing newline).
+    ///
+    /// # Errors
+    ///
+    /// Returns the writer's error.
+    pub fn write_json<W: Write + ?Sized>(&self, out: &mut W) -> io::Result<()> {
+        out.write_all(b"{\"kind\":\"")?;
+        write_escaped(out, self.kind)?;
+        write!(out, "\",\"window\":{},\"end_s\":", self.window_index)?;
+        write_number(out, self.end_s)?;
+        out.write_all(b",\"scope\":\"")?;
+        write_escaped(out, self.scope)?;
+        out.write_all(b"\"")?;
+        for (name, value) in self.fields {
+            out.write_all(b",\"")?;
+            write_escaped(out, name)?;
+            out.write_all(b"\":")?;
+            value.write_json(out)?;
+        }
+        out.write_all(b"}")
     }
 
     /// Renders the record as one JSON-Lines line (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut out = format!(
-            "{{\"kind\":\"{}\",\"window\":{},\"end_s\":{},\"scope\":\"{}\"",
-            escape_json(&self.kind),
-            self.window_index,
-            json_number(self.end_s),
-            escape_json(&self.scope),
-        );
-        for (name, value) in &self.fields {
-            out.push_str(",\"");
-            out.push_str(&escape_json(name));
-            out.push_str("\":");
-            out.push_str(&value.to_json());
-        }
-        out.push('}');
-        out
+        render(|out| self.write_json(out))
     }
 }
 
@@ -189,8 +203,17 @@ impl Histogram {
     }
 }
 
+/// A counter's increments since the last window and over the whole run.
+#[derive(Debug, Clone, Copy)]
+struct Counter {
+    window: u64,
+    total: u64,
+}
+
 /// The deterministic metrics registry: named counters, gauges, and
-/// histograms, sampled into [`MetricsRecord`]s at window barriers.
+/// histograms, sampled into `"cluster"` [`MetricsRecord`]s at window
+/// barriers. A name's key is allocated the first time it is used, never
+/// again.
 ///
 /// Counters are **windowed**: [`MetricsRegistry::take_window`] drains the
 /// per-window increments (cumulative totals stay available for the
@@ -198,8 +221,7 @@ impl Histogram {
 /// accumulate over the whole run.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    window_counters: BTreeMap<String, u64>,
-    total_counters: BTreeMap<String, u64>,
+    counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
@@ -216,28 +238,44 @@ impl MetricsRegistry {
         if delta == 0 {
             return;
         }
-        *self.window_counters.entry(name.to_string()).or_insert(0) += delta;
-        *self.total_counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(counter) => {
+                counter.window += delta;
+                counter.total += delta;
+            }
+            None => {
+                self.counters.insert(name.to_string(), Counter { window: delta, total: delta });
+            }
+        }
     }
 
     /// Sets the named gauge to its latest value.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        match self.gauges.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                self.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Records a sample into the named histogram, creating it with `bounds`
     /// on first use (later calls keep the original bounds).
     pub fn histogram_record(&mut self, name: &str, bounds: &[f64], value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .record(value);
+        match self.histograms.get_mut(name) {
+            Some(histogram) => histogram.record(value),
+            None => {
+                let mut histogram = Histogram::new(bounds);
+                histogram.record(value);
+                self.histograms.insert(name.to_string(), histogram);
+            }
+        }
     }
 
     /// The cumulative value of a counter (0 if never incremented).
     #[must_use]
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.total_counters.get(name).copied().unwrap_or(0)
+        self.counters.get(name).map_or(0, |counter| counter.total)
     }
 
     /// The named histogram, if any samples were recorded.
@@ -246,28 +284,32 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Drains the window's counter increments and samples every gauge into
-    /// one `"cluster"`-scoped record for the window that just closed.
-    /// Returns `None` when nothing changed (skipped empty windows produce no
-    /// line).
-    pub fn take_window(&mut self, window_index: usize, end_s: f64) -> Option<MetricsRecord> {
-        if self.window_counters.is_empty() && self.gauges.is_empty() {
+    /// Drains the window's counter increments and samples every gauge: the
+    /// fields of the `"cluster"` record for the window that just closed,
+    /// the counters incremented in it and then every gauge, each in name
+    /// order. Returns `None` when nothing changed (skipped empty windows
+    /// produce no line).
+    pub fn take_window(&mut self) -> Option<Vec<(&str, FieldValue<'static>)>> {
+        let counted = self.counters.values().any(|counter| counter.window > 0);
+        if !counted && self.gauges.is_empty() {
             return None;
         }
-        let mut record = MetricsRecord::new("cluster", window_index, end_s, "cluster");
-        for (name, value) in std::mem::take(&mut self.window_counters) {
-            record.fields.push((name, FieldValue::Uint(value)));
+        let mut fields = Vec::with_capacity(self.counters.len() + self.gauges.len());
+        for (name, counter) in &mut self.counters {
+            if counter.window > 0 {
+                fields.push((name.as_str(), FieldValue::Uint(std::mem::take(&mut counter.window))));
+            }
         }
         for (name, value) in &self.gauges {
-            record.fields.push((name.clone(), FieldValue::Float(*value)));
+            fields.push((name.as_str(), FieldValue::Float(*value)));
         }
-        Some(record)
+        Some(fields)
     }
 
     /// Cumulative counter totals, for the end-of-run summary.
     #[must_use]
     pub fn totals(&self) -> Vec<(String, u64)> {
-        self.total_counters.iter().map(|(name, value)| (name.clone(), *value)).collect()
+        self.counters.iter().map(|(name, counter)| (name.clone(), counter.total)).collect()
     }
 }
 
@@ -277,10 +319,17 @@ mod tests {
 
     #[test]
     fn records_render_deterministic_json_lines() {
-        let record = MetricsRecord::new("camera", 3, 120.0, "cam-0")
-            .field("accuracy", FieldValue::Float(0.875))
-            .field("labels", FieldValue::Uint(42))
-            .field("note", FieldValue::Text("a\"b".into()));
+        let record = MetricsRecord {
+            kind: "camera",
+            window_index: 3,
+            end_s: 120.0,
+            scope: "cam-0",
+            fields: &[
+                ("accuracy", FieldValue::Float(0.875)),
+                ("labels", FieldValue::Uint(42)),
+                ("note", FieldValue::Text("a\"b")),
+            ],
+        };
         assert_eq!(
             record.to_json_line(),
             "{\"kind\":\"camera\",\"window\":3,\"end_s\":120,\"scope\":\"cam-0\",\
@@ -290,9 +339,16 @@ mod tests {
 
     #[test]
     fn non_finite_floats_render_as_null() {
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
-        assert_eq!(json_number(1.5), "1.5");
+        assert_eq!(FieldValue::Float(f64::NAN).to_json(), "null");
+        assert_eq!(FieldValue::Float(f64::INFINITY).to_json(), "null");
+        assert_eq!(FieldValue::Float(1.5).to_json(), "1.5");
+    }
+
+    #[test]
+    fn text_escapes_quotes_backslashes_and_control_characters_only() {
+        let text = FieldValue::Text("é\"\\\n\r\t\u{1}\u{1f}x→").to_json();
+        assert_eq!(text, "\"é\\\"\\\\\\n\\r\\t\\u0001\\u001fx→\"");
+        assert_eq!(FieldValue::Text("").to_json(), "\"\"");
     }
 
     #[test]
@@ -312,19 +368,23 @@ mod tests {
         let mut registry = MetricsRegistry::new();
         registry.counter_add("steps", 5);
         registry.gauge_set("accuracy", 0.9);
-        let record = registry.take_window(0, 60.0).expect("first window has data");
-        assert_eq!(record.fields.len(), 2);
-        assert_eq!(record.fields[0], ("steps".to_string(), FieldValue::Uint(5)));
+        let fields = registry.take_window().expect("first window has data");
+        assert_eq!(fields, [("steps", FieldValue::Uint(5)), ("accuracy", FieldValue::Float(0.9))]);
         // The next window starts from zero, but the gauge persists and the
         // cumulative total remembers everything.
-        let record = registry.take_window(1, 120.0).expect("gauges keep sampling");
-        assert_eq!(record.fields, vec![("accuracy".to_string(), FieldValue::Float(0.9))]);
+        let fields = registry.take_window().expect("gauges keep sampling");
+        assert_eq!(fields, [("accuracy", FieldValue::Float(0.9))]);
         assert_eq!(registry.counter_total("steps"), 5);
     }
 
     #[test]
     fn empty_windows_produce_no_record() {
         let mut registry = MetricsRegistry::new();
-        assert!(registry.take_window(0, 60.0).is_none());
+        assert!(registry.take_window().is_none());
+        // A drained counter keeps its key, but not a place in the record.
+        registry.counter_add("steps", 1);
+        assert!(registry.take_window().is_some());
+        assert!(registry.take_window().is_none());
+        assert_eq!(registry.totals(), [("steps".to_string(), 1)]);
     }
 }

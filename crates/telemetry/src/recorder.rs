@@ -18,16 +18,25 @@ use crate::trace::{virtual_us, TraceEvent, CLUSTER_PID};
 use dacapo_core::{
     AcceleratorSample, LabelRoute, PhaseKind, PhaseRecord, SimObserver, WindowSample,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Bucket bounds for the phase-duration histogram, in virtual seconds.
 const PHASE_BOUNDS: &[f64] = &[0.1, 1.0, 10.0, 60.0, 600.0];
 
+/// Bucket bounds for the accuracy histogram.
+const ACCURACY_BOUNDS: &[f64] = &[0.25, 0.5, 0.75, 0.9, 1.0];
+
 /// Per-camera aggregation state: one trace thread plus the currently
 /// accumulating camera-local window.
 struct CameraTrack {
+    /// The camera's display name (`session` for a standalone session).
     name: String,
+    /// `accuracy/<name>`: the camera's gauge and counter track.
+    accuracy_name: String,
     tid: u32,
+    /// The processes this camera's thread has been named in.
+    named_in: Vec<u32>,
     /// Index of the camera-local window currently accumulating.
     window: usize,
     has_data: bool,
@@ -45,10 +54,14 @@ struct CameraTrack {
 }
 
 impl CameraTrack {
-    fn new(name: String, tid: u32) -> Self {
+    /// A track for camera `camera` (empty for a standalone session).
+    fn new(camera: &str, tid: u32) -> Self {
+        let name = if camera.is_empty() { "session" } else { camera };
         Self {
-            name,
+            name: name.to_string(),
+            accuracy_name: format!("accuracy/{name}"),
             tid,
+            named_in: Vec::new(),
             window: 0,
             has_data: false,
             steps: 0,
@@ -63,15 +76,6 @@ impl CameraTrack {
             last_s: 0.0,
         }
     }
-
-    /// The camera's display name (standalone sessions have no name).
-    fn display(&self) -> &str {
-        if self.name.is_empty() {
-            "session"
-        } else {
-            &self.name
-        }
-    }
 }
 
 /// End-of-run totals returned by [`TelemetryRecorder::finish`].
@@ -83,24 +87,67 @@ pub struct TelemetrySummary {
     pub metrics_records: u64,
 }
 
+/// The sinks and what has been fanned out to them. Kept apart from the
+/// recorder's aggregation state so an event can borrow that state while it
+/// is fanned out.
+struct Fanout {
+    sinks: Vec<Box<dyn TelemetrySink>>,
+    trace_events: u64,
+    metrics_records: u64,
+    error: Option<TelemetryError>,
+}
+
+impl Fanout {
+    fn trace(&mut self, event: &TraceEvent<'_>) {
+        if self.error.is_some() {
+            return;
+        }
+        self.trace_events += 1;
+        for sink in &mut self.sinks {
+            if let Err(error) = sink.on_trace_event(event) {
+                self.error = Some(error);
+                return;
+            }
+        }
+    }
+
+    fn record(&mut self, record: &MetricsRecord<'_>) {
+        if self.error.is_some() {
+            return;
+        }
+        self.metrics_records += 1;
+        for sink in &mut self.sinks {
+            if let Err(error) = sink.on_metrics_record(record) {
+                self.error = Some(error);
+                return;
+            }
+        }
+    }
+}
+
 /// A [`SimObserver`] that records virtual-time spans and per-window metrics
 /// into pluggable sinks. See the crate docs for the full data model.
 pub struct TelemetryRecorder {
-    sinks: Vec<Box<dyn TelemetrySink>>,
+    out: Fanout,
     window_s: f64,
     metrics: MetricsRegistry,
     tracks: Vec<CameraTrack>,
+    /// Track index by camera name, for the hooks that name their camera.
     track_ids: BTreeMap<String, usize>,
-    named_processes: BTreeSet<u32>,
-    named_threads: BTreeSet<(u32, u32)>,
+    /// Track index by cluster admission index, for step contexts and
+    /// window samples.
+    tracks_by_camera: Vec<Option<usize>>,
+    /// `accelerator-N` by accelerator index, empty until its process has
+    /// been named.
+    accelerator_names: Vec<String>,
+    cluster_named: bool,
     context_pid: u32,
     context_track: Option<usize>,
     /// Index the next cluster-level metrics window will carry (advanced by
     /// window barriers; used for the residual flush at finish).
     cluster_window: usize,
-    trace_events: u64,
-    metrics_records: u64,
-    error: Option<TelemetryError>,
+    /// The rendered route of the last budgeted routing decision.
+    route_text: String,
 }
 
 impl Default for TelemetryRecorder {
@@ -114,19 +161,18 @@ impl TelemetryRecorder {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            sinks: Vec::new(),
+            out: Fanout { sinks: Vec::new(), trace_events: 0, metrics_records: 0, error: None },
             window_s: 60.0,
             metrics: MetricsRegistry::new(),
             tracks: Vec::new(),
             track_ids: BTreeMap::new(),
-            named_processes: BTreeSet::new(),
-            named_threads: BTreeSet::new(),
+            tracks_by_camera: Vec::new(),
+            accelerator_names: Vec::new(),
+            cluster_named: false,
             context_pid: 0,
             context_track: None,
             cluster_window: 0,
-            trace_events: 0,
-            metrics_records: 0,
-            error: None,
+            route_text: String::new(),
         }
     }
 
@@ -143,30 +189,33 @@ impl TelemetryRecorder {
     /// Adds a sink instance.
     #[must_use]
     pub fn with_sink(mut self, sink: Box<dyn TelemetrySink>) -> Self {
-        self.sinks.push(sink);
+        self.out.sinks.push(sink);
         self
     }
 
     /// Adds a sink by registry spec (`"chrome-trace:<path>"`,
     /// `"json-lines:<path>"`, `"summary"`, …). The reserved `"null"` spec
-    /// adds nothing, keeping the recorder on its do-nothing fast path.
+    /// adds nothing, keeping the recorder on its do-nothing fast path. A
+    /// file sink creates its file here.
     ///
     /// # Errors
     ///
     /// Returns [`TelemetryError::InvalidConfig`] for an unregistered name,
-    /// malformed parameters, or a suffixed `"null:<anything>"`.
+    /// malformed parameters, or a suffixed `"null:<anything>"`, and
+    /// [`TelemetryError::Io`] naming the path when a file sink's output
+    /// cannot be created.
     pub fn with_sink_spec(mut self, spec: &str) -> Result<Self> {
         if sink::is_null(spec) {
             return Ok(self);
         }
-        self.sinks.push(sink::create(spec)?);
+        self.out.sinks.push(sink::create(spec)?);
         Ok(self)
     }
 
     /// Whether the recorder does any work (it has at least one sink).
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        !self.sinks.is_empty()
+        !self.out.sinks.is_empty()
     }
 
     /// Flushes residual per-camera windows, finishes every sink, and
@@ -182,61 +231,41 @@ impl TelemetryRecorder {
                 self.flush_camera_window(index);
             }
             let end_s = self.tracks.iter().map(|t| t.last_s).fold(0.0, f64::max);
-            if let Some(record) = self.metrics.take_window(self.cluster_window, end_s) {
-                self.emit_record(&record);
-            }
-            for sink in &mut self.sinks {
+            self.flush_cluster_window(self.cluster_window, end_s);
+            for sink in &mut self.out.sinks {
                 if let Err(error) = sink.finish() {
-                    if self.error.is_none() {
-                        self.error = Some(error);
+                    if self.out.error.is_none() {
+                        self.out.error = Some(error);
                     }
                 }
             }
         }
-        match self.error {
+        match self.out.error {
             Some(error) => Err(error),
             None => Ok(TelemetrySummary {
-                trace_events: self.trace_events,
-                metrics_records: self.metrics_records,
+                trace_events: self.out.trace_events,
+                metrics_records: self.out.metrics_records,
             }),
-        }
-    }
-
-    fn emit_trace(&mut self, event: &TraceEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        self.trace_events += 1;
-        for sink in &mut self.sinks {
-            if let Err(error) = sink.on_trace_event(event) {
-                self.error = Some(error);
-                return;
-            }
-        }
-    }
-
-    fn emit_record(&mut self, record: &MetricsRecord) {
-        if self.error.is_some() {
-            return;
-        }
-        self.metrics_records += 1;
-        for sink in &mut self.sinks {
-            if let Err(error) = sink.on_metrics_record(record) {
-                self.error = Some(error);
-                return;
-            }
         }
     }
 
     /// Emits process-name metadata once per process id.
     fn ensure_process(&mut self, pid: u32) {
-        if self.named_processes.insert(pid) {
-            let name = if pid == CLUSTER_PID {
-                "cluster".to_string()
-            } else {
-                format!("accelerator-{pid}")
-            };
-            self.emit_trace(&TraceEvent::ProcessName { pid, name });
+        if pid == CLUSTER_PID {
+            if !self.cluster_named {
+                self.cluster_named = true;
+                self.out.trace(&TraceEvent::ProcessName { pid, name: "cluster" });
+            }
+            return;
+        }
+        let index = pid as usize;
+        if index >= self.accelerator_names.len() {
+            self.accelerator_names.resize(index + 1, String::new());
+        }
+        let name = &mut self.accelerator_names[index];
+        if name.is_empty() {
+            *name = format!("accelerator-{pid}");
+            self.out.trace(&TraceEvent::ProcessName { pid, name });
         }
     }
 
@@ -248,8 +277,22 @@ impl TelemetryRecorder {
         let index = self.tracks.len();
         // tid 0 is kept for process-wide counter/metadata rows.
         let tid = index as u32 + 1;
-        self.tracks.push(CameraTrack::new(name.to_string(), tid));
+        self.tracks.push(CameraTrack::new(name, tid));
         self.track_ids.insert(name.to_string(), index);
+        index
+    }
+
+    /// The track of the camera with cluster admission index
+    /// `camera_index`, found by name the first time.
+    fn camera_track_index(&mut self, camera: &str, camera_index: usize) -> usize {
+        if let Some(&Some(index)) = self.tracks_by_camera.get(camera_index) {
+            return index;
+        }
+        let index = self.track_index(camera);
+        if camera_index >= self.tracks_by_camera.len() {
+            self.tracks_by_camera.resize(camera_index + 1, None);
+        }
+        self.tracks_by_camera[camera_index] = Some(index);
         index
     }
 
@@ -268,10 +311,10 @@ impl TelemetryRecorder {
 
     /// Emits thread-name metadata once per (process, thread) pair.
     fn ensure_thread(&mut self, pid: u32, track_index: usize) {
-        let tid = self.tracks[track_index].tid;
-        if self.named_threads.insert((pid, tid)) {
-            let name = self.tracks[track_index].display().to_string();
-            self.emit_trace(&TraceEvent::ThreadName { pid, tid, name });
+        let track = &mut self.tracks[track_index];
+        if !track.named_in.contains(&pid) {
+            track.named_in.push(pid);
+            self.out.trace(&TraceEvent::ThreadName { pid, tid: track.tid, name: &track.name });
         }
     }
 
@@ -294,22 +337,26 @@ impl TelemetryRecorder {
         if !track.has_data {
             return;
         }
-        let end_s = (track.window as f64 + 1.0) * self.window_s;
-        let mut record =
-            MetricsRecord::new("camera", track.window, end_s, track.display().to_string())
-                .field("steps", FieldValue::Uint(track.steps))
-                .field("label_s", FieldValue::Float(track.label_s))
-                .field("retrain_s", FieldValue::Float(track.retrain_s))
-                .field("wait_s", FieldValue::Float(track.wait_s))
-                .field("labels", FieldValue::Uint(track.labels))
-                .field("labels_shared", FieldValue::Uint(track.labels_shared))
-                .field("drifts", FieldValue::Uint(track.drifts));
-        if track.accuracy_count > 0 {
-            record = record.field(
-                "accuracy",
-                FieldValue::Float(track.accuracy_sum / track.accuracy_count as f64),
-            );
-        }
+        let accuracy = track.accuracy_sum / track.accuracy_count as f64;
+        let fields = [
+            ("steps", FieldValue::Uint(track.steps)),
+            ("label_s", FieldValue::Float(track.label_s)),
+            ("retrain_s", FieldValue::Float(track.retrain_s)),
+            ("wait_s", FieldValue::Float(track.wait_s)),
+            ("labels", FieldValue::Uint(track.labels)),
+            ("labels_shared", FieldValue::Uint(track.labels_shared)),
+            ("drifts", FieldValue::Uint(track.drifts)),
+            ("accuracy", FieldValue::Float(accuracy)),
+        ];
+        // The accuracy field only when the window measured one.
+        let fields = &fields[..fields.len() - usize::from(track.accuracy_count == 0)];
+        self.out.record(&MetricsRecord {
+            kind: "camera",
+            window_index: track.window,
+            end_s: (track.window as f64 + 1.0) * self.window_s,
+            scope: &track.name,
+            fields,
+        });
         track.has_data = false;
         track.steps = 0;
         track.label_s = 0.0;
@@ -320,15 +367,19 @@ impl TelemetryRecorder {
         track.drifts = 0;
         track.accuracy_sum = 0.0;
         track.accuracy_count = 0;
-        self.emit_record(&record);
     }
 
-    /// Renders a route decision for trace args.
-    fn route_text(route: LabelRoute) -> String {
-        match route {
-            LabelRoute::Local => "local".to_string(),
-            LabelRoute::Cloud { byte_budget: None } => "cloud".to_string(),
-            LabelRoute::Cloud { byte_budget: Some(budget) } => format!("cloud:{budget}"),
+    /// Emits the `"cluster"` record of the counters and gauges the window
+    /// that ends at `end_s` changed, if it changed any.
+    fn flush_cluster_window(&mut self, window_index: usize, end_s: f64) {
+        if let Some(fields) = self.metrics.take_window() {
+            self.out.record(&MetricsRecord {
+                kind: "cluster",
+                window_index,
+                end_s,
+                scope: "cluster",
+                fields: &fields,
+            });
         }
     }
 }
@@ -375,15 +426,15 @@ impl SimObserver for TelemetryRecorder {
             self.metrics.counter_add("labels", phase.samples as u64);
         }
         self.metrics.histogram_record("phase_s", PHASE_BOUNDS, phase.duration_s);
-        self.emit_trace(&TraceEvent::Complete {
-            name: span_name.to_string(),
+        self.out.trace(&TraceEvent::Complete {
+            name: span_name,
             pid,
             tid,
             ts_us: virtual_us(phase.start_s),
             dur_us: virtual_us(phase.duration_s),
-            args: vec![
-                ("samples".to_string(), FieldValue::Uint(phase.samples as u64)),
-                ("drift_response".to_string(), FieldValue::Bool(phase.drift_response)),
+            args: &[
+                ("samples", FieldValue::Uint(phase.samples as u64)),
+                ("drift_response", FieldValue::Bool(phase.drift_response)),
             ],
         });
     }
@@ -402,12 +453,12 @@ impl SimObserver for TelemetryRecorder {
         track.drifts += 1;
         let tid = track.tid;
         self.metrics.counter_add("drifts", 1);
-        self.emit_trace(&TraceEvent::Mark {
-            name: "drift".to_string(),
+        self.out.trace(&TraceEvent::Mark {
+            name: "drift",
             pid,
             tid,
             ts_us: virtual_us(at_s),
-            args: vec![("response_index".to_string(), FieldValue::Uint(response_index as u64))],
+            args: &[("response_index", FieldValue::Uint(response_index as u64))],
         });
     }
 
@@ -423,14 +474,13 @@ impl SimObserver for TelemetryRecorder {
         track.has_data = true;
         track.accuracy_sum += accuracy;
         track.accuracy_count += 1;
-        let counter_name = format!("accuracy/{}", track.display());
-        self.metrics.gauge_set(&counter_name, accuracy);
-        self.metrics.histogram_record("accuracy", &[0.25, 0.5, 0.75, 0.9, 1.0], accuracy);
-        self.emit_trace(&TraceEvent::Counter {
-            name: counter_name,
+        self.metrics.gauge_set(&track.accuracy_name, accuracy);
+        self.metrics.histogram_record("accuracy", ACCURACY_BOUNDS, accuracy);
+        self.out.trace(&TraceEvent::Counter {
+            name: &track.accuracy_name,
             pid,
             ts_us: virtual_us(at_s),
-            series: vec![("accuracy".to_string(), accuracy)],
+            series: &[("accuracy", accuracy)],
         });
     }
 
@@ -443,22 +493,21 @@ impl SimObserver for TelemetryRecorder {
         let at_s = self.tracks[track_index].last_s;
         let tid = self.tracks[track_index].tid;
         self.metrics.counter_add("finished", 1);
-        self.emit_trace(&TraceEvent::Mark {
-            name: "finished".to_string(),
+        self.out.trace(&TraceEvent::Mark {
+            name: "finished",
             pid,
             tid,
             ts_us: virtual_us(at_s),
-            args: Vec::new(),
+            args: &[],
         });
     }
 
-    fn on_step_context(&mut self, camera: &str, _camera_index: usize, accelerator: usize) {
+    fn on_step_context(&mut self, camera: &str, camera_index: usize, accelerator: usize) {
         if !self.is_enabled() {
             return;
         }
         self.context_pid = accelerator as u32;
-        let index = self.track_index(camera);
-        self.context_track = Some(index);
+        self.context_track = Some(self.camera_track_index(camera, camera_index));
     }
 
     fn on_window_barrier(&mut self, window_index: usize, boundary_s: f64) {
@@ -466,30 +515,33 @@ impl SimObserver for TelemetryRecorder {
             return;
         }
         self.cluster_window = window_index + 1;
-        if let Some(record) = self.metrics.take_window(window_index, boundary_s) {
-            self.emit_record(&record);
-        }
+        self.flush_cluster_window(window_index, boundary_s);
     }
 
     fn on_window_sample(&mut self, sample: &WindowSample<'_>) {
         if !self.is_enabled() {
             return;
         }
-        let track_index = self.track_index(sample.camera);
-        let scope = self.tracks[track_index].display().to_string();
-        let mut record =
-            MetricsRecord::new("window", sample.window_index, sample.boundary_s, scope)
-                .field("accelerator", FieldValue::Uint(sample.accelerator as u64))
-                .field("now_s", FieldValue::Float(sample.now_s))
-                .field("buffer_len", FieldValue::Uint(sample.buffer_len as u64))
-                .field("buffer_fresh", FieldValue::Float(sample.buffer_fresh_fraction))
-                .field("labels_local", FieldValue::Uint(sample.labels_local))
-                .field("labels_cloud", FieldValue::Uint(sample.labels_cloud))
-                .field("in_flight_cloud", FieldValue::Uint(sample.in_flight_cloud_labels as u64));
-        if let Some(accuracy) = sample.accuracy {
-            record = record.field("accuracy", FieldValue::Float(accuracy));
-        }
-        self.emit_record(&record);
+        let track_index = self.camera_track_index(sample.camera, sample.camera_index);
+        let fields = [
+            ("accelerator", FieldValue::Uint(sample.accelerator as u64)),
+            ("now_s", FieldValue::Float(sample.now_s)),
+            ("buffer_len", FieldValue::Uint(sample.buffer_len as u64)),
+            ("buffer_fresh", FieldValue::Float(sample.buffer_fresh_fraction)),
+            ("labels_local", FieldValue::Uint(sample.labels_local)),
+            ("labels_cloud", FieldValue::Uint(sample.labels_cloud)),
+            ("in_flight_cloud", FieldValue::Uint(sample.in_flight_cloud_labels as u64)),
+            ("accuracy", FieldValue::Float(sample.accuracy.unwrap_or_default())),
+        ];
+        // The accuracy field only once the camera has measured one.
+        let fields = &fields[..fields.len() - usize::from(sample.accuracy.is_none())];
+        self.out.record(&MetricsRecord {
+            kind: "window",
+            window_index: sample.window_index,
+            end_s: sample.boundary_s,
+            scope: &self.tracks[track_index].name,
+            fields,
+        });
     }
 
     fn on_accelerator_sample(&mut self, sample: &AcceleratorSample) {
@@ -498,24 +550,25 @@ impl SimObserver for TelemetryRecorder {
         }
         let pid = sample.accelerator as u32;
         self.ensure_process(pid);
-        let record = MetricsRecord::new(
-            "accelerator",
-            sample.window_index,
-            sample.boundary_s,
-            format!("accelerator-{}", sample.accelerator),
-        )
-        .field("busy_s", FieldValue::Float(sample.busy_s))
-        .field("utilization", FieldValue::Float(sample.utilization))
-        .field("live_sessions", FieldValue::Uint(sample.live_sessions as u64))
-        .field("queued_sessions", FieldValue::Uint(sample.queued_sessions as u64))
-        .field("event_depth", FieldValue::Uint(sample.event_depth as u64))
-        .field("drained", FieldValue::Bool(sample.drained));
-        self.emit_record(&record);
-        self.emit_trace(&TraceEvent::Counter {
-            name: "utilization".to_string(),
+        self.out.record(&MetricsRecord {
+            kind: "accelerator",
+            window_index: sample.window_index,
+            end_s: sample.boundary_s,
+            scope: &self.accelerator_names[sample.accelerator],
+            fields: &[
+                ("busy_s", FieldValue::Float(sample.busy_s)),
+                ("utilization", FieldValue::Float(sample.utilization)),
+                ("live_sessions", FieldValue::Uint(sample.live_sessions as u64)),
+                ("queued_sessions", FieldValue::Uint(sample.queued_sessions as u64)),
+                ("event_depth", FieldValue::Uint(sample.event_depth as u64)),
+                ("drained", FieldValue::Bool(sample.drained)),
+            ],
+        });
+        self.out.trace(&TraceEvent::Counter {
+            name: "utilization",
             pid,
             ts_us: virtual_us(sample.boundary_s),
-            series: vec![("utilization".to_string(), sample.utilization)],
+            series: &[("utilization", sample.utilization)],
         });
     }
 
@@ -529,15 +582,15 @@ impl SimObserver for TelemetryRecorder {
         track.labels_shared += admitted as u64;
         self.metrics.counter_add("labels_shared", admitted as u64);
         self.ensure_process(CLUSTER_PID);
-        self.emit_trace(&TraceEvent::Mark {
-            name: "share".to_string(),
+        self.out.trace(&TraceEvent::Mark {
+            name: "share",
             pid: CLUSTER_PID,
             tid: 0,
             ts_us: virtual_us(boundary_s),
-            args: vec![
-                ("exporter".to_string(), FieldValue::Text(exporter.to_string())),
-                ("importer".to_string(), FieldValue::Text(importer.to_string())),
-                ("admitted".to_string(), FieldValue::Uint(admitted as u64)),
+            args: &[
+                ("exporter", FieldValue::Text(exporter)),
+                ("importer", FieldValue::Text(importer)),
+                ("admitted", FieldValue::Uint(admitted as u64)),
             ],
         });
     }
@@ -558,15 +611,25 @@ impl SimObserver for TelemetryRecorder {
         };
         self.metrics.counter_add(counter, 1);
         self.ensure_process(CLUSTER_PID);
-        self.emit_trace(&TraceEvent::Mark {
-            name: "route".to_string(),
+        let route_text = match route {
+            LabelRoute::Local => "local",
+            LabelRoute::Cloud { byte_budget: None } => "cloud",
+            LabelRoute::Cloud { byte_budget: Some(budget) } => {
+                self.route_text.clear();
+                // Writing to a `String` cannot fail.
+                write!(self.route_text, "cloud:{budget}").unwrap_or_default();
+                &self.route_text
+            }
+        };
+        self.out.trace(&TraceEvent::Mark {
+            name: "route",
             pid: CLUSTER_PID,
             tid: 0,
             ts_us: virtual_us(boundary_s),
-            args: vec![
-                ("camera".to_string(), FieldValue::Text(camera.to_string())),
-                ("route".to_string(), FieldValue::Text(Self::route_text(route))),
-                ("window".to_string(), FieldValue::Uint(window_index as u64)),
+            args: &[
+                ("camera", FieldValue::Text(camera)),
+                ("route", FieldValue::Text(route_text)),
+                ("window", FieldValue::Uint(window_index as u64)),
             ],
         });
     }
@@ -579,17 +642,14 @@ impl SimObserver for TelemetryRecorder {
         self.ensure_process(CLUSTER_PID);
         let placement = match accelerator {
             Some(accel) => FieldValue::Uint(accel as u64),
-            None => FieldValue::Text("orphaned".to_string()),
+            None => FieldValue::Text("orphaned"),
         };
-        self.emit_trace(&TraceEvent::Mark {
-            name: "join".to_string(),
+        self.out.trace(&TraceEvent::Mark {
+            name: "join",
             pid: CLUSTER_PID,
             tid: 0,
             ts_us: virtual_us(at_s),
-            args: vec![
-                ("camera".to_string(), FieldValue::Text(camera.to_string())),
-                ("accelerator".to_string(), placement),
-            ],
+            args: &[("camera", FieldValue::Text(camera)), ("accelerator", placement)],
         });
     }
 
@@ -599,12 +659,12 @@ impl SimObserver for TelemetryRecorder {
         }
         self.metrics.counter_add("leaves", 1);
         self.ensure_process(CLUSTER_PID);
-        self.emit_trace(&TraceEvent::Mark {
-            name: "leave".to_string(),
+        self.out.trace(&TraceEvent::Mark {
+            name: "leave",
             pid: CLUSTER_PID,
             tid: 0,
             ts_us: virtual_us(at_s),
-            args: vec![("camera".to_string(), FieldValue::Text(camera.to_string()))],
+            args: &[("camera", FieldValue::Text(camera))],
         });
     }
 
@@ -614,12 +674,12 @@ impl SimObserver for TelemetryRecorder {
         }
         self.metrics.counter_add("drains", 1);
         self.ensure_process(CLUSTER_PID);
-        self.emit_trace(&TraceEvent::Mark {
-            name: "drain".to_string(),
+        self.out.trace(&TraceEvent::Mark {
+            name: "drain",
             pid: CLUSTER_PID,
             tid: 0,
             ts_us: virtual_us(at_s),
-            args: vec![("accelerator".to_string(), FieldValue::Uint(accelerator as u64))],
+            args: &[("accelerator", FieldValue::Uint(accelerator as u64))],
         });
     }
 
@@ -637,17 +697,17 @@ impl SimObserver for TelemetryRecorder {
         self.ensure_process(CLUSTER_PID);
         let destination = match to_accelerator {
             Some(accel) => FieldValue::Uint(accel as u64),
-            None => FieldValue::Text("orphaned".to_string()),
+            None => FieldValue::Text("orphaned"),
         };
-        self.emit_trace(&TraceEvent::Mark {
-            name: "migration".to_string(),
+        self.out.trace(&TraceEvent::Mark {
+            name: "migration",
             pid: CLUSTER_PID,
             tid: 0,
             ts_us: virtual_us(at_s),
-            args: vec![
-                ("camera".to_string(), FieldValue::Text(camera.to_string())),
-                ("from".to_string(), FieldValue::Uint(from_accelerator as u64)),
-                ("to".to_string(), destination),
+            args: &[
+                ("camera", FieldValue::Text(camera)),
+                ("from", FieldValue::Uint(from_accelerator as u64)),
+                ("to", destination),
             ],
         });
     }
@@ -664,14 +724,14 @@ impl SimObserver for TelemetryRecorder {
         let tid = self.tracks[track_index].tid;
         self.metrics.counter_add("uplink_bytes", bytes);
         self.metrics.counter_add("labels_cloud", labels as u64);
-        self.emit_trace(&TraceEvent::Mark {
-            name: "uplink".to_string(),
+        self.out.trace(&TraceEvent::Mark {
+            name: "uplink",
             pid,
             tid,
             ts_us: virtual_us(at_s),
-            args: vec![
-                ("bytes".to_string(), FieldValue::Uint(bytes)),
-                ("labels".to_string(), FieldValue::Uint(labels as u64)),
+            args: &[
+                ("bytes", FieldValue::Uint(bytes)),
+                ("labels", FieldValue::Uint(labels as u64)),
             ],
         });
     }
@@ -689,12 +749,12 @@ mod tests {
     }
 
     impl TelemetrySink for CaptureSink {
-        fn on_trace_event(&mut self, event: &TraceEvent) -> Result<()> {
+        fn on_trace_event(&mut self, event: &TraceEvent<'_>) -> Result<()> {
             self.traces.lock().unwrap().push(event.to_json());
             Ok(())
         }
 
-        fn on_metrics_record(&mut self, record: &MetricsRecord) -> Result<()> {
+        fn on_metrics_record(&mut self, record: &MetricsRecord<'_>) -> Result<()> {
             self.records.lock().unwrap().push(record.to_json_line());
             Ok(())
         }
@@ -791,7 +851,7 @@ mod tests {
     fn sink_errors_surface_from_finish() {
         struct FailingSink;
         impl TelemetrySink for FailingSink {
-            fn on_trace_event(&mut self, _event: &TraceEvent) -> Result<()> {
+            fn on_trace_event(&mut self, _event: &TraceEvent<'_>) -> Result<()> {
                 Err(TelemetryError::InvalidConfig { reason: "boom".into() })
             }
         }

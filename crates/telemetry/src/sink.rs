@@ -3,12 +3,19 @@
 //!
 //! The builtin sinks:
 //!
-//! - `chrome-trace:<path>` — buffers trace events and writes a Chrome Trace
-//!   Event Format JSON document (Perfetto-loadable) to `<path>` at finish;
-//! - `json-lines:<path>` — buffers per-window metrics records and writes a
-//!   JSON-Lines timeseries to `<path>` at finish;
+//! - `chrome-trace:<path>` — a Chrome Trace Event Format JSON document
+//!   (Perfetto-loadable);
+//! - `json-lines:<path>` — the per-window metrics timeseries, one JSON
+//!   object per line;
 //! - `summary` — counts everything it sees and prints a compact table to
 //!   stdout at finish.
+//!
+//! The two file sinks stream: each creates its file when it is created (a
+//! path that cannot be created fails there, before any simulation runs),
+//! serialises every event or record straight into one fixed-size
+//! [`BufWriter`], and at finish writes the trace's closing bracket and
+//! flushes. Memory stays constant however long the run, and a run that
+//! errors leaves a partial file behind.
 //!
 //! `null` is not a sink: it is the family's **reserved** name, meaning no
 //! sink at all — [`crate::TelemetryRecorder::with_sink_spec`] adds nothing
@@ -26,11 +33,13 @@ use crate::error::{Result, TelemetryError};
 use crate::metrics::MetricsRecord;
 use crate::trace::TraceEvent;
 use dacapo_core::registry::Registry;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::sync::{Arc, OnceLock};
 
 /// One destination for telemetry output. All hooks default to no-ops so a
-/// sink only implements the streams it cares about; buffering sinks flush
-/// in [`TelemetrySink::finish`].
+/// sink only implements the streams it cares about; writing sinks flush in
+/// [`TelemetrySink::finish`].
 pub trait TelemetrySink: Send {
     /// Receives one trace event, in deterministic recording order.
     ///
@@ -38,7 +47,7 @@ pub trait TelemetrySink: Send {
     ///
     /// Sinks surface their first failure; the recorder reports it from
     /// [`crate::TelemetryRecorder::finish`].
-    fn on_trace_event(&mut self, event: &TraceEvent) -> Result<()> {
+    fn on_trace_event(&mut self, event: &TraceEvent<'_>) -> Result<()> {
         let _ = event;
         Ok(())
     }
@@ -48,7 +57,7 @@ pub trait TelemetrySink: Send {
     /// # Errors
     ///
     /// Same contract as [`TelemetrySink::on_trace_event`].
-    fn on_metrics_record(&mut self, record: &MetricsRecord) -> Result<()> {
+    fn on_metrics_record(&mut self, record: &MetricsRecord<'_>) -> Result<()> {
         let _ = record;
         Ok(())
     }
@@ -77,7 +86,8 @@ pub trait SinkFactory: Send + Sync {
     /// # Errors
     ///
     /// Returns [`TelemetryError::InvalidConfig`] for missing or malformed
-    /// parameters.
+    /// parameters, and [`TelemetryError::Io`] for an output that cannot be
+    /// opened.
     fn create(&self, params: Option<&str>) -> Result<Box<dyn TelemetrySink>>;
 }
 
@@ -136,7 +146,8 @@ pub fn is_null(spec: &str) -> bool {
 /// # Errors
 ///
 /// Returns [`TelemetryError::InvalidConfig`] for an unregistered name, the
-/// reserved `"null"` (it selects no sink), or malformed parameters.
+/// reserved `"null"` (it selects no sink), or malformed parameters, and
+/// [`TelemetryError::Io`] for an output file that cannot be created.
 pub fn create(spec: &str) -> Result<Box<dyn TelemetrySink>> {
     let (factory, params) =
         registry().resolve(spec).map_err(|reason| TelemetryError::InvalidConfig { reason })?;
@@ -146,6 +157,34 @@ pub fn create(spec: &str) -> Result<Box<dyn TelemetrySink>> {
 /// Maps an I/O failure at `path` to the crate error type.
 fn io_error(path: &str, error: &std::io::Error) -> TelemetryError {
     TelemetryError::Io { path: path.to_string(), reason: error.to_string() }
+}
+
+/// An output file being streamed: created up front, written through one
+/// fixed-size buffer.
+struct FileOut {
+    path: String,
+    out: BufWriter<File>,
+}
+
+impl FileOut {
+    /// Creates (or truncates) the file behind a file sink's `:<path>`.
+    fn create(sink: &str, params: Option<&str>) -> Result<Self> {
+        let Some(path) = params.filter(|p| !p.is_empty()) else {
+            return Err(TelemetryError::InvalidConfig {
+                reason: format!("the {sink} sink needs an output path: {sink}:<path>"),
+            });
+        };
+        let file = File::create(path).map_err(|e| io_error(path, &e))?;
+        Ok(Self { path: path.to_string(), out: BufWriter::new(file) })
+    }
+
+    /// Runs `write` against the buffer, naming the path in its error.
+    fn write(
+        &mut self,
+        write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+    ) -> Result<()> {
+        write(&mut self.out).map_err(|e| io_error(&self.path, &e))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -163,7 +202,7 @@ struct SummarySink {
 }
 
 impl TelemetrySink for SummarySink {
-    fn on_trace_event(&mut self, event: &TraceEvent) -> Result<()> {
+    fn on_trace_event(&mut self, event: &TraceEvent<'_>) -> Result<()> {
         self.trace_events += 1;
         match event {
             TraceEvent::Complete { .. } => self.spans += 1,
@@ -174,7 +213,7 @@ impl TelemetrySink for SummarySink {
         Ok(())
     }
 
-    fn on_metrics_record(&mut self, record: &MetricsRecord) -> Result<()> {
+    fn on_metrics_record(&mut self, record: &MetricsRecord<'_>) -> Result<()> {
         self.metrics_records += 1;
         self.last_end_s = self.last_end_s.max(record.end_s);
         Ok(())
@@ -215,21 +254,28 @@ impl SinkFactory for SummaryFactory {
 // Builtin: chrome-trace
 // ---------------------------------------------------------------------------
 
-/// Buffers serialized trace events; writes the trace document at finish.
+/// Streams the trace document: the header when created, one event a line,
+/// the closing bracket at finish.
 struct ChromeTraceSink {
-    path: String,
-    events: Vec<String>,
+    file: FileOut,
+    events: u64,
 }
 
 impl TelemetrySink for ChromeTraceSink {
-    fn on_trace_event(&mut self, event: &TraceEvent) -> Result<()> {
-        self.events.push(event.to_json());
-        Ok(())
+    fn on_trace_event(&mut self, event: &TraceEvent<'_>) -> Result<()> {
+        let separator: &[u8] = if self.events == 0 { b"\n" } else { b",\n" };
+        self.events += 1;
+        self.file.write(|out| {
+            out.write_all(separator)?;
+            event.write_json(out)
+        })
     }
 
     fn finish(&mut self) -> Result<()> {
-        let document = crate::trace::render_trace(&self.events);
-        std::fs::write(&self.path, document).map_err(|e| io_error(&self.path, &e))
+        self.file.write(|out| {
+            out.write_all(b"\n]}\n")?;
+            out.flush()
+        })
     }
 }
 
@@ -241,12 +287,9 @@ impl SinkFactory for ChromeTraceFactory {
     }
 
     fn create(&self, params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
-        let Some(path) = params.filter(|p| !p.is_empty()) else {
-            return Err(TelemetryError::InvalidConfig {
-                reason: "the chrome-trace sink needs an output path: chrome-trace:<path>".into(),
-            });
-        };
-        Ok(Box::new(ChromeTraceSink { path: path.to_string(), events: Vec::new() }))
+        let mut file = FileOut::create(self.name(), params)?;
+        file.write(|out| out.write_all(b"{\"traceEvents\":["))?;
+        Ok(Box::new(ChromeTraceSink { file, events: 0 }))
     }
 }
 
@@ -254,22 +297,21 @@ impl SinkFactory for ChromeTraceFactory {
 // Builtin: json-lines
 // ---------------------------------------------------------------------------
 
-/// Buffers metrics records; writes one JSON object per line at finish.
+/// Streams one JSON object per line; zero records make an empty file.
 struct JsonLinesSink {
-    path: String,
-    lines: Vec<String>,
+    file: FileOut,
 }
 
 impl TelemetrySink for JsonLinesSink {
-    fn on_metrics_record(&mut self, record: &MetricsRecord) -> Result<()> {
-        self.lines.push(record.to_json_line());
-        Ok(())
+    fn on_metrics_record(&mut self, record: &MetricsRecord<'_>) -> Result<()> {
+        self.file.write(|out| {
+            record.write_json(out)?;
+            out.write_all(b"\n")
+        })
     }
 
     fn finish(&mut self) -> Result<()> {
-        let mut document = self.lines.join("\n");
-        document.push('\n');
-        std::fs::write(&self.path, document).map_err(|e| io_error(&self.path, &e))
+        self.file.write(Write::flush)
     }
 }
 
@@ -281,12 +323,7 @@ impl SinkFactory for JsonLinesFactory {
     }
 
     fn create(&self, params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
-        let Some(path) = params.filter(|p| !p.is_empty()) else {
-            return Err(TelemetryError::InvalidConfig {
-                reason: "the json-lines sink needs an output path: json-lines:<path>".into(),
-            });
-        };
-        Ok(Box::new(JsonLinesSink { path: path.to_string(), lines: Vec::new() }))
+        Ok(Box::new(JsonLinesSink { file: FileOut::create(self.name(), params)? }))
     }
 }
 
@@ -294,6 +331,14 @@ impl SinkFactory for JsonLinesFactory {
 mod tests {
     use super::*;
     use crate::metrics::FieldValue;
+    use std::path::PathBuf;
+
+    /// A fresh path for one test's output file.
+    fn temp_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("dacapo-telemetry-sink-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
 
     #[test]
     fn registry_resolves_builtins_case_insensitively() {
@@ -311,7 +356,9 @@ mod tests {
     fn file_sinks_require_a_path() {
         assert!(create("chrome-trace").is_err());
         assert!(create("json-lines:").is_err());
-        assert!(create("chrome-trace:/tmp/t.json").is_ok());
+        let path = temp_path("required.json");
+        assert!(create(&format!("chrome-trace:{}", path.display())).is_ok());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -369,20 +416,69 @@ mod tests {
 
     #[test]
     fn json_lines_sink_writes_one_line_per_record() {
-        let dir = std::env::temp_dir().join("dacapo-telemetry-sink-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("metrics.jsonl");
-        let spec = format!("json-lines:{}", path.display());
-        let mut sink = create(&spec).unwrap();
+        let path = temp_path("metrics.jsonl");
+        let mut sink = create(&format!("json-lines:{}", path.display())).unwrap();
         for window in 0..2 {
-            let record = MetricsRecord::new("camera", window, (window as f64 + 1.0) * 60.0, "cam")
-                .field("steps", FieldValue::Uint(window as u64));
+            let fields = [("steps", FieldValue::Uint(window as u64))];
+            let end_s = (window as f64 + 1.0) * 60.0;
+            let record = MetricsRecord {
+                kind: "camera",
+                window_index: window,
+                end_s,
+                scope: "cam",
+                fields: &fields,
+            };
             sink.on_metrics_record(&record).unwrap();
         }
         sink.finish().unwrap();
         let written = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(written.lines().count(), 2);
-        assert!(written.ends_with('\n'));
+        assert_eq!(
+            written,
+            "{\"kind\":\"camera\",\"window\":0,\"end_s\":60,\"scope\":\"cam\",\"steps\":0}\n\
+             {\"kind\":\"camera\",\"window\":1,\"end_s\":120,\"scope\":\"cam\",\"steps\":1}\n"
+        );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn chrome_trace_sink_wraps_events_in_object_form() {
+        let path = temp_path("trace.json");
+        let mut sink = create(&format!("chrome-trace:{}", path.display())).unwrap();
+        for pid in 0..2 {
+            sink.on_trace_event(&TraceEvent::ProcessName { pid, name: "p" }).unwrap();
+        }
+        sink.finish().unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        let event = |pid| TraceEvent::ProcessName { pid, name: "p" }.to_json();
+        assert_eq!(written, format!("{{\"traceEvents\":[\n{},\n{}\n]}}\n", event(0), event(1)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn empty_outputs_are_an_empty_trace_and_an_empty_timeseries() {
+        let (trace, metrics) = (temp_path("empty.json"), temp_path("empty.jsonl"));
+        for (spec, path) in [("chrome-trace", &trace), ("json-lines", &metrics)] {
+            create(&format!("{spec}:{}", path.display())).unwrap().finish().unwrap();
+        }
+        assert_eq!(std::fs::read_to_string(&trace).unwrap(), "{\"traceEvents\":[\n]}\n");
+        // A blank line is not a JSON-Lines record: no records, no bytes.
+        assert_eq!(std::fs::read_to_string(&metrics).unwrap(), "");
+        std::fs::remove_file(&trace).ok();
+        std::fs::remove_file(&metrics).ok();
+    }
+
+    #[test]
+    fn file_sinks_fail_when_created_at_a_path_that_cannot_be() {
+        let path = temp_path("no-such-directory").join("out.json");
+        for spec in ["chrome-trace", "json-lines"] {
+            let spec = format!("{spec}:{}", path.display());
+            match crate::TelemetryRecorder::new().with_sink_spec(&spec) {
+                Err(TelemetryError::Io { path: named, .. }) => {
+                    assert_eq!(named, path.display().to_string());
+                }
+                Err(other) => panic!("'{spec}' must fail with an I/O error, got {other:?}"),
+                Ok(_) => panic!("'{spec}' must fail before the run"),
+            }
+        }
     }
 }

@@ -6,10 +6,12 @@
 //! the synthetic [`CLUSTER_PID`] process, and all timestamps are virtual
 //! seconds scaled to microseconds. The JSON uses the
 //! `{"traceEvents": [...]}` object form, loadable in Perfetto and
-//! `chrome://tracing`. Serialization is by hand and fully ordered, so the
-//! same run always produces the same bytes.
+//! `chrome://tracing`. Serialization is by hand, straight into the sink's
+//! writer, and fully ordered, so the same run always produces the same
+//! bytes.
 
-use crate::metrics::{escape_json, json_number, FieldValue};
+use crate::metrics::{render, write_escaped, write_number, FieldValue};
+use std::io::{self, Write};
 
 /// Synthetic process id for cluster-level control events (label exchange,
 /// churn, offload routing) that belong to no single accelerator.
@@ -25,13 +27,14 @@ pub fn virtual_us(seconds: f64) -> u64 {
     }
 }
 
-/// One Chrome trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
+/// One Chrome trace event. It borrows everything it names, so recording
+/// one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TraceEvent<'a> {
     /// A complete span (`ph: "X"`): one executed phase.
     Complete {
         /// Span label (`label`, `retrain`, `wait`).
-        name: String,
+        name: &'a str,
         /// Accelerator (process) id.
         pid: u32,
         /// Camera (thread) id.
@@ -41,13 +44,13 @@ pub enum TraceEvent {
         /// Duration, in virtual microseconds.
         dur_us: u64,
         /// Extra payload shown in the viewer's args pane.
-        args: Vec<(String, FieldValue)>,
+        args: &'a [(&'a str, FieldValue<'a>)],
     },
     /// An instant marker (`ph: "i"` in the trace output): drift, share,
     /// churn, uplink.
     Mark {
         /// Marker label.
-        name: String,
+        name: &'a str,
         /// Process id ([`CLUSTER_PID`] for cluster-level events).
         pid: u32,
         /// Thread id (0 for process-wide markers).
@@ -55,25 +58,25 @@ pub enum TraceEvent {
         /// Time, in virtual microseconds.
         ts_us: u64,
         /// Extra payload shown in the viewer's args pane.
-        args: Vec<(String, FieldValue)>,
+        args: &'a [(&'a str, FieldValue<'a>)],
     },
     /// A counter sample (`ph: "C"`): accuracy, utilization.
     Counter {
         /// Counter track name.
-        name: String,
+        name: &'a str,
         /// Process id the track belongs to.
         pid: u32,
         /// Time, in virtual microseconds.
         ts_us: u64,
         /// Series name/value pairs plotted on the track.
-        series: Vec<(String, f64)>,
+        series: &'a [(&'a str, f64)],
     },
     /// Process-name metadata (`ph: "M"`).
     ProcessName {
         /// Process id being named.
         pid: u32,
         /// Display name (`accelerator-N` or `cluster`).
-        name: String,
+        name: &'a str,
     },
     /// Thread-name metadata (`ph: "M"`).
     ThreadName {
@@ -82,90 +85,98 @@ pub enum TraceEvent {
         /// Thread id being named.
         tid: u32,
         /// Display name (the camera's name).
-        name: String,
+        name: &'a str,
     },
 }
 
-/// Renders an args object from name/value pairs.
-fn args_json(args: &[(String, FieldValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (name, value)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&escape_json(name));
-        out.push_str("\":");
-        out.push_str(&value.to_json());
-    }
-    out.push('}');
-    out
+/// Writes `"name":` for an object key.
+fn write_key<W: Write + ?Sized>(out: &mut W, name: &str) -> io::Result<()> {
+    out.write_all(b"\"")?;
+    write_escaped(out, name)?;
+    out.write_all(b"\":")
 }
 
-impl TraceEvent {
+/// Writes an args object from name/value pairs.
+fn write_args<W: Write + ?Sized>(out: &mut W, args: &[(&str, FieldValue<'_>)]) -> io::Result<()> {
+    out.write_all(b"{")?;
+    for (i, (name, value)) in args.iter().enumerate() {
+        if i > 0 {
+            out.write_all(b",")?;
+        }
+        write_key(out, name)?;
+        value.write_json(out)?;
+    }
+    out.write_all(b"}")
+}
+
+impl TraceEvent<'_> {
+    /// Writes the event as one JSON object.
+    ///
+    /// # Errors
+    ///
+    /// Returns the writer's error.
+    pub fn write_json<W: Write + ?Sized>(&self, out: &mut W) -> io::Result<()> {
+        match *self {
+            Self::Complete { name, pid, tid, ts_us, dur_us, args } => {
+                out.write_all(b"{\"name\":\"")?;
+                write_escaped(out, name)?;
+                write!(
+                    out,
+                    "\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us},\"dur\":{dur_us},\
+                     \"args\":"
+                )?;
+                write_args(out, args)?;
+            }
+            Self::Mark { name, pid, tid, ts_us, args } => {
+                out.write_all(b"{\"name\":\"")?;
+                write_escaped(out, name)?;
+                write!(
+                    out,
+                    "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us},\
+                     \"args\":"
+                )?;
+                write_args(out, args)?;
+            }
+            Self::Counter { name, pid, ts_us, series } => {
+                out.write_all(b"{\"name\":\"")?;
+                write_escaped(out, name)?;
+                write!(out, "\",\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{ts_us},\"args\":{{")?;
+                for (i, (series_name, value)) in series.iter().enumerate() {
+                    if i > 0 {
+                        out.write_all(b",")?;
+                    }
+                    write_key(out, series_name)?;
+                    write_number(out, *value)?;
+                }
+                out.write_all(b"}")?;
+            }
+            Self::ProcessName { pid, name } => {
+                write!(
+                    out,
+                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"ts\":0,\
+                     \"args\":{{\"name\":\""
+                )?;
+                write_escaped(out, name)?;
+                out.write_all(b"\"}")?;
+            }
+            Self::ThreadName { pid, tid, name } => {
+                write!(
+                    out,
+                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"ts\":0,\
+                     \"args\":{{\"name\":\""
+                )?;
+                write_escaped(out, name)?;
+                out.write_all(b"\"}")?;
+            }
+        }
+        out.write_all(b"}")
+    }
+
     /// Renders the event as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        match self {
-            Self::Complete { name, pid, tid, ts_us, dur_us, args } => format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us},\
-                 \"dur\":{dur_us},\"args\":{}}}",
-                escape_json(name),
-                args_json(args),
-            ),
-            Self::Mark { name, pid, tid, ts_us, args } => format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
-                 \"ts\":{ts_us},\"args\":{}}}",
-                escape_json(name),
-                args_json(args),
-            ),
-            Self::Counter { name, pid, ts_us, series } => {
-                let mut args = String::from("{");
-                for (i, (series_name, value)) in series.iter().enumerate() {
-                    if i > 0 {
-                        args.push(',');
-                    }
-                    args.push('"');
-                    args.push_str(&escape_json(series_name));
-                    args.push_str("\":");
-                    args.push_str(&json_number(*value));
-                }
-                args.push('}');
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{ts_us},\
-                     \"args\":{args}}}",
-                    escape_json(name),
-                )
-            }
-            Self::ProcessName { pid, name } => format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"ts\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(name),
-            ),
-            Self::ThreadName { pid, tid, name } => format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"ts\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(name),
-            ),
-        }
+        render(|out| self.write_json(out))
     }
-}
-
-/// Renders a full trace document from serialized events, in the order they
-/// were recorded (observed runs are single-threaded, so recording order is
-/// deterministic).
-#[must_use]
-pub fn render_trace(event_json: &[String]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, event) in event_json.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(event);
-    }
-    out.push_str("\n]}\n");
-    out
 }
 
 #[cfg(test)]
@@ -182,12 +193,12 @@ mod tests {
     #[test]
     fn complete_events_render_chrome_format() {
         let event = TraceEvent::Complete {
-            name: "label".into(),
+            name: "label",
             pid: 1,
             tid: 2,
             ts_us: 10,
             dur_us: 20,
-            args: vec![("samples".into(), FieldValue::Uint(8))],
+            args: &[("samples", FieldValue::Uint(8))],
         };
         assert_eq!(
             event.to_json(),
@@ -198,23 +209,11 @@ mod tests {
 
     #[test]
     fn metadata_and_counters_render() {
-        let process = TraceEvent::ProcessName { pid: 0, name: "accelerator-0".into() };
+        let process = TraceEvent::ProcessName { pid: 0, name: "accelerator-0" };
         assert!(process.to_json().contains("\"process_name\""));
-        let counter = TraceEvent::Counter {
-            name: "accuracy".into(),
-            pid: 0,
-            ts_us: 5,
-            series: vec![("cam".into(), 0.5)],
-        };
+        let counter =
+            TraceEvent::Counter { name: "accuracy", pid: 0, ts_us: 5, series: &[("cam", 0.5)] };
         assert!(counter.to_json().contains("\"ph\":\"C\""));
         assert!(counter.to_json().contains("\"cam\":0.5"));
-    }
-
-    #[test]
-    fn render_trace_wraps_events_in_object_form() {
-        let doc = render_trace(&["{\"a\":1}".to_string(), "{\"b\":2}".to_string()]);
-        assert!(doc.starts_with("{\"traceEvents\":["));
-        assert!(doc.contains("{\"a\":1},\n{\"b\":2}"));
-        assert!(doc.ends_with("\n]}\n"));
     }
 }

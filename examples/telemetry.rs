@@ -12,40 +12,40 @@ use dacapo::telemetry::{MetricsRecord, TelemetryError, TelemetryRecorder};
 use dacapo_core::{Cluster, ClusterResult, SchedulerKind, SimConfig};
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::sync::Arc;
 
 /// A metrics sink the telemetry crate has no idea exists: long-format CSV,
-/// one row per metric field, buffered and written at finish like the
-/// builtin file sinks.
+/// one row per metric field, streamed through a fixed-size buffer like the
+/// builtin file sinks, so its memory does not grow with the run.
 struct CsvSink {
     path: String,
-    rows: Vec<String>,
+    out: BufWriter<File>,
+}
+
+/// Maps an I/O failure to the telemetry error naming the file.
+fn io_error(path: &str, error: &std::io::Error) -> TelemetryError {
+    TelemetryError::Io { path: path.to_string(), reason: error.to_string() }
 }
 
 impl TelemetrySink for CsvSink {
-    fn on_metrics_record(&mut self, record: &MetricsRecord) -> Result<(), TelemetryError> {
-        for (field, value) in &record.fields {
-            self.rows.push(format!(
-                "{},{},{},{},{},{}",
-                record.kind,
-                record.window_index,
-                record.end_s,
-                record.scope,
-                field,
-                value.to_json(),
-            ));
+    fn on_metrics_record(&mut self, record: &MetricsRecord<'_>) -> Result<(), TelemetryError> {
+        for (field, value) in record.fields {
+            let row = write!(
+                self.out,
+                "{},{},{},{},{field},",
+                record.kind, record.window_index, record.end_s, record.scope
+            )
+            .and_then(|()| value.write_json(&mut self.out))
+            .and_then(|()| self.out.write_all(b"\n"));
+            row.map_err(|e| io_error(&self.path, &e))?;
         }
         Ok(())
     }
 
     fn finish(&mut self) -> Result<(), TelemetryError> {
-        let mut out = String::from("kind,window,end_s,scope,field,value\n");
-        for row in &self.rows {
-            out.push_str(row);
-            out.push('\n');
-        }
-        std::fs::write(&self.path, out)
-            .map_err(|e| TelemetryError::Io { path: self.path.clone(), reason: e.to_string() })
+        self.out.flush().map_err(|e| io_error(&self.path, &e))
     }
 }
 
@@ -61,7 +61,11 @@ impl SinkFactory for CsvFactory {
             params.filter(|p| !p.is_empty()).ok_or_else(|| TelemetryError::InvalidConfig {
                 reason: "the csv sink needs a path: 'csv:<path>'".to_string(),
             })?;
-        Ok(Box::new(CsvSink { path: path.to_string(), rows: Vec::new() }))
+        // Open the file (and write the header) now, so a bad path fails
+        // before the run rather than at its end.
+        let mut out = BufWriter::new(File::create(path).map_err(|e| io_error(path, &e))?);
+        out.write_all(b"kind,window,end_s,scope,field,value\n").map_err(|e| io_error(path, &e))?;
+        Ok(Box::new(CsvSink { path: path.to_string(), out }))
     }
 }
 

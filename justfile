@@ -118,12 +118,15 @@ edge-cloud:
     cargo run --release --example edge_cloud
     cargo run --release -p dacapo-bench --bin edge_cloud -- --quick
 
-# Observability demo (custom CSV sink registered by name) plus the
-# contention sweep's smallest point traced through both file sinks, as CI's
-# "Traced smoke run" does; leaves results/BENCH_trace.json and
-# results/BENCH_metrics.jsonl behind.
-trace:
+# Observability demo (custom CSV sink registered by name) plus the traced
+# smoke run.
+trace: trace-smoke
     cargo run --release --example telemetry
+
+# The contention sweep's smallest point traced through both file sinks, as
+# CI's "Traced smoke run" does; leaves results/BENCH_trace.json and
+# results/BENCH_metrics.jsonl behind.
+trace-smoke:
     cargo run --release -p dacapo-bench --bin cluster_contention -- --smoke --trace results/BENCH_trace.json --metrics results/BENCH_metrics.jsonl
 
 # The CI smoke tier: all 17 experiments of `dacapo_bench::EXPERIMENTS` at
@@ -133,9 +136,13 @@ bench-smoke:
     cargo run --release -p dacapo-bench --bin run_all -- --smoke
 
 # The release-profile half of the golden pin (`cargo test` is the debug
-# half): what the smoke tier writes must be, byte for byte, the fixtures.
-golden-check: bench-smoke
+# half): what the smoke tier and the traced smoke run write must be, byte
+# for byte, the fixtures and the pinned sink files under
+# tests/fixtures/golden/telemetry/.
+golden-check: bench-smoke trace-smoke
     for golden in tests/fixtures/golden/*.json; do cmp "$golden" "results/$(basename "$golden")" || exit 1; done
+    cmp tests/fixtures/golden/telemetry/cluster_contention.trace.json results/BENCH_trace.json
+    cmp tests/fixtures/golden/telemetry/cluster_contention.metrics.jsonl results/BENCH_metrics.jsonl
 
 # Regenerate tests/fixtures/golden/ from the smoke tier — only for a change
 # that means to move an experiment's output, and CHANGES.md says which and why.

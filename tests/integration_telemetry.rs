@@ -6,6 +6,7 @@
 
 use dacapo::telemetry::sink::TelemetrySink;
 use dacapo::telemetry::{MetricsRecord, TelemetryRecorder};
+use dacapo_bench::{ExperimentOptions, HostRecord, EXPERIMENTS};
 use dacapo_core::platform::{KernelRate, PlatformRates, Sharing};
 use dacapo_core::{
     ChurnPlan, Cluster, EdgeConfig, SchedulerKind, Session, SessionEvent, SimConfig, SimObserver,
@@ -13,6 +14,7 @@ use dacapo_core::{
 use dacapo_datagen::{Scenario, Segment, SegmentAttributes};
 use dacapo_dnn::zoo::ModelPair;
 use proptest::prelude::*;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Fast synthetic platform so the many debug-mode simulations stay quick.
@@ -86,7 +88,7 @@ struct CaptureSink {
 impl TelemetrySink for CaptureSink {
     fn on_trace_event(
         &mut self,
-        event: &dacapo::telemetry::TraceEvent,
+        event: &dacapo::telemetry::TraceEvent<'_>,
     ) -> Result<(), dacapo::telemetry::TelemetryError> {
         self.traces.lock().expect("no poisoned locks in tests").push(event.to_json());
         Ok(())
@@ -94,7 +96,7 @@ impl TelemetrySink for CaptureSink {
 
     fn on_metrics_record(
         &mut self,
-        record: &MetricsRecord,
+        record: &MetricsRecord<'_>,
     ) -> Result<(), dacapo::telemetry::TelemetryError> {
         self.records.lock().expect("no poisoned locks in tests").push(record.to_json_line());
         Ok(())
@@ -167,6 +169,97 @@ fn trace_and_metrics_files_are_byte_identical_across_thread_counts() {
         assert_eq!(trace, trace_1, "trace bytes diverged at {threads} threads");
         assert_eq!(metrics, metrics_1, "metrics bytes diverged at {threads} threads");
     }
+}
+
+/// Where the pinned sink outputs live (see [`the_file_sinks_write_the_pinned_bytes`]).
+const PINNED_DIR: &str = "tests/fixtures/golden/telemetry";
+
+/// Compares a written sink file with its pinned copy; the error names the
+/// first differing line.
+fn check_pinned(written: &Path, fixture: &str) -> Result<(), String> {
+    let now = std::fs::read_to_string(written).expect("sink file written");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(PINNED_DIR).join(fixture);
+    let pinned = std::fs::read_to_string(&path).expect("pinned sink output is readable");
+    if now == pinned {
+        return Ok(());
+    }
+    let line = now.lines().zip(pinned.lines()).take_while(|(a, b)| a == b).count() + 1;
+    let show = |text: &str| text.lines().nth(line - 1).unwrap_or("<end>").to_string();
+    Err(format!(
+        "{fixture}: {} differs from {PINNED_DIR}/{fixture}, first at line {line}\n  pinned: {}\n  \
+         now:    {}",
+        written.display(),
+        show(&pinned),
+        show(&now),
+    ))
+}
+
+/// Runs `observe` through a recorder with both builtin file sinks and
+/// compares the two files with their pinned copies `<stem>.trace.json` and
+/// `<stem>.metrics.jsonl`.
+fn assert_sinks_write_pinned_bytes(
+    stem: &str,
+    window_s: f64,
+    observe: impl FnOnce(&mut TelemetryRecorder),
+) {
+    let dir = std::env::temp_dir().join("dacapo_telemetry_pinned_test");
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let trace = format!("{stem}.trace.json");
+    let metrics = format!("{stem}.metrics.jsonl");
+    let mut recorder = TelemetryRecorder::new()
+        .window_s(window_s)
+        .with_sink_spec(&format!("chrome-trace:{}", dir.join(&trace).display()))
+        .and_then(|r| r.with_sink_spec(&format!("json-lines:{}", dir.join(&metrics).display())))
+        .expect("builtin sink specs parse");
+    observe(&mut recorder);
+    recorder.finish().expect("sinks flush");
+    let checks =
+        [check_pinned(&dir.join(&trace), &trace), check_pinned(&dir.join(&metrics), &metrics)];
+    let failures: Vec<String> = checks.into_iter().filter_map(Result::err).collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The sink byte pin: the chrome-trace and json-lines files of a cluster
+/// firing every hook family, and of one standalone session (its
+/// camera-window records), are byte for byte the files the buffering sinks
+/// wrote before the sinks streamed. Equality across thread counts alone
+/// would let a rewrite move the output unnoticed.
+#[test]
+fn the_file_sinks_write_the_pinned_bytes() {
+    assert_sinks_write_pinned_bytes("busy_cluster", 60.0, |recorder| {
+        busy_cluster(3, 7, 1).run_with(recorder).expect("traced run completes");
+    });
+    assert_sinks_write_pinned_bytes("session", 10.0, |recorder| {
+        let mut session = Session::new(camera_config(11, 60.0, false)).expect("session builds");
+        session.run_with(recorder).expect("traced session completes");
+    });
+}
+
+/// The debug-profile half of the traced smoke run's pin (CI `cmp`s the
+/// release binary's files against the same copies): `cluster_contention
+/// --smoke --trace <path> --metrics <path>` writes the pinned files.
+#[test]
+fn the_traced_smoke_run_writes_the_pinned_bytes() {
+    let dir = std::env::temp_dir().join("dacapo_telemetry_pinned_smoke_test");
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let (trace, metrics) = ("cluster_contention.trace.json", "cluster_contention.metrics.jsonl");
+    let options = ExperimentOptions {
+        smoke: true,
+        quick: true,
+        trace: Some(dir.join(trace).display().to_string()),
+        metrics: Some(dir.join(metrics).display().to_string()),
+        ..ExperimentOptions::default()
+    };
+    let experiment =
+        EXPERIMENTS.iter().find(|e| e.name == "cluster_contention").expect("listed in EXPERIMENTS");
+    if let Err(failure) =
+        (experiment.run)(&options, &mut HostRecord::new(experiment.name, &options))
+    {
+        panic!("traced smoke run failed: {}", failure.0);
+    }
+    let checks = [check_pinned(&dir.join(trace), trace), check_pinned(&dir.join(metrics), metrics)];
+    let failures: Vec<String> = checks.into_iter().filter_map(Result::err).collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// The snapshot-parity criterion for telemetry: restore a session from a
