@@ -8,7 +8,9 @@ use crate::buffer::SampleBlock;
 use crate::config::SimConfig;
 use crate::edge::EdgeAccum;
 use crate::fleet::prefix_camera;
-use crate::session::{report_uplink, Session, SessionEvent, SimObserver};
+use crate::session::{
+    report_uplink, AcceleratorSample, Session, SessionEvent, SimObserver, WindowSample,
+};
 use crate::sim::{PhaseKind, SimResult};
 use crate::{CoreError, Result};
 use dacapo_dnn::TrainScratch;
@@ -46,7 +48,7 @@ impl Ord for Due {
 /// whose session is gone; the event loop skips those stale entries.
 pub(super) struct Slot {
     pub(super) camera_index: usize,
-    pub(super) session: Option<Session>,
+    pub(super) session: Option<Box<Session>>,
     pub(super) now_s: f64,
     pub(super) recovering: bool,
 }
@@ -132,12 +134,22 @@ pub(super) struct AccelLoop<'a> {
     /// Reusable peer-summary buffer for arbitration requests, refilled per
     /// arbitrated step instead of allocated.
     residents: Vec<PeerSession>,
+    /// The spacing of the window marks an observer samples at
+    /// (`k · mark_s`, k ≥ 1): the cluster's window length, whether or not
+    /// any barrier runs there.
+    mark_s: f64,
+    /// `k` of the first window mark this loop has not sampled yet.
+    pub(super) next_mark: usize,
+    /// `k` of the last finite boundary this loop was advanced to: a barrier
+    /// ran there before the loop is advanced again (0 before the first).
+    barrier_mark: usize,
 }
 
 impl<'a> AccelLoop<'a> {
     /// Creates the loop with its assigned cameras split at the capacity
-    /// bound into initial residents and the admission queue. No session
-    /// exists until the loop is first advanced.
+    /// bound into initial residents and the admission queue, sampling for an
+    /// observer every `mark_s` virtual seconds. No session exists until the
+    /// loop is first advanced.
     pub(super) fn new(
         accel: usize,
         assigned: &[usize],
@@ -145,6 +157,7 @@ impl<'a> AccelLoop<'a> {
         arbiter_name: &str,
         capacity: Option<usize>,
         record_labels: bool,
+        mark_s: f64,
     ) -> Result<Self> {
         let capacity = capacity.unwrap_or(usize::MAX);
         let (initial, queued) = assigned.split_at(assigned.len().min(capacity));
@@ -169,6 +182,9 @@ impl<'a> AccelLoop<'a> {
             exports: Vec::new(),
             scratch: TrainScratch::new(),
             residents: Vec::new(),
+            mark_s,
+            next_mark: 1,
+            barrier_mark: 0,
         })
     }
 
@@ -199,7 +215,8 @@ impl<'a> AccelLoop<'a> {
 
     /// Pops and executes events due strictly before `stop_at_s` (every
     /// remaining event when it is +∞), forwarding each step's burst to the
-    /// observer if one is given. The first call admits the initial
+    /// observer if one is given, and its window samples (see
+    /// [`AccelLoop::sample_mark`]). The first call admits the initial
     /// residents; loop state persists, so the next call resumes exactly
     /// where this one stopped.
     pub(super) fn run_until(
@@ -210,17 +227,34 @@ impl<'a> AccelLoop<'a> {
         for camera_index in std::mem::take(&mut self.initial) {
             self.admit(PendingEntry::fresh(camera_index), 0.0)?;
         }
+        if let Some(observer) = observer.as_deref_mut() {
+            // The barrier at the last stop has run since: its mark now
+            // describes the post-barrier fleet.
+            self.sample_mark(self.barrier_mark, observer);
+        }
+        // A finite window's only mark ahead is the next barrier's, sampled
+        // after it ran; the marks the executor jumped over closed windows
+        // with no event anywhere, and get no samples, as they get no barrier.
+        let unbounded = stop_at_s.is_infinite();
+        let cameras = self.cameras;
         while let Some(&Reverse(due)) = self.heap.peek() {
             if due.at >= stop_at_s {
                 break;
+            }
+            if let Some(observer) = observer.as_deref_mut().filter(|_| unbounded) {
+                while self.next_mark as f64 * self.mark_s <= due.at {
+                    self.sample_mark(self.next_mark, observer);
+                }
             }
             self.heap.pop();
             let slot = &mut self.slots[due.slot];
             // A slot without a session is a stale entry: its camera left or
             // migrated away at a churn barrier after the entry was queued.
-            let Some(session) = slot.session.as_mut() else { continue };
+            // The session steps out of its slot and goes back only if it did
+            // not finish.
+            let Some(mut session) = slot.session.take() else { continue };
             let camera_index = slot.camera_index;
-            let camera_name = &self.cameras[camera_index].0;
+            let camera_name = &cameras[camera_index].0;
             let uplink_before = session.uplink_meter();
             let events = session
                 .step_phase_in(&mut self.scratch)
@@ -238,7 +272,7 @@ impl<'a> AccelLoop<'a> {
                 _ => None,
             });
 
-            match phase {
+            let session = match phase {
                 Some(phase) => {
                     self.outcome.steps += 1;
                     // A cloud-offloaded labeling phase consumed no local
@@ -301,18 +335,13 @@ impl<'a> AccelLoop<'a> {
                     self.heap.push(Reverse(Due { at: slot.now_s, seq: self.seq, slot: due.slot }));
                     self.seq += 1;
                     self.outcome.peak_depth = self.outcome.peak_depth.max(self.heap.len());
+                    Some(session)
                 }
                 None => {
                     // The session finished (the burst ended with `Finished`,
                     // possibly after trailing accuracy flushes): collect its
                     // result now and drop the session so finished cameras
                     // never accumulate live model state.
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the stale-entry check above saw this slot's session, and \
-                                  only this branch removes it"
-                    )]
-                    let session = slot.session.take().expect("presence checked on pop");
                     let at = slot.now_s;
                     if let Some(accum) = session.edge_accum() {
                         self.outcome.edge.merge(&accum);
@@ -321,19 +350,79 @@ impl<'a> AccelLoop<'a> {
                     self.active.retain(|&slot| slot != due.slot);
                     self.outcome.makespan_s = self.outcome.makespan_s.max(at);
                     self.start_next_pending(at)?;
+                    None
                 }
-            }
+            };
             if let Some(observer) = observer.as_deref_mut() {
                 observer.on_step_context(camera_name, camera_index, self.accel);
-                let slot = &self.slots[due.slot];
-                let uplink_after = slot.session.as_ref().and_then(Session::uplink_meter);
-                report_uplink(observer, camera_name, slot.now_s, uplink_before, uplink_after);
+                let uplink_after = session.as_deref().and_then(Session::uplink_meter);
+                let now_s = self.slots[due.slot].now_s;
+                report_uplink(observer, camera_name, now_s, uplink_before, uplink_after);
                 for event in &events {
                     event.dispatch(observer);
                 }
             }
+            self.slots[due.slot].session = session;
+        }
+        if !unbounded {
+            self.barrier_mark = (stop_at_s / self.mark_s).round() as usize;
         }
         Ok(())
+    }
+
+    /// Hands `observer` this loop's state at window mark `mark`
+    /// (`mark · mark_s`): one [`WindowSample`] per resident in admission
+    /// order, then one [`AcceleratorSample`] — unless the loop already
+    /// sampled this mark or a later one. Unsampled marks before it are
+    /// skipped: the loop was idle across them. A loop samples a mark before
+    /// it executes its first event at or past it in an unbounded window, or
+    /// when it is next advanced after the barrier at the mark ran; the
+    /// executor has every loop sample the run's final mark at the end.
+    pub(super) fn sample_mark(&mut self, mark: usize, observer: &mut (dyn SimObserver + '_)) {
+        if mark < self.next_mark {
+            return;
+        }
+        self.next_mark = mark + 1;
+        let (window_index, boundary_s) = (mark - 1, mark as f64 * self.mark_s);
+        for &slot in &self.active {
+            let Slot { camera_index, session, .. } = &self.slots[slot];
+            let Some(session) = session else { continue };
+            let now_s = session.now_s();
+            let (labels_local, labels_cloud) = match session.edge_accum() {
+                Some(accum) => (accum.labels_local, accum.labels_cloud),
+                None => (0, 0),
+            };
+            // "Fresh" relative to the closing window's span at this
+            // camera's own clock (a queued-then-admitted camera may trail
+            // the mark).
+            let cutoff_s = (now_s - self.mark_s).max(0.0);
+            observer.on_window_sample(&WindowSample {
+                window_index,
+                boundary_s,
+                camera: &self.cameras[*camera_index].0,
+                camera_index: *camera_index,
+                accelerator: self.accel,
+                now_s,
+                accuracy: session.accuracy_timeline().last().map(|&(_, accuracy)| accuracy),
+                buffer_len: session.buffer_len(),
+                buffer_fresh_fraction: session.buffer_fresh_fraction(cutoff_s),
+                labels_local,
+                labels_cloud,
+                in_flight_cloud_labels: session.in_flight_cloud_labels(),
+            });
+        }
+        let busy_s = self.outcome.busy_s;
+        observer.on_accelerator_sample(&AcceleratorSample {
+            window_index,
+            boundary_s,
+            accelerator: self.accel,
+            busy_s,
+            utilization: busy_s / boundary_s,
+            live_sessions: self.live_count(),
+            queued_sessions: self.pending.len(),
+            event_depth: self.heap.len(),
+            drained: self.drained,
+        });
     }
 
     /// Enters `entry`'s camera into this accelerator's event loop at cluster
@@ -345,9 +434,11 @@ impl<'a> AccelLoop<'a> {
     pub(super) fn admit(&mut self, entry: PendingEntry, at: f64) -> Result<f64> {
         let (name, config) = &self.cameras[entry.camera_index];
         let mut session = match entry.session {
-            Some(session) => *session,
-            None => Session::new_in(config.clone(), &mut self.scratch)
-                .map_err(|e| prefix_camera(name, e))?,
+            Some(session) => session,
+            None => Box::new(
+                Session::new_in(config.clone(), &mut self.scratch)
+                    .map_err(|e| prefix_camera(name, e))?,
+            ),
         };
         session.set_record_labels(self.record_labels);
         self.slots.push(Slot {
@@ -401,10 +492,10 @@ mod tests {
             .collect();
         let assigned: Vec<usize> = (0..residents).collect();
         let mut accel_loop =
-            AccelLoop::new(0, &assigned, &cameras, "fair-share", None, false).unwrap();
+            AccelLoop::new(0, &assigned, &cameras, "fair-share", None, false, 60.0).unwrap();
         // Fair share stretches every step by the resident count.
         accel_loop.run_until(10.0 * residents as f64, None).unwrap();
-        let sessions = accel_loop.slots.iter().filter_map(|slot| slot.session.as_ref());
+        let sessions = accel_loop.slots.iter().filter_map(|slot| slot.session.as_deref());
         (accel_loop.scratch.capacity_bytes(), sessions.map(Session::own_arena_bytes).collect())
     }
 

@@ -1,8 +1,8 @@
 //! The window barrier: every stage that touches more than one camera —
-//! label exchange, churn, offload routing, observer sampling — over one
-//! [`Barrier`], which only exists while no worker holds a loop. The
-//! accelerator loop's barrier-side methods are defined here too, private to
-//! this module, so the loop's own event code (`accel_loop`) cannot call them.
+//! label exchange, churn, offload routing — over one [`Barrier`], which
+//! only exists while no worker holds a loop. The accelerator loop's
+//! barrier-side methods are defined here too, private to this module, so
+//! the loop's own event code (`accel_loop`) cannot call them.
 
 use super::accel_loop::{AccelLoop, PendingEntry};
 use super::plan::{ChurnAction, PreparedEvent};
@@ -11,7 +11,7 @@ use crate::buffer::{Grant, SampleBlock, SharedTails};
 use crate::config::SimConfig;
 use crate::edge::{EdgeAccum, OffloadContext, OffloadPolicy};
 use crate::fleet::prefix_camera;
-use crate::session::{AcceleratorSample, Session, SimObserver, WindowSample};
+use crate::session::{Session, SimObserver};
 use crate::share::{ShareContext, ShareMetrics, SharePolicy};
 use crate::sim::SimResult;
 use crate::{CoreError, Result};
@@ -42,7 +42,7 @@ pub(super) struct ChurnOutcome {
 /// state that must survive the move.
 struct Migrant {
     camera_index: usize,
-    session: Session,
+    session: Box<Session>,
     now_s: f64,
     recovering: bool,
 }
@@ -164,7 +164,7 @@ fn resident_session<'l>(
     loops: &'l mut [AccelLoop<'_>],
     resident: Resident,
 ) -> Option<&'l mut Session> {
-    loops[resident.accel].slots[resident.slot].session.as_mut()
+    loops[resident.accel].slots[resident.slot].session.as_deref_mut()
 }
 
 /// Memo of the symmetric scenario-attribute overlap between camera pairs: a
@@ -506,61 +506,6 @@ impl<'b, 'a, 'o> Barrier<'b, 'a, 'o> {
         }
         Ok(())
     }
-
-    /// The observation stage (absent without an observer): fires
-    /// [`SimObserver::on_window_barrier`] for the window that just closed,
-    /// then one [`SimObserver::on_window_sample`] per live camera in
-    /// admission-index order, then one
-    /// [`SimObserver::on_accelerator_sample`] per accelerator in index
-    /// order. Single-threaded and fully ordered, like every other stage, so
-    /// sampled timeseries are bit-identical at any worker-thread count. Runs
-    /// after exchange / churn / routing so the samples describe the
-    /// post-barrier fleet.
-    pub(super) fn sample_barrier(&mut self, window_s: f64) {
-        let Some(observer) = self.observer.as_deref_mut() else { return };
-        let (window_index, boundary_s) = (self.window, self.boundary_s);
-        observer.on_window_barrier(window_index, boundary_s);
-        for &resident in self.roster.iter() {
-            let Resident { camera_index, accel, .. } = resident;
-            let Some(session) = resident_session(self.loops, resident) else { continue };
-            let now_s = session.now_s();
-            let (labels_local, labels_cloud) = match session.edge_accum() {
-                Some(accum) => (accum.labels_local, accum.labels_cloud),
-                None => (0, 0),
-            };
-            // "Fresh" relative to the closing window's span at this camera's
-            // own clock (a queued-then-admitted camera may trail the boundary).
-            let cutoff_s = (now_s - window_s).max(0.0);
-            observer.on_window_sample(&WindowSample {
-                window_index,
-                boundary_s,
-                camera: &self.cameras[camera_index].0,
-                camera_index,
-                accelerator: accel,
-                now_s,
-                accuracy: session.accuracy_timeline().last().map(|&(_, accuracy)| accuracy),
-                buffer_len: session.buffer_len(),
-                buffer_fresh_fraction: session.buffer_fresh_fraction(cutoff_s),
-                labels_local,
-                labels_cloud,
-                in_flight_cloud_labels: session.in_flight_cloud_labels(),
-            });
-        }
-        for accel_loop in self.loops.iter() {
-            let busy_s = accel_loop.outcome.busy_s;
-            observer.on_accelerator_sample(&AcceleratorSample {
-                window_index,
-                boundary_s,
-                accelerator: accel_loop.accel,
-                busy_s,
-                utilization: if boundary_s > 0.0 { busy_s / boundary_s } else { 0.0 },
-                live_sessions: accel_loop.live_count(),
-                queued_sessions: accel_loop.pending.len(),
-                event_depth: accel_loop.heap.len(),
-                drained: accel_loop.drained,
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -601,7 +546,7 @@ mod tests {
         for accel_loop in loops.iter_mut() {
             importers.extend(accel_loop.slots.iter_mut().filter_map(|slot| {
                 let camera_index = slot.camera_index;
-                slot.session.as_mut().map(|session| (camera_index, session))
+                slot.session.as_deref_mut().map(|session| (camera_index, session))
             }));
         }
         importers.sort_by_key(|(camera_index, _)| *camera_index);
@@ -720,7 +665,7 @@ mod tests {
             .collect();
         let assigned: Vec<usize> = (0..cameras.len()).collect();
         let mut loops =
-            vec![AccelLoop::new(0, &assigned, &cameras, "fair-share", None, true).unwrap()];
+            vec![AccelLoop::new(0, &assigned, &cameras, "fair-share", None, true, 5.0).unwrap()];
         let mut stage = ShareStage {
             policy: crate::share::create("broadcast").unwrap(),
             correlations: PairCorrelations::new(cameras.len()),
@@ -806,7 +751,7 @@ mod tests {
                     .iter()
                     .enumerate()
                     .map(|(accel, assigned)| {
-                        AccelLoop::new(accel, assigned, &cameras, "fair-share", None, true)
+                        AccelLoop::new(accel, assigned, &cameras, "fair-share", None, true, 20.0)
                             .unwrap()
                     })
                     .collect();

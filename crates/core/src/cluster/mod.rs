@@ -68,15 +68,25 @@
 //!
 //! Every run is the same loop over windows (`run_windows`): advance every
 //! accelerator loop to the window boundary, then run the barrier's stages
-//! in a fixed order — label exchange, churn, offload routing, observer
-//! sampling. Each stage is optional: a reserved name (`"none"`,
-//! `"local-only"`), an empty [`ChurnPlan`] or an unobserved run means the
-//! stage is absent, not that another executor runs. A run with no stages
-//! is one unbounded window: its boundary is +∞, so no barrier is ever
-//! crossed, and an accelerator's sessions are only built when a worker
-//! first advances that accelerator — a `threads(1)` run holds one
-//! accelerator's sessions at a time, where finite windows keep every
+//! in a fixed order — label exchange, churn, offload routing. Each stage is
+//! optional: a reserved name (`"none"`, `"local-only"`) or an empty
+//! [`ChurnPlan`] means the stage is absent, not that another executor runs.
+//! A run with no stages is one unbounded window: its boundary is +∞, so no
+//! barrier is ever crossed, and an accelerator's sessions are only built
+//! when a worker first advances that accelerator — a `threads(1)` run holds
+//! one accelerator's sessions at a time, where finite windows keep every
 //! accelerator's residents alive from window 0 on.
+//!
+//! An observer is not a stage: it leaves the windows as they are, and each
+//! accelerator loop samples its own state at window marks
+//! `k · share_window_s` (k ≥ 1). In one unbounded window that is every
+//! mark, taken before the loop executes its first event at or past it; in
+//! finite windows it is every barrier's mark, taken when the loop is next
+//! advanced after the barrier ran, so the samples describe the post-barrier
+//! fleet (a window the executor skips for lack of events has no barrier
+//! and no samples). At the end the executor has every loop sample the
+//! run's final mark. An observed stage-free run therefore builds one
+//! accelerator's residents at a time, too.
 //!
 //! # Who owns the training arena
 //!
@@ -101,7 +111,7 @@
 //!
 //! Within a window the accelerator loops run in parallel and touch only
 //! their own cameras; everything that crosses cameras happens in the
-//! barrier's four stages, on one thread, between windows. Nothing polices
+//! barrier's three stages, on one thread, between windows. Nothing polices
 //! that at run time and no tool checks it: the module layout, privacy and
 //! the borrow checker do.
 //!
@@ -123,9 +133,10 @@
 //!
 //! What the types do not forbid: `run_until` is free to call a
 //! barrier-flavoured `Session` method (`admit_samples`, `set_label_route`)
-//! or an observer hook on its *own* residents. That cannot make a result
-//! depend on the thread count — one loop is serial, and threaded runs carry
-//! no observer — but it could still move a camera's numbers; the
+//! on its *own* residents — it does hand them to an observer, in its window
+//! samples. That cannot make a result depend on the thread count — one loop
+//! is serial, and observed runs step their loops on one thread — but it
+//! could still move a camera's numbers; the
 //! finite-windows ≡ unbounded-window, solo ≡ fleet ≡ cluster, observed ≡
 //! unobserved and two-pass-exchange ≡ oracle tests are what pin that.
 
@@ -336,8 +347,9 @@ impl Cluster {
 
     /// Sets the window length in cluster virtual seconds (default 60, one
     /// paper segment). Every barrier stage — label exchange, churn, offload
-    /// routing, observer sampling — executes at the same window boundaries;
-    /// a run with no stages is one unbounded window and never consults it.
+    /// routing — executes at the same window boundaries; a run with no
+    /// stages is one unbounded window. An observer's window samples fall on
+    /// the same marks, whether or not the run has barriers.
     #[must_use]
     pub fn share_window_s(mut self, window_s: f64) -> Self {
         self.share_window_s = window_s;
@@ -438,18 +450,22 @@ impl Cluster {
     /// drift responses, accuracy samples, finishes) of every camera to
     /// `observer` through the standard [`SimObserver`] hooks, each burst
     /// preceded by [`SimObserver::on_step_context`] naming its camera and
-    /// accelerator. An observer is itself a barrier stage, so observed runs
-    /// always have finite windows ([`Cluster::share_window_s`]): the stream
-    /// is grouped by window (within each window, accelerators stream in
-    /// index order, each in cluster-virtual-time order) and every boundary
-    /// fires the window-barrier sampling hooks
-    /// ([`SimObserver::on_window_barrier`] /
-    /// [`SimObserver::on_window_sample`] /
-    /// [`SimObserver::on_accelerator_sample`]) even when no share, churn, or
-    /// offload policy is active. Execution is single-threaded so the
-    /// observer needs no synchronisation and sees a bit-identical stream at
-    /// any [`Cluster::threads`] setting. The returned result is identical
-    /// to [`Cluster::run`]'s (property-tested).
+    /// accelerator. An observer is not a barrier stage: it leaves the run's
+    /// windows as [`Cluster::run`] has them, so a run with no share, churn
+    /// or offload stage stays one unbounded window and builds one
+    /// accelerator's residents at a time. The stream is grouped by window
+    /// (within each window, accelerators stream in index order, each in
+    /// cluster-virtual-time order; one unbounded window makes it
+    /// accelerator-major). Each accelerator loop reports its state at the
+    /// window marks `k · share_window_s` — every mark of an unbounded
+    /// window, every barrier's otherwise — through
+    /// [`SimObserver::on_window_sample`] (one per resident, in the loop's
+    /// admission order) and [`SimObserver::on_accelerator_sample`], and
+    /// [`SimObserver::on_window_barrier`] fires only where a real barrier
+    /// runs. Execution is single-threaded so the observer needs no
+    /// synchronisation and sees a bit-identical stream at any
+    /// [`Cluster::threads`] setting. The returned result is identical to
+    /// [`Cluster::run`]'s (property-tested).
     ///
     /// # Errors
     ///
@@ -485,9 +501,9 @@ impl Cluster {
             Some(edge::create_offload(&offload_name)?)
         };
         // A run with no stages never needs a barrier: it is one unbounded
-        // window.
-        let staged =
-            share.is_some() || offload.is_some() || !events.is_empty() || observer.is_some();
+        // window. An observer is not a stage: the loops sample their own
+        // window marks.
+        let staged = share.is_some() || offload.is_some() || !events.is_empty();
         let window_s = if staged { self.share_window_s } else { f64::INFINITY };
 
         let loops = (0..accelerators)
@@ -501,6 +517,7 @@ impl Cluster {
                     &arbiter_name,
                     self.capacity,
                     share.is_some(),
+                    self.share_window_s,
                 )
             })
             .collect::<Result<Vec<_>>>()?;
@@ -719,7 +736,8 @@ impl<'a> Executor<'a, '_> {
     /// Algorithm 1's loop over windows: accelerator loops advance to the
     /// boundary (in parallel inside a window), then the single-threaded
     /// barrier runs the stages that are present — label exchange, churn,
-    /// offload routing, observer sampling, in that order.
+    /// offload routing, in that order — and tells the observer the window
+    /// closed. At the end every loop samples the run's final mark.
     fn run_windows(mut self) -> Result<(Vec<AccelOutcome>, Option<ShareStage>, ChurnOutcome)> {
         let mut churn = ChurnOutcome::default();
         churn.metrics.peak_residency = self.loops.iter().map(AccelLoop::live_count).sum();
@@ -768,34 +786,52 @@ impl<'a> Executor<'a, '_> {
             }
             let boundary_s = (self.window as f64 + 1.0) * self.window_s;
             advance(&mut self.loops, boundary_s, self.threads, self.observer.as_deref_mut())?;
-            let mut barrier = Barrier::new(
-                &mut self.loops,
-                &mut self.roster,
-                self.cameras,
-                self.window,
-                boundary_s,
-                self.observer.as_deref_mut(),
-            );
-            if let Some(stage) = self.share.as_mut() {
-                barrier.exchange_window(stage)?;
-            }
-            while let Some(event) = self.events.get(next_event) {
-                if event.at_s > boundary_s {
-                    break;
+            // A run with no stages has no barrier: its one window never
+            // closes.
+            if boundary_s.is_finite() {
+                let mut barrier = Barrier::new(
+                    &mut self.loops,
+                    &mut self.roster,
+                    self.cameras,
+                    self.window,
+                    boundary_s,
+                    self.observer.as_deref_mut(),
+                );
+                if let Some(stage) = self.share.as_mut() {
+                    barrier.exchange_window(stage)?;
                 }
-                barrier.apply_churn(event, self.admission, &mut churn)?;
-                next_event += 1;
+                while let Some(event) = self.events.get(next_event) {
+                    if event.at_s > boundary_s {
+                        break;
+                    }
+                    barrier.apply_churn(event, self.admission, &mut churn)?;
+                    next_event += 1;
+                }
+                // Routing runs after churn so the policy sees the post-churn
+                // fleet (joined cameras included, departed ones gone) for the
+                // window the barrier opens.
+                if let Some(offload) = self.offload.as_deref_mut() {
+                    barrier.route_offload(offload, self.window + 1)?;
+                }
+                if let Some(observer) = self.observer.as_deref_mut() {
+                    observer.on_window_barrier(self.window, boundary_s);
+                }
+                let residency: usize = self.loops.iter().map(AccelLoop::live_count).sum();
+                churn.metrics.peak_residency = churn.metrics.peak_residency.max(residency);
             }
-            // Routing runs after churn so the policy sees the post-churn fleet
-            // (joined cameras included, departed ones gone) for the window the
-            // barrier opens.
-            if let Some(offload) = self.offload.as_deref_mut() {
-                barrier.route_offload(offload, self.window + 1)?;
-            }
-            barrier.sample_barrier(self.window_s);
-            let residency: usize = self.loops.iter().map(AccelLoop::live_count).sum();
-            churn.metrics.peak_residency = churn.metrics.peak_residency.max(residency);
             self.window += 1;
+        }
+        if let Some(observer) = self.observer {
+            // The run's final mark closes the window of its last event, or
+            // of its last barrier: every loop reports up to there.
+            let last_mark = self
+                .loops
+                .iter()
+                .map(|accel_loop| accel_loop.next_mark)
+                .fold(self.window, usize::max);
+            for accel_loop in &mut self.loops {
+                accel_loop.sample_mark(last_mark, observer);
+            }
         }
         if let Some(stage) = self.share.as_mut() {
             stage.metrics.windows = self.window;
@@ -1047,12 +1083,42 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    /// Registers `zero-admit`, a share policy that admits nothing: an
+    /// exchange stage that gives a run finite windows and changes no
+    /// camera's numbers, only the share metrics. Returns its name.
+    fn zero_admit() -> &'static str {
+        use crate::share::{ShareContext, SharePolicy, SharePolicyFactory};
+        use std::sync::Arc;
+
+        struct ZeroAdmit;
+        impl SharePolicy for ZeroAdmit {
+            fn name(&self) -> String {
+                "zero-admit".to_string()
+            }
+            fn admit_fraction(&mut self, _ctx: &ShareContext<'_>) -> f64 {
+                0.0
+            }
+        }
+        struct ZeroAdmitFactory;
+        impl SharePolicyFactory for ZeroAdmitFactory {
+            fn name(&self) -> &str {
+                "zero-admit"
+            }
+            fn build(&self, _params: Option<&str>) -> Result<Box<dyn SharePolicy>> {
+                Ok(Box::new(ZeroAdmit))
+            }
+        }
+        share::register(Arc::new(ZeroAdmitFactory));
+        "zero-admit"
+    }
+
     /// The memory shape the unbounded window buys: sessions are built when
     /// a worker first advances their accelerator and dropped as they
     /// finish, so a feature-free single-threaded run holds one
-    /// accelerator's residents at a time. Finite windows (here: an
-    /// observer) advance every accelerator in window 0 and keep all of
-    /// them alive — which is what finite windows cost in memory.
+    /// accelerator's residents at a time, observed or not. Finite windows
+    /// (here: an exchange stage that admits nothing) advance every
+    /// accelerator in window 0 and keep all of them alive — which is what
+    /// finite windows cost in memory.
     #[test]
     fn an_unbounded_window_holds_one_accelerators_sessions_at_a_time() {
         use crate::sched::{self, Action, Scheduler, SchedulerContext, SchedulerFactory};
@@ -1101,8 +1167,14 @@ mod tests {
         let plain = build().run().unwrap();
         assert_eq!(LIVE.load(Ordering::SeqCst), 0);
         assert_eq!(PEAK.swap(0, Ordering::SeqCst), 6, "one accelerator's six residents");
-        let windowed = build().run_with(&mut ()).unwrap();
+        let observed = build().run_with(&mut ()).unwrap();
+        assert_eq!(LIVE.load(Ordering::SeqCst), 0);
+        assert_eq!(PEAK.swap(0, Ordering::SeqCst), 6, "an observer is not a stage");
+        assert_eq!(plain, observed);
+        let mut windowed = build().share(zero_admit()).run_with(&mut ()).unwrap();
         assert_eq!(PEAK.load(Ordering::SeqCst), 24, "every accelerator's residents at once");
+        assert!(windowed.share.windows > 0, "the exchange stage ran");
+        windowed.share = plain.share.clone();
         assert_eq!(plain, windowed);
     }
 
@@ -1115,14 +1187,21 @@ mod tests {
         // and every camera still reports what it reports alone, in an arena
         // of its own.
         let configs = crate::sim::test_support::mixed_configs(7);
+        // The windows come from a churn stage whose one event, a leave long
+        // after every camera finished, changes nothing: an exchange stage
+        // would need the cameras to agree on one feature width.
         let build = |threads: usize| {
-            let mut cluster = Cluster::new(2).share_window_s(7.0).threads(threads);
+            let mut cluster = Cluster::new(2)
+                .churn(ChurnPlan::new().leave(1e5, "cam-0"))
+                .share_window_s(7.0)
+                .threads(threads);
             for (i, config) in configs.iter().enumerate() {
                 cluster = cluster.camera(format!("cam-{i}"), config.clone());
             }
             cluster.run_with(&mut ()).unwrap()
         };
         let serial = build(1);
+        assert_eq!(serial.churn.leaves, 1);
         assert_eq!(serial, build(2));
         for (i, config) in configs.into_iter().enumerate() {
             let solo = crate::ClSimulator::new(config).unwrap().run().unwrap();
@@ -1290,6 +1369,69 @@ mod tests {
         let plain = build().run().unwrap();
         assert_eq!(observed, plain, "observation must not perturb a shared run");
         assert_eq!(counter.finished, 2);
+    }
+
+    /// Records the `(accelerator, window, boundary)` of every accelerator
+    /// sample and counts window barriers.
+    #[derive(Default)]
+    struct Marks {
+        sampled: Vec<(usize, usize, f64)>,
+        barriers: usize,
+    }
+
+    impl SimObserver for Marks {
+        fn on_window_barrier(&mut self, _window_index: usize, _boundary_s: f64) {
+            self.barriers += 1;
+        }
+        fn on_accelerator_sample(&mut self, sample: &crate::AcceleratorSample) {
+            self.sampled.push((sample.accelerator, sample.window_index, sample.boundary_s));
+        }
+    }
+
+    #[test]
+    fn a_stage_free_observed_run_crosses_no_barrier_and_samples_every_mark() {
+        let mut marks = Marks::default();
+        let build = || two_camera_cluster(2).share_window_s(20.0);
+        let observed = build().run_with(&mut marks).unwrap();
+        assert_eq!(observed, build().run().unwrap());
+        assert_eq!(marks.barriers, 0, "an observer is not a stage");
+        // Each accelerator reports marks in order, once each, up to the
+        // run's last; the one that ran longest reports every mark.
+        let last = (observed.contention.makespan_s / 20.0).floor() as usize;
+        let windows = |accel: usize| -> Vec<usize> {
+            marks.sampled.iter().filter(|(a, ..)| *a == accel).map(|&(_, w, _)| w).collect()
+        };
+        for accel in 0..2 {
+            let windows = windows(accel);
+            assert_eq!(windows.last(), Some(&last), "{windows:?}");
+            assert!(windows.windows(2).all(|pair| pair[0] < pair[1]), "{windows:?}");
+        }
+        let every: Vec<usize> = (0..=last).collect();
+        assert!(windows(0) == every || windows(1) == every, "{:?}", marks.sampled);
+        assert!(marks
+            .sampled
+            .iter()
+            .all(|&(_, w, boundary_s)| boundary_s == (w + 1) as f64 * 20.0));
+        // Accelerator-major: accelerator 0 streams its marks before
+        // accelerator 1 starts, but for the final one.
+        let first_of_1 = marks.sampled.iter().position(|(a, ..)| *a == 1).unwrap();
+        assert_eq!(first_of_1, windows(0).len() - 1, "{:?}", marks.sampled);
+    }
+
+    /// A churn event far in the future makes the executor jump over every
+    /// empty window to its barrier; an observer's samples jump with it
+    /// instead of reporting each idle mark on the way.
+    #[test]
+    fn a_far_churn_barrier_is_sampled_without_the_idle_marks_before_it() {
+        let plan = ChurnPlan::new().leave(1e12, "calm");
+        let mut marks = Marks::default();
+        let observed = two_camera_cluster(1).churn(plan.clone()).run_with(&mut marks).unwrap();
+        assert_eq!(observed, two_camera_cluster(1).churn(plan).run().unwrap());
+        // The leave fires at the first barrier at or after 1e12 s.
+        let &(_, _, last_s) = marks.sampled.last().unwrap();
+        assert!((1e12..1e12 + 60.0).contains(&last_s), "{last_s}");
+        assert_eq!(marks.sampled.len(), marks.barriers, "one sample per barrier");
+        assert!(marks.barriers < 10, "{} barriers", marks.barriers);
     }
 
     #[test]

@@ -240,23 +240,28 @@
 //! default-method hooks for every cluster-level decision: step attribution
 //! (`on_step_context`), a catch-all `on_event`, window barriers
 //! (`on_window_barrier`), per-camera and per-accelerator state sampled at
-//! those barriers (`on_window_sample` with a [`WindowSample`],
+//! every window mark (`on_window_sample` with a [`WindowSample`],
 //! `on_accelerator_sample` with an [`AcceleratorSample`]), label-sharing
 //! admissions (`on_share`), offload routing (`on_offload_route`), churn
 //! (`on_churn_join` / `on_churn_leave` / `on_churn_drain` /
 //! `on_migration`), and uplink transfers (`on_uplink_transfer`). All hooks
 //! default to no-ops, so existing observers compile unchanged.
 //!
-//! The **window-barrier sampling contract**: an observer is a barrier stage
-//! of the one executor, so observed cluster runs always have finite
-//! windows, and at every boundary the hooks fire
+//! The **window sampling contract**: an observer is not a stage of the one
+//! executor, so it leaves a run's windows as they are — a stage-free run
+//! stays one unbounded window. Each accelerator loop samples itself at
+//! window marks `k · share_window_s` (k ≥ 1): one `on_window_sample` per
+//! live camera in the loop's admission order, then one
+//! `on_accelerator_sample`. In one unbounded window that is every mark,
+//! before the loop executes its first event at or past it; with barriers
+//! it is every barrier's mark, when the loop is next advanced after the
+//! barrier ran; every loop samples the run's final mark at the end. A real
+//! barrier (a share, churn or offload stage) fires its hooks
 //! single-threaded in a fixed order — label exchange (`on_share`), churn
-//! events, offload routing (`on_offload_route`), then `on_window_barrier`,
-//! then one `on_window_sample` per live camera in admission-index order,
-//! then one `on_accelerator_sample` per accelerator in index order. Because
-//! the barrier is single-threaded and observed execution is serial, an
-//! observer needs no synchronisation and sees a bit-identical stream at any
-//! worker-thread count. The `dacapo-telemetry` crate builds its
+//! events, offload routing (`on_offload_route`), then `on_window_barrier`
+//! — before any loop samples that mark. Because observed execution is
+//! serial, an observer needs no synchronisation and sees a bit-identical
+//! stream at any worker-thread count. The `dacapo-telemetry` crate builds its
 //! chrome-trace/JSON-Lines recorder on exactly these hooks.
 //!
 //! # Snapshots and elastic membership

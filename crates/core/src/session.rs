@@ -122,7 +122,7 @@ pub(crate) fn report_uplink(
 /// existing observers.
 ///
 /// Besides the per-session event hooks, the trait carries the cluster-level
-/// hooks of the window-barrier sampling contract (see the crate docs'
+/// hooks of the window sampling contract (see the crate docs'
 /// *Observability* section): step attribution, barrier notifications,
 /// per-camera/per-accelerator samples, share admissions, offload routes,
 /// churn, and uplink transfers. Observed executions are single-threaded, so
@@ -155,14 +155,20 @@ pub trait SimObserver {
     /// Called at each cluster window barrier after that window's label
     /// exchange, churn, and offload routing completed. `window_index` is
     /// the window that just closed; `boundary_s` its end in cluster time.
+    /// Fires only where a real barrier runs — a share, offload or churn
+    /// stage is present — never in a stage-free run, observed or not.
     fn on_window_barrier(&mut self, _window_index: usize, _boundary_s: f64) {}
 
-    /// Called once per live camera (in admission-index order) right after
-    /// `on_window_barrier`, with that camera's sampled state.
+    /// Called per accelerator loop at each window mark it samples — every
+    /// mark `k · share_window_s` (k ≥ 1) of an unbounded window, every
+    /// barrier's mark (after the barrier ran) otherwise, and the run's final
+    /// mark — once per live camera on that accelerator, in the loop's
+    /// admission order, with that camera's sampled state.
     fn on_window_sample(&mut self, _sample: &WindowSample<'_>) {}
 
-    /// Called once per accelerator (in index order) after the per-camera
-    /// window samples, with that accelerator's sampled state.
+    /// Called per accelerator loop at each window mark it samples, after
+    /// that loop's per-camera window samples, with the accelerator's
+    /// sampled state.
     fn on_accelerator_sample(&mut self, _sample: &AcceleratorSample) {}
 
     /// Called when a share policy admits labels from `exporter` into
@@ -213,16 +219,18 @@ pub trait SimObserver {
 /// The do-nothing observer.
 impl SimObserver for () {}
 
-/// One camera's state sampled at a cluster window barrier, handed to
-/// [`SimObserver::on_window_sample`]. Samples are taken single-threaded in
-/// camera admission-index order, so the stream is deterministic at any
-/// worker-thread count. Label counters are cumulative over the run; the
-/// per-window deltas are the consumer's to compute.
+/// One camera's state sampled at a cluster window mark, handed to
+/// [`SimObserver::on_window_sample`]. Each accelerator loop samples its own
+/// residents, in its admission order, when it has executed every event
+/// before the mark (and, where a barrier stands at the mark, once the
+/// barrier ran); observed runs are single-threaded, so the stream is
+/// deterministic at any worker-thread count. Label counters are cumulative
+/// over the run; the per-window deltas are the consumer's to compute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowSample<'a> {
     /// The window that just closed.
     pub window_index: usize,
-    /// The barrier's cluster time (end of `window_index`) in seconds.
+    /// The mark's cluster time (end of `window_index`) in seconds.
     pub boundary_s: f64,
     /// The sampled camera's name.
     pub camera: &'a str,
@@ -249,20 +257,20 @@ pub struct WindowSample<'a> {
     pub in_flight_cloud_labels: usize,
 }
 
-/// One accelerator's state sampled at a cluster window barrier, handed to
-/// [`SimObserver::on_accelerator_sample`] after the per-camera
+/// One accelerator's state sampled at a cluster window mark, handed to
+/// [`SimObserver::on_accelerator_sample`] after the same loop's per-camera
 /// [`WindowSample`]s. Busy time is cumulative over the run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorSample {
     /// The window that just closed.
     pub window_index: usize,
-    /// The barrier's cluster time (end of `window_index`) in seconds.
+    /// The mark's cluster time (end of `window_index`) in seconds.
     pub boundary_s: f64,
     /// The sampled accelerator's index.
     pub accelerator: usize,
     /// Cumulative arbitrated compute seconds executed so far.
     pub busy_s: f64,
-    /// `busy_s / boundary_s` — the utilization up to this barrier.
+    /// `busy_s / boundary_s` — the utilization up to this mark.
     pub utilization: f64,
     /// Currently resident (live) sessions.
     pub live_sessions: usize,

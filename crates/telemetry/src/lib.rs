@@ -40,17 +40,24 @@
 //! Out-of-crate sinks register with [`sink::register`]; see
 //! `examples/telemetry.rs` for a CSV sink registered by name.
 //!
-//! ## The window-barrier sampling contract
+//! ## The window sampling contract
 //!
-//! Metrics are only sampled at the cluster's single-threaded window
-//! barriers, never from worker threads. At each barrier the hooks fire in a
-//! fixed order — label exchange ([`SimObserver::on_share`]), churn events,
-//! offload routing, then [`SimObserver::on_window_barrier`] followed by one
-//! [`SimObserver::on_window_sample`] per live camera in admission-index
-//! order and one [`SimObserver::on_accelerator_sample`] per accelerator in
-//! index order — so the metrics timeseries is bit-identical across runs and
-//! worker-thread counts. Standalone sessions (no cluster, no barriers) roll
-//! `"camera"` records on the camera's own clock instead, in
+//! Metrics are only sampled single-threaded, in a fixed order, never from
+//! worker threads, so the metrics timeseries is bit-identical across runs
+//! and worker-thread counts. Each accelerator loop samples itself at
+//! window marks (`k · share_window_s`) — every mark of a stage-free run's
+//! one unbounded window, every barrier's mark otherwise: one
+//! [`SimObserver::on_window_sample`] per live camera in the loop's
+//! admission order, then one [`SimObserver::on_accelerator_sample`], so a
+//! stage-free run's stream is accelerator-major. A real window barrier —
+//! present only with a share, churn or offload stage — fires label
+//! exchange ([`SimObserver::on_share`]), churn events, offload routing,
+//! then [`SimObserver::on_window_barrier`], which closes that window's
+//! `"cluster"` record, before any loop samples the mark. A stage-free run
+//! has no barrier, so its counters land in the one `"cluster"` record
+//! written at [`TelemetryRecorder::finish`], ending at the last sampled
+//! mark. Standalone sessions (no cluster, no marks) roll `"camera"` records
+//! on the camera's own clock instead, in
 //! [`TelemetryRecorder::window_s`]-sized windows.
 //!
 //! [`SimObserver::on_share`]: dacapo_core::SimObserver::on_share

@@ -4,8 +4,9 @@
 //! Everything here is ordered — registries store series in [`BTreeMap`]s and
 //! records carry their fields as ordered slices — so a metrics
 //! timeseries is bit-identical across runs and worker-thread counts.
-//! Sampling happens at the cluster's single-threaded window barriers (see
-//! the crate docs for the exact hook order), never from worker threads.
+//! Sampling happens single-threaded at the cluster's window marks and
+//! barriers (see the crate docs for the exact hook order), never from
+//! worker threads.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -212,8 +213,8 @@ struct Counter {
 
 /// The deterministic metrics registry: named counters, gauges, and
 /// histograms, sampled into `"cluster"` [`MetricsRecord`]s at window
-/// barriers. A name's key is allocated the first time it is used, never
-/// again.
+/// barriers and at the end of a run. A name's key is allocated the first
+/// time it is used, never again.
 ///
 /// Counters are **windowed**: [`MetricsRegistry::take_window`] drains the
 /// per-window increments (cumulative totals stay available for the
@@ -223,6 +224,8 @@ struct Counter {
 pub struct MetricsRegistry {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, f64>,
+    /// Whether a gauge was set since the last [`MetricsRegistry::take_window`].
+    gauges_set: bool,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -251,6 +254,7 @@ impl MetricsRegistry {
 
     /// Sets the named gauge to its latest value.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
+        self.gauges_set = true;
         match self.gauges.get_mut(name) {
             Some(gauge) => *gauge = value,
             None => {
@@ -287,11 +291,11 @@ impl MetricsRegistry {
     /// Drains the window's counter increments and samples every gauge: the
     /// fields of the `"cluster"` record for the window that just closed,
     /// the counters incremented in it and then every gauge, each in name
-    /// order. Returns `None` when nothing changed (skipped empty windows
-    /// produce no line).
+    /// order. Returns `None` when no counter was incremented and no gauge
+    /// set since the last take (skipped empty windows produce no line).
     pub fn take_window(&mut self) -> Option<Vec<(&str, FieldValue<'static>)>> {
-        let counted = self.counters.values().any(|counter| counter.window > 0);
-        if !counted && self.gauges.is_empty() {
+        let gauges_set = std::mem::take(&mut self.gauges_set);
+        if !gauges_set && self.counters.values().all(|counter| counter.window == 0) {
             return None;
         }
         let mut fields = Vec::with_capacity(self.counters.len() + self.gauges.len());
@@ -372,9 +376,26 @@ mod tests {
         assert_eq!(fields, [("steps", FieldValue::Uint(5)), ("accuracy", FieldValue::Float(0.9))]);
         // The next window starts from zero, but the gauge persists and the
         // cumulative total remembers everything.
-        let fields = registry.take_window().expect("gauges keep sampling");
-        assert_eq!(fields, [("accuracy", FieldValue::Float(0.9))]);
+        registry.gauge_set("accuracy", 0.8);
+        let fields = registry.take_window().expect("a set gauge is a change");
+        assert_eq!(fields, [("accuracy", FieldValue::Float(0.8))]);
         assert_eq!(registry.counter_total("steps"), 5);
+        registry.counter_add("steps", 2);
+        let fields = registry.take_window().expect("a counted window");
+        assert_eq!(fields, [("steps", FieldValue::Uint(2)), ("accuracy", FieldValue::Float(0.8))]);
+    }
+
+    #[test]
+    fn a_window_in_which_nothing_changed_produces_no_record() {
+        let mut registry = MetricsRegistry::new();
+        registry.counter_add("steps", 1);
+        registry.gauge_set("accuracy", 0.9);
+        assert!(registry.take_window().is_some());
+        // The gauge still has a value, but nobody set it since the take.
+        assert!(registry.take_window().is_none());
+        assert!(registry.take_window().is_none());
+        registry.gauge_set("accuracy", 0.9);
+        assert_eq!(registry.take_window(), Some(vec![("accuracy", FieldValue::Float(0.9))]));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! The recorder is deterministic by construction: observed runs execute
 //! single-threaded, every hook fires in a fixed order (see the crate docs
-//! for the window-barrier contract), and all aggregation state lives in
+//! for the window sampling contract), and all aggregation state lives in
 //! ordered collections — so the bytes a sink receives are identical across
 //! worker-thread counts. With only the reserved `null` sink configured the
 //! recorder does **no** work at all: every hook returns immediately, which
@@ -146,6 +146,9 @@ pub struct TelemetryRecorder {
     /// Index the next cluster-level metrics window will carry (advanced by
     /// window barriers; used for the residual flush at finish).
     cluster_window: usize,
+    /// The latest window mark an accelerator sample named: where a cluster
+    /// run's residual flush at finish ends.
+    sampled_s: Option<f64>,
     /// The rendered route of the last budgeted routing decision.
     route_text: String,
 }
@@ -172,6 +175,7 @@ impl TelemetryRecorder {
             context_pid: 0,
             context_track: None,
             cluster_window: 0,
+            sampled_s: None,
             route_text: String::new(),
         }
     }
@@ -179,7 +183,7 @@ impl TelemetryRecorder {
     /// Sets the camera-local aggregation window for `"camera"` records, in
     /// virtual seconds (default 60). Cluster-level `"window"` /
     /// `"accelerator"` / `"cluster"` records always follow the cluster's own
-    /// barrier windows instead.
+    /// window marks and barriers instead.
     #[must_use]
     pub fn window_s(mut self, window_s: f64) -> Self {
         self.window_s = window_s.max(1e-9);
@@ -230,7 +234,11 @@ impl TelemetryRecorder {
             for index in 0..self.tracks.len() {
                 self.flush_camera_window(index);
             }
-            let end_s = self.tracks.iter().map(|t| t.last_s).fold(0.0, f64::max);
+            // A cluster run ends at its last sampled mark, a standalone
+            // session at the latest time on its own clock.
+            let end_s = self
+                .sampled_s
+                .unwrap_or_else(|| self.tracks.iter().map(|t| t.last_s).fold(0.0, f64::max));
             self.flush_cluster_window(self.cluster_window, end_s);
             for sink in &mut self.out.sinks {
                 if let Err(error) = sink.finish() {
@@ -548,6 +556,9 @@ impl SimObserver for TelemetryRecorder {
         if !self.is_enabled() {
             return;
         }
+        // Every loop ends each mark it samples with this record.
+        self.sampled_s =
+            Some(self.sampled_s.map_or(sample.boundary_s, |s| s.max(sample.boundary_s)));
         let pid = sample.accelerator as u32;
         self.ensure_process(pid);
         self.out.record(&MetricsRecord {
@@ -845,6 +856,84 @@ mod tests {
         assert!(traces
             .iter()
             .any(|t| t.contains("\"name\":\"retrain\"") && t.contains("\"pid\":3")));
+    }
+
+    fn sample(window_index: usize, boundary_s: f64) -> (WindowSample<'static>, AcceleratorSample) {
+        let camera = WindowSample {
+            window_index,
+            boundary_s,
+            camera: "cam-0",
+            camera_index: 0,
+            accelerator: 0,
+            now_s: boundary_s,
+            accuracy: Some(0.5),
+            buffer_len: 4,
+            buffer_fresh_fraction: 1.0,
+            labels_local: 0,
+            labels_cloud: 0,
+            in_flight_cloud_labels: 0,
+        };
+        let accelerator = AcceleratorSample {
+            window_index,
+            boundary_s,
+            accelerator: 0,
+            busy_s: 1.0,
+            utilization: 1.0 / boundary_s,
+            live_sessions: 1,
+            queued_sessions: 0,
+            event_depth: 1,
+            drained: false,
+        };
+        (camera, accelerator)
+    }
+
+    fn cluster_records(records: &Shared) -> Vec<String> {
+        let records = records.lock().unwrap();
+        records.iter().filter(|line| line.contains("\"kind\":\"cluster\"")).cloned().collect()
+    }
+
+    #[test]
+    fn a_barrier_after_which_nothing_changed_leaves_no_record_at_finish() {
+        let (mut recorder, records, _) = capture();
+        recorder.on_step_context("cam-0", 0, 0);
+        recorder.on_accuracy(5.0, 0.5);
+        recorder.on_window_barrier(0, 60.0);
+        let (camera, accelerator) = sample(0, 60.0);
+        recorder.on_window_sample(&camera);
+        recorder.on_accelerator_sample(&accelerator);
+        recorder.finish().unwrap();
+        // The accuracy gauge still has a value, but no window follows the
+        // barrier's own record.
+        let cluster = cluster_records(&records);
+        assert_eq!(cluster.len(), 1, "{cluster:?}");
+        assert!(cluster[0].starts_with("{\"kind\":\"cluster\",\"window\":0,\"end_s\":60,"));
+    }
+
+    #[test]
+    fn a_run_without_barriers_ends_its_one_cluster_record_at_the_last_sampled_mark() {
+        let (mut recorder, records, _) = capture();
+        recorder.on_step_context("cam-0", 0, 0);
+        recorder.on_phase(&PhaseRecord {
+            kind: PhaseKind::Wait,
+            start_s: 100.0,
+            duration_s: 30.0,
+            samples: 0,
+            drift_response: false,
+        });
+        for (window, boundary_s) in [(0, 60.0), (1, 120.0), (2, 180.0)] {
+            let (camera, accelerator) = sample(window, boundary_s);
+            recorder.on_window_sample(&camera);
+            recorder.on_accelerator_sample(&accelerator);
+        }
+        recorder.finish().unwrap();
+        let cluster = cluster_records(&records);
+        assert_eq!(cluster.len(), 1, "{cluster:?}");
+        assert!(
+            cluster[0].starts_with("{\"kind\":\"cluster\",\"window\":0,\"end_s\":180,"),
+            "{}",
+            cluster[0]
+        );
+        assert!(cluster[0].contains("\"steps\":1"), "{}", cluster[0]);
     }
 
     #[test]

@@ -75,9 +75,9 @@ bench-steady *ARGS='--quick':
 
 # The frozen benchmark's observed workload against this tree: the steady
 # fleet again, its measured repetitions run through a `TelemetryRecorder`
-# with both file sinks — the windowed executor with observer sampling at
-# every barrier, and the full telemetry sink path — and checked against the
-# unobserved warm-up. Extra flags pass through, e.g.
+# with both file sinks — still one unbounded window, each accelerator loop
+# taking its own window samples, and the full telemetry sink path — and
+# checked against the unobserved warm-up. Extra flags pass through, e.g.
 # `just bench-observed --seed 3 --seconds 15 --trace 0`.
 bench-observed *ARGS='--quick':
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload fleet-observed {{ARGS}}

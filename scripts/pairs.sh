@@ -16,8 +16,11 @@
 # directory, from its own root (so each side's own .cargo/config.toml
 # applies; a second workload reuses both builds), then runs
 # `--seconds 15 --trace 0` on seeds 1..pairs, parent first on odd seeds and
-# change first on even ones, each binary from its own root. It invokes
-# `benchmark/` and never edits it. Run nothing else CPU-heavy meanwhile: a
+# change first on even ones, each binary from its own root. After each table
+# comes one verdict line per end-to-end metric: wins, the median gap against
+# the parent's interquartile range, and each side's interquartile range as a
+# share of the parent's median beside that metric's BENCHMARK.json bound. It
+# invokes `benchmark/` and never edits it. Run nothing else CPU-heavy meanwhile: a
 # run pins one core.
 set -euo pipefail
 if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
@@ -40,6 +43,14 @@ git -C "$repo" rev-parse --verify --quiet "$ref^{commit}" >/dev/null || {
 
 # One end-to-end metric's value out of the benchmark's last stdout line ($json).
 value() { grep -o "\"$1\":{\"value\":[^,}]*" <<<"$json" | sed 's/.*://'; }
+
+# Each end-to-end metric's spread bound, from BENCHMARK.json's "end_to_end"
+# array, as "name=bound" words.
+bounds=$(awk '
+    /"end_to_end"/ { on = 1 }
+    on && /"name"/ { name = $2; gsub(/[",]/, "", name) }
+    on && /"bound"/ { bound = $2; gsub(/,/, "", bound); printf "%s=%s ", name, bound }
+    on && /^  \]/ { on = 0 }' "$repo/BENCHMARK.json")
 
 rm -rf "$work/parent" "$work/change"
 mkdir -p "$work/parent" "$work/change"
@@ -68,7 +79,7 @@ table() {
     done
 
     # Columns of $runs: side seed steps_per_s setup_s peak_rss_mb accuracy failed correct.
-    awk -v workload="$workload" -v ref="$ref" '
+    awk -v workload="$workload" -v ref="$ref" -v bounds="$bounds" '
     function quantile(sorted, n, p,    at, lo) {
         at = (n - 1) * p; lo = int(at)
         return sorted[lo + 1] + (at - lo) * (sorted[(lo + 2 > n ? n : lo + 2)] - sorted[lo + 1])
@@ -89,6 +100,8 @@ table() {
         if ($8 != "true") incorrect[$1]++
     }
     END {
+        n = split(bounds, pairs_of, " ")
+        for (i = 1; i <= n; i++) { split(pairs_of[i], kv, "="); bound[kv[1]] = kv[2] }
         split("steps_per_s setup_s peak_rss_mb mean_accuracy_pct", name, " ")
         split("higher lower lower higher", better, " ")
         pairs = 0
@@ -105,16 +118,19 @@ table() {
             printf "%-18s %12.4f [%9.4f, %9.4f] %12.4f [%9.4f, %9.4f] %+7.1f%% %3d/%d\n", name[m],
                 med["parent"], q1["parent"], q3["parent"], med["change"], q1["change"], q3["change"],
                 (med["change"] / med["parent"] - 1) * 100, wins, pairs
-            if (m == 1) {
-                gap = med["change"] - med["parent"]; iqr = q3["parent"] - q1["parent"]
-                claim = sprintf("steps_per_s: %d/%d wins, median gap %.1f against a parent interquartile range of %.1f", wins, pairs, gap, iqr)
-            }
+            gap = med["change"] - med["parent"]; iqr = q3["parent"] - q1["parent"]
+            # The spread check: the interquartile range of each side as a
+            # share of the parent median, beside the bound of the metric.
+            spread_p = med["parent"] ? 100 * iqr / med["parent"] : 0
+            spread_c = med["parent"] ? 100 * (q3["change"] - q1["change"]) / med["parent"] : 0
+            verdict[m] = sprintf("%s: %d/%d wins, median gap %.6g against a parent interquartile range of %.6g; interquartile range / parent median: parent %.1f%%, change %.1f%% (bound %g%%)",
+                name[m], wins, pairs, gap, iqr, spread_p, spread_c, 100 * bound[name[m]])
         }
         same = 0
         for (seed in seen) if (cell["parent", seed, 6] == cell["change", seed, 6]) same++
         printf "mean_accuracy_pct equal per seed: %d/%d; failed operations parent %d, change %d; incorrect runs parent %d, change %d\n",
             same, pairs, failed["parent"], failed["change"], incorrect["parent"], incorrect["change"]
-        print claim
+        for (m = 1; m <= 4; m++) print verdict[m]
     }' "$runs"
 }
 

@@ -7,12 +7,15 @@
 
 use dacapo_core::arbiter::{self, Arbiter, ArbiterFactory, GrantRequest};
 use dacapo_core::platform::{KernelRate, PlatformRates, Sharing};
+use dacapo_core::share::{self, ShareContext, SharePolicy, SharePolicyFactory};
 use dacapo_core::{
-    AdmissionPolicy, ClSimulator, Cluster, CoreError, Fleet, SchedulerKind, SimConfig, SimObserver,
+    AdmissionPolicy, ClSimulator, Cluster, ClusterResult, CoreError, Fleet, SchedulerKind,
+    SimConfig, SimObserver,
 };
 use dacapo_datagen::{Scenario, Segment, SegmentAttributes};
 use dacapo_dnn::zoo::ModelPair;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Fast synthetic platform so the many debug-mode simulations stay quick.
 fn fast_platform() -> PlatformRates {
@@ -119,16 +122,48 @@ proptest! {
     }
 }
 
+/// Registers `zero-admit`, a share policy that admits nothing: an exchange
+/// stage that gives a run finite windows and changes no camera's numbers,
+/// only the share metrics.
+fn register_zero_admit() {
+    struct ZeroAdmit;
+    impl SharePolicy for ZeroAdmit {
+        fn name(&self) -> String {
+            "zero-admit".to_string()
+        }
+        fn admit_fraction(&mut self, _ctx: &ShareContext<'_>) -> f64 {
+            0.0
+        }
+    }
+    struct ZeroAdmitFactory;
+    impl SharePolicyFactory for ZeroAdmitFactory {
+        fn name(&self) -> &str {
+            "zero-admit"
+        }
+        fn build(&self, _params: Option<&str>) -> dacapo_core::Result<Box<dyn SharePolicy>> {
+            Ok(Box::new(ZeroAdmit))
+        }
+    }
+    share::register(Arc::new(ZeroAdmitFactory));
+}
+
+/// `result` with `reference`'s share metrics: the whole result but the part
+/// a zero-admit exchange stage legitimately changes.
+fn except_share(mut result: ClusterResult, reference: &ClusterResult) -> ClusterResult {
+    result.share = reference.share.clone();
+    result
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Observed ≡ unobserved, which is finite ≡ unbounded windows: an
-    /// observer is a barrier stage, so `run_with` cuts the run into
-    /// `share_window_s` windows (sessions admitted in window 0, a barrier at
-    /// every boundary) where `run` executes one unbounded window. The whole
-    /// `ClusterResult` —
-    /// camera results, contention, churn peak residency, share, edge — must
-    /// not notice, at any window length, capacity bound or thread count.
+    /// Finite ≡ unbounded windows: an exchange stage that admits nothing
+    /// cuts the run into `share_window_s` windows (sessions admitted in
+    /// window 0, a barrier at every boundary) where `run` executes one
+    /// unbounded window. The whole `ClusterResult` but the share metrics —
+    /// camera results, contention, churn peak residency, edge — must not
+    /// notice, at any window length, capacity bound or thread count,
+    /// observed or not.
     #[test]
     fn finite_windows_reproduce_the_unbounded_window_exactly(
         cameras in 3usize..7,
@@ -149,13 +184,21 @@ proptest! {
             }
             cluster
         };
+        register_zero_admit();
         let unbounded = build(1).run().expect("unobserved run");
         prop_assert_eq!(unbounded.churn.peak_residency, cameras.min(2 * capacity));
         for threads in [1, 2, 8] {
             let plain = build(threads).run().expect("unobserved run");
             prop_assert_eq!(&plain, &unbounded, "{} threads, unobserved", threads);
-            let windowed = build(threads).run_with(&mut ()).expect("observed run");
-            prop_assert_eq!(&windowed, &unbounded, "{} threads, {} s windows", threads, window_s);
+            let windowed =
+                build(threads).share("zero-admit").run_with(&mut ()).expect("observed run");
+            prop_assert_eq!(
+                &except_share(windowed, &unbounded),
+                &unbounded,
+                "{} threads, {} s windows",
+                threads,
+                window_s
+            );
         }
     }
 }

@@ -262,6 +262,48 @@ fn the_traced_smoke_run_writes_the_pinned_bytes() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
+/// Cameras placed at a churn barrier are in that barrier's window samples:
+/// the join barrier's hold the joiner on the accelerator it was placed on,
+/// and the drain barrier's hold every migrant under its destination.
+#[test]
+fn cameras_placed_at_a_churn_barrier_are_sampled_there() {
+    #[derive(Default)]
+    struct Placements {
+        /// `(camera, accelerator, barrier)` of every join and migration.
+        placed: Vec<(String, usize, f64)>,
+        /// `(camera, accelerator, mark)` of every window sample.
+        sampled: Vec<(String, usize, f64)>,
+    }
+    impl SimObserver for Placements {
+        fn on_churn_join(&mut self, camera: &str, accelerator: Option<usize>, at_s: f64) {
+            self.placed.extend(accelerator.map(|accel| (camera.to_string(), accel, at_s)));
+        }
+        fn on_migration(&mut self, camera: &str, _from: usize, to: Option<usize>, at_s: f64) {
+            self.placed.extend(to.map(|accel| (camera.to_string(), accel, at_s)));
+        }
+        fn on_window_sample(&mut self, sample: &dacapo_core::WindowSample<'_>) {
+            self.sampled.push((sample.camera.to_string(), sample.accelerator, sample.boundary_s));
+        }
+    }
+    let mut observer = Placements::default();
+    busy_cluster(3, 7, 1).run_with(&mut observer).expect("observed run completes");
+    // The join at 16 s lands at the 30 s barrier; the drain at 31 s moves
+    // accelerator 1's two residents (cam-1 and the joiner) at the 45 s one.
+    let placed: Vec<(&str, usize, f64)> = observer
+        .placed
+        .iter()
+        .map(|(camera, accel, at_s)| (camera.as_str(), *accel, *at_s))
+        .collect();
+    assert_eq!(placed, [("joiner", 1, 30.0), ("cam-1", 0, 45.0), ("joiner", 0, 45.0)]);
+    for placement in &observer.placed {
+        assert!(
+            observer.sampled.contains(placement),
+            "{placement:?} is missing from its barrier's samples {:?}",
+            observer.sampled
+        );
+    }
+}
+
 /// The snapshot-parity criterion for telemetry: restore a session from a
 /// mid-run snapshot and record its remainder — every camera-window record
 /// for windows after the snapshot point matches the same windows from an
@@ -428,7 +470,7 @@ fn catch_all_hook_matches_typed_hooks_and_every_family_fires() {
     assert!(counting.phases > 0);
     assert!(counting.accuracies > 0);
     assert!(counting.finishes > 0, "every camera run emits a Finished event");
-    assert!(counting.barriers > 0, "an observer gives the run finite windows");
+    assert!(counting.barriers > 0, "the share, offload and churn stages give the run windows");
     assert!(counting.window_samples > 0);
     assert!(counting.accelerator_samples > 0);
     assert!(counting.shares > 0, "broadcast sharing admits labels");
