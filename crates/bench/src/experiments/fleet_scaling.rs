@@ -1,7 +1,7 @@
 //! Multi-camera fleet run: all eight scenarios (S1–S6, ES1, ES2) as
-//! independent camera sessions executed in parallel by the `Fleet` driver,
-//! with per-camera seeds, aggregated into fleet-level accuracy percentiles,
-//! total energy, and drop rate.
+//! independent camera sessions, each on a dedicated accelerator of one
+//! `Cluster`, executed in parallel with per-camera seeds and aggregated into
+//! fleet-level accuracy percentiles, total energy, and drop rate.
 //!
 //! The fleet is **heterogeneous**: cameras cycle through registry-named
 //! platforms (the stock 16×16 DaCapo chip plus two `scaled-dacapo:<rows>`
@@ -12,7 +12,7 @@
 
 use crate::runner::truncate_scenario;
 use crate::{pct, render_table, ExperimentOptions, Failure, HostRecord, Report};
-use dacapo_core::{Fleet, SchedulerKind, SimConfig};
+use dacapo_core::{Cluster, SchedulerKind, SimConfig};
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
 use std::fmt::Write as _;
@@ -25,9 +25,10 @@ pub(super) fn run(options: &ExperimentOptions, host: &mut HostRecord) -> Result<
     let mut text = String::new();
     let pair = ModelPair::ResNet18Wrn50;
 
-    let mut fleet = Fleet::new();
+    let scenarios = Scenario::all();
+    let mut cluster = Cluster::new(scenarios.len());
     let mut platforms = Vec::new();
-    for (i, scenario) in Scenario::all().into_iter().enumerate() {
+    for (i, scenario) in scenarios.into_iter().enumerate() {
         let scenario = if options.quick { truncate_scenario(&scenario, 5) } else { scenario };
         let name = format!("cam-{:02}-{}", i, scenario.name());
         let platform = CAMERA_PLATFORMS[i % CAMERA_PLATFORMS.len()];
@@ -40,15 +41,15 @@ pub(super) fn run(options: &ExperimentOptions, host: &mut HostRecord) -> Result<
         }
         let config = builder.build()?;
         platforms.push(platform);
-        fleet = fleet.camera(name, config);
+        cluster = cluster.camera(name, config);
     }
 
-    let cameras = fleet.len();
-    let result = host.timed(format!("{cameras} cameras"), || fleet.run())?;
+    let cameras = cluster.len();
+    let result = host.timed(format!("{cameras} cameras"), || cluster.run())?.fleet;
 
     writeln!(
         text,
-        "Fleet: {cameras} cameras, heterogeneous platforms ({}), spatiotemporal scheduling\n",
+        "{cameras}-camera fleet, heterogeneous platforms ({}), spatiotemporal scheduling\n",
         CAMERA_PLATFORMS.join(" / ")
     )?;
     let table = render_table(

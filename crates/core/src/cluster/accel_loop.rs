@@ -388,10 +388,7 @@ impl<'a> AccelLoop<'a> {
             let Slot { camera_index, session, .. } = &self.slots[slot];
             let Some(session) = session else { continue };
             let now_s = session.now_s();
-            let (labels_local, labels_cloud) = match session.edge_accum() {
-                Some(accum) => (accum.labels_local, accum.labels_cloud),
-                None => (0, 0),
-            };
+            let (labels_local, labels_cloud) = session.label_counts();
             // "Fresh" relative to the closing window's span at this
             // camera's own clock (a queued-then-admitted camera may trail
             // the mark).

@@ -1,10 +1,12 @@
 //! Virtual-time cluster executor: thousands of camera sessions multiplexed
 //! over a shared pool of accelerators under a pluggable arbitration policy.
 //!
-//! [`Fleet`](crate::Fleet) answers "what do N independent cameras do?";
-//! [`Cluster`] answers the question the paper actually poses at scale: what
-//! happens when those cameras **contend** for hardware. Each cluster owns
-//! N [`Session`](crate::Session)s and M accelerator resources. Cameras are
+//! [`Cluster`] is the one executor for N cameras. With one dedicated
+//! accelerator per camera, `Cluster::new(N)`, it answers "what do N
+//! independent cameras do?"; with fewer, it answers the question the paper
+//! poses at scale: what happens when those cameras **contend** for
+//! hardware. Each cluster owns N [`Session`](crate::Session)s and M
+//! accelerator resources. Cameras are
 //! assigned to accelerators round-robin at admission; each accelerator runs
 //! an event-driven virtual-time loop that pops the next-due session step from a
 //! binary-heap event queue, asks its [`Arbiter`](crate::arbiter::Arbiter)
@@ -20,8 +22,7 @@
 //!   [`SimResult`] stays bit-identical to a solo run; contention surfaces
 //!   only in the [`ContentionMetrics`] (step stretch, makespan, accelerator
 //!   utilization). A cluster with one dedicated accelerator per camera is
-//!   therefore exactly a [`Fleet`](crate::Fleet) — and `Fleet::run` is
-//!   implemented as precisely that (property-tested bit-identical).
+//!   therefore a fleet of solo runs (property-tested bit-identical).
 //! * **Everything is deterministic.** Event-queue ties break by admission
 //!   order, accelerators are independent of each other, and no wall-clock
 //!   value feeds the virtual clock — two runs of the same cluster produce
@@ -213,9 +214,9 @@ pub struct ContentionMetrics {
     pub queued_cameras: usize,
 }
 
-/// The outcome of a cluster run: the same per-camera results and aggregates
-/// a [`Fleet`](crate::Fleet) reports, plus the contention telemetry only a
-/// shared-accelerator execution can produce.
+/// The outcome of a cluster run: the per-camera results and their fleet
+/// aggregates, plus the contention telemetry only a shared-accelerator
+/// execution can produce.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterResult {
     /// Per-camera results and fleet-level aggregates, covering the initial
@@ -908,7 +909,6 @@ mod tests {
     use crate::sched::SchedulerKind;
     use crate::sim::test_support::short_config;
     use crate::sim::PhaseRecord;
-    use crate::Fleet;
 
     fn two_camera_cluster(accelerators: usize) -> Cluster {
         Cluster::new(accelerators)
@@ -981,12 +981,13 @@ mod tests {
     #[test]
     fn dedicated_accelerators_reproduce_the_fleet_exactly() {
         let cluster = two_camera_cluster(2).run().unwrap();
-        let fleet = Fleet::new()
-            .camera("calm", short_config(SchedulerKind::DaCapoSpatial))
-            .camera("adaptive", short_config(SchedulerKind::DaCapoSpatiotemporal))
-            .run()
-            .unwrap();
-        assert_eq!(cluster.fleet, fleet);
+        for (camera, scheduler) in [
+            ("calm", SchedulerKind::DaCapoSpatial),
+            ("adaptive", SchedulerKind::DaCapoSpatiotemporal),
+        ] {
+            let solo = crate::ClSimulator::new(short_config(scheduler)).unwrap().run().unwrap();
+            assert_eq!(cluster.camera(camera), Some(&solo), "{camera}");
+        }
         // No contention: every arbitrated step ran at full capacity.
         assert_eq!(cluster.contention.accelerators, 2);
         assert!((cluster.contention.p99_step_stretch - 1.0).abs() < 1e-12);

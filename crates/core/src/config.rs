@@ -126,15 +126,19 @@ impl Hyperparams {
                 ),
             });
         }
-        // `!(x > 0.0 && x.is_finite())` rather than `x <= 0.0`: NaN and +∞
-        // pass the latter, and a NaN learning rate trains weights to NaN.
-        for (field, value) in [
-            ("window_seconds", self.window_seconds),
-            ("learning_rate", f64::from(self.learning_rate)),
+        // `!(x > floor && x.is_finite())` rather than `x <= floor`: NaN and
+        // +∞ pass the latter. A NaN learning rate trains weights to NaN; a
+        // NaN drift threshold makes Algorithm 1's `acc_l − acc_v < V_thr`
+        // always false, so drift detection silently switches off. The
+        // threshold is a (negative) accuracy gap and has no floor.
+        for (field, value, floor, must_be) in [
+            ("window_seconds", self.window_seconds, 0.0, "positive and finite"),
+            ("learning_rate", f64::from(self.learning_rate), 0.0, "positive and finite"),
+            ("drift_threshold", self.drift_threshold, f64::NEG_INFINITY, "finite"),
         ] {
-            if !(value > 0.0 && value.is_finite()) {
+            if !(value > floor && value.is_finite()) {
                 return Err(CoreError::InvalidConfig {
-                    reason: format!("{field} must be positive and finite, got {value}"),
+                    reason: format!("{field} must be {must_be}, got {value}"),
                 });
             }
         }
@@ -440,6 +444,19 @@ mod tests {
             let hp = Hyperparams { window_seconds: bad, ..Hyperparams::default() };
             let reason = invalid_reason(hp.validate());
             assert!(reason.contains("window_seconds"), "{reason}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_drift_threshold_is_rejected_by_name() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let hp = Hyperparams { drift_threshold: bad, ..Hyperparams::default() };
+            let built = SimConfig::builder(Scenario::s1(), ModelPair::ResNet18Wrn50)
+                .hyperparams(hp)
+                .build()
+                .map(|_| ());
+            let reason = invalid_reason(built);
+            assert!(reason.contains("drift_threshold"), "{reason}");
         }
     }
 

@@ -766,8 +766,8 @@ pub struct EdgeMetrics {
     pub cloud_label_latency_p50_s: f64,
     /// 99th-percentile uplink-induced label delay, in seconds.
     pub cloud_label_latency_p99_s: f64,
-    /// Fleet mean accuracy divided by the bytes that bought it (`0` when
-    /// nothing shipped) — the headline the edge–cloud bench sweeps.
+    /// The fleet's mean accuracy divided by the bytes that bought it (`0`
+    /// when nothing shipped) — the headline the edge–cloud bench sweeps.
     pub accuracy_per_byte: f64,
 }
 

@@ -1,20 +1,16 @@
-//! Multi-camera fleet driver: N independent [`Session`](crate::Session)s,
-//! each with its own scenario, seed, and platform, aggregated into one
-//! [`FleetResult`].
+//! What a multi-camera run reports: one [`CameraResult`] per camera and the
+//! [`FleetResult`] aggregates over them, as read from
+//! [`ClusterResult::fleet`](crate::ClusterResult::fleet).
 //!
-//! A fleet is the contention-free corner of the cluster design space:
-//! [`Fleet::run`] is a thin wrapper over a [`Cluster`](crate::Cluster) with
-//! **one dedicated accelerator per camera**, so no session ever shares
-//! hardware and every per-camera result is **bit-identical** to running that
-//! camera's `Session` alone (property-tested) — worker threads only change
-//! wall-clock time, never metrics. When cameras must share accelerators,
-//! use [`Cluster`](crate::Cluster) directly and pick an arbitration policy.
+//! N independent cameras are a [`Cluster`](crate::Cluster) with one
+//! dedicated accelerator per camera, `Cluster::new(N)`: no session ever
+//! shares hardware, so every per-camera result is **bit-identical** to
+//! running that camera's `Session` alone (property-tested), and worker
+//! threads only change wall-clock time, never metrics.
 
-use crate::cluster::Cluster;
-use crate::config::SimConfig;
 use crate::metrics::{mean, percentiles};
 use crate::sim::SimResult;
-use crate::{CoreError, Result};
+use crate::CoreError;
 use serde::{Deserialize, Serialize};
 
 /// One camera's outcome within a fleet run.
@@ -56,146 +52,6 @@ impl FleetResult {
     }
 }
 
-/// Builder-style driver for a fleet of camera sessions.
-///
-/// # Examples
-///
-/// ```no_run
-/// use dacapo_core::{Fleet, SimConfig};
-/// use dacapo_datagen::Scenario;
-/// use dacapo_dnn::zoo::ModelPair;
-///
-/// # fn main() -> Result<(), dacapo_core::CoreError> {
-/// let mut fleet = Fleet::new();
-/// for (i, scenario) in Scenario::all().into_iter().enumerate() {
-///     let config = SimConfig::builder(scenario, ModelPair::ResNet18Wrn50)
-///         .seed(0xDACA90 + i as u64)
-///         .build()?;
-///     fleet = fleet.camera(format!("cam-{i}"), config);
-/// }
-/// let result = fleet.run()?;
-/// println!("fleet mean accuracy {:.1}%", result.mean_accuracy * 100.0);
-/// # Ok(())
-/// # }
-/// ```
-pub struct Fleet {
-    cameras: Vec<(String, SimConfig)>,
-    threads: usize,
-    share: String,
-    share_window_s: Option<f64>,
-}
-
-impl Default for Fleet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fleet {
-    /// Creates an empty fleet sized to the machine's available parallelism,
-    /// with cross-camera sharing disabled.
-    #[must_use]
-    pub fn new() -> Self {
-        let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-        Self { cameras: Vec::new(), threads, share: "none".to_string(), share_window_s: None }
-    }
-
-    /// Adds a camera with its own configuration (scenario, seed, platform,
-    /// scheduler).
-    #[must_use]
-    pub fn camera(mut self, name: impl Into<String>, config: SimConfig) -> Self {
-        self.cameras.push((name.into(), config));
-        self
-    }
-
-    /// Caps the number of worker threads (at least one is always used).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Selects a cross-camera label-sharing policy by registry name (see
-    /// [`crate::share::register`]); the default `"none"` keeps cameras fully
-    /// independent. With an active policy, correlated cameras reuse each
-    /// other's freshly teacher-labeled samples at window boundaries —
-    /// per-camera results then legitimately differ from solo runs. Sharing
-    /// telemetry is reported on [`crate::ClusterResult::share`]; run the
-    /// fleet as a [`Cluster`] (one accelerator per camera) to read it.
-    #[must_use]
-    pub fn share(mut self, name: impl Into<String>) -> Self {
-        self.share = name.into();
-        self
-    }
-
-    /// Sets the sharing exchange window in virtual seconds (see
-    /// [`Cluster::share_window_s`]); only consulted with an active share
-    /// policy.
-    #[must_use]
-    pub fn share_window_s(mut self, window_s: f64) -> Self {
-        self.share_window_s = Some(window_s);
-        self
-    }
-
-    /// Number of cameras currently in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cameras.len()
-    }
-
-    /// Whether the fleet has no cameras.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cameras.is_empty()
-    }
-
-    /// Runs every camera session to completion across the worker threads and
-    /// aggregates the fleet metrics. Implemented as a [`Cluster`] with one
-    /// dedicated accelerator per camera, so no arbitration ever slows a
-    /// session down.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for an empty fleet, duplicate
-    /// camera names, or an invalid camera configuration, and propagates the
-    /// first session error otherwise. Configurations are validated up front
-    /// and a failing camera aborts the remaining queue, so a bad camera
-    /// fails the run fast instead of after every other stream completes.
-    pub fn run(self) -> Result<FleetResult> {
-        Ok(self.into_cluster()?.run()?.fleet)
-    }
-
-    /// Like [`Fleet::run`], but forwards every session and barrier event to
-    /// `observer` through the [`crate::SimObserver`] hooks, exactly as
-    /// [`Cluster::run_with`](crate::Cluster::run_with) does. Execution is
-    /// single-threaded so the observer needs no synchronisation; the
-    /// returned result is identical to [`Fleet::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Fleet::run`].
-    pub fn run_with(self, observer: &mut dyn crate::SimObserver) -> Result<FleetResult> {
-        Ok(self.into_cluster()?.run_with(observer)?.fleet)
-    }
-
-    /// The fleet's underlying one-accelerator-per-camera cluster.
-    fn into_cluster(self) -> Result<Cluster> {
-        if self.cameras.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                reason: "a fleet needs at least one camera".into(),
-            });
-        }
-        let mut cluster = Cluster::new(self.cameras.len()).threads(self.threads).share(self.share);
-        if let Some(window_s) = self.share_window_s {
-            cluster = cluster.share_window_s(window_s);
-        }
-        for (name, config) in self.cameras {
-            cluster = cluster.camera(name, config);
-        }
-        Ok(cluster)
-    }
-}
-
 /// Prefixes a config error with the offending camera's name without
 /// re-nesting the "invalid system configuration" wrapper.
 pub(crate) fn prefix_camera(name: &str, error: CoreError) -> CoreError {
@@ -206,8 +62,7 @@ pub(crate) fn prefix_camera(name: &str, error: CoreError) -> CoreError {
     CoreError::InvalidConfig { reason: format!("camera '{name}': {detail}") }
 }
 
-/// Aggregates per-camera results into fleet-level metrics (shared by
-/// [`Fleet`] and [`Cluster`]).
+/// Aggregates per-camera results into fleet-level metrics.
 pub(crate) fn aggregate(cameras: Vec<CameraResult>) -> FleetResult {
     // A cluster whose every camera departed before starting has nothing to
     // aggregate; report zeros rather than a vacuous min of +inf.
@@ -240,17 +95,18 @@ pub(crate) fn aggregate(cameras: Vec<CameraResult>) -> FleetResult {
     reason = "the fail-fast test times the host to show validation rejects a fleet before any simulation runs"
 )]
 mod tests {
-    use super::*;
+    use crate::cluster::Cluster;
     use crate::sched::SchedulerKind;
     use crate::sim::test_support::short_config;
 
     #[test]
     fn empty_fleets_and_duplicate_names_are_rejected() {
-        assert!(Fleet::new().run().is_err());
-        let fleet = Fleet::new()
+        assert!(Cluster::new(1).run().is_err());
+        let err = Cluster::new(2)
             .camera("a", short_config(SchedulerKind::NoAdaptation))
-            .camera("a", short_config(SchedulerKind::NoAdaptation));
-        let err = fleet.run().unwrap_err();
+            .camera("a", short_config(SchedulerKind::NoAdaptation))
+            .run()
+            .unwrap_err();
         assert!(err.to_string().contains("duplicate"), "{err}");
     }
 
@@ -258,7 +114,7 @@ mod tests {
     fn bad_camera_configs_fail_before_any_simulation_runs() {
         let mut broken = short_config(SchedulerKind::NoAdaptation);
         broken.scheduler = "not-a-registered-policy".into();
-        let fleet = Fleet::new()
+        let fleet = Cluster::new(2)
             .camera("good", short_config(SchedulerKind::NoAdaptation))
             .camera("broken", broken);
         let started = std::time::Instant::now();
@@ -279,7 +135,7 @@ mod tests {
     fn unknown_platform_names_fail_fleet_prevalidation() {
         let mut broken = short_config(SchedulerKind::NoAdaptation);
         broken.platform = "warp-core".into();
-        let err = Fleet::new()
+        let err = Cluster::new(2)
             .camera("good", short_config(SchedulerKind::NoAdaptation))
             .camera("bad-platform", broken)
             .run()
@@ -290,11 +146,13 @@ mod tests {
 
     #[test]
     fn fleet_aggregates_match_per_camera_results() {
-        let fleet = Fleet::new()
+        let result = Cluster::new(2)
             .threads(2)
             .camera("calm", short_config(SchedulerKind::DaCapoSpatial))
-            .camera("adaptive", short_config(SchedulerKind::DaCapoSpatiotemporal));
-        let result = fleet.run().unwrap();
+            .camera("adaptive", short_config(SchedulerKind::DaCapoSpatiotemporal))
+            .run()
+            .unwrap()
+            .fleet;
         assert_eq!(result.cameras.len(), 2);
         assert_eq!(result.cameras[0].camera, "calm");
         assert_eq!(result.cameras[1].camera, "adaptive");
@@ -314,12 +172,13 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let fleet = Fleet::new()
+        let fleet = Cluster::new(2)
             .threads(4)
             .camera("one", short_config(SchedulerKind::DaCapoSpatiotemporal))
             .camera("two", short_config(SchedulerKind::DaCapoSpatiotemporal))
             .run()
-            .unwrap();
+            .unwrap()
+            .fleet;
         for camera in &fleet.cameras {
             assert_eq!(camera.result, solo);
         }
@@ -327,11 +186,12 @@ mod tests {
 
     #[test]
     fn single_threaded_fleets_work() {
-        let result = Fleet::new()
+        let result = Cluster::new(1)
             .threads(1)
             .camera("only", short_config(SchedulerKind::NoAdaptation))
             .run()
-            .unwrap();
+            .unwrap()
+            .fleet;
         assert_eq!(result.cameras.len(), 1);
         assert_eq!(result.total_drift_responses, 0);
     }

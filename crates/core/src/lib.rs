@@ -21,15 +21,15 @@
 //!   get a [`SimResult`]. It is a thin loop over [`Session`], so a stepped
 //!   session and a `run()` call with the same seed produce *identical*
 //!   results.
-//! * [`Fleet`] — the multi-camera driver: N sessions with independent
-//!   scenarios/seeds/platforms executed across worker threads and aggregated
-//!   into a [`FleetResult`] (mean/percentile accuracy, total energy,
-//!   aggregate drop rate). Per-camera results are bit-identical to solo runs.
-//! * [`Cluster`] — the shared-hardware executor: N sessions multiplexed over
-//!   M accelerator resources in an event-driven virtual-time loop, with a
-//!   pluggable [`arbiter`] deciding each step's capacity share. A fleet is
-//!   exactly a cluster with one dedicated accelerator per camera —
-//!   [`Fleet::run`] is implemented that way.
+//! * [`Cluster`] — the multi-camera executor: N sessions with independent
+//!   scenarios/seeds/platforms multiplexed over M accelerator resources in
+//!   an event-driven virtual-time loop, accelerators spread across worker
+//!   threads, with a pluggable [`arbiter`] deciding each step's capacity
+//!   share. Results aggregate into a [`FleetResult`] (mean/percentile
+//!   accuracy, total energy, aggregate drop rate) on
+//!   [`ClusterResult::fleet`]. A fleet of independent cameras is
+//!   `Cluster::new(N)`, one dedicated accelerator per camera, and its
+//!   per-camera results are bit-identical to solo runs.
 //!
 //! Scheduling policies are **pluggable**: the paper's algorithms are builtin
 //! [`SchedulerKind`]s, and external crates can [`sched::register`] their own
@@ -45,7 +45,7 @@
 //! (`SimConfig::builder(..).platform("my-platform")`), or explicit rates.
 //! Provider names accept a `:<params>` suffix (`"scaled-dacapo:32"`,
 //! `"orin-dvfs:45"`), so one provider can describe a hardware family. A
-//! [`Fleet`] mixes platforms freely: each camera carries its own spec, so
+//! [`Cluster`] mixes platforms freely: each camera carries its own spec, so
 //! heterogeneous deployments (some cameras on accelerators, some on GPUs)
 //! are just differently-configured cameras.
 //!
@@ -369,22 +369,23 @@
 //! # }
 //! ```
 //!
-//! Driving a fleet of cameras in parallel:
+//! Driving a fleet of cameras in parallel, one dedicated accelerator each:
 //!
 //! ```no_run
-//! use dacapo_core::{Fleet, SimConfig};
+//! use dacapo_core::{Cluster, SimConfig};
 //! use dacapo_datagen::Scenario;
 //! use dacapo_dnn::zoo::ModelPair;
 //!
 //! # fn main() -> Result<(), dacapo_core::CoreError> {
-//! let mut fleet = Fleet::new();
-//! for (i, scenario) in Scenario::all().into_iter().enumerate() {
+//! let scenarios = Scenario::all();
+//! let mut cluster = Cluster::new(scenarios.len());
+//! for (i, scenario) in scenarios.into_iter().enumerate() {
 //!     let config = SimConfig::builder(scenario, ModelPair::ResNet18Wrn50)
 //!         .seed(0xDACA90 + i as u64)
 //!         .build()?;
-//!     fleet = fleet.camera(format!("cam-{i}"), config);
+//!     cluster = cluster.camera(format!("cam-{i}"), config);
 //! }
-//! let result = fleet.run()?;
+//! let result = cluster.run()?.fleet;
 //! println!(
 //!     "{} cameras: mean {:.1}%, p10 {:.1}%, total {:.0} J",
 //!     result.cameras.len(),
@@ -427,7 +428,7 @@ pub use cluster::{
 pub use config::{Hyperparams, SimConfig, SimConfigBuilder};
 pub use edge::{EdgeConfig, EdgeMetrics, LabelRoute, UplinkSpec};
 pub use error::CoreError;
-pub use fleet::{CameraResult, Fleet, FleetResult};
+pub use fleet::{CameraResult, FleetResult};
 pub use platform::{PlatformKind, PlatformRates, PlatformSpec};
 pub use sched::{SchedulerKind, SchedulerSpec};
 pub use session::{

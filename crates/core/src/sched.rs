@@ -162,8 +162,8 @@ pub enum Action {
 
 /// A temporal resource-allocation policy.
 ///
-/// `Send` is required so sessions can run on [`Fleet`](crate::Fleet) worker
-/// threads.
+/// `Send` is required so sessions can run on [`Cluster`](crate::Cluster)
+/// worker threads.
 pub trait Scheduler: Send {
     /// The policy's display name (used for reporting, e.g.
     /// `"DaCapo-Spatiotemporal"`).

@@ -4,7 +4,7 @@
 //! walking one drifting scenario. Each [`Session::step`] call executes at
 //! most one temporal phase and returns a [`SessionEvent`] describing what
 //! just happened, so callers can observe mid-run state, interleave many
-//! cameras (see [`Fleet`](crate::Fleet)), or drive custom control loops —
+//! cameras (see [`Cluster`](crate::Cluster)), or drive custom control loops —
 //! none of which the old one-shot `ClSimulator::run()` allowed.
 //!
 //! For push-style consumption, [`Session::run_with`] drives the session to
@@ -769,6 +769,13 @@ impl Session {
     /// This session's edge-tier counters, for cluster-level aggregation.
     pub(crate) fn edge_accum(&self) -> Option<EdgeAccum> {
         self.state.edge.as_ref().map(EdgeTierState::accum)
+    }
+
+    /// This session's `(labels_local, labels_cloud)` counters, zero without
+    /// an edge tier. Unlike `edge_accum`, it copies none of the tier's
+    /// cloud latencies, which grow with every cloud label.
+    pub(crate) fn label_counts(&self) -> (u64, u64) {
+        self.state.edge.as_ref().map_or((0, 0), |tier| (tier.labels_local, tier.labels_cloud))
     }
 
     /// Buffer depth and uplink byte meters, the session-side half of the

@@ -6,7 +6,7 @@
 //! completion, and hands back the final [`SimResult`]. Code that wants
 //! mid-run visibility (observers, multi-camera drivers, custom control
 //! loops) should use [`Session`](crate::Session) or
-//! [`Fleet`](crate::Fleet) directly.
+//! [`Cluster`](crate::Cluster) directly.
 
 use crate::config::SimConfig;
 use crate::session::Session;

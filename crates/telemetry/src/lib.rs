@@ -9,11 +9,10 @@
 //!    Load the file in Perfetto or `chrome://tracing`. Because observed runs
 //!    execute single-threaded and all recorder state is ordered, the trace
 //!    bytes are identical whatever `threads(..)` setting the cluster uses.
-//! 2. **A deterministic metrics pipeline.** Counters, gauges, and
-//!    fixed-bucket histograms in a [`MetricsRegistry`], sampled into
-//!    per-window JSON-Lines [`MetricsRecord`]s: accuracy, buffer freshness,
-//!    labels produced locally / in the cloud / via sharing, queue depth, and
-//!    per-accelerator utilization.
+//! 2. **A deterministic metrics pipeline.** Windowed counters and gauges,
+//!    sampled into per-window JSON-Lines [`MetricsRecord`]s: accuracy,
+//!    buffer freshness, labels produced locally / in the cloud / via
+//!    sharing, queue depth, and per-accelerator utilization.
 //! 3. **Host-time profiling** is not in this crate, where wall clocks are a
 //!    clippy error (`clippy.toml`'s `disallowed-types`): the frozen
 //!    benchmark under `benchmark/` times runs from outside and reports the
@@ -80,7 +79,7 @@ pub mod sink;
 pub mod trace;
 
 pub use error::{Result, TelemetryError};
-pub use metrics::{FieldValue, Histogram, MetricsRecord, MetricsRegistry};
+pub use metrics::{FieldValue, MetricsRecord};
 pub use recorder::{TelemetryRecorder, TelemetrySummary};
 pub use sink::{SinkFactory, TelemetrySink};
 pub use trace::{TraceEvent, CLUSTER_PID};

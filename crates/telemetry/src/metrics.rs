@@ -1,5 +1,5 @@
-//! The deterministic metrics pipeline: counters, gauges, fixed-bucket
-//! histograms, and the per-window JSON-Lines record they are sampled into.
+//! The deterministic metrics pipeline: counters, gauges, and the per-window
+//! JSON-Lines record they are sampled into.
 //!
 //! Everything here is ordered — registries store series in [`BTreeMap`]s and
 //! records carry their fields as ordered slices — so a metrics
@@ -15,8 +15,6 @@ use std::io::{self, Write};
 /// round-trip formatting, so equal values always render to equal bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FieldValue<'a> {
-    /// A signed integer field.
-    Int(i64),
     /// An unsigned integer field (counters).
     Uint(u64),
     /// A floating-point field; non-finite values render as JSON `null`.
@@ -35,7 +33,6 @@ impl FieldValue<'_> {
     /// Returns the writer's error.
     pub fn write_json<W: Write + ?Sized>(&self, out: &mut W) -> io::Result<()> {
         match *self {
-            Self::Int(v) => write!(out, "{v}"),
             Self::Uint(v) => write!(out, "{v}"),
             Self::Float(v) => write_number(out, v),
             Self::Bool(v) => write!(out, "{v}"),
@@ -146,114 +143,43 @@ impl MetricsRecord<'_> {
     }
 }
 
-/// A fixed-bucket histogram: bucket bounds are chosen at creation and never
-/// adapt, so two runs recording the same samples produce identical buckets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    /// `bounds.len() + 1` counts; the last bucket is the overflow bucket.
-    counts: Vec<u64>,
-    total: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given ascending upper bounds. A sample
-    /// lands in the first bucket whose bound it does not exceed, or in the
-    /// trailing overflow bucket.
-    #[must_use]
-    pub fn new(bounds: &[f64]) -> Self {
-        Self { bounds: bounds.to_vec(), counts: vec![0; bounds.len() + 1], total: 0, sum: 0.0 }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        let bucket =
-            self.bounds.iter().position(|&bound| value <= bound).unwrap_or(self.bounds.len());
-        self.counts[bucket] += 1;
-        self.total += 1;
-        self.sum += value;
-    }
-
-    /// The bucket upper bounds.
-    #[must_use]
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket sample counts (the last entry is the overflow bucket).
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total samples recorded.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of all recorded samples (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-}
-
-/// A counter's increments since the last window and over the whole run.
-#[derive(Debug, Clone, Copy)]
-struct Counter {
-    window: u64,
-    total: u64,
-}
-
-/// The deterministic metrics registry: named counters, gauges, and
-/// histograms, sampled into `"cluster"` [`MetricsRecord`]s at window
-/// barriers and at the end of a run. A name's key is allocated the first
-/// time it is used, never again.
+/// The deterministic metrics registry: named counters and gauges, sampled
+/// into `"cluster"` [`MetricsRecord`]s at window barriers and at the end of a
+/// run. A name's key is allocated the first time it is used, never again.
 ///
 /// Counters are **windowed**: [`MetricsRegistry::take_window`] drains the
-/// per-window increments (cumulative totals stay available for the
-/// end-of-run summary). Gauges report their latest value; histograms
-/// accumulate over the whole run.
+/// per-window increments. Gauges report their latest value.
 #[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, Counter>,
+pub(crate) struct MetricsRegistry {
+    /// Each counter's increments since the last window.
+    counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     /// Whether a gauge was set since the last [`MetricsRegistry::take_window`].
     gauges_set: bool,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsRegistry {
     /// Creates an empty registry.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds `delta` to the named counter.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
+    pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
         if delta == 0 {
             return;
         }
         match self.counters.get_mut(name) {
-            Some(counter) => {
-                counter.window += delta;
-                counter.total += delta;
-            }
+            Some(counter) => *counter += delta,
             None => {
-                self.counters.insert(name.to_string(), Counter { window: delta, total: delta });
+                self.counters.insert(name.to_string(), delta);
             }
         }
     }
 
     /// Sets the named gauge to its latest value.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
+    pub(crate) fn gauge_set(&mut self, name: &str, value: f64) {
         self.gauges_set = true;
         match self.gauges.get_mut(name) {
             Some(gauge) => *gauge = value,
@@ -263,57 +189,26 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records a sample into the named histogram, creating it with `bounds`
-    /// on first use (later calls keep the original bounds).
-    pub fn histogram_record(&mut self, name: &str, bounds: &[f64], value: f64) {
-        match self.histograms.get_mut(name) {
-            Some(histogram) => histogram.record(value),
-            None => {
-                let mut histogram = Histogram::new(bounds);
-                histogram.record(value);
-                self.histograms.insert(name.to_string(), histogram);
-            }
-        }
-    }
-
-    /// The cumulative value of a counter (0 if never incremented).
-    #[must_use]
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, |counter| counter.total)
-    }
-
-    /// The named histogram, if any samples were recorded.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Drains the window's counter increments and samples every gauge: the
     /// fields of the `"cluster"` record for the window that just closed,
     /// the counters incremented in it and then every gauge, each in name
     /// order. Returns `None` when no counter was incremented and no gauge
     /// set since the last take (skipped empty windows produce no line).
-    pub fn take_window(&mut self) -> Option<Vec<(&str, FieldValue<'static>)>> {
+    pub(crate) fn take_window(&mut self) -> Option<Vec<(&str, FieldValue<'static>)>> {
         let gauges_set = std::mem::take(&mut self.gauges_set);
-        if !gauges_set && self.counters.values().all(|counter| counter.window == 0) {
+        if !gauges_set && self.counters.values().all(|&counter| counter == 0) {
             return None;
         }
         let mut fields = Vec::with_capacity(self.counters.len() + self.gauges.len());
         for (name, counter) in &mut self.counters {
-            if counter.window > 0 {
-                fields.push((name.as_str(), FieldValue::Uint(std::mem::take(&mut counter.window))));
+            if *counter > 0 {
+                fields.push((name.as_str(), FieldValue::Uint(std::mem::take(counter))));
             }
         }
         for (name, value) in &self.gauges {
             fields.push((name.as_str(), FieldValue::Float(*value)));
         }
         Some(fields)
-    }
-
-    /// Cumulative counter totals, for the end-of-run summary.
-    #[must_use]
-    pub fn totals(&self) -> Vec<(String, u64)> {
-        self.counters.iter().map(|(name, counter)| (name.clone(), counter.total)).collect()
     }
 }
 
@@ -356,30 +251,16 @@ mod tests {
     }
 
     #[test]
-    fn histograms_bucket_into_fixed_bounds() {
-        let mut histogram = Histogram::new(&[0.5, 0.9]);
-        histogram.record(0.2);
-        histogram.record(0.7);
-        histogram.record(0.95);
-        histogram.record(2.0);
-        assert_eq!(histogram.counts(), &[1, 1, 2]);
-        assert_eq!(histogram.total(), 4);
-        assert!((histogram.mean() - 0.9625).abs() < 1e-12);
-    }
-
-    #[test]
-    fn take_window_drains_counters_but_keeps_totals_and_gauges() {
+    fn take_window_drains_counters_but_keeps_gauges() {
         let mut registry = MetricsRegistry::new();
         registry.counter_add("steps", 5);
         registry.gauge_set("accuracy", 0.9);
         let fields = registry.take_window().expect("first window has data");
         assert_eq!(fields, [("steps", FieldValue::Uint(5)), ("accuracy", FieldValue::Float(0.9))]);
-        // The next window starts from zero, but the gauge persists and the
-        // cumulative total remembers everything.
+        // The next window starts from zero, but the gauge persists.
         registry.gauge_set("accuracy", 0.8);
         let fields = registry.take_window().expect("a set gauge is a change");
         assert_eq!(fields, [("accuracy", FieldValue::Float(0.8))]);
-        assert_eq!(registry.counter_total("steps"), 5);
         registry.counter_add("steps", 2);
         let fields = registry.take_window().expect("a counted window");
         assert_eq!(fields, [("steps", FieldValue::Uint(2)), ("accuracy", FieldValue::Float(0.8))]);
@@ -406,6 +287,5 @@ mod tests {
         registry.counter_add("steps", 1);
         assert!(registry.take_window().is_some());
         assert!(registry.take_window().is_none());
-        assert_eq!(registry.totals(), [("steps".to_string(), 1)]);
     }
 }

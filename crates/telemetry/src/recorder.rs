@@ -21,12 +21,6 @@ use dacapo_core::{
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Bucket bounds for the phase-duration histogram, in virtual seconds.
-const PHASE_BOUNDS: &[f64] = &[0.1, 1.0, 10.0, 60.0, 600.0];
-
-/// Bucket bounds for the accuracy histogram.
-const ACCURACY_BOUNDS: &[f64] = &[0.25, 0.5, 0.75, 0.9, 1.0];
-
 /// Per-camera aggregation state: one trace thread plus the currently
 /// accumulating camera-local window.
 struct CameraTrack {
@@ -433,7 +427,6 @@ impl SimObserver for TelemetryRecorder {
         if phase.kind == PhaseKind::Label {
             self.metrics.counter_add("labels", phase.samples as u64);
         }
-        self.metrics.histogram_record("phase_s", PHASE_BOUNDS, phase.duration_s);
         self.out.trace(&TraceEvent::Complete {
             name: span_name,
             pid,
@@ -483,7 +476,6 @@ impl SimObserver for TelemetryRecorder {
         track.accuracy_sum += accuracy;
         track.accuracy_count += 1;
         self.metrics.gauge_set(&track.accuracy_name, accuracy);
-        self.metrics.histogram_record("accuracy", ACCURACY_BOUNDS, accuracy);
         self.out.trace(&TraceEvent::Counter {
             name: &track.accuracy_name,
             pid,

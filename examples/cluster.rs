@@ -135,11 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(CoreError::AdmissionRejected { camera, reason }) => {
             println!("admission rejected: camera '{camera}' ({reason})");
         }
-        #[expect(
-            clippy::panic,
-            reason = "example asserts the error path; aborting with the surprise value is the point"
-        )]
-        other => panic!("expected an admission rejection, got {other:?}"),
+        other => return Err(format!("expected an admission rejection, got {other:?}").into()),
     }
     Ok(())
 }

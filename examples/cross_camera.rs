@@ -94,7 +94,7 @@ fn describe(label: &str, result: &ClusterResult) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Register the custom policy once; from here it is addressable by
-    //    name anywhere a Cluster (or Fleet) is built, like any builtin.
+    //    name anywhere a Cluster is built, like any builtin.
     share::register(Arc::new(ProportionalShareFactory));
     println!("registered share policies: {}\n", share::registered_names().join(", "));
 
@@ -131,11 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(CoreError::InvalidConfig { reason }) => {
             println!("unknown policy rejected up front: {reason}");
         }
-        #[expect(
-            clippy::panic,
-            reason = "example asserts the error path; aborting with the surprise value is the point"
-        )]
-        other => panic!("expected an invalid-config error, got {other:?}"),
+        other => return Err(format!("expected an invalid-config error, got {other:?}").into()),
     }
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use dacapo_core::platform::{self, KernelRate, PlatformProvider, PlatformRequest, Sharing};
-use dacapo_core::{Fleet, PlatformRates, SchedulerKind, SimConfig};
+use dacapo_core::{Cluster, PlatformRates, SchedulerKind, SimConfig};
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
 use std::sync::Arc;
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    NPU with an explicit parameter.
     let cameras =
         [("cam-dacapo", "dacapo"), ("cam-scaled", "scaled-dacapo:32"), ("cam-npu", "edge-npu:90")];
-    let mut fleet = Fleet::new();
+    let mut cluster = Cluster::new(cameras.len());
     for (i, (name, platform_name)) in cameras.into_iter().enumerate() {
         let config = SimConfig::builder(Scenario::s2(), ModelPair::ResNet18Wrn50)
             .platform(platform_name)
@@ -60,12 +60,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .seed(0xDACA90 + i as u64)
             .build()?;
         println!("{name}: runs on '{}' -> {}", platform_name, config.platform_rates()?.name());
-        fleet = fleet.camera(name, config);
+        cluster = cluster.camera(name, config);
     }
 
-    // 3. Run and compare: each camera's result is bit-identical to running
-    //    that platform alone; the fleet only adds parallelism.
-    let result = fleet.run()?;
+    // 3. Run and compare: each camera has a dedicated accelerator, so its
+    //    result is bit-identical to running that platform alone; the cluster
+    //    only adds parallelism.
+    let result = cluster.run()?.fleet;
     println!(
         "\n{:<12} {:>28} {:>9} {:>10} {:>11}",
         "camera", "system", "accuracy", "drop rate", "energy"

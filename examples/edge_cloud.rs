@@ -165,21 +165,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(CoreError::InvalidConfig { reason }) => {
             println!("malformed parameters rejected up front: {reason}");
         }
-        #[expect(
-            clippy::panic,
-            reason = "example asserts the error path; aborting with the surprise value is the point"
-        )]
-        other => panic!("expected an invalid-config error, got {other:?}"),
+        other => return Err(format!("expected an invalid-config error, got {other:?}").into()),
     }
     match build_cluster("teleport")?.run() {
         Err(CoreError::InvalidConfig { reason }) => {
             println!("unknown policy rejected up front: {reason}");
         }
-        #[expect(
-            clippy::panic,
-            reason = "example asserts the error path; aborting with the surprise value is the point"
-        )]
-        other => panic!("expected an invalid-config error, got {other:?}"),
+        other => return Err(format!("expected an invalid-config error, got {other:?}").into()),
     }
     Ok(())
 }

@@ -1,13 +1,13 @@
 //! Scheduler comparison: run the four temporal-allocation policies on the
-//! same scenario, platform, and model pair — in parallel, as one `Fleet` of
-//! camera sessions — and compare accuracy, time breakdown, and drift
-//! responses.
+//! same scenario, platform, and model pair — in parallel, as one `Cluster`
+//! with a dedicated accelerator per camera session — and compare accuracy,
+//! time breakdown, and drift responses.
 //!
 //! ```text
 //! cargo run --release --example scheduler_comparison [scenario]
 //! ```
 
-use dacapo_core::{Fleet, PlatformKind, SchedulerKind, SimConfig};
+use dacapo_core::{Cluster, PlatformKind, SchedulerKind, SimConfig};
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
 
@@ -26,17 +26,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pair
     );
 
-    // One camera per policy: the fleet runs them across worker threads, and
-    // each result is bit-identical to running that policy alone.
-    let mut fleet = Fleet::new();
+    // One camera per policy, each on its own accelerator: the cluster runs
+    // them across worker threads, and each result is bit-identical to
+    // running that policy alone.
+    let mut cluster = Cluster::new(SchedulerKind::ALL.len());
     for scheduler in SchedulerKind::ALL {
         let config = SimConfig::builder(scenario.clone(), pair)
             .platform(PlatformKind::DaCapo)
             .scheduler(scheduler)
             .build()?;
-        fleet = fleet.camera(scheduler.to_string(), config);
+        cluster = cluster.camera(scheduler.to_string(), config);
     }
-    let comparison = fleet.run()?;
+    let comparison = cluster.run()?.fleet;
 
     println!(
         "{:<24} {:>9} {:>9} {:>10} {:>9} {:>7}",

@@ -152,16 +152,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(TelemetryError::InvalidConfig { reason }) => {
             println!("unknown sink rejected up front: {reason}");
         }
-        #[expect(
-            clippy::panic,
-            reason = "example asserts the error path; aborting with the surprise value is the point"
-        )]
-        Err(other) => panic!("expected an invalid-config error, got {other:?}"),
-        #[expect(
-            clippy::panic,
-            reason = "example asserts the error path; aborting with the surprise value is the point"
-        )]
-        Ok(_) => panic!("expected an invalid-config error, got a recorder"),
+        Err(other) => return Err(format!("expected an invalid-config error, got {other:?}").into()),
+        Ok(_) => return Err("expected an invalid-config error, got a recorder".into()),
     }
     Ok(())
 }

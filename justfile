@@ -28,9 +28,11 @@ test:
 test-shims:
     cargo test -q -p proptest -p serde_json -p serde -p rand -p rand_distr
 
-# The six registry examples CI's Tests step runs, one per registry family,
-# each plugging in an out-of-crate implementation: arbiter, share policy,
-# scheduler (with snapshot state), offload policy, telemetry sink, platform.
+# The examples CI's Tests step runs: six registry examples, one per registry
+# family, each plugging in an out-of-crate implementation (arbiter, share
+# policy, scheduler with snapshot state, offload policy, telemetry sink,
+# platform), then the four builtin schedulers compared as one cluster with a
+# dedicated accelerator per camera.
 examples:
     cargo run --release --example cluster
     cargo run --release --example cross_camera
@@ -38,6 +40,7 @@ examples:
     cargo run --release --example edge_cloud
     cargo run --release --example telemetry
     cargo run --release --example custom_platform
+    cargo run --release --example scheduler_comparison
 
 # The kernel crates' tests in the release profile: `just test` runs them
 # unoptimised, where the GEMM register tile, the MX conversion kernel and the

@@ -2,7 +2,7 @@
 //!
 //! This crate re-exports the member crates under one roof so downstream users
 //! (and the repo's own integration tests and examples) can depend on a single
-//! package. See [`core`] for the `Session`/`Fleet` execution engine.
+//! package. See [`core`] for the `Session`/`Cluster` execution engine.
 
 pub use dacapo_accel as accel;
 pub use dacapo_bench as bench;

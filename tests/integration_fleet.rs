@@ -1,14 +1,16 @@
-//! Fleet driver integration: many camera sessions across worker threads,
-//! with per-camera determinism guarantees.
+//! Fleets of independent cameras: many camera sessions, each on a dedicated
+//! accelerator of one `Cluster`, across worker threads, with per-camera
+//! determinism guarantees.
 //!
-//! The key property (the PR's acceptance criterion): a parallel `Fleet` run
-//! of eight cameras on distinct scenarios produces per-camera results that
-//! are **bit-identical** to running each camera's `Session` alone with the
-//! same seed — threading changes wall-clock time, never metrics.
+//! The key property: a parallel run of eight cameras on distinct scenarios
+//! and eight dedicated accelerators produces per-camera results that are
+//! **bit-identical** to running each camera's `Session` alone with the same
+//! seed — threading changes wall-clock time, never metrics.
 
 use dacapo_core::platform::{self, KernelRate, PlatformProvider, PlatformRequest, Sharing};
 use dacapo_core::{
-    ClSimulator, Fleet, PlatformRates, Result, SchedulerKind, Session, SessionEvent, SimConfig,
+    ClSimulator, Cluster, FleetResult, PlatformRates, Result, SchedulerKind, Session, SessionEvent,
+    SimConfig,
 };
 use dacapo_datagen::{Scenario, Segment, SegmentAttributes};
 use dacapo_dnn::zoo::ModelPair;
@@ -52,16 +54,21 @@ fn camera_configs() -> Vec<(String, SimConfig)> {
         .collect()
 }
 
+/// Runs `configs` as a fleet: one dedicated accelerator per camera.
+fn run_fleet(configs: &[(String, SimConfig)], threads: usize) -> FleetResult {
+    let mut cluster = Cluster::new(configs.len()).threads(threads);
+    for (name, config) in configs {
+        cluster = cluster.camera(name.clone(), config.clone());
+    }
+    cluster.run().expect("fleet runs").fleet
+}
+
 #[test]
 fn eight_camera_fleet_is_bit_identical_to_solo_sessions() {
     let configs = camera_configs();
     assert!(configs.len() >= 8, "the paper defines eight scenarios");
 
-    let mut fleet = Fleet::new().threads(4);
-    for (name, config) in &configs {
-        fleet = fleet.camera(name.clone(), config.clone());
-    }
-    let fleet_result = fleet.run().expect("fleet runs");
+    let fleet_result = run_fleet(&configs, 4);
     assert_eq!(fleet_result.cameras.len(), configs.len());
 
     for (name, config) in configs {
@@ -73,11 +80,8 @@ fn eight_camera_fleet_is_bit_identical_to_solo_sessions() {
 
 #[test]
 fn fleet_aggregates_are_consistent_with_per_camera_metrics() {
-    let mut fleet = Fleet::new().threads(3);
-    for (name, config) in camera_configs().into_iter().take(4) {
-        fleet = fleet.camera(name, config);
-    }
-    let result = fleet.run().expect("fleet runs");
+    let configs: Vec<_> = camera_configs().into_iter().take(4).collect();
+    let result = run_fleet(&configs, 3);
 
     let accuracies: Vec<f64> = result.cameras.iter().map(|c| c.result.mean_accuracy).collect();
     let mean = accuracies.iter().sum::<f64>() / accuracies.len() as f64;
@@ -94,16 +98,7 @@ fn fleet_aggregates_are_consistent_with_per_camera_metrics() {
 #[test]
 fn thread_count_never_changes_fleet_results() {
     let configs: Vec<_> = camera_configs().into_iter().take(3).collect();
-    let run_with_threads = |threads: usize| {
-        let mut fleet = Fleet::new().threads(threads);
-        for (name, config) in &configs {
-            fleet = fleet.camera(name.clone(), config.clone());
-        }
-        fleet.run().expect("fleet runs")
-    };
-    let serial = run_with_threads(1);
-    let parallel = run_with_threads(8);
-    assert_eq!(serial, parallel);
+    assert_eq!(run_fleet(&configs, 1), run_fleet(&configs, 8));
 }
 
 /// A platform defined *outside* `dacapo-core`: no builtin enum variant, only
@@ -167,11 +162,7 @@ fn out_of_crate_platforms_run_sessions_and_heterogeneous_fleets() {
 
     // A heterogeneous fleet mixes all three platforms, and every camera's
     // result is bit-identical to its solo run.
-    let mut fleet = Fleet::new().threads(3);
-    for (name, config) in &configs {
-        fleet = fleet.camera(name.clone(), config.clone());
-    }
-    let fleet_result = fleet.run().expect("heterogeneous fleet runs");
+    let fleet_result = run_fleet(&configs, 3);
     let mut system_names = Vec::new();
     for (name, config) in &configs {
         let solo = ClSimulator::new(config.clone()).unwrap().run().unwrap();
@@ -188,7 +179,7 @@ fn out_of_crate_platforms_run_sessions_and_heterogeneous_fleets() {
 #[test]
 fn mid_run_session_state_is_observable_while_stepping() {
     // The re-entrant API's reason to exist: interleave two cameras by hand
-    // and watch both advance. (The Fleet does this with threads; here we do
+    // and watch both advance. (A cluster does this with threads; here we do
     // it cooperatively on one thread.)
     let configs: Vec<_> = camera_configs().into_iter().take(2).collect();
     let mut a = Session::new(configs[0].1.clone()).unwrap();
