@@ -71,13 +71,6 @@ impl DaCapoAccelerator {
             ),
         })
     }
-
-    /// A view of the whole, unpartitioned array (used by the DaCapo-Ekya
-    /// baseline, which time-shares the full chip instead of splitting it).
-    #[must_use]
-    pub fn full_array(&self) -> SubAccel {
-        SubAccel::new(self.config.rows, self.config.cols, 1.0, self.config)
-    }
 }
 
 /// A concrete row split of the array into T-SA and B-SA.
@@ -133,14 +126,6 @@ mod tests {
     #[test]
     fn invalid_config_is_rejected_at_construction() {
         assert!(DaCapoAccelerator::new(AccelConfig { rows: 0, ..AccelConfig::default() }).is_err());
-    }
-
-    #[test]
-    fn full_array_has_all_rows_and_bandwidth() {
-        let accel = DaCapoAccelerator::new(AccelConfig::default()).unwrap();
-        let full = accel.full_array();
-        assert_eq!(full.rows(), 16);
-        assert_eq!(full.cols(), 16);
     }
 
     #[test]

@@ -34,12 +34,6 @@ impl Default for DpeModel {
 }
 
 impl DpeModel {
-    /// Cycles one DPE needs for one 16-element dot product at `precision`.
-    #[must_use]
-    pub fn cycles_per_block_dot(&self, precision: MxPrecision) -> u64 {
-        precision.dpe_cycles_per_dot()
-    }
-
     /// Multiply-accumulate operations one DPE completes per cycle at
     /// `precision`.
     #[must_use]
@@ -59,14 +53,6 @@ impl DpeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cycle_counts_follow_precision_modes() {
-        let dpe = DpeModel::default();
-        assert_eq!(dpe.cycles_per_block_dot(MxPrecision::Mx4), 1);
-        assert_eq!(dpe.cycles_per_block_dot(MxPrecision::Mx6), 4);
-        assert_eq!(dpe.cycles_per_block_dot(MxPrecision::Mx9), 16);
-    }
 
     #[test]
     fn throughput_is_inverse_of_latency() {

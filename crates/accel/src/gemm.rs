@@ -29,8 +29,7 @@ pub struct GemmCycles {
 
 /// A row-partition of the DPE array (T-SA or B-SA) able to execute GEMMs.
 ///
-/// Obtained from [`crate::DaCapoAccelerator::partition`] or, for
-/// whole-array experiments, [`crate::DaCapoAccelerator::full_array`].
+/// Obtained from [`crate::DaCapoAccelerator::partition`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SubAccel {
     rows: usize,
@@ -56,14 +55,6 @@ impl SubAccel {
     #[must_use]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Peak multiply-accumulate throughput at `precision`, in MAC/s.
-    #[must_use]
-    pub fn peak_macs_per_second(&self, precision: MxPrecision) -> f64 {
-        (self.rows * self.cols) as f64
-            * self.dpe.macs_per_cycle(precision)
-            * self.config.frequency_hz
     }
 
     /// Cycle breakdown for one GEMM at `precision`.
@@ -145,21 +136,6 @@ impl SubAccel {
         }
     }
 
-    /// Energy in joules for executing the GEMM sequence, using the DPE energy
-    /// model (active for compute cycles, idle for memory-bound stall cycles).
-    #[must_use]
-    pub fn gemms_energy_joules(&self, gemms: &[GemmShape], precision: MxPrecision) -> f64 {
-        let num_dpes = (self.rows * self.cols) as u64;
-        gemms
-            .iter()
-            .map(|g| {
-                let c = self.gemm_cycles(g, precision);
-                let stall = c.total_cycles - c.compute_cycles.min(c.total_cycles);
-                self.dpe.energy_joules(c.compute_cycles * num_dpes, stall * num_dpes)
-            })
-            .sum()
-    }
-
     /// Effective utilisation of the DPE array for this GEMM sequence:
     /// ideal MAC cycles divided by modelled cycles.
     #[must_use]
@@ -237,14 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_macs_match_dpe_math() {
-        let s = sub(16);
-        // 256 DPEs * 4 MAC/cycle * 500 MHz = 512 GMAC/s at MX6.
-        assert!((s.peak_macs_per_second(MxPrecision::Mx6) - 512e9).abs() < 1e3);
-        assert!((s.peak_macs_per_second(MxPrecision::Mx4) - 2048e9).abs() < 1e3);
-    }
-
-    #[test]
     fn resnet18_inference_fits_realtime_on_few_rows() {
         // Sanity-check the headline feasibility: a handful of B-SA rows must
         // sustain 30 FPS ResNet18 inference at MX6, otherwise the paper's
@@ -262,17 +230,6 @@ mod tests {
         let gemms = PaperModel::WideResNet50.spec().forward_gemms(1);
         let u = sub(12).utilization(&gemms, MxPrecision::Mx6);
         assert!(u > 0.2 && u <= 1.0, "utilization {u}");
-    }
-
-    #[test]
-    fn energy_scales_with_work() {
-        let s = sub(8);
-        let one = PaperModel::ResNet18.spec().forward_gemms(1);
-        let e1 = s.gemms_energy_joules(&one, MxPrecision::Mx6);
-        let e2 =
-            s.gemms_energy_joules(&PaperModel::ResNet18.spec().forward_gemms(2), MxPrecision::Mx6);
-        assert!(e1 > 0.0);
-        assert!(e2 > e1);
     }
 
     #[test]

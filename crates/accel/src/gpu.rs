@@ -117,13 +117,6 @@ impl GpuDevice {
         self.peak_fp32_tflops * 1e12 / 2.0 * self.utilization.for_kernel(kernel)
     }
 
-    /// Seconds to execute `macs` multiply-accumulates of the given kernel
-    /// when the kernel owns the whole GPU.
-    #[must_use]
-    pub fn seconds_for_macs(&self, kernel: Kernel, macs: u64) -> f64 {
-        macs as f64 / self.effective_macs_per_second(kernel)
-    }
-
     /// Sustained throughput in units/second for a per-unit MAC cost.
     #[must_use]
     pub fn units_per_second(&self, kernel: Kernel, macs_per_unit: u64) -> f64 {
@@ -190,15 +183,6 @@ mod tests {
             orin_fps < 60.0,
             "but with under 2x headroom there is little left for labeling/retraining ({orin_fps:.0} FPS)"
         );
-    }
-
-    #[test]
-    fn seconds_and_units_are_consistent() {
-        let gpu = GpuDevice::jetson_orin_high();
-        let macs = 1_000_000_000u64;
-        let secs = gpu.seconds_for_macs(Kernel::Retraining, macs);
-        let ups = gpu.units_per_second(Kernel::Retraining, macs);
-        assert!((secs * ups - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -91,12 +91,6 @@ impl ExperimentOptions {
         Ok(options)
     }
 
-    /// Whether `--trace` or `--metrics` asked for a telemetry-observed run.
-    #[must_use]
-    pub fn wants_telemetry(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some()
-    }
-
     /// Builds a [`TelemetryRecorder`] from the `--trace` / `--metrics`
     /// flags: a `chrome-trace` sink for the trace path and a `json-lines`
     /// sink for the metrics path, each creating its file here. With neither
@@ -259,7 +253,6 @@ mod tests {
         let options = parse(&["--trace", &trace, "--metrics", &metrics, "--smoke"]).unwrap();
         assert_eq!(options.trace.as_deref(), Some(trace.as_str()));
         assert_eq!(options.metrics.as_deref(), Some(metrics.as_str()));
-        assert!(options.wants_telemetry());
         let recorder = options.telemetry_recorder().unwrap();
         assert!(recorder.is_enabled());
         // The file sinks create their files up front, so a path under a
@@ -272,7 +265,6 @@ mod tests {
     #[test]
     fn without_telemetry_flags_the_recorder_is_disabled() {
         let options = parse(&[]).unwrap();
-        assert!(!options.wants_telemetry());
         let recorder = options.telemetry_recorder().unwrap();
         assert!(!recorder.is_enabled(), "no flags must keep the null fast path");
         // A dangling value flag is an error rather than a silent None.

@@ -659,6 +659,7 @@ mod tests {
                 config.hyper.label_samples = 4;
                 config.hyper.retrain_samples = 6;
                 config.hyper.validation_samples = 2;
+                config.hyper.batch_size = 4;
                 config.seed = 70 + i;
                 (format!("cam-{i}"), config)
             })
@@ -734,7 +735,9 @@ mod tests {
                     let mut config = short_config(SchedulerKind::DaCapoSpatial);
                     let mut segments = config.scenario.segments().to_vec();
                     segments[0].duration_s = 20.0 * (i + 1) as f64;
-                    config.scenario = dacapo_datagen::Scenario::from_segments("staggered", segments);
+                    config.scenario =
+                        dacapo_datagen::Scenario::try_from_segments("staggered", segments)
+                            .expect("segments are non-empty with positive durations");
                     config.pretrain_samples = 0;
                     config.seed = 40 + i as u64;
                     (format!("cam-{i}"), config)

@@ -1617,10 +1617,11 @@ mod tests {
         use dacapo_dnn::zoo::ModelPair;
 
         let config_with_duration = |seconds: f64| {
-            let scenario = Scenario::from_segments(
+            let scenario = Scenario::try_from_segments(
                 "churn-len",
                 vec![Segment { attributes: SegmentAttributes::default(), duration_s: seconds }],
-            );
+            )
+            .expect("segments are non-empty with positive durations");
             SimConfig::builder(scenario, ModelPair::ResNet18Wrn50)
                 .platform_rates(fast_rates("churn-test"))
                 .scheduler(SchedulerKind::DaCapoSpatiotemporal)

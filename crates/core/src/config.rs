@@ -95,7 +95,8 @@ impl Hyperparams {
     ///
     /// Returns [`CoreError::InvalidConfig`] if any count is zero, the
     /// validation set is not smaller than the retraining set, the buffer
-    /// cannot hold one retraining draw, or the window length or learning
+    /// cannot hold one retraining draw or the mini-batch and validation set
+    /// the first retraining waits for, or the window length or learning
     /// rate is not positive and finite (the reason names the field).
     pub fn validate(&self) -> Result<()> {
         if self.retrain_samples == 0
@@ -123,6 +124,18 @@ impl Hyperparams {
                 reason: format!(
                     "buffer capacity {} cannot supply {} retraining + {} validation samples",
                     self.buffer_capacity, self.retrain_samples, self.validation_samples
+                ),
+            });
+        }
+        // Algorithm 1 labels until the buffer holds a validation set and one
+        // mini-batch, and the windowed baselines retrain only once it holds
+        // a mini-batch: a buffer too small for both never retrains.
+        if self.buffer_capacity < self.batch_size + self.validation_samples {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "buffer_capacity {} cannot hold batch_size {} + validation_samples {}, \
+                     so the first retraining would never start",
+                    self.buffer_capacity, self.batch_size, self.validation_samples
                 ),
             });
         }
@@ -458,6 +471,21 @@ mod tests {
             let reason = invalid_reason(built);
             assert!(reason.contains("drift_threshold"), "{reason}");
         }
+    }
+
+    #[test]
+    fn a_mini_batch_the_buffer_cannot_supply_is_rejected_by_name() {
+        let build = |batch_size| {
+            let hp = Hyperparams { batch_size, ..Hyperparams::default() };
+            SimConfig::builder(Scenario::s1(), ModelPair::ResNet18Wrn50).hyperparams(hp).build()
+        };
+        // 480 + 42 > 512: the bootstrap would label forever.
+        let reason = invalid_reason(build(480).map(|_| ()));
+        for field in ["batch_size", "validation_samples", "buffer_capacity"] {
+            assert!(reason.contains(field), "{reason}");
+        }
+        // A buffer exactly that large is enough.
+        assert!(build(512 - 42).is_ok());
     }
 
     #[test]

@@ -1,8 +1,5 @@
 //! Aggregation helpers for experiment reporting.
 
-use crate::sim::SimResult;
-use serde::{Deserialize, Serialize};
-
 /// Geometric mean of a slice of positive values (the aggregate Figure 9 uses
 /// across scenarios). Returns 0 for an empty slice.
 ///
@@ -88,72 +85,9 @@ pub fn percentiles<const N: usize>(values: &[f64], pcts: [f64; N]) -> [f64; N] {
     picked
 }
 
-/// One row of a Figure 9-style accuracy table: a system evaluated on a set of
-/// scenarios for one model pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SystemSummary {
-    /// System name (platform / scheduler).
-    pub system: String,
-    /// Per-scenario mean accuracy, in scenario order.
-    pub per_scenario_accuracy: Vec<(String, f64)>,
-    /// Geometric mean across scenarios.
-    pub gmean_accuracy: f64,
-    /// Mean energy per scenario run in joules.
-    pub mean_energy_joules: f64,
-    /// Platform power in watts.
-    pub power_watts: f64,
-}
-
-/// Summarises a set of per-scenario results for one system.
-///
-/// Returns `None` when `results` is empty — there is no meaningful "system"
-/// to name without at least one result. NaN accuracies are absorbed by
-/// [`geometric_mean`]'s `1e-12` floor (the gmean stays finite), while a NaN
-/// energy propagates into `mean_energy_joules` per [`mean`]'s contract.
-#[must_use]
-pub fn summarize_system(results: &[SimResult]) -> Option<SystemSummary> {
-    let first = results.first()?;
-    let per_scenario: Vec<(String, f64)> =
-        results.iter().map(|r| (r.scenario.clone(), r.mean_accuracy)).collect();
-    let accuracies: Vec<f64> = per_scenario.iter().map(|(_, a)| *a).collect();
-    Some(SystemSummary {
-        system: first.system.clone(),
-        gmean_accuracy: geometric_mean(&accuracies),
-        per_scenario_accuracy: per_scenario,
-        mean_energy_joules: mean(&results.iter().map(|r| r.energy_joules).collect::<Vec<_>>()),
-        power_watts: first.power_watts,
-    })
-}
-
-/// Accuracy difference of `a` over `b` in percentage points (the unit the
-/// paper's headline improvements are stated in).
-#[must_use]
-pub fn accuracy_gain_points(a: f64, b: f64) -> f64 {
-    (a - b) * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::SchedulerKind;
-    use dacapo_dnn::zoo::ModelPair;
-
-    fn result(scenario: &str, accuracy: f64, energy: f64) -> SimResult {
-        SimResult {
-            system: "test-system".into(),
-            scenario: scenario.into(),
-            pair: ModelPair::ResNet18Wrn50,
-            scheduler: SchedulerKind::DaCapoSpatiotemporal.to_string(),
-            accuracy_timeline: vec![(0.0, accuracy)],
-            mean_accuracy: accuracy,
-            frame_drop_rate: 0.0,
-            energy_joules: energy,
-            power_watts: 0.236,
-            phases: Vec::new(),
-            drift_responses: 0,
-            duration_s: 1200.0,
-        }
-    }
 
     #[test]
     fn geometric_mean_basics() {
@@ -163,22 +97,6 @@ mod tests {
         // gmean <= arithmetic mean.
         let values = [0.6, 0.9, 0.75];
         assert!(geometric_mean(&values) <= mean(&values));
-    }
-
-    #[test]
-    fn summarize_system_aggregates_scenarios() {
-        let results = vec![result("S1", 0.8, 100.0), result("S2", 0.7, 200.0)];
-        let summary = summarize_system(&results).unwrap();
-        assert_eq!(summary.per_scenario_accuracy.len(), 2);
-        assert!((summary.gmean_accuracy - (0.8f64 * 0.7).sqrt()).abs() < 1e-12);
-        assert!((summary.mean_energy_joules - 150.0).abs() < 1e-12);
-        assert_eq!(summary.power_watts, 0.236);
-        assert!(summarize_system(&[]).is_none());
-    }
-
-    #[test]
-    fn accuracy_gain_is_in_percentage_points() {
-        assert!((accuracy_gain_points(0.815, 0.75) - 6.5).abs() < 1e-9);
     }
 
     #[test]
@@ -251,17 +169,5 @@ mod tests {
         assert!((geometric_mean(&[f64::NAN]) - 1e-12).abs() < 1e-24);
         assert!(geometric_mean(&[0.8, f64::NAN]).is_finite());
         assert!((geometric_mean(&[0.0, 4.0]) - (1e-12f64 * 4.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summarize_system_edge_behavior_is_defined_for_nan_results() {
-        assert!(summarize_system(&[]).is_none(), "no results, no system to summarise");
-        let nan_accuracy = result("S1", f64::NAN, 100.0);
-        let summary = summarize_system(&[nan_accuracy, result("S2", 0.8, 200.0)]).unwrap();
-        assert!(summary.gmean_accuracy.is_finite(), "gmean absorbs NaN accuracies");
-        assert!((summary.mean_energy_joules - 150.0).abs() < 1e-12);
-        let summary =
-            summarize_system(&[result("S1", 0.8, f64::NAN), result("S2", 0.8, 200.0)]).unwrap();
-        assert!(summary.mean_energy_joules.is_nan(), "NaN energy propagates");
     }
 }

@@ -429,15 +429,6 @@ impl PlatformRates {
     pub fn energy_joules(&self, seconds: f64) -> f64 {
         self.power_watts * seconds
     }
-
-    /// The MX precision the platform uses for inference, if any.
-    #[must_use]
-    pub fn inference_precision(&self) -> Option<MxPrecision> {
-        match self.inference.quant {
-            QuantMode::Mx(p) => Some(p),
-            QuantMode::Fp32 => None,
-        }
-    }
 }
 
 /// Validates a stream frame rate before it reaches a provider.

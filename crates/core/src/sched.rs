@@ -456,11 +456,10 @@ enum WindowStep {
 #[derive(Debug)]
 struct SpatialOnly {
     hyper: Hyperparams,
-    window_index: u64,
-    step: WindowStep,
+    state: SpatialState,
 }
 
-/// [`SpatialOnly`]'s serialisable decision state.
+/// [`SpatialOnly`]'s decision state, which is also its snapshot form.
 #[derive(Debug, Serialize, Deserialize)]
 struct SpatialState {
     window_index: u64,
@@ -469,11 +468,11 @@ struct SpatialState {
 
 impl SpatialOnly {
     fn new(hyper: &Hyperparams) -> Self {
-        Self { hyper: *hyper, window_index: 0, step: WindowStep::Label }
+        Self { hyper: *hyper, state: SpatialState { window_index: 0, step: WindowStep::Label } }
     }
 
     fn window_end(&self) -> f64 {
-        (self.window_index + 1) as f64 * self.hyper.window_seconds
+        (self.state.window_index + 1) as f64 * self.hyper.window_seconds
     }
 }
 
@@ -485,16 +484,16 @@ impl Scheduler for SpatialOnly {
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
         // Move to the window that contains `now`.
         while ctx.now_s >= self.window_end() {
-            self.window_index += 1;
-            self.step = WindowStep::Label;
+            self.state.window_index += 1;
+            self.state.step = WindowStep::Label;
         }
-        match self.step {
+        match self.state.step {
             WindowStep::Label => {
-                self.step = WindowStep::Retrain;
+                self.state.step = WindowStep::Retrain;
                 Action::Label { samples: self.hyper.label_samples, reset_buffer: false }
             }
             WindowStep::Retrain => {
-                self.step = WindowStep::Idle;
+                self.state.step = WindowStep::Idle;
                 if ctx.buffer_len < self.hyper.batch_size {
                     Action::Wait { seconds: (self.window_end() - ctx.now_s).max(0.1) }
                 } else {
@@ -509,13 +508,11 @@ impl Scheduler for SpatialOnly {
     }
 
     fn state(&self) -> Value {
-        SpatialState { window_index: self.window_index, step: self.step }.to_value()
+        self.state.to_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<()> {
-        let state = SpatialState::from_value(state).map_err(|e| bad_state(&self.name(), e))?;
-        self.window_index = state.window_index;
-        self.step = state.step;
+        self.state = SpatialState::from_value(state).map_err(|e| bad_state(&self.name(), e))?;
         Ok(())
     }
 }
@@ -540,12 +537,12 @@ struct Ekya {
     hyper: Hyperparams,
     window_seconds: f64,
     profile_fraction: f64,
-    window_index: u64,
-    step: EkyaStep,
+    state: EkyaState,
 }
 
-/// [`Ekya`]'s serialisable decision state (the window geometry is derived
-/// from the hyperparameters, so only the cursor is captured).
+/// [`Ekya`]'s decision state, which is also its snapshot form (the window
+/// geometry is derived from the hyperparameters, so only the cursor is
+/// state).
 #[derive(Debug, Serialize, Deserialize)]
 struct EkyaState {
     window_index: u64,
@@ -560,13 +557,12 @@ impl Ekya {
             // DaCapo window so the relative sluggishness is preserved).
             window_seconds: hyper.window_seconds * 2.0,
             profile_fraction: 0.15,
-            window_index: 0,
-            step: EkyaStep::Profile,
+            state: EkyaState { window_index: 0, step: EkyaStep::Profile },
         }
     }
 
     fn window_end(&self) -> f64 {
-        (self.window_index + 1) as f64 * self.window_seconds
+        (self.state.window_index + 1) as f64 * self.window_seconds
     }
 }
 
@@ -577,20 +573,20 @@ impl Scheduler for Ekya {
 
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
         while ctx.now_s >= self.window_end() {
-            self.window_index += 1;
-            self.step = EkyaStep::Profile;
+            self.state.window_index += 1;
+            self.state.step = EkyaStep::Profile;
         }
-        match self.step {
+        match self.state.step {
             EkyaStep::Profile => {
-                self.step = EkyaStep::Label;
+                self.state.step = EkyaStep::Label;
                 Action::Wait { seconds: self.window_seconds * self.profile_fraction }
             }
             EkyaStep::Label => {
-                self.step = EkyaStep::Retrain;
+                self.state.step = EkyaStep::Retrain;
                 Action::Label { samples: self.hyper.label_samples, reset_buffer: false }
             }
             EkyaStep::Retrain => {
-                self.step = EkyaStep::Idle;
+                self.state.step = EkyaStep::Idle;
                 if ctx.buffer_len < self.hyper.batch_size {
                     Action::Wait { seconds: (self.window_end() - ctx.now_s).max(0.1) }
                 } else {
@@ -605,13 +601,11 @@ impl Scheduler for Ekya {
     }
 
     fn state(&self) -> Value {
-        EkyaState { window_index: self.window_index, step: self.step }.to_value()
+        self.state.to_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<()> {
-        let state = EkyaState::from_value(state).map_err(|e| bad_state(&self.name(), e))?;
-        self.window_index = state.window_index;
-        self.step = state.step;
+        self.state = EkyaState::from_value(state).map_err(|e| bad_state(&self.name(), e))?;
         Ok(())
     }
 }
@@ -633,13 +627,10 @@ struct Eomu {
     hyper: Hyperparams,
     window_seconds: f64,
     trigger_margin: f64,
-    best_recent_accuracy: Option<f64>,
-    window_index: u64,
-    labeled_this_window: bool,
-    retrained_this_window: bool,
+    state: EomuState,
 }
 
-/// [`Eomu`]'s serialisable decision state.
+/// [`Eomu`]'s decision state, which is also its snapshot form.
 #[derive(Debug, Serialize, Deserialize)]
 struct EomuState {
     best_recent_accuracy: Option<f64>,
@@ -655,15 +646,17 @@ impl Eomu {
             // The paper configures EOMU with 10-second windows.
             window_seconds: 10.0,
             trigger_margin: 0.05,
-            best_recent_accuracy: None,
-            window_index: 0,
-            labeled_this_window: false,
-            retrained_this_window: false,
+            state: EomuState {
+                best_recent_accuracy: None,
+                window_index: 0,
+                labeled_this_window: false,
+                retrained_this_window: false,
+            },
         }
     }
 
     fn window_end(&self) -> f64 {
-        (self.window_index + 1) as f64 * self.window_seconds
+        (self.state.window_index + 1) as f64 * self.window_seconds
     }
 }
 
@@ -674,31 +667,31 @@ impl Scheduler for Eomu {
 
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
         while ctx.now_s >= self.window_end() {
-            self.window_index += 1;
-            self.labeled_this_window = false;
-            self.retrained_this_window = false;
+            self.state.window_index += 1;
+            self.state.labeled_this_window = false;
+            self.state.retrained_this_window = false;
         }
-        if !self.labeled_this_window {
-            self.labeled_this_window = true;
+        if !self.state.labeled_this_window {
+            self.state.labeled_this_window = true;
             // Continuous monitoring labels a quarter of the usual quota.
             return Action::Label {
                 samples: (self.hyper.label_samples / 4).max(self.hyper.batch_size),
                 reset_buffer: false,
             };
         }
-        if !self.retrained_this_window {
-            self.retrained_this_window = true;
+        if !self.state.retrained_this_window {
+            self.state.retrained_this_window = true;
             let observed = ctx.last_labeling_accuracy;
-            let degraded = match (observed, self.best_recent_accuracy) {
+            let degraded = match (observed, self.state.best_recent_accuracy) {
                 (Some(now), Some(best)) => now < best - self.trigger_margin,
                 (Some(_), None) => true, // no history yet: adapt eagerly
                 _ => false,
             };
             if let Some(now) = observed {
-                let best = self.best_recent_accuracy.unwrap_or(0.0);
+                let best = self.state.best_recent_accuracy.unwrap_or(0.0);
                 // Exponentially decay the best so long-gone highs do not keep
                 // triggering retraining forever.
-                self.best_recent_accuracy = Some((best * 0.95).max(now));
+                self.state.best_recent_accuracy = Some((best * 0.95).max(now));
             }
             if degraded && ctx.buffer_len >= self.hyper.batch_size {
                 // Shallow retraining that fits the short monitoring window.
@@ -709,21 +702,11 @@ impl Scheduler for Eomu {
     }
 
     fn state(&self) -> Value {
-        EomuState {
-            best_recent_accuracy: self.best_recent_accuracy,
-            window_index: self.window_index,
-            labeled_this_window: self.labeled_this_window,
-            retrained_this_window: self.retrained_this_window,
-        }
-        .to_value()
+        self.state.to_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<()> {
-        let state = EomuState::from_value(state).map_err(|e| bad_state(&self.name(), e))?;
-        self.best_recent_accuracy = state.best_recent_accuracy;
-        self.window_index = state.window_index;
-        self.labeled_this_window = state.labeled_this_window;
-        self.retrained_this_window = state.retrained_this_window;
+        self.state = EomuState::from_value(state).map_err(|e| bad_state(&self.name(), e))?;
         Ok(())
     }
 }
@@ -1019,6 +1002,45 @@ mod tests {
                     "{kind} diverged after state restore"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn windowed_scheduler_state_json_is_pinned_mid_cycle() {
+        // The exact snapshot form of each windowed policy's state after a
+        // fixed run of contexts that ends mid-window: a session snapshot
+        // carries these bytes, so a renamed, reordered or dropped field
+        // shows here, and restoring them must give the same state back.
+        let hyper = Hyperparams::default();
+        let contexts = [
+            ctx(0.0, 0, None, None),
+            ctx(5.0, 96, None, Some(0.71)),
+            ctx(30.0, 160, Some(0.8), Some(0.62)),
+            ctx(31.0, 160, Some(0.8), Some(0.62)),
+            ctx(61.0, 200, Some(0.8), Some(0.655)),
+            ctx(125.0, 240, Some(0.8), Some(0.7)),
+        ];
+        let pinned = [
+            (SchedulerKind::DaCapoSpatial, r#"{"window_index":2,"step":"Retrain"}"#),
+            (SchedulerKind::Ekya, r#"{"window_index":1,"step":"Label"}"#),
+            (
+                SchedulerKind::Eomu,
+                concat!(
+                    r#"{"best_recent_accuracy":0.6745,"window_index":12,"#,
+                    r#""labeled_this_window":true,"retrained_this_window":false}"#
+                ),
+            ),
+        ];
+        for (kind, json) in pinned {
+            let mut sched = kind.create(&hyper);
+            for c in &contexts {
+                let _ = sched.next_action(c);
+            }
+            let state = sched.state();
+            assert_eq!(serde_json::to_string(&state).unwrap(), json, "{kind}");
+            let mut restored = kind.create(&hyper);
+            restored.restore_state(&serde_json::value_from_str(json).unwrap()).unwrap();
+            assert_eq!(restored.state(), state, "{kind}");
         }
     }
 

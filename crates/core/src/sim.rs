@@ -152,13 +152,6 @@ impl ClSimulator {
         self.session.config()
     }
 
-    /// The underlying re-entrant session, for callers that want to switch to
-    /// stepping mid-way.
-    #[must_use]
-    pub fn into_session(self) -> Session {
-        self.session
-    }
-
     /// Runs the full scenario and returns the collected metrics.
     ///
     /// # Errors
@@ -190,13 +183,14 @@ pub(crate) mod test_support {
             location: dacapo_datagen::Location::Highway,
             ..first
         };
-        Scenario::from_segments(
+        Scenario::try_from_segments(
             "short",
             vec![
                 Segment { attributes: first, duration_s: 60.0 },
                 Segment { attributes: second, duration_s: 60.0 },
             ],
         )
+        .expect("segments are non-empty with positive durations")
     }
 
     pub(crate) fn fast_rates(name: &str) -> PlatformRates {
@@ -223,7 +217,8 @@ pub(crate) mod test_support {
                 let mut segments = short_scenario().segments().to_vec();
                 segments.iter_mut().for_each(|segment| segment.duration_s = 20.0);
                 let mut config = short_config(SchedulerKind::DaCapoSpatiotemporal);
-                config.scenario = Scenario::from_segments("mixed", segments);
+                config.scenario = Scenario::try_from_segments("mixed", segments)
+                    .expect("segments are non-empty with positive durations");
                 if mx {
                     config.platform = "dacapo".into();
                 }

@@ -73,16 +73,6 @@ impl ObjectClass {
         }
     }
 
-    /// The class at a given index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= NUM_CLASSES`.
-    #[must_use]
-    pub fn from_index(index: usize) -> Self {
-        Self::ALL[index]
-    }
-
     /// Whether the class only appears under the *All* label distribution.
     #[must_use]
     pub fn is_vulnerable_road_user(self) -> bool {
@@ -227,7 +217,6 @@ mod tests {
     fn class_index_roundtrips() {
         for (i, class) in ObjectClass::ALL.iter().enumerate() {
             assert_eq!(class.index(), i);
-            assert_eq!(ObjectClass::from_index(i), *class);
         }
     }
 

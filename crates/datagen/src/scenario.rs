@@ -86,24 +86,6 @@ impl Scenario {
         Ok(Self { name, segments })
     }
 
-    /// Builds a scenario from explicit segments, panicking on degenerate
-    /// input. A thin wrapper over [`Scenario::try_from_segments`] for
-    /// callers whose segments are valid by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segments` is empty or any duration is non-positive or
-    /// non-finite.
-    #[must_use]
-    #[expect(
-        clippy::panic,
-        reason = "panicking is this wrapper's documented contract; fallible callers use \
-                  try_from_segments directly"
-    )]
-    pub fn from_segments(name: impl Into<String>, segments: Vec<Segment>) -> Self {
-        Self::try_from_segments(name, segments).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Scenario name (e.g. `"S1"`).
     #[must_use]
     pub fn name(&self) -> &str {
@@ -472,12 +454,6 @@ mod tests {
         assert_eq!(Scenario::by_name("s4").unwrap().name(), "S4");
         assert_eq!(Scenario::by_name("ES2").unwrap().name(), "ES2");
         assert!(Scenario::by_name("S9").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one segment")]
-    fn empty_scenarios_are_rejected() {
-        let _ = Scenario::from_segments("bad", vec![]);
     }
 
     #[test]

@@ -617,10 +617,11 @@ mod tests {
 
     #[test]
     fn iterator_yields_every_frame_in_order() {
-        let short = Scenario::from_segments(
+        let short = Scenario::try_from_segments(
             "tiny",
             vec![crate::Segment { attributes: SegmentAttributes::default(), duration_s: 2.0 }],
-        );
+        )
+        .expect("segments are non-empty with positive durations");
         let s = FrameStream::new(&short, StreamConfig::default());
         let frames: Vec<Frame> = s.iter().collect();
         assert_eq!(frames.len(), 60);
@@ -685,10 +686,11 @@ mod tests {
 
     #[test]
     fn cursor_exhausts_at_stream_end() {
-        let short = Scenario::from_segments(
+        let short = Scenario::try_from_segments(
             "tiny",
             vec![crate::Segment { attributes: SegmentAttributes::default(), duration_s: 1.0 }],
-        );
+        )
+        .expect("segments are non-empty with positive durations");
         let s = FrameStream::new(&short, StreamConfig::default());
         let mut cursor = s.cursor();
         let mut count = 0;

@@ -55,23 +55,6 @@ pub struct MlpConfig {
     pub seed: u64,
 }
 
-impl MlpConfig {
-    /// A small student suitable for the synthetic drifting stream: matches
-    /// the role ResNet18 plays in the paper (a lightweight customisable
-    /// model), with MX6 inference and MX9 retraining as in Section IV.
-    #[must_use]
-    pub fn student_default(input_dim: usize, num_classes: usize) -> Self {
-        Self {
-            input_dim,
-            hidden: vec![64, 32],
-            num_classes,
-            inference_mode: QuantMode::Mx(MxPrecision::Mx6),
-            training_mode: QuantMode::Mx(MxPrecision::Mx9),
-            seed: 0x5eed,
-        }
-    }
-}
-
 /// Summary of one retraining call.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainReport {
@@ -245,12 +228,6 @@ impl Mlp {
         self.layers.iter().map(Dense::num_params).sum()
     }
 
-    /// Forward FLOPs (multiply-accumulate count) per sample.
-    #[must_use]
-    pub fn flops_per_sample(&self) -> u64 {
-        self.layers.iter().map(|l| (l.input_dim() * l.output_dim()) as u64).sum()
-    }
-
     /// Runs a forward pass in the given mode and returns the logits: the
     /// production forward pass of [`Mlp::evaluate_rows_with`] through a
     /// fresh [`TrainScratch`] — over the quantised copy of the weights at an
@@ -265,17 +242,6 @@ impl Mlp {
         let TrainScratch { ws, acts, layers: lscr, .. } = &mut scratch;
         forward_pass(&self.layers, features, self.pass(mode), ws, acts, lscr)?;
         Ok(scratch.acts.swap_remove(self.layers.len() - 1))
-    }
-
-    /// Predicts class indices for a batch of features using the configured
-    /// inference mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::DimensionMismatch`] if the feature width is wrong.
-    pub fn predict(&self, features: &Matrix) -> Result<Vec<usize>> {
-        let logits = self.forward(features, self.config.inference_mode)?;
-        Ok(ops::argmax_rows(&logits))
     }
 
     /// Classification accuracy on a labeled batch, using the configured
@@ -540,7 +506,6 @@ mod tests {
         let net = Mlp::new(fp32_config(10, 3)).unwrap();
         // 10*16 + 16 + 16*3 + 3
         assert_eq!(net.num_params(), 10 * 16 + 16 + 16 * 3 + 3);
-        assert_eq!(net.flops_per_sample(), (10 * 16 + 16 * 3) as u64);
     }
 
     #[test]
@@ -764,14 +729,6 @@ mod tests {
         assert!(net.train(&features, &labels, 1, 0, 0.01).is_err());
         let bad = init::uniform(20, 5, -1.0, 1.0, 0).unwrap();
         assert!(net.train(&bad, &labels, 1, 8, 0.01).is_err());
-    }
-
-    #[test]
-    fn predict_matches_forward_argmax() {
-        let (features, _) = two_cluster_data(10, 4, 46);
-        let net = Mlp::new(fp32_config(4, 2)).unwrap();
-        let logits = net.forward(&features, QuantMode::Fp32).unwrap();
-        assert_eq!(net.predict(&features).unwrap(), dacapo_tensor::ops::argmax_rows(&logits));
     }
 
     #[test]

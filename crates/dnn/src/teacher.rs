@@ -113,11 +113,6 @@ impl TeacherOracle {
             wrong
         }
     }
-
-    /// Labels a whole batch, returning one label per element of `true_classes`.
-    pub fn label_batch(&mut self, true_classes: &[usize], difficulty_penalty: f64) -> Vec<usize> {
-        true_classes.iter().map(|&c| self.label(c, difficulty_penalty)).collect()
-    }
 }
 
 /// The datacenter-grade labeling tier behind a modeled uplink.
@@ -231,13 +226,6 @@ mod tests {
         let easy_correct = (0..n).filter(|i| easy.label(i % 10, 0.0) == i % 10).count();
         let hard_correct = (0..n).filter(|i| hard.label(i % 10, 0.3) == i % 10).count();
         assert!(easy_correct > hard_correct);
-    }
-
-    #[test]
-    fn label_batch_matches_length() {
-        let mut teacher = TeacherOracle::new(4, 0.8, 6);
-        let truths = vec![0, 1, 2, 3, 0, 1];
-        assert_eq!(teacher.label_batch(&truths, 0.0).len(), truths.len());
     }
 
     #[test]

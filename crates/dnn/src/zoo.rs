@@ -85,12 +85,6 @@ impl PaperModel {
         matches!(self, PaperModel::ResNet18 | PaperModel::ResNet34 | PaperModel::ViTB32)
     }
 
-    /// Whether the paper uses this model as a labeling teacher.
-    #[must_use]
-    pub const fn is_teacher(self) -> bool {
-        !self.is_student()
-    }
-
     /// Parameter count reported in Table III, in millions.
     #[must_use]
     pub const fn table3_params_millions(self) -> f64 {
@@ -184,13 +178,6 @@ impl ModelPair {
             ModelPair::VitB32VitB16 => PaperModel::ViTB16,
             ModelPair::ResNet34Wrn101 => PaperModel::WideResNet101,
         }
-    }
-
-    /// Whether the pair is ViT-based (the paper notes ViTs are markedly more
-    /// precision-sensitive, which matters to the accuracy model).
-    #[must_use]
-    pub const fn precision_sensitive(self) -> bool {
-        matches!(self, ModelPair::VitB32VitB16)
     }
 }
 
@@ -522,8 +509,8 @@ mod tests {
     fn student_teacher_classification_is_correct() {
         assert!(PaperModel::ResNet18.is_student());
         assert!(PaperModel::ViTB32.is_student());
-        assert!(PaperModel::WideResNet101.is_teacher());
-        assert!(PaperModel::ViTB16.is_teacher());
+        assert!(!PaperModel::WideResNet101.is_student());
+        assert!(!PaperModel::ViTB16.is_student());
         assert!(!PaperModel::WideResNet50.is_student());
     }
 
@@ -533,8 +520,6 @@ mod tests {
         assert_eq!(ModelPair::ResNet18Wrn50.teacher(), PaperModel::WideResNet50);
         assert_eq!(ModelPair::VitB32VitB16.teacher(), PaperModel::ViTB16);
         assert_eq!(ModelPair::ResNet34Wrn101.student(), PaperModel::ResNet34);
-        assert!(ModelPair::VitB32VitB16.precision_sensitive());
-        assert!(!ModelPair::ResNet18Wrn50.precision_sensitive());
     }
 
     #[test]

@@ -77,13 +77,6 @@ impl MxPrecision {
         (1 + self.mantissa_bits()) * BLOCK_SIZE as u32 + 8 + SUBGROUP_COUNT as u32
     }
 
-    /// Bytes needed to store `len` values at this precision (whole blocks).
-    #[must_use]
-    pub fn bytes_for_len(self, len: usize) -> usize {
-        let blocks = len.div_ceil(BLOCK_SIZE);
-        (blocks * self.bits_per_block() as usize).div_ceil(8)
-    }
-
     /// Cycles a single DPE needs to complete one 16-element dot product at
     /// this precision.
     ///
@@ -177,14 +170,6 @@ mod tests {
         assert_eq!(MxPrecision::Mx4.dpe_cycles_per_dot(), 1);
         assert_eq!(MxPrecision::Mx6.dpe_cycles_per_dot(), 4);
         assert_eq!(MxPrecision::Mx9.dpe_cycles_per_dot(), 16);
-    }
-
-    #[test]
-    fn bytes_for_len_rounds_up_to_whole_blocks() {
-        // 17 values -> 2 blocks.
-        let bytes = MxPrecision::Mx9.bytes_for_len(17);
-        assert_eq!(bytes, (2 * MxPrecision::Mx9.bits_per_block() as usize) / 8);
-        assert_eq!(MxPrecision::Mx4.bytes_for_len(0), 0);
     }
 
     #[test]

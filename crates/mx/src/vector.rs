@@ -282,12 +282,6 @@ impl MxVector {
         self.precision
     }
 
-    /// Storage footprint of the encoded vector in bytes.
-    #[must_use]
-    pub fn storage_bytes(&self) -> usize {
-        (self.num_blocks() * self.precision.bits_per_block() as usize).div_ceil(8)
-    }
-
     /// Iterator over the underlying blocks.
     pub fn blocks(&self) -> impl Iterator<Item = &MxBlock> {
         self.blocks.iter()
@@ -376,15 +370,6 @@ mod tests {
             assert_eq!(v.num_blocks(), len.div_ceil(16));
             assert_eq!(v.decode().len(), len);
         }
-    }
-
-    #[test]
-    fn storage_bytes_matches_precision() {
-        let data = vec![1.0f32; 64]; // 4 blocks
-        let v = MxVector::encode(&data, MxPrecision::Mx9).unwrap();
-        assert_eq!(v.storage_bytes(), 4 * 9 * 16 / 8);
-        let v = MxVector::encode(&data, MxPrecision::Mx4).unwrap();
-        assert_eq!(v.storage_bytes(), 4 * 4 * 16 / 8);
     }
 
     #[test]

@@ -141,13 +141,4 @@ proptest! {
         let qz = MxVector::encode(&zeros, precision).unwrap();
         prop_assert_eq!(qa.dot(&qz).unwrap(), 0.0);
     }
-
-    /// Storage grows linearly with the number of blocks and matches the
-    /// advertised bits-per-block.
-    #[test]
-    fn storage_accounting(values in value_vec(400), precision in any_precision()) {
-        let v = MxVector::encode(&values, precision).unwrap();
-        let expected = (v.num_blocks() * precision.bits_per_block() as usize).div_ceil(8);
-        prop_assert_eq!(v.storage_bytes(), expected);
-    }
 }

@@ -4,8 +4,8 @@ use crate::{Matrix, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Xavier/Glorot uniform initialisation: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`.
+/// He (Kaiming) normal initialisation: `N(0, 2 / fan_in)`, the usual choice
+/// before ReLU activations.
 ///
 /// # Errors
 ///
@@ -17,22 +17,11 @@ use rand::{Rng, SeedableRng};
 /// use dacapo_tensor::init;
 ///
 /// # fn main() -> Result<(), dacapo_tensor::TensorError> {
-/// let w = init::xavier_uniform(64, 32, 42)?;
+/// let w = init::he_normal(64, 32, 42)?;
 /// assert_eq!(w.shape(), (64, 32));
 /// # Ok(())
 /// # }
 /// ```
-pub fn xavier_uniform(rows: usize, cols: usize, seed: u64) -> Result<Matrix> {
-    let limit = (6.0f32 / (rows + cols) as f32).sqrt();
-    uniform(rows, cols, -limit, limit, seed)
-}
-
-/// He (Kaiming) normal initialisation: `N(0, 2 / fan_in)`, the usual choice
-/// before ReLU activations.
-///
-/// # Errors
-///
-/// Returns an error if either dimension is zero.
 pub fn he_normal(rows: usize, cols: usize, seed: u64) -> Result<Matrix> {
     let std = (2.0f32 / rows as f32).sqrt();
     normal(rows, cols, 0.0, std, seed)
@@ -87,18 +76,11 @@ mod tests {
 
     #[test]
     fn initialisers_are_deterministic_per_seed() {
-        let a = xavier_uniform(10, 10, 7).unwrap();
-        let b = xavier_uniform(10, 10, 7).unwrap();
-        let c = xavier_uniform(10, 10, 8).unwrap();
+        let a = he_normal(10, 10, 7).unwrap();
+        let b = he_normal(10, 10, 7).unwrap();
+        let c = he_normal(10, 10, 8).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn xavier_respects_its_limit() {
-        let w = xavier_uniform(100, 50, 1).unwrap();
-        let limit = (6.0f32 / 150.0).sqrt();
-        assert!(w.as_slice().iter().all(|v| v.abs() <= limit));
     }
 
     #[test]

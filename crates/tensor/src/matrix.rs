@@ -171,15 +171,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Copies another matrix's shape and contents into this one, reusing the
-    /// backing storage (the non-allocating counterpart of `clone`).
-    pub fn copy_from(&mut self, other: &Matrix) {
-        self.rows = other.rows;
-        self.cols = other.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&other.data);
-    }
-
     /// Resizes the matrix to match the shape of `rows` and copies them in,
     /// reusing the backing storage (the reusable counterpart of
     /// [`Matrix::from_rows`]).
@@ -312,22 +303,9 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the row-major data vector.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Iterator over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks(self.cols)
-    }
-
-    /// Applies a function to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Returns a new matrix with `f` applied to every element.
@@ -495,12 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn map_and_map_inplace_agree() {
+    fn map_applies_its_function_to_every_element() {
         let m = Matrix::from_vec(2, 2, vec![1.0, -2.0, 3.0, -4.0]).unwrap();
         let mapped = m.map(|v| v.abs());
-        let mut inplace = m.clone();
-        inplace.map_inplace(|v| v.abs());
-        assert_eq!(mapped, inplace);
+        assert_eq!(mapped.shape(), (2, 2));
         assert_eq!(mapped.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
@@ -510,11 +486,5 @@ mod tests {
         assert!(!format!("{m}").is_empty());
         let big = Matrix::zeros(20, 20).unwrap();
         assert!(format!("{big}").contains("..."));
-    }
-
-    #[test]
-    fn into_vec_returns_row_major_data() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 }

@@ -3,7 +3,7 @@
 //! exploration the offline performance estimator (Section IV) automates.
 //!
 //! ```text
-//! cargo run --release -p dacapo-bench --example accelerator_sizing
+//! cargo run --release --example accelerator_sizing
 //! ```
 
 use dacapo_accel::estimator::{estimate, spatial_allocation, PrecisionPlan};

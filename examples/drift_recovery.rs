@@ -49,13 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         location: Location::Highway,
         ..calm
     };
-    let scenario = Scenario::from_segments(
+    let scenario = Scenario::try_from_segments(
         "drift-demo",
         vec![
             Segment { attributes: calm, duration_s: 120.0 },
             Segment { attributes: drifted, duration_s: 120.0 },
         ],
-    );
+    )?;
     println!("drift occurs at t = 120 s ({} -> {})\n", calm, drifted);
 
     let spatiotemporal = run(&scenario, SchedulerKind::DaCapoSpatiotemporal)?;

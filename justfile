@@ -28,11 +28,12 @@ test:
 test-shims:
     cargo test -q -p proptest -p serde_json -p serde -p rand -p rand_distr
 
-# The examples CI's Tests step runs: six registry examples, one per registry
-# family, each plugging in an out-of-crate implementation (arbiter, share
-# policy, scheduler with snapshot state, offload policy, telemetry sink,
+# Every example, as CI's Tests step runs them: six registry examples, one per
+# registry family, each plugging in an out-of-crate implementation (arbiter,
+# share policy, scheduler with snapshot state, offload policy, telemetry sink,
 # platform), then the four builtin schedulers compared as one cluster with a
-# dedicated accelerator per camera.
+# dedicated accelerator per camera, then the three walkthroughs (one stepped
+# session, a drift recovery side by side, the accelerator sizing sweep).
 examples:
     cargo run --release --example cluster
     cargo run --release --example cross_camera
@@ -41,6 +42,9 @@ examples:
     cargo run --release --example telemetry
     cargo run --release --example custom_platform
     cargo run --release --example scheduler_comparison
+    cargo run --release --example quickstart
+    cargo run --release --example drift_recovery
+    cargo run --release --example accelerator_sizing
 
 # The kernel crates' tests in the release profile: `just test` runs them
 # unoptimised, where the GEMM register tile, the MX conversion kernel and the

@@ -37,10 +37,11 @@ fn camera_configs() -> Vec<(String, SimConfig)> {
         .into_iter()
         .enumerate()
         .map(|(i, scenario)| {
-            let short = Scenario::from_segments(
+            let short = Scenario::try_from_segments(
                 scenario.name().to_string(),
                 scenario.segments().iter().copied().take(2).collect(),
-            );
+            )
+            .expect("segments are non-empty with positive durations");
             let config = SimConfig::builder(short, ModelPair::ResNet18Wrn50)
                 .platform_rates(fast_platform())
                 .scheduler(SchedulerKind::DaCapoSpatiotemporal)
@@ -130,10 +131,11 @@ fn out_of_crate_platforms_run_sessions_and_heterogeneous_fleets() {
     // One short scenario, three cameras on three different platforms
     // selected by registry name: the external provider, the builtin DaCapo
     // accelerator, and a GPU baseline.
-    let scenario = Scenario::from_segments(
+    let scenario = Scenario::try_from_segments(
         "hetero",
         vec![Segment { attributes: SegmentAttributes::default(), duration_s: 60.0 }],
-    );
+    )
+    .expect("segments are non-empty with positive durations");
     let camera_platforms = ["turbo-sim", "dacapo", "orin-high"];
     let configs: Vec<(String, SimConfig)> = camera_platforms
         .iter()

@@ -34,13 +34,14 @@ fn arbitrary_attributes() -> impl Strategy<Value = SegmentAttributes> {
 
 fn arbitrary_scenario() -> impl Strategy<Value = Scenario> {
     prop::collection::vec((arbitrary_attributes(), 20.0f64..60.0), 1..5).prop_map(|segments| {
-        Scenario::from_segments(
+        Scenario::try_from_segments(
             "prop",
             segments
                 .into_iter()
                 .map(|(attributes, duration_s)| Segment { attributes, duration_s })
                 .collect(),
         )
+        .expect("segments are non-empty with positive durations")
     })
 }
 
@@ -269,10 +270,11 @@ proptest! {
 /// invisible to the engine's numbers.
 #[test]
 fn spec_built_session_matches_enum_built_run() {
-    let scenario = Scenario::from_segments(
+    let scenario = Scenario::try_from_segments(
         "spec-vs-enum",
         vec![Segment { attributes: SegmentAttributes::default(), duration_s: 60.0 }],
-    );
+    )
+    .expect("segments are non-empty with positive durations");
     let build = |platform: PlatformSpec| {
         SimConfig::builder(scenario.clone(), ModelPair::ResNet18Wrn50)
             .platform(platform)

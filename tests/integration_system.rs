@@ -21,7 +21,7 @@ fn test_scenario() -> Scenario {
         location: Location::Highway,
         ..calm
     };
-    Scenario::from_segments(
+    Scenario::try_from_segments(
         "integration",
         vec![
             Segment { attributes: calm, duration_s: 60.0 },
@@ -29,6 +29,7 @@ fn test_scenario() -> Scenario {
             Segment { attributes: hard, duration_s: 60.0 },
         ],
     )
+    .expect("segments are non-empty with positive durations")
 }
 
 /// Fast synthetic platform so scheduler behaviour (not throughput) dominates.
@@ -140,10 +141,11 @@ fn runs_are_deterministic_for_equal_seeds_and_differ_across_seeds() {
 fn real_platform_derivations_run_end_to_end_for_every_kind() {
     // Shorter scenario: platform derivation + MX-quantised training is the
     // slow path, so keep it to one minute.
-    let scenario = Scenario::from_segments(
+    let scenario = Scenario::try_from_segments(
         "short",
         vec![Segment { attributes: SegmentAttributes::default(), duration_s: 60.0 }],
-    );
+    )
+    .expect("segments are non-empty with positive durations");
     for kind in PlatformKind::ALL {
         let config = SimConfig::builder(scenario.clone(), ModelPair::ResNet18Wrn50)
             .platform(kind)
