@@ -14,8 +14,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The energy figures are derived from the chip-level Table IV power number
 /// (0.236 W at 500 MHz for 256 DPEs plus peripherals) attributed down to the
-/// DPE array; they are used for relative energy accounting, not absolute
-/// silicon sign-off.
+/// DPE array, for relative energy accounting, not absolute silicon sign-off.
+/// No library code reads them; they stay because they serialise inside every
+/// `SubAccel`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DpeModel {
     /// Energy of one active DPE cycle in joules.
@@ -40,14 +41,6 @@ impl DpeModel {
     pub fn macs_per_cycle(&self, precision: MxPrecision) -> f64 {
         BLOCK_SIZE as f64 / precision.dpe_cycles_per_dot() as f64
     }
-
-    /// Energy to execute `active_cycles` of work while `idle_cycles` pass
-    /// without work (for example while another kernel owns the time slot).
-    #[must_use]
-    pub fn energy_joules(&self, active_cycles: u64, idle_cycles: u64) -> f64 {
-        active_cycles as f64 * self.energy_per_active_cycle_j
-            + idle_cycles as f64 * self.energy_per_idle_cycle_j
-    }
 }
 
 #[cfg(test)]
@@ -66,9 +59,5 @@ mod tests {
     fn active_cycles_cost_more_than_idle() {
         let dpe = DpeModel::default();
         assert!(dpe.energy_per_active_cycle_j > dpe.energy_per_idle_cycle_j);
-        let busy = dpe.energy_joules(1000, 0);
-        let idle = dpe.energy_joules(0, 1000);
-        assert!(busy > idle);
-        assert!((dpe.energy_joules(1000, 1000) - (busy + idle)).abs() < 1e-18);
     }
 }

@@ -93,8 +93,9 @@ use rand::RngCore;
 use std::f64::consts::{FRAC_PI_2, LN_2, PI, TAU};
 
 /// Lanes per kernel run: the default `feature_dim`, so a default frame is one
-/// run — four 256-bit registers of `f64` whose dependency chains overlap (a
-/// run is latency-bound: 8 lanes cost what 16 do).
+/// run — two 512-bit registers of `f64` on AVX-512 (four 256-bit ones on
+/// AVX2) whose dependency chains overlap (a run is latency-bound: 8 lanes
+/// cost what 16 do).
 const LANES: usize = 16;
 
 /// `rand`'s uniform in `[0, 1)` from 64 random bits (the shim's `unit_f64`).

@@ -69,14 +69,6 @@ impl MxPrecision {
         }
     }
 
-    /// Total storage in bits for one [`BLOCK_SIZE`]-element block.
-    #[must_use]
-    pub const fn bits_per_block(self) -> u32 {
-        // sign + mantissa per element, plus the shared exponent (8 bits) and
-        // one microexponent bit per subgroup.
-        (1 + self.mantissa_bits()) * BLOCK_SIZE as u32 + 8 + SUBGROUP_COUNT as u32
-    }
-
     /// Cycles a single DPE needs to complete one 16-element dot product at
     /// this precision.
     ///
@@ -149,20 +141,18 @@ mod tests {
 
     #[test]
     fn bits_per_element_is_consistent_with_block_storage() {
-        // The "MXn" name is the amortised per-element cost; check it against
-        // the exact block storage.
+        // The "MXn" name is the amortised per-element cost of a block's exact
+        // storage: sign + mantissa per element, plus the 8-bit shared
+        // exponent and one microexponent bit per subgroup — for MX9,
+        // 8 + 8/16 + 8/16 = 9 bits per element.
         for p in MxPrecision::ALL {
-            let amortised = p.bits_per_block() as f64 / BLOCK_SIZE as f64;
-            assert!(
-                (amortised - p.bits_per_element() as f64).abs() < 1.0 + 1e-9,
-                "{p}: amortised {amortised} vs nominal {}",
-                p.bits_per_element()
-            );
+            let bits_per_block =
+                (1 + p.mantissa_bits()) * BLOCK_SIZE as u32 + 8 + SUBGROUP_COUNT as u32;
+            assert_eq!(bits_per_block, p.bits_per_element() * BLOCK_SIZE as u32, "{p}");
         }
-        // MX9 is exactly 9 bits per element: 8 mantissa+sign + 8/16 + 8/16.
-        assert_eq!(MxPrecision::Mx9.bits_per_block(), 9 * 16);
-        assert_eq!(MxPrecision::Mx6.bits_per_block(), 6 * 16);
-        assert_eq!(MxPrecision::Mx4.bits_per_block(), 4 * 16);
+        assert_eq!(MxPrecision::Mx9.bits_per_element(), 9);
+        assert_eq!(MxPrecision::Mx6.bits_per_element(), 6);
+        assert_eq!(MxPrecision::Mx4.bits_per_element(), 4);
     }
 
     #[test]

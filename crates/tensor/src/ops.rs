@@ -180,10 +180,11 @@ pub(crate) fn padded_panel(panel: &mut Vec<f32>, kc: usize, n: usize) -> &mut [f
 }
 
 /// Column-tile width of the register-accumulated inner kernel: four 8-lane
-/// f32 vectors per row on AVX2 and on AVX-512 servers alike (LLVM prefers
-/// 256-bit vectors there; the release binary's tile is all `ymm`), a
-/// handful of registers on narrower ISAs, and a whole tile for the common
-/// 32/64-wide hidden layers.
+/// f32 vectors per row on AVX2, two 16-lane ones on AVX-512 (the x86-64
+/// build turns off LLVM's 256-bit preference, so the release binary's tile
+/// is on `zmm`: `scripts/asm.sh accumulate_panel`), a handful of registers
+/// on narrower ISAs, and a whole tile for the common 32/64-wide hidden
+/// layers.
 pub(crate) const J_TILE: usize = 32;
 
 /// Rows processed together by the register-blocked inner kernel: enough

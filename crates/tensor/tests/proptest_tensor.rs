@@ -221,7 +221,8 @@ fn the_build_targets_hardware_fma() {
     assert!(
         cfg!(target_feature = "fma"),
         "built without the `fma` target feature: run cargo from the repository root so that \
-         .cargo/config.toml (target-cpu=native) applies, on a host that has FMA"
+         the x86_64 target table of .cargo/config.toml (target-cpu=native) applies, on a host \
+         that has FMA"
     );
 }
 

@@ -1,7 +1,7 @@
 # Development shortcuts mirroring .github/workflows/ci.yml.
 
 # Run the full CI pipeline locally.
-ci: fmt-check clippy doc build test test-shims examples test-kernels golden-check
+ci: fmt-check clippy doc build test test-shims examples test-kernels check-width golden-check
 
 fmt:
     cargo fmt
@@ -59,6 +59,14 @@ test-kernels:
 # e.g. `just asm quantize_into`.
 asm SYMBOL:
     scripts/asm.sh {{SYMBOL}}
+
+# The lane width of the GEMM register tile, as CI checks it: on a host whose
+# /proc/cpuinfo lists avx512f, both tile symbols of the release benchmark
+# binary must use `zmm` (the x86_64 table of .cargo/config.toml turns off
+# LLVM's 256-bit preference, which no `cfg` test can see); elsewhere it
+# prints the tallies and passes.
+check-width:
+    scripts/check-width.sh
 
 # The frozen repo benchmark (`benchmark/`, its own workspace) against this
 # tree: its own tests, then the barrier-heavy workload — share + offload +

@@ -6,14 +6,16 @@
 # entries quote when they say a loop is vectorised, or that a convert or a
 # multiply left it. The binary is the one the frozen benchmark runs
 # (`benchmark/target/release/dacapo-benchmark`, or under `CARGO_TARGET_DIR`),
-# built first if missing: under the release profile's fat LTO the loop
-# vectoriser runs at link time, so only a final binary shows the code that
-# ships. Usage: scripts/asm.sh <symbol-substring>, e.g. `quantize_into`.
+# always built first — incrementally, so a fresh binary costs nothing and an
+# edited source or `.cargo/config.toml` is never reported as the old code:
+# under the release profile's fat LTO the loop vectoriser runs at link time,
+# so only a final binary shows the code that ships.
+# Usage: scripts/asm.sh <symbol-substring>, e.g. `quantize_into`.
 set -euo pipefail
 [ "$#" -eq 1 ] || { echo "usage: $0 <symbol-substring>" >&2; exit 2; }
 cd "$(dirname "$0")/.."
 binary="${CARGO_TARGET_DIR:-benchmark/target}/release/dacapo-benchmark"
-[ -x "$binary" ] || cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 objdump -d -C --no-show-raw-insn "$binary" | awk -v want="$1" '
     function report() {
         if (name != "")
