@@ -53,7 +53,7 @@ pub(super) fn run(options: &ExperimentOptions, _host: &mut HostRecord) -> Result
         let plan = PrecisionPlan { inference, labeling: inference, retraining };
         let tsa_rows = dacapo_accel::estimator::spatial_allocation(&accel, pair, 30.0, &plan)?;
         let est = estimate(&accel, pair, tsa_rows, 16, &plan)?;
-        // Custom precision plans fall outside the builtin provider's
+        // Custom precision plans fall outside the builtin platform's
         // defaults, so build the capability sheet directly from the
         // estimator's output.
         let rates = PlatformRates::new(

@@ -42,7 +42,7 @@ pub(super) fn run(options: &ExperimentOptions, _host: &mut HostRecord) -> Result
         },
         // A point the closed platform enum could not express: the Orin
         // pinned to a 45 W DVFS target through the parameterised
-        // `orin-dvfs` platform provider.
+        // `orin-dvfs` platform family.
         SystemUnderTest {
             label: "OrinDvfs45-Ekya",
             platform: "orin-dvfs:45",

@@ -3,7 +3,7 @@
 //! Resolves every platform registered in `dacapo_core::platform` for the
 //! paper's default workload (ResNet18/WideResNet50 at 30 FPS) and prints the
 //! resulting capability sheets — builtin kinds, the parameterised builtin
-//! families, and any custom provider registered at startup all show up for
+//! families, and any custom platform registered at startup all show up for
 //! free. The DaCapo component-level area/power budget follows.
 
 use crate::{render_table, ExperimentOptions, Failure, HostRecord, Report};

@@ -19,7 +19,7 @@ pub struct SystemUnderTest {
     /// Hardware platform, as a registered platform-registry name (see
     /// `dacapo_core::platform::registered_names`) — builtin kinds go by
     /// their lower-cased display names, and custom or parameterised
-    /// providers (`"scaled-dacapo:32"`) work the same way.
+    /// platforms (`"scaled-dacapo:32"`) work the same way.
     pub platform: &'static str,
     /// Scheduling policy.
     pub scheduler: SchedulerKind,
@@ -127,7 +127,8 @@ mod tests {
         // Every system names a registered platform.
         for system in FIG9_SYSTEMS {
             assert!(
-                dacapo_core::platform::by_name(system.platform).is_some(),
+                dacapo_core::platform::registered_names()
+                    .contains(&dacapo_core::registry::split_params(system.platform).0.to_string()),
                 "{} names unregistered platform '{}'",
                 system.label,
                 system.platform

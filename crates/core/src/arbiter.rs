@@ -12,12 +12,13 @@
 //!
 //! # Pluggable policies
 //!
-//! Arbiters are constructed through trait-object factories, mirroring
+//! Arbiters are built by registered functions, mirroring
 //! [`crate::sched::register`] and [`crate::platform::register`]: implement
-//! [`Arbiter`] and [`ArbiterFactory`], [`register`] the factory, and select
+//! [`Arbiter`], [`register`] a name and a
+//! `Fn(Option<&str>) -> Result<Box<dyn Arbiter>>` that builds it, and select
 //! it by name via [`Cluster::arbiter`](crate::Cluster::arbiter). Names may
-//! carry a `:<params>` suffix that is forwarded to the factory, so one
-//! factory can describe a policy family. Three builtins are pre-registered:
+//! carry a `:<params>` suffix that is forwarded to the build function, so
+//! one name can describe a policy family. Three builtins are pre-registered:
 //!
 //! * `"fair-share"` — every resident session gets `1/n` of its accelerator.
 //! * `"priority:<weights>"` — comma-separated positive weights, assigned to
@@ -33,7 +34,7 @@
 //!   to fleet scope, so drift recovery finishes sooner at the price of
 //!   slowing calm streams.
 
-use crate::registry::Registry;
+use crate::registry::{no_params, Registry};
 use crate::{CoreError, Result};
 use std::sync::{Arc, OnceLock};
 
@@ -88,22 +89,11 @@ pub trait Arbiter: Send {
     fn grant(&mut self, request: &GrantRequest<'_>) -> f64;
 }
 
-/// Trait-object factory for arbitration policies, the extension point of the
-/// arbiter registry.
-pub trait ArbiterFactory: Send + Sync {
-    /// The canonical (case-insensitive) base name the factory registers
-    /// under, without any parameter suffix.
-    fn name(&self) -> &str;
-
-    /// Builds a fresh arbiter for one accelerator.
-    ///
-    /// # Errors
-    ///
-    /// Factories must validate `params` (the `:<suffix>` of the selected
-    /// name, if any) and return [`CoreError::InvalidConfig`] for malformed
-    /// parameters rather than panicking.
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn Arbiter>>;
-}
+/// How a registered arbiter is built for one accelerator, from the
+/// `:<params>` suffix of the selected name. It must validate the params and
+/// return [`CoreError::InvalidConfig`] for malformed ones rather than
+/// panicking.
+type Build = dyn Fn(Option<&str>) -> Result<Box<dyn Arbiter>> + Send + Sync;
 
 // --------------------------------------------------------------------------
 // Builtin policies
@@ -122,21 +112,10 @@ impl Arbiter for FairShare {
     }
 }
 
-struct FairShareFactory;
-
-impl ArbiterFactory for FairShareFactory {
-    fn name(&self) -> &str {
-        "fair-share"
-    }
-
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn Arbiter>> {
-        if let Some(params) = params {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("arbiter 'fair-share' takes no parameters, got ':{params}'"),
-            });
-        }
-        Ok(Box::new(FairShare))
-    }
+fn fair_share(params: Option<&str>) -> Result<Box<dyn Arbiter>> {
+    no_params("arbiter", "fair-share", params)
+        .map_err(|reason| CoreError::InvalidConfig { reason })?;
+    Ok(Box::new(FairShare))
 }
 
 /// `"priority:<weights>"`: static weights cycling over each accelerator's
@@ -166,40 +145,30 @@ impl Arbiter for Priority {
     }
 }
 
-struct PriorityFactory;
-
-impl ArbiterFactory for PriorityFactory {
-    fn name(&self) -> &str {
-        "priority"
+fn priority(params: Option<&str>) -> Result<Box<dyn Arbiter>> {
+    let raw = params.ok_or_else(|| CoreError::InvalidConfig {
+        reason: "arbiter 'priority' needs weights, e.g. 'priority:3,1'".into(),
+    })?;
+    let weights: Vec<f64> = raw
+        .split(',')
+        .map(|w| {
+            let weight: f64 = w.trim().parse().map_err(|_| CoreError::InvalidConfig {
+                reason: format!("priority weight '{w}' is not a number"),
+            })?;
+            if !weight.is_finite() || weight <= 0.0 {
+                return Err(CoreError::InvalidConfig {
+                    reason: format!("priority weights must be finite and positive, got {weight}"),
+                });
+            }
+            Ok(weight)
+        })
+        .collect::<Result<_>>()?;
+    if weights.is_empty() {
+        return Err(CoreError::InvalidConfig {
+            reason: "arbiter 'priority' needs at least one weight".into(),
+        });
     }
-
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn Arbiter>> {
-        let raw = params.ok_or_else(|| CoreError::InvalidConfig {
-            reason: "arbiter 'priority' needs weights, e.g. 'priority:3,1'".into(),
-        })?;
-        let weights: Vec<f64> = raw
-            .split(',')
-            .map(|w| {
-                let weight: f64 = w.trim().parse().map_err(|_| CoreError::InvalidConfig {
-                    reason: format!("priority weight '{w}' is not a number"),
-                })?;
-                if !weight.is_finite() || weight <= 0.0 {
-                    return Err(CoreError::InvalidConfig {
-                        reason: format!(
-                            "priority weights must be finite and positive, got {weight}"
-                        ),
-                    });
-                }
-                Ok(weight)
-            })
-            .collect::<Result<_>>()?;
-        if weights.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                reason: "arbiter 'priority' needs at least one weight".into(),
-            });
-        }
-        Ok(Box::new(Priority { weights }))
-    }
+    Ok(Box::new(Priority { weights }))
 }
 
 /// `"drift-first[:<boost>]"`: sessions recovering from a drift weigh `boost`
@@ -223,27 +192,19 @@ impl Arbiter for DriftFirst {
     }
 }
 
-struct DriftFirstFactory;
-
-impl ArbiterFactory for DriftFirstFactory {
-    fn name(&self) -> &str {
-        "drift-first"
+fn drift_first(params: Option<&str>) -> Result<Box<dyn Arbiter>> {
+    let boost = match params {
+        None => 2.0,
+        Some(raw) => raw.trim().parse::<f64>().map_err(|_| CoreError::InvalidConfig {
+            reason: format!("drift-first expects a numeric boost, got ':{raw}'"),
+        })?,
+    };
+    if !boost.is_finite() || boost < 1.0 {
+        return Err(CoreError::InvalidConfig {
+            reason: format!("drift-first boost must be finite and at least 1, got {boost}"),
+        });
     }
-
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn Arbiter>> {
-        let boost = match params {
-            None => 2.0,
-            Some(raw) => raw.trim().parse::<f64>().map_err(|_| CoreError::InvalidConfig {
-                reason: format!("drift-first expects a numeric boost, got ':{raw}'"),
-            })?,
-        };
-        if !boost.is_finite() || boost < 1.0 {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("drift-first boost must be finite and at least 1, got {boost}"),
-            });
-        }
-        Ok(Box::new(DriftFirst { boost }))
-    }
+    Ok(Box::new(DriftFirst { boost }))
 }
 
 // --------------------------------------------------------------------------
@@ -252,37 +213,29 @@ impl ArbiterFactory for DriftFirstFactory {
 
 /// The global arbiter registry, seeded with the builtin policies; storage
 /// and lookup rules live in [`crate::registry`].
-fn registry() -> &'static Registry<dyn ArbiterFactory> {
-    static REGISTRY: OnceLock<Registry<dyn ArbiterFactory>> = OnceLock::new();
+fn registry() -> &'static Registry<Build> {
+    static REGISTRY: OnceLock<Registry<Build>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let builtins: [Arc<dyn ArbiterFactory>; 3] =
-            [Arc::new(FairShareFactory), Arc::new(PriorityFactory), Arc::new(DriftFirstFactory)];
-        Registry::new(
-            "arbiter",
-            &[],
-            builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
-        )
+        let registry: Registry<Build> = Registry::new("arbiter", &[]);
+        registry.register("fair-share", Arc::new(fair_share));
+        registry.register("priority", Arc::new(priority));
+        registry.register("drift-first", Arc::new(drift_first));
+        registry
     })
 }
 
-/// Registers (or replaces) an arbiter factory under its case-insensitive
-/// [`ArbiterFactory::name`].
+/// Registers (or replaces) the arbiter `build` makes under the
+/// case-insensitive base `name`.
 ///
 /// # Panics
 ///
-/// Panics if the factory's name contains `':'` — the colon introduces the
-/// parameter suffix during lookup, so such a name could never be resolved.
-pub fn register(factory: Arc<dyn ArbiterFactory>) {
-    let name = factory.name().to_string();
-    registry().register(&name, factory);
-}
-
-/// Looks up an arbiter factory by case-insensitive name. A `:<params>`
-/// suffix, if present, is ignored for the lookup (`by_name("priority:3,1")`
-/// resolves the `"priority"` factory).
-#[must_use]
-pub fn by_name(name: &str) -> Option<Arc<dyn ArbiterFactory>> {
-    registry().by_name(name)
+/// Panics if `name` contains `':'` — the colon introduces the parameter
+/// suffix during lookup, so such a name could never be resolved.
+pub fn register(
+    name: &str,
+    build: impl Fn(Option<&str>) -> Result<Box<dyn Arbiter>> + Send + Sync + 'static,
+) {
+    registry().register(name, Arc::new(build));
 }
 
 /// The base names of every registered arbitration policy, sorted.
@@ -299,9 +252,9 @@ pub fn registered_names() -> Vec<String> {
 /// Returns [`CoreError::InvalidConfig`] for an unregistered name or
 /// malformed parameters.
 pub fn create(name: &str) -> Result<Box<dyn Arbiter>> {
-    let (factory, params) =
+    let (build, params) =
         registry().resolve(name).map_err(|reason| CoreError::InvalidConfig { reason })?;
-    factory.build(params)
+    build(params)
 }
 
 #[cfg(test)]
@@ -410,10 +363,10 @@ mod tests {
 
     #[test]
     fn registry_resolves_case_insensitively_and_lists_builtins() {
-        assert!(by_name("FAIR-SHARE").is_some());
-        assert!(by_name("Priority:9").is_some());
-        assert!(by_name("no-such-arbiter").is_none());
+        assert_eq!(create("FAIR-SHARE").unwrap().name(), "fair-share");
+        assert_eq!(create("Priority:9").unwrap().name(), "priority:9");
         let names = registered_names();
+        assert!(!names.contains(&"no-such-arbiter".to_string()));
         for builtin in ["fair-share", "priority", "drift-first"] {
             assert!(names.contains(&builtin.to_string()), "{builtin} missing from {names:?}");
         }
@@ -437,17 +390,7 @@ mod tests {
                 1.0
             }
         }
-        struct OversubscribeFactory;
-        impl ArbiterFactory for OversubscribeFactory {
-            fn name(&self) -> &str {
-                "oversubscribe"
-            }
-            fn build(&self, _params: Option<&str>) -> Result<Box<dyn Arbiter>> {
-                Ok(Box::new(Oversubscribe))
-            }
-        }
-
-        register(Arc::new(OversubscribeFactory));
+        register("oversubscribe", |_| Ok(Box::new(Oversubscribe)));
         let mut arbiter = create("oversubscribe").unwrap();
         let residents = peers(&[false, false, false]);
         assert!((arbiter.grant(&request(1, false, &residents)) - 1.0).abs() < 1e-12);

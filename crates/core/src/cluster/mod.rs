@@ -1088,8 +1088,7 @@ mod tests {
     /// exchange stage that gives a run finite windows and changes no
     /// camera's numbers, only the share metrics. Returns its name.
     fn zero_admit() -> &'static str {
-        use crate::share::{ShareContext, SharePolicy, SharePolicyFactory};
-        use std::sync::Arc;
+        use crate::share::{ShareContext, SharePolicy};
 
         struct ZeroAdmit;
         impl SharePolicy for ZeroAdmit {
@@ -1100,16 +1099,7 @@ mod tests {
                 0.0
             }
         }
-        struct ZeroAdmitFactory;
-        impl SharePolicyFactory for ZeroAdmitFactory {
-            fn name(&self) -> &str {
-                "zero-admit"
-            }
-            fn build(&self, _params: Option<&str>) -> Result<Box<dyn SharePolicy>> {
-                Ok(Box::new(ZeroAdmit))
-            }
-        }
-        share::register(Arc::new(ZeroAdmitFactory));
+        share::register("zero-admit", |_| Ok(Box::new(ZeroAdmit)));
         "zero-admit"
     }
 
@@ -1122,9 +1112,7 @@ mod tests {
     /// finite windows cost in memory.
     #[test]
     fn an_unbounded_window_holds_one_accelerators_sessions_at_a_time() {
-        use crate::sched::{self, Action, Scheduler, SchedulerContext, SchedulerFactory};
-        use crate::Hyperparams;
-        use std::sync::Arc;
+        use crate::sched::{self, Action, Scheduler, SchedulerContext};
 
         static LIVE: AtomicUsize = AtomicUsize::new(0);
         static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -1145,19 +1133,11 @@ mod tests {
                 LIVE.fetch_sub(1, Ordering::SeqCst);
             }
         }
-        struct CountedFactory;
-        impl SchedulerFactory for CountedFactory {
-            fn name(&self) -> &str {
-                "live-counted"
-            }
-            fn build(&self, hyper: &Hyperparams) -> Box<dyn Scheduler> {
-                let live = LIVE.fetch_add(1, Ordering::SeqCst) + 1;
-                PEAK.fetch_max(live, Ordering::SeqCst);
-                Box::new(Counted(SchedulerKind::DaCapoSpatial.create(hyper)))
-            }
-        }
-
-        sched::register(Arc::new(CountedFactory));
+        sched::register("live-counted", |hyper| {
+            let live = LIVE.fetch_add(1, Ordering::SeqCst) + 1;
+            PEAK.fetch_max(live, Ordering::SeqCst);
+            Box::new(Counted(SchedulerKind::DaCapoSpatial.create(hyper)))
+        });
         let build = || {
             let mut config = short_config(SchedulerKind::DaCapoSpatial);
             config.scheduler = "live-counted".into();
@@ -1278,8 +1258,7 @@ mod tests {
 
     #[test]
     fn invalid_admit_fractions_from_untrusted_policies_error_instead_of_corrupting() {
-        use crate::share::{ShareContext, SharePolicy, SharePolicyFactory};
-        use std::sync::Arc;
+        use crate::share::{ShareContext, SharePolicy};
 
         struct NanAdmit;
         impl SharePolicy for NanAdmit {
@@ -1290,17 +1269,7 @@ mod tests {
                 f64::NAN
             }
         }
-        struct NanAdmitFactory;
-        impl SharePolicyFactory for NanAdmitFactory {
-            fn name(&self) -> &str {
-                "nan-admit"
-            }
-            fn build(&self, _params: Option<&str>) -> Result<Box<dyn SharePolicy>> {
-                Ok(Box::new(NanAdmit))
-            }
-        }
-
-        share::register(Arc::new(NanAdmitFactory));
+        share::register("nan-admit", |_| Ok(Box::new(NanAdmit)));
         let err = Cluster::new(1)
             .camera("a", short_config(SchedulerKind::DaCapoSpatiotemporal))
             .camera("b", short_config(SchedulerKind::DaCapoSpatiotemporal))
@@ -1437,8 +1406,7 @@ mod tests {
 
     #[test]
     fn invalid_shares_from_untrusted_arbiters_error_instead_of_spinning() {
-        use crate::arbiter::{Arbiter, ArbiterFactory, GrantRequest};
-        use std::sync::Arc;
+        use crate::arbiter::{Arbiter, GrantRequest};
 
         /// Grants whatever share its parameter spells.
         struct BadShare(f64);
@@ -1450,17 +1418,9 @@ mod tests {
                 self.0
             }
         }
-        struct BadShareFactory;
-        impl ArbiterFactory for BadShareFactory {
-            fn name(&self) -> &str {
-                "bad-share"
-            }
-            fn build(&self, params: Option<&str>) -> Result<Box<dyn Arbiter>> {
-                Ok(Box::new(BadShare(params.and_then(|p| p.parse().ok()).unwrap_or(f64::NAN))))
-            }
-        }
-
-        arbiter::register(Arc::new(BadShareFactory));
+        arbiter::register("bad-share", |params| {
+            Ok(Box::new(BadShare(params.and_then(|p| p.parse().ok()).unwrap_or(f64::NAN))))
+        });
         // NaN, out of range, and a subnormal whose reciprocal overflows: the
         // last would park the camera at +inf on the cluster clock, where no
         // window — not even the unbounded one — ever reaches it.

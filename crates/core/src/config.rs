@@ -166,12 +166,12 @@ pub struct SimConfig {
     pub scenario: Scenario,
     /// The (student, teacher) model pair.
     pub pair: ModelPair,
-    /// Execution platform selection: a builtin kind, a registered provider
+    /// Execution platform selection: a builtin kind, a registered platform
     /// by name (see [`crate::platform::register`]), or explicit rates.
     /// Resolved into [`PlatformRates`] by [`SimConfig::platform_rates`].
     pub platform: PlatformSpec,
     /// Accelerator hardware configuration consumed by DaCapo-family
-    /// platform providers when the spec resolves.
+    /// platforms when the spec resolves.
     pub accel: AccelConfig,
     /// Temporal resource-allocation policy: a builtin kind or a registered
     /// policy selected by name (see [`crate::sched::register`]).
@@ -226,8 +226,8 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an unregistered platform
-    /// name or invalid provider parameters, and propagates provider errors
-    /// (e.g. an infeasible spatial allocation).
+    /// name or invalid platform parameters, and propagates the platform's
+    /// build errors (e.g. an infeasible spatial allocation).
     pub fn platform_rates(&self) -> Result<PlatformRates> {
         self.platform.resolve(self.pair, self.stream.fps, &self.accel)
     }
@@ -287,7 +287,7 @@ pub struct SimConfigBuilder {
 
 impl SimConfigBuilder {
     /// Selects the execution platform: a builtin [`PlatformKind`], the name
-    /// of a provider registered with [`crate::platform::register`]
+    /// of a platform registered with [`crate::platform::register`]
     /// (optionally parameterised, e.g. `.platform("scaled-dacapo:32")`), or
     /// explicit [`PlatformRates`]. This and [`Self::platform_rates`] write
     /// the same selection — the last call wins.
@@ -330,7 +330,7 @@ impl SimConfigBuilder {
     }
 
     /// Overrides the accelerator hardware configuration consumed by
-    /// DaCapo-family platform providers (e.g. [`PlatformKind::DaCapo`]).
+    /// DaCapo-family platforms (e.g. [`PlatformKind::DaCapo`]).
     #[must_use]
     pub fn accelerator(mut self, accel: AccelConfig) -> Self {
         self.accel = accel;

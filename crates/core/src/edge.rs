@@ -23,8 +23,8 @@
 //!   `"degraded"` (0.25 Mbit/s, 200 ms); each accepts an optional
 //!   `:<mbps>[,<latency_ms>]` parameter suffix describing a whole family of
 //!   links through one name, so any link is one name away without a plugin.
-//! * **Offload policies** ([`register_offload`] / [`offload_by_name`] /
-//!   [`create_offload`]) choose a [`LabelRoute`] per camera per window, a
+//! * **Offload policies** ([`register_offload`] / [`create_offload`])
+//!   choose a [`LabelRoute`] per camera per window, a
 //!   registry family mirroring [`crate::sched`], [`crate::platform`],
 //!   [`crate::arbiter`], and [`crate::share`]. `"local-only"` (the default)
 //!   is not a policy: it is the family's **reserved** name, meaning the
@@ -39,7 +39,7 @@
 //! across worker-thread counts.
 
 use crate::buffer::LabeledSample;
-use crate::registry::{split_params, Registry};
+use crate::registry::{no_params, split_params, Registry};
 use crate::{CoreError, Result};
 use dacapo_datagen::SegmentAttributes;
 use dacapo_dnn::CloudTeacher;
@@ -190,58 +190,29 @@ pub struct OffloadContext<'a> {
 /// at single-threaded window barriers, in deterministic camera
 /// admission-index order, so implementations may keep state.
 pub trait OffloadPolicy: Send {
-    /// The policy's display name (used for reporting, e.g. `"cloud-only"`).
-    fn name(&self) -> String;
-
     /// Routes one camera's next labeling window.
     fn route(&mut self, ctx: &OffloadContext<'_>) -> LabelRoute;
 }
 
-/// Trait-object factory for offload policies, the extension point of the
-/// offload registry.
-pub trait OffloadPolicyFactory: Send + Sync {
-    /// The canonical (case-insensitive) base name the factory registers
-    /// under, without any parameter suffix.
-    fn name(&self) -> &str;
-
-    /// Builds a fresh policy for one cluster run.
-    ///
-    /// # Errors
-    ///
-    /// Factories must validate `params` (the `:<suffix>` of the selected
-    /// name, if any) and return [`CoreError::InvalidConfig`] for malformed
-    /// parameters rather than panicking.
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn OffloadPolicy>>;
-}
+/// How a registered offload policy is built for one cluster run, from the
+/// `:<params>` suffix of the selected name. It must validate the params and
+/// return [`CoreError::InvalidConfig`] for malformed ones rather than
+/// panicking.
+type Build = dyn Fn(Option<&str>) -> Result<Box<dyn OffloadPolicy>> + Send + Sync;
 
 /// `"cloud-only"`: every window ships to the cloud teacher.
 struct CloudOnly;
 
 impl OffloadPolicy for CloudOnly {
-    fn name(&self) -> String {
-        "cloud-only".to_string()
-    }
-
     fn route(&mut self, _ctx: &OffloadContext<'_>) -> LabelRoute {
         LabelRoute::Cloud { byte_budget: None }
     }
 }
 
-struct CloudOnlyFactory;
-
-impl OffloadPolicyFactory for CloudOnlyFactory {
-    fn name(&self) -> &str {
-        "cloud-only"
-    }
-
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn OffloadPolicy>> {
-        if let Some(params) = params {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("offload policy 'cloud-only' takes no parameters, got ':{params}'"),
-            });
-        }
-        Ok(Box::new(CloudOnly))
-    }
+fn cloud_only(params: Option<&str>) -> Result<Box<dyn OffloadPolicy>> {
+    no_params("offload policy", "cloud-only", params)
+        .map_err(|reason| CoreError::InvalidConfig { reason })?;
+    Ok(Box::new(CloudOnly))
 }
 
 /// `"threshold:<queue-depth>"`: offload a camera exactly when its local
@@ -253,10 +224,6 @@ struct Threshold {
 }
 
 impl OffloadPolicy for Threshold {
-    fn name(&self) -> String {
-        format!("threshold:{}", self.depth)
-    }
-
     fn route(&mut self, ctx: &OffloadContext<'_>) -> LabelRoute {
         if ctx.resident_cameras > self.depth {
             LabelRoute::Cloud { byte_budget: None }
@@ -266,23 +233,14 @@ impl OffloadPolicy for Threshold {
     }
 }
 
-struct ThresholdFactory;
-
-impl OffloadPolicyFactory for ThresholdFactory {
-    fn name(&self) -> &str {
-        "threshold"
-    }
-
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn OffloadPolicy>> {
-        let raw = params.ok_or_else(|| CoreError::InvalidConfig {
-            reason: "offload policy 'threshold' requires a queue depth, e.g. 'threshold:2'"
-                .to_string(),
-        })?;
-        let depth = raw.trim().parse::<usize>().map_err(|_| CoreError::InvalidConfig {
-            reason: format!("threshold expects an integer queue depth, got ':{raw}'"),
-        })?;
-        Ok(Box::new(Threshold { depth }))
-    }
+fn threshold(params: Option<&str>) -> Result<Box<dyn OffloadPolicy>> {
+    let raw = params.ok_or_else(|| CoreError::InvalidConfig {
+        reason: "offload policy 'threshold' requires a queue depth, e.g. 'threshold:2'".to_string(),
+    })?;
+    let depth = raw.trim().parse::<usize>().map_err(|_| CoreError::InvalidConfig {
+        reason: format!("threshold expects an integer queue depth, got ':{raw}'"),
+    })?;
+    Ok(Box::new(Threshold { depth }))
 }
 
 /// `"budget:<bytes-per-window>"`: always prefer the cloud teacher, but cap
@@ -293,39 +251,27 @@ struct Budget {
 }
 
 impl OffloadPolicy for Budget {
-    fn name(&self) -> String {
-        format!("budget:{}", self.bytes_per_window)
-    }
-
     fn route(&mut self, _ctx: &OffloadContext<'_>) -> LabelRoute {
         LabelRoute::Cloud { byte_budget: Some(self.bytes_per_window) }
     }
 }
 
-struct BudgetFactory;
-
-impl OffloadPolicyFactory for BudgetFactory {
-    fn name(&self) -> &str {
-        "budget"
-    }
-
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn OffloadPolicy>> {
-        let raw = params.ok_or_else(|| CoreError::InvalidConfig {
-            reason: "offload policy 'budget' requires a per-window byte budget, e.g. \
+fn budget(params: Option<&str>) -> Result<Box<dyn OffloadPolicy>> {
+    let raw = params.ok_or_else(|| CoreError::InvalidConfig {
+        reason: "offload policy 'budget' requires a per-window byte budget, e.g. \
                      'budget:5000000'"
+            .to_string(),
+    })?;
+    let bytes_per_window = raw.trim().parse::<u64>().map_err(|_| CoreError::InvalidConfig {
+        reason: format!("budget expects an integer byte count per window, got ':{raw}'"),
+    })?;
+    if bytes_per_window == 0 {
+        return Err(CoreError::InvalidConfig {
+            reason: "budget of 0 bytes per window never ships anything; use 'local-only'"
                 .to_string(),
-        })?;
-        let bytes_per_window = raw.trim().parse::<u64>().map_err(|_| CoreError::InvalidConfig {
-            reason: format!("budget expects an integer byte count per window, got ':{raw}'"),
-        })?;
-        if bytes_per_window == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "budget of 0 bytes per window never ships anything; use 'local-only'"
-                    .to_string(),
-            });
-        }
-        Ok(Box::new(Budget { bytes_per_window }))
+        });
     }
+    Ok(Box::new(Budget { bytes_per_window }))
 }
 
 // --------------------------------------------------------------------------
@@ -333,40 +279,32 @@ impl OffloadPolicyFactory for BudgetFactory {
 // --------------------------------------------------------------------------
 
 /// The global offload-policy registry, seeded with the builtin policies.
-fn offload_registry() -> &'static Registry<dyn OffloadPolicyFactory> {
-    static REGISTRY: OnceLock<Registry<dyn OffloadPolicyFactory>> = OnceLock::new();
+fn offload_registry() -> &'static Registry<Build> {
+    static REGISTRY: OnceLock<Registry<Build>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let builtins: [Arc<dyn OffloadPolicyFactory>; 3] =
-            [Arc::new(CloudOnlyFactory), Arc::new(ThresholdFactory), Arc::new(BudgetFactory)];
-        Registry::new(
-            "offload policy",
-            // Under `"local-only"` the cluster executor has no routing stage
-            // at all, so a factory registered there would never be consulted.
-            &["local-only"],
-            builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
-        )
+        // Under `"local-only"` the cluster executor has no routing stage at
+        // all, so a policy registered there would never be consulted.
+        let registry: Registry<Build> = Registry::new("offload policy", &["local-only"]);
+        registry.register("cloud-only", Arc::new(cloud_only));
+        registry.register("threshold", Arc::new(threshold));
+        registry.register("budget", Arc::new(budget));
+        registry
     })
 }
 
-/// Registers (or replaces) an offload-policy factory under its
-/// case-insensitive [`OffloadPolicyFactory::name`].
+/// Registers (or replaces) the offload policy `build` makes under the
+/// case-insensitive base `name`.
 ///
 /// # Panics
 ///
-/// Panics if the factory's name contains `':'` (reserved for parameter
-/// suffixes during lookup) or is `"local-only"` — the reserved name of the
-/// absent routing stage.
-pub fn register_offload(factory: Arc<dyn OffloadPolicyFactory>) {
-    let name = factory.name().to_string();
-    offload_registry().register(&name, factory);
-}
-
-/// Looks up an offload-policy factory by case-insensitive name. A
-/// `:<params>` suffix, if present, is ignored for the lookup
-/// (`offload_by_name("budget:5000000")` resolves the `"budget"` factory).
-#[must_use]
-pub fn offload_by_name(name: &str) -> Option<Arc<dyn OffloadPolicyFactory>> {
-    offload_registry().by_name(name)
+/// Panics if `name` contains `':'` (reserved for parameter suffixes during
+/// lookup) or is `"local-only"` — the reserved name of the absent routing
+/// stage.
+pub fn register_offload(
+    name: &str,
+    build: impl Fn(Option<&str>) -> Result<Box<dyn OffloadPolicy>> + Send + Sync + 'static,
+) {
+    offload_registry().register(name, Arc::new(build));
 }
 
 /// The base names of every registered offload policy, sorted.
@@ -390,9 +328,9 @@ pub fn is_local_only(name: &str) -> bool {
 /// Returns [`CoreError::InvalidConfig`] for an unregistered name, the
 /// reserved `"local-only"` (it selects no policy), or malformed parameters.
 pub fn create_offload(name: &str) -> Result<Box<dyn OffloadPolicy>> {
-    let (factory, params) =
+    let (build, params) =
         offload_registry().resolve(name).map_err(|reason| CoreError::InvalidConfig { reason })?;
-    factory.build(params)
+    build(params)
 }
 
 /// Resolves the uplink profile selected by `name` (one of
@@ -852,7 +790,6 @@ mod tests {
         for residents in [1, 4, 64] {
             assert_eq!(cloud.route(&context(residents)), LabelRoute::Cloud { byte_budget: None });
         }
-        assert_eq!(cloud.name(), "cloud-only");
         assert!(create_offload("cloud-only:x").is_err(), "cloud-only takes no parameters");
     }
 
@@ -862,7 +799,6 @@ mod tests {
         assert_eq!(policy.route(&context(1)), LabelRoute::Local);
         assert_eq!(policy.route(&context(2)), LabelRoute::Local, "threshold is exclusive");
         assert_eq!(policy.route(&context(3)), LabelRoute::Cloud { byte_budget: None });
-        assert_eq!(policy.name(), "threshold:2");
         assert!(create_offload("threshold").is_err(), "the depth parameter is required");
         assert!(create_offload("threshold:fast").is_err());
     }
@@ -871,7 +807,6 @@ mod tests {
     fn budget_routes_cloud_with_a_byte_cap() {
         let mut policy = create_offload("budget:5000000").unwrap();
         assert_eq!(policy.route(&context(1)), LabelRoute::Cloud { byte_budget: Some(5_000_000) });
-        assert_eq!(policy.name(), "budget:5000000");
         assert!(create_offload("budget").is_err(), "the byte parameter is required");
         assert!(create_offload("budget:0").is_err(), "a zero budget is a misconfiguration");
         assert!(create_offload("budget:-3").is_err());
@@ -880,10 +815,12 @@ mod tests {
 
     #[test]
     fn offload_registry_resolves_case_insensitively_and_lists_builtins() {
-        assert!(offload_by_name("CLOUD-ONLY").is_some());
-        assert!(offload_by_name("Budget:123").is_some());
-        assert!(offload_by_name("no-such-policy").is_none());
+        let mut cloud = create_offload("CLOUD-ONLY").unwrap();
+        assert_eq!(cloud.route(&context(1)), LabelRoute::Cloud { byte_budget: None });
+        let mut budget = create_offload("Budget:123").unwrap();
+        assert_eq!(budget.route(&context(1)), LabelRoute::Cloud { byte_budget: Some(123) });
         let names = registered_offload_policies();
+        assert!(!names.contains(&"no-such-policy".to_string()));
         for builtin in ["cloud-only", "threshold", "budget"] {
             assert!(names.contains(&builtin.to_string()), "{builtin} missing from {names:?}");
         }
@@ -911,16 +848,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved")]
     fn registering_over_the_reserved_local_only_policy_panics() {
-        struct Impostor;
-        impl OffloadPolicyFactory for Impostor {
-            fn name(&self) -> &str {
-                "local-only"
-            }
-            fn build(&self, _params: Option<&str>) -> Result<Box<dyn OffloadPolicy>> {
-                Ok(Box::new(CloudOnly))
-            }
-        }
-        register_offload(Arc::new(Impostor));
+        register_offload("local-only", cloud_only);
     }
 
     #[test]
@@ -928,9 +856,6 @@ mod tests {
         /// Offload only even-indexed windows.
         struct Alternating;
         impl OffloadPolicy for Alternating {
-            fn name(&self) -> String {
-                "alternating".to_string()
-            }
             fn route(&mut self, ctx: &OffloadContext<'_>) -> LabelRoute {
                 if ctx.window_index.is_multiple_of(2) {
                     LabelRoute::Cloud { byte_budget: None }
@@ -939,16 +864,7 @@ mod tests {
                 }
             }
         }
-        struct AlternatingFactory;
-        impl OffloadPolicyFactory for AlternatingFactory {
-            fn name(&self) -> &str {
-                "alternating"
-            }
-            fn build(&self, _params: Option<&str>) -> Result<Box<dyn OffloadPolicy>> {
-                Ok(Box::new(Alternating))
-            }
-        }
-        register_offload(Arc::new(AlternatingFactory));
+        register_offload("alternating", |_| Ok(Box::new(Alternating)));
         let mut policy = create_offload("alternating").unwrap();
         assert_eq!(policy.route(&context(1)), LabelRoute::Cloud { byte_budget: None });
         assert!(registered_offload_policies().contains(&"alternating".to_string()));

@@ -32,19 +32,20 @@
 //!   per-camera results are bit-identical to solo runs.
 //!
 //! Scheduling policies are **pluggable**: the paper's algorithms are builtin
-//! [`SchedulerKind`]s, and external crates can [`sched::register`] their own
-//! [`sched::SchedulerFactory`] and select it by name —
-//! `SimConfig::builder(..).scheduler("my-policy")` — without touching this
-//! crate.
+//! [`SchedulerKind`]s, and external crates can [`sched::register`] a name
+//! and a function building their own [`sched::Scheduler`], and select it by
+//! name — `SimConfig::builder(..).scheduler("my-policy")` — without touching
+//! this crate. Every registry family works this way: a plugin is a name and
+//! a build function.
 //!
 //! Execution platforms are pluggable the same way: the engine consumes a
 //! [`PlatformRates`] capability sheet (per-kernel [`platform::KernelRate`]s,
 //! a [`platform::Sharing`] mode, and a power draw), and where that sheet
 //! comes from is decided by a [`PlatformSpec`] — a builtin [`PlatformKind`],
-//! a provider registered through [`platform::register`] and selected by name
+//! a platform registered through [`platform::register`] and selected by name
 //! (`SimConfig::builder(..).platform("my-platform")`), or explicit rates.
-//! Provider names accept a `:<params>` suffix (`"scaled-dacapo:32"`,
-//! `"orin-dvfs:45"`), so one provider can describe a hardware family. A
+//! Platform names accept a `:<params>` suffix (`"scaled-dacapo:32"`,
+//! `"orin-dvfs:45"`), so one name can describe a hardware family. A
 //! [`Cluster`] mixes platforms freely: each camera carries its own spec, so
 //! heterogeneous deployments (some cameras on accelerators, some on GPUs)
 //! are just differently-configured cameras.
@@ -52,30 +53,20 @@
 //! Registering a custom platform:
 //!
 //! ```
-//! use dacapo_core::platform::{self, KernelRate, PlatformProvider, PlatformRequest, Sharing};
-//! use dacapo_core::{PlatformRates, Result};
-//! use std::sync::Arc;
+//! use dacapo_core::platform::{self, KernelRate, Sharing};
+//! use dacapo_core::PlatformRates;
 //!
-//! struct NpuProvider;
-//!
-//! impl PlatformProvider for NpuProvider {
-//!     fn name(&self) -> &str {
-//!         "edge-npu"
-//!     }
-//!     fn build(&self, request: &PlatformRequest<'_>) -> Result<PlatformRates> {
-//!         PlatformRates::new(
-//!             "Edge NPU",
-//!             KernelRate::fp32(4.0 * request.fps), // inference headroom
-//!             KernelRate::fp32(25.0),              // labeling samples/s
-//!             KernelRate::fp32(80.0),              // retraining samples/s
-//!             Sharing::TimeShared,
-//!             7.5,
-//!         )
-//!     }
-//! }
-//!
-//! platform::register(Arc::new(NpuProvider));
-//! assert!(platform::by_name("edge-npu").is_some());
+//! platform::register("edge-npu", |request| {
+//!     PlatformRates::new(
+//!         "Edge NPU",
+//!         KernelRate::fp32(4.0 * request.fps), // inference headroom
+//!         KernelRate::fp32(25.0),              // labeling samples/s
+//!         KernelRate::fp32(80.0),              // retraining samples/s
+//!         Sharing::TimeShared,
+//!         7.5,
+//!     )
+//! });
+//! assert!(platform::registered_names().contains(&"edge-npu".to_string()));
 //! // From here, `SimConfig::builder(..).platform("edge-npu")` selects it.
 //! ```
 //!
@@ -333,7 +324,7 @@
 //!   deployed student and the labeling teacher.
 //! * [`PlatformRates`] — the execution platform's capability sheet (a
 //!   spatially-partitioned DaCapo accelerator or a time-shared GPU
-//!   baseline), built by [`platform`] providers from the `dacapo-accel`
+//!   baseline), built by the [`platform`] registry from the `dacapo-accel`
 //!   performance models.
 //! * [`sched`] — the temporal resource allocators: the paper's
 //!   spatiotemporal Algorithm 1 plus the DaCapo-Spatial, Ekya, and EOMU

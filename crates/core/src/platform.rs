@@ -1,4 +1,4 @@
-//! Execution platforms behind the pluggable provider registry.
+//! Execution platforms behind the pluggable platform registry.
 //!
 //! The continuous-learning engine is platform-agnostic: it only ever consumes
 //! a [`PlatformRates`] capability sheet — per-kernel [`KernelRate`]s
@@ -10,19 +10,21 @@
 //! * The builtin [`PlatformKind`]s reproduce the paper's baseline matrix
 //!   (the spatially-partitioned DaCapo accelerator, the Jetson Orin at its
 //!   60 W and 30 W power modes, and the RTX 3090).
-//! * External crates implement [`PlatformProvider`], [`register`] it, and
-//!   select it by name via [`PlatformSpec::Named`] (the `SimConfig` builder
-//!   accepts a `&str` platform directly) — no enum variant required.
-//! * A provider name may carry a `:<params>` suffix that is forwarded to the
-//!   provider, so a single provider describes a whole hardware family:
+//! * External crates [`register`] a name and a
+//!   `Fn(&PlatformRequest<'_>) -> Result<PlatformRates>` that builds the
+//!   sheet, and select it by name via [`PlatformSpec::Named`] (the
+//!   `SimConfig` builder accepts a `&str` platform directly) — no enum
+//!   variant required.
+//! * A platform name may carry a `:<params>` suffix that is forwarded to the
+//!   build function, so one name describes a whole hardware family:
 //!   `"scaled-dacapo:32"` builds a 32×32-DPE DaCapo chip, `"orin-dvfs:45"`
 //!   a Jetson Orin pinned to a 45 W DVFS operating point.
 //!
-//! Builtin providers are pre-registered under their lower-cased display
+//! Builtin platforms are pre-registered under their lower-cased display
 //! names (`"dacapo"`, `"orin-high"`, `"orin-low"`, `"rtx-3090"`), plus the
 //! two parameterised families `"orin-dvfs"` and `"scaled-dacapo"`.
 
-use crate::registry::Registry;
+use crate::registry::{no_params, Registry};
 use crate::{CoreError, Result};
 use dacapo_accel::estimator::{estimate, spatial_allocation, PrecisionPlan};
 use dacapo_accel::gpu::{GpuDevice, UtilizationProfile};
@@ -137,7 +139,7 @@ pub enum Sharing {
 /// Kernel execution capabilities of a platform: what the continuous-learning
 /// engine needs to know about the hardware, and nothing else.
 ///
-/// Rates are constructed by [`PlatformProvider`]s (or the [`Self::new`]
+/// Rates are constructed by registered platforms (or the [`Self::new`]
 /// constructor, which validates every capability) rather than by poking
 /// public fields, so an engine never sees NaN throughputs, negative power,
 /// or a zero-row spatial partition.
@@ -431,7 +433,7 @@ impl PlatformRates {
     }
 }
 
-/// Validates a stream frame rate before it reaches a provider.
+/// Validates a stream frame rate before it reaches a build function.
 fn validate_fps(fps: f64) -> Result<()> {
     if !fps.is_finite() || fps <= 0.0 {
         return Err(CoreError::InvalidConfig {
@@ -441,65 +443,28 @@ fn validate_fps(fps: f64) -> Result<()> {
     Ok(())
 }
 
-/// Everything a [`PlatformProvider`] gets to build a capability sheet from.
+/// Everything a registered platform gets to build a capability sheet from.
 #[derive(Debug, Clone, Copy)]
 pub struct PlatformRequest<'a> {
     /// The (student, teacher) model pair that will run on the platform.
     pub pair: ModelPair,
     /// Input stream frame rate the platform must serve (validated finite and
-    /// positive before any provider sees it).
+    /// positive before any build function sees it).
     pub fps: f64,
     /// Accelerator hardware configuration, honoured by DaCapo-family
-    /// providers (others are free to ignore it).
+    /// platforms (others are free to ignore it).
     pub accel: &'a AccelConfig,
     /// Parameter suffix of the spec name, if any (`"scaled-dacapo:32"`
-    /// resolves the `"scaled-dacapo"` provider with params `Some("32")`).
+    /// resolves the `"scaled-dacapo"` platform with params `Some("32")`).
     pub params: Option<&'a str>,
 }
 
-/// Trait-object factory for execution platforms, the extension point of the
-/// platform registry.
-///
-/// Implement this (plus [`register`] the instance) to plug externally-defined
-/// hardware into the engine; [`PlatformSpec::Named`] then selects it by name
-/// through `SimConfig::builder(..).platform("my-platform")`.
-pub trait PlatformProvider: Send + Sync {
-    /// The canonical (case-insensitive) base name the provider registers
-    /// under, without any parameter suffix.
-    fn name(&self) -> &str;
+/// How a registered platform builds its capability sheet. It must validate
+/// its inputs (including [`PlatformRequest::params`]) and return
+/// [`CoreError`] rather than panicking or producing non-finite rates.
+type Build = dyn Fn(&PlatformRequest<'_>) -> Result<PlatformRates> + Send + Sync;
 
-    /// Builds the capability sheet for one request.
-    ///
-    /// # Errors
-    ///
-    /// Providers must validate their inputs (including
-    /// [`PlatformRequest::params`]) and return [`CoreError`] rather than
-    /// panicking or producing non-finite rates.
-    fn build(&self, request: &PlatformRequest<'_>) -> Result<PlatformRates>;
-}
-
-/// Provider wrapping a builtin [`PlatformKind`].
-struct KindProvider {
-    kind: PlatformKind,
-    name: String,
-}
-
-impl PlatformProvider for KindProvider {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn build(&self, request: &PlatformRequest<'_>) -> Result<PlatformRates> {
-        if let Some(params) = request.params {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("platform '{}' takes no parameters, got ':{params}'", self.name),
-            });
-        }
-        PlatformRates::for_kind(self.kind, request.pair, request.fps, request.accel)
-    }
-}
-
-/// The Jetson Orin's DVFS envelope, used by the `"orin-dvfs"` provider:
+/// The Jetson Orin's DVFS envelope, used by the `"orin-dvfs"` platform:
 /// power targets between 15 W and the 60 W default. The curve is anchored
 /// at the paper's two published operating points — 30 W at 624.8 MHz and
 /// 60 W at 1.3 GHz — interpolated linearly between them and scaled
@@ -515,45 +480,37 @@ const ORIN_PEAK_FP32_TFLOPS: f64 = 5.32;
 /// target, interpolating the discrete 30 W / 60 W modes of the paper into a
 /// continuous low-power curve (defaults to 45 W). At the anchors the curve
 /// reproduces the stock `orin-low` / `orin-high` throughputs exactly.
-struct OrinDvfsProvider;
-
-impl PlatformProvider for OrinDvfsProvider {
-    fn name(&self) -> &str {
-        "orin-dvfs"
-    }
-
-    fn build(&self, request: &PlatformRequest<'_>) -> Result<PlatformRates> {
-        let watts = match request.params {
-            None => 45.0,
-            Some(raw) => raw.trim().parse::<f64>().map_err(|_| CoreError::InvalidConfig {
-                reason: format!("orin-dvfs expects a power target in watts, got ':{raw}'"),
-            })?,
-        };
-        if !watts.is_finite() || !(ORIN_DVFS_MIN_W..=ORIN_DVFS_MAX_W).contains(&watts) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "orin-dvfs power target must lie in [{ORIN_DVFS_MIN_W}, {ORIN_DVFS_MAX_W}] W, \
+fn orin_dvfs(request: &PlatformRequest<'_>) -> Result<PlatformRates> {
+    let watts = match request.params {
+        None => 45.0,
+        Some(raw) => raw.trim().parse::<f64>().map_err(|_| CoreError::InvalidConfig {
+            reason: format!("orin-dvfs expects a power target in watts, got ':{raw}'"),
+        })?,
+    };
+    if !watts.is_finite() || !(ORIN_DVFS_MIN_W..=ORIN_DVFS_MAX_W).contains(&watts) {
+        return Err(CoreError::InvalidConfig {
+            reason: format!(
+                "orin-dvfs power target must lie in [{ORIN_DVFS_MIN_W}, {ORIN_DVFS_MAX_W}] W, \
                      got {watts}"
-                ),
-            });
-        }
-        let frequency_mhz = if watts >= ORIN_DVFS_LOW_W {
-            ORIN_DVFS_LOW_FREQUENCY_MHZ
-                + (ORIN_MAX_FREQUENCY_MHZ - ORIN_DVFS_LOW_FREQUENCY_MHZ) * (watts - ORIN_DVFS_LOW_W)
-                    / (ORIN_DVFS_MAX_W - ORIN_DVFS_LOW_W)
-        } else {
-            ORIN_DVFS_LOW_FREQUENCY_MHZ * watts / ORIN_DVFS_LOW_W
-        };
-        let device = GpuDevice {
-            name: format!("Jetson Orin (DVFS {watts:.0}W)"),
-            peak_fp32_tflops: ORIN_PEAK_FP32_TFLOPS * frequency_mhz / ORIN_MAX_FREQUENCY_MHZ,
-            memory_bandwidth_gbps: 204.8,
-            power_w: watts,
-            frequency_mhz,
-            utilization: UtilizationProfile::default(),
-        };
-        PlatformRates::gpu(device, request.pair)
+            ),
+        });
     }
+    let frequency_mhz = if watts >= ORIN_DVFS_LOW_W {
+        ORIN_DVFS_LOW_FREQUENCY_MHZ
+            + (ORIN_MAX_FREQUENCY_MHZ - ORIN_DVFS_LOW_FREQUENCY_MHZ) * (watts - ORIN_DVFS_LOW_W)
+                / (ORIN_DVFS_MAX_W - ORIN_DVFS_LOW_W)
+    } else {
+        ORIN_DVFS_LOW_FREQUENCY_MHZ * watts / ORIN_DVFS_LOW_W
+    };
+    let device = GpuDevice {
+        name: format!("Jetson Orin (DVFS {watts:.0}W)"),
+        peak_fp32_tflops: ORIN_PEAK_FP32_TFLOPS * frequency_mhz / ORIN_MAX_FREQUENCY_MHZ,
+        memory_bandwidth_gbps: 204.8,
+        power_w: watts,
+        frequency_mhz,
+        utilization: UtilizationProfile::default(),
+    };
+    PlatformRates::gpu(device, request.pair)
 }
 
 /// `"scaled-dacapo:<rows>"`: a DaCapo accelerator scaled to `rows`×`rows`
@@ -561,74 +518,63 @@ impl PlatformProvider for OrinDvfsProvider {
 /// is the scaling base: its frequency and DRAM bandwidth carry over
 /// unchanged and its SRAM scales proportionally with the DPE count, so
 /// `.accelerator(..)` overrides compose with the row parameter.
-struct ScaledDaCapoProvider;
-
-impl PlatformProvider for ScaledDaCapoProvider {
-    fn name(&self) -> &str {
-        "scaled-dacapo"
+fn scaled_dacapo(request: &PlatformRequest<'_>) -> Result<PlatformRates> {
+    let rows = match request.params {
+        None => 32,
+        Some(raw) => raw.trim().parse::<usize>().map_err(|_| CoreError::InvalidConfig {
+            reason: format!("scaled-dacapo expects a DPE row count, got ':{raw}'"),
+        })?,
+    };
+    if !(2..=256).contains(&rows) {
+        return Err(CoreError::InvalidConfig {
+            reason: format!("scaled-dacapo needs between 2 and 256 DPE rows, got {rows}"),
+        });
     }
-
-    fn build(&self, request: &PlatformRequest<'_>) -> Result<PlatformRates> {
-        let rows = match request.params {
-            None => 32,
-            Some(raw) => raw.trim().parse::<usize>().map_err(|_| CoreError::InvalidConfig {
-                reason: format!("scaled-dacapo expects a DPE row count, got ':{raw}'"),
-            })?,
-        };
-        if !(2..=256).contains(&rows) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("scaled-dacapo needs between 2 and 256 DPE rows, got {rows}"),
-            });
-        }
-        let base = *request.accel;
-        let accel = AccelConfig {
-            rows,
-            cols: rows,
-            sram_bytes: base.sram_bytes * (rows * rows) / (base.rows * base.cols).max(1),
-            ..base
-        };
-        PlatformRates::dacapo(request.pair, request.fps, &accel)
-    }
+    let base = *request.accel;
+    let accel = AccelConfig {
+        rows,
+        cols: rows,
+        sram_bytes: base.sram_bytes * (rows * rows) / (base.rows * base.cols).max(1),
+        ..base
+    };
+    PlatformRates::dacapo(request.pair, request.fps, &accel)
 }
 
 /// The global platform registry, seeded with the builtin kinds and the two
 /// parameterised builtin families; storage and lookup rules live in
 /// [`crate::registry`].
-fn registry() -> &'static Registry<dyn PlatformProvider> {
-    static REGISTRY: OnceLock<Registry<dyn PlatformProvider>> = OnceLock::new();
+fn registry() -> &'static Registry<Build> {
+    static REGISTRY: OnceLock<Registry<Build>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let mut seed: Vec<(String, Arc<dyn PlatformProvider>)> = PlatformKind::ALL
-            .into_iter()
-            .map(|kind| {
-                let name = kind.registry_name();
-                (name.clone(), Arc::new(KindProvider { kind, name }) as Arc<dyn PlatformProvider>)
-            })
-            .collect();
-        let families: [Arc<dyn PlatformProvider>; 2] =
-            [Arc::new(OrinDvfsProvider), Arc::new(ScaledDaCapoProvider)];
-        seed.extend(families.into_iter().map(|p| (p.name().to_string(), p)));
-        Registry::new("platform", &[], seed)
+        let registry: Registry<Build> = Registry::new("platform", &[]);
+        for kind in PlatformKind::ALL {
+            registry.register(
+                &kind.registry_name(),
+                Arc::new(move |request: &PlatformRequest<'_>| {
+                    no_params("platform", &kind.registry_name(), request.params)
+                        .map_err(|reason| CoreError::InvalidConfig { reason })?;
+                    PlatformRates::for_kind(kind, request.pair, request.fps, request.accel)
+                }),
+            );
+        }
+        registry.register("orin-dvfs", Arc::new(orin_dvfs));
+        registry.register("scaled-dacapo", Arc::new(scaled_dacapo));
+        registry
     })
 }
 
-/// Registers (or replaces) a platform provider under its case-insensitive
-/// [`PlatformProvider::name`].
+/// Registers (or replaces) the platform `build` describes under the
+/// case-insensitive base `name`.
 ///
 /// # Panics
 ///
-/// Panics if the provider's name contains `':'` — the colon introduces the
-/// parameter suffix during lookup, so such a name could never be resolved.
-pub fn register(provider: Arc<dyn PlatformProvider>) {
-    let name = provider.name().to_string();
-    registry().register(&name, provider);
-}
-
-/// Looks up a platform provider by case-insensitive name. A `:<params>`
-/// suffix, if present, is ignored for the lookup (`by_name("scaled-dacapo:32")`
-/// resolves the `"scaled-dacapo"` provider).
-#[must_use]
-pub fn by_name(name: &str) -> Option<Arc<dyn PlatformProvider>> {
-    registry().by_name(name)
+/// Panics if `name` contains `':'` — the colon introduces the parameter
+/// suffix during lookup, so such a name could never be resolved.
+pub fn register(
+    name: &str,
+    build: impl Fn(&PlatformRequest<'_>) -> Result<PlatformRates> + Send + Sync + 'static,
+) {
+    registry().register(name, Arc::new(build));
 }
 
 /// The base names of every registered platform, sorted.
@@ -638,11 +584,11 @@ pub fn registered_names() -> Vec<String> {
 }
 
 /// How a `SimConfig` selects its execution platform: a builtin kind, a
-/// registered provider by name (with an optional `:<params>` suffix), or an
+/// registered platform by name (with an optional `:<params>` suffix), or an
 /// explicit capability sheet.
 ///
 /// `Kind(k)` builds the builtin directly; `Named(s)` resolves through the
-/// registry, so a custom provider [`register`]ed over a builtin name wins
+/// registry, so a custom platform [`register`]ed over a builtin name wins
 /// for the named form. Equality is structural: `Named("orin-high")` and
 /// `Kind(PlatformKind::OrinHigh)` select the same platform but are
 /// different specs.
@@ -663,17 +609,17 @@ impl PlatformSpec {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an invalid frame rate, an
-    /// unregistered platform name, or invalid provider parameters, and
-    /// propagates provider errors (e.g. an infeasible spatial allocation).
+    /// unregistered platform name, or invalid platform parameters, and
+    /// propagates build errors (e.g. an infeasible spatial allocation).
     pub fn resolve(&self, pair: ModelPair, fps: f64, accel: &AccelConfig) -> Result<PlatformRates> {
         validate_fps(fps)?;
         match self {
             PlatformSpec::Kind(kind) => PlatformRates::for_kind(*kind, pair, fps, accel),
             PlatformSpec::Named(name) => {
-                let (provider, params) = registry()
+                let (build, params) = registry()
                     .resolve(name)
                     .map_err(|reason| CoreError::InvalidConfig { reason })?;
-                provider.build(&PlatformRequest { pair, fps, accel, params })
+                build(&PlatformRequest { pair, fps, accel, params })
             }
             PlatformSpec::Rates(rates) => {
                 // Explicit rates may come from deserialized configs that
@@ -853,16 +799,24 @@ mod tests {
 
     #[test]
     fn builtin_platforms_are_registered_by_display_name() {
+        let names = registered_names();
         for kind in PlatformKind::ALL {
-            let provider = by_name(&kind.to_string()).expect("builtin registered");
-            assert_eq!(provider.name(), kind.registry_name());
+            assert!(names.contains(&kind.registry_name()), "{kind} missing from {names:?}");
         }
         // Lookup is case-insensitive and ignores parameter suffixes.
-        assert!(by_name("DACAPO").is_some());
-        assert!(by_name("scaled-dacapo:32").is_some());
-        assert!(by_name("no-such-platform").is_none());
-        assert!(registered_names().len() >= 6);
-        assert!(registered_names().contains(&"orin-dvfs".to_string()));
+        let resolve = |name: &str| {
+            PlatformSpec::Named(name.into()).resolve(
+                ModelPair::ResNet18Wrn50,
+                30.0,
+                &AccelConfig::default(),
+            )
+        };
+        assert_eq!(resolve("DACAPO").unwrap(), resolve("dacapo").unwrap());
+        assert!(resolve("scaled-dacapo:32").is_ok());
+        assert!(resolve("no-such-platform").is_err());
+        assert!(!names.contains(&"no-such-platform".to_string()));
+        assert!(names.len() >= 6);
+        assert!(names.contains(&"orin-dvfs".to_string()));
     }
 
     #[test]
@@ -977,25 +931,17 @@ mod tests {
 
     #[test]
     fn external_providers_plug_in_through_the_registry() {
-        /// A platform no builtin enum variant knows about.
-        struct Photonic;
-        impl PlatformProvider for Photonic {
-            fn name(&self) -> &str {
-                "photonic"
-            }
-            fn build(&self, request: &PlatformRequest<'_>) -> Result<PlatformRates> {
-                PlatformRates::new(
-                    "Photonic Mesh",
-                    KernelRate::fp32(8.0 * request.fps),
-                    KernelRate::fp32(64.0),
-                    KernelRate::fp32(256.0),
-                    Sharing::TimeShared,
-                    0.5,
-                )
-            }
-        }
-
-        register(Arc::new(Photonic));
+        // A platform no builtin enum variant knows about.
+        register("photonic", |request| {
+            PlatformRates::new(
+                "Photonic Mesh",
+                KernelRate::fp32(8.0 * request.fps),
+                KernelRate::fp32(64.0),
+                KernelRate::fp32(256.0),
+                Sharing::TimeShared,
+                0.5,
+            )
+        });
         let spec = PlatformSpec::from("photonic");
         let rates = spec.resolve(ModelPair::ResNet18Wrn50, 30.0, &AccelConfig::default()).unwrap();
         assert_eq!(rates.name(), "Photonic Mesh");
@@ -1062,7 +1008,7 @@ mod tests {
 
     #[test]
     fn providers_see_the_requested_accelerator_config() {
-        // The builtin DaCapo provider honours the accel config in the
+        // The builtin DaCapo platform honours the accel config in the
         // request, so `.accelerator(..)` keeps working through the registry.
         let scaled = AccelConfig::scaled_32x32();
         let rates = PlatformSpec::Named("dacapo".into())

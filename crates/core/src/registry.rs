@@ -1,15 +1,16 @@
-//! The shared machinery behind the workspace's pluggable-factory registries.
+//! The shared machinery behind the workspace's plugin registries.
 //!
 //! Five subsystems in this crate expose the same extension pattern —
 //! schedulers ([`crate::sched`]), platforms ([`crate::platform`]), arbiters
 //! ([`crate::arbiter`]), share policies ([`crate::share`]) and offload
 //! policies ([`crate::edge`]) — and `dacapo-telemetry`'s sinks are the
-//! sixth: a global, case-insensitive name → `Arc<dyn Factory>` map with
-//! `register` / `by_name` / `registered_names` entry points. Every name
-//! follows one grammar, `<name>[:<params>]`, and [`Registry::resolve`] is
-//! the one place it is parsed: the base name picks the factory, the suffix
-//! is handed to it, and an unknown base name is an error listing every
-//! registered one.
+//! sixth. A plugin is a name and a function: each family is a global,
+//! case-insensitive name → build-function map (`F` is the family's
+//! `dyn Fn(..) + Send + Sync`) with `register(name, build)` /
+//! `registered_names` entry points. Every name follows one grammar,
+//! `<name>[:<params>]`, and [`Registry::resolve`] is the one place it is
+//! parsed: the base name picks the build function, the suffix is handed to
+//! it, and an unknown base name is an error listing every registered one.
 //!
 //! A family whose stage is optional declares the name that leaves it out
 //! as **reserved** (`"none"` for sharing, `"local-only"` for offload,
@@ -23,35 +24,32 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// A global factory registry: lower-cased name → factory.
+/// A global plugin registry: lower-cased name → build function.
 pub struct Registry<F: ?Sized> {
     /// What the registry holds, for messages (e.g. `"share policy"`).
     what: &'static str,
     /// The family's stage-absent names, lower-case: never registered,
     /// never resolved.
     reserved: &'static [&'static str],
-    factories: RwLock<BTreeMap<String, Arc<F>>>,
+    builds: RwLock<BTreeMap<String, Arc<F>>>,
 }
 
 impl<F: ?Sized> Registry<F> {
-    /// Creates a registry seeded with builtin factories.
-    pub fn new(
-        what: &'static str,
-        reserved: &'static [&'static str],
-        seed: Vec<(String, Arc<F>)>,
-    ) -> Self {
-        let factories = seed.into_iter().map(|(name, f)| (name.to_lowercase(), f)).collect();
-        Self { what, reserved, factories: RwLock::new(factories) }
+    /// Creates an empty registry; the family [`register`](Self::register)s
+    /// its builtins next.
+    pub fn new(what: &'static str, reserved: &'static [&'static str]) -> Self {
+        Self { what, reserved, builds: RwLock::new(BTreeMap::new()) }
     }
 
-    /// Registers (or replaces) a factory under the case-insensitive `name`.
+    /// Registers (or replaces) a build function under the case-insensitive
+    /// `name`.
     ///
     /// # Panics
     ///
     /// Panics if `name` contains `':'` (the colon introduces the parameter
     /// suffix during lookup, so such a name could never be resolved), or if
     /// `name` is reserved.
-    pub fn register(&self, name: &str, factory: Arc<F>) {
+    pub fn register(&self, name: &str, build: Arc<F>) {
         let key = name.to_lowercase();
         assert!(
             !key.contains(':'),
@@ -63,12 +61,12 @@ impl<F: ?Sized> Registry<F> {
             "{} name '{key}' is reserved: it means the stage is absent",
             self.what
         );
-        self.lock_write().insert(key, factory);
+        self.lock_write().insert(key, build);
     }
 
-    /// Looks up a factory by case-insensitive name, ignoring a `:<params>`
-    /// suffix. Reserved names have no factory.
-    pub fn by_name(&self, name: &str) -> Option<Arc<F>> {
+    /// Looks up a build function by case-insensitive name, ignoring a
+    /// `:<params>` suffix. Reserved names have none.
+    fn by_name(&self, name: &str) -> Option<Arc<F>> {
         self.lock_read().get(&split_params(name).0.to_lowercase()).cloned()
     }
 
@@ -78,7 +76,8 @@ impl<F: ?Sized> Registry<F> {
         self.reserved.iter().any(|reserved| reserved.eq_ignore_ascii_case(name))
     }
 
-    /// Resolves `<name>[:<params>]` into its factory and parameter suffix.
+    /// Resolves `<name>[:<params>]` into its build function and parameter
+    /// suffix.
     ///
     /// # Errors
     ///
@@ -94,7 +93,7 @@ impl<F: ?Sized> Registry<F> {
             ));
         }
         match self.by_name(base) {
-            Some(factory) => Ok((factory, params)),
+            Some(build) => Ok((build, params)),
             None => Err(format!(
                 "unknown {what} '{base}'; registered {what} names: {}",
                 self.names().join(", "),
@@ -109,14 +108,28 @@ impl<F: ?Sized> Registry<F> {
     }
 
     // `register` asserts before it locks, so the write lock can be poisoned
-    // only by a replaced factory's `Drop` panicking, after `insert` has
-    // completed: a poisoned map is still a consistent one.
+    // only by a replaced build function's `Drop` panicking, after `insert`
+    // has completed: a poisoned map is still a consistent one.
     fn lock_read(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<F>>> {
-        self.factories.read().unwrap_or_else(PoisonError::into_inner)
+        self.builds.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn lock_write(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Arc<F>>> {
-        self.factories.write().unwrap_or_else(PoisonError::into_inner)
+        self.builds.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The error text of a builtin that takes no parameters, when it is handed
+/// a `:<params>` suffix (`"<what> '<name>' takes no parameters, got
+/// ':<params>'"`).
+///
+/// # Errors
+///
+/// Returns that text when `params` is `Some`.
+pub fn no_params(what: &str, name: &str, params: Option<&str>) -> Result<(), String> {
+    match params {
+        Some(params) => Err(format!("{what} '{name}' takes no parameters, got ':{params}'")),
+        None => Ok(()),
     }
 }
 
@@ -144,11 +157,9 @@ mod tests {
     }
 
     fn registry() -> Registry<dyn Named> {
-        Registry::new(
-            "test factory",
-            &["absent"],
-            vec![("Builtin".to_string(), Arc::new(N(0)) as Arc<dyn Named>)],
-        )
+        let registry: Registry<dyn Named> = Registry::new("test factory", &["absent"]);
+        registry.register("Builtin", Arc::new(N(0)));
+        registry
     }
 
     #[test]

@@ -9,20 +9,20 @@
 //!
 //! # Pluggable policies
 //!
-//! Policies are constructed through trait-object factories rather than a
-//! closed enum match, so external crates (and CLI flags) can add schedulers
-//! without touching this crate: implement [`Scheduler`] and
-//! [`SchedulerFactory`], [`register`] the factory, and select it by name via
-//! [`SchedulerSpec::Named`] (the `SimConfig` builder accepts a `&str`
-//! scheduler directly). The paper's five builtin policies are pre-registered
-//! under their lower-cased display names (`"dacapo-spatiotemporal"`,
-//! `"dacapo-spatial"`, `"ekya"`, `"eomu"`, `"no-adaptation"`). Names follow
-//! the workspace's one `<name>[:<params>]` grammar ([`crate::registry`]),
-//! but a [`SchedulerFactory`] takes no parameters, so a suffixed name
-//! (`"ekya:3"`) is an error naming the suffix.
+//! Policies are built by registered functions rather than a closed enum
+//! match, so external crates (and CLI flags) can add schedulers without
+//! touching this crate: implement [`Scheduler`], [`register`] a name and a
+//! `Fn(&Hyperparams) -> Box<dyn Scheduler>` that builds it, and select it by
+//! name via [`SchedulerSpec::Named`] (the `SimConfig` builder accepts a
+//! `&str` scheduler directly). The paper's five builtin policies are
+//! pre-registered under their lower-cased display names
+//! (`"dacapo-spatiotemporal"`, `"dacapo-spatial"`, `"ekya"`, `"eomu"`,
+//! `"no-adaptation"`). Names follow the workspace's one `<name>[:<params>]`
+//! grammar ([`crate::registry`]), but a scheduler's build function takes no
+//! parameters, so a suffixed name (`"ekya:3"`) is an error naming the suffix.
 
 use crate::config::Hyperparams;
-use crate::registry::Registry;
+use crate::registry::{no_params, split_params, Registry};
 use crate::{CoreError, Result};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -204,65 +204,37 @@ pub trait Scheduler: Send {
     }
 }
 
-/// Trait-object factory for scheduling policies, the extension point of the
-/// policy registry.
-pub trait SchedulerFactory: Send + Sync {
-    /// The canonical (case-insensitive) name the factory registers under.
-    fn name(&self) -> &str;
-
-    /// Builds a fresh policy instance for one session.
-    fn build(&self, hyper: &Hyperparams) -> Box<dyn Scheduler>;
-}
-
-/// Factory wrapping a builtin [`SchedulerKind`].
-struct KindFactory {
-    kind: SchedulerKind,
-    name: String,
-}
-
-impl SchedulerFactory for KindFactory {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn build(&self, hyper: &Hyperparams) -> Box<dyn Scheduler> {
-        self.kind.create(hyper)
-    }
-}
+/// How a registered policy is built: one fresh instance per session.
+type Build = dyn Fn(&Hyperparams) -> Box<dyn Scheduler> + Send + Sync;
 
 /// The global policy registry, seeded with the builtin kinds; storage and
 /// lookup rules live in [`crate::registry`].
-fn registry() -> &'static Registry<dyn SchedulerFactory> {
-    static REGISTRY: OnceLock<Registry<dyn SchedulerFactory>> = OnceLock::new();
+fn registry() -> &'static Registry<Build> {
+    static REGISTRY: OnceLock<Registry<Build>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let seed = SchedulerKind::BUILTINS
-            .into_iter()
-            .map(|kind| {
-                let name = kind.to_string().to_lowercase();
-                (name.clone(), Arc::new(KindFactory { kind, name }) as Arc<dyn SchedulerFactory>)
-            })
-            .collect();
-        Registry::new("scheduler", &[], seed)
+        let registry: Registry<Build> = Registry::new("scheduler", &[]);
+        for kind in SchedulerKind::BUILTINS {
+            registry.register(
+                &kind.to_string(),
+                Arc::new(move |hyper: &Hyperparams| kind.create(hyper)),
+            );
+        }
+        registry
     })
 }
 
-/// Registers (or replaces) a policy factory under its
-/// case-insensitive [`SchedulerFactory::name`].
+/// Registers (or replaces) the policy `build` makes under the
+/// case-insensitive `name`.
 ///
 /// # Panics
 ///
-/// Panics if the factory's name contains `':'` — the colon introduces the
-/// parameter suffix during lookup, so such a name could never be resolved.
-pub fn register(factory: Arc<dyn SchedulerFactory>) {
-    let name = factory.name().to_string();
-    registry().register(&name, factory);
-}
-
-/// Looks up a policy factory by case-insensitive name, ignoring a
-/// `:<params>` suffix.
-#[must_use]
-pub fn by_name(name: &str) -> Option<Arc<dyn SchedulerFactory>> {
-    registry().by_name(name)
+/// Panics if `name` contains `':'` — the colon introduces the parameter
+/// suffix during lookup, so such a name could never be resolved.
+pub fn register(
+    name: &str,
+    build: impl Fn(&Hyperparams) -> Box<dyn Scheduler> + Send + Sync + 'static,
+) {
+    registry().register(name, Arc::new(build));
 }
 
 /// The names of every registered policy, sorted.
@@ -275,7 +247,7 @@ pub fn registered_names() -> Vec<String> {
 /// registered policy by name.
 ///
 /// `Kind(k)` builds the builtin directly; `Named(s)` resolves through the
-/// registry, so a custom factory [`register`]ed over a builtin name wins for
+/// registry, so a custom policy [`register`]ed over a builtin name wins for
 /// the named form. Equality is structural: `Named("ekya")` and
 /// `Kind(SchedulerKind::Ekya)` select the same policy but are different
 /// specs.
@@ -297,16 +269,13 @@ impl SchedulerSpec {
     pub fn create(&self, hyper: &Hyperparams) -> Result<Box<dyn Scheduler>> {
         match self {
             SchedulerSpec::Kind(kind) => Ok(kind.create(hyper)),
-            SchedulerSpec::Named(name) => match registry().resolve(name) {
-                Ok((factory, None)) => Ok(factory.build(hyper)),
-                Ok((factory, Some(params))) => Err(CoreError::InvalidConfig {
-                    reason: format!(
-                        "scheduler '{}' takes no parameters, got ':{params}'",
-                        factory.name()
-                    ),
-                }),
-                Err(reason) => Err(CoreError::InvalidConfig { reason }),
-            },
+            SchedulerSpec::Named(name) => {
+                let invalid = |reason| CoreError::InvalidConfig { reason };
+                let (build, params) = registry().resolve(name).map_err(invalid)?;
+                let base = split_params(name).0.to_lowercase();
+                no_params("scheduler", &base, params).map_err(invalid)?;
+                Ok(build(hyper))
+            }
         }
     }
 }
@@ -867,9 +836,11 @@ mod tests {
 
     #[test]
     fn builtin_policies_are_registered_by_display_name() {
+        let names = registered_names();
         for kind in SchedulerKind::BUILTINS {
-            let factory = by_name(&kind.to_string()).expect("builtin registered");
-            let scheduler = factory.build(&Hyperparams::default());
+            assert!(names.contains(&kind.to_string().to_lowercase()), "{kind} missing");
+            let scheduler =
+                SchedulerSpec::Named(kind.to_string()).create(&Hyperparams::default()).unwrap();
             assert_eq!(scheduler.name(), kind.to_string());
             // Selecting the builtin by kind and by its registry name runs
             // the same session.
@@ -880,9 +851,13 @@ mod tests {
             assert_eq!(run(by_kind), run(by_name), "{kind}");
         }
         // Lookup is case-insensitive.
-        assert!(by_name("EKYA").is_some());
-        assert!(by_name("no-such-policy").is_none());
-        assert!(registered_names().len() >= 5);
+        let ekya = SchedulerSpec::Named("EKYA".into()).create(&Hyperparams::default()).unwrap();
+        assert_eq!(ekya.name(), "Ekya");
+        assert!(SchedulerSpec::Named("no-such-policy".into())
+            .create(&Hyperparams::default())
+            .is_err());
+        assert!(!names.contains(&"no-such-policy".to_string()));
+        assert!(names.len() >= 5);
     }
 
     #[test]
@@ -897,17 +872,7 @@ mod tests {
                 Action::Wait { seconds: 60.0 }
             }
         }
-        struct LazyFactory;
-        impl SchedulerFactory for LazyFactory {
-            fn name(&self) -> &str {
-                "lazy"
-            }
-            fn build(&self, _hyper: &Hyperparams) -> Box<dyn Scheduler> {
-                Box::new(Lazy)
-            }
-        }
-
-        register(Arc::new(LazyFactory));
+        register("lazy", |_: &Hyperparams| Box::new(Lazy));
         let spec = SchedulerSpec::from("lazy");
         let mut scheduler = spec.create(&Hyperparams::default()).unwrap();
         assert_eq!(scheduler.name(), "Lazy");
@@ -943,16 +908,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must not contain ':'")]
     fn registering_a_scheduler_name_with_a_colon_panics() {
-        struct Colon;
-        impl SchedulerFactory for Colon {
-            fn name(&self) -> &str {
-                "ekya:fast"
-            }
-            fn build(&self, hyper: &Hyperparams) -> Box<dyn Scheduler> {
-                SchedulerKind::Ekya.create(hyper)
-            }
-        }
-        register(Arc::new(Colon));
+        register("ekya:fast", |hyper: &Hyperparams| SchedulerKind::Ekya.create(hyper));
     }
 
     #[test]

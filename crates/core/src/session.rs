@@ -1459,9 +1459,7 @@ mod tests {
 
     #[test]
     fn non_finite_waits_from_untrusted_policies_error_instead_of_spinning() {
-        use crate::config::Hyperparams;
-        use crate::sched::{self, Action, Scheduler, SchedulerContext, SchedulerFactory};
-        use std::sync::Arc;
+        use crate::sched::{self, Action, Scheduler, SchedulerContext};
 
         struct NanWait;
         impl Scheduler for NanWait {
@@ -1472,17 +1470,7 @@ mod tests {
                 Action::Wait { seconds: f64::NAN }
             }
         }
-        struct NanWaitFactory;
-        impl SchedulerFactory for NanWaitFactory {
-            fn name(&self) -> &str {
-                "nan-wait"
-            }
-            fn build(&self, _hyper: &Hyperparams) -> Box<dyn Scheduler> {
-                Box::new(NanWait)
-            }
-        }
-
-        sched::register(Arc::new(NanWaitFactory));
+        sched::register("nan-wait", |_| Box::new(NanWait));
         let mut config = short_config(SchedulerKind::NoAdaptation);
         config.scheduler = "nan-wait".into();
         let mut session = Session::new(config).unwrap();

@@ -48,17 +48,18 @@
 //!
 //! # Pluggable policies
 //!
-//! Policies are constructed through trait-object factories, mirroring
+//! Policies are built by registered functions, mirroring
 //! [`crate::sched::register`], [`crate::platform::register`], and
-//! [`crate::arbiter::register`]: implement [`SharePolicy`] and
-//! [`SharePolicyFactory`], [`register`] the factory, and select it by name
-//! via [`Cluster::share`](crate::Cluster::share). Names may carry a
-//! `:<params>` suffix forwarded to the factory.
+//! [`crate::arbiter::register`]: implement [`SharePolicy`], [`register`] a
+//! name and a `Fn(Option<&str>) -> Result<Box<dyn SharePolicy>>` that
+//! builds it, and select it by name via
+//! [`Cluster::share`](crate::Cluster::share). Names may carry a
+//! `:<params>` suffix forwarded to the build function.
 //!
 //! `"none"` (the default) is not a policy: it is the family's **reserved**
 //! name, meaning the exchange stage is absent — the cluster runs without
 //! one, bit-identical to a cluster built before the share subsystem
-//! existed. Nothing is registered under it, [`register`] rejects factories
+//! existed. Nothing is registered under it, [`register`] rejects plugins
 //! trying to claim it, and [`create`] refuses it (with or without a
 //! suffix). Two builtins are pre-registered:
 //!
@@ -69,7 +70,7 @@
 //!   at least `threshold` (default `0.5`), the ECCO-style exploitation of
 //!   cross-camera correlation.
 
-use crate::registry::Registry;
+use crate::registry::{no_params, Registry};
 use crate::{CoreError, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
@@ -115,22 +116,11 @@ pub trait SharePolicy: Send {
     fn admit_fraction(&mut self, ctx: &ShareContext<'_>) -> f64;
 }
 
-/// Trait-object factory for sharing policies, the extension point of the
-/// share registry.
-pub trait SharePolicyFactory: Send + Sync {
-    /// The canonical (case-insensitive) base name the factory registers
-    /// under, without any parameter suffix.
-    fn name(&self) -> &str;
-
-    /// Builds a fresh policy for one cluster run.
-    ///
-    /// # Errors
-    ///
-    /// Factories must validate `params` (the `:<suffix>` of the selected
-    /// name, if any) and return [`CoreError::InvalidConfig`] for malformed
-    /// parameters rather than panicking.
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn SharePolicy>>;
-}
+/// How a registered sharing policy is built for one cluster run, from the
+/// `:<params>` suffix of the selected name. It must validate the params and
+/// return [`CoreError::InvalidConfig`] for malformed ones rather than
+/// panicking.
+type Build = dyn Fn(Option<&str>) -> Result<Box<dyn SharePolicy>> + Send + Sync;
 
 /// Telemetry of one cluster run's cross-camera sharing: how much teacher
 /// labeling work the fleet avoided by reusing peers' labels.
@@ -201,21 +191,10 @@ impl SharePolicy for Broadcast {
     }
 }
 
-struct BroadcastFactory;
-
-impl SharePolicyFactory for BroadcastFactory {
-    fn name(&self) -> &str {
-        "broadcast"
-    }
-
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn SharePolicy>> {
-        if let Some(params) = params {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("share policy 'broadcast' takes no parameters, got ':{params}'"),
-            });
-        }
-        Ok(Box::new(Broadcast))
-    }
+fn broadcast(params: Option<&str>) -> Result<Box<dyn SharePolicy>> {
+    no_params("share policy", "broadcast", params)
+        .map_err(|reason| CoreError::InvalidConfig { reason })?;
+    Ok(Box::new(Broadcast))
 }
 
 /// `"correlated[:<threshold>]"`: admit everything from peers whose scenario
@@ -238,30 +217,22 @@ impl SharePolicy for Correlated {
     }
 }
 
-struct CorrelatedFactory;
-
-impl SharePolicyFactory for CorrelatedFactory {
-    fn name(&self) -> &str {
-        "correlated"
-    }
-
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn SharePolicy>> {
-        let threshold = match params {
-            None => 0.5,
-            Some(raw) => raw.trim().parse::<f64>().map_err(|_| CoreError::InvalidConfig {
-                reason: format!("correlated expects a numeric threshold, got ':{raw}'"),
-            })?,
-        };
-        if !(threshold.is_finite() && (0.0..=1.0).contains(&threshold)) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "correlated threshold must lie in [0, 1], got {threshold} (overlaps are \
+fn correlated(params: Option<&str>) -> Result<Box<dyn SharePolicy>> {
+    let threshold = match params {
+        None => 0.5,
+        Some(raw) => raw.trim().parse::<f64>().map_err(|_| CoreError::InvalidConfig {
+            reason: format!("correlated expects a numeric threshold, got ':{raw}'"),
+        })?,
+    };
+    if !(threshold.is_finite() && (0.0..=1.0).contains(&threshold)) {
+        return Err(CoreError::InvalidConfig {
+            reason: format!(
+                "correlated threshold must lie in [0, 1], got {threshold} (overlaps are \
                      fractions of the common timeline)"
-                ),
-            });
-        }
-        Ok(Box::new(Correlated { threshold }))
+            ),
+        });
     }
+    Ok(Box::new(Correlated { threshold }))
 }
 
 // --------------------------------------------------------------------------
@@ -270,40 +241,30 @@ impl SharePolicyFactory for CorrelatedFactory {
 
 /// The global share registry, seeded with the builtin policies; storage and
 /// lookup rules live in [`crate::registry`].
-fn registry() -> &'static Registry<dyn SharePolicyFactory> {
-    static REGISTRY: OnceLock<Registry<dyn SharePolicyFactory>> = OnceLock::new();
+fn registry() -> &'static Registry<Build> {
+    static REGISTRY: OnceLock<Registry<Build>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let builtins: [Arc<dyn SharePolicyFactory>; 2] =
-            [Arc::new(BroadcastFactory), Arc::new(CorrelatedFactory)];
-        Registry::new(
-            "share policy",
-            // Under `"none"` the cluster executor has no exchange stage at
-            // all, so a factory registered there would never be consulted.
-            &["none"],
-            builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
-        )
+        // Under `"none"` the cluster executor has no exchange stage at all,
+        // so a policy registered there would never be consulted.
+        let registry: Registry<Build> = Registry::new("share policy", &["none"]);
+        registry.register("broadcast", Arc::new(broadcast));
+        registry.register("correlated", Arc::new(correlated));
+        registry
     })
 }
 
-/// Registers (or replaces) a share-policy factory under its case-insensitive
-/// [`SharePolicyFactory::name`].
+/// Registers (or replaces) the sharing policy `build` makes under the
+/// case-insensitive base `name`.
 ///
 /// # Panics
 ///
-/// Panics if the factory's name contains `':'` (reserved for parameter
-/// suffixes during lookup) or is `"none"` — the reserved name of the absent
-/// exchange stage.
-pub fn register(factory: Arc<dyn SharePolicyFactory>) {
-    let name = factory.name().to_string();
-    registry().register(&name, factory);
-}
-
-/// Looks up a share-policy factory by case-insensitive name. A `:<params>`
-/// suffix, if present, is ignored for the lookup
-/// (`by_name("correlated:0.7")` resolves the `"correlated"` factory).
-#[must_use]
-pub fn by_name(name: &str) -> Option<Arc<dyn SharePolicyFactory>> {
-    registry().by_name(name)
+/// Panics if `name` contains `':'` (reserved for parameter suffixes during
+/// lookup) or is `"none"` — the reserved name of the absent exchange stage.
+pub fn register(
+    name: &str,
+    build: impl Fn(Option<&str>) -> Result<Box<dyn SharePolicy>> + Send + Sync + 'static,
+) {
+    registry().register(name, Arc::new(build));
 }
 
 /// The base names of every registered sharing policy, sorted.
@@ -327,9 +288,9 @@ pub fn is_disabled(name: &str) -> bool {
 /// Returns [`CoreError::InvalidConfig`] for an unregistered name, the
 /// reserved `"none"` (it selects no policy), or malformed parameters.
 pub fn create(name: &str) -> Result<Box<dyn SharePolicy>> {
-    let (factory, params) =
+    let (build, params) =
         registry().resolve(name).map_err(|reason| CoreError::InvalidConfig { reason })?;
-    factory.build(params)
+    build(params)
 }
 
 #[cfg(test)]
@@ -392,10 +353,10 @@ mod tests {
 
     #[test]
     fn registry_resolves_case_insensitively_and_lists_builtins() {
-        assert!(by_name("BROADCAST").is_some());
-        assert!(by_name("Correlated:0.9").is_some());
-        assert!(by_name("no-such-policy").is_none());
+        assert_eq!(create("BROADCAST").unwrap().name(), "broadcast");
+        assert_eq!(create("Correlated:0.9").unwrap().name(), "correlated:0.9");
         let names = registered_names();
+        assert!(!names.contains(&"no-such-policy".to_string()));
         for builtin in ["broadcast", "correlated"] {
             assert!(names.contains(&builtin.to_string()), "{builtin} missing from {names:?}");
         }
@@ -420,16 +381,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved")]
     fn registering_over_the_reserved_none_policy_panics() {
-        struct Impostor;
-        impl SharePolicyFactory for Impostor {
-            fn name(&self) -> &str {
-                "none"
-            }
-            fn build(&self, _params: Option<&str>) -> Result<Box<dyn SharePolicy>> {
-                Ok(Box::new(Broadcast))
-            }
-        }
-        register(Arc::new(Impostor));
+        register("none", broadcast);
     }
 
     #[test]
@@ -444,17 +396,7 @@ mod tests {
                 0.5
             }
         }
-        struct HalfShareFactory;
-        impl SharePolicyFactory for HalfShareFactory {
-            fn name(&self) -> &str {
-                "half-share"
-            }
-            fn build(&self, _params: Option<&str>) -> Result<Box<dyn SharePolicy>> {
-                Ok(Box::new(HalfShare))
-            }
-        }
-
-        register(Arc::new(HalfShareFactory));
+        register("half-share", |_| Ok(Box::new(HalfShare)));
         let mut policy = create("half-share").unwrap();
         assert_eq!(policy.admit_fraction(&context(0.0)), 0.5);
         assert!(registered_names().contains(&"half-share".to_string()));

@@ -44,7 +44,6 @@
 //! exactly the operands the reference quantises.
 
 use crate::layer::{Activation, Dense};
-use crate::mlp::TrainReport;
 use crate::{DnnError, Mlp, Result};
 use dacapo_mx::MxPrecision;
 use dacapo_tensor::{ops, quant, Matrix, TensorError, Workspace};
@@ -341,22 +340,18 @@ pub struct StackedJob<'a> {
 ///
 /// Propagates the first failing job's error; earlier jobs in the stack have
 /// already been applied, later ones have not run.
-pub fn train_stacked(
-    jobs: &mut [StackedJob<'_>],
-    scratch: &mut TrainScratch,
-) -> Result<Vec<TrainReport>> {
-    let mut reports = Vec::with_capacity(jobs.len());
+pub fn train_stacked(jobs: &mut [StackedJob<'_>], scratch: &mut TrainScratch) -> Result<()> {
     for job in jobs.iter_mut() {
-        reports.push(job.net.train_rows_with(
+        job.net.train_rows_with(
             &job.rows,
             &job.labels,
             job.epochs,
             job.batch_size,
             job.learning_rate,
             scratch,
-        )?);
+        )?;
     }
-    Ok(reports)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub mod zoo;
 pub use batch::{train_stacked, StackedJob, TrainScratch};
 pub use error::DnnError;
 pub use layer::{Activation, Dense};
-pub use mlp::{Mlp, MlpConfig, QuantMode, TrainReport};
+pub use mlp::{Mlp, MlpConfig, QuantMode};
 pub use teacher::{CloudTeacher, TeacherOracle};
 
 /// Result alias used throughout this crate.

@@ -5,7 +5,7 @@ use crate::batch::{backward_pass, forward_pass, Pass, QuantisedWeights, TrainScr
 use crate::layer::{Activation, Dense};
 use crate::{loss, DnnError, Result};
 use dacapo_mx::MxPrecision;
-use dacapo_tensor::{ops, Matrix};
+use dacapo_tensor::Matrix;
 use serde::{de, DeError, Deserialize, Serialize, Value};
 
 /// Arithmetic mode a pass executes in.
@@ -53,17 +53,6 @@ pub struct MlpConfig {
     pub training_mode: QuantMode,
     /// RNG seed for weight initialisation.
     pub seed: u64,
-}
-
-/// Summary of one retraining call.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrainReport {
-    /// Mean cross-entropy loss over the processed mini-batches.
-    pub mean_loss: f32,
-    /// Training accuracy over the processed samples.
-    pub accuracy: f32,
-    /// Number of samples processed (samples × epochs counts repeats).
-    pub samples_processed: usize,
 }
 
 /// A multi-layer perceptron classifier trained with SGD.
@@ -274,7 +263,7 @@ impl Mlp {
         epochs: usize,
         batch_size: usize,
         learning_rate: f32,
-    ) -> Result<TrainReport> {
+    ) -> Result<()> {
         let rows: Vec<&[f32]> = features.iter_rows().collect();
         self.train_rows_with(
             &rows,
@@ -305,10 +294,10 @@ impl Mlp {
         batch_size: usize,
         learning_rate: f32,
         scratch: &mut TrainScratch,
-    ) -> Result<TrainReport> {
-        let report = self.sgd(rows, labels, epochs, batch_size, learning_rate, scratch);
+    ) -> Result<()> {
+        let trained = self.sgd(rows, labels, epochs, batch_size, learning_rate, scratch);
         self.quantise_inference_weights();
-        report
+        trained
     }
 
     /// The body of [`Mlp::train_rows_with`]: mini-batch SGD, which leaves
@@ -321,7 +310,7 @@ impl Mlp {
         batch_size: usize,
         learning_rate: f32,
         scratch: &mut TrainScratch,
-    ) -> Result<TrainReport> {
+    ) -> Result<()> {
         if batch_size == 0 || epochs == 0 {
             return Err(DnnError::InvalidConfig {
                 reason: "epochs and batch size must be positive".into(),
@@ -335,10 +324,6 @@ impl Mlp {
         let mode = self.config.training_mode;
         scratch.ensure(self.layers.len());
         let TrainScratch { ws, features, grad, acts, layers: lscr } = scratch;
-        let mut total_loss = 0.0f64;
-        let mut total_correct = 0usize;
-        let mut total_samples = 0usize;
-        let mut batches = 0usize;
 
         for _epoch in 0..epochs {
             let mut start = 0usize;
@@ -348,12 +333,7 @@ impl Mlp {
                 let batch_labels = &labels[start..end];
 
                 forward_pass(&self.layers, features, mode.pass(), ws, acts, lscr)?;
-                let logits = &acts[self.layers.len() - 1];
-                let batch_loss = loss::cross_entropy_into(logits, batch_labels, grad)?;
-                total_loss += f64::from(batch_loss);
-                total_correct += ops::argmax_matches(logits, batch_labels);
-                total_samples += batch_labels.len();
-                batches += 1;
+                loss::cross_entropy_into(&acts[self.layers.len() - 1], batch_labels, grad)?;
 
                 backward_pass(
                     &mut self.layers,
@@ -368,11 +348,7 @@ impl Mlp {
                 start = end;
             }
         }
-        Ok(TrainReport {
-            mean_loss: (total_loss / batches.max(1) as f64) as f32,
-            accuracy: total_correct as f32 / total_samples.max(1) as f32,
-            samples_processed: total_samples,
-        })
+        Ok(())
     }
 
     /// Classification accuracy on a slice of feature rows through a reusable
@@ -513,11 +489,10 @@ mod tests {
         let (features, labels) = two_cluster_data(200, 6, 42);
         let mut net = Mlp::new(fp32_config(6, 2)).unwrap();
         let before = net.evaluate(&features, &labels).unwrap();
-        let report = net.train(&features, &labels, 5, 16, 0.05).unwrap();
+        net.train(&features, &labels, 5, 16, 0.05).unwrap();
         let after = net.evaluate(&features, &labels).unwrap();
         assert!(after > 0.95, "after-training accuracy {after}");
         assert!(after >= before, "training made accuracy worse: {before} -> {after}");
-        assert_eq!(report.samples_processed, 200 * 5);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!
 //! ## The sink registry family
 //!
-//! Output is pluggable through [`TelemetrySink`] factories registered by
-//! name, mirroring the scheduler/policy registries in `dacapo-core`. The
+//! Output is pluggable through [`TelemetrySink`]s whose build functions are
+//! registered by name, mirroring the scheduler/policy registries in
+//! `dacapo-core`. The
 //! builtins are `chrome-trace:<path>` (trace JSON), `json-lines:<path>`
 //! (metrics timeseries), and `summary` (stdout table at finish). The two
 //! file sinks stream: each opens its file when it is created, so a path
@@ -81,5 +82,5 @@ pub mod trace;
 pub use error::{Result, TelemetryError};
 pub use metrics::{FieldValue, MetricsRecord};
 pub use recorder::{TelemetryRecorder, TelemetrySummary};
-pub use sink::{SinkFactory, TelemetrySink};
+pub use sink::TelemetrySink;
 pub use trace::{TraceEvent, CLUSTER_PID};

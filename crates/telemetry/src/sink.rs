@@ -23,16 +23,17 @@
 //! sinks cannot claim it, and [`create`] refuses it (so does
 //! `with_sink_spec`, given a suffix such as `null:x`).
 //!
-//! Out-of-crate sinks implement [`TelemetrySink`] + [`SinkFactory`] and call
-//! [`register`]; `examples/telemetry.rs` registers a CSV sink this way. Name
-//! storage, case-insensitive lookup, and `:<params>` suffix splitting are
+//! Out-of-crate sinks implement [`TelemetrySink`] and [`register`] a name
+//! and a `Fn(Option<&str>) -> Result<Box<dyn TelemetrySink>>` that builds
+//! one; `examples/telemetry.rs` registers a CSV sink this way. Name storage,
+//! case-insensitive lookup, and `:<params>` suffix splitting are
 //! [`dacapo_core::registry::Registry`]'s, so the rules match every other
 //! family in the workspace.
 
 use crate::error::{Result, TelemetryError};
 use crate::metrics::MetricsRecord;
 use crate::trace::TraceEvent;
-use dacapo_core::registry::Registry;
+use dacapo_core::registry::{no_params, Registry};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::sync::{Arc, OnceLock};
@@ -73,58 +74,40 @@ pub trait TelemetrySink: Send {
     }
 }
 
-/// Builds [`TelemetrySink`]s from a registered name plus an optional
-/// `:<params>` suffix (the builtin file sinks read their output path from
-/// it).
-pub trait SinkFactory: Send + Sync {
-    /// The registry base name (must not contain `':'`).
-    fn name(&self) -> &str;
-
-    /// Instantiates the sink for one run. `params` is the text after the
-    /// first `':'` in the spec, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TelemetryError::InvalidConfig`] for missing or malformed
-    /// parameters, and [`TelemetryError::Io`] for an output that cannot be
-    /// opened.
-    fn create(&self, params: Option<&str>) -> Result<Box<dyn TelemetrySink>>;
-}
+/// How a registered sink is built for one run, from the text after the
+/// first `':'` in the spec, if any (the builtin file sinks read their output
+/// path from it). It returns [`TelemetryError::InvalidConfig`] for missing or
+/// malformed parameters, and [`TelemetryError::Io`] for an output that
+/// cannot be opened.
+type Build = dyn Fn(Option<&str>) -> Result<Box<dyn TelemetrySink>> + Send + Sync;
 
 /// The global sink registry, seeded with the builtins; storage and lookup
 /// rules live in [`dacapo_core::registry`].
-fn registry() -> &'static Registry<dyn SinkFactory> {
-    static REGISTRY: OnceLock<Registry<dyn SinkFactory>> = OnceLock::new();
+fn registry() -> &'static Registry<Build> {
+    static REGISTRY: OnceLock<Registry<Build>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let builtins: [Arc<dyn SinkFactory>; 3] =
-            [Arc::new(SummaryFactory), Arc::new(ChromeTraceFactory), Arc::new(JsonLinesFactory)];
-        Registry::new(
-            "telemetry sink",
-            // The recorder's fast-path guarantee ("null" means no telemetry
-            // work at all) must survive user registrations.
-            &["null"],
-            builtins.into_iter().map(|f| (f.name().to_string(), f)).collect(),
-        )
+        // The recorder's fast-path guarantee ("null" means no telemetry work
+        // at all) must survive user registrations.
+        let registry: Registry<Build> = Registry::new("telemetry sink", &["null"]);
+        registry.register("summary", Arc::new(summary));
+        registry.register("chrome-trace", Arc::new(chrome_trace));
+        registry.register("json-lines", Arc::new(json_lines));
+        registry
     })
 }
 
-/// Registers (or replaces) a sink factory under its case-insensitive
-/// [`SinkFactory::name`].
+/// Registers (or replaces) the sink `build` makes under the
+/// case-insensitive base `name`.
 ///
 /// # Panics
 ///
-/// Panics if the factory's name contains `':'` (reserved for parameter
-/// suffixes during lookup) or is `"null"` — the reserved no-sink name.
-pub fn register(factory: Arc<dyn SinkFactory>) {
-    let name = factory.name().to_string();
-    registry().register(&name, factory);
-}
-
-/// Looks up a sink factory by case-insensitive name, ignoring a `:<params>`
-/// suffix (`by_name("chrome-trace:out.json")` resolves `"chrome-trace"`).
-#[must_use]
-pub fn by_name(name: &str) -> Option<Arc<dyn SinkFactory>> {
-    registry().by_name(name)
+/// Panics if `name` contains `':'` (reserved for parameter suffixes during
+/// lookup) or is `"null"` — the reserved no-sink name.
+pub fn register(
+    name: &str,
+    build: impl Fn(Option<&str>) -> Result<Box<dyn TelemetrySink>> + Send + Sync + 'static,
+) {
+    registry().register(name, Arc::new(build));
 }
 
 /// The base names of every registered sink, sorted.
@@ -149,9 +132,9 @@ pub fn is_null(spec: &str) -> bool {
 /// reserved `"null"` (it selects no sink), or malformed parameters, and
 /// [`TelemetryError::Io`] for an output file that cannot be created.
 pub fn create(spec: &str) -> Result<Box<dyn TelemetrySink>> {
-    let (factory, params) =
+    let (build, params) =
         registry().resolve(spec).map_err(|reason| TelemetryError::InvalidConfig { reason })?;
-    factory.create(params)
+    build(params)
 }
 
 /// Maps an I/O failure at `path` to the crate error type.
@@ -231,23 +214,17 @@ impl TelemetrySink for SummarySink {
     }
 }
 
-struct SummaryFactory;
-
-impl SinkFactory for SummaryFactory {
-    fn name(&self) -> &str {
-        "summary"
-    }
-
-    fn create(&self, _params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
-        Ok(Box::new(SummarySink {
-            trace_events: 0,
-            spans: 0,
-            instants: 0,
-            counter_samples: 0,
-            metrics_records: 0,
-            last_end_s: 0.0,
-        }))
-    }
+fn summary(params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
+    no_params("telemetry sink", "summary", params)
+        .map_err(|reason| TelemetryError::InvalidConfig { reason })?;
+    Ok(Box::new(SummarySink {
+        trace_events: 0,
+        spans: 0,
+        instants: 0,
+        counter_samples: 0,
+        metrics_records: 0,
+        last_end_s: 0.0,
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -279,18 +256,10 @@ impl TelemetrySink for ChromeTraceSink {
     }
 }
 
-struct ChromeTraceFactory;
-
-impl SinkFactory for ChromeTraceFactory {
-    fn name(&self) -> &str {
-        "chrome-trace"
-    }
-
-    fn create(&self, params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
-        let mut file = FileOut::create(self.name(), params)?;
-        file.write(|out| out.write_all(b"{\"traceEvents\":["))?;
-        Ok(Box::new(ChromeTraceSink { file, events: 0 }))
-    }
+fn chrome_trace(params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
+    let mut file = FileOut::create("chrome-trace", params)?;
+    file.write(|out| out.write_all(b"{\"traceEvents\":["))?;
+    Ok(Box::new(ChromeTraceSink { file, events: 0 }))
 }
 
 // ---------------------------------------------------------------------------
@@ -315,16 +284,8 @@ impl TelemetrySink for JsonLinesSink {
     }
 }
 
-struct JsonLinesFactory;
-
-impl SinkFactory for JsonLinesFactory {
-    fn name(&self) -> &str {
-        "json-lines"
-    }
-
-    fn create(&self, params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
-        Ok(Box::new(JsonLinesSink { file: FileOut::create(self.name(), params)? }))
-    }
+fn json_lines(params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
+    Ok(Box::new(JsonLinesSink { file: FileOut::create("json-lines", params)? }))
 }
 
 #[cfg(test)]
@@ -342,10 +303,15 @@ mod tests {
 
     #[test]
     fn registry_resolves_builtins_case_insensitively() {
-        assert!(by_name("CHROME-TRACE:out.json").is_some());
-        assert!(by_name("Json-Lines").is_some());
-        assert!(by_name("no-such-sink").is_none());
+        let path = temp_path("case.json");
+        assert!(create(&format!("CHROME-TRACE:{}", path.display())).is_ok());
+        std::fs::remove_file(&path).ok();
+        // Without a path, the json-lines builder is reached and names it.
+        let err = create("Json-Lines").err().unwrap().to_string();
+        assert!(err.contains("json-lines sink needs an output path"), "{err}");
+        assert!(create("Summary").is_ok());
         let names = registered_names();
+        assert!(!names.contains(&"no-such-sink".to_string()));
         for builtin in ["summary", "chrome-trace", "json-lines"] {
             assert!(names.contains(&builtin.to_string()), "{builtin} missing from {names:?}");
         }
@@ -359,6 +325,16 @@ mod tests {
         let path = temp_path("required.json");
         assert!(create(&format!("chrome-trace:{}", path.display())).is_ok());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn summary_takes_no_parameters() {
+        let err = match create("summary:x") {
+            Err(err) => err,
+            Ok(_) => panic!("summary must reject a suffix"),
+        };
+        assert!(matches!(err, TelemetryError::InvalidConfig { .. }), "{err:?}");
+        assert!(err.to_string().contains("'summary' takes no parameters, got ':x'"), "{err}");
     }
 
     #[test]
@@ -402,16 +378,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved")]
     fn registering_over_the_reserved_null_name_panics() {
-        struct Impostor;
-        impl SinkFactory for Impostor {
-            fn name(&self) -> &str {
-                "null"
-            }
-            fn create(&self, _params: Option<&str>) -> Result<Box<dyn TelemetrySink>> {
-                SummaryFactory.create(None)
-            }
-        }
-        register(Arc::new(Impostor));
+        register("null", summary);
     }
 
     #[test]

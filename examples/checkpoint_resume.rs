@@ -9,14 +9,13 @@
 //! cargo run --release --example checkpoint_resume
 //! ```
 
-use dacapo_core::sched::{self, Action, Scheduler, SchedulerContext, SchedulerFactory};
+use dacapo_core::sched::{self, Action, Scheduler, SchedulerContext};
 use dacapo_core::{
     ChurnPlan, Cluster, CoreError, Hyperparams, Session, SessionSnapshot, SimConfig,
 };
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
 use serde::{Deserialize, Serialize, Value};
-use std::sync::Arc;
 
 /// A scheduling policy `dacapo-core` knows nothing about, with real mutable
 /// state: it labels for a fixed number of phases, then retrains once, with
@@ -64,23 +63,13 @@ impl Scheduler for Cadence {
     }
 }
 
-struct CadenceFactory;
-
-impl SchedulerFactory for CadenceFactory {
-    fn name(&self) -> &str {
-        "cadence"
-    }
-
-    fn build(&self, hyper: &Hyperparams) -> Box<dyn Scheduler> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    sched::register("cadence", |hyper: &Hyperparams| {
         Box::new(Cadence {
             hyper: *hyper,
             state: CadenceState { labels_until_retrain: 1, cadence: 1 },
         })
-    }
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    sched::register(Arc::new(CadenceFactory));
+    });
 
     // --- Part 1: checkpoint a mid-run session to JSON and resume it. ---
     let config = SimConfig::builder(Scenario::es1(), ModelPair::ResNet18Wrn50)

@@ -7,14 +7,13 @@
 //! cargo run --release --example cluster
 //! ```
 
-use dacapo_core::arbiter::{self, Arbiter, ArbiterFactory, GrantRequest};
+use dacapo_core::arbiter::{self, Arbiter, GrantRequest};
 use dacapo_core::platform::{KernelRate, Sharing};
 use dacapo_core::{
     AdmissionPolicy, Cluster, ClusterResult, CoreError, PlatformRates, SchedulerKind, SimConfig,
 };
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
-use std::sync::Arc;
 
 /// An arbitration policy `dacapo-core` knows nothing about: shares shrink
 /// with the *square root* of the resident count instead of linearly,
@@ -29,18 +28,6 @@ impl Arbiter for SqrtShare {
 
     fn grant(&mut self, request: &GrantRequest<'_>) -> f64 {
         1.0 / (request.residents.len().max(1) as f64).sqrt()
-    }
-}
-
-struct SqrtShareFactory;
-
-impl ArbiterFactory for SqrtShareFactory {
-    fn name(&self) -> &str {
-        "sqrt-share"
-    }
-
-    fn build(&self, _params: Option<&str>) -> dacapo_core::Result<Box<dyn Arbiter>> {
-        Ok(Box::new(SqrtShare))
     }
 }
 
@@ -96,7 +83,7 @@ fn describe(label: &str, result: &ClusterResult) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Register the custom policy once; from here it is addressable by
     //    name anywhere a Cluster is built, like any builtin.
-    arbiter::register(Arc::new(SqrtShareFactory));
+    arbiter::register("sqrt-share", |_| Ok(Box::new(SqrtShare)));
     println!("registered arbiters: {}\n", arbiter::registered_names().join(", "));
 
     // 2. Twelve cameras on three shared accelerators, four policies. The

@@ -9,11 +9,10 @@
 //! ```
 
 use dacapo_core::platform::{KernelRate, Sharing};
-use dacapo_core::share::{self, ShareContext, SharePolicy, SharePolicyFactory};
+use dacapo_core::share::{self, ShareContext, SharePolicy};
 use dacapo_core::{Cluster, ClusterResult, CoreError, PlatformRates, SchedulerKind, SimConfig};
 use dacapo_datagen::{FleetScenario, Scenario};
 use dacapo_dnn::zoo::ModelPair;
-use std::sync::Arc;
 
 /// A sharing policy `dacapo-core` knows nothing about: admit a fraction of
 /// every peer's batch *proportional to the pair's correlation*, instead of
@@ -29,18 +28,6 @@ impl SharePolicy for ProportionalShare {
 
     fn admit_fraction(&mut self, ctx: &ShareContext<'_>) -> f64 {
         ctx.correlation.clamp(0.0, 1.0)
-    }
-}
-
-struct ProportionalShareFactory;
-
-impl SharePolicyFactory for ProportionalShareFactory {
-    fn name(&self) -> &str {
-        "proportional"
-    }
-
-    fn build(&self, _params: Option<&str>) -> dacapo_core::Result<Box<dyn SharePolicy>> {
-        Ok(Box::new(ProportionalShare))
     }
 }
 
@@ -95,7 +82,7 @@ fn describe(label: &str, result: &ClusterResult) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Register the custom policy once; from here it is addressable by
     //    name anywhere a Cluster is built, like any builtin.
-    share::register(Arc::new(ProportionalShareFactory));
+    share::register("proportional", |_| Ok(Box::new(ProportionalShare)));
     println!("registered share policies: {}\n", share::registered_names().join(", "));
 
     // 2. The same correlated fleet under four policies. `none` is the

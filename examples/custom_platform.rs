@@ -1,49 +1,41 @@
 //! Custom platforms: register an externally-defined execution platform and
 //! run a heterogeneous fleet that mixes it with the builtin DaCapo chip and
-//! a parameterised provider — all selected per camera by registry name.
+//! a parameterised platform family — all selected per camera by registry
+//! name.
 //!
 //! ```text
 //! cargo run --release --example custom_platform
 //! ```
 
-use dacapo_core::platform::{self, KernelRate, PlatformProvider, PlatformRequest, Sharing};
+use dacapo_core::platform::{self, KernelRate, PlatformRequest, Sharing};
 use dacapo_core::{Cluster, PlatformRates, SchedulerKind, SimConfig};
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
-use std::sync::Arc;
 
 /// An edge NPU nobody baked into `dacapo-core`: a hypothetical 8 W part
 /// whose inference engine scales with the requested frame rate and whose
 /// training throughput is parameterised (`"edge-npu:<sps>"`).
-struct EdgeNpuProvider;
-
-impl PlatformProvider for EdgeNpuProvider {
-    fn name(&self) -> &str {
-        "edge-npu"
-    }
-
-    fn build(&self, request: &PlatformRequest<'_>) -> dacapo_core::Result<PlatformRates> {
-        let retraining_sps = match request.params {
-            None => 60.0,
-            Some(raw) => raw.parse::<f64>().map_err(|_| dacapo_core::CoreError::InvalidConfig {
-                reason: format!("edge-npu expects a retraining samples/s figure, got ':{raw}'"),
-            })?,
-        };
-        PlatformRates::new(
-            format!("Edge NPU ({retraining_sps:.0} sps trainer)"),
-            KernelRate::fp32(4.0 * request.fps),
-            KernelRate::fp32(20.0),
-            KernelRate::fp32(retraining_sps),
-            Sharing::TimeShared,
-            8.0,
-        )
-    }
+fn edge_npu(request: &PlatformRequest<'_>) -> dacapo_core::Result<PlatformRates> {
+    let retraining_sps = match request.params {
+        None => 60.0,
+        Some(raw) => raw.parse::<f64>().map_err(|_| dacapo_core::CoreError::InvalidConfig {
+            reason: format!("edge-npu expects a retraining samples/s figure, got ':{raw}'"),
+        })?,
+    };
+    PlatformRates::new(
+        format!("Edge NPU ({retraining_sps:.0} sps trainer)"),
+        KernelRate::fp32(4.0 * request.fps),
+        KernelRate::fp32(20.0),
+        KernelRate::fp32(retraining_sps),
+        Sharing::TimeShared,
+        8.0,
+    )
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Register the provider once; from here the platform is addressable
-    //    by name everywhere a SimConfig is built.
-    platform::register(Arc::new(EdgeNpuProvider));
+    // 1. Register the platform once; from here it is addressable by name
+    //    everywhere a SimConfig is built.
+    platform::register("edge-npu", edge_npu);
     println!("registered platforms: {}", platform::registered_names().join(", "));
 
     // 2. Build a heterogeneous fleet: three cameras on the same scenario but

@@ -7,7 +7,7 @@
 //! cargo run --release --example edge_cloud
 //! ```
 
-use dacapo_core::edge::{self, OffloadContext, OffloadPolicy, OffloadPolicyFactory};
+use dacapo_core::edge::{self, OffloadContext, OffloadPolicy};
 use dacapo_core::platform::{KernelRate, Sharing};
 use dacapo_core::{
     Cluster, ClusterResult, CoreError, EdgeConfig, LabelRoute, PlatformRates, SchedulerKind,
@@ -15,7 +15,6 @@ use dacapo_core::{
 };
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
-use std::sync::Arc;
 
 /// An offload policy `dacapo-core` knows nothing about, with real mutable
 /// state: route every camera to the cloud, but when a window ships more
@@ -29,10 +28,6 @@ struct Backoff {
 }
 
 impl OffloadPolicy for Backoff {
-    fn name(&self) -> String {
-        format!("backoff:{},{}", self.cap, self.cooldown)
-    }
-
     fn route(&mut self, ctx: &OffloadContext<'_>) -> LabelRoute {
         if let Some(slot) = self.cooling.iter().position(|(name, _)| name == ctx.camera) {
             self.cooling[slot].1 -= 1;
@@ -49,28 +44,21 @@ impl OffloadPolicy for Backoff {
     }
 }
 
-struct BackoffFactory;
-
-impl OffloadPolicyFactory for BackoffFactory {
-    fn name(&self) -> &str {
-        "backoff"
+/// Builds `"backoff[:<cap_bytes>[,<cooldown>]]"` (defaults: 4 MB, 2 windows).
+fn backoff(params: Option<&str>) -> dacapo_core::Result<Box<dyn OffloadPolicy>> {
+    let raw = params.unwrap_or("4000000,2");
+    let (cap_raw, cooldown_raw) = raw.split_once(',').unwrap_or((raw, "2"));
+    let parse_err = || CoreError::InvalidConfig {
+        reason: format!("backoff expects ':<cap_bytes>[,<cooldown>]', got ':{raw}'"),
+    };
+    let cap = cap_raw.trim().parse::<u64>().map_err(|_| parse_err())?;
+    let cooldown = cooldown_raw.trim().parse::<usize>().map_err(|_| parse_err())?;
+    if cooldown == 0 {
+        return Err(CoreError::InvalidConfig {
+            reason: "backoff cooldown must be at least one window".to_string(),
+        });
     }
-
-    fn build(&self, params: Option<&str>) -> dacapo_core::Result<Box<dyn OffloadPolicy>> {
-        let raw = params.unwrap_or("4000000,2");
-        let (cap_raw, cooldown_raw) = raw.split_once(',').unwrap_or((raw, "2"));
-        let parse_err = || CoreError::InvalidConfig {
-            reason: format!("backoff expects ':<cap_bytes>[,<cooldown>]', got ':{raw}'"),
-        };
-        let cap = cap_raw.trim().parse::<u64>().map_err(|_| parse_err())?;
-        let cooldown = cooldown_raw.trim().parse::<usize>().map_err(|_| parse_err())?;
-        if cooldown == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "backoff cooldown must be at least one window".to_string(),
-            });
-        }
-        Ok(Box::new(Backoff { cap, cooldown, cooling: Vec::new() }))
-    }
+    Ok(Box::new(Backoff { cap, cooldown, cooling: Vec::new() }))
 }
 
 /// A fast synthetic platform so the example finishes in seconds; the slow
@@ -127,7 +115,7 @@ fn describe(label: &str, result: &ClusterResult) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Register the custom policy once; from here it is addressable by
     //    name anywhere a Cluster is built, like any builtin.
-    edge::register_offload(Arc::new(BackoffFactory));
+    edge::register_offload("backoff", backoff);
     println!("registered offload policies: {}\n", edge::registered_offload_policies().join(", "));
 
     // 2. The same uplink-equipped fleet under three policies. `local-only`

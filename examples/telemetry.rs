@@ -7,14 +7,13 @@
 //! cargo run --release --example telemetry
 //! ```
 
-use dacapo::telemetry::sink::{self, SinkFactory, TelemetrySink};
+use dacapo::telemetry::sink::{self, TelemetrySink};
 use dacapo::telemetry::{MetricsRecord, TelemetryError, TelemetryRecorder};
 use dacapo_core::{Cluster, ClusterResult, SchedulerKind, SimConfig};
 use dacapo_datagen::Scenario;
 use dacapo_dnn::zoo::ModelPair;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::sync::Arc;
 
 /// A metrics sink the telemetry crate has no idea exists: long-format CSV,
 /// one row per metric field, streamed through a fixed-size buffer like the
@@ -49,24 +48,16 @@ impl TelemetrySink for CsvSink {
     }
 }
 
-struct CsvFactory;
-
-impl SinkFactory for CsvFactory {
-    fn name(&self) -> &str {
-        "csv"
-    }
-
-    fn create(&self, params: Option<&str>) -> Result<Box<dyn TelemetrySink>, TelemetryError> {
-        let path =
-            params.filter(|p| !p.is_empty()).ok_or_else(|| TelemetryError::InvalidConfig {
-                reason: "the csv sink needs a path: 'csv:<path>'".to_string(),
-            })?;
-        // Open the file (and write the header) now, so a bad path fails
-        // before the run rather than at its end.
-        let mut out = BufWriter::new(File::create(path).map_err(|e| io_error(path, &e))?);
-        out.write_all(b"kind,window,end_s,scope,field,value\n").map_err(|e| io_error(path, &e))?;
-        Ok(Box::new(CsvSink { path: path.to_string(), out }))
-    }
+/// Builds `"csv:<path>"`.
+fn csv(params: Option<&str>) -> Result<Box<dyn TelemetrySink>, TelemetryError> {
+    let path = params.filter(|p| !p.is_empty()).ok_or_else(|| TelemetryError::InvalidConfig {
+        reason: "the csv sink needs a path: 'csv:<path>'".to_string(),
+    })?;
+    // Open the file (and write the header) now, so a bad path fails
+    // before the run rather than at its end.
+    let mut out = BufWriter::new(File::create(path).map_err(|e| io_error(path, &e))?);
+    out.write_all(b"kind,window,end_s,scope,field,value\n").map_err(|e| io_error(path, &e))?;
+    Ok(Box::new(CsvSink { path: path.to_string(), out }))
 }
 
 /// Four cameras cycling the paper scenarios over two shared accelerators,
@@ -113,7 +104,7 @@ fn traced_run(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Register the custom sink once; from here `csv:<path>` is a valid
     //    spec anywhere a recorder is configured, like any builtin.
-    sink::register(Arc::new(CsvFactory));
+    sink::register("csv", csv);
     println!("registered telemetry sinks: {}\n", sink::registered_names().join(", "));
 
     let dir = std::env::temp_dir().join("dacapo_telemetry_example");

@@ -2,8 +2,9 @@
 # Per-crate non-test code-line counts, as used in CHANGES.md tables: over
 # every .rs file under src/ and benches/, the lines above the file's
 # top-level `#[cfg(test)]` that are neither blank nor a `//` comment. With
-# file arguments, one count per file instead of the per-crate table. Run it
-# in a clone of the parent commit for the "before" column.
+# file arguments, one count per file instead of the per-crate table (which
+# ends in a `total` row). Run it in a clone of the parent commit for the
+# "before" column.
 set -euo pipefail
 count() {
     xargs -0 awk '
@@ -20,7 +21,10 @@ if [ "$#" -gt 0 ]; then
     done
     exit
 fi
+total=0
 for crate in crates/* shims; do
-    find "$crate" -name '*.rs' \( -path '*/src/*' -o -path '*/benches/*' \) -print0 | count
-    echo "$crate"
+    n=$(find "$crate" -name '*.rs' \( -path '*/src/*' -o -path '*/benches/*' \) -print0 | count)
+    echo "$n$crate"
+    total=$((total + n))
 done
+printf '%6d  total\n' "$total"

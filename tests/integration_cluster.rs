@@ -5,9 +5,9 @@
 //! window exactly, and a failing accelerator surfaces the same typed error
 //! at any thread count.
 
-use dacapo_core::arbiter::{self, Arbiter, ArbiterFactory, GrantRequest};
+use dacapo_core::arbiter::{self, Arbiter, GrantRequest};
 use dacapo_core::platform::{KernelRate, PlatformRates, Sharing};
-use dacapo_core::share::{self, ShareContext, SharePolicy, SharePolicyFactory};
+use dacapo_core::share::{self, ShareContext, SharePolicy};
 use dacapo_core::{
     AdmissionPolicy, ClSimulator, Cluster, ClusterResult, CoreError, SchedulerKind, SimConfig,
     SimObserver,
@@ -15,7 +15,6 @@ use dacapo_core::{
 use dacapo_datagen::{Scenario, Segment, SegmentAttributes};
 use dacapo_dnn::zoo::ModelPair;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Fast synthetic platform so the many debug-mode simulations stay quick.
 fn fast_platform() -> PlatformRates {
@@ -132,16 +131,7 @@ fn register_zero_admit() {
             0.0
         }
     }
-    struct ZeroAdmitFactory;
-    impl SharePolicyFactory for ZeroAdmitFactory {
-        fn name(&self) -> &str {
-            "zero-admit"
-        }
-        fn build(&self, _params: Option<&str>) -> dacapo_core::Result<Box<dyn SharePolicy>> {
-            Ok(Box::new(ZeroAdmit))
-        }
-    }
-    share::register(Arc::new(ZeroAdmitFactory));
+    share::register("zero-admit", |_| Ok(Box::new(ZeroAdmit)));
 }
 
 /// `result` with `reference`'s share metrics: the whole result but the part
@@ -312,21 +302,12 @@ impl Arbiter for Hostile {
     }
 }
 
-struct HostileFactory;
-
-impl ArbiterFactory for HostileFactory {
-    fn name(&self) -> &str {
-        "hostile"
-    }
-    fn build(&self, params: Option<&str>) -> Result<Box<dyn Arbiter>, CoreError> {
-        Ok(Box::new(Hostile { panics: params == Some("panic") }))
-    }
-}
-
 /// Nine cameras round-robin over three accelerators, every one of which
 /// fails on its first arbitrated step.
 fn hostile_cluster(mode: &str, threads: usize) -> Cluster {
-    arbiter::register(std::sync::Arc::new(HostileFactory));
+    arbiter::register("hostile", |params| {
+        Ok(Box::new(Hostile { panics: params == Some("panic") }))
+    });
     let mut cluster = Cluster::new(3).arbiter(format!("hostile:{mode}")).threads(threads);
     for i in 0..9 {
         cluster = cluster.camera(format!("cam-{i}"), camera_config(0xBAD + i as u64, 40.0));

@@ -6,7 +6,7 @@
 //! offload registry resolves builtins and out-of-crate entries alike, and
 //! every uplink profile resolves.
 
-use dacapo_core::edge::{self, OffloadContext, OffloadPolicy, OffloadPolicyFactory};
+use dacapo_core::edge::{self, OffloadContext, OffloadPolicy};
 use dacapo_core::platform::{KernelRate, PlatformRates, Sharing};
 use dacapo_core::{
     Cluster, ClusterResult, EdgeConfig, LabelRoute, SchedulerKind, Session, SessionSnapshot,
@@ -15,7 +15,6 @@ use dacapo_core::{
 use dacapo_datagen::{Scenario, Segment, SegmentAttributes};
 use dacapo_dnn::zoo::ModelPair;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Fast synthetic platform so the many debug-mode simulations stay quick.
 fn fast_platform() -> PlatformRates {
@@ -186,9 +185,6 @@ fn edge_metrics_survive_a_serde_round_trip() {
 fn registries_resolve_builtins_and_out_of_crate_policies() {
     struct EvenWindows;
     impl OffloadPolicy for EvenWindows {
-        fn name(&self) -> String {
-            "even-windows".to_string()
-        }
         fn route(&mut self, ctx: &OffloadContext<'_>) -> LabelRoute {
             if ctx.window_index.is_multiple_of(2) {
                 LabelRoute::Cloud { byte_budget: None }
@@ -197,23 +193,16 @@ fn registries_resolve_builtins_and_out_of_crate_policies() {
             }
         }
     }
-    struct EvenWindowsFactory;
-    impl OffloadPolicyFactory for EvenWindowsFactory {
-        fn name(&self) -> &str {
-            "even-windows"
-        }
-        fn build(&self, _params: Option<&str>) -> dacapo_core::Result<Box<dyn OffloadPolicy>> {
-            Ok(Box::new(EvenWindows))
-        }
-    }
-    edge::register_offload(Arc::new(EvenWindowsFactory));
-    assert!(edge::offload_by_name("even-windows").is_some());
-    assert!(edge::offload_by_name("EVEN-WINDOWS").is_some(), "lookups are case-insensitive");
-    assert!(edge::registered_offload_policies().contains(&"even-windows".to_string()));
+    edge::register_offload("even-windows", |_| Ok(Box::new(EvenWindows)));
+    let names = edge::registered_offload_policies();
+    assert!(names.contains(&"even-windows".to_string()));
+    assert!(edge::create_offload("EVEN-WINDOWS").is_ok(), "lookups are case-insensitive");
     for builtin in ["cloud-only", "threshold", "budget"] {
-        assert!(edge::offload_by_name(builtin).is_some(), "{builtin} missing");
+        assert!(names.contains(&builtin.to_string()), "{builtin} missing");
     }
-    assert!(edge::offload_by_name("local-only").is_none(), "the reserved name is not a policy");
+    assert!(edge::create_offload("threshold:2").is_ok());
+    assert!(!names.contains(&"local-only".to_string()), "the reserved name is not a policy");
+    assert!(edge::create_offload("local-only").is_err());
 
     // And the registered policy drives a real cluster run end to end.
     let result = build_cluster(2, 0xE7E4, Some("wifi"), "even-windows", 2)

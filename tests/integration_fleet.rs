@@ -7,14 +7,13 @@
 //! **bit-identical** to running each camera's `Session` alone with the same
 //! seed — threading changes wall-clock time, never metrics.
 
-use dacapo_core::platform::{self, KernelRate, PlatformProvider, PlatformRequest, Sharing};
+use dacapo_core::platform::{self, KernelRate, PlatformRequest, Sharing};
 use dacapo_core::{
     ClSimulator, Cluster, FleetResult, PlatformRates, Result, SchedulerKind, Session, SessionEvent,
     SimConfig,
 };
 use dacapo_datagen::{Scenario, Segment, SegmentAttributes};
 use dacapo_dnn::zoo::ModelPair;
-use std::sync::Arc;
 
 /// Fast synthetic platform so the eight debug-mode simulations stay quick.
 fn fast_platform() -> PlatformRates {
@@ -103,33 +102,25 @@ fn thread_count_never_changes_fleet_results() {
 }
 
 /// A platform defined *outside* `dacapo-core`: no builtin enum variant, only
-/// a provider registered at runtime. The rates scale with the requested
-/// frame rate to prove the provider sees the full request.
-struct TurboSimProvider;
-
-impl PlatformProvider for TurboSimProvider {
-    fn name(&self) -> &str {
-        "turbo-sim"
-    }
-
-    fn build(&self, request: &PlatformRequest<'_>) -> Result<PlatformRates> {
-        PlatformRates::new(
-            format!("TurboSim ({:.0} FPS headroom)", 3.0 * request.fps),
-            KernelRate::fp32(3.0 * request.fps),
-            KernelRate::fp32(35.0),
-            KernelRate::fp32(110.0),
-            Sharing::TimeShared,
-            4.0,
-        )
-    }
+/// a build function registered at runtime. The rates scale with the
+/// requested frame rate to prove it sees the full request.
+fn turbo_sim(request: &PlatformRequest<'_>) -> Result<PlatformRates> {
+    PlatformRates::new(
+        format!("TurboSim ({:.0} FPS headroom)", 3.0 * request.fps),
+        KernelRate::fp32(3.0 * request.fps),
+        KernelRate::fp32(35.0),
+        KernelRate::fp32(110.0),
+        Sharing::TimeShared,
+        4.0,
+    )
 }
 
 #[test]
 fn out_of_crate_platforms_run_sessions_and_heterogeneous_fleets() {
-    platform::register(Arc::new(TurboSimProvider));
+    platform::register("turbo-sim", turbo_sim);
 
     // One short scenario, three cameras on three different platforms
-    // selected by registry name: the external provider, the builtin DaCapo
+    // selected by registry name: the external platform, the builtin DaCapo
     // accelerator, and a GPU baseline.
     let scenario = Scenario::try_from_segments(
         "hetero",

@@ -5,12 +5,11 @@
 //! rejecting uncorrelated peers.
 
 use dacapo_core::platform::{KernelRate, PlatformRates, Sharing};
-use dacapo_core::share::{self, ShareContext, SharePolicy, SharePolicyFactory};
+use dacapo_core::share::{self, ShareContext, SharePolicy};
 use dacapo_core::{Cluster, ClusterResult, SchedulerKind, SimConfig};
 use dacapo_datagen::{FleetScenario, Scenario};
 use dacapo_dnn::zoo::ModelPair;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Fast synthetic platform so the many debug-mode simulations stay quick.
 fn fast_platform() -> PlatformRates {
@@ -81,16 +80,7 @@ fn register_zero_admit() {
             0.0
         }
     }
-    struct ZeroAdmitFactory;
-    impl SharePolicyFactory for ZeroAdmitFactory {
-        fn name(&self) -> &str {
-            "zero-admit"
-        }
-        fn build(&self, _params: Option<&str>) -> dacapo_core::Result<Box<dyn SharePolicy>> {
-            Ok(Box::new(ZeroAdmit))
-        }
-    }
-    share::register(Arc::new(ZeroAdmitFactory));
+    share::register("zero-admit", |_| Ok(Box::new(ZeroAdmit)));
 }
 
 proptest! {
@@ -206,17 +196,20 @@ fn tiny_windows_skip_empty_rounds_without_changing_results() {
 
 /// Out-of-crate policies resolve through the registry by name, exactly like
 /// builtins (the `zero-admit` policy used by the proptest above, plus
-/// `share::by_name` lookups).
+/// `share::create` lookups).
 #[test]
 fn out_of_crate_policies_resolve_through_the_registry() {
     register_zero_admit();
-    assert!(share::by_name("zero-admit").is_some());
-    assert!(share::by_name("ZERO-ADMIT").is_some(), "lookups are case-insensitive");
-    assert!(share::registered_names().contains(&"zero-admit".to_string()));
+    let names = share::registered_names();
+    assert!(names.contains(&"zero-admit".to_string()));
+    let zero = share::create("ZERO-ADMIT").expect("lookups are case-insensitive");
+    assert_eq!(zero.name(), "zero-admit");
     // And the builtin set is intact alongside it; the reserved `none` is
     // no policy at all.
     for builtin in ["broadcast", "correlated"] {
-        assert!(share::by_name(builtin).is_some(), "{builtin} missing");
+        assert!(names.contains(&builtin.to_string()), "{builtin} missing");
     }
-    assert!(share::by_name("none").is_none());
+    assert!(share::create("correlated:0.9").is_ok());
+    assert!(!names.contains(&"none".to_string()));
+    assert!(share::create("none").is_err());
 }
