@@ -15,7 +15,13 @@
 //! and a maximum per sixteen of them ([`quantize_run`]), or two rows of a
 //! matrix and a maximum down each column ([`quantize_down`]). (The loops run
 //! over slices of run-time length on purpose: over fixed sixteen-element
-//! arrays the compiler unrolls first and then fails to re-vectorise.) See the
+//! arrays the compiler unrolls first and then fails to re-vectorise.) Their
+//! vector bodies take whole vectors only, so both drivers hand the kernel
+//! widths that are multiples of 16: `quantize_run` whole blocks, a short one
+//! zero-padded, and `quantize_down` column groups whose width is a multiple
+//! of 16, a ragged one staged at its width rounded up to 16 with zero
+//! columns beside it (on 16-lane `zmm` a 10-wide loop never enters its
+//! vector body and runs every lane scalar). See the
 //! [crate docs](crate#the-integer-algorithm) for the algorithm and why it is
 //! exact.
 

@@ -85,10 +85,15 @@
 //! ([`MxVector::quantize_into`]) and sixteen rows of a matrix quantised down
 //! its columns ([`MxVector::quantize_columns_into`]); only the direction the
 //! maxima of step 1 run in differs. It is branch-free, so the loops over it
-//! compile to vector instructions. Step 4 is checked lane by lane against
-//! steps 2 and 3, and those bit for bit against the format's floating-point
-//! definition (`f64` division, `round`, `powi`), which survives in the tests
-//! as the oracle.
+//! compile to vector instructions, and both drivers give those loops whole
+//! vectors: a block short of sixteen values is padded with zeros, and a
+//! group of columns whose width is not a multiple of sixteen is staged with
+//! zero columns beside it up to the next multiple. Zeros are the neutral
+//! element of step 1's maxima, and a zero column shares no block with a real
+//! one, so neither padding changes a value. Step 4 is checked lane by lane
+//! against steps 2 and 3, and those bit for bit against the format's
+//! floating-point definition (`f64` division, `round`, `powi`), which
+//! survives in the tests as the oracle.
 //!
 //! # Examples
 //!

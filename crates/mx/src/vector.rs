@@ -191,6 +191,17 @@ impl MxVector {
     /// slice of its own, without the gather. This is how a GEMM's right-hand
     /// operand is blocked, its reduction dimension running down the columns.
     ///
+    /// The columns go to the conversion kernel in groups of up to 64, one
+    /// lane each. A group whose width is a multiple of 16 is quantised in
+    /// place. A ragged group (the 10-wide logits layer; the last group of
+    /// any width that is not a multiple of 16) would leave a 16-lane loop
+    /// short of one vector and run scalar, so its rows are copied into a
+    /// stage whose row stride is the width rounded up to 16, zero beyond the
+    /// width, quantised there at the padded width, and only the real lanes
+    /// copied back. A lane's shared exponent and subgroups come from its own
+    /// column alone, so the zero columns never meet a real one and change no
+    /// value.
+    ///
     /// # Errors
     ///
     /// Returns [`MxError::EmptyInput`] for an empty slice,
@@ -205,18 +216,39 @@ impl MxVector {
     ) -> Result<()> {
         check_matrix(values, cols, out)?;
         let format = Format::new(precision, RoundingMode::Nearest);
+        // Only the last group can be ragged: every other one is CHUNK wide.
+        // Its stage is zeroed once; each row block rewrites the same real
+        // lanes, so the padding stays zero.
+        const STAGE: usize = BLOCK_SIZE * kernel::CHUNK;
+        let mut stage =
+            if cols.is_multiple_of(BLOCK_SIZE) { None } else { Some(([0.0; STAGE], [0.0; STAGE])) };
         for (src, dst) in values.chunks(BLOCK_SIZE * cols).zip(out.chunks_mut(BLOCK_SIZE * cols)) {
             let rows = src.len() / cols;
             for first in (0..cols).step_by(kernel::CHUNK) {
                 let width = kernel::CHUNK.min(cols - first);
-                let finite = kernel::quantize_down(
-                    &src[first..],
-                    &mut dst[first..],
-                    cols,
-                    rows,
-                    width,
-                    format,
-                );
+                let (src, dst) = (&src[first..], &mut dst[first..]);
+                let finite = match &mut stage {
+                    Some((staged, quantised)) if !width.is_multiple_of(BLOCK_SIZE) => {
+                        let padded = width.next_multiple_of(BLOCK_SIZE);
+                        for (lanes, row) in staged.chunks_exact_mut(padded).zip(src.chunks(cols)) {
+                            lanes[..width].copy_from_slice(&row[..width]);
+                        }
+                        let finite = kernel::quantize_down(
+                            &staged[..],
+                            &mut quantised[..],
+                            padded,
+                            rows,
+                            padded,
+                            format,
+                        );
+                        for (row, lanes) in dst.chunks_mut(cols).zip(quantised.chunks_exact(padded))
+                        {
+                            row[..width].copy_from_slice(&lanes[..width]);
+                        }
+                        finite
+                    }
+                    _ => kernel::quantize_down(src, dst, cols, rows, width, format),
+                };
                 if !finite {
                     return Err(MxError::first_non_finite(values, 0));
                 }
@@ -480,16 +512,22 @@ mod tests {
     fn column_quantisation_matches_the_oracle_column_by_column() {
         let mut rng = hostile::Rng(0xDACA_0003);
         for mix in hostile::MIXES {
-            for (rows, cols) in [(1, 1), (2, 5), (15, 16), (16, 17), (17, 3), (33, 35), (40, 10)] {
+            // Ragged column groups are staged at the next multiple of 16:
+            // 32 × 10 alone, 16 × 74 after a whole 64-lane group.
+            let shapes = [(1, 1), (2, 5), (15, 16), (16, 17), (17, 3), (33, 35), (40, 10)];
+            for (rows, cols) in shapes.into_iter().chain([(32, 10), (16, 74)]) {
                 let data = hostile::values(&mut rng, mix, rows * cols);
                 for precision in MxPrecision::ALL {
                     let mut out = vec![f32::NAN; data.len()];
                     MxVector::quantize_columns_into(&data, cols, precision, &mut out).unwrap();
+                    let mut gathered = vec![f32::NAN; rows];
                     for j in 0..cols {
                         let column: Vec<f32> = (0..rows).map(|r| data[r * cols + j]).collect();
                         let got: Vec<f32> = (0..rows).map(|r| out[r * cols + j]).collect();
                         let expected = oracle::quantize(&column, precision, RoundingMode::Nearest);
                         assert_eq!(bits(&got), bits(&expected), "{rows}x{cols} column {j}");
+                        MxVector::quantize_into(&column, precision, &mut gathered).unwrap();
+                        assert_eq!(bits(&got), bits(&gathered), "{rows}x{cols} column {j}");
                     }
                 }
             }
@@ -516,6 +554,24 @@ mod tests {
                         other => panic!("{rows}x{cols} at {at}: got {other:?}"),
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_value_in_a_staged_column_group_is_reported_at_its_index() {
+        // 32 × 10 is one ragged group; 16 × 74 a whole 64-lane group and a
+        // ragged 10-lane one, the value in the second.
+        for (rows, cols, (r, c), index) in [(32, 10, (17, 9), 179), (16, 74, (3, 70), 292)] {
+            let mut data: Vec<f32> = (0..rows * cols).map(|i| i as f32 * 0.25 - 7.5).collect();
+            data[r * cols + c] = f32::NAN;
+            let mut out = vec![0.0; data.len()];
+            match MxVector::quantize_columns_into(&data, cols, MxPrecision::Mx9, &mut out) {
+                Err(MxError::NonFiniteInput { index: got, value }) => {
+                    assert_eq!(got, index, "{rows}x{cols}");
+                    assert!(value.is_nan());
+                }
+                other => panic!("{rows}x{cols}: got {other:?}"),
             }
         }
     }

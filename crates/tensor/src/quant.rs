@@ -23,8 +23,14 @@
 //! and its 32-wide `δ` — no block straddles two rows, and the matrix goes to
 //! the conversion kernel as one run of blocks. A ragged width (the 10-wide
 //! logits gradient) is staged: its blocks, each row's last one zero-padded,
-//! go to the kernel four at a time as one run. Which of the two runs depends
-//! on the operand's shape alone, the values produced on neither.
+//! go to the kernel four at a time as one run. A right operand, and the
+//! left one of `Aᵀ·B`, is quantised down its columns
+//! ([`MxVector::quantize_columns_into`]), up to 64 columns at a time. A
+//! group of columns whose width is a multiple of 16 is quantised in place; a
+//! ragged one (the 10-wide `W₂` and logits gradient) is copied row by row
+//! into a stage as wide as the next multiple of 16, zero beyond the real
+//! columns, quantised there and copied back. Which path runs depends on the
+//! operand's shape alone, the values produced on neither.
 
 use crate::{ops, Matrix, Result, Workspace};
 #[cfg(doc)]

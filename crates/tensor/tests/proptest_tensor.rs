@@ -342,13 +342,15 @@ proptest! {
 
     /// Down the columns, at every width from 1 to 40 and odd heights — a last
     /// row alone in its subgroup, a last block short, both — the whole-matrix
-    /// form is transposing, quantising rows and transposing back.
+    /// form is transposing, quantising rows and transposing back. Widths 47
+    /// and 63 are one ragged column group, staged at 48 and 64 lanes; 65, 74
+    /// and 80 add a second group after a whole 64-lane one, ragged but for 80.
     #[test]
     fn column_quantisation_is_transposed_rows_at_every_narrow_width(
-        values in prop::collection::vec(element(), 33 * 40),
+        values in prop::collection::vec(element(), 33 * 80),
     ) {
         for rows in [1, 3, 15, 17, 33] {
-            for cols in 1..=40 {
+            for cols in (1..=40).chain([47, 63, 65, 74, 80]) {
                 let b = Matrix::from_vec(rows, cols, values[..rows * cols].to_vec()).unwrap();
                 for precision in MxPrecision::ALL {
                     let via_rows = ops::transpose(&quant::quantize_rows(&ops::transpose(&b), precision).unwrap());
