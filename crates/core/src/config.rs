@@ -208,7 +208,6 @@ impl SimConfig {
             platform: PlatformSpec::Kind(PlatformKind::DaCapo),
             scheduler: SchedulerSpec::Kind(SchedulerKind::DaCapoSpatiotemporal),
             hyper: Hyperparams::for_pair(pair),
-            stream: StreamConfig::default(),
             teacher_accuracy: 0.95,
             measure_interval_s: 5.0,
             eval_frames_per_measurement: 40,
@@ -276,7 +275,6 @@ pub struct SimConfigBuilder {
     accel: AccelConfig,
     scheduler: SchedulerSpec,
     hyper: Hyperparams,
-    stream: StreamConfig,
     teacher_accuracy: f64,
     measure_interval_s: f64,
     eval_frames_per_measurement: usize,
@@ -319,13 +317,6 @@ impl SimConfigBuilder {
     #[must_use]
     pub fn hyperparams(mut self, hyper: Hyperparams) -> Self {
         self.hyper = hyper;
-        self
-    }
-
-    /// Overrides the synthetic stream configuration.
-    #[must_use]
-    pub fn stream(mut self, stream: StreamConfig) -> Self {
-        self.stream = stream;
         self
     }
 
@@ -391,7 +382,7 @@ impl SimConfigBuilder {
             accel: self.accel,
             scheduler: self.scheduler,
             hyper: self.hyper,
-            stream: self.stream,
+            stream: StreamConfig::default(),
             teacher_accuracy: self.teacher_accuracy,
             measure_interval_s: self.measure_interval_s,
             eval_frames_per_measurement: self.eval_frames_per_measurement,

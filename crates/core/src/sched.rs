@@ -7,6 +7,14 @@
 //! **labeling** new samples or **retraining** the student, and whether the
 //! sample buffer should be reset because data drift was detected.
 //!
+//! Of the baselines, DaCapo-Spatial and Ekya are one fixed-window policy
+//! (`FixedWindow`): each window opens with a profiling wait, if the policy
+//! has one, then labels once and retrains once, and idles to its end.
+//! DaCapo-Spatial is a `window_seconds` window without profiling; Ekya is a
+//! window twice as long whose first 15 % profile candidate configurations.
+//! EOMU keeps a state machine of its own, since it retrains only when the
+//! accuracy it monitors degrades.
+//!
 //! # Pluggable policies
 //!
 //! Policies are built by registered functions rather than a closed enum
@@ -76,8 +84,16 @@ impl SchedulerKind {
     pub fn create(self, hyper: &Hyperparams) -> Box<dyn Scheduler> {
         match self {
             SchedulerKind::DaCapoSpatiotemporal => Box::new(Spatiotemporal::new(hyper)),
-            SchedulerKind::DaCapoSpatial => Box::new(SpatialOnly::new(hyper)),
-            SchedulerKind::Ekya => Box::new(Ekya::new(hyper)),
+            SchedulerKind::DaCapoSpatial => {
+                Box::new(FixedWindow::new(self, hyper, hyper.window_seconds, 0.0))
+            }
+            SchedulerKind::Ekya => {
+                // Ekya windows are long (its paper uses 200 s; we use twice
+                // the DaCapo window so the relative sluggishness is
+                // preserved), and each opens with a profiling pass.
+                let window_s = hyper.window_seconds * 2.0;
+                Box::new(FixedWindow::new(self, hyper, window_s, window_s * 0.15))
+            }
             SchedulerKind::Eomu => Box::new(Eomu::new(hyper)),
             SchedulerKind::NoAdaptation => Box::new(NoAdaptation),
         }
@@ -315,7 +331,7 @@ impl fmt::Display for SchedulerSpec {
 
 /// Maps a snapshot-state decode failure into a config error naming the
 /// policy, shared by the builtin [`Scheduler::restore_state`] impls.
-fn bad_state(name: &str, e: serde::DeError) -> CoreError {
+fn bad_state(name: &str, e: impl fmt::Display) -> CoreError {
     CoreError::InvalidConfig {
         reason: format!("scheduler '{name}' cannot restore snapshot state: {e}"),
     }
@@ -411,52 +427,84 @@ impl Scheduler for Spatiotemporal {
 }
 
 // --------------------------------------------------------------------------
-// DaCapo-Spatial (fixed window, no drift response)
+// DaCapo-Spatial and Ekya (fixed windows, no drift response)
 // --------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum WindowStep {
+    Profile,
     Label,
     Retrain,
     Idle,
 }
 
-/// Fixed-window variant: every window labels `N_l` samples and retrains once.
+/// The fixed-window baselines, DaCapo-Spatial and Ekya: every `window_s`
+/// window first waits `profile_s` (Ekya's profiling of candidate
+/// configurations, idle time from the student's point of view; none for
+/// DaCapo-Spatial), then labels `N_l` samples and retrains once.
 #[derive(Debug)]
-struct SpatialOnly {
+struct FixedWindow {
+    kind: SchedulerKind,
     hyper: Hyperparams,
-    state: SpatialState,
+    window_s: f64,
+    profile_s: f64,
+    state: WindowState,
 }
 
-/// [`SpatialOnly`]'s decision state, which is also its snapshot form.
+/// [`FixedWindow`]'s decision state, which is also its snapshot form (the
+/// window geometry is derived from the hyperparameters, so only the cursor
+/// is state).
 #[derive(Debug, Serialize, Deserialize)]
-struct SpatialState {
+struct WindowState {
     window_index: u64,
     step: WindowStep,
 }
 
-impl SpatialOnly {
-    fn new(hyper: &Hyperparams) -> Self {
-        Self { hyper: *hyper, state: SpatialState { window_index: 0, step: WindowStep::Label } }
+impl FixedWindow {
+    fn new(kind: SchedulerKind, hyper: &Hyperparams, window_s: f64, profile_s: f64) -> Self {
+        let mut policy = Self {
+            kind,
+            hyper: *hyper,
+            window_s,
+            profile_s,
+            state: WindowState { window_index: 0, step: WindowStep::Label },
+        };
+        policy.state.step = policy.opening_step();
+        policy
     }
 
+    /// A window opens with its profiling wait, if the policy has one.
+    fn opening_step(&self) -> WindowStep {
+        if self.profile_s > 0.0 {
+            WindowStep::Profile
+        } else {
+            WindowStep::Label
+        }
+    }
+
+    /// In `f64`, so that a restored `window_index` of `u64::MAX` cannot
+    /// overflow (below 2^53 the sum is the same exact integer).
     fn window_end(&self) -> f64 {
-        (self.state.window_index + 1) as f64 * self.hyper.window_seconds
+        (self.state.window_index as f64 + 1.0) * self.window_s
     }
 }
 
-impl Scheduler for SpatialOnly {
+impl Scheduler for FixedWindow {
     fn name(&self) -> String {
-        SchedulerKind::DaCapoSpatial.to_string()
+        self.kind.to_string()
     }
 
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
         // Move to the window that contains `now`.
         while ctx.now_s >= self.window_end() {
             self.state.window_index += 1;
-            self.state.step = WindowStep::Label;
+            self.state.step = self.opening_step();
         }
         match self.state.step {
+            WindowStep::Profile => {
+                self.state.step = WindowStep::Label;
+                Action::Wait { seconds: self.profile_s }
+            }
             WindowStep::Label => {
                 self.state.step = WindowStep::Retrain;
                 Action::Label { samples: self.hyper.label_samples, reset_buffer: false }
@@ -481,100 +529,11 @@ impl Scheduler for SpatialOnly {
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<()> {
-        self.state = SpatialState::from_value(state).map_err(|e| bad_state(&self.name(), e))?;
-        Ok(())
-    }
-}
-
-// --------------------------------------------------------------------------
-// Ekya (long windows with a profiling pass)
-// --------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-enum EkyaStep {
-    Profile,
-    Label,
-    Retrain,
-    Idle,
-}
-
-/// Ekya-style scheduling: long windows; each window first spends a slice of
-/// its retraining budget profiling candidate configurations (modelled as idle
-/// time from the student's point of view), then labels and retrains once.
-#[derive(Debug)]
-struct Ekya {
-    hyper: Hyperparams,
-    window_seconds: f64,
-    profile_fraction: f64,
-    state: EkyaState,
-}
-
-/// [`Ekya`]'s decision state, which is also its snapshot form (the window
-/// geometry is derived from the hyperparameters, so only the cursor is
-/// state).
-#[derive(Debug, Serialize, Deserialize)]
-struct EkyaState {
-    window_index: u64,
-    step: EkyaStep,
-}
-
-impl Ekya {
-    fn new(hyper: &Hyperparams) -> Self {
-        Self {
-            hyper: *hyper,
-            // Ekya windows are long (its paper uses 200 s; we use twice the
-            // DaCapo window so the relative sluggishness is preserved).
-            window_seconds: hyper.window_seconds * 2.0,
-            profile_fraction: 0.15,
-            state: EkyaState { window_index: 0, step: EkyaStep::Profile },
+        let state = WindowState::from_value(state).map_err(|e| bad_state(&self.name(), e))?;
+        if state.step == WindowStep::Profile && self.opening_step() != WindowStep::Profile {
+            return Err(bad_state(&self.name(), "a policy without profiling has no Profile step"));
         }
-    }
-
-    fn window_end(&self) -> f64 {
-        (self.state.window_index + 1) as f64 * self.window_seconds
-    }
-}
-
-impl Scheduler for Ekya {
-    fn name(&self) -> String {
-        SchedulerKind::Ekya.to_string()
-    }
-
-    fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
-        while ctx.now_s >= self.window_end() {
-            self.state.window_index += 1;
-            self.state.step = EkyaStep::Profile;
-        }
-        match self.state.step {
-            EkyaStep::Profile => {
-                self.state.step = EkyaStep::Label;
-                Action::Wait { seconds: self.window_seconds * self.profile_fraction }
-            }
-            EkyaStep::Label => {
-                self.state.step = EkyaStep::Retrain;
-                Action::Label { samples: self.hyper.label_samples, reset_buffer: false }
-            }
-            EkyaStep::Retrain => {
-                self.state.step = EkyaStep::Idle;
-                if ctx.buffer_len < self.hyper.batch_size {
-                    Action::Wait { seconds: (self.window_end() - ctx.now_s).max(0.1) }
-                } else {
-                    Action::Retrain {
-                        samples: self.hyper.retrain_samples,
-                        epochs: self.hyper.epochs,
-                    }
-                }
-            }
-            EkyaStep::Idle => Action::Wait { seconds: (self.window_end() - ctx.now_s).max(0.1) },
-        }
-    }
-
-    fn state(&self) -> Value {
-        self.state.to_value()
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<()> {
-        self.state = EkyaState::from_value(state).map_err(|e| bad_state(&self.name(), e))?;
+        self.state = state;
         Ok(())
     }
 }
@@ -624,8 +583,9 @@ impl Eomu {
         }
     }
 
+    /// In `f64`, like [`FixedWindow::window_end`].
     fn window_end(&self) -> f64 {
-        (self.state.window_index + 1) as f64 * self.window_seconds
+        (self.state.window_index as f64 + 1.0) * self.window_seconds
     }
 }
 
@@ -777,31 +737,61 @@ mod tests {
     }
 
     #[test]
-    fn spatial_only_cycles_label_retrain_idle_per_window() {
+    fn fixed_windows_profile_label_retrain_then_idle_in_every_window() {
+        // The two fixed-window baselines differ only in window length and
+        // in the profiling wait that opens each of Ekya's windows.
         let hyper = Hyperparams::default();
-        let mut sched = SchedulerKind::DaCapoSpatial.create(&hyper);
-        let c = ctx(0.0, 400, None, None);
-        assert!(matches!(sched.next_action(&c), Action::Label { .. }));
-        assert!(matches!(sched.next_action(&ctx(5.0, 400, None, None)), Action::Retrain { .. }));
-        assert!(matches!(sched.next_action(&ctx(20.0, 400, None, None)), Action::Wait { .. }));
-        // Next window starts over with labeling.
-        assert!(matches!(
-            sched.next_action(&ctx(hyper.window_seconds + 1.0, 400, None, None)),
-            Action::Label { .. }
-        ));
+        let label = Action::Label { samples: hyper.label_samples, reset_buffer: false };
+        let retrain = Action::Retrain { samples: hyper.retrain_samples, epochs: hyper.epochs };
+        let policies = [
+            (SchedulerKind::DaCapoSpatial, hyper.window_seconds, None),
+            (SchedulerKind::Ekya, 2.0 * hyper.window_seconds, Some(0.15)),
+        ];
+        for (kind, window_s, profile_fraction) in policies {
+            let mut sched = kind.create(&hyper);
+            for window in 0..3 {
+                let start = window as f64 * window_s;
+                let mut expected: Vec<(f64, Action)> = Vec::new();
+                if let Some(fraction) = profile_fraction {
+                    expected.push((start, Action::Wait { seconds: window_s * fraction }));
+                }
+                expected.extend([
+                    (start + 10.0, label),
+                    (start + 15.0, retrain),
+                    (start + 20.0, Action::Wait { seconds: window_s - 20.0 }),
+                    (start + 30.0, Action::Wait { seconds: window_s - 30.0 }),
+                ]);
+                for (now, action) in expected {
+                    assert_eq!(sched.next_action(&ctx(now, 400, None, None)), action, "{kind}");
+                }
+            }
+            // A buffer short of one mini-batch idles out the window instead.
+            let mut sched = kind.create(&hyper);
+            let profiles = usize::from(profile_fraction.is_some());
+            for _ in 0..=profiles {
+                let _ = sched.next_action(&ctx(0.0, 0, None, None));
+            }
+            assert_eq!(
+                sched.next_action(&ctx(5.0, hyper.batch_size - 1, None, None)),
+                Action::Wait { seconds: window_s - 5.0 },
+                "{kind}"
+            );
+        }
     }
 
     #[test]
-    fn ekya_spends_time_profiling_before_retraining() {
+    fn a_policy_without_profiling_refuses_a_profile_step() {
         let hyper = Hyperparams::default();
-        let mut sched = SchedulerKind::Ekya.create(&hyper);
-        let c = ctx(0.0, 400, None, None);
-        match sched.next_action(&c) {
-            Action::Wait { seconds } => assert!(seconds > 0.0, "profiling should consume time"),
-            other => panic!("expected profiling wait, got {other:?}"),
-        }
-        assert!(matches!(sched.next_action(&ctx(20.0, 400, None, None)), Action::Label { .. }));
-        assert!(matches!(sched.next_action(&ctx(25.0, 400, None, None)), Action::Retrain { .. }));
+        let json = r#"{"window_index":0,"step":"Profile"}"#;
+        let profile = serde_json::value_from_str(json).unwrap();
+        let mut spatial = SchedulerKind::DaCapoSpatial.create(&hyper);
+        let err = spatial.restore_state(&profile).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err:?}");
+        assert!(err.to_string().contains("'DaCapo-Spatial'"), "{err}");
+        // Ekya opens every window with one.
+        let mut ekya = SchedulerKind::Ekya.create(&hyper);
+        ekya.restore_state(&profile).unwrap();
+        assert_eq!(serde_json::to_string(&ekya.state()).unwrap(), json);
     }
 
     #[test]
@@ -997,6 +987,30 @@ mod tests {
             let mut restored = kind.create(&hyper);
             restored.restore_state(&serde_json::value_from_str(json).unwrap()).unwrap();
             assert_eq!(restored.state(), state, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_restored_last_window_index_does_not_overflow() {
+        let hyper = Hyperparams::default();
+        for (kind, json) in [
+            (
+                SchedulerKind::DaCapoSpatial,
+                r#"{"window_index":18446744073709551615,"step":"Idle"}"#,
+            ),
+            (SchedulerKind::Ekya, r#"{"window_index":18446744073709551615,"step":"Idle"}"#),
+            (
+                SchedulerKind::Eomu,
+                concat!(
+                    r#"{"best_recent_accuracy":null,"window_index":18446744073709551615,"#,
+                    r#""labeled_this_window":true,"retrained_this_window":true}"#
+                ),
+            ),
+        ] {
+            let mut sched = kind.create(&hyper);
+            sched.restore_state(&serde_json::value_from_str(json).unwrap()).unwrap();
+            let action = sched.next_action(&ctx(0.0, 400, None, None));
+            assert!(matches!(action, Action::Wait { seconds } if seconds > 1e20), "{kind}");
         }
     }
 

@@ -1121,16 +1121,7 @@ impl Session {
                     // Labeling is starved out entirely (e.g. an overloaded
                     // GPU); burn the rest of the scenario waiting.
                     let wait = (duration - self.state.now_s).max(MIN_PHASE_SECONDS);
-                    self.measure_until(self.state.now_s + wait, scratch)?;
-                    self.push_phase(PhaseRecord {
-                        kind: PhaseKind::Wait,
-                        start_s: self.state.now_s,
-                        duration_s: wait,
-                        samples: 0,
-                        drift_response: reset_buffer,
-                    });
-                    self.state.now_s += wait;
-                    return Ok(());
+                    return self.close_phase(PhaseKind::Wait, wait, 0, reset_buffer, scratch);
                 }
                 let remaining = duration - self.state.now_s;
                 let ideal_duration = samples.max(1) as f64 / rate;
@@ -1218,15 +1209,13 @@ impl Session {
                     phase_samples = actual_samples;
                 }
 
-                self.measure_until(self.state.now_s + phase_duration, scratch)?;
-                self.push_phase(PhaseRecord {
-                    kind: PhaseKind::Label,
-                    start_s: self.state.now_s,
-                    duration_s: phase_duration,
-                    samples: phase_samples,
-                    drift_response: reset_buffer,
-                });
-                self.state.now_s += phase_duration;
+                self.close_phase(
+                    PhaseKind::Label,
+                    phase_duration,
+                    phase_samples,
+                    reset_buffer,
+                    scratch,
+                )
             }
             Action::Retrain { samples, epochs } => {
                 let (train, validation) = self.state.buffer.draw_indices(
@@ -1236,16 +1225,7 @@ impl Session {
                 );
                 if train.is_empty() {
                     let wait = MIN_PHASE_SECONDS.max(1.0);
-                    self.measure_until(self.state.now_s + wait, scratch)?;
-                    self.push_phase(PhaseRecord {
-                        kind: PhaseKind::Wait,
-                        start_s: self.state.now_s,
-                        duration_s: wait,
-                        samples: 0,
-                        drift_response: false,
-                    });
-                    self.state.now_s += wait;
-                    return Ok(());
+                    return self.close_phase(PhaseKind::Wait, wait, 0, false, scratch);
                 }
                 let presentations = train.len() * epochs.max(1);
                 let rate = self.rt.platform.effective_retraining_sps(fps);
@@ -1257,22 +1237,16 @@ impl Session {
                 };
 
                 // The old model keeps serving inference during retraining;
-                // the updated weights deploy when the phase completes.
+                // the updated weights deploy when the phase completes, so the
+                // phase's measurements are taken before it retrains (which
+                // leaves `close_phase` none to take).
                 self.measure_until(self.state.now_s + phase_duration, scratch)?;
                 let (rows, labels) = self.state.buffer.gather(&train);
                 self.state.student.retrain(&rows, &labels, epochs.max(1), scratch)?;
                 let (rows, labels) = self.state.buffer.gather(&validation);
                 self.state.last_validation =
                     Some(self.state.student.accuracy_on_rows(&rows, &labels, scratch)?);
-
-                self.push_phase(PhaseRecord {
-                    kind: PhaseKind::Retrain,
-                    start_s: self.state.now_s,
-                    duration_s: phase_duration,
-                    samples: presentations,
-                    drift_response: false,
-                });
-                self.state.now_s += phase_duration;
+                self.close_phase(PhaseKind::Retrain, phase_duration, presentations, false, scratch)
             }
             Action::Wait { seconds } => {
                 // Schedulers come from the open registry, so their actions
@@ -1288,23 +1262,29 @@ impl Session {
                 }
                 let remaining = duration - self.state.now_s;
                 let wait = seconds.clamp(MIN_PHASE_SECONDS.min(remaining), remaining);
-                self.measure_until(self.state.now_s + wait, scratch)?;
-                self.push_phase(PhaseRecord {
-                    kind: PhaseKind::Wait,
-                    start_s: self.state.now_s,
-                    duration_s: wait,
-                    samples: 0,
-                    drift_response: false,
-                });
-                self.state.now_s += wait;
+                self.close_phase(PhaseKind::Wait, wait, 0, false, scratch)
             }
         }
-        Ok(())
     }
 
-    fn push_phase(&mut self, phase: PhaseRecord) {
+    /// Closes a phase of `duration_s` that starts now: records the
+    /// measurement points it covers, then the phase itself, queueing their
+    /// events in that order, and advances the clock to the phase's end.
+    fn close_phase(
+        &mut self,
+        kind: PhaseKind,
+        duration_s: f64,
+        samples: usize,
+        drift_response: bool,
+        scratch: &mut TrainScratch,
+    ) -> Result<()> {
+        self.measure_until(self.state.now_s + duration_s, scratch)?;
+        let phase =
+            PhaseRecord { kind, start_s: self.state.now_s, duration_s, samples, drift_response };
         self.state.phases.push(phase);
         self.state.pending.push_back(SessionEvent::Phase(phase));
+        self.state.now_s += duration_s;
+        Ok(())
     }
 
     /// Records accuracy measurements at every measurement point in
@@ -1958,6 +1938,24 @@ mod tests {
             assert_unrestorable(SessionSnapshot::from_json(&text), hostile);
         }
         assert!(SessionSnapshot::from_json(&json).and_then(Session::restore).is_ok());
+    }
+
+    #[test]
+    fn a_snapshot_of_a_degenerate_scenario_does_not_decode() {
+        let empty = r#"{"name":"x","segments":[]}"#;
+        let err = serde_json::from_str::<dacapo_datagen::Scenario>(empty).unwrap_err();
+        assert!(err.to_string().contains("at least one segment"), "{err}");
+        let session = session_after_phases(SchedulerKind::DaCapoSpatiotemporal, 2);
+        let mut tree = session.snapshot().to_value();
+        let Value::Array(segments) =
+            field(field(field(&mut tree, "config"), "scenario"), "segments")
+        else {
+            panic!("segments is an array")
+        };
+        *field(&mut segments[0], "duration_s") = Value::Float(-60.0);
+        let text = serde_json::to_string(&tree).unwrap();
+        let reason = assert_unrestorable(SessionSnapshot::from_json(&text), "negative segment");
+        assert!(reason.contains("segment 0 has -60"), "{reason}");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::attributes::{
     DriftKind, LabelDistribution, Location, SegmentAttributes, TimeOfDay, Weather,
 };
 use crate::error::DatagenError;
-use serde::{Deserialize, Serialize};
+use serde::{de, DeError, Deserialize, Serialize, Value};
 
 /// One contiguous stretch of the stream with fixed attributes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -32,10 +32,23 @@ pub struct Segment {
 /// assert!((s5.duration_s() - 1200.0).abs() < 1e-9);
 /// assert!(!s5.drift_boundaries().is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Scenario {
     name: String,
     segments: Vec<Segment>,
+}
+
+/// Decoding goes through [`Scenario::try_from_segments`], so a scenario read
+/// from JSON (a config, a session snapshot) is never one that code could not
+/// build.
+impl Deserialize for Scenario {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        Self::try_from_segments(
+            de::field::<String>(value, "Scenario", "name")?,
+            de::field(value, "Scenario", "segments")?,
+        )
+        .map_err(|e| DeError::new(format!("Scenario: {e}")))
+    }
 }
 
 /// Default scenario length in seconds (20 minutes).
@@ -108,19 +121,14 @@ impl Scenario {
     #[must_use]
     pub fn attributes_at(&self, t: f64) -> SegmentAttributes {
         let mut elapsed = 0.0;
-        for segment in &self.segments {
-            elapsed += segment.duration_s;
-            if t < elapsed {
-                return segment.attributes;
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "try_from_segments rejects empty segment lists, so every constructed \
-                      Scenario has a last segment"
-        )]
-        let last = self.segments.last().expect("scenario has segments");
-        last.attributes
+        self.segments
+            .iter()
+            .find(|segment| {
+                elapsed += segment.duration_s;
+                t < elapsed
+            })
+            .or(self.segments.last())
+            .map_or_else(SegmentAttributes::default, |segment| segment.attributes)
     }
 
     /// Times (seconds from the start) at which attributes change, along with
@@ -454,6 +462,24 @@ mod tests {
         assert_eq!(Scenario::by_name("s4").unwrap().name(), "S4");
         assert_eq!(Scenario::by_name("ES2").unwrap().name(), "ES2");
         assert!(Scenario::by_name("S9").is_none());
+    }
+
+    #[test]
+    fn a_decoded_scenario_is_checked_like_a_built_one() {
+        let s3 = Scenario::s3();
+        assert_eq!(Scenario::from_value(&s3.to_value()), Ok(s3));
+        let scenario = |segments: Vec<Segment>| {
+            let segments = segments.iter().map(Serialize::to_value).collect();
+            let name = ("name".to_string(), Value::Str("x".into()));
+            Value::Object(vec![name, ("segments".to_string(), Value::Array(segments))])
+        };
+        let err = Scenario::from_value(&scenario(vec![])).unwrap_err();
+        assert!(err.to_string().contains("at least one segment"), "{err}");
+        let segment = |duration_s| Segment { attributes: SegmentAttributes::default(), duration_s };
+        let err = Scenario::from_value(&scenario(vec![segment(-60.0)])).unwrap_err();
+        assert!(err.to_string().contains("segment 0 has -60"), "{err}");
+        let one = Scenario::from_value(&scenario(vec![segment(60.0)])).unwrap();
+        assert_eq!(one.attributes_at(1e9), SegmentAttributes::default());
     }
 
     #[test]

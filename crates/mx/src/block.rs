@@ -1,14 +1,12 @@
 //! A single MX block: 16 values sharing one exponent and eight microexponents.
 
 use crate::kernel::{self, Format};
-use crate::{
-    MxError, MxPrecision, Result, RoundingMode, BLOCK_SIZE, SUBGROUP_COUNT, SUBGROUP_SIZE,
-};
+use crate::{MxError, MxPrecision, Result, BLOCK_SIZE, SUBGROUP_COUNT, SUBGROUP_SIZE};
 use serde::{Deserialize, Serialize};
 
 /// One MX-encoded block of [`BLOCK_SIZE`] values.
 ///
-/// The block stores per-element signs and truncated mantissas, one shared
+/// The block stores per-element signs and rounded mantissas, one shared
 /// 8-bit exponent, and one microexponent bit per [`SUBGROUP_SIZE`]-element
 /// subgroup. Values are recovered with [`MxBlock::decode`]; every decoded
 /// value is exactly representable in `f32`, so downstream FP32 accumulation
@@ -17,12 +15,12 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use dacapo_mx::{MxBlock, MxPrecision, RoundingMode};
+/// use dacapo_mx::{MxBlock, MxPrecision};
 ///
 /// # fn main() -> Result<(), dacapo_mx::MxError> {
 /// let values = [1.0f32, -2.5, 0.75, 0.0, 10.0, -0.125, 3.0, 4.0,
 ///               0.5, 0.25, -1.0, 2.0, -4.0, 8.0, -8.0, 1.5];
-/// let block = MxBlock::encode(&values, MxPrecision::Mx9, RoundingMode::Nearest)?;
+/// let block = MxBlock::encode(&values, MxPrecision::Mx9)?;
 /// let decoded = block.decode();
 /// for (orig, dec) in values.iter().zip(decoded.iter()) {
 ///     assert!((orig - dec).abs() <= 0.08 * 10.0); // bounded by block max * ulp
@@ -56,14 +54,14 @@ impl MxBlock {
     /// [`MxError::LengthMismatch`] if more than [`BLOCK_SIZE`] values are
     /// supplied, and [`MxError::NonFiniteInput`] if any value is NaN or
     /// infinite. Subnormal values are flushed to zero.
-    pub fn encode(values: &[f32], precision: MxPrecision, rounding: RoundingMode) -> Result<Self> {
+    pub fn encode(values: &[f32], precision: MxPrecision) -> Result<Self> {
         if values.is_empty() {
             return Err(MxError::EmptyInput);
         }
         if values.len() > BLOCK_SIZE {
             return Err(MxError::LengthMismatch { left: values.len(), right: BLOCK_SIZE });
         }
-        let format = Format::new(precision, rounding);
+        let format = Format::new(precision);
         // Padding lanes stay `+0.0`: exponent field zero, code zero.
         let mut bits = [0u32; BLOCK_SIZE];
         for (b, v) in bits.iter_mut().zip(values) {
@@ -183,11 +181,7 @@ pub(crate) mod oracle {
     /// IEEE-754 single-precision exponent bias.
     const F32_BIAS: i32 = 127;
 
-    pub(crate) fn encode(
-        values: &[f32],
-        precision: MxPrecision,
-        rounding: RoundingMode,
-    ) -> MxBlock {
+    pub(crate) fn encode(values: &[f32], precision: MxPrecision) -> MxBlock {
         assert!(!values.is_empty() && values.len() <= BLOCK_SIZE);
         assert!(values.iter().all(|v| v.is_finite()));
         let mut padded = [0.0f32; BLOCK_SIZE];
@@ -236,11 +230,7 @@ pub(crate) mod oracle {
             assert!(shift >= 0, "element exponent exceeds effective shared exponent");
             let scaled = significand / (1u64 << shift.min(62)) as f64;
             let steps = scaled * f64::from(1u32 << (mant_bits - 1));
-            let code = match rounding {
-                RoundingMode::Nearest => steps.round(),
-                RoundingMode::Truncate => steps.floor(),
-            };
-            mantissas[i] = code.clamp(0.0, f64::from(max_code)) as u16;
+            mantissas[i] = steps.round().clamp(0.0, f64::from(max_code)) as u16;
         }
         MxBlock { precision, shared_exp: shared as u8, micro, signs, mantissas, len: values.len() }
     }
@@ -258,14 +248,10 @@ pub(crate) mod oracle {
     }
 
     /// `encode` then `decode` of a slice of any length, block by block.
-    pub(crate) fn quantize(
-        values: &[f32],
-        precision: MxPrecision,
-        rounding: RoundingMode,
-    ) -> Vec<f32> {
+    pub(crate) fn quantize(values: &[f32], precision: MxPrecision) -> Vec<f32> {
         values
             .chunks(BLOCK_SIZE)
-            .flat_map(|chunk| decode(&encode(chunk, precision, rounding))[..chunk.len()].to_vec())
+            .flat_map(|chunk| decode(&encode(chunk, precision))[..chunk.len()].to_vec())
             .collect()
     }
 }
@@ -331,7 +317,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(values: &[f32], precision: MxPrecision) -> Vec<f32> {
-        MxBlock::encode(values, precision, RoundingMode::Nearest).unwrap().decode_valid()
+        MxBlock::encode(values, precision).unwrap().decode_valid()
     }
 
     #[test]
@@ -343,17 +329,14 @@ mod tests {
 
     #[test]
     fn empty_input_is_rejected() {
-        assert_eq!(
-            MxBlock::encode(&[], MxPrecision::Mx9, RoundingMode::Nearest),
-            Err(MxError::EmptyInput)
-        );
+        assert_eq!(MxBlock::encode(&[], MxPrecision::Mx9), Err(MxError::EmptyInput));
     }
 
     #[test]
     fn oversized_input_is_rejected() {
         let values = [1.0f32; 17];
         assert!(matches!(
-            MxBlock::encode(&values, MxPrecision::Mx9, RoundingMode::Nearest),
+            MxBlock::encode(&values, MxPrecision::Mx9),
             Err(MxError::LengthMismatch { left: 17, right: 16 })
         ));
     }
@@ -363,7 +346,7 @@ mod tests {
         let mut values = [1.0f32; 16];
         values[5] = f32::INFINITY;
         assert!(matches!(
-            MxBlock::encode(&values, MxPrecision::Mx6, RoundingMode::Nearest),
+            MxBlock::encode(&values, MxPrecision::Mx6),
             Err(MxError::NonFiniteInput { index: 5, .. })
         ));
     }
@@ -423,7 +406,7 @@ mod tests {
         values[1] = 32.0;
         values[2] = 1.0;
         values[3] = 0.5;
-        let block = MxBlock::encode(&values, MxPrecision::Mx6, RoundingMode::Nearest).unwrap();
+        let block = MxBlock::encode(&values, MxPrecision::Mx6).unwrap();
         let micro = block.microexponents();
         assert!(!micro[0], "subgroup containing the max must not set its microexponent");
         assert!(micro[1], "strictly smaller subgroup should set its microexponent");
@@ -467,7 +450,7 @@ mod tests {
     #[test]
     fn short_input_is_padded_and_length_preserved() {
         let values = [3.0f32, -1.5, 0.25];
-        let block = MxBlock::encode(&values, MxPrecision::Mx9, RoundingMode::Nearest).unwrap();
+        let block = MxBlock::encode(&values, MxPrecision::Mx9).unwrap();
         assert_eq!(block.len(), 3);
         assert!(!block.is_empty());
         assert_eq!(block.decode_valid().len(), 3);
@@ -475,21 +458,12 @@ mod tests {
     }
 
     #[test]
-    fn truncation_never_overestimates_magnitude() {
-        let values: Vec<f32> = (1..=16).map(|i| i as f32 * 0.77).collect();
-        let block = MxBlock::encode(&values, MxPrecision::Mx6, RoundingMode::Truncate).unwrap();
-        for (orig, dec) in values.iter().zip(block.decode().iter()) {
-            assert!(dec.abs() <= orig.abs() + 1e-6, "truncation increased |{orig}| to |{dec}|");
-        }
-    }
-
-    #[test]
     fn dot_product_matches_fp32_within_tolerance() {
         let a: Vec<f32> = (0..16).map(|i| (i as f32 - 8.0) * 0.3).collect();
         let b: Vec<f32> = (0..16).map(|i| ((i * 3 % 7) as f32) * 0.21).collect();
         let exact: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        let qa = MxBlock::encode(&a, MxPrecision::Mx9, RoundingMode::Nearest).unwrap();
-        let qb = MxBlock::encode(&b, MxPrecision::Mx9, RoundingMode::Nearest).unwrap();
+        let qa = MxBlock::encode(&a, MxPrecision::Mx9).unwrap();
+        let qb = MxBlock::encode(&b, MxPrecision::Mx9).unwrap();
         let approx = qa.dot(&qb).unwrap();
         assert!((exact - approx).abs() < 0.05 * exact.abs().max(1.0));
     }
@@ -497,8 +471,8 @@ mod tests {
     #[test]
     fn dot_product_rejects_mixed_precision() {
         let a = [1.0f32; 16];
-        let qa = MxBlock::encode(&a, MxPrecision::Mx4, RoundingMode::Nearest).unwrap();
-        let qb = MxBlock::encode(&a, MxPrecision::Mx9, RoundingMode::Nearest).unwrap();
+        let qa = MxBlock::encode(&a, MxPrecision::Mx4).unwrap();
+        let qb = MxBlock::encode(&a, MxPrecision::Mx9).unwrap();
         assert!(matches!(qa.dot(&qb), Err(MxError::PrecisionMismatch { .. })));
     }
 
@@ -518,8 +492,6 @@ mod tests {
         }
     }
 
-    const ROUNDINGS: [RoundingMode; 2] = [RoundingMode::Nearest, RoundingMode::Truncate];
-
     /// `2^(field − 127)` with the given fraction bits.
     fn float(field: u32, fraction: u32) -> f32 {
         f32::from_bits((field << 23) | fraction)
@@ -529,12 +501,10 @@ mod tests {
     /// the decoded bit patterns.
     fn assert_matches_oracle(values: &[f32]) {
         for precision in MxPrecision::ALL {
-            for rounding in ROUNDINGS {
-                let block = MxBlock::encode(values, precision, rounding).unwrap();
-                let expected = oracle::encode(values, precision, rounding);
-                assert_eq!(block, expected, "{precision} {rounding} {:x?}", bits(values));
-                assert_eq!(bits(&block.decode()), bits(&oracle::decode(&expected)));
-            }
+            let block = MxBlock::encode(values, precision).unwrap();
+            let expected = oracle::encode(values, precision);
+            assert_eq!(block, expected, "{precision} {:x?}", bits(values));
+            assert_eq!(bits(&block.decode()), bits(&oracle::decode(&expected)));
         }
     }
 
@@ -543,7 +513,7 @@ mod tests {
         let subnormal = f32::from_bits(0x0040_0001);
         for values in [[-0.0f32; 16], [-subnormal; 16], [0.0; 16]] {
             for precision in MxPrecision::ALL {
-                let block = MxBlock::encode(&values, precision, RoundingMode::Nearest).unwrap();
+                let block = MxBlock::encode(&values, precision).unwrap();
                 assert_eq!(block.shared_exponent(), 0);
                 assert_eq!(bits(&block.decode()), [0u32; 16]);
             }
@@ -569,7 +539,7 @@ mod tests {
         // exponent and the code saturates at 2^m − 1.
         let values = [float(127, 0x007F_FFFF); 16];
         for precision in MxPrecision::ALL {
-            let block = MxBlock::encode(&values, precision, RoundingMode::Nearest).unwrap();
+            let block = MxBlock::encode(&values, precision).unwrap();
             assert_eq!(block.shared_exponent(), 127);
             let step = precision.mantissa_ulp();
             assert_eq!(block.decode(), [2.0 - step; 16]);
@@ -585,10 +555,8 @@ mod tests {
             values[1] = -float(150 - gap, 0x007F_FFFF); // same subgroup as the maximum
             values[2] = -float(149 - gap, 0x007F_FFFF); // microexponent subgroup: eff = 149
             for precision in MxPrecision::ALL {
-                for rounding in ROUNDINGS {
-                    let decoded = MxBlock::encode(&values, precision, rounding).unwrap().decode();
-                    assert_eq!(bits(&decoded[1..3]), [0x8000_0000; 2], "gap {gap}");
-                }
+                let decoded = MxBlock::encode(&values, precision).unwrap().decode();
+                assert_eq!(bits(&decoded[1..3]), [0x8000_0000; 2], "gap {gap}");
             }
             assert_matches_oracle(&values);
         }

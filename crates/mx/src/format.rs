@@ -104,30 +104,6 @@ impl fmt::Display for MxPrecision {
     }
 }
 
-/// How mantissas are reduced from 23 bits to the target width.
-///
-/// The MX paper truncates; FAST-style designs use stochastic or
-/// round-to-nearest rounding. DaCapo's RTL truncates, but round-to-nearest is
-/// the better-behaved default for the software simulation, so both are
-/// offered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum RoundingMode {
-    /// Round to the nearest representable mantissa (ties away from zero).
-    #[default]
-    Nearest,
-    /// Drop the low-order mantissa bits (what the RTL prototype does).
-    Truncate,
-}
-
-impl fmt::Display for RoundingMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RoundingMode::Nearest => write!(f, "nearest"),
-            RoundingMode::Truncate => write!(f, "truncate"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,8 +141,6 @@ mod tests {
     #[test]
     fn display_is_stable() {
         assert_eq!(MxPrecision::Mx6.to_string(), "MX6");
-        assert_eq!(RoundingMode::Nearest.to_string(), "nearest");
-        assert_eq!(RoundingMode::Truncate.to_string(), "truncate");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! [crate docs](crate#the-integer-algorithm) for the algorithm and why it is
 //! exact.
 
-use crate::{MxPrecision, RoundingMode, BLOCK_SIZE, SUBGROUP_COUNT, SUBGROUP_SIZE};
+use crate::{MxPrecision, BLOCK_SIZE, SUBGROUP_COUNT, SUBGROUP_SIZE};
 
 /// Lanes the drivers below work on per pass: a whole number of blocks, small
 /// enough that the shared exponents gathered for them stay in registers or
@@ -40,24 +40,17 @@ const HIDDEN_ONE: u32 = 0x0080_0000;
 /// means the block holds a non-finite value.
 pub(crate) const NON_FINITE: u32 = 0xFF;
 
-/// The constants of one precision / rounding-mode pair.
+/// The constants of one precision.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Format {
     mant_bits: u32,
     max_code: u32,
-    /// `1` for round-to-nearest (adds half a step before the shift), `0` for
-    /// truncation.
-    round: u32,
 }
 
 impl Format {
-    pub(crate) fn new(precision: MxPrecision, rounding: RoundingMode) -> Self {
+    pub(crate) fn new(precision: MxPrecision) -> Self {
         let mant_bits = precision.mantissa_bits();
-        Self {
-            mant_bits,
-            max_code: (1 << mant_bits) - 1,
-            round: u32::from(rounding == RoundingMode::Nearest),
-        }
+        Self { mant_bits, max_code: (1 << mant_bits) - 1 }
     }
 }
 
@@ -84,7 +77,8 @@ pub(crate) fn effective(sub: u32, shared: u32) -> u32 {
 }
 
 /// Mantissa code: the 24-bit significand shifted down to the subgroup's
-/// effective exponent `eff`, rounded, and clamped to the mantissa width. A
+/// effective exponent `eff`, rounded to nearest (ties away from zero: half a
+/// step is added before the shift), and clamped to the mantissa width. A
 /// zero exponent field (zeros, flushed subnormals, padding) gives code `0`.
 #[inline(always)]
 pub(crate) fn code(bits: u32, eff: u32, format: Format) -> u32 {
@@ -93,7 +87,7 @@ pub(crate) fn code(bits: u32, eff: u32, format: Format) -> u32 {
     // `eff >= e` within a block, so this is at least `24 - mant_bits`; from
     // 25 up the code is zero whatever the shift.
     let shift = (24 + eff - e - format.mant_bits).min(31);
-    ((significand + (format.round << (shift - 1))) >> shift).min(format.max_code)
+    ((significand + (1 << (shift - 1))) >> shift).min(format.max_code)
 }
 
 /// `sign | code × 2^(eff − 127 − (mant_bits − 1))`. Exact: the code has at
@@ -124,11 +118,10 @@ pub(crate) fn sign(bits: u32, shared: u32) -> u32 {
 /// half a unit added and its low `shift` fraction bits cleared. A carry out
 /// of the fraction lands in the exponent field, which is the next power of
 /// two's bit pattern. At `shift = 24` (one unit is twice the lane's power of
-/// two) nearest rounding gives exactly one unit, `2^(e + 1 − 127)`: the same
-/// add-and-clear with the fraction as the whole mask. Truncation there, and
-/// either mode from `25` up, gives zero. The clamp is an integer `min`
-/// against the bits of `max_code` units, non-negative floats being ordered
-/// as their bit patterns are. A non-zero output keeps an exponent field of
+/// two) rounding to nearest gives exactly one unit, `2^(e + 1 − 127)`: the
+/// same add-and-clear with the fraction as the whole mask. From `25` up it
+/// gives zero. The clamp is an integer `min` against the bits of `max_code`
+/// units, non-negative floats being ordered as their bit patterns are. A non-zero output keeps an exponent field of
 /// at least the input's `e ≥ 1`, so it is never subnormal.
 #[inline(always)]
 fn requantize(bits: u32, eff: u32, shared: u32, format: Format) -> f32 {
@@ -136,10 +129,10 @@ fn requantize(bits: u32, eff: u32, shared: u32, format: Format) -> f32 {
     // `eff >= e` within a block, so at least `24 - mant_bits`; from 25 up
     // the lane is zeroed and the two clamps only keep the shifts in the word.
     let shift = 24 + eff - e - format.mant_bits;
-    let half = format.round << (shift - 1).min(31);
+    let half = 1 << (shift - 1).min(31);
     let rounded = ((bits & !SIGN) + half) & (u32::MAX << shift.min(23));
     let top = (eff << 23) | ((format.max_code >> 1) << (24 - format.mant_bits));
-    let kept = mask((shift < 24 + format.round) & (e != 0));
+    let kept = mask((shift < 25) & (e != 0));
     f32::from_bits(sign(bits, shared) | (rounded.min(top) & kept))
 }
 
@@ -238,33 +231,31 @@ mod tests {
     fn in_place_rounding_equals_the_decoded_code_and_is_never_subnormal() {
         let mut rng = Rng(0xDACA_0004);
         for precision in MxPrecision::ALL {
-            for rounding in [RoundingMode::Nearest, RoundingMode::Truncate] {
-                let format = Format::new(precision, rounding);
-                for gap in 0..=40 {
-                    // A lone fraction bit `below` places under the first bit
-                    // kept; none where that is the hidden bit or above it.
-                    let shift = 24 + gap - format.mant_bits;
-                    let lone = |below| 1u32.checked_shl(shift - below).unwrap_or(0) & FRACTION;
-                    let fractions = [0, 1, FRACTION, lone(1), lone(2), FRACTION ^ lone(1)];
-                    // Zeros and subnormals, the smallest normals, the
-                    // largest the gap leaves room for.
-                    let top = 254 - gap;
-                    for e in [0, 1, 2, top - 1, top] {
-                        for fraction in fractions {
-                            for negative in [0, SIGN] {
-                                let bits = negative | (e << 23) | fraction;
-                                for shared in [e + gap, e + gap + 1] {
-                                    assert_lane(bits, e + gap, shared, format);
-                                }
+            let format = Format::new(precision);
+            for gap in 0..=40 {
+                // A lone fraction bit `below` places under the first bit
+                // kept; none where that is the hidden bit or above it.
+                let shift = 24 + gap - format.mant_bits;
+                let lone = |below| 1u32.checked_shl(shift - below).unwrap_or(0) & FRACTION;
+                let fractions = [0, 1, FRACTION, lone(1), lone(2), FRACTION ^ lone(1)];
+                // Zeros and subnormals, the smallest normals, the largest
+                // the gap leaves room for.
+                let top = 254 - gap;
+                for e in [0, 1, 2, top - 1, top] {
+                    for fraction in fractions {
+                        for negative in [0, SIGN] {
+                            let bits = negative | (e << 23) | fraction;
+                            for shared in [e + gap, e + gap + 1] {
+                                assert_lane(bits, e + gap, shared, format);
                             }
                         }
                     }
-                    for _ in 0..2_000 {
-                        let e = rng.below(u64::from(top) + 1) as u32;
-                        let bits = (rng.next() as u32 & (SIGN | FRACTION)) | (e << 23);
-                        let shared = e + gap + rng.below(2) as u32;
-                        assert_lane(bits, e + gap, shared, format);
-                    }
+                }
+                for _ in 0..2_000 {
+                    let e = rng.below(u64::from(top) + 1) as u32;
+                    let bits = (rng.next() as u32 & (SIGN | FRACTION)) | (e << 23);
+                    let shared = e + gap + rng.below(2) as u32;
+                    assert_lane(bits, e + gap, shared, format);
                 }
             }
         }

@@ -40,9 +40,10 @@
 //! 2. **Codes**, which an [`MxBlock`] stores. The 24-bit significand
 //!    `mant24 = 1.fraction` (zero when `e == 0`) is cut down to `m` bits at
 //!    the subgroup's scale: `code = min((mant24 + half) >> s, 2^m − 1)` with
-//!    `s = 24 + eff − e − m`, where `half = 1 << (s − 1)` rounds to nearest
-//!    (ties away from zero) and `half = 0` truncates. `eff ≥ e` within a
-//!    block, so `s ≥ 24 − m ≥ 17`. From `s = 25` on the result is zero for any
+//!    `s = 24 + eff − e − m`, where `half = 1 << (s − 1)` rounds to nearest,
+//!    ties away from zero. (DaCapo's RTL truncates instead; round-to-nearest
+//!    is the one mode this software model has.) `eff ≥ e` within a block,
+//!    so `s ≥ 24 − m ≥ 17`. From `s = 25` on the result is zero for any
 //!    significand (`mant24 + half < 2^24 + 2^(s−1) ≤ 2^s`), so `s` may be
 //!    clamped at `31`: the clamp keeps the shift inside the word without
 //!    changing a single code. A carry out of the rounding (`1.11…1` rounding
@@ -69,8 +70,8 @@
 //!    * *`s = 24`*, one unit being twice the lane's power of two: to nearest,
 //!      `mant24 + 2^23` lies in `[2^24, 2^25)` and the code is `1` whatever
 //!      the fraction, i.e. `2^(e + 1 − 127)` again — the same add with the
-//!      whole fraction cleared, so the mask's shift stops at `23`.
-//!      Truncation there, and either mode from `s = 25`, give zero.
+//!      whole fraction cleared, so the mask's shift stops at `23`. From
+//!      `s = 25` on the value is zero.
 //!    * *The clamp is an integer `min`.* The saturated code `2^m − 1` at
 //!      `eff` is the float `1.1…1 × 2^(eff − 127)` with `m` ones, bits
 //!      `eff << 23 | (2^(m−1) − 1) << (24 − m)`. Non-negative floats are
@@ -116,15 +117,13 @@
 
 mod block;
 mod error;
-mod error_analysis;
 mod format;
 mod kernel;
 mod vector;
 
 pub use block::MxBlock;
 pub use error::MxError;
-pub use error_analysis::{quantization_error, QuantError};
-pub use format::{MxPrecision, RoundingMode, BLOCK_SIZE, SUBGROUP_COUNT, SUBGROUP_SIZE};
+pub use format::{MxPrecision, BLOCK_SIZE, SUBGROUP_COUNT, SUBGROUP_SIZE};
 pub use vector::MxVector;
 
 /// Result alias used throughout this crate.

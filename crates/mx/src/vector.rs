@@ -1,7 +1,7 @@
 //! Block-wise MX encoding of arbitrary-length vectors.
 
 use crate::kernel::{self, Format};
-use crate::{MxBlock, MxError, MxPrecision, Result, RoundingMode, BLOCK_SIZE};
+use crate::{MxBlock, MxError, MxPrecision, Result, BLOCK_SIZE};
 use serde::{Deserialize, Serialize};
 
 /// An arbitrary-length vector encoded block-by-block in MX format.
@@ -38,28 +38,15 @@ impl MxVector {
     /// # Errors
     ///
     /// Returns [`MxError::EmptyInput`] for an empty slice and
-    /// [`MxError::NonFiniteInput`] if any value is NaN or infinite.
+    /// [`MxError::NonFiniteInput`] if any value is NaN or infinite; the
+    /// index it reports refers to the position in `values`.
     pub fn encode(values: &[f32], precision: MxPrecision) -> Result<Self> {
-        Self::encode_with(values, precision, RoundingMode::Nearest)
-    }
-
-    /// Encodes a slice of `f32` values with an explicit [`RoundingMode`].
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`MxVector::encode`]. The index reported by a
-    /// [`MxError::NonFiniteInput`] refers to the position in `values`.
-    pub fn encode_with(
-        values: &[f32],
-        precision: MxPrecision,
-        rounding: RoundingMode,
-    ) -> Result<Self> {
         if values.is_empty() {
             return Err(MxError::EmptyInput);
         }
         let mut blocks = Vec::with_capacity(values.len().div_ceil(BLOCK_SIZE));
         for (block_idx, chunk) in values.chunks(BLOCK_SIZE).enumerate() {
-            let block = MxBlock::encode(chunk, precision, rounding).map_err(|e| match e {
+            let block = MxBlock::encode(chunk, precision).map_err(|e| match e {
                 MxError::NonFiniteInput { index, value } => {
                     MxError::NonFiniteInput { index: block_idx * BLOCK_SIZE + index, value }
                 }
@@ -100,7 +87,7 @@ impl MxVector {
         if out.len() != values.len() {
             return Err(MxError::LengthMismatch { left: values.len(), right: out.len() });
         }
-        let format = Format::new(precision, RoundingMode::Nearest);
+        let format = Format::new(precision);
         let (whole, tail) = values.split_at(values.len() - values.len() % BLOCK_SIZE);
         let (out_whole, out_tail) = out.split_at_mut(whole.len());
         for (run, (chunk, out_chunk)) in
@@ -152,7 +139,7 @@ impl MxVector {
         if cols.is_multiple_of(BLOCK_SIZE) {
             return Self::quantize_into(values, precision, out);
         }
-        let format = Format::new(precision, RoundingMode::Nearest);
+        let format = Format::new(precision);
         const RUN: usize = kernel::CHUNK / BLOCK_SIZE;
         let (mut staged, mut quantised) = ([[0.0; BLOCK_SIZE]; RUN], [[0.0; BLOCK_SIZE]; RUN]);
         // The run's blocks as `(start, len)` in `values`, and where the next
@@ -215,7 +202,7 @@ impl MxVector {
         out: &mut [f32],
     ) -> Result<()> {
         check_matrix(values, cols, out)?;
-        let format = Format::new(precision, RoundingMode::Nearest);
+        let format = Format::new(precision);
         // Only the last group can be ragged: every other one is CHUNK wide.
         // Its stage is zeroed once; each row block rewrites the same real
         // lanes, so the padding stays zero.
@@ -485,22 +472,16 @@ mod tests {
                 for _ in 0..8 {
                     let data = hostile::values(&mut rng, mix, len);
                     for precision in MxPrecision::ALL {
-                        for rounding in [RoundingMode::Nearest, RoundingMode::Truncate] {
-                            let encoded =
-                                MxVector::encode_with(&data, precision, rounding).unwrap();
-                            let expected: Vec<MxBlock> = data
-                                .chunks(BLOCK_SIZE)
-                                .map(|chunk| oracle::encode(chunk, precision, rounding))
-                                .collect();
-                            assert_eq!(encoded.blocks, expected);
-                            assert_eq!(
-                                bits(&encoded.decode()),
-                                bits(&oracle::quantize(&data, precision, rounding))
-                            );
-                        }
+                        let encoded = MxVector::encode(&data, precision).unwrap();
+                        let expected: Vec<MxBlock> = data
+                            .chunks(BLOCK_SIZE)
+                            .map(|chunk| oracle::encode(chunk, precision))
+                            .collect();
+                        assert_eq!(encoded.blocks, expected);
+                        let expected = oracle::quantize(&data, precision);
+                        assert_eq!(bits(&encoded.decode()), bits(&expected));
                         let mut out = vec![f32::NAN; len];
                         MxVector::quantize_into(&data, precision, &mut out).unwrap();
-                        let expected = oracle::quantize(&data, precision, RoundingMode::Nearest);
                         assert_eq!(bits(&out), bits(&expected), "{precision} {:x?}", bits(&data));
                     }
                 }
@@ -524,7 +505,7 @@ mod tests {
                     for j in 0..cols {
                         let column: Vec<f32> = (0..rows).map(|r| data[r * cols + j]).collect();
                         let got: Vec<f32> = (0..rows).map(|r| out[r * cols + j]).collect();
-                        let expected = oracle::quantize(&column, precision, RoundingMode::Nearest);
+                        let expected = oracle::quantize(&column, precision);
                         assert_eq!(bits(&got), bits(&expected), "{rows}x{cols} column {j}");
                         MxVector::quantize_into(&column, precision, &mut gathered).unwrap();
                         assert_eq!(bits(&got), bits(&gathered), "{rows}x{cols} column {j}");

@@ -1,6 +1,6 @@
 //! Property-based tests for the MX block floating point implementation.
 
-use dacapo_mx::{MxBlock, MxPrecision, MxVector, RoundingMode, BLOCK_SIZE};
+use dacapo_mx::{MxBlock, MxPrecision, MxVector, BLOCK_SIZE};
 use proptest::prelude::*;
 
 /// Finite, reasonably scaled f32 values (avoids overflow in dot products and
@@ -30,7 +30,7 @@ proptest! {
         values in prop::collection::vec(bounded_f32(), 1..=BLOCK_SIZE),
         precision in any_precision(),
     ) {
-        let block = MxBlock::encode(&values, precision, RoundingMode::Nearest).unwrap();
+        let block = MxBlock::encode(&values, precision).unwrap();
         let decoded = block.decode_valid();
         let block_max = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let bound = block_max * precision.mantissa_ulp() + 1e-30;
@@ -59,22 +59,10 @@ proptest! {
         values in prop::collection::vec(bounded_f32(), 1..=BLOCK_SIZE),
         precision in any_precision(),
     ) {
-        let block = MxBlock::encode(&values, precision, RoundingMode::Nearest).unwrap();
+        let block = MxBlock::encode(&values, precision).unwrap();
         let block_max = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         for dec in block.decode_valid() {
             prop_assert!(dec.abs() <= block_max * (1.0 + precision.mantissa_ulp()) + 1e-30);
-        }
-    }
-
-    /// Truncation rounding never increases a value's magnitude.
-    #[test]
-    fn truncation_never_amplifies(
-        values in prop::collection::vec(bounded_f32(), 1..=BLOCK_SIZE),
-        precision in any_precision(),
-    ) {
-        let block = MxBlock::encode(&values, precision, RoundingMode::Truncate).unwrap();
-        for (orig, dec) in values.iter().zip(block.decode_valid().iter()) {
-            prop_assert!(dec.abs() <= orig.abs() * (1.0 + 1e-6) + 1e-30);
         }
     }
 

@@ -46,9 +46,9 @@ examples:
     cargo run --release --example drift_recovery
     cargo run --release --example accelerator_sizing
 
-# The kernel crates' tests in the release profile: `just test` runs them
-# unoptimised, where the GEMM register tile, the MX conversion kernel and the
-# frame-noise kernel are scalar; this compares the vectorised
+# The kernel crates' tests in the release profile: `just test` runs them at
+# the test profile's opt-level 1, which does not vectorise loops, so the GEMM
+# register tile, the MX conversion kernel and the frame-noise kernel are scalar; this compares the vectorised
 # fused-multiply-add tile, conversion loops and Box–Muller lanes production
 # runs with their references.
 test-kernels:

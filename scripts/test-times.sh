@@ -4,8 +4,8 @@
 #   scripts/test-times.sh <cargo test target args>
 #
 # e.g. `scripts/test-times.sh -p dacapo-core --lib` or
-# `scripts/test-times.sh --test integration_cluster` (debug profile, as the
-# tier-1 `cargo test` runs it; add `--release` for the release one). The
+# `scripts/test-times.sh --test integration_cluster` (test profile, opt-level
+# 1 with debug assertions, as the tier-1 `cargo test` runs it; add `--release` for the release one). The
 # arguments must select one test binary. Builds it once, lists its tests
 # (`--list --format terse`), runs each by exact name on one thread from the
 # package's directory (where `cargo test` runs it), and prints seconds and
