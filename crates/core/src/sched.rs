@@ -736,47 +736,58 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fixed_windows_profile_label_retrain_then_idle_in_every_window() {
-        // The two fixed-window baselines differ only in window length and
-        // in the profiling wait that opens each of Ekya's windows.
+    /// Drives a fixed-window baseline through three windows of (profile,)
+    /// label, retrain, idle, then checks that a buffer short of one
+    /// mini-batch idles out the window instead. The two fixed-window
+    /// baselines differ only in window length and in the profiling wait
+    /// that opens each of Ekya's windows.
+    fn assert_fixed_window_cycle(
+        kind: SchedulerKind,
+        window_s: f64,
+        profile_fraction: Option<f64>,
+    ) {
         let hyper = Hyperparams::default();
         let label = Action::Label { samples: hyper.label_samples, reset_buffer: false };
         let retrain = Action::Retrain { samples: hyper.retrain_samples, epochs: hyper.epochs };
-        let policies = [
-            (SchedulerKind::DaCapoSpatial, hyper.window_seconds, None),
-            (SchedulerKind::Ekya, 2.0 * hyper.window_seconds, Some(0.15)),
-        ];
-        for (kind, window_s, profile_fraction) in policies {
-            let mut sched = kind.create(&hyper);
-            for window in 0..3 {
-                let start = window as f64 * window_s;
-                let mut expected: Vec<(f64, Action)> = Vec::new();
-                if let Some(fraction) = profile_fraction {
-                    expected.push((start, Action::Wait { seconds: window_s * fraction }));
-                }
-                expected.extend([
-                    (start + 10.0, label),
-                    (start + 15.0, retrain),
-                    (start + 20.0, Action::Wait { seconds: window_s - 20.0 }),
-                    (start + 30.0, Action::Wait { seconds: window_s - 30.0 }),
-                ]);
-                for (now, action) in expected {
-                    assert_eq!(sched.next_action(&ctx(now, 400, None, None)), action, "{kind}");
-                }
+        let mut sched = kind.create(&hyper);
+        for window in 0..3 {
+            let start = window as f64 * window_s;
+            let mut expected: Vec<(f64, Action)> = Vec::new();
+            if let Some(fraction) = profile_fraction {
+                expected.push((start, Action::Wait { seconds: window_s * fraction }));
             }
-            // A buffer short of one mini-batch idles out the window instead.
-            let mut sched = kind.create(&hyper);
-            let profiles = usize::from(profile_fraction.is_some());
-            for _ in 0..=profiles {
-                let _ = sched.next_action(&ctx(0.0, 0, None, None));
+            expected.extend([
+                (start + 10.0, label),
+                (start + 15.0, retrain),
+                (start + 20.0, Action::Wait { seconds: window_s - 20.0 }),
+                (start + 30.0, Action::Wait { seconds: window_s - 30.0 }),
+            ]);
+            for (now, action) in expected {
+                assert_eq!(sched.next_action(&ctx(now, 400, None, None)), action, "{kind}");
             }
-            assert_eq!(
-                sched.next_action(&ctx(5.0, hyper.batch_size - 1, None, None)),
-                Action::Wait { seconds: window_s - 5.0 },
-                "{kind}"
-            );
         }
+        let mut sched = kind.create(&hyper);
+        let profiles = usize::from(profile_fraction.is_some());
+        for _ in 0..=profiles {
+            let _ = sched.next_action(&ctx(0.0, 0, None, None));
+        }
+        assert_eq!(
+            sched.next_action(&ctx(5.0, hyper.batch_size - 1, None, None)),
+            Action::Wait { seconds: window_s - 5.0 },
+            "{kind}"
+        );
+    }
+
+    #[test]
+    fn spatial_only_cycles_label_retrain_idle_per_window() {
+        let hyper = Hyperparams::default();
+        assert_fixed_window_cycle(SchedulerKind::DaCapoSpatial, hyper.window_seconds, None);
+    }
+
+    #[test]
+    fn ekya_spends_time_profiling_before_retraining() {
+        let hyper = Hyperparams::default();
+        assert_fixed_window_cycle(SchedulerKind::Ekya, 2.0 * hyper.window_seconds, Some(0.15));
     }
 
     #[test]
