@@ -343,10 +343,8 @@ impl<'a> AccelLoop<'a> {
                     // result now and drop the session so finished cameras
                     // never accumulate live model state.
                     let at = slot.now_s;
-                    if let Some(accum) = session.edge_accum() {
-                        self.outcome.edge.merge(&accum);
-                    }
-                    self.outcome.results.push((camera_index, session.into_result()));
+                    let result = session.into_result_with_edge(&mut self.outcome.edge);
+                    self.outcome.results.push((camera_index, result));
                     self.active.retain(|&slot| slot != due.slot);
                     self.outcome.makespan_s = self.outcome.makespan_s.max(at);
                     self.start_next_pending(at)?;

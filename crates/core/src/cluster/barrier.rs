@@ -97,23 +97,18 @@ impl AccelLoop<'_> {
         });
         if let Some((position, session)) = live {
             self.active.remove(position);
-            if let Some(accum) = session.edge_accum() {
-                self.outcome.edge.merge(&accum);
-            }
+            let result = session.into_result_with_edge(&mut self.outcome.edge);
             // The departure happens at the barrier; the freed capacity goes
             // to the next queued camera from the same moment.
             self.outcome.makespan_s = self.outcome.makespan_s.max(boundary_s);
             self.start_next_pending(boundary_s)?;
-            return Ok(LeaveOutcome::Departed(session.into_result()));
+            return Ok(LeaveOutcome::Departed(result));
         }
         let queued = self.pending.iter().position(|entry| entry.camera_index == camera_index);
         if let Some(entry) = queued.and_then(|position| self.pending.remove(position)) {
-            return Ok(LeaveOutcome::Dequeued(entry.session.map(|session| {
-                if let Some(accum) = session.edge_accum() {
-                    self.outcome.edge.merge(&accum);
-                }
-                session.into_result()
-            })));
+            let edge = &mut self.outcome.edge;
+            let result = entry.session.map(|session| session.into_result_with_edge(edge));
+            return Ok(LeaveOutcome::Dequeued(result));
         }
         Ok(LeaveOutcome::NotHere)
     }
@@ -437,10 +432,8 @@ impl<'b, 'a, 'o> Barrier<'b, 'a, 'o> {
         let Some(target) = target.filter(|_| accepted) else {
             churn.metrics.orphaned_cameras += 1;
             if let Some(session) = entry.session {
-                if let Some(accum) = session.edge_accum() {
-                    churn.edge.merge(&accum);
-                }
-                churn.extra_results.push((entry.camera_index, session.into_result()));
+                let result = session.into_result_with_edge(&mut churn.edge);
+                churn.extra_results.push((entry.camera_index, result));
             }
             return Ok(None);
         };

@@ -683,7 +683,15 @@ impl Cluster {
             plan::resolve(&self.churn, &self.cameras, self.accelerators, self.share_window_s)?;
         if self.admission == AdmissionPolicy::Reject {
             if let Some(capacity) = self.capacity {
-                let bound = self.accelerators * capacity;
+                let bound = self.accelerators.checked_mul(capacity).ok_or_else(|| {
+                    CoreError::InvalidConfig {
+                        reason: format!(
+                            "capacity_per_accelerator {capacity} on {} accelerators overflows \
+                             the cluster's session bound",
+                            self.accelerators
+                        ),
+                    }
+                })?;
                 if self.cameras.len() > bound {
                     let (camera, _) = &self.cameras[bound];
                     return Err(CoreError::AdmissionRejected {
@@ -1059,6 +1067,17 @@ mod tests {
             other => panic!("expected AdmissionRejected, got {other:?}"),
         }
         assert!(err.to_string().contains("adaptive"), "{err}");
+        // A bound past `usize::MAX` is a configuration error, not a wrap.
+        let overflowing = two_camera_cluster(2)
+            .capacity_per_accelerator(usize::MAX)
+            .admission(AdmissionPolicy::Reject)
+            .run();
+        match overflowing {
+            Err(CoreError::InvalidConfig { reason }) => {
+                assert!(reason.contains("capacity_per_accelerator"), "{reason}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

@@ -119,10 +119,12 @@ impl Hyperparams {
                 ),
             });
         }
-        if self.buffer_capacity < self.retrain_samples + self.validation_samples {
+        // A sum past `usize::MAX` is a draw no buffer can supply.
+        let short = |needs: Option<usize>| needs.is_none_or(|n| self.buffer_capacity < n);
+        if short(self.retrain_samples.checked_add(self.validation_samples)) {
             return Err(CoreError::InvalidConfig {
                 reason: format!(
-                    "buffer capacity {} cannot supply {} retraining + {} validation samples",
+                    "buffer_capacity {} cannot supply retrain_samples {} + validation_samples {}",
                     self.buffer_capacity, self.retrain_samples, self.validation_samples
                 ),
             });
@@ -130,12 +132,21 @@ impl Hyperparams {
         // Algorithm 1 labels until the buffer holds a validation set and one
         // mini-batch, and the windowed baselines retrain only once it holds
         // a mini-batch: a buffer too small for both never retrains.
-        if self.buffer_capacity < self.batch_size + self.validation_samples {
+        if short(self.batch_size.checked_add(self.validation_samples)) {
             return Err(CoreError::InvalidConfig {
                 reason: format!(
                     "buffer_capacity {} cannot hold batch_size {} + validation_samples {}, \
                      so the first retraining would never start",
                     self.buffer_capacity, self.batch_size, self.validation_samples
+                ),
+            });
+        }
+        if self.label_samples.checked_mul(self.drift_label_multiplier).is_none() {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "label_samples {} × drift_label_multiplier {} overflows the drift labeling \
+                     quota",
+                    self.label_samples, self.drift_label_multiplier
                 ),
             });
         }
@@ -409,6 +420,11 @@ mod tests {
         assert_eq!(hp.drift_label_samples(), 4 * hp.label_samples);
         // N_v is one third of N_t.
         assert_eq!(hp.validation_samples, hp.retrain_samples / 3);
+        // A drift quota past `usize::MAX` is rejected before a drift can
+        // compute it.
+        let hp = Hyperparams { label_samples: usize::MAX / 2, ..Hyperparams::default() };
+        let reason = invalid_reason(hp.validate());
+        assert!(reason.contains("drift_label_multiplier"), "{reason}");
     }
 
     #[test]
@@ -419,6 +435,15 @@ mod tests {
         assert!(hp.validate().is_err());
         let hp = Hyperparams { buffer_capacity: 10, ..Hyperparams::default() };
         assert!(hp.validate().is_err());
+        // Counts whose sum passes `usize::MAX` are rejected, not wrapped.
+        let hp = Hyperparams {
+            retrain_samples: usize::MAX,
+            validation_samples: 42,
+            buffer_capacity: usize::MAX,
+            ..Hyperparams::default()
+        };
+        let reason = invalid_reason(hp.validate());
+        assert!(reason.contains("retrain_samples"), "{reason}");
         let hp = Hyperparams { window_seconds: 0.0, ..Hyperparams::default() };
         assert!(hp.validate().is_err());
         let hp = Hyperparams { learning_rate: -1.0, ..Hyperparams::default() };
@@ -477,6 +502,9 @@ mod tests {
         }
         // A buffer exactly that large is enough.
         assert!(build(512 - 42).is_ok());
+        // A sum past `usize::MAX` is rejected, not wrapped.
+        let reason = invalid_reason(build(usize::MAX).map(|_| ()));
+        assert!(reason.contains("batch_size"), "{reason}");
     }
 
     #[test]

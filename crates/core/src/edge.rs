@@ -635,18 +635,6 @@ impl EdgeTierState {
         self.labels_local += n as u64;
     }
 
-    /// This camera's contribution to the cluster's [`EdgeMetrics`].
-    pub(crate) fn accum(&self) -> EdgeAccum {
-        EdgeAccum {
-            bytes_shipped: self.bytes_shipped,
-            frames_shipped: self.frames_shipped,
-            frames_filtered: self.frames_filtered,
-            labels_local: self.labels_local,
-            labels_cloud: self.labels_cloud,
-            latencies_s: self.cloud_latencies_s.clone(),
-        }
-    }
-
     /// Rejects state a session cannot run: a non-finite uplink clock or
     /// in-flight arrival time would poison label delivery.
     pub(crate) fn validate(&self) -> Result<()> {
@@ -753,6 +741,17 @@ impl EdgeAccum {
         self.labels_local += other.labels_local;
         self.labels_cloud += other.labels_cloud;
         self.latencies_s.extend_from_slice(&other.latencies_s);
+    }
+
+    /// Folds one camera's tier counters into this accumulator: its
+    /// contribution to the cluster's [`EdgeMetrics`].
+    pub(crate) fn add_tier(&mut self, tier: &EdgeTierState) {
+        self.bytes_shipped += tier.bytes_shipped;
+        self.frames_shipped += tier.frames_shipped;
+        self.frames_filtered += tier.frames_filtered;
+        self.labels_local += tier.labels_local;
+        self.labels_cloud += tier.labels_cloud;
+        self.latencies_s.extend_from_slice(&tier.cloud_latencies_s);
     }
 }
 

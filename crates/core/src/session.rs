@@ -766,14 +766,9 @@ impl Session {
         self.state.edge.as_ref().is_some_and(|tier| tier.last_phase_offloaded)
     }
 
-    /// This session's edge-tier counters, for cluster-level aggregation.
-    pub(crate) fn edge_accum(&self) -> Option<EdgeAccum> {
-        self.state.edge.as_ref().map(EdgeTierState::accum)
-    }
-
     /// This session's `(labels_local, labels_cloud)` counters, zero without
-    /// an edge tier. Unlike `edge_accum`, it copies none of the tier's
-    /// cloud latencies, which grow with every cloud label.
+    /// an edge tier. It copies none of the tier's cloud latencies, which
+    /// grow with every cloud label.
     pub(crate) fn label_counts(&self) -> (u64, u64) {
         self.state.edge.as_ref().map_or((0, 0), |tier| (tier.labels_local, tier.labels_cloud))
     }
@@ -1025,6 +1020,16 @@ impl Session {
                 return Ok(events);
             }
         }
+    }
+
+    /// Consumes a session that leaves the cluster executor — finished,
+    /// departed, dequeued or orphaned: folds its edge-tier counters into
+    /// the cluster's `edge` and returns its result.
+    pub(crate) fn into_result_with_edge(self, edge: &mut EdgeAccum) -> SimResult {
+        if let Some(tier) = &self.state.edge {
+            edge.add_tier(tier);
+        }
+        self.into_result()
     }
 
     /// Consumes the session and returns the metrics collected so far.
@@ -1326,6 +1331,17 @@ mod tests {
     use crate::sim::test_support::{short_config, short_scenario};
     use crate::ClSimulator;
     use dacapo_dnn::{Activation, Dense, Mlp, MlpConfig};
+
+    impl Session {
+        /// This session's edge-tier counters.
+        fn edge_accum(&self) -> Option<EdgeAccum> {
+            self.state.edge.as_ref().map(|tier| {
+                let mut accum = EdgeAccum::default();
+                accum.add_tier(tier);
+                accum
+            })
+        }
+    }
 
     #[test]
     fn stepped_session_matches_one_shot_run_exactly() {

@@ -89,12 +89,15 @@ impl SimResult {
         let mut window_end = window_s;
         let mut acc = Vec::new();
         for &(t, a) in &self.accuracy_timeline {
-            while t >= window_end {
+            if t >= window_end {
                 if !acc.is_empty() {
                     out.push((window_end, acc.iter().sum::<f64>() / acc.len() as f64));
                     acc.clear();
                 }
-                window_end += window_s;
+                // Straight to the window holding `t`, past any empty ones;
+                // its end lies beyond `t` even where `window_s` is below
+                // `t`'s precision.
+                window_end = (t - t.rem_euclid(window_s) + window_s).max(t.next_up());
             }
             acc.push(a);
         }
@@ -373,6 +376,13 @@ mod tests {
         assert!(result.windowed_accuracy(f64::INFINITY).is_empty());
         // A sane window still works on the same result.
         assert_eq!(result.windowed_accuracy(10.0).len(), 1);
+        // A window far shorter than the gap between samples holds one
+        // sample each, and is found without walking the empty ones.
+        for window_s in [1e-9, f64::MIN_POSITIVE] {
+            let windows = result.windowed_accuracy(window_s);
+            assert_eq!(windows.iter().map(|w| w.1).collect::<Vec<_>>(), [0.5, 0.7]);
+            assert!(windows[0].0 > 0.0 && windows[1].0 > 5.0, "{windows:?}");
+        }
     }
 
     #[test]

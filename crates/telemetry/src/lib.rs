@@ -9,10 +9,14 @@
 //!    Load the file in Perfetto or `chrome://tracing`. Because observed runs
 //!    execute single-threaded and all recorder state is ordered, the trace
 //!    bytes are identical whatever `threads(..)` setting the cluster uses.
-//! 2. **A deterministic metrics pipeline.** Windowed counters and gauges,
-//!    sampled into per-window JSON-Lines [`MetricsRecord`]s: accuracy,
-//!    buffer freshness, labels produced locally / in the cloud / via
-//!    sharing, queue depth, and per-accelerator utilization.
+//! 2. **A deterministic metrics pipeline.** Per-window JSON-Lines
+//!    [`MetricsRecord`]s: accuracy, buffer freshness, labels produced
+//!    locally / in the cloud / via sharing, queue depth, and per-accelerator
+//!    utilization. The recorder keeps each camera's totals and latest
+//!    accuracy in that camera's track, and the cluster's counters under
+//!    the static names its hooks count by; a `"cluster"` record lists the
+//!    counters that moved in its window, then every camera's accuracy, each
+//!    in name order.
 //! 3. **Host-time profiling** is not in this crate, where wall clocks are a
 //!    clippy error (`clippy.toml`'s `disallowed-types`): the frozen
 //!    benchmark under `benchmark/` times runs from outside and reports the

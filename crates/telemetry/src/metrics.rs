@@ -1,14 +1,12 @@
-//! The deterministic metrics pipeline: counters, gauges, and the per-window
-//! JSON-Lines record they are sampled into.
+//! The per-window JSON-Lines record of the metrics pipeline and its field
+//! values.
 //!
-//! Everything here is ordered — registries store series in [`BTreeMap`]s and
-//! records carry their fields as ordered slices — so a metrics
-//! timeseries is bit-identical across runs and worker-thread counts.
-//! Sampling happens single-threaded at the cluster's window marks and
-//! barriers (see the crate docs for the exact hook order), never from
-//! worker threads.
+//! A record carries its fields as an ordered slice and renders them in that
+//! order, floats in shortest round-trip form, so a metrics timeseries is
+//! bit-identical across runs and worker-thread counts. The recorder fills
+//! records single-threaded at the cluster's window marks and barriers (see
+//! the crate docs for the exact hook order), never from worker threads.
 
-use std::collections::BTreeMap;
 use std::io::{self, Write};
 
 /// One metric field value. Floats are serialized with Rust's shortest
@@ -143,75 +141,6 @@ impl MetricsRecord<'_> {
     }
 }
 
-/// The deterministic metrics registry: named counters and gauges, sampled
-/// into `"cluster"` [`MetricsRecord`]s at window barriers and at the end of a
-/// run. A name's key is allocated the first time it is used, never again.
-///
-/// Counters are **windowed**: [`MetricsRegistry::take_window`] drains the
-/// per-window increments. Gauges report their latest value.
-#[derive(Debug, Default)]
-pub(crate) struct MetricsRegistry {
-    /// Each counter's increments since the last window.
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    /// Whether a gauge was set since the last [`MetricsRegistry::take_window`].
-    gauges_set: bool,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to the named counter.
-    pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
-        if delta == 0 {
-            return;
-        }
-        match self.counters.get_mut(name) {
-            Some(counter) => *counter += delta,
-            None => {
-                self.counters.insert(name.to_string(), delta);
-            }
-        }
-    }
-
-    /// Sets the named gauge to its latest value.
-    pub(crate) fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges_set = true;
-        match self.gauges.get_mut(name) {
-            Some(gauge) => *gauge = value,
-            None => {
-                self.gauges.insert(name.to_string(), value);
-            }
-        }
-    }
-
-    /// Drains the window's counter increments and samples every gauge: the
-    /// fields of the `"cluster"` record for the window that just closed,
-    /// the counters incremented in it and then every gauge, each in name
-    /// order. Returns `None` when no counter was incremented and no gauge
-    /// set since the last take (skipped empty windows produce no line).
-    pub(crate) fn take_window(&mut self) -> Option<Vec<(&str, FieldValue<'static>)>> {
-        let gauges_set = std::mem::take(&mut self.gauges_set);
-        if !gauges_set && self.counters.values().all(|&counter| counter == 0) {
-            return None;
-        }
-        let mut fields = Vec::with_capacity(self.counters.len() + self.gauges.len());
-        for (name, counter) in &mut self.counters {
-            if *counter > 0 {
-                fields.push((name.as_str(), FieldValue::Uint(std::mem::take(counter))));
-            }
-        }
-        for (name, value) in &self.gauges {
-            fields.push((name.as_str(), FieldValue::Float(*value)));
-        }
-        Some(fields)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,44 +177,5 @@ mod tests {
         let text = FieldValue::Text("é\"\\\n\r\t\u{1}\u{1f}x→").to_json();
         assert_eq!(text, "\"é\\\"\\\\\\n\\r\\t\\u0001\\u001fx→\"");
         assert_eq!(FieldValue::Text("").to_json(), "\"\"");
-    }
-
-    #[test]
-    fn take_window_drains_counters_but_keeps_gauges() {
-        let mut registry = MetricsRegistry::new();
-        registry.counter_add("steps", 5);
-        registry.gauge_set("accuracy", 0.9);
-        let fields = registry.take_window().expect("first window has data");
-        assert_eq!(fields, [("steps", FieldValue::Uint(5)), ("accuracy", FieldValue::Float(0.9))]);
-        // The next window starts from zero, but the gauge persists.
-        registry.gauge_set("accuracy", 0.8);
-        let fields = registry.take_window().expect("a set gauge is a change");
-        assert_eq!(fields, [("accuracy", FieldValue::Float(0.8))]);
-        registry.counter_add("steps", 2);
-        let fields = registry.take_window().expect("a counted window");
-        assert_eq!(fields, [("steps", FieldValue::Uint(2)), ("accuracy", FieldValue::Float(0.8))]);
-    }
-
-    #[test]
-    fn a_window_in_which_nothing_changed_produces_no_record() {
-        let mut registry = MetricsRegistry::new();
-        registry.counter_add("steps", 1);
-        registry.gauge_set("accuracy", 0.9);
-        assert!(registry.take_window().is_some());
-        // The gauge still has a value, but nobody set it since the take.
-        assert!(registry.take_window().is_none());
-        assert!(registry.take_window().is_none());
-        registry.gauge_set("accuracy", 0.9);
-        assert_eq!(registry.take_window(), Some(vec![("accuracy", FieldValue::Float(0.9))]));
-    }
-
-    #[test]
-    fn empty_windows_produce_no_record() {
-        let mut registry = MetricsRegistry::new();
-        assert!(registry.take_window().is_none());
-        // A drained counter keeps its key, but not a place in the record.
-        registry.counter_add("steps", 1);
-        assert!(registry.take_window().is_some());
-        assert!(registry.take_window().is_none());
     }
 }

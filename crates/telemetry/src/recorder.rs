@@ -4,25 +4,40 @@
 //!
 //! The recorder is deterministic by construction: observed runs execute
 //! single-threaded, every hook fires in a fixed order (see the crate docs
-//! for the window sampling contract), and all aggregation state lives in
-//! ordered collections — so the bytes a sink receives are identical across
+//! for the window sampling contract), and every record lists its fields in
+//! a fixed order — so the bytes a sink receives are identical across
 //! worker-thread counts. With only the reserved `null` sink configured the
 //! recorder does **no** work at all: every hook returns immediately, which
 //! is what keeps null-sink observed runs bit-identical in cost and results
 //! to telemetry-free runs.
 
 use crate::error::{Result, TelemetryError};
-use crate::metrics::{FieldValue, MetricsRecord, MetricsRegistry};
+use crate::metrics::{FieldValue, MetricsRecord};
 use crate::sink::{self, TelemetrySink};
 use crate::trace::{virtual_us, TraceEvent, CLUSTER_PID};
 use dacapo_core::{
     AcceleratorSample, LabelRoute, PhaseKind, PhaseRecord, SimObserver, WindowSample,
 };
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Per-camera aggregation state: one trace thread plus the currently
-/// accumulating camera-local window.
+/// What a camera-local window has accumulated so far.
+#[derive(Default)]
+struct WindowTotals {
+    steps: u64,
+    label_s: f64,
+    retrain_s: f64,
+    wait_s: f64,
+    labels: u64,
+    labels_shared: u64,
+    drifts: u64,
+    accuracy_sum: f64,
+    accuracy_count: u64,
+}
+
+/// Per-camera aggregation state: one trace thread, the currently
+/// accumulating camera-local window, and the camera's accuracy gauge.
 struct CameraTrack {
     /// The camera's display name (`session` for a standalone session).
     name: String,
@@ -33,43 +48,13 @@ struct CameraTrack {
     named_in: Vec<u32>,
     /// Index of the camera-local window currently accumulating.
     window: usize,
-    has_data: bool,
-    steps: u64,
-    label_s: f64,
-    retrain_s: f64,
-    wait_s: f64,
-    labels: u64,
-    labels_shared: u64,
-    drifts: u64,
-    accuracy_sum: f64,
-    accuracy_count: u64,
+    /// The window's totals; `None` until an event lands in it.
+    totals: Option<WindowTotals>,
+    /// The latest accuracy sample, after how many samples of any camera
+    /// it came: the gauge `"cluster"` records carry.
+    accuracy: Option<(u64, f64)>,
     /// Latest event time seen on this camera's own clock.
     last_s: f64,
-}
-
-impl CameraTrack {
-    /// A track for camera `camera` (empty for a standalone session).
-    fn new(camera: &str, tid: u32) -> Self {
-        let name = if camera.is_empty() { "session" } else { camera };
-        Self {
-            name: name.to_string(),
-            accuracy_name: format!("accuracy/{name}"),
-            tid,
-            named_in: Vec::new(),
-            window: 0,
-            has_data: false,
-            steps: 0,
-            label_s: 0.0,
-            retrain_s: 0.0,
-            wait_s: 0.0,
-            labels: 0,
-            labels_shared: 0,
-            drifts: 0,
-            accuracy_sum: 0.0,
-            accuracy_count: 0,
-            last_s: 0.0,
-        }
-    }
 }
 
 /// End-of-run totals returned by [`TelemetryRecorder::finish`].
@@ -124,7 +109,12 @@ impl Fanout {
 pub struct TelemetryRecorder {
     out: Fanout,
     window_s: f64,
-    metrics: MetricsRegistry,
+    /// Each cluster counter's increments since the last `"cluster"` record.
+    counters: BTreeMap<&'static str, u64>,
+    /// Accuracy samples seen, over every camera.
+    accuracy_samples: u64,
+    /// Whether an accuracy gauge was set since the last `"cluster"` record.
+    gauges_set: bool,
     tracks: Vec<CameraTrack>,
     /// Track index by camera name, for the hooks that name their camera.
     track_ids: BTreeMap<String, usize>,
@@ -160,7 +150,9 @@ impl TelemetryRecorder {
         Self {
             out: Fanout { sinks: Vec::new(), trace_events: 0, metrics_records: 0, error: None },
             window_s: 60.0,
-            metrics: MetricsRegistry::new(),
+            counters: BTreeMap::new(),
+            accuracy_samples: 0,
+            gauges_set: false,
             tracks: Vec::new(),
             track_ids: BTreeMap::new(),
             tracks_by_camera: Vec::new(),
@@ -271,15 +263,34 @@ impl TelemetryRecorder {
         }
     }
 
+    /// Names the process, then the track's thread in it, once each.
+    fn ensure_thread(&mut self, pid: u32, track_index: usize) {
+        self.ensure_process(pid);
+        let track = &mut self.tracks[track_index];
+        if !track.named_in.contains(&pid) {
+            track.named_in.push(pid);
+            self.out.trace(&TraceEvent::ThreadName { pid, tid: track.tid, name: &track.name });
+        }
+    }
+
     /// Looks up (or creates) the track for a camera name.
     fn track_index(&mut self, name: &str) -> usize {
         if let Some(&index) = self.track_ids.get(name) {
             return index;
         }
         let index = self.tracks.len();
-        // tid 0 is kept for process-wide counter/metadata rows.
-        let tid = index as u32 + 1;
-        self.tracks.push(CameraTrack::new(name, tid));
+        let display = if name.is_empty() { "session" } else { name };
+        self.tracks.push(CameraTrack {
+            name: display.to_string(),
+            accuracy_name: format!("accuracy/{display}"),
+            // tid 0 is kept for process-wide counter/metadata rows.
+            tid: index as u32 + 1,
+            named_in: Vec::new(),
+            window: 0,
+            totals: None,
+            accuracy: None,
+            last_s: 0.0,
+        });
         self.track_ids.insert(name.to_string(), index);
         index
     }
@@ -298,31 +309,26 @@ impl TelemetryRecorder {
         index
     }
 
-    /// The track the current event burst belongs to (the standalone-session
-    /// track when no cluster ever set a context).
-    fn context_track_index(&mut self) -> usize {
-        match self.context_track {
-            Some(index) => index,
-            None => {
+    /// The process and track a camera-scope event lands on: `camera`'s
+    /// track when the event names one, else the current burst's (the
+    /// standalone-session track when no cluster ever set a context).
+    fn scope(&mut self, camera: &str) -> (u32, usize) {
+        let track_index = match (camera, self.context_track) {
+            ("", Some(index)) => index,
+            ("", None) => {
                 let index = self.track_index("");
                 self.context_track = Some(index);
                 index
             }
-        }
-    }
-
-    /// Emits thread-name metadata once per (process, thread) pair.
-    fn ensure_thread(&mut self, pid: u32, track_index: usize) {
-        let track = &mut self.tracks[track_index];
-        if !track.named_in.contains(&pid) {
-            track.named_in.push(pid);
-            self.out.trace(&TraceEvent::ThreadName { pid, tid: track.tid, name: &track.name });
-        }
+            (camera, _) => self.track_index(camera),
+        };
+        (self.context_pid, track_index)
     }
 
     /// Rolls the camera-local window forward to the one containing `at_s`,
-    /// flushing the previous window's record if it accumulated anything.
-    fn roll_camera_window(&mut self, track_index: usize, at_s: f64) {
+    /// flushing the previous window's record if it accumulated anything,
+    /// and returns the totals of the window `at_s` lands in.
+    fn roll_camera_window(&mut self, track_index: usize, at_s: f64) -> &mut WindowTotals {
         let target = if at_s > 0.0 { (at_s / self.window_s).floor() as usize } else { 0 };
         if target > self.tracks[track_index].window {
             self.flush_camera_window(track_index);
@@ -330,28 +336,29 @@ impl TelemetryRecorder {
         }
         let track = &mut self.tracks[track_index];
         track.last_s = track.last_s.max(at_s);
+        track.totals.get_or_insert_default()
     }
 
-    /// Emits the accumulating `"camera"` record for one track and resets
-    /// the accumulators. Empty windows produce no record.
+    /// Emits the accumulating `"camera"` record for one track and starts
+    /// its next window empty. Empty windows produce no record.
     fn flush_camera_window(&mut self, track_index: usize) {
         let track = &mut self.tracks[track_index];
-        if !track.has_data {
+        let Some(totals) = track.totals.take() else {
             return;
-        }
-        let accuracy = track.accuracy_sum / track.accuracy_count as f64;
+        };
+        let accuracy = totals.accuracy_sum / totals.accuracy_count as f64;
         let fields = [
-            ("steps", FieldValue::Uint(track.steps)),
-            ("label_s", FieldValue::Float(track.label_s)),
-            ("retrain_s", FieldValue::Float(track.retrain_s)),
-            ("wait_s", FieldValue::Float(track.wait_s)),
-            ("labels", FieldValue::Uint(track.labels)),
-            ("labels_shared", FieldValue::Uint(track.labels_shared)),
-            ("drifts", FieldValue::Uint(track.drifts)),
+            ("steps", FieldValue::Uint(totals.steps)),
+            ("label_s", FieldValue::Float(totals.label_s)),
+            ("retrain_s", FieldValue::Float(totals.retrain_s)),
+            ("wait_s", FieldValue::Float(totals.wait_s)),
+            ("labels", FieldValue::Uint(totals.labels)),
+            ("labels_shared", FieldValue::Uint(totals.labels_shared)),
+            ("drifts", FieldValue::Uint(totals.drifts)),
             ("accuracy", FieldValue::Float(accuracy)),
         ];
         // The accuracy field only when the window measured one.
-        let fields = &fields[..fields.len() - usize::from(track.accuracy_count == 0)];
+        let fields = &fields[..fields.len() - usize::from(totals.accuracy_count == 0)];
         self.out.record(&MetricsRecord {
             kind: "camera",
             window_index: track.window,
@@ -359,30 +366,62 @@ impl TelemetryRecorder {
             scope: &track.name,
             fields,
         });
-        track.has_data = false;
-        track.steps = 0;
-        track.label_s = 0.0;
-        track.retrain_s = 0.0;
-        track.wait_s = 0.0;
-        track.labels = 0;
-        track.labels_shared = 0;
-        track.drifts = 0;
-        track.accuracy_sum = 0.0;
-        track.accuracy_count = 0;
     }
 
-    /// Emits the `"cluster"` record of the counters and gauges the window
-    /// that ends at `end_s` changed, if it changed any.
-    fn flush_cluster_window(&mut self, window_index: usize, end_s: f64) {
-        if let Some(fields) = self.metrics.take_window() {
-            self.out.record(&MetricsRecord {
-                kind: "cluster",
-                window_index,
-                end_s,
-                scope: "cluster",
-                fields: &fields,
-            });
+    /// Adds `delta` to the named cluster counter.
+    fn count(&mut self, counter: &'static str, delta: u64) {
+        if delta > 0 {
+            *self.counters.entry(counter).or_default() += delta;
         }
+    }
+
+    /// Counts a cluster-scope event and marks it on the cluster process.
+    fn cluster_mark(
+        &mut self,
+        counter: &'static str,
+        delta: u64,
+        name: &str,
+        at_s: f64,
+        args: &[(&str, FieldValue<'_>)],
+    ) {
+        self.count(counter, delta);
+        self.ensure_process(CLUSTER_PID);
+        let ts_us = virtual_us(at_s);
+        self.out.trace(&TraceEvent::Mark { name, pid: CLUSTER_PID, tid: 0, ts_us, args });
+    }
+
+    /// Emits the `"cluster"` record of the window that ends at `end_s`, if
+    /// a counter moved or a gauge was set in it: the counters that moved,
+    /// drained, then every camera's latest accuracy, each in name order.
+    fn flush_cluster_window(&mut self, window_index: usize, end_s: f64) {
+        if !std::mem::take(&mut self.gauges_set) && self.counters.values().all(|&n| n == 0) {
+            return;
+        }
+        let mut fields: Vec<_> = self
+            .counters
+            .iter_mut()
+            .filter(|(_, n)| **n > 0)
+            .map(|(&name, n)| (name, FieldValue::Uint(std::mem::take(n))))
+            .collect();
+        // A standalone session and a camera named `session` share one
+        // gauge name; it holds whichever was sampled last.
+        let mut gauges: Vec<_> = self
+            .tracks
+            .iter()
+            .filter_map(|t| {
+                t.accuracy.map(|(n, value)| (t.accuracy_name.as_str(), Reverse(n), value))
+            })
+            .collect();
+        gauges.sort_unstable_by_key(|&(name, latest, _)| (name, latest));
+        gauges.dedup_by_key(|gauge| gauge.0);
+        fields.extend(gauges.into_iter().map(|(name, _, value)| (name, FieldValue::Float(value))));
+        self.out.record(&MetricsRecord {
+            kind: "cluster",
+            window_index,
+            end_s,
+            scope: "cluster",
+            fields: &fields,
+        });
     }
 }
 
@@ -398,34 +437,31 @@ impl SimObserver for TelemetryRecorder {
         if !self.is_enabled() {
             return;
         }
-        let pid = self.context_pid;
-        let track_index = self.context_track_index();
-        self.ensure_process(pid);
+        let (pid, track_index) = self.scope("");
         self.ensure_thread(pid, track_index);
-        self.roll_camera_window(track_index, phase.start_s);
-        let track = &mut self.tracks[track_index];
-        track.has_data = true;
-        track.steps += 1;
-        track.last_s = track.last_s.max(phase.start_s + phase.duration_s);
+        let totals = self.roll_camera_window(track_index, phase.start_s);
+        totals.steps += 1;
         let span_name = match phase.kind {
             PhaseKind::Label => {
-                track.label_s += phase.duration_s;
-                track.labels += phase.samples as u64;
+                totals.label_s += phase.duration_s;
+                totals.labels += phase.samples as u64;
                 "label"
             }
             PhaseKind::Retrain => {
-                track.retrain_s += phase.duration_s;
+                totals.retrain_s += phase.duration_s;
                 "retrain"
             }
             PhaseKind::Wait => {
-                track.wait_s += phase.duration_s;
+                totals.wait_s += phase.duration_s;
                 "wait"
             }
         };
+        let track = &mut self.tracks[track_index];
+        track.last_s = track.last_s.max(phase.start_s + phase.duration_s);
         let tid = track.tid;
-        self.metrics.counter_add("steps", 1);
+        self.count("steps", 1);
         if phase.kind == PhaseKind::Label {
-            self.metrics.counter_add("labels", phase.samples as u64);
+            self.count("labels", phase.samples as u64);
         }
         self.out.trace(&TraceEvent::Complete {
             name: span_name,
@@ -444,20 +480,14 @@ impl SimObserver for TelemetryRecorder {
         if !self.is_enabled() {
             return;
         }
-        let pid = self.context_pid;
-        let track_index = self.context_track_index();
-        self.ensure_process(pid);
+        let (pid, track_index) = self.scope("");
         self.ensure_thread(pid, track_index);
-        self.roll_camera_window(track_index, at_s);
-        let track = &mut self.tracks[track_index];
-        track.has_data = true;
-        track.drifts += 1;
-        let tid = track.tid;
-        self.metrics.counter_add("drifts", 1);
+        self.roll_camera_window(track_index, at_s).drifts += 1;
+        self.count("drifts", 1);
         self.out.trace(&TraceEvent::Mark {
             name: "drift",
             pid,
-            tid,
+            tid: self.tracks[track_index].tid,
             ts_us: virtual_us(at_s),
             args: &[("response_index", FieldValue::Uint(response_index as u64))],
         });
@@ -467,15 +497,15 @@ impl SimObserver for TelemetryRecorder {
         if !self.is_enabled() {
             return;
         }
-        let pid = self.context_pid;
-        let track_index = self.context_track_index();
+        let (pid, track_index) = self.scope("");
         self.ensure_process(pid);
-        self.roll_camera_window(track_index, at_s);
+        let totals = self.roll_camera_window(track_index, at_s);
+        totals.accuracy_sum += accuracy;
+        totals.accuracy_count += 1;
+        self.accuracy_samples += 1;
+        self.gauges_set = true;
         let track = &mut self.tracks[track_index];
-        track.has_data = true;
-        track.accuracy_sum += accuracy;
-        track.accuracy_count += 1;
-        self.metrics.gauge_set(&track.accuracy_name, accuracy);
+        track.accuracy = Some((self.accuracy_samples, accuracy));
         self.out.trace(&TraceEvent::Counter {
             name: &track.accuracy_name,
             pid,
@@ -488,18 +518,11 @@ impl SimObserver for TelemetryRecorder {
         if !self.is_enabled() {
             return;
         }
-        let pid = self.context_pid;
-        let track_index = self.context_track_index();
-        let at_s = self.tracks[track_index].last_s;
-        let tid = self.tracks[track_index].tid;
-        self.metrics.counter_add("finished", 1);
-        self.out.trace(&TraceEvent::Mark {
-            name: "finished",
-            pid,
-            tid,
-            ts_us: virtual_us(at_s),
-            args: &[],
-        });
+        let (pid, track_index) = self.scope("");
+        let track = &self.tracks[track_index];
+        let (tid, ts_us) = (track.tid, virtual_us(track.last_s));
+        self.count("finished", 1);
+        self.out.trace(&TraceEvent::Mark { name: "finished", pid, tid, ts_us, args: &[] });
     }
 
     fn on_step_context(&mut self, camera: &str, camera_index: usize, accelerator: usize) {
@@ -580,22 +603,14 @@ impl SimObserver for TelemetryRecorder {
             return;
         }
         let importer_index = self.track_index(importer);
-        let track = &mut self.tracks[importer_index];
-        track.has_data = true;
-        track.labels_shared += admitted as u64;
-        self.metrics.counter_add("labels_shared", admitted as u64);
-        self.ensure_process(CLUSTER_PID);
-        self.out.trace(&TraceEvent::Mark {
-            name: "share",
-            pid: CLUSTER_PID,
-            tid: 0,
-            ts_us: virtual_us(boundary_s),
-            args: &[
-                ("exporter", FieldValue::Text(exporter)),
-                ("importer", FieldValue::Text(importer)),
-                ("admitted", FieldValue::Uint(admitted as u64)),
-            ],
-        });
+        let totals = self.tracks[importer_index].totals.get_or_insert_default();
+        totals.labels_shared += admitted as u64;
+        let args = [
+            ("exporter", FieldValue::Text(exporter)),
+            ("importer", FieldValue::Text(importer)),
+            ("admitted", FieldValue::Uint(admitted as u64)),
+        ];
+        self.cluster_mark("labels_shared", admitted as u64, "share", boundary_s, &args);
     }
 
     fn on_offload_route(
@@ -608,82 +623,49 @@ impl SimObserver for TelemetryRecorder {
         if !self.is_enabled() {
             return;
         }
-        let counter = match route {
-            LabelRoute::Local => "routes_local",
-            LabelRoute::Cloud { .. } => "routes_cloud",
-        };
-        self.metrics.counter_add(counter, 1);
-        self.ensure_process(CLUSTER_PID);
-        let route_text = match route {
-            LabelRoute::Local => "local",
-            LabelRoute::Cloud { byte_budget: None } => "cloud",
+        let mut route_text = std::mem::take(&mut self.route_text);
+        let (counter, text) = match route {
+            LabelRoute::Local => ("routes_local", "local"),
+            LabelRoute::Cloud { byte_budget: None } => ("routes_cloud", "cloud"),
             LabelRoute::Cloud { byte_budget: Some(budget) } => {
-                self.route_text.clear();
+                route_text.clear();
                 // Writing to a `String` cannot fail.
-                write!(self.route_text, "cloud:{budget}").unwrap_or_default();
-                &self.route_text
+                write!(route_text, "cloud:{budget}").unwrap_or_default();
+                ("routes_cloud", route_text.as_str())
             }
         };
-        self.out.trace(&TraceEvent::Mark {
-            name: "route",
-            pid: CLUSTER_PID,
-            tid: 0,
-            ts_us: virtual_us(boundary_s),
-            args: &[
-                ("camera", FieldValue::Text(camera)),
-                ("route", FieldValue::Text(route_text)),
-                ("window", FieldValue::Uint(window_index as u64)),
-            ],
-        });
+        let args = [
+            ("camera", FieldValue::Text(camera)),
+            ("route", FieldValue::Text(text)),
+            ("window", FieldValue::Uint(window_index as u64)),
+        ];
+        self.cluster_mark(counter, 1, "route", boundary_s, &args);
+        self.route_text = route_text;
     }
 
     fn on_churn_join(&mut self, camera: &str, accelerator: Option<usize>, at_s: f64) {
         if !self.is_enabled() {
             return;
         }
-        self.metrics.counter_add("joins", 1);
-        self.ensure_process(CLUSTER_PID);
-        let placement = match accelerator {
-            Some(accel) => FieldValue::Uint(accel as u64),
-            None => FieldValue::Text("orphaned"),
-        };
-        self.out.trace(&TraceEvent::Mark {
-            name: "join",
-            pid: CLUSTER_PID,
-            tid: 0,
-            ts_us: virtual_us(at_s),
-            args: &[("camera", FieldValue::Text(camera)), ("accelerator", placement)],
-        });
+        let placement =
+            accelerator.map_or(FieldValue::Text("orphaned"), |a| FieldValue::Uint(a as u64));
+        let args = [("camera", FieldValue::Text(camera)), ("accelerator", placement)];
+        self.cluster_mark("joins", 1, "join", at_s, &args);
     }
 
     fn on_churn_leave(&mut self, camera: &str, at_s: f64) {
         if !self.is_enabled() {
             return;
         }
-        self.metrics.counter_add("leaves", 1);
-        self.ensure_process(CLUSTER_PID);
-        self.out.trace(&TraceEvent::Mark {
-            name: "leave",
-            pid: CLUSTER_PID,
-            tid: 0,
-            ts_us: virtual_us(at_s),
-            args: &[("camera", FieldValue::Text(camera))],
-        });
+        self.cluster_mark("leaves", 1, "leave", at_s, &[("camera", FieldValue::Text(camera))]);
     }
 
     fn on_churn_drain(&mut self, accelerator: usize, at_s: f64) {
         if !self.is_enabled() {
             return;
         }
-        self.metrics.counter_add("drains", 1);
-        self.ensure_process(CLUSTER_PID);
-        self.out.trace(&TraceEvent::Mark {
-            name: "drain",
-            pid: CLUSTER_PID,
-            tid: 0,
-            ts_us: virtual_us(at_s),
-            args: &[("accelerator", FieldValue::Uint(accelerator as u64))],
-        });
+        let args = [("accelerator", FieldValue::Uint(accelerator as u64))];
+        self.cluster_mark("drains", 1, "drain", at_s, &args);
     }
 
     fn on_migration(
@@ -696,41 +678,28 @@ impl SimObserver for TelemetryRecorder {
         if !self.is_enabled() {
             return;
         }
-        self.metrics.counter_add("migrations", 1);
-        self.ensure_process(CLUSTER_PID);
-        let destination = match to_accelerator {
-            Some(accel) => FieldValue::Uint(accel as u64),
-            None => FieldValue::Text("orphaned"),
-        };
-        self.out.trace(&TraceEvent::Mark {
-            name: "migration",
-            pid: CLUSTER_PID,
-            tid: 0,
-            ts_us: virtual_us(at_s),
-            args: &[
-                ("camera", FieldValue::Text(camera)),
-                ("from", FieldValue::Uint(from_accelerator as u64)),
-                ("to", destination),
-            ],
-        });
+        let destination =
+            to_accelerator.map_or(FieldValue::Text("orphaned"), |a| FieldValue::Uint(a as u64));
+        let args = [
+            ("camera", FieldValue::Text(camera)),
+            ("from", FieldValue::Uint(from_accelerator as u64)),
+            ("to", destination),
+        ];
+        self.cluster_mark("migrations", 1, "migration", at_s, &args);
     }
 
     fn on_uplink_transfer(&mut self, camera: &str, at_s: f64, bytes: u64, labels: usize) {
         if !self.is_enabled() {
             return;
         }
-        let pid = self.context_pid;
-        let track_index =
-            if camera.is_empty() { self.context_track_index() } else { self.track_index(camera) };
-        self.ensure_process(pid);
+        let (pid, track_index) = self.scope(camera);
         self.ensure_thread(pid, track_index);
-        let tid = self.tracks[track_index].tid;
-        self.metrics.counter_add("uplink_bytes", bytes);
-        self.metrics.counter_add("labels_cloud", labels as u64);
+        self.count("uplink_bytes", bytes);
+        self.count("labels_cloud", labels as u64);
         self.out.trace(&TraceEvent::Mark {
             name: "uplink",
             pid,
-            tid,
+            tid: self.tracks[track_index].tid,
             ts_us: virtual_us(at_s),
             args: &[
                 ("bytes", FieldValue::Uint(bytes)),
@@ -820,6 +789,10 @@ mod tests {
     #[test]
     fn cluster_hooks_produce_cluster_scoped_output() {
         let (mut recorder, records, traces) = capture();
+        // A standalone session's track is named `session`, like the camera
+        // stepped below: the two share one gauge.
+        recorder.on_accuracy(0.5, 0.25);
+        // Cameras stepped out of name order, each measuring once.
         recorder.on_step_context("cam-1", 1, 3);
         recorder.on_phase(&PhaseRecord {
             kind: PhaseKind::Retrain,
@@ -828,26 +801,74 @@ mod tests {
             samples: 64,
             drift_response: false,
         });
+        recorder.on_accuracy(1.5, 0.5);
+        recorder.on_drift(2.0, 1);
+        recorder.on_step_context("cam-0", 0, 0);
+        recorder.on_phase(&PhaseRecord {
+            kind: PhaseKind::Label,
+            start_s: 2.0,
+            duration_s: 1.0,
+            samples: 8,
+            drift_response: true,
+        });
+        recorder.on_accuracy(3.0, 0.75);
+        recorder.on_uplink_transfer("cam-0", 3.0, 4096, 4);
+        recorder.on_step_context("session", 2, 1);
+        recorder.on_accuracy(4.0, 0.125);
+        recorder.on_finished();
         recorder.on_share("cam-0", "cam-1", 5, 60.0);
+        recorder.on_offload_route("cam-0", LabelRoute::Local, 0, 60.0);
+        recorder.on_offload_route("cam-1", LabelRoute::Cloud { byte_budget: Some(512) }, 0, 60.0);
         recorder.on_churn_join("cam-2", Some(0), 60.0);
+        recorder.on_churn_leave("cam-2", 60.0);
+        recorder.on_churn_drain(1, 60.0);
         recorder.on_migration("cam-1", 3, None, 60.0);
         recorder.on_window_barrier(0, 60.0);
-        let summary = recorder.finish().unwrap();
-        assert!(summary.metrics_records >= 1);
-        let records = records.lock().unwrap();
-        let cluster: Vec<&String> =
-            records.iter().filter(|line| line.contains("\"kind\":\"cluster\"")).collect();
-        assert!(!cluster.is_empty(), "{records:?}");
-        assert!(cluster[0].contains("\"labels_shared\":5"), "{}", cluster[0]);
-        assert!(cluster[0].contains("\"joins\":1"));
-        assert!(cluster[0].contains("\"migrations\":1"));
+        recorder.finish().unwrap();
+        // Counters in name order, then gauges in gauge-name order.
+        assert_eq!(
+            cluster_records(&records),
+            ["{\"kind\":\"cluster\",\"window\":0,\"end_s\":60,\"scope\":\"cluster\",\
+              \"drains\":1,\"drifts\":1,\"finished\":1,\"joins\":1,\"labels\":8,\
+              \"labels_cloud\":4,\"labels_shared\":5,\"leaves\":1,\"migrations\":1,\
+              \"routes_cloud\":1,\"routes_local\":1,\"steps\":2,\"uplink_bytes\":4096,\
+              \"accuracy/cam-0\":0.75,\"accuracy/cam-1\":0.5,\"accuracy/session\":0.125}"]
+        );
         let traces = traces.lock().unwrap();
         assert!(traces.iter().any(|t| t.contains("\"name\":\"share\"")));
+        assert!(traces.iter().any(|t| t.contains("\"route\":\"cloud:512\"")));
         assert!(traces.iter().any(|t| t.contains("\"name\":\"cluster\"")));
         // The retrain span runs on accelerator 3 under camera cam-1's track.
         assert!(traces
             .iter()
             .any(|t| t.contains("\"name\":\"retrain\"") && t.contains("\"pid\":3")));
+    }
+
+    #[test]
+    fn counters_drain_per_window_and_a_gauge_change_alone_writes_a_record() {
+        let (mut recorder, records, _) = capture();
+        recorder.on_step_context("cam-0", 0, 0);
+        recorder.on_drift(1.0, 1);
+        recorder.on_accuracy(2.0, 0.9);
+        recorder.on_window_barrier(0, 60.0);
+        recorder.on_accuracy(70.0, 0.8);
+        recorder.on_window_barrier(1, 120.0);
+        // Nothing changed in window 2: no record.
+        recorder.on_window_barrier(2, 180.0);
+        recorder.on_drift(190.0, 2);
+        recorder.on_window_barrier(3, 240.0);
+        recorder.finish().unwrap();
+        let head = |window, end_s| {
+            format!("{{\"kind\":\"cluster\",\"window\":{window},\"end_s\":{end_s},\"scope\":\"cluster\"")
+        };
+        assert_eq!(
+            cluster_records(&records),
+            [
+                format!("{},\"drifts\":1,\"accuracy/cam-0\":0.9}}", head(0, 60)),
+                format!("{},\"accuracy/cam-0\":0.8}}", head(1, 120)),
+                format!("{},\"drifts\":1,\"accuracy/cam-0\":0.8}}", head(3, 240)),
+            ]
+        );
     }
 
     fn sample(window_index: usize, boundary_s: f64) -> (WindowSample<'static>, AcceleratorSample) {

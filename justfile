@@ -153,9 +153,11 @@ bench-smoke:
 # The release-profile half of the golden pin (`cargo test` is the debug
 # half): what the smoke tier and the traced smoke run write must be, byte
 # for byte, the fixtures and the pinned sink files under
-# tests/fixtures/golden/telemetry/.
+# tests/fixtures/golden/telemetry/, which the every-hook cluster and the
+# standalone session write from a release-built test.
 golden-check: bench-smoke trace-smoke
     for golden in tests/fixtures/golden/*.json; do cmp "$golden" "results/$(basename "$golden")" || exit 1; done
+    cargo test --release --test integration_telemetry the_file_sinks_write_the_pinned_bytes
     cmp tests/fixtures/golden/telemetry/cluster_contention.trace.json results/BENCH_trace.json
     cmp tests/fixtures/golden/telemetry/cluster_contention.metrics.jsonl results/BENCH_metrics.jsonl
 
