@@ -48,11 +48,15 @@ examples:
 
 # The kernel crates' tests in the release profile: `just test` runs them at
 # the test profile's opt-level 1, which does not vectorise loops, so the GEMM
-# register tile, the MX conversion kernel and the frame-noise kernel are scalar; this compares the vectorised
-# fused-multiply-add tile, conversion loops and Box–Muller lanes production
-# runs with their references.
+# register tile, the MX conversion kernel, the frame-noise kernel and the loss
+# `exp` kernel are scalar; this compares the vectorised fused-multiply-add
+# tile, conversion loops, Box–Muller lanes and `exp` lanes production runs
+# with their references. `--include-ignored` adds the exhaustive sweep of the
+# loss `exp` kernel against `f32::exp` (every f32 from +0.0 and -0.0 down to
+# -inf, 2,139,095,042 inputs, ≈ 15 s on two cores), which the test profile
+# ignores.
 test-kernels:
-    cargo test --release -p dacapo-mx -p dacapo-tensor -p dacapo-dnn -p dacapo-datagen
+    cargo test --release -p dacapo-mx -p dacapo-tensor -p dacapo-dnn -p dacapo-datagen -- --include-ignored
 
 # What a kernel compiled to in the release benchmark binary: per matching
 # symbol, the instruction count and the xmm/ymm/zmm, vcvt* and vmul* tallies,
