@@ -482,11 +482,37 @@ impl FixedWindow {
         }
     }
 
-    /// In `f64`, so that a restored `window_index` of `u64::MAX` cannot
-    /// overflow (below 2^53 the sum is the same exact integer).
     fn window_end(&self) -> f64 {
-        (self.state.window_index as f64 + 1.0) * self.window_s
+        window_end(self.state.window_index, self.window_s)
     }
+}
+
+/// The end of window `index` of a fixed-window policy whose windows are
+/// `window_s` long. In `f64`, so that a restored `window_index` of
+/// `u64::MAX` cannot overflow (below 2^53 the sum is the same exact
+/// integer).
+fn window_end(index: u64, window_s: f64) -> f64 {
+    (index as f64 + 1.0) * window_s
+}
+
+/// The window a fixed-window policy at window `index` moves to at `now_s`:
+/// the first one from `index` on whose [`window_end`] lies past `now_s` —
+/// where stepping one window at a time stops, found from `now_s / window_s`
+/// in a few steps however short the windows are. `u64::MAX` if even that
+/// window ends by `now_s`.
+fn window_holding(index: u64, window_s: f64, now_s: f64) -> u64 {
+    // Rising in `i`, true below the answer and false from it on.
+    let ended = |i: u64| now_s >= window_end(i, window_s);
+    // An estimate within a few windows of the answer (saturating: NaN is 0),
+    // then the one-window steps settle it on either side.
+    let mut i = ((now_s / window_s) as u64).max(index);
+    while i > index && !ended(i - 1) {
+        i -= 1;
+    }
+    while ended(i) && i < u64::MAX {
+        i += 1;
+    }
+    i
 }
 
 impl Scheduler for FixedWindow {
@@ -496,8 +522,9 @@ impl Scheduler for FixedWindow {
 
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
         // Move to the window that contains `now`.
-        while ctx.now_s >= self.window_end() {
-            self.state.window_index += 1;
+        let index = window_holding(self.state.window_index, self.window_s, ctx.now_s);
+        if index != self.state.window_index {
+            self.state.window_index = index;
             self.state.step = self.opening_step();
         }
         match self.state.step {
@@ -583,9 +610,8 @@ impl Eomu {
         }
     }
 
-    /// In `f64`, like [`FixedWindow::window_end`].
     fn window_end(&self) -> f64 {
-        (self.state.window_index as f64 + 1.0) * self.window_seconds
+        window_end(self.state.window_index, self.window_seconds)
     }
 }
 
@@ -595,8 +621,9 @@ impl Scheduler for Eomu {
     }
 
     fn next_action(&mut self, ctx: &SchedulerContext) -> Action {
-        while ctx.now_s >= self.window_end() {
-            self.state.window_index += 1;
+        let index = window_holding(self.state.window_index, self.window_seconds, ctx.now_s);
+        if index != self.state.window_index {
+            self.state.window_index = index;
             self.state.labeled_this_window = false;
             self.state.retrained_this_window = false;
         }
@@ -1022,6 +1049,57 @@ mod tests {
             sched.restore_state(&serde_json::value_from_str(json).unwrap()).unwrap();
             let action = sched.next_action(&ctx(0.0, 400, None, None));
             assert!(matches!(action, Action::Wait { seconds } if seconds > 1e20), "{kind}");
+        }
+    }
+
+    #[test]
+    fn the_window_holding_now_is_where_one_window_steps_stop() {
+        // The loop the fixed-window policies ran, up to the last index.
+        let stepped = |mut index: u64, window_s: f64, now_s: f64| {
+            while now_s >= window_end(index, window_s) && index < u64::MAX {
+                index += 1;
+            }
+            index
+        };
+        let starts = [0, 1, 7, 1_000, (1 << 53) - 3, 1 << 53, (1 << 60) + 5, u64::MAX - 9];
+        for window_s in [10.0, 0.1, 1.0 / 3.0, 1e-5, 1e-12, 7.3e9] {
+            for start in starts {
+                for ahead in [0, 1, 2, 5, 100] {
+                    let boundary = window_end(start.saturating_add(ahead), window_s);
+                    for now_s in [boundary.next_down(), boundary, boundary.next_up()] {
+                        assert_eq!(
+                            window_holding(start, window_s, now_s),
+                            stepped(start, window_s, now_s),
+                            "window {window_s} from {start} at {now_s}"
+                        );
+                    }
+                }
+                // A clock that never reached the window, or is not a time.
+                for now_s in [0.0, f64::NAN] {
+                    assert_eq!(window_holding(start, window_s, now_s), start);
+                }
+            }
+            // From the first window, far ahead: the estimate alone, where
+            // the loop would take up to 1.2e14 steps.
+            for now_s in [60.0, 1_200.0] {
+                let index = window_holding(0, window_s, now_s);
+                let before = index.checked_sub(1).map_or(0.0, |i| window_end(i, window_s));
+                assert!(before <= now_s, "{window_s} at {now_s}");
+                assert!(now_s < window_end(index, window_s), "{window_s} at {now_s}");
+            }
+        }
+        assert_eq!(window_holding(3, 1e-300, 1e300), u64::MAX);
+        assert_eq!(window_holding(3, 1.0, f64::INFINITY), u64::MAX);
+    }
+
+    #[test]
+    fn windows_far_shorter_than_a_phase_still_run_a_session_to_its_end() {
+        for kind in [SchedulerKind::DaCapoSpatial, SchedulerKind::Ekya] {
+            let mut config = crate::sim::test_support::short_config(kind);
+            config.hyper.window_seconds = 1e-12;
+            let mut session = crate::session::Session::new(config).unwrap();
+            session.run_to_end().unwrap();
+            assert!(session.is_finished(), "{kind}");
         }
     }
 

@@ -513,6 +513,25 @@ impl SessionSnapshot {
                 student.num_classes
             ));
         }
+        // A teacher labels every frame the session samples: it must know
+        // the stream's classes and hold a base accuracy the configuration
+        // would accept (`SimConfig::validate`, `EdgeConfig::validate`).
+        let cloud = self.edge.as_ref().map(|edge| &edge.cloud);
+        let teachers = [("teacher", self.teacher.num_classes(), self.teacher.base_accuracy())]
+            .into_iter()
+            .chain(cloud.map(|c| ("edge.cloud.oracle", c.num_classes(), c.base_accuracy())));
+        for (field, num_classes, base_accuracy) in teachers {
+            if num_classes != NUM_CLASSES {
+                return bad(format!(
+                    "{field}.num_classes is {num_classes} but there are {NUM_CLASSES} classes"
+                ));
+            }
+            if !(0.0..=1.0).contains(&base_accuracy) {
+                return bad(format!(
+                    "{field}.base_accuracy must lie in [0, 1], got {base_accuracy}"
+                ));
+            }
+        }
         if self.buffer.capacity() != self.config.hyper.buffer_capacity {
             return bad(format!(
                 "buffer.capacity is {} but config.hyper.buffer_capacity is {}",
@@ -1826,6 +1845,18 @@ mod tests {
         SessionSnapshot::from_json(&serde_json::to_string(&tree).unwrap())
     }
 
+    /// Decodes `snapshot`'s JSON with the value at `path` replaced — how a
+    /// teacher arrives hostile, its fields being private.
+    fn with_field(
+        snapshot: &SessionSnapshot,
+        path: &[&str],
+        value: Value,
+    ) -> Result<SessionSnapshot> {
+        let mut tree = snapshot.to_value();
+        *path.iter().fold(&mut tree, |node, key| field(node, key)) = value;
+        SessionSnapshot::from_json(&serde_json::to_string(&tree).unwrap())
+    }
+
     /// [`with_student_network`] with the network's layer list rewritten.
     fn with_student_layers(
         snapshot: &SessionSnapshot,
@@ -1940,6 +1971,29 @@ mod tests {
         let mut hostile = plain.clone();
         hostile.edge = edged.edge.clone();
         assert_unrestorable(Ok(hostile), "edge state without an edge tier");
+        // Teachers that would panic at their first label: too few classes,
+        // and a base accuracy JSON `null` (read as NaN) or outside [0, 1].
+        let teachers: [(&SessionSnapshot, &[&str]); 3] = [
+            (&plain, &["teacher"]),
+            (&edged, &["teacher"]),
+            (&edged, &["edge", "cloud", "oracle"]),
+        ];
+        for (snapshot, teacher) in teachers {
+            let at = |key| [teacher, &[key]].concat();
+            for (key, value, named) in [
+                ("num_classes", Value::UInt(2), "num_classes is 2"),
+                ("base_accuracy", Value::Null, "base_accuracy must lie in [0, 1], got NaN"),
+                ("base_accuracy", Value::Float(1.5), "base_accuracy must lie in [0, 1], got 1.5"),
+            ] {
+                let what = format!("{}.{key}", teacher.join("."));
+                let reason = assert_unrestorable(with_field(snapshot, &at(key), value), &what);
+                assert!(reason.starts_with(&what) && reason.contains(named), "{reason}");
+            }
+            let classes = Value::UInt(NUM_CLASSES as u64);
+            for (key, value) in [("num_classes", classes), ("base_accuracy", Value::Float(0.0))] {
+                assert!(with_field(snapshot, &at(key), value).and_then(Session::restore).is_ok());
+            }
+        }
     }
 
     #[test]

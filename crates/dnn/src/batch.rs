@@ -57,7 +57,9 @@ pub(crate) struct LayerScratch {
     pub(crate) pre: Matrix,
     /// Upstream gradient after the activation derivative.
     pub(crate) delta: Matrix,
-    /// Weight gradient.
+    /// Weight gradient. An MX training forward pass first quantises the
+    /// layer's weights into it, since it has their shape and the layer's
+    /// backward step is the first to write it after.
     pub(crate) d_w: Matrix,
     /// Bias gradient.
     pub(crate) d_b: Matrix,
@@ -137,23 +139,22 @@ impl Default for TrainScratch {
 }
 
 /// Each layer's weights quantised down their columns at one precision: the
-/// right operands of an MX forward pass, exactly what
-/// [`quant::mx_matmul_prequant_into`] packs one panel at a time. An `Mlp`
-/// whose inference mode is MX derives one from its weights wherever they
-/// change, so an evaluation quantises only its activations.
+/// right operands of an MX forward pass, exactly what a pass without the
+/// copy quantises for itself. An `Mlp` whose inference mode is MX derives
+/// one from its weights wherever they change, so an evaluation quantises
+/// only its activations.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct QuantisedWeights {
-    precision: MxPrecision,
     /// Per layer, its quantised weights, or the error quantising them gave
     /// (a non-finite weight): the first pass to reach the layer returns it,
-    /// as the per-panel quantisation would have.
+    /// as quantising the weights in the pass would have.
     layers: Vec<std::result::Result<Matrix, TensorError>>,
 }
 
 impl QuantisedWeights {
     pub(crate) fn new(layers: &[Dense], precision: MxPrecision) -> Self {
         let quantise = |layer: &Dense| quant::quantize_cols(layer.weights(), precision);
-        Self { precision, layers: layers.iter().map(quantise).collect() }
+        Self { layers: layers.iter().map(quantise).collect() }
     }
 }
 
@@ -162,13 +163,11 @@ impl QuantisedWeights {
 pub(crate) enum Pass<'a> {
     /// FP32 GEMMs on the weights as they are.
     Fp32,
-    /// MX at this precision, each layer's weights quantised as the GEMM
-    /// packs them: training, whose weights move every step.
-    Mx(MxPrecision),
-    /// MX, the weights quantised already: the plain packed GEMM on
-    /// row-quantised activations. Bit-identical to [`Pass::Mx`] at the same
-    /// precision on the weights the copy was taken from.
-    Prequantised(&'a QuantisedWeights),
+    /// MX at this precision: the f32 GEMM on the activations quantised along
+    /// their rows and the weights down their columns — taken from the copy
+    /// when there is one (evaluation at the inference mode), quantised into
+    /// the arena otherwise (training, whose weights move every step).
+    Mx(MxPrecision, Option<&'a QuantisedWeights>),
 }
 
 /// Forward pass through `layers`, writing activation `i` into `acts[i]` and
@@ -191,19 +190,22 @@ pub(crate) fn forward_pass(
         let scr = &mut lscr[i];
         let (x, weights) = match pass {
             Pass::Fp32 => (x, layer.weights()),
-            Pass::Mx(p) => {
+            Pass::Mx(p, copy) => {
+                // `x_q` stays for the backward pass's weight gradient.
                 quant::quantize_rows_into(x, p, &mut scr.x_q)?;
-                (&scr.x_q, layer.weights())
-            }
-            Pass::Prequantised(QuantisedWeights { precision, layers }) => {
-                quant::quantize_rows_into(x, *precision, &mut scr.x_q)?;
-                (&scr.x_q, layers[i].as_ref().map_err(Clone::clone)?)
+                let weights = match copy {
+                    Some(QuantisedWeights { layers }) => {
+                        layers[i].as_ref().map_err(Clone::clone)?
+                    }
+                    None => {
+                        quant::quantize_cols_into(layer.weights(), p, &mut scr.d_w)?;
+                        &scr.d_w
+                    }
+                };
+                (&scr.x_q, weights)
             }
         };
-        match pass {
-            Pass::Mx(p) => quant::mx_matmul_prequant_into(x, weights, p, &mut scr.pre, ws)?,
-            Pass::Fp32 | Pass::Prequantised(_) => ops::matmul_into(x, weights, &mut scr.pre, ws)?,
-        }
+        ops::matmul_into(x, weights, &mut scr.pre, ws)?;
         let (rows, cols) = scr.pre.shape();
         let bias = layer.bias();
         if bias.shape() != (1, cols) {

@@ -11,7 +11,7 @@
 //!    training loss ([`loss::cross_entropy_into`]) takes its softmax `exp`
 //!    through a vectorised kernel with a rounding test, bit-identical to libm's
 //!    `expf`; libm still runs for the lanes the test leaves undecided (about
-//!    0.2 %) and for the loss value's one `ln` per row.
+//!    0.2 %). It writes the gradient only: training reads no loss value.
 //! 2. **The paper-model zoo** ([`zoo`]): layer-by-layer GEMM decompositions
 //!    of the six models evaluated in the paper (ResNet18/34,
 //!    WideResNet50/101, ViT-B/32, ViT-B/16) whose parameter counts and

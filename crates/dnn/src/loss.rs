@@ -6,7 +6,8 @@
 //! (`exp(x − max)` per logit through the host's libm `expf`, each row summed
 //! left to right, each element divided by its row's sum), then `− ln p` at
 //! each label, `− 1` at the label and `× 1/batch`. The training loop runs
-//! [`cross_entropy_into`], which returns the same bits.
+//! [`cross_entropy_into`], which writes the same gradient, bit for bit, and
+//! computes no loss value: nothing in training reads one.
 //!
 //! # The kernel
 //!
@@ -71,8 +72,6 @@
 //! out-of-range lane is a NaN sentinel at both ends of its bracket, so
 //! undecided lanes are found with `f32` `!=` (NaN is unequal to itself), never
 //! with `to_bits()`, which would call the sentinel decided.
-//!
-//! libm still runs once per row for the loss value: `ln p` at the label.
 
 use crate::{DnnError, Result};
 use dacapo_tensor::{ops, Matrix};
@@ -174,8 +173,8 @@ fn settle(logits: &[f32], cols: usize, probs: &mut [f32]) {
 /// to the logits.
 ///
 /// `labels[i]` is the class index of sample `i` (row `i` of `logits`). This
-/// is the reference form — one allocated matrix per step — that tests hold
-/// the training loop's [`cross_entropy_into`] bit-identical to.
+/// is the reference form — one allocated matrix per step — whose gradient
+/// tests hold the training loop's [`cross_entropy_into`] bit-identical to.
 ///
 /// # Errors
 ///
@@ -212,27 +211,26 @@ pub fn cross_entropy(logits: &Matrix, labels: &[usize]) -> Result<(f32, Matrix)>
     Ok((loss / batch, grad))
 }
 
-/// [`cross_entropy`] into a reusable gradient matrix: same loss, same
-/// gradient, no allocation.
+/// [`cross_entropy`]'s gradient into a reusable matrix, without allocation
+/// and without the loss value.
 ///
 /// Works in passes over the whole batch (module docs): row maxima and
 /// shifted logits; one `exp` pass over all `rows × cols` values, the lanes
 /// its bracket leaves undecided through libm; each row's sum in the
-/// reference's order and the divide by it; the label's `− ln p` and `− 1`;
-/// one `× 1/batch` pass. Every element still goes through the reference's
+/// reference's order and the divide by it; the label's `− 1`; one
+/// `× 1/batch` pass. Every element still goes through the reference's
 /// arithmetic sequence (`exp(x - max)`, `/ sum`, `- 1` at the label,
-/// `× 1/batch`), so loss and gradient are bit-identical to it. This is the
-/// loss the training loop runs.
+/// `× 1/batch`), so the gradient is bit-identical to it. This is the loss
+/// the training loop runs.
 ///
 /// # Errors
 ///
 /// Returns [`DnnError::InvalidLabels`] under the same conditions as
 /// [`cross_entropy`].
-pub fn cross_entropy_into(logits: &Matrix, labels: &[usize], grad: &mut Matrix) -> Result<f32> {
+pub fn cross_entropy_into(logits: &Matrix, labels: &[usize], grad: &mut Matrix) -> Result<()> {
     validate_labels(logits, labels)?;
     let (rows, cols) = logits.shape();
-    let batch = rows as f32;
-    let inv_batch = 1.0 / batch;
+    let inv_batch = 1.0 / rows as f32;
     grad.resize_for_overwrite(rows, cols).map_err(crate::DnnError::from)?;
     let src = logits.as_slice();
     let dst = grad.as_mut_slice();
@@ -251,16 +249,13 @@ pub fn cross_entropy_into(logits: &Matrix, labels: &[usize], grad: &mut Matrix) 
             out.iter_mut().for_each(|p| *p /= sum);
         }
     }
-    let mut loss = 0.0f32;
     for (out, &label) in dst.chunks_exact_mut(cols).zip(labels) {
-        let p = out[label].max(1e-12);
-        loss -= p.ln();
         out[label] -= 1.0;
     }
     for o in dst.iter_mut() {
         *o *= inv_batch;
     }
-    Ok(loss / batch)
+    Ok(())
 }
 
 /// Fraction of rows whose argmax matches the label.
@@ -351,15 +346,15 @@ mod tests {
         }
     }
 
-    /// `cross_entropy_into`'s loss and gradient are the reference's, bit for
-    /// bit (NaN payloads included).
+    /// `cross_entropy_into`'s gradient is the reference's, bit for bit (NaN
+    /// payloads included).
     fn assert_matches_reference(logits: &Matrix, labels: &[usize], grad: &mut Matrix) {
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let (loss, expected) = cross_entropy(logits, labels).unwrap();
-        let fused_loss = cross_entropy_into(logits, labels, grad).unwrap();
+        let (_, expected) = cross_entropy(logits, labels).unwrap();
+        cross_entropy_into(logits, labels, grad).unwrap();
         assert_eq!(
-            (fused_loss.to_bits(), grad.shape(), bits(grad)),
-            (loss.to_bits(), expected.shape(), bits(&expected)),
+            (grad.shape(), bits(grad)),
+            (expected.shape(), bits(&expected)),
             "logits {logits:?}, labels {labels:?}"
         );
     }

@@ -34,7 +34,7 @@ impl QuantMode {
 
     /// A forward pass in this mode that quantises the weights it multiplies.
     fn pass(self) -> Pass<'static> {
-        self.precision().map_or(Pass::Fp32, Pass::Mx)
+        self.precision().map_or(Pass::Fp32, |p| Pass::Mx(p, None))
     }
 }
 
@@ -163,8 +163,10 @@ impl Mlp {
 
     /// The forward pass [`Mlp::forward`] runs in `mode`.
     fn pass(&self, mode: QuantMode) -> Pass<'_> {
-        match &self.inference_weights {
-            Some(weights) if mode == self.config.inference_mode => Pass::Prequantised(weights),
+        match (&self.inference_weights, mode) {
+            (Some(weights), QuantMode::Mx(p)) if mode == self.config.inference_mode => {
+                Pass::Mx(p, Some(weights))
+            }
             _ => mode.pass(),
         }
     }

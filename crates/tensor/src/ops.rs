@@ -1,10 +1,11 @@
 //! Matrix operations: GEMM, transpose, elementwise ops and reductions.
 //!
-//! Every GEMM here and in [`quant`](crate::quant) is one kernel: a
-//! [`K_BLOCK`] loop that hands a `kc × n` panel of the right operand — row
-//! `kk` holding the `n` values at reduction index `kb + kk` — to a single
-//! register tile, which folds it into the output. The three entry points
-//! differ only in how they address their operands:
+//! Every GEMM here is one kernel: a [`K_BLOCK`] loop that hands a `kc × n`
+//! panel of the right operand — row `kk` holding the `n` values at reduction
+//! index `kb + kk` — to a single register tile, which folds it into the
+//! output. The MX GEMMs of [`quant`](crate::quant) are these GEMMs on
+//! quantised copies of their operands. The three entry points differ only
+//! in how they address their operands:
 //!
 //! * `A·B` ([`matmul_into`]): `A` by rows, and `B`'s rows `kb..kb + kc` *are*
 //!   the panel.
@@ -14,11 +15,10 @@
 //!   [`transpose_into`] also runs.
 //!
 //! A panel is *packed* — copied into the [`Workspace`] — only when it has
-//! to be: for `A·Bᵀ` (the transposition is the packing), for the MX GEMMs
-//! (quantisation is), and for `A·B` / `Aᵀ·B` when `B`'s width is not a
-//! multiple of the register tile's, because the tile for the last columns
-//! reads a full tile width and needs padding after the last row. Otherwise
-//! the kernel reads `B` where it lies.
+//! to be: for `A·Bᵀ` (the transposition is the packing), and for `A·B` /
+//! `Aᵀ·B` when `B`'s width is not a multiple of the register tile's, because
+//! the tile for the last columns reads a full tile width and needs padding
+//! after the last row. Otherwise the kernel reads `B` where it lies.
 //!
 //! The `*_into` / `*_inplace` forms, which take their output (and, for
 //! GEMMs, a reusable [`Workspace`]) from the caller, are the
@@ -90,12 +90,27 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `A.cols() != B.rows()`.
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace) -> Result<()> {
-    let k = a.cols();
-    for (kb, kc) in reduction_blocks("matmul", a, b, a.shape(), b.shape(), out)? {
-        let panel = panel_rows(&mut ws.panel, b, kb, kc);
-        accumulate_panel(a.as_slice(), k, kb, kc, panel, out);
-    }
+    let blocks = reduction_blocks("matmul", a, b, a.shape(), b.shape(), out)?;
+    gemm(a.as_slice(), b.as_slice(), blocks, out, &mut ws.panel);
     Ok(())
+}
+
+/// The loop of [`matmul_into`] over operands given as row-major data, `a`
+/// of `out.rows()` rows and `b` of `out.cols()` columns, once
+/// [`reduction_blocks`] has checked their shapes: each block's rows of `b`
+/// become the panel ([`panel_rows`]) that [`accumulate_panel`] folds in.
+pub(crate) fn gemm(
+    a: &[f32],
+    b: &[f32],
+    blocks: impl Iterator<Item = (usize, usize)>,
+    out: &mut Matrix,
+    panel: &mut Vec<f32>,
+) {
+    let (k, n) = (a.len() / out.rows(), out.cols());
+    for (kb, kc) in blocks {
+        let panel = panel_rows(panel, &b[kb * n..(kb + kc) * n], n);
+        accumulate_panel(a, k, kb, kc, panel, out);
+    }
 }
 
 /// The naive triple-loop GEMM: the reference the packed kernels are tested
@@ -149,30 +164,24 @@ pub(crate) fn reduction_blocks(
     Ok((0..k).step_by(K_BLOCK).map(move |kb| (kb, K_BLOCK.min(k - kb))))
 }
 
-/// Rows `kb..kb + kc` of `b` as the kernel's panel. When `b`'s width is a
-/// [`J_TILE`] multiple every tile is a full one and no load passes the end
-/// of a row, so the rows are handed over where they lie; otherwise they are
-/// copied into `panel` and followed by [`J_TILE`] zeros, so the fixed-width
-/// tail tile of [`row_strip`] may read one full tile past the last row.
-pub(crate) fn panel_rows<'a>(
-    panel: &'a mut Vec<f32>,
-    b: &'a Matrix,
-    kb: usize,
-    kc: usize,
-) -> &'a [f32] {
-    let n = b.cols();
-    let rows = &b.as_slice()[kb * n..(kb + kc) * n];
+/// One reduction block's `n`-wide rows of the right operand as the kernel's
+/// panel. When `n` is a [`J_TILE`] multiple every tile is a full one and no
+/// load passes the end of a row, so the rows are handed over where they lie;
+/// otherwise they are copied into `panel` and followed by [`J_TILE`] zeros,
+/// so the fixed-width tail tile of [`row_strip`] may read one full tile past
+/// the last row.
+fn panel_rows<'a>(panel: &'a mut Vec<f32>, rows: &'a [f32], n: usize) -> &'a [f32] {
     if n.is_multiple_of(J_TILE) {
         return rows;
     }
-    padded_panel(panel, kc, n).copy_from_slice(rows);
+    padded_panel(panel, rows.len() / n, n).copy_from_slice(rows);
     panel
 }
 
 /// Sizes `panel` for `kc` rows of `n` values that the caller is about to
 /// overwrite, followed by the [`J_TILE`] zeros of padding the tail tile may
 /// read; returns the rows.
-pub(crate) fn padded_panel(panel: &mut Vec<f32>, kc: usize, n: usize) -> &mut [f32] {
+fn padded_panel(panel: &mut Vec<f32>, kc: usize, n: usize) -> &mut [f32] {
     panel.resize(kc * n + J_TILE, 0.0);
     let (rows, padding) = panel.split_at_mut(kc * n);
     padding.fill(0.0);
@@ -273,8 +282,11 @@ fn row_strip<const R: usize>(
 /// `out[i][j] += sum_{kk} a[i][kb + kk] * panel[kk][j]` — `=` for the first
 /// block, `kb == 0`, which is what initialises `out` — with the panel rows
 /// visited in ascending reduction order: [`I_TILE`]-row strips of [`tile`]s,
-/// then single rows.
-pub(crate) fn accumulate_panel(
+/// then single rows. Never inlined, like [`accumulate_panel_t`]: the two
+/// are the tile's symbols in a release binary, whose lane width
+/// `scripts/check-width.sh` checks.
+#[inline(never)]
+fn accumulate_panel(
     a_data: &[f32],
     k: usize,
     kb: usize,
@@ -316,11 +328,26 @@ pub(crate) fn accumulate_panel(
 /// Returns [`TensorError::ShapeMismatch`] if `A.rows() != B.rows()`.
 pub fn matmul_at_b(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace) -> Result<()> {
     let (r, m) = a.shape();
-    for (rb, rc) in reduction_blocks("matmul_at_b", a, b, (m, r), b.shape(), out)? {
-        let panel = panel_rows(&mut ws.panel, b, rb, rc);
-        accumulate_panel_t(a.as_slice(), m, rb, rc, panel, out);
-    }
+    let blocks = reduction_blocks("matmul_at_b", a, b, (m, r), b.shape(), out)?;
+    gemm_at_b(a.as_slice(), b.as_slice(), blocks, out, &mut ws.panel);
     Ok(())
+}
+
+/// The loop of [`matmul_at_b`] over row-major data, `a` of `out.rows()`
+/// columns and `b` of `out.cols()`: [`gemm`] with the left operand read by
+/// [`accumulate_panel_t`].
+pub(crate) fn gemm_at_b(
+    a: &[f32],
+    b: &[f32],
+    blocks: impl Iterator<Item = (usize, usize)>,
+    out: &mut Matrix,
+    panel: &mut Vec<f32>,
+) {
+    let (m, n) = out.shape();
+    for (rb, rc) in blocks {
+        let panel = panel_rows(panel, &b[rb * n..(rb + rc) * n], n);
+        accumulate_panel_t(a, m, rb, rc, panel, out);
+    }
 }
 
 /// [`accumulate_panel`] with the left operand read transposed:
@@ -328,7 +355,8 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix, out: &mut Matrix, ws: &mut Workspace)
 /// and reduction order; only the `a` element addressing changes
 /// (column-strided loads instead of contiguous rows), so the result is
 /// bit-identical to transposing `a` and running [`accumulate_panel`].
-pub(crate) fn accumulate_panel_t(
+#[inline(never)]
+fn accumulate_panel_t(
     a_data: &[f32],
     m: usize,
     rb: usize,

@@ -6,35 +6,40 @@
 //! multiplication proceeds in `f32`, so the result matches what the DPE array
 //! would produce.
 //!
-//! The GEMMs here run the register tile of [`ops`], whose accumulate is the
-//! fused multiply–add, yet their results are those of the two-rounding
-//! `acc += a * b`: an MX-quantised value is a mantissa code of at most 7
-//! bits times a power of two, so the product of two of them has at most 14
-//! significant bits and is exact in `f32` — there is no product rounding for
-//! the fused form to skip, and both round the same sum. The bound is product
-//! underflow: a product below `f32`'s smallest normal (2⁻¹²⁶, operands
-//! around 1e-19) can lose bits unfused that fused keeps. For operands that
-//! are zero or of magnitude in [2⁻⁴⁰, 2⁴⁰) the equality is property-tested
-//! for all four GEMMs at every precision.
+//! An MX GEMM here is that definition run as written: both operands are
+//! quantised whole into the [`Workspace`], the left one along its rows
+//! ([`MxVector::quantize_rows_into`]) and the right one down its columns
+//! ([`MxVector::quantize_columns_into`]), and the f32 GEMM of [`ops`] of the
+//! same shape multiplies the copies. `A·Bᵀ` transposes `B` into the
+//! workspace first and is then the `A·B` form.
 //!
-//! A left operand is quantised along its rows, whole, before the panel loop
-//! ([`MxVector::quantize_rows_into`]). When its width is a multiple of the
-//! 16-element block size — the student's 16-, 64- and 32-wide activations
-//! and its 32-wide `δ` — no block straddles two rows, and the matrix goes to
-//! the conversion kernel as one run of blocks. A ragged width (the 10-wide
+//! That GEMM accumulates with the fused multiply–add, yet the results are
+//! those of the two-rounding `acc += a * b`: an MX-quantised value is a
+//! mantissa code of at most 7 bits times a power of two, so the product of
+//! two of them has at most 14 significant bits and is exact in `f32` — there
+//! is no product rounding for the fused form to skip, and both round the
+//! same sum. The bound is product underflow: a product below `f32`'s
+//! smallest normal (2⁻¹²⁶, operands around 1e-19) can lose bits unfused
+//! that fused keeps. For operands that are zero or of magnitude in
+//! [2⁻⁴⁰, 2⁴⁰) the equality is property-tested for all three GEMMs at every
+//! precision.
+//!
+//! Quantising along the rows, a width that is a multiple of the 16-element
+//! block size — the student's 16-, 64- and 32-wide activations and its
+//! 32-wide `δ` — puts no block across two rows, and the matrix goes to the
+//! conversion kernel as one run of blocks. A ragged width (the 10-wide
 //! logits gradient) is staged: its blocks, each row's last one zero-padded,
-//! go to the kernel four at a time as one run. A right operand, and the
-//! left one of `Aᵀ·B`, is quantised down its columns
-//! ([`MxVector::quantize_columns_into`]), up to 64 columns at a time. A
-//! group of columns whose width is a multiple of 16 is quantised in place; a
-//! ragged one (the 10-wide `W₂` and logits gradient) is copied row by row
-//! into a stage as wide as the next multiple of 16, zero beyond the real
-//! columns, quantised there and copied back. Which path runs depends on the
-//! operand's shape alone, the values produced on neither.
+//! go to the kernel four at a time as one run. Quantising down the columns,
+//! up to 64 columns go at a time. A group whose width is a multiple of 16
+//! is quantised in place; a ragged one (the 10-wide `W₂` and logits
+//! gradient) is copied row by row into a stage as wide as the next multiple
+//! of 16, zero beyond the real columns, quantised there and copied back.
+//! Which path runs depends on the operand's shape alone, the values produced
+//! on neither.
 
-use crate::{ops, Matrix, Result, Workspace};
 #[cfg(doc)]
-use crate::{TensorError, K_BLOCK};
+use crate::TensorError;
+use crate::{ops, Matrix, Result, Workspace};
 use dacapo_mx::{MxError, MxPrecision, MxVector};
 
 /// Quantises every row of a matrix through the MX encode/decode round trip.
@@ -81,80 +86,34 @@ fn at_position(error: MxError, position: impl Fn(usize) -> usize) -> MxError {
 /// the columns. (This is also what DaCapo's precision-conversion unit does in
 /// "column-major" mode when producing transposed operands for retraining.)
 /// Bit-identical to transposing, quantising rows, and transposing back; the
-/// kernel works down the columns in place of the two transpose copies. The
-/// GEMMs below quantise `B` one panel at a time instead; this whole-matrix
-/// form is the reference their tests compare against.
+/// kernel works down the columns in place of the two transpose copies.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::Quantization`] if the matrix contains non-finite
 /// values.
 pub fn quantize_cols(a: &Matrix, precision: MxPrecision) -> Result<Matrix> {
-    let (k, n) = a.shape();
-    let mut out = Matrix::zeros(k, n)?;
-    MxVector::quantize_columns_into(a.as_slice(), n, precision, out.as_mut_slice())?;
+    let mut out = Matrix::zeros(a.rows(), a.cols())?;
+    quantize_cols_into(a, precision, &mut out)?;
     Ok(out)
 }
 
-/// Quantises `rows` — the `n`-wide rows of one reduction block of a right
-/// operand, row-major by reduction index — down their columns, straight into
-/// the workspace panel. `position` maps an index in `rows` to the element's
-/// index in the operand, for reporting a non-finite value.
+/// Quantises every column of `a` into a reusable output matrix,
+/// allocation-free once `out` has grown to size.
 ///
-/// Because a block starts at a [`K_BLOCK`] multiple and `K_BLOCK` is a
-/// multiple of the 16-element MX block size, the MX blocks of each column
-/// segment coincide exactly with the blocks of the full column — so fusing
-/// quantisation into packing is bit-identical to quantising whole columns
-/// up front.
-fn quantize_panel(
-    panel: &mut Vec<f32>,
-    rows: &[f32],
-    n: usize,
-    precision: MxPrecision,
-    position: impl Fn(usize) -> usize,
-) -> Result<()> {
-    let packed = ops::padded_panel(panel, rows.len() / n, n);
-    MxVector::quantize_columns_into(rows, n, precision, packed)
-        .map_err(|e| at_position(e, position))?;
-    Ok(())
+/// # Errors
+///
+/// Returns [`TensorError::Quantization`] if the matrix contains non-finite
+/// values.
+pub fn quantize_cols_into(a: &Matrix, precision: MxPrecision, out: &mut Matrix) -> Result<()> {
+    out.resize_for_overwrite(a.rows(), a.cols())?;
+    Ok(MxVector::quantize_columns_into(a.as_slice(), a.cols(), precision, out.as_mut_slice())?)
 }
 
-/// The `A·B` / `Aᵀ·B` panel: rows `kb..kb + kc` of `b`, quantised.
-fn pack_quantized_panel(
-    panel: &mut Vec<f32>,
-    b: &Matrix,
-    kb: usize,
-    kc: usize,
-    precision: MxPrecision,
-) -> Result<()> {
-    let n = b.cols();
-    let rows = &b.as_slice()[kb * n..(kb + kc) * n];
-    quantize_panel(panel, rows, n, precision, |index| kb * n + index)
-}
-
-/// The `A·Bᵀ` panel: columns `kb..kb + kc` of the `n×k` matrix `b`, stored
-/// transposed into `staged` as [`ops::matmul_a_bt`] stores them into its
-/// panel, then quantised — [`pack_quantized_panel`] on `transpose(b)`
-/// without the whole-matrix transpose.
-fn pack_quantized_panel_t(
-    panel: &mut Vec<f32>,
-    staged: &mut Vec<f32>,
-    b: &Matrix,
-    kb: usize,
-    kc: usize,
-    precision: MxPrecision,
-) -> Result<()> {
-    let (n, k) = b.shape();
-    staged.resize(kc * n, 0.0);
-    ops::transpose_blocks(&b.as_slice()[kb..], k, n, kc, staged, n);
-    quantize_panel(panel, staged, n, precision, |index| (index % n) * k + kb + index / n)
-}
-
-/// MX GEMM into a reusable output, fusing B-operand quantisation into panel
-/// packing. The left operand is quantised row-wise into the workspace, the
-/// right operand column-wise one reduction block at a time; accumulation is
-/// ascending-`k` FP32, so the result is bit-identical to
-/// `matmul_reference(quantize_rows(a), quantize_cols(b))`.
+/// MX GEMM into a reusable output: `a` quantised along its rows and `b`
+/// down its columns, each whole, into the workspace, then the f32 GEMM of
+/// [`ops::matmul_into`] on the two copies — so the result is
+/// `matmul_reference(quantize_rows(a), quantize_cols(b))`, bit for bit.
 ///
 /// # Errors
 ///
@@ -168,25 +127,23 @@ pub fn mx_matmul_into(
     ws: &mut Workspace,
 ) -> Result<()> {
     let blocks = ops::reduction_blocks("mx_matmul", a, b, a.shape(), b.shape(), out)?;
-    let Workspace { panel, qa, .. } = ws;
+    let Workspace { panel, qa, qb, .. } = ws;
     qa.resize(a.len(), 0.0);
     MxVector::quantize_rows_into(a.as_slice(), a.cols(), precision, qa)?;
-    for (kb, kc) in blocks {
-        pack_quantized_panel(panel, b, kb, kc, precision)?;
-        ops::accumulate_panel(qa, a.cols(), kb, kc, panel, out);
-    }
+    qb.resize(b.len(), 0.0);
+    MxVector::quantize_columns_into(b.as_slice(), b.cols(), precision, qb)?;
+    ops::gemm(qa, qb, blocks, out, panel);
     Ok(())
 }
 
-/// MX `A · Bᵀ` into a reusable output, without materialising the transpose:
-/// with `A` of shape `m×k` and `B` of shape `n×k`, both operands are
-/// quantised along their rows — the shared reduction dimension `k` — `B` one
-/// reduction block at a time, as its panel is packed: the block's columns
-/// are stored transposed, as [`ops::matmul_a_bt`] stores them, and quantised
-/// down the transposed columns. Bit-identical to
-/// `mx_matmul_into(A, transpose(B))`. This is the MX input-gradient kernel
-/// of the backward pass: `d_x = δ · Wᵀ` without the per-step weight
-/// transpose.
+/// MX `A · Bᵀ` into a reusable output: with `A` of shape `m×k` and `B` of
+/// shape `n×k`, `B` is transposed whole into the workspace and the product
+/// is [`mx_matmul_into`] on `A` and that transpose — quantised down its
+/// columns, which is along `B`'s rows, the shared reduction dimension `k`.
+/// Transposing first is the cheaper order: `B`'s rows can be as short as
+/// the 10 logits, each then a ragged block of its own, while the columns of
+/// its transpose are quantised sixteen rows at a time. This is the MX
+/// input-gradient kernel of the backward pass: `d_x = δ · Wᵀ`.
 ///
 /// # Errors
 ///
@@ -202,23 +159,26 @@ pub fn mx_matmul_a_bt_into(
 ) -> Result<()> {
     let (n, k) = b.shape();
     let blocks = ops::reduction_blocks("mx_matmul_a_bt", a, b, a.shape(), (k, n), out)?;
-    let Workspace { panel, qa, staged } = ws;
+    let Workspace { panel, qa, qb, staged } = ws;
     qa.resize(a.len(), 0.0);
     MxVector::quantize_rows_into(a.as_slice(), k, precision, qa)?;
-    for (kb, kc) in blocks {
-        pack_quantized_panel_t(panel, staged, b, kb, kc, precision)?;
-        ops::accumulate_panel(qa, k, kb, kc, panel, out);
-    }
+    staged.resize(b.len(), 0.0);
+    ops::transpose_blocks(b.as_slice(), k, n, k, staged, n);
+    qb.resize(b.len(), 0.0);
+    // Element `kk·n + j` of the transpose is `b[j][kk]`.
+    MxVector::quantize_columns_into(staged, n, precision, qb)
+        .map_err(|e| at_position(e, |i| (i % n) * k + i / n))?;
+    ops::gemm(qa, qb, blocks, out, panel);
     Ok(())
 }
 
-/// MX `Aᵀ · B` into a reusable output, without materialising the transpose:
-/// with `A` of shape `r×m` and `B` of shape `r×n`, both operands are
-/// quantised down their columns — along the shared reduction dimension `r`
-/// — and multiplied by the transposed-left kernel of [`ops::matmul_at_b`].
-/// Bit-identical to `mx_matmul_into(transpose(A), B)`. This is the MX
-/// weight-gradient kernel of the backward pass: `d_w = xᵀ · δ` with the
-/// batch as the reduction dimension.
+/// MX `Aᵀ · B` into a reusable output: with `A` of shape `r×m` and `B` of
+/// shape `r×n`, both operands are quantised down their columns — along the
+/// shared reduction dimension `r` — then multiplied by the f32 GEMM of
+/// [`ops::matmul_at_b`], which reads the left one transposed. Bit-identical
+/// to `mx_matmul_into(transpose(A), B)`. This is the MX weight-gradient
+/// kernel of the backward pass: `d_w = xᵀ · δ` with the batch as the
+/// reduction dimension.
 ///
 /// # Errors
 ///
@@ -233,36 +193,12 @@ pub fn mx_matmul_at_b_into(
 ) -> Result<()> {
     let (r, m) = a.shape();
     let blocks = ops::reduction_blocks("mx_matmul_at_b", a, b, (m, r), b.shape(), out)?;
-    let Workspace { panel, qa, .. } = ws;
-    qa.resize(r * m, 0.0);
+    let Workspace { panel, qa, qb, .. } = ws;
+    qa.resize(a.len(), 0.0);
     MxVector::quantize_columns_into(a.as_slice(), m, precision, qa)?;
-    for (rb, rc) in blocks {
-        pack_quantized_panel(panel, b, rb, rc, precision)?;
-        ops::accumulate_panel_t(qa, m, rb, rc, panel, out);
-    }
-    Ok(())
-}
-
-/// MX GEMM whose left operand `qa` is already row-quantised (as the DNN
-/// forward cache keeps it); only the right operand is quantised, fused into
-/// panel packing. Bit-identical to `matmul(qa, quantize_cols(b))`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `qa.cols() != b.rows()` and
-/// [`TensorError::Quantization`] if `b` contains non-finite values.
-pub fn mx_matmul_prequant_into(
-    qa: &Matrix,
-    b: &Matrix,
-    precision: MxPrecision,
-    out: &mut Matrix,
-    ws: &mut Workspace,
-) -> Result<()> {
-    let k = qa.cols();
-    for (kb, kc) in ops::reduction_blocks("mx_matmul", qa, b, qa.shape(), b.shape(), out)? {
-        pack_quantized_panel(&mut ws.panel, b, kb, kc, precision)?;
-        ops::accumulate_panel(qa.as_slice(), k, kb, kc, &ws.panel, out);
-    }
+    qb.resize(b.len(), 0.0);
+    MxVector::quantize_columns_into(b.as_slice(), b.cols(), precision, qb)?;
+    ops::gemm_at_b(qa, qb, blocks, out, panel);
     Ok(())
 }
 
@@ -340,6 +276,10 @@ mod tests {
         let via_rows =
             ops::transpose(&quantize_rows(&ops::transpose(&a), MxPrecision::Mx6).unwrap());
         assert_eq!(via_cols, via_rows);
+        // Into an output of another shape, reused.
+        let mut out = Matrix::filled(3, 70, f32::NAN).unwrap();
+        quantize_cols_into(&a, MxPrecision::Mx6, &mut out).unwrap();
+        assert_eq!(out, via_rows);
     }
 
     #[test]
@@ -433,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_mx_gemm_is_bit_identical_to_unfused_reference() {
+    fn mx_gemm_is_the_f32_gemm_on_quantised_operands() {
         // Shapes straddling the K_BLOCK boundary and non-multiple-of-16 K.
         for (m, k, n) in [(3, 5, 4), (2, 64, 3), (4, 70, 5), (1, 130, 2)] {
             let a = Matrix::from_fn(m, k, |r, c| (((r * 37 + c * 13) % 23) as f32 - 11.0) * 0.13)
@@ -447,11 +387,6 @@ mod tests {
                 )
                 .unwrap();
                 assert_eq!(mx_matmul(&a, &b, precision).unwrap(), reference);
-                let qa = quantize_rows(&a, precision).unwrap();
-                let mut ws = Workspace::new();
-                let mut out = Matrix::zeros(1, 1).unwrap();
-                mx_matmul_prequant_into(&qa, &b, precision, &mut out, &mut ws).unwrap();
-                assert_eq!(out, reference);
             }
         }
     }

@@ -5,8 +5,9 @@
 //! and outputs on every call makes the allocator the bottleneck long before
 //! the FPU. A [`Workspace`] owns every intermediate buffer the blocked
 //! kernels in [`ops`](crate::ops) and [`quant`](crate::quant) need — the
-//! packed B panel, the quantised left operand and the MX `A·Bᵀ` staging
-//! area — so steady-state kernel invocations allocate nothing.
+//! padded B panel, the two quantised operands of an MX GEMM and the
+//! transpose of MX `A·Bᵀ` — so steady-state kernel invocations allocate
+//! nothing. An FP32 caller grows only the panel.
 //!
 //! Outputs need no counterpart type: every `*_into` kernel resizes and fully
 //! overwrites the [`Matrix`](crate::Matrix) it is handed, keeping its
@@ -31,15 +32,12 @@
 //! # }
 //! ```
 
-/// Reduction-dimension block size of the packed GEMM kernels.
-///
-/// A multiple of the MX block size (16), so quantising a `K_BLOCK`-long
-/// column segment produces exactly the blocks that quantising the full
-/// column would — the property that makes the fused quantise-and-pack path
-/// in [`quant`](crate::quant) bit-identical to the unfused reference.
+/// Reduction-dimension block size of the packed GEMM kernels: the register
+/// tile folds this many rows of the right operand into its accumulators
+/// before it stores them. Every output element still accumulates its
+/// products in ascending reduction order, so the block size moves memory
+/// traffic, never a result.
 pub const K_BLOCK: usize = 64;
-
-const _: () = assert!(K_BLOCK.is_multiple_of(dacapo_mx::BLOCK_SIZE));
 
 /// Scratch buffers reused across packed GEMM invocations.
 ///
@@ -50,13 +48,16 @@ const _: () = assert!(K_BLOCK.is_multiple_of(dacapo_mx::BLOCK_SIZE));
 /// change results.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    /// Packed B panel for the current reduction block (`kc × n`, row-major
-    /// by reduction index), when the kernel cannot read `B` in place.
+    /// The right operand's rows of the current reduction block (`kc × n`,
+    /// row-major by reduction index) followed by zero padding, when the
+    /// kernel cannot read them in place; for `A·Bᵀ`, `B`'s columns of the
+    /// block, transposed.
     pub(crate) panel: Vec<f32>,
-    /// Quantised copy of the left GEMM operand (row-major, same shape).
+    /// An MX GEMM's left operand, quantised (row-major, same shape).
     pub(crate) qa: Vec<f32>,
-    /// The MX `A·Bᵀ` panel before quantisation: `B`'s columns of the current
-    /// reduction block, transposed (`kc × n`).
+    /// An MX GEMM's right operand, quantised (row-major, `k × n`).
+    pub(crate) qb: Vec<f32>,
+    /// MX `A·Bᵀ`'s `B`, transposed (`k × n`) before it is quantised.
     pub(crate) staged: Vec<f32>,
 }
 
@@ -70,17 +71,8 @@ impl Workspace {
     /// Bytes of backing storage the workspace has grown to.
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
-        (self.panel.capacity() + self.qa.capacity() + self.staged.capacity())
+        let Self { panel, qa, qb, staged } = self;
+        [panel, qa, qb, staged].into_iter().map(Vec::capacity).sum::<usize>()
             * std::mem::size_of::<f32>()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn k_block_is_an_mx_block_multiple() {
-        assert_eq!(K_BLOCK % dacapo_mx::BLOCK_SIZE, 0);
     }
 }

@@ -109,8 +109,6 @@ fn every_gemm_entry_point_matches_the_reference_on_a_tile_boundary_sweep() {
                     let reference = ops::matmul_reference(&qa, &qb).unwrap();
                     quant::mx_matmul_into(&a, &b, p, &mut out, &mut ws).unwrap();
                     assert_eq!(bits(&out), bits(&reference), "mx_matmul_into {p:?} {shape}");
-                    quant::mx_matmul_prequant_into(&qa, &b, p, &mut out, &mut ws).unwrap();
-                    assert_eq!(bits(&out), bits(&reference), "prequant {p:?} {shape}");
                     quant::mx_matmul_at_b_into(&a_t, &b, p, &mut out, &mut ws).unwrap();
                     assert_eq!(bits(&out), bits(&reference), "mx_matmul_at_b_into {p:?} {shape}");
                     quant::mx_matmul_a_bt_into(&a, &b_t, p, &mut out, &mut ws).unwrap();
@@ -132,14 +130,11 @@ fn every_gemm_overwrites_a_larger_nan_filled_output() {
     type Gemm = fn(&Matrix, &Matrix, &Matrix, &Matrix, &mut Matrix, &mut Workspace);
     const MX: MxPrecision = MxPrecision::Mx9;
     // Each takes (a, aᵀ, b, bᵀ) and picks the operands it multiplies as a·b.
-    let gemms: [(&str, Gemm); 7] = [
+    let gemms: [(&str, Gemm); 6] = [
         ("matmul_into", |a, _, b, _, out, ws| ops::matmul_into(a, b, out, ws).unwrap()),
         ("matmul_at_b", |_, a_t, b, _, out, ws| ops::matmul_at_b(a_t, b, out, ws).unwrap()),
         ("matmul_a_bt", |a, _, _, b_t, out, ws| ops::matmul_a_bt(a, b_t, out, ws).unwrap()),
         ("mx_matmul_into", |a, _, b, _, out, ws| quant::mx_matmul_into(a, b, MX, out, ws).unwrap()),
-        ("mx_matmul_prequant_into", |a, _, b, _, out, ws| {
-            quant::mx_matmul_prequant_into(a, b, MX, out, ws).unwrap()
-        }),
         ("mx_matmul_at_b_into", |_, a_t, b, _, out, ws| {
             quant::mx_matmul_at_b_into(a_t, b, MX, out, ws).unwrap()
         }),
@@ -162,9 +157,9 @@ fn every_gemm_overwrites_a_larger_nan_filled_output() {
     }
 }
 
-/// The MX `A·Bᵀ` kernel quantises a transposed copy of `b`'s columns, yet a
-/// non-finite element is reported where it sits in `b` — in the first
-/// reduction block and in a later one.
+/// The MX `A·Bᵀ` kernel quantises a transposed copy of `b`, yet a non-finite
+/// element is reported where it sits in `b` — in the first reduction block
+/// and in a later one.
 #[test]
 fn mx_a_bt_reports_a_non_finite_element_at_its_index_in_b() {
     let (n, k) = (5, 70);
@@ -394,7 +389,7 @@ proptest! {
     /// Fusing the accumulate moved no bit of the paper's MX arithmetic: the
     /// product of two MX-quantised values (mantissa codes of at most 7 bits)
     /// is exact in `f32`, so the fused sum rounds what the unfused one
-    /// rounds. All four MX GEMMs equal the *unfused* naive accumulate over
+    /// rounds. All three MX GEMMs equal the *unfused* naive accumulate over
     /// the quantised operands, for operands that are zero or of magnitude in
     /// [2⁻⁴⁰, 2⁴⁰) — the bound is product underflow, which these stay clear
     /// of.
@@ -416,8 +411,6 @@ proptest! {
             let reference = bits(&naive_gemm(&qa, &qb, unfused));
             quant::mx_matmul_into(&a, &b, p, &mut out, &mut ws).unwrap();
             prop_assert_eq!(&bits(&out), &reference, "mx_matmul_into {:?}", p);
-            quant::mx_matmul_prequant_into(&qa, &b, p, &mut out, &mut ws).unwrap();
-            prop_assert_eq!(&bits(&out), &reference, "mx_matmul_prequant_into {:?}", p);
             quant::mx_matmul_at_b_into(&a_t, &b, p, &mut out, &mut ws).unwrap();
             prop_assert_eq!(&bits(&out), &reference, "mx_matmul_at_b_into {:?}", p);
             quant::mx_matmul_a_bt_into(&a, &b_t, p, &mut out, &mut ws).unwrap();
@@ -425,31 +418,9 @@ proptest! {
         }
     }
 
-    /// The fused quantise-and-pack MX GEMM is bit-identical to the unfused
-    /// reference (quantise whole operands, then naive GEMM), for every
-    /// precision and for reduction lengths off the MX/tile block boundaries.
-    #[test]
-    fn fused_mx_gemm_is_bit_identical_to_reference((m, k, n) in gemm_dims(), seed in 0u64..1000) {
-        let a = matrix(m, k, seed);
-        let b = matrix(k, n, seed.wrapping_add(5));
-        for precision in [MxPrecision::Mx4, MxPrecision::Mx6, MxPrecision::Mx9] {
-            let qa = quant::quantize_rows(&a, precision).unwrap();
-            let qb = quant::quantize_cols(&b, precision).unwrap();
-            let reference = ops::matmul_reference(&qa, &qb).unwrap();
-            prop_assert_eq!(&quant::mx_matmul(&a, &b, precision).unwrap(), &reference);
-            let mut ws = Workspace::new();
-            let mut out = Matrix::zeros(1, 1).unwrap();
-            quant::mx_matmul_into(&a, &b, precision, &mut out, &mut ws).unwrap();
-            prop_assert_eq!(&out, &reference);
-            quant::mx_matmul_prequant_into(&qa, &b, precision, &mut out, &mut ws).unwrap();
-            prop_assert_eq!(&out, &reference);
-        }
-    }
-
-    /// Quantising down the columns — whole (`quantize_cols`) or one reduction
-    /// block at a time into the packed panel — is bit-identical to
-    /// transposing, quantising rows and transposing back, for reduction
-    /// lengths straddling K_BLOCK and off the 16-element MX block.
+    /// Quantising down the columns is bit-identical to transposing,
+    /// quantising rows and transposing back, for column lengths past 64 and
+    /// off the 16-element MX block.
     #[test]
     fn column_quantisation_is_bit_identical_to_transposed_rows((_, k, n) in gemm_dims(), seed in 0u64..1000) {
         let b = matrix(k, n, seed);
@@ -457,11 +428,6 @@ proptest! {
             let via_rows = ops::transpose(&quant::quantize_rows(&ops::transpose(&b), precision).unwrap());
             let via_cols = quant::quantize_cols(&b, precision).unwrap();
             prop_assert_eq!(bits(&via_cols), bits(&via_rows));
-            // `I · Q(b)` reads the panel back: one exact product per output.
-            let mut ws = Workspace::new();
-            let mut out = Matrix::zeros(1, 1).unwrap();
-            quant::mx_matmul_prequant_into(&Matrix::identity(k), &b, precision, &mut out, &mut ws).unwrap();
-            prop_assert_eq!(&out, &via_rows);
         }
     }
 
