@@ -514,21 +514,16 @@ impl SessionSnapshot {
             ));
         }
         // A teacher labels every frame the session samples: it must know
-        // the stream's classes and hold a base accuracy the configuration
-        // would accept (`SimConfig::validate`, `EdgeConfig::validate`).
+        // the stream's classes. (Its base accuracy was checked when it
+        // decoded, as `TeacherOracle::new` checks a built one.)
         let cloud = self.edge.as_ref().map(|edge| &edge.cloud);
-        let teachers = [("teacher", self.teacher.num_classes(), self.teacher.base_accuracy())]
+        let teachers = [("teacher", self.teacher.num_classes())]
             .into_iter()
-            .chain(cloud.map(|c| ("edge.cloud.oracle", c.num_classes(), c.base_accuracy())));
-        for (field, num_classes, base_accuracy) in teachers {
+            .chain(cloud.map(|c| ("edge.cloud.oracle", c.num_classes())));
+        for (field, num_classes) in teachers {
             if num_classes != NUM_CLASSES {
                 return bad(format!(
                     "{field}.num_classes is {num_classes} but there are {NUM_CLASSES} classes"
-                ));
-            }
-            if !(0.0..=1.0).contains(&base_accuracy) {
-                return bad(format!(
-                    "{field}.base_accuracy must lie in [0, 1], got {base_accuracy}"
                 ));
             }
         }
@@ -1971,23 +1966,33 @@ mod tests {
         let mut hostile = plain.clone();
         hostile.edge = edged.edge.clone();
         assert_unrestorable(Ok(hostile), "edge state without an edge tier");
-        // Teachers that would panic at their first label: too few classes,
-        // and a base accuracy JSON `null` (read as NaN) or outside [0, 1].
-        let teachers: [(&SessionSnapshot, &[&str]); 3] = [
-            (&plain, &["teacher"]),
-            (&edged, &["teacher"]),
-            (&edged, &["edge", "cloud", "oracle"]),
+        // Teachers that would panic at their first label: a class count the
+        // stream does not have fails restore's check, and a base accuracy
+        // JSON `null` (read as NaN) or outside [0, 1] fails the teacher's
+        // own decode. Each reason names the field.
+        let teachers: [(&SessionSnapshot, &[&str], &str); 3] = [
+            (&plain, &["teacher"], "SessionSnapshot.teacher"),
+            (&edged, &["teacher"], "SessionSnapshot.teacher"),
+            (&edged, &["edge", "cloud", "oracle"], "CloudTeacher.oracle"),
         ];
-        for (snapshot, teacher) in teachers {
+        for (snapshot, teacher, decoded) in teachers {
             let at = |key| [teacher, &[key]].concat();
-            for (key, value, named) in [
-                ("num_classes", Value::UInt(2), "num_classes is 2"),
-                ("base_accuracy", Value::Null, "base_accuracy must lie in [0, 1], got NaN"),
-                ("base_accuracy", Value::Float(1.5), "base_accuracy must lie in [0, 1], got 1.5"),
-            ] {
-                let what = format!("{}.{key}", teacher.join("."));
-                let reason = assert_unrestorable(with_field(snapshot, &at(key), value), &what);
-                assert!(reason.starts_with(&what) && reason.contains(named), "{reason}");
+            let what = format!("{}.num_classes", teacher.join("."));
+            let reason = assert_unrestorable(
+                with_field(snapshot, &at("num_classes"), Value::UInt(2)),
+                &what,
+            );
+            assert!(reason.starts_with(&format!("{what} is 2")), "{reason}");
+            for (value, got) in [(Value::Null, "NaN"), (Value::Float(1.5), "1.5")] {
+                let what = format!(
+                    "{decoded}: TeacherOracle.base_accuracy: must lie in [0, 1], got {got}"
+                );
+                let reason =
+                    assert_unrestorable(with_field(snapshot, &at("base_accuracy"), value), &what);
+                assert!(
+                    reason.starts_with("malformed snapshot JSON") && reason.contains(&what),
+                    "{reason}"
+                );
             }
             let classes = Value::UInt(NUM_CLASSES as u64);
             for (key, value) in [("num_classes", classes), ("base_accuracy", Value::Float(0.0))] {

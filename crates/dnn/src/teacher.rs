@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{de, DeError, Deserialize, Serialize, Value};
 
 /// A stand-in for the large teacher DNN (WideResNet / ViT-B/16 in the paper).
 ///
@@ -22,11 +22,38 @@ use serde::{DeError, Deserialize, Serialize, Value};
 /// let label = teacher.label(3, 0.0);
 /// assert!(label < 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TeacherOracle {
     num_classes: usize,
     base_accuracy: f64,
     rng: StdRngState,
+}
+
+/// Deserialises through [`TeacherOracle::new`]'s checks, so a decoded
+/// teacher can label whatever a built one can: a class count of 0 or a base
+/// accuracy outside `[0, 1]` (JSON `null`, read as NaN, included) is an error
+/// naming the field, not a panic at the first [`TeacherOracle::label`].
+impl Deserialize for TeacherOracle {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let num_classes = de::field(value, "TeacherOracle", "num_classes")?;
+        let base_accuracy = de::field(value, "TeacherOracle", "base_accuracy")?;
+        if let Some(reason) = refusal(num_classes, base_accuracy) {
+            return Err(DeError::new(format!("TeacherOracle.{reason}")));
+        }
+        Ok(Self { num_classes, base_accuracy, rng: de::field(value, "TeacherOracle", "rng")? })
+    }
+}
+
+/// Why [`TeacherOracle::new`] refuses a class count and base accuracy, led
+/// by the field at fault; `None` when it accepts them.
+fn refusal(num_classes: usize, base_accuracy: f64) -> Option<String> {
+    if num_classes == 0 {
+        Some("num_classes: a teacher needs at least one class".into())
+    } else if !(0.0..=1.0).contains(&base_accuracy) {
+        Some(format!("base_accuracy: must lie in [0, 1], got {base_accuracy}"))
+    } else {
+        None
+    }
 }
 
 /// Serialisable wrapper around a live generator: the original seed, the
@@ -68,8 +95,8 @@ impl TeacherOracle {
     /// Panics if `num_classes` is zero or `base_accuracy` is outside `[0, 1]`.
     #[must_use]
     pub fn new(num_classes: usize, base_accuracy: f64, seed: u64) -> Self {
-        assert!(num_classes > 0, "teacher needs at least one class");
-        assert!((0.0..=1.0).contains(&base_accuracy), "base accuracy must be in [0, 1]");
+        let refused = refusal(num_classes, base_accuracy);
+        assert!(refused.is_none(), "{}", refused.unwrap_or_default());
         Self {
             num_classes,
             base_accuracy,
@@ -134,6 +161,9 @@ impl TeacherOracle {
 /// let label = cloud.label(3, 0.04);
 /// assert!(label < 10);
 /// ```
+///
+/// Its derived `Deserialize` decodes the oracle through
+/// [`TeacherOracle`]'s checks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CloudTeacher {
     oracle: TeacherOracle,
@@ -281,5 +311,33 @@ mod tests {
         let expected: Vec<usize> = (0..200).map(|i| teacher.label(i % 10, 0.05)).collect();
         let resumed: Vec<usize> = (0..200).map(|i| restored.label(i % 10, 0.05)).collect();
         assert_eq!(resumed, expected);
+    }
+
+    #[test]
+    fn a_decoded_teacher_is_checked_like_a_built_one() {
+        let teacher = TeacherOracle::new(10, 0.7, 9);
+        let cloud = CloudTeacher::new(10, 0.99, 12);
+        assert_eq!(TeacherOracle::from_value(&teacher.to_value()).unwrap(), teacher);
+        assert_eq!(CloudTeacher::from_value(&cloud.to_value()).unwrap(), cloud);
+        // `tree` with its `key` entry replaced by `value`.
+        let with = |mut tree: Value, key: &str, value: Value| {
+            let Value::Object(entries) = &mut tree else { panic!("a teacher is an object") };
+            entries.iter_mut().find(|(k, _)| k == key).expect("the field exists").1 = value;
+            tree
+        };
+        for (key, hostile, reason) in [
+            ("num_classes", Value::UInt(0), "a teacher needs at least one class"),
+            ("base_accuracy", Value::Null, "must lie in [0, 1], got NaN"),
+            ("base_accuracy", Value::Float(1.5), "must lie in [0, 1], got 1.5"),
+            ("base_accuracy", Value::Float(-0.1), "must lie in [0, 1], got -0.1"),
+        ] {
+            let named = format!("TeacherOracle.{key}: {reason}");
+            let oracle = with(teacher.to_value(), key, hostile);
+            let error = TeacherOracle::from_value(&oracle).expect_err("must not decode");
+            assert_eq!(error.to_string(), named);
+            let error = CloudTeacher::from_value(&with(cloud.to_value(), "oracle", oracle))
+                .expect_err("must not decode");
+            assert_eq!(error.to_string(), format!("CloudTeacher.oracle: {named}"));
+        }
     }
 }

@@ -11,8 +11,12 @@
 //!   the panel.
 //! * `Aᵀ·B` ([`matmul_at_b`]): `A` by columns (strided loads), `B` as above.
 //! * `A·Bᵀ` ([`matmul_a_bt`]): `A` by rows, and the panel is `B`'s columns
-//!   `kb..kb + kc`, stored transposed through the block routine
-//!   [`transpose_into`] also runs.
+//!   `kb..kb + kc`, stored transposed through the routine [`transpose_into`]
+//!   also runs, which moves eight source rows at a time as vector shuffles.
+//!
+//! The tile folds a strip of output rows at once: eight on an AVX-512
+//! build, whose register file holds that many rows of accumulators, and
+//! four elsewhere; then one strip of four, then single rows.
 //!
 //! A panel is *packed* — copied into the [`Workspace`] — only when it has
 //! to be: for `A·Bᵀ` (the transposition is the packing), and for `A·B` /
@@ -198,8 +202,14 @@ pub(crate) const J_TILE: usize = 32;
 
 /// Rows processed together by the register-blocked inner kernel: enough
 /// independent accumulator chains to hide FMA latency without spilling the
-/// `I_TILE × J_TILE` accumulator block out of registers.
-pub(crate) const I_TILE: usize = 4;
+/// `I_TILE × J_TILE` accumulator block out of registers. Eight on a build
+/// targeting AVX-512, whose 32 `zmm` registers hold the 8 × 32 block in 16;
+/// four elsewhere, where the same block on eight lanes would need all 32
+/// `ymm` registers and spill. (An AVX-512 build that keeps LLVM's 256-bit
+/// preference runs the 8-row strip on `ymm`, and its fp32 training step
+/// is about 16 % slower than with 4 rows; `scripts/check-width.sh` fails
+/// such a build.)
+pub(crate) const I_TILE: usize = if cfg!(target_feature = "avx512f") { 8 } else { 4 };
 
 /// The register tile every packed GEMM runs: `R` output rows by `W` panel
 /// columns, of which the first `jw` are stored.
@@ -210,16 +220,26 @@ pub(crate) const I_TILE: usize = 4;
 /// reduction block and from its current `out` values for a later one, folds
 /// the whole block in registers, and stores once. The `R` rows share every
 /// panel load and give the CPU that many independent accumulator chains per
-/// column vector, so the loop is throughput- rather than latency-bound. Per
-/// output element this performs *exactly* the same fused multiply–adds in
-/// the same order as updating a zeroed output in memory after every product
-/// — blocking only changes which elements progress concurrently, never the
-/// reduction order within an element — so the result stays bit-identical
-/// to [`matmul_reference`], whose accumulate the inner line is (one
-/// rounding per product; with hardware FMA, one vector instruction per
-/// eight of them). Lanes past `jw` multiply whatever follows in the panel
-/// (the next row, or the padding after the last) and are never stored,
-/// which keeps the loop vectorised at full width.
+/// column vector, so the loop is throughput- rather than latency-bound. `R`
+/// is [`I_TILE`], 4 or 1; at 8 × 32 on `zmm` the accumulators take 16 of the
+/// 32 registers. Per output element this performs *exactly* the same fused
+/// multiply–adds in the same order as updating a zeroed output in memory
+/// after every product — blocking only changes which elements progress
+/// concurrently, never the reduction order within an element — so the
+/// result stays bit-identical to [`matmul_reference`], whose accumulate the
+/// inner line is (one rounding per product; with hardware FMA, one vector
+/// instruction per eight of them on `ymm`, sixteen on `zmm`). Lanes past
+/// `jw` multiply whatever follows in the panel (the next row, or the padding
+/// after the last) and are never stored, which keeps the loop vectorised at
+/// full width.
+///
+/// The `jw`-wide copies into and out of the tile go through `loaded` and
+/// `stored`, never `acc` itself, so that every access to `acc` has a
+/// constant index and LLVM keeps all of it in registers. Copied straight
+/// from `acc`, the 8-row tail tile of a width between 17 and 31 kept most
+/// of its accumulators on the stack and stored them at every reduction
+/// step (16×64·64×24 on a 2-core AVX-512 host: 0.55 → 0.96 µs against the
+/// 4-row tile).
 #[inline(always)]
 fn tile<const R: usize, const W: usize>(
     lhs: impl Fn(usize) -> [f32; R],
@@ -232,9 +252,11 @@ fn tile<const R: usize, const W: usize>(
 ) {
     let mut acc = [[0.0f32; W]; R];
     if !first {
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            acc_row[..jw].copy_from_slice(&out[r * n..r * n + jw]);
+        let mut loaded = [[0.0f32; W]; R];
+        for (r, row) in loaded.iter_mut().enumerate() {
+            row[..jw].copy_from_slice(&out[r * n..r * n + jw]);
         }
+        acc = loaded;
     }
     for kk in 0..kc {
         let b_tile = &panel[kk * n..kk * n + W];
@@ -245,8 +267,9 @@ fn tile<const R: usize, const W: usize>(
             }
         }
     }
-    for (r, acc_row) in acc.iter().enumerate() {
-        out[r * n..r * n + jw].copy_from_slice(&acc_row[..jw]);
+    let stored = acc;
+    for (r, row) in stored.iter().enumerate() {
+        out[r * n..r * n + jw].copy_from_slice(&row[..jw]);
     }
 }
 
@@ -282,9 +305,9 @@ fn row_strip<const R: usize>(
 /// `out[i][j] += sum_{kk} a[i][kb + kk] * panel[kk][j]` — `=` for the first
 /// block, `kb == 0`, which is what initialises `out` — with the panel rows
 /// visited in ascending reduction order: [`I_TILE`]-row strips of [`tile`]s,
-/// then single rows. Never inlined, like [`accumulate_panel_t`]: the two
-/// are the tile's symbols in a release binary, whose lane width
-/// `scripts/check-width.sh` checks.
+/// then one 4-row strip, then single rows. Never inlined, like
+/// [`accumulate_panel_t`]: the two are the tile's symbols in a release
+/// binary, whose lane width `scripts/check-width.sh` checks.
 #[inline(never)]
 fn accumulate_panel(
     a_data: &[f32],
@@ -296,19 +319,36 @@ fn accumulate_panel(
 ) {
     let (m, n) = out.shape();
     let out_data = out.as_mut_slice();
-    let a_row = |i: usize| &a_data[i * k + kb..i * k + kb + kc];
     let mut i = 0;
     while i + I_TILE <= m {
-        let (a0, a1, a2, a3) = (a_row(i), a_row(i + 1), a_row(i + 2), a_row(i + 3));
-        let strip = &mut out_data[i * n..(i + I_TILE) * n];
-        row_strip(|kk| [a0[kk], a1[kk], a2[kk], a3[kk]], kc, panel, strip, n, kb == 0);
+        strip::<I_TILE>(&a_data[i * k + kb..], k, kc, panel, &mut out_data[i * n..], n, kb == 0);
         i += I_TILE;
     }
+    if i + 4 <= m {
+        strip::<4>(&a_data[i * k + kb..], k, kc, panel, &mut out_data[i * n..], n, kb == 0);
+        i += 4;
+    }
     while i < m {
-        let a0 = a_row(i);
-        row_strip(|kk| [a0[kk]], kc, panel, &mut out_data[i * n..(i + 1) * n], n, kb == 0);
+        strip::<1>(&a_data[i * k + kb..], k, kc, panel, &mut out_data[i * n..], n, kb == 0);
         i += 1;
     }
+}
+
+/// A strip of [`accumulate_panel`]: the first `R` rows of `out`, whose left
+/// operand is `R` rows of `a` (`a` starts at the first one's reduction
+/// block), each sliced to the block's `kc` values once, up front.
+#[inline(always)]
+fn strip<const R: usize>(
+    a: &[f32],
+    k: usize,
+    kc: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    first: bool,
+) {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..r * k + kc]);
+    row_strip(|kk| rows.map(|row| row[kk]), kc, panel, &mut out[..R * n], n, first);
 }
 
 /// `Aᵀ · B` into a reusable output, without materialising the transpose.
@@ -369,18 +409,38 @@ fn accumulate_panel_t(
     let out_data = out.as_mut_slice();
     let mut i = 0;
     while i + I_TILE <= m {
-        let lhs = |kk: usize| {
-            let a = &a_block[kk * m + i..kk * m + i + I_TILE];
-            [a[0], a[1], a[2], a[3]]
-        };
-        row_strip(lhs, rc, panel, &mut out_data[i * n..(i + I_TILE) * n], n, rb == 0);
+        strip_t::<I_TILE>(&a_block[i..], m, rc, panel, &mut out_data[i * n..], n, rb == 0);
         i += I_TILE;
     }
+    if i + 4 <= m {
+        strip_t::<4>(&a_block[i..], m, rc, panel, &mut out_data[i * n..], n, rb == 0);
+        i += 4;
+    }
     while i < m {
-        let lhs = |kk: usize| [a_block[kk * m + i]];
-        row_strip(lhs, rc, panel, &mut out_data[i * n..(i + 1) * n], n, rb == 0);
+        strip_t::<1>(&a_block[i..], m, rc, panel, &mut out_data[i * n..], n, rb == 0);
         i += 1;
     }
+}
+
+/// A strip of [`accumulate_panel_t`]: the first `R` rows of `out`, whose
+/// left operand at reduction index `kk` is the `R` adjacent values at the
+/// start of `a`'s row `kk` (`a` starts at the strip's column of the block's
+/// first row, and holds its rows `m` apart).
+#[inline(always)]
+fn strip_t<const R: usize>(
+    a: &[f32],
+    m: usize,
+    rc: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    first: bool,
+) {
+    let lhs = |kk: usize| -> [f32; R] {
+        let a = &a[kk * m..kk * m + R];
+        std::array::from_fn(|r| a[r])
+    };
+    row_strip(lhs, rc, panel, &mut out[..R * n], n, first);
 }
 
 /// `A · Bᵀ` into a reusable output, without materialising the transpose.
@@ -417,9 +477,9 @@ pub fn transpose(a: &Matrix) -> Matrix {
 }
 
 /// Transposes `a` into a reusable output matrix (no allocation once `out`
-/// has grown to size), in 8×8 blocks whose rows are read and written as
-/// contiguous runs (transposition moves data, never computes, so blocking
-/// cannot affect values).
+/// has grown to size), eight source rows at a time, each destination row
+/// written as eight-element runs (transposition moves data, never computes,
+/// so the grouping cannot affect values).
 pub fn transpose_into(a: &Matrix, out: &mut Matrix) {
     let (m, n) = a.shape();
     out.resize_for_overwrite(n, m).expect("source dimensions are positive");
@@ -431,11 +491,16 @@ pub fn transpose_into(a: &Matrix, out: &mut Matrix) {
 /// row-major region and hold their rows `src_stride` and `dst_stride`
 /// apart — so either side may be a window of a wider matrix.
 ///
-/// Works in 8×8 blocks: eight source rows are read as eight-element runs
-/// and each destination row is written as one run gathered across them,
-/// which the compiler turns into vector loads, shuffles and stores (the
-/// block edges of other sizes take the scalar loop). Transposition moves
-/// data, never computes, so blocking cannot affect values.
+/// Works on groups of eight source rows, up to 64 columns at a time: one
+/// pass over the eight rows, zipped, gathers column `c`'s eight values into
+/// run `c` of a stack strip — the compiler turns that pass into vector loads
+/// and an interleaving shuffle per store (`vpermt2ps` on x86-64) — and each
+/// run is then copied to its destination row as one eight-element store.
+/// Rows past the last whole group take the scalar loop. Never inlined, so a
+/// release binary keeps the symbol whose shuffles `scripts/check-width.sh`
+/// checks. Transposition moves data, never computes, so the grouping cannot
+/// affect values.
+#[inline(never)]
 pub(crate) fn transpose_blocks(
     src: &[f32],
     src_stride: usize,
@@ -445,26 +510,30 @@ pub(crate) fn transpose_blocks(
     dst_stride: usize,
 ) {
     const T: usize = 8;
-    for rb in (0..rows).step_by(T) {
-        for cb in (0..cols).step_by(T) {
-            let src = &src[rb * src_stride + cb..];
-            let dst = &mut dst[cb * dst_stride + rb..];
-            if rb + T <= rows && cb + T <= cols {
-                let runs: [&[f32]; T] =
-                    std::array::from_fn(|r| &src[r * src_stride..r * src_stride + T]);
-                for c in 0..T {
-                    let out = &mut dst[c * dst_stride..c * dst_stride + T];
-                    for (o, run) in out.iter_mut().zip(runs) {
-                        *o = run[c];
-                    }
-                }
-            } else {
-                for c in 0..T.min(cols - cb) {
-                    for r in 0..T.min(rows - rb) {
-                        dst[c * dst_stride + r] = src[r * src_stride + c];
-                    }
-                }
+    const CHUNK: usize = 64;
+    let grouped = rows - rows % T;
+    let mut strip = [[0.0f32; T]; CHUNK];
+    for rb in (0..grouped).step_by(T) {
+        for cb in (0..cols).step_by(CHUNK) {
+            let cw = CHUNK.min(cols - cb);
+            let [r0, r1, r2, r3, r4, r5, r6, r7]: [&[f32]; T] = std::array::from_fn(|r| {
+                let at = (rb + r) * src_stride + cb;
+                &src[at..at + cw]
+            });
+            let columns = r0.iter().zip(r1).zip(r2).zip(r3).zip(r4).zip(r5).zip(r6).zip(r7);
+            for (run, (((((((v0, v1), v2), v3), v4), v5), v6), v7)) in strip.iter_mut().zip(columns)
+            {
+                *run = [*v0, *v1, *v2, *v3, *v4, *v5, *v6, *v7];
             }
+            for (c, run) in strip[..cw].iter().enumerate() {
+                let at = (cb + c) * dst_stride + rb;
+                dst[at..at + T].copy_from_slice(run);
+            }
+        }
+    }
+    for r in grouped..rows {
+        for c in 0..cols {
+            dst[c * dst_stride + r] = src[r * src_stride + c];
         }
     }
 }
@@ -716,6 +785,50 @@ mod tests {
         let left = transpose(&matmul(&a, &b).unwrap());
         let right = matmul(&transpose(&b), &transpose(&a)).unwrap();
         assert_eq!(left, right);
+    }
+
+    /// The transposition routine against the index loop, at every branch
+    /// of it: no whole 8-row group, one, several and a ragged remainder
+    /// (`rows`); one 64-column chunk, a ragged one and several (`cols`); each
+    /// as a whole matrix and as a window of wider rows on both sides, whose
+    /// extra elements must keep what they held. The source slice ends at
+    /// the window's last element, as `matmul_a_bt` passes it. Bits are
+    /// compared, and the input holds quiet and signalling NaN payloads,
+    /// −0.0 and subnormals, each differing from the others.
+    #[test]
+    fn transpose_blocks_moves_every_bit_where_the_index_loop_does() {
+        let value = |i: usize| {
+            let i = i as u32;
+            f32::from_bits(match i % 5 {
+                0 => 0x7fc0_0000 | i,
+                1 => 0xff80_0000 | (i + 1),
+                2 => 0x8000_0000 | i,
+                3 => 0x8000_0000,
+                _ => (i as f32).to_bits(),
+            })
+        };
+        let untouched = f32::from_bits(0x7f80_dead);
+        for rows in [1, 7, 8, 9, 16, 17, 65] {
+            for cols in [1, 10, 63, 64, 65, 130] {
+                for (src_stride, dst_stride) in [(cols, rows), (cols + 3, rows + 5)] {
+                    let src: Vec<f32> = (0..(rows - 1) * src_stride + cols).map(value).collect();
+                    let mut dst = vec![untouched; cols * dst_stride];
+                    let mut expected = dst.clone();
+                    for r in 0..rows {
+                        for c in 0..cols {
+                            expected[c * dst_stride + r] = src[r * src_stride + c];
+                        }
+                    }
+                    transpose_blocks(&src, src_stride, rows, cols, &mut dst, dst_stride);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&dst),
+                        bits(&expected),
+                        "{rows}x{cols}, strides {src_stride} and {dst_stride}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -80,7 +80,8 @@ fn scaled_matrix(rows: usize, cols: usize, values: &[f32], exponent: i32) -> Mat
 
 /// Every GEMM entry point against the naive reference on shapes chosen
 /// to hit every tile of the kernel — full, padded-full and half-width
-/// column tiles, 4-row strips and single rows — on both sides of the
+/// column tiles, `I_TILE`-row strips, the 4-row strip after them and single
+/// rows, at either `I_TILE` (4 or 8) — on both sides of the
 /// K_BLOCK (64) boundary, so the transposed-left kernels run with `rb > 0`
 /// as any retraining batch over 64 rows does. One workspace and output serve
 /// the whole sweep: nothing may leak between calls.
@@ -89,7 +90,7 @@ fn every_gemm_entry_point_matches_the_reference_on_a_tile_boundary_sweep() {
     let mut ws = Workspace::new();
     let mut out = Matrix::identity(1);
     for k in [1, 16, 63, 64, 65, 128, 130] {
-        for m in [1, 3, 4, 5, 8, 9] {
+        for m in [1, 3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17] {
             for n in [1, 10, 16, 17, 31, 32, 33, 48, 49, 64, 70] {
                 let shape = format!("m={m} k={k} n={n}");
                 let a = matrix(m, k, (k * 1000 + m * 100 + n) as u64);

@@ -59,16 +59,17 @@ test-kernels:
     cargo test --release -p dacapo-mx -p dacapo-tensor -p dacapo-dnn -p dacapo-datagen -- --include-ignored
 
 # What a kernel compiled to in the release benchmark binary: per matching
-# symbol, the instruction count and the xmm/ymm/zmm, vcvt* and vmul* tallies,
-# e.g. `just asm quantize_into`.
+# symbol, the instruction count and the xmm/ymm/zmm, vcvt*, vmul* and lane
+# shuffle (vperm*/vunpck*/vshuf*) tallies, e.g. `just asm quantize_into`.
 asm SYMBOL:
     scripts/asm.sh {{SYMBOL}}
 
-# The lane width of the GEMM register tile, as CI checks it: on a host whose
-# /proc/cpuinfo lists avx512f, both tile symbols of the release benchmark
-# binary must use `zmm` (the x86_64 table of .cargo/config.toml turns off
-# LLVM's 256-bit preference, which no `cfg` test can see); elsewhere it
-# prints the tallies and passes.
+# What the GEMM's kernels shipped as, as CI checks it, in the release
+# benchmark binary: on an x86-64 host `transpose_blocks` must shuffle lanes
+# (a scalar transposition gives the same bits, so no test sees it), and on a
+# host whose /proc/cpuinfo lists avx512f both tile symbols must use `zmm`
+# (the x86_64 table of .cargo/config.toml turns off LLVM's 256-bit
+# preference, which no `cfg` test can see). It prints the tallies either way.
 check-width:
     scripts/check-width.sh
 

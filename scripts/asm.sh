@@ -2,9 +2,10 @@
 # What the kernels compiled to: for every symbol of the release benchmark
 # binary whose demangled name contains the argument, the instruction count
 # and how many of them touch `xmm` / `ymm` / `zmm` registers, are a
-# `vcvt*` (int <-> float convert) or a `vmul*` — the tallies CHANGES.md
-# entries quote when they say a loop is vectorised, or that a convert or a
-# multiply left it. The binary is the one the frozen benchmark runs
+# `vcvt*` (int <-> float convert), a `vmul*` or a lane shuffle (`vperm*`,
+# `vunpck*`, `vshuf*`) — the tallies CHANGES.md entries quote when they say
+# a loop is vectorised, that a convert or a multiply left it, or that a
+# transposition moves whole vectors. The binary is the one the frozen benchmark runs
 # (`benchmark/target/release/dacapo-benchmark`, or under `CARGO_TARGET_DIR`),
 # always built first — incrementally, so a fresh binary costs nothing and an
 # edited source or `.cargo/config.toml` is never reported as the old code:
@@ -19,8 +20,8 @@ cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 objdump -d -C --no-show-raw-insn "$binary" | awk -v want="$1" '
     function report() {
         if (name != "")
-            printf "%-60s %5d insns  xmm %4d  ymm %4d  zmm %4d  vcvt %3d  vmul %3d\n",
-                name, insns, xmm, ymm, zmm, vcvt, vmul
+            printf "%-60s %5d insns  xmm %4d  ymm %4d  zmm %4d  vcvt %3d  vmul %3d  shuf %3d\n",
+                name, insns, xmm, ymm, zmm, vcvt, vmul, shuf
     }
     /^[0-9a-f]+ <.*>:$/ {
         report()
@@ -29,7 +30,7 @@ objdump -d -C --no-show-raw-insn "$binary" | awk -v want="$1" '
         symbol = substr(symbol, 1, length(symbol) - 2)
         if (index(symbol, want)) {
             name = symbol; found = 1
-            insns = xmm = ymm = zmm = vcvt = vmul = 0
+            insns = xmm = ymm = zmm = vcvt = vmul = shuf = 0
         }
         next
     }
@@ -40,6 +41,7 @@ objdump -d -C --no-show-raw-insn "$binary" | awk -v want="$1" '
         if (/%zmm/) zmm++
         if ($2 ~ /^vcvt/) vcvt++
         if ($2 ~ /^vmul/) vmul++
+        if ($2 ~ /^(vperm|vunpck|vshuf)/) shuf++
     }
     END {
         report()
